@@ -29,7 +29,6 @@ from .calculus import (
     gray_ak2_residual,
     nabla_J,
     nabla_R,
-    nabla_bilinear,
     ricci,
     riemann,
 )

@@ -2,8 +2,8 @@
 
 The sampling functions take an explicit seeded generator (or a seed), never
 ambient random state, so every run is reproducible.  All functions are pure
-and operate per point; multi-point constancy is a separate report produced
-by `schur_check`.
+and operate per point; multi-point constancy (`schur_check`) is a pure
+function of the per-point statistics and draws no planes of its own.
 """
 
 from __future__ import annotations
@@ -325,26 +325,15 @@ def classify(R: CurvatureTensor, S: Bilinear, class_res, stats_holo: CurvatureSt
     return Verdict(INCONCLUSIVE, None, residuals)
 
 
-def schur_check(chart, points, h: float, n: int, seed) -> SchurReport:
-    """Antiholomorphic curvature means at several points and their spread.
+def schur_check(stats: list[CurvatureStats]) -> SchurReport:
+    """Per-point curvature means and their spread across points.
 
-    A pointwise constant that is also constant across points (small spread)
-    is the numerical shadow of the global-constancy statement for m > 2.
-    For m = 1 the holomorphic means are reported instead.
+    `stats` holds one point's antiholomorphic statistics each (holomorphic
+    for m = 1).  A pointwise constant that is also constant across points
+    (small spread) is the numerical shadow of the global-constancy
+    statement for m > 2.
     """
-    from .calculus import riemann  # deferred: calculus depends on charts only
-
-    if len(points) < 2:
+    if len(stats) < 2:
         raise InvariantViolation("the multi-point constancy check needs >= 2 points")
-    rng = _as_rng(seed)
-    nus = []
-    kind = "antiholomorphic" if chart.m >= 2 else "holomorphic"
-    for p in points:
-        R = riemann(chart, np.asarray(p, dtype=float), h)
-        if chart.m >= 2:
-            planes = sample_antiholomorphic_planes(R.point, n, rng)
-        else:
-            planes = sample_holomorphic_planes(R.point, n, rng)
-        nus.append(constancy(R, planes).mean)
-    spread = float(max(nus) - min(nus))
-    return SchurReport(kind=kind, nu_per_point=tuple(nus), spread=spread)
+    nus = tuple(s.mean for s in stats)
+    return SchurReport(kind=stats[0].kind, nu_per_point=nus, spread=float(max(nus) - min(nus)))

@@ -3,8 +3,10 @@
 All derivatives are second-order central differences with a per-coordinate
 step h_k = h * max(1, |p_k|).  Derivatives of the connection coefficients
 are taken by differencing the connection itself (nested differences), not
-by third derivatives of the metric.  Every residual is a max-norm over
-explicitly enumerated basis tuples, so runs are deterministic.
+by third derivatives of the metric.  Every chart function takes the same
+base step h (`nabla_R` differences at 4h internally); the residual checks
+are pure functions of tensors already computed.  Every residual is a
+max-norm over enumerated basis tuples, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart, ChartEvalError, DomainError
-from .tensor_core import Bilinear, CurvatureTensor, HermitianPoint
+from .tensor_core import Bilinear, CurvatureTensor
 
 __all__ = [
     "DEFAULT_STEP",
@@ -25,7 +27,6 @@ __all__ = [
     "riemann",
     "ricci",
     "nabla_J",
-    "nabla_bilinear",
     "nabla_R",
     "class_residuals",
     "gray_ak2_residual",
@@ -151,23 +152,12 @@ def nabla_J(chart: Chart, p, h: float = DEFAULT_STEP) -> np.ndarray:
     return dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
 
 
-def nabla_bilinear(chart: Chart, p, h: float, field: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Covariant derivative of a (0,2) field: out[k, i, j] = (nabla_k S)_{ij}.
-
-    `field` maps a coordinate point to the matrix of the tensor there and
-    must be evaluable on the central-difference stencil around p.
-    """
-    p = np.asarray(p, dtype=float)
-    _require_margin(chart, p, h, 2)
-    gamma = _gamma_values(chart, p, h)
-    S = np.asarray(field(p), dtype=float)
-    dS = _central_diff(lambda q: np.asarray(field(q), dtype=float), p, h)
-    return dS - np.einsum("lki,lj->kij", gamma, S) - np.einsum("lkj,il->kij", gamma, S)
-
-
 def nabla_R(chart: Chart, p, h: float = DEFAULT_STEP) -> np.ndarray:
     """Covariant derivative of the (0,4) curvature: out[v, x, y, z, u] = (nabla_v R)(x,y,z,u)."""
     p = np.asarray(p, dtype=float)
+    # nabla R sits three difference levels above the metric, where roundoff
+    # scales like eps / h^3: 4h is near the optimum there, h suits the rest.
+    h = 4.0 * h
     _require_margin(chart, p, h, 4)
     gamma = _gamma_values(chart, p, h)
     R0 = _riemann_values(chart, p, h)
@@ -181,8 +171,9 @@ def nabla_R(chart: Chart, p, h: float = DEFAULT_STEP) -> np.ndarray:
     )
 
 
-def class_residuals(chart: Chart, p, h: float = DEFAULT_STEP) -> ClassResiduals:
-    """Defects of the Kahler, nearly Kahler and almost Kahler conditions at p.
+def class_residuals(NJ: np.ndarray, g: np.ndarray) -> ClassResiduals:
+    """Defects of the Kahler, nearly Kahler and almost Kahler conditions,
+    from NJ = nabla_J(...) and the metric g at the same point.
 
     kahler:        max |(nabla_k J)^i_j| over all entries
     nearly_kahler: max over basis pairs of the symmetrized defect
@@ -190,9 +181,6 @@ def class_residuals(chart: Chart, p, h: float = DEFAULT_STEP) -> ClassResiduals:
     almost_kahler: max over basis triples of the cyclic sum
                    g((nabla_x J)y, z) + g((nabla_y J)z, x) + g((nabla_z J)x, y)
     """
-    p = np.asarray(p, dtype=float)
-    NJ = nabla_J(chart, p, h)
-    g = chart.metric_at(p)
     kahler = float(np.max(np.abs(NJ)))
     sym = NJ + np.einsum("jik->kij", NJ)
     nearly = 0.5 * float(np.max(np.abs(sym)))
@@ -203,21 +191,16 @@ def class_residuals(chart: Chart, p, h: float = DEFAULT_STEP) -> ClassResiduals:
     return ClassResiduals(kahler=kahler, nearly_kahler=nearly, almost_kahler=almost)
 
 
-def gray_ak2_residual(chart: Chart, p, h: float = DEFAULT_STEP) -> float:
+def gray_ak2_residual(R: CurvatureTensor, NJ: np.ndarray) -> float:
     """Defect of the curvature identity characterizing the AK_2 class:
 
         R(x,y,z,u) - R(x,y,Jz,Ju)
             = 1/2 g((nabla_x J)y - (nabla_y J)x, (nabla_z J)u - (nabla_u J)z)
 
-    evaluated over all basis quadruples.
+    evaluated over all basis quadruples, with g and J taken from R's point.
     """
-    p = np.asarray(p, dtype=float)
-    _require_margin(chart, p, h, 3)
-    R = _riemann_values(chart, p, h)
-    NJ = nabla_J(chart, p, h)
-    g = chart.metric_at(p)
-    J = chart.j_at(p)
-    lhs = R - np.einsum("xyab,az,bu->xyzu", R, J, J)
+    g, J = R.point.g, R.point.J
+    lhs = R.values - np.einsum("xyab,az,bu->xyzu", R.values, J, J)
     V = np.einsum("xiy->xyi", NJ) - np.einsum("yix->xyi", NJ)
     rhs = 0.5 * np.einsum("xyi,ij,zuj->xyzu", V, g, V)
     return float(np.max(np.abs(lhs - rhs)))

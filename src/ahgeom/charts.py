@@ -135,11 +135,6 @@ class ChartSpec:
     default_points: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
-        n = 2 * self.m
-        gcodes = [[self.metric_exprs[i][j] for j in range(n)] for i in range(n)]
-        jcodes = [[self.j_exprs[i][j] for j in range(n)] for i in range(n)]
-        object.__setattr__(self, "_gtable", gcodes)
-        object.__setattr__(self, "_jtable", jcodes)
         object.__setattr__(self, "_cache", {})
 
     def _tables_at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +149,10 @@ class ChartSpec:
         try:
             for i in range(n):
                 for j in range(i, n):
-                    g[i, j] = g[j, i] = evaluate(self._gtable[i][j], env)
+                    g[i, j] = g[j, i] = evaluate(self.metric_exprs[i][j], env)
             for i in range(n):
                 for j in range(n):
-                    J[i, j] = evaluate(self._jtable[i][j], env)
+                    J[i, j] = evaluate(self.j_exprs[i][j], env)
         except ExprEvalError as exc:
             raise ChartEvalError(str(exc)) from exc
         g.setflags(write=False)

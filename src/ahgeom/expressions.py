@@ -8,10 +8,13 @@ Grammar (whitespace insensitive):
     power  := atom ('^' factor)?        # right associative, binds above unary minus
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-so "-x^2" is -(x^2) and "2^3^2" is 2^(3^2).  Numbers are decimal literals
-with an optional exponent.  The function set is fixed: sin cos tan exp log
-sqrt atan.  Parsing never raises anything but ExprError subclasses, each
-carrying a 1-based line/column position.
+so "-x^2" is -(x^2) and "2^3^2" is 2^(3^2).  Numbers are finite decimal
+literals (1e999 is an error) with an optional exponent.  The function set
+is fixed: sin cos tan exp log sqrt atan.  An expression nests at most
+MAX_DEPTH levels: each operator, unary minus, call and parenthesized group
+is a level, so each term of a chain like 1+1+1 counts, and whatever parses
+also evaluates.  Parsing never raises anything but ExprError subclasses,
+each carrying a 1-based line/column position.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Mapping, Union
 
 __all__ = [
     "FUNCTIONS",
+    "MAX_DEPTH",
     "ExprError",
     "ExprSyntaxError",
     "ExprNameError",
@@ -49,6 +53,10 @@ FUNCTIONS = {
     "sqrt": math.sqrt,
     "atan": math.atan,
 }
+
+# The generated Python puts each level in parentheses and the compiler refuses
+# more than 200 nested ones; the bundled charts nest at most 13 levels.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -139,6 +147,7 @@ class _Parser:
         self.tokens = tokens
         self.line = line
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -151,64 +160,84 @@ class _Parser:
     def fail(self, message: str, tok: _Token):
         raise ExprSyntaxError(message, self.line, tok.col)
 
+    def check_depth(self, depth: int, tok: _Token) -> int:
+        if depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+        return depth
+
+    def nested(self, parse, tok: _Token) -> tuple[Expr, int]:
+        """(node, depth) one level down; refuses before the recursion gets deep."""
+        self.nesting += 1
+        self.check_depth(self.nesting, tok)
+        node, depth = parse()
+        self.nesting -= 1
+        return node, self.check_depth(depth + 1, tok)
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             self.fail(f"unexpected {tok.text!r} after expression", tok)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+    def chain(self, ops: tuple[str, str], operand) -> tuple[Expr, int]:
+        node, depth = operand()
+        while self.peek().text in ops:
+            tok = self.advance()
+            right, rdepth = operand()
+            node = BinOp(tok.text, node, right)
+            depth = self.check_depth(max(depth, rdepth) + 1, tok)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
+    def expr(self) -> tuple[Expr, int]:
+        return self.chain(("+", "-"), self.term)
 
-    def factor(self) -> Expr:
+    def term(self) -> tuple[Expr, int]:
+        return self.chain(("*", "/"), self.factor)
+
+    def factor(self) -> tuple[Expr, int]:
         if self.peek().text == "-":
-            self.advance()
-            return Neg(self.factor())
+            operand, depth = self.nested(self.factor, self.advance())
+            return Neg(operand), depth
         return self.power()
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        node, depth = self.atom()
         if self.peek().text == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
-        return node
+            tok = self.advance()
+            exponent, edepth = self.nested(self.factor, tok)
+            node, depth = BinOp("^", node, exponent), self.check_depth(max(depth + 1, edepth), tok)
+        return node, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                self.fail(f"number {tok.text!r} is out of range", tok)
+            return Num(value), 1
         if tok.kind == "ident":
             if self.peek().text == "(":
                 if tok.text not in FUNCTIONS:
                     raise ExprNameError(f"unknown function '{tok.text}'", self.line, tok.col)
                 self.advance()
-                arg = self.expr()
-                closing = self.advance()
-                if closing.text != ")":
-                    self.fail("expected ')' to close function call", closing)
-                return Call(tok.text, arg)
-            return Var(tok.text)
+                arg, depth = self.nested(
+                    lambda: self.group("expected ')' to close function call"), tok)
+                return Call(tok.text, arg), depth
+            return Var(tok.text), 1
         if tok.text == "(":
-            node = self.expr()
-            closing = self.advance()
-            if closing.text != ")":
-                self.fail("expected ')'", closing)
-            return node
+            return self.nested(self.group, tok)
         if tok.kind == "end":
             self.fail("unexpected end of expression", tok)
         self.fail(f"unexpected {tok.text!r}", tok)
+
+    def group(self, unclosed: str = "expected ')'") -> tuple[Expr, int]:
+        """The rest of a parenthesized expression, after its '('."""
+        node, depth = self.expr()
+        closing = self.advance()
+        if closing.text != ")":
+            self.fail(unclosed, closing)
+        return node, depth
 
 
 def parse_expression(src: str, line: int = 1, col_base: int = 1,
@@ -317,7 +346,7 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     """
     try:
         value = float(eval(_compiled(expr), _EVAL_GLOBALS, dict(env)))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:  # (-1)**0.5 is complex
         raise ExprEvalError(f"cannot evaluate '{to_source(expr)}' at {dict(env)}: {exc}") from exc
     if not math.isfinite(value):
         raise ExprEvalError(f"expression '{to_source(expr)}' is not finite at {dict(env)}")

@@ -1,8 +1,10 @@
 """Full per-point analysis pipeline and deterministic report assembly.
 
-The report has three blocks: run metadata, one block per evaluation point,
-and a global block (multi-point constancy plus the overall verdict and,
-in model mode, the expected-vs-observed checks).  Identical arguments,
+Each point's R, S, nabla J and nabla R are computed once; every check is a
+pure function of them.  The report has three blocks: run metadata, one
+block per evaluation point, and a global block (multi-point constancy over
+the points' nu, or holomorphic means for m = 1, plus the overall verdict
+and, in model mode, the expected-vs-observed checks).  Identical arguments,
 including the seed, produce byte-identical JSON; the text rendering shows
 the same values to 12 significant digits.
 """
@@ -80,12 +82,9 @@ def analyze_point(chart: Chart, p, index: int, *, tol: float, h: float,
     R = calculus.riemann(chart, p, h)
     pt = R.point
     S = calculus.ricci(R)
-    cls = calculus.class_residuals(chart, p, h)
     NJ = calculus.nabla_J(chart, p, h)
-    # The rank-5 derivative sits three difference levels above the metric,
-    # where the roundoff floor scales like eps / h^3; a 4x step is near the
-    # optimum there while h itself stays right for the second level.
-    NR = calculus.nabla_R(chart, p, 4.0 * h)
+    cls = calculus.class_residuals(NJ, pt.g)
+    NR = calculus.nabla_R(chart, p, h)
     # metric compatibility lets nabla S come from contracting nabla R
     NS = np.einsum("pq,kpabq->kab", np.linalg.inv(pt.g), NR)
 
@@ -116,7 +115,7 @@ def analyze_point(chart: Chart, p, index: int, *, tol: float, h: float,
         relation = proof_relation_32_residual(frame, NS, NJ, nu)
     except InvariantViolation:
         relation = None  # Ricci tensor not J-invariant: the relation does not apply
-    gray = calculus.gray_ak2_residual(chart, p, h)
+    gray = calculus.gray_ak2_residual(R, NJ)
     verdict = classify(R, S, cls, holo, anti, tol)
 
     return PointReport(
@@ -345,7 +344,9 @@ def analyze_chart(chart: Chart, points=None, *, name: str = "chart", kind: str =
         analyze_point(chart, p, i, tol=tol, h=h, samples=samples, seed=seed)
         for i, p in enumerate(points)
     ]
-    schur = schur_check(chart, points, h, samples, seed) if len(points) >= 2 else None
+    schur = None
+    if len(reports) >= 2:
+        schur = schur_check([pr.antiholomorphic or pr.holomorphic for pr in reports])
     overall = _overall_verdict(reports)
     checks = None
     if expected is not None:

@@ -106,10 +106,6 @@ class HermitianPoint:
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.g @ y)
 
-    def fundamental_form(self) -> np.ndarray:
-        """Matrix of (x, y) -> g(x, J y); antisymmetric by compatibility."""
-        return self.g @ self.J
-
 
 @dataclass(frozen=True, eq=False)
 class Bilinear:
@@ -162,11 +158,6 @@ class Plane:
     x: np.ndarray
     y: np.ndarray
     kind: str = "generic"
-
-
-def _require_shared_point(obj, point: HermitianPoint) -> None:
-    if obj.point is not point and obj.point.dim != point.dim:
-        raise InvariantViolation("operands live on tangent spaces of different dimension")
 
 
 def psi(Q: Bilinear) -> CurvatureTensor:

@@ -23,6 +23,7 @@ from ahgeom.analysis import (
 )
 from ahgeom.calculus import ClassResiduals, class_residuals, nabla_J, nabla_R, ricci, riemann
 from ahgeom.models import Sphere6Chart, get_model
+from ahgeom.report import analyze_chart, analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
 from ahgeom.tensor_core import (
     Bilinear,
@@ -212,15 +213,15 @@ class TestDecompositionResidual:
 class TestBianchi2Residual:
     def test_flat_chart(self):
         chart = get_model("flat2").chart
-        assert bianchi2_residual(nabla_R(chart, (0.1, 0.2, -0.3, 0.0), 4e-4)) < 1e-8
+        assert bianchi2_residual(nabla_R(chart, (0.1, 0.2, -0.3, 0.0), 1e-4)) < 1e-8
 
     def test_unit_sphere(self):
         chart = Sphere6Chart()
-        assert bianchi2_residual(nabla_R(chart, chart.default_points[1], 4e-4)) < 1e-4
+        assert bianchi2_residual(nabla_R(chart, chart.default_points[1], 1e-4)) < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        assert bianchi2_residual(nabla_R(chart, chart.default_points[1], 4e-4)) < 1e-4
+        assert bianchi2_residual(nabla_R(chart, chart.default_points[1], 1e-4)) < 1e-4
 
 
 class TestProofRelation:
@@ -229,7 +230,7 @@ class TestProofRelation:
         R = riemann(chart, p)
         pt = R.point
         S = ricci(R)
-        NR = nabla_R(chart, p, 4e-4)
+        NR = nabla_R(chart, p, 1e-4)
         NS = np.einsum("pq,kpabq->kab", np.linalg.inv(pt.g), NR)
         NJ = nabla_J(chart, p)
         rng = np.random.default_rng(6)
@@ -307,7 +308,8 @@ class TestClassify:
         rng = np.random.default_rng(9)
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng))
-        verdict = classify(R, S, class_residuals(chart, (0.0,) * 4), holo, anti, 1e-4)
+        cls = class_residuals(nabla_J(chart, (0.0,) * 4), R.point.g)
+        verdict = classify(R, S, cls, holo, anti, 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_equal_radii_product_still_rejected(self):
@@ -321,7 +323,8 @@ class TestClassify:
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 1000, rng))
         assert anti.max_deviation > 0.1
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
-        verdict = classify(R, ricci(R), class_residuals(chart, (0.0,) * 4), holo, anti, 1e-4)
+        cls = class_residuals(nabla_J(chart, (0.0,) * 4), R.point.g)
+        verdict = classify(R, ricci(R), cls, holo, anti, 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_m1_routes_through_holomorphic_constancy(self):
@@ -351,7 +354,7 @@ class TestClassify:
 class TestSchurCheck:
     def test_unit_sphere_spread(self):
         chart = Sphere6Chart()
-        report = schur_check(chart, chart.default_points, 1e-4, 64, 42)
+        report = analyze_chart(chart, h=1e-4, samples=64, seed=42).schur
         assert report.kind == "antiholomorphic"
         for nu in report.nu_per_point:
             assert nu == pytest.approx(1.0, abs=1e-4)
@@ -359,15 +362,43 @@ class TestSchurCheck:
 
     def test_cp3_spread(self):
         chart = get_model("cp3").chart
-        report = schur_check(chart, chart.default_points, 1e-4, 64, 42)
+        report = analyze_chart(chart, h=1e-4, samples=64, seed=42).schur
         assert report.spread < 1e-4
 
     def test_flat_spread_is_zero(self):
         chart = get_model("flat2").chart
-        report = schur_check(chart, chart.default_points, 1e-4, 32, 0)
+        report = analyze_chart(chart, h=1e-4, samples=32, seed=0).schur
         assert report.spread < 1e-12
 
     def test_needs_two_points(self):
-        chart = get_model("flat2").chart
+        stats = CurvatureStats(kind="antiholomorphic", samples=16, mean=0.0, max_deviation=0.0)
         with pytest.raises(InvariantViolation, match=">= 2"):
-            schur_check(chart, chart.default_points[:1], 1e-4, 16, 0)
+            schur_check([stats])
+
+    def test_reuses_each_points_nu(self):
+        report = analyze_model(get_model("cp2"), samples=64)
+        assert report.schur.kind == "antiholomorphic"
+        assert report.schur.nu_per_point == tuple(pr.nu for pr in report.points)
+        # m = 1 has no antiholomorphic planes: the holomorphic means stand in
+        report = analyze_model(get_model("cp1"), samples=64)
+        assert report.schur.kind == "holomorphic"
+        assert report.schur.nu_per_point == tuple(pr.holomorphic.mean for pr in report.points)
+
+
+class TestComputedOncePerPoint:
+    def test_each_tensor_is_computed_once_per_point(self, monkeypatch):
+        from ahgeom import calculus
+
+        calls = {"riemann": 0, "nabla_J": 0, "nabla_R": 0}
+        for name in calls:
+            original = getattr(calculus, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(calculus, name, counted)
+        chart = get_model("cp2").chart
+        analyze_chart(chart, samples=16)
+        n = len(chart.default_points)
+        assert calls == {"riemann": n, "nabla_J": n, "nabla_R": n}

@@ -7,6 +7,7 @@ import pytest
 
 from ahgeom.cli import main
 from ahgeom.models import bundled_chart_texts
+from test_expressions import HOSTILE, chart_with_entry
 
 
 def run(capsys, *argv):
@@ -74,6 +75,22 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--chart", str(bad))
         assert code == 2
         assert "x9" in err
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_expression_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / "hostile.ahm"
+        path.write_text(chart_with_entry(HOSTILE[name]))
+        code, out, err = run(capsys, "analyze", "--chart", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("analysis error:") and "line 3, col" in err
+
+    def test_complex_valued_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "complex.ahm"
+        path.write_text(chart_with_entry("2 + (x - 1)^0.5") + "point = 0 0\n")
+        code, _, err = run(capsys, "analyze", "--chart", str(path))
+        assert code == 2
+        assert err.startswith("analysis error:")
 
     def test_chart_mode_reports_without_expectations(self, tmp_path, capsys):
         path = tmp_path / "cp1.ahm"

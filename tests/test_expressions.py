@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahgeom.charts import ChartSyntaxError, parse_chart
 from ahgeom.expressions import (
+    MAX_DEPTH,
     BinOp,
     Call,
     ExprEvalError,
@@ -105,6 +107,71 @@ class TestEvaluation:
     def test_overflow_is_an_error(self):
         with pytest.raises(ExprEvalError):
             ev("exp(x)", x=1e9)
+
+    def test_complex_power_is_an_error(self):
+        with pytest.raises(ExprEvalError, match="x"):
+            ev("x^0.5", x=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Totality: hostile input raises ExprSyntaxError, never a RecursionError
+# ---------------------------------------------------------------------------
+
+# Each was a RecursionError in the parser, a SyntaxError from the compiler
+# or a NameError at evaluation before the depth limit and finite literals.
+HOSTILE = {
+    "parens": "(" * 2000 + "x" + ")" * 2000,
+    "unary_minus": "-" * 5000 + "x",
+    "long_sum": "+".join(["1"] * 2000),
+    "power_tower": "^".join(["x"] * 3000),
+    "sum_250": "+".join(["1"] * 250),
+    "inf_literal": "1e999",
+}
+
+
+def chart_with_entry(src):
+    return f"dim = 1\ncoords = x y\ng[1][1] = {src}\ng[2][2] = 1\nJ[2][1] = 1\nJ[1][2] = -1\n"
+
+
+class TestTotality:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_parse_expression_rejects(self, name):
+        with pytest.raises(ExprSyntaxError, match="line 1, col"):
+            parse_expression(HOSTILE[name])
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_parse_chart_rejects(self, name):
+        with pytest.raises(ChartSyntaxError, match="line 3, col"):
+            parse_chart(chart_with_entry(HOSTILE[name]))
+
+    def test_limit_is_inclusive(self):
+        # a chain of n terms is n levels deep, and so is x under n - 1 unary minuses
+        assert ev("+".join(["1"] * MAX_DEPTH)) == MAX_DEPTH
+        with pytest.raises(ExprSyntaxError, match="deeper"):
+            parse_expression("+".join(["1"] * (MAX_DEPTH + 1)))
+        assert abs(ev("-" * (MAX_DEPTH - 1) + "x", x=2.0)) == 2.0
+        with pytest.raises(ExprSyntaxError, match="deeper"):
+            parse_expression("-" * MAX_DEPTH + "x")
+
+    def test_large_finite_literal_round_trips(self):
+        expr = parse_expression("1e308")
+        assert parse_expression(to_source(expr)) == expr
+
+
+_WRAPPERS = st.sampled_from(["({})", "-{}", "{}+1", "1*{}", "sin({})", "x^sin({})"])
+
+
+@given(st.lists(_WRAPPERS, max_size=2 * MAX_DEPTH))
+@settings(max_examples=200, deadline=None)
+def test_every_nesting_parses_and_evaluates_or_is_rejected(wrappers):
+    src = "x"
+    for wrapper in wrappers:
+        src = wrapper.format(src)
+    try:
+        expr = parse_expression(src)
+    except ExprSyntaxError:
+        return
+    assert math.isfinite(evaluate(expr, {"x": 0.5}))
 
 
 # ---------------------------------------------------------------------------
