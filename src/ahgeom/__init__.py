@@ -24,7 +24,6 @@ from .tensor_core import (
 )
 from .charts import ChartError, ChartSpec, parse_chart, serialize_chart
 from .calculus import (
-    christoffel,
     class_residuals,
     gray_ak2_residual,
     nabla_J,

@@ -21,9 +21,7 @@ from .tensor_core import Bilinear, CurvatureTensor
 
 __all__ = [
     "DEFAULT_STEP",
-    "ConnectionData",
     "ClassResiduals",
-    "christoffel",
     "riemann",
     "ricci",
     "nabla_J",
@@ -33,20 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class ConnectionData:
-    """Levi-Civita connection coefficients gamma[i, j, k] = Gamma^i_{jk} at a point."""
-
-    gamma: np.ndarray
-    point: np.ndarray
-    step: float
-
-    def __post_init__(self):
-        defect = float(np.max(np.abs(self.gamma - self.gamma.swapaxes(1, 2))))
-        if defect > 0.0:
-            raise ChartEvalError(f"connection not torsion free: defect {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +74,7 @@ def _central_diff(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float
 
 
 def _gamma_values(chart: Chart, p: np.ndarray, h: float) -> np.ndarray:
+    """Levi-Civita connection coefficients gamma[i, j, k] = Gamma^i_{jk}."""
     g = chart.metric_at(p)
     try:
         g_inv = np.linalg.inv(g)
@@ -99,13 +84,6 @@ def _gamma_values(chart: Chart, p: np.ndarray, h: float) -> np.ndarray:
     # T[l, j, k] = partial_j g_lk + partial_k g_lj - partial_l g_jk, symmetric in (j, k)
     T = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
     return 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
-
-
-def christoffel(chart: Chart, p, h: float = DEFAULT_STEP) -> ConnectionData:
-    """Gamma^i_{jk} = 1/2 g^{il} (partial_j g_lk + partial_k g_lj - partial_l g_jk)."""
-    p = np.asarray(p, dtype=float)
-    _require_margin(chart, p, h, 2)
-    return ConnectionData(gamma=_gamma_values(chart, p, h), point=p, step=h)
 
 
 def _riemann_values(chart: Chart, p: np.ndarray, h: float) -> np.ndarray:

@@ -53,6 +53,9 @@ __all__ = [
 
 UNBOUNDED = (-math.inf, math.inf)
 DEFAULT_POINT_TOL = 1e-8
+# A ChartSpec keeps the g/J tables of at most this many stencil points, then
+# starts over: several cp3 points (about 460 each) or cp2 analyses (338).
+TABLE_CACHE_SIZE = 4096
 
 
 class ChartError(ValueError):
@@ -157,6 +160,8 @@ class ChartSpec:
             raise ChartEvalError(str(exc)) from exc
         g.setflags(write=False)
         J.setflags(write=False)
+        if len(self._cache) >= TABLE_CACHE_SIZE:
+            self._cache.clear()
         self._cache[key] = (g, J)
         return g, J
 

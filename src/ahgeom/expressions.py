@@ -54,8 +54,9 @@ FUNCTIONS = {
     "atan": math.atan,
 }
 
-# The generated Python puts each level in parentheses and the compiler refuses
-# more than 200 nested ones; the bundled charts nest at most 13 levels.
+# The parser, `to_source`, `variables_of` and Python's compiler all recurse
+# once per level, and Python refuses more than 200 nested parentheses; the
+# bundled charts nest at most 13 levels.
 MAX_DEPTH = 100
 
 
@@ -313,29 +314,14 @@ def to_source(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _to_python(expr: Expr) -> str:
-    match expr:
-        case Num(value):
-            return repr(value)
-        case Var(name):
-            return name
-        case Neg(operand):
-            return f"(-{_to_python(operand)})"
-        case BinOp("^", left, right):
-            return f"({_to_python(left)}**{_to_python(right)})"
-        case BinOp(op, left, right):
-            return f"({_to_python(left)}{op}{_to_python(right)})"
-        case Call(func, arg):
-            return f"{func}({_to_python(arg)})"
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 _EVAL_GLOBALS = {"__builtins__": {}, **FUNCTIONS}
 
 
 @lru_cache(maxsize=None)
 def _compiled(expr: Expr):
-    return compile(_to_python(expr), "<chart expression>", "eval")
+    # Python's operators have the grammar's precedence and associativity
+    # once '^' is spelled '**' (the only '^' in the source is the operator).
+    return compile(to_source(expr).replace("^", "**"), "<chart expression>", "eval")
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:

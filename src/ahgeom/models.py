@@ -31,15 +31,13 @@ __all__ = [
     "ModelDescriptor",
     "model_flat",
     "model_sphere6",
-    "model_fubini_study",
-    "model_complex_hyperbolic",
+    "model_complex_space_form",
     "model_product_spheres",
     "MODEL_FACTORIES",
     "get_model",
     "model_names",
     "flat_chart_text",
-    "fubini_study_chart_text",
-    "complex_hyperbolic_chart_text",
+    "complex_space_form_chart_text",
     "product_spheres_chart_text",
     "bundled_chart_texts",
 ]
@@ -151,73 +149,49 @@ def flat_chart_text(m: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fubini_study_chart_text(m: int, c: float, points=None) -> str:
-    """Standard metric of complex projective space in inhomogeneous coordinates.
+def complex_space_form_chart_text(m: int, c: float) -> str:
+    """Complex space form of holomorphic sectional curvature c != 0.
 
-    Normalized so holomorphic sectional curvature is c and g(0) = (4/c) Id;
-    for the bundled c = 4 normalization g(0) is the identity.
+    c > 0 gives projective space in inhomogeneous coordinates, c < 0 the
+    bounded-ball model of complex hyperbolic space; both are normalized so
+    g(0) = (4/|c|) Id, the identity for the bundled |c| = 4.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if c <= 0:
-        raise ValueError("holomorphic curvature c must be positive")
-    s = repr(4.0 / c)
-    xs, ys, coords = _paired_coords(m)
-    r2 = "+".join(f"{v}^2" for v in coords)
-    den = f"(1+{r2})^2"
-    lines = [f"# projective model, complex dimension {m}, holomorphic curvature {c}",
-             f"dim = {m}", "coords = " + " ".join(coords)]
-    lines += [f"domain {v} = -2 2" for v in coords]
-    for a in range(m):
-        diag = f"{s}*(1+{r2}-{xs[a]}^2-{ys[a]}^2)/{den}"
-        lines.append(f"g[{2 * a + 1}][{2 * a + 1}] = {diag}")
-        lines.append(f"g[{2 * a + 2}][{2 * a + 2}] = {diag}")
-    for a in range(m):
-        for b in range(a + 1, m):
-            xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
-            xx = f"-{s}*({xa}*{xb}+{ya}*{yb})/{den}"
-            lines.append(f"g[{2 * a + 1}][{2 * b + 1}] = {xx}")
-            lines.append(f"g[{2 * a + 2}][{2 * b + 2}] = {xx}")
-            lines.append(f"g[{2 * a + 1}][{2 * b + 2}] = -{s}*({xa}*{yb}-{ya}*{xb})/{den}")
-            lines.append(f"g[{2 * a + 2}][{2 * b + 1}] = -{s}*({ya}*{xb}-{xa}*{yb})/{den}")
-    lines += _j_lines(m)
-    if points is None:
-        points = [(0.0,) * 2 * m, tuple(0.05 * (k + 2) * (-1) ** k for k in range(2 * m))]
-        if m >= 3:
-            points.append(tuple(0.04 * (k + 1) * (-1) ** (k + 1) for k in range(2 * m)))
-    lines += _point_lines(points)
-    return "\n".join(lines) + "\n"
-
-
-def complex_hyperbolic_chart_text(m: int, c: float, points=None) -> str:
-    """Bounded-ball model with constant negative holomorphic curvature c."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if c >= 0:
-        raise ValueError("holomorphic curvature c must be negative")
+    if c == 0:
+        raise ValueError("holomorphic curvature c must be nonzero")
     s = repr(4.0 / abs(c))
     xs, ys, coords = _paired_coords(m)
     r2 = "+".join(f"{v}^2" for v in coords)
-    den = f"(1-({r2}))^2"
-    box = {1: 0.6, 2: 0.45, 3: 0.35}[m]
-    lines = [f"# hyperbolic model, complex dimension {m}, holomorphic curvature {c}",
+    # the sign of c picks the base 1 +- r^2, the sign of the diagonal
+    # correction and the leading sign of the off-diagonal entries
+    if c > 0:
+        family, box = "projective", 2
+        base, corr, lead = f"1+{r2}", "-", "-"
+        points = [(0.0,) * 2 * m, tuple(0.05 * (k + 2) * (-1) ** k for k in range(2 * m))]
+        if m >= 3:
+            points.append(tuple(0.04 * (k + 1) * (-1) ** (k + 1) for k in range(2 * m)))
+    else:
+        family, box = "hyperbolic", {1: 0.6, 2: 0.45, 3: 0.35}[m]
+        base, corr, lead = f"1-({r2})", "+", ""
+        points = [(0.0,) * 2 * m, tuple(0.04 * (k + 1) * (-1) ** k for k in range(2 * m))]
+    den = f"({base})^2"
+    lines = [f"# {family} model, complex dimension {m}, holomorphic curvature {c}",
              f"dim = {m}", "coords = " + " ".join(coords)]
     lines += [f"domain {v} = -{box} {box}" for v in coords]
     for a in range(m):
-        diag = f"{s}*(1-({r2})+{xs[a]}^2+{ys[a]}^2)/{den}"
+        diag = f"{s}*({base}{corr}{xs[a]}^2{corr}{ys[a]}^2)/{den}"
         lines.append(f"g[{2 * a + 1}][{2 * a + 1}] = {diag}")
         lines.append(f"g[{2 * a + 2}][{2 * a + 2}] = {diag}")
     for a in range(m):
         for b in range(a + 1, m):
             xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
-            xx = f"{s}*({xa}*{xb}+{ya}*{yb})/{den}"
+            xx = f"{lead}{s}*({xa}*{xb}+{ya}*{yb})/{den}"
             lines.append(f"g[{2 * a + 1}][{2 * b + 1}] = {xx}")
             lines.append(f"g[{2 * a + 2}][{2 * b + 2}] = {xx}")
-            lines.append(f"g[{2 * a + 1}][{2 * b + 2}] = {s}*({xa}*{yb}-{ya}*{xb})/{den}")
-            lines.append(f"g[{2 * a + 2}][{2 * b + 1}] = -{s}*({xa}*{yb}-{ya}*{xb})/{den}")
+            lines.append(f"g[{2 * a + 1}][{2 * b + 2}] = {lead}{s}*({xa}*{yb}-{ya}*{xb})/{den}")
+            lines.append(f"g[{2 * a + 2}][{2 * b + 1}] = {lead}{s}*({ya}*{xb}-{xa}*{yb})/{den}")
     lines += _j_lines(m)
-    if points is None:
-        points = [(0.0,) * 2 * m, tuple(0.04 * (k + 1) * (-1) ** k for k in range(2 * m))]
     lines += _point_lines(points)
     return "\n".join(lines) + "\n"
 
@@ -336,31 +310,18 @@ def model_sphere6() -> ModelDescriptor:
     )
 
 
-def model_fubini_study(m: int, c: float) -> ModelDescriptor:
-    if m not in (1, 2, 3):
-        raise ValueError("projective model supports m in {1, 2, 3}")
+def model_complex_space_form(m: int, c: float) -> ModelDescriptor:
+    """CP^m for c > 0 (m <= 3), CH^m for c < 0 (m <= 2)."""
+    if c > 0:
+        name, description, dims = "cp", "complex projective space", (1, 2, 3)
+    else:
+        name, description, dims = "ch", "complex hyperbolic ball", (1, 2)
+    if m not in dims:
+        raise ValueError(f"{description} model supports m in {set(dims)}")
     return ModelDescriptor(
-        name=f"cp{m}",
-        description=f"complex projective space, holomorphic curvature {c}",
-        chart=parse_chart(fubini_study_chart_text(m, c)),
-        expected=ExpectedProfile(
-            **_ALL_PASS,
-            antiholomorphic=c / 4.0 if m >= 2 else None,
-            holomorphic=c,
-            einstein=(m + 1) * c / 2.0,
-            verdict_kind=COMPLEX_SPACE_FORM,
-            verdict_constant=c,
-        ),
-    )
-
-
-def model_complex_hyperbolic(m: int, c: float) -> ModelDescriptor:
-    if m not in (1, 2):
-        raise ValueError("hyperbolic model supports m in {1, 2}")
-    return ModelDescriptor(
-        name=f"ch{m}",
-        description=f"complex hyperbolic ball, holomorphic curvature {c}",
-        chart=parse_chart(complex_hyperbolic_chart_text(m, c)),
+        name=f"{name}{m}",
+        description=f"{description}, holomorphic curvature {c}",
+        chart=parse_chart(complex_space_form_chart_text(m, c)),
         expected=ExpectedProfile(
             **_ALL_PASS,
             antiholomorphic=c / 4.0 if m >= 2 else None,
@@ -393,11 +354,11 @@ def model_product_spheres(r1: float, r2: float) -> ModelDescriptor:
 MODEL_FACTORIES: dict[str, Callable[[], ModelDescriptor]] = {
     "flat2": lambda: model_flat(2),
     "s6": model_sphere6,
-    "cp1": lambda: model_fubini_study(1, 4.0),
-    "cp2": lambda: model_fubini_study(2, 4.0),
-    "cp3": lambda: model_fubini_study(3, 4.0),
-    "ch1": lambda: model_complex_hyperbolic(1, -4.0),
-    "ch2": lambda: model_complex_hyperbolic(2, -4.0),
+    "cp1": lambda: model_complex_space_form(1, 4.0),
+    "cp2": lambda: model_complex_space_form(2, 4.0),
+    "cp3": lambda: model_complex_space_form(3, 4.0),
+    "ch1": lambda: model_complex_space_form(1, -4.0),
+    "ch2": lambda: model_complex_space_form(2, -4.0),
     "s2xs2": lambda: model_product_spheres(1.0, 2.0),
 }
 
@@ -418,10 +379,10 @@ def bundled_chart_texts() -> dict[str, str]:
     """Chart file text for every chart-backed bundled model (all but s6)."""
     return {
         "flat2": flat_chart_text(2),
-        "cp1": fubini_study_chart_text(1, 4.0),
-        "cp2": fubini_study_chart_text(2, 4.0),
-        "cp3": fubini_study_chart_text(3, 4.0),
-        "ch1": complex_hyperbolic_chart_text(1, -4.0),
-        "ch2": complex_hyperbolic_chart_text(2, -4.0),
+        "cp1": complex_space_form_chart_text(1, 4.0),
+        "cp2": complex_space_form_chart_text(2, 4.0),
+        "cp3": complex_space_form_chart_text(3, 4.0),
+        "ch1": complex_space_form_chart_text(1, -4.0),
+        "ch2": complex_space_form_chart_text(2, -4.0),
         "s2xs2": product_spheres_chart_text(1.0, 2.0),
     }

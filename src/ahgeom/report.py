@@ -5,14 +5,15 @@ pure function of them.  The report has three blocks: run metadata, one
 block per evaluation point, and a global block (multi-point constancy over
 the points' nu, or holomorphic means for m = 1, plus the overall verdict
 and, in model mode, the expected-vs-observed checks).  Identical arguments,
-including the seed, produce byte-identical JSON; the text rendering shows
-the same values to 12 significant digits.
+including the seed, produce byte-identical JSON; the text rendering is
+drawn from the same dict, with floats to 12 significant digits.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,17 +63,6 @@ class PointReport:
     eigenframe_relation_residual: float | None
     gray_ak2_residual: float
     verdict: Verdict
-
-
-def _stats_dict(stats: CurvatureStats | None):
-    if stats is None:
-        return None
-    return {
-        "kind": stats.kind,
-        "samples": stats.samples,
-        "mean": stats.mean,
-        "max_deviation": stats.max_deviation,
-    }
 
 
 def analyze_point(chart: Chart, p, index: int, *, tol: float, h: float,
@@ -224,38 +214,24 @@ class AnalysisReport:
         return all(c["ok"] for c in self.expected_checks)
 
     def to_dict(self) -> dict:
-        points = []
-        for pr in self.points:
-            points.append({
-                "point": list(pr.point),
-                "flags": dict(pr.flags),
-                "class_residuals": {
-                    "kahler": pr.class_residuals.kahler,
-                    "nearly_kahler": pr.class_residuals.nearly_kahler,
-                    "almost_kahler": pr.class_residuals.almost_kahler,
-                },
-                "ah_residuals": dict(pr.ah_residuals),
-                "riemann_symmetry_residual": pr.riemann_symmetry,
-                "einstein": {"lambda": pr.einstein_lambda, "residual": pr.einstein_residual},
-                "holomorphic": _stats_dict(pr.holomorphic),
-                "antiholomorphic": _stats_dict(pr.antiholomorphic),
-                "nu": pr.nu,
-                "decomposition_residual": pr.decomposition_residual,
-                "bianchi_residual": pr.bianchi_residual,
-                "eigenframe_relation_residual": pr.eigenframe_relation_residual,
-                "gray_ak2_residual": pr.gray_ak2_residual,
-                "verdict": {
-                    "kind": pr.verdict.kind,
-                    "constant": pr.verdict.constant,
-                    "residuals": dict(pr.verdict.residuals),
-                },
-            })
+        points = [{
+            "point": list(pr.point),
+            "flags": dict(pr.flags),
+            "class_residuals": asdict(pr.class_residuals),
+            "ah_residuals": dict(pr.ah_residuals),
+            "riemann_symmetry_residual": pr.riemann_symmetry,
+            "einstein": {"lambda": pr.einstein_lambda, "residual": pr.einstein_residual},
+            "holomorphic": asdict(pr.holomorphic),
+            "antiholomorphic": None if pr.antiholomorphic is None else asdict(pr.antiholomorphic),
+            "nu": pr.nu,
+            "decomposition_residual": pr.decomposition_residual,
+            "bianchi_residual": pr.bianchi_residual,
+            "eigenframe_relation_residual": pr.eigenframe_relation_residual,
+            "gray_ak2_residual": pr.gray_ak2_residual,
+            "verdict": asdict(pr.verdict),
+        } for pr in self.points]
         global_block: dict = {
-            "schur": None if self.schur is None else {
-                "kind": self.schur.kind,
-                "nu_per_point": list(self.schur.nu_per_point),
-                "spread": self.schur.spread,
-            },
+            "schur": None if self.schur is None else asdict(self.schur),
             "verdict": {"kind": self.overall.kind, "constant": self.overall.constant},
         }
         if self.expected_checks is not None:
@@ -267,58 +243,49 @@ class AnalysisReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
-        def num(v):
-            return "n/a" if v is None else f"{v:.12g}"
+        return "\n".join(_text_lines(self.to_dict(), "")) + "\n"
 
-        lines = [f"target: {self.meta['target']} ({self.meta['kind']})"]
-        lines.append(
-            f"tol={num(self.meta['tolerance'])}  h={num(self.meta['fd_step'])}  "
-            f"samples={self.meta['samples']}  seed={self.meta['seed']}"
-        )
-        for i, pr in enumerate(self.points, start=1):
-            lines.append("")
-            lines.append(f"-- point {i}: ({', '.join(num(v) for v in pr.point)})")
-            lines.append("   flags: " + "  ".join(
-                f"{k}={'pass' if v else 'FAIL'}" for k, v in pr.flags.items()))
-            c = pr.class_residuals
-            lines.append(f"   class residuals: kahler={num(c.kahler)}  "
-                         f"nearly_kahler={num(c.nearly_kahler)}  almost_kahler={num(c.almost_kahler)}")
-            lines.append("   identity residuals: " + "  ".join(
-                f"{k}={num(v)}" for k, v in pr.ah_residuals.items()))
-            lines.append(f"   riemann symmetry residual: {num(pr.riemann_symmetry)}")
-            lines.append(f"   einstein: lambda={num(pr.einstein_lambda)}  "
-                         f"residual={num(pr.einstein_residual)}")
-            h = pr.holomorphic
-            lines.append(f"   holomorphic: mean={num(h.mean)}  "
-                         f"max_deviation={num(h.max_deviation)}  samples={h.samples}")
-            a = pr.antiholomorphic
-            if a is None:
-                lines.append("   antiholomorphic: n/a (m = 1)")
-            else:
-                lines.append(f"   antiholomorphic: mean={num(a.mean)}  "
-                             f"max_deviation={num(a.max_deviation)}  samples={a.samples}")
-            lines.append(f"   nu={num(pr.nu)}")
-            lines.append(f"   decomposition residual: {num(pr.decomposition_residual)}")
-            lines.append(f"   bianchi residual: {num(pr.bianchi_residual)}")
-            lines.append(f"   eigenframe relation residual: "
-                         f"{num(pr.eigenframe_relation_residual)}")
-            lines.append(f"   gray ak2 residual: {num(pr.gray_ak2_residual)}")
-            lines.append(f"   verdict: {pr.verdict.kind}"
-                         + (f" ({num(pr.verdict.constant)})" if pr.verdict.constant is not None else ""))
-        lines.append("")
-        if self.schur is not None:
-            lines.append(f"global {self.schur.kind} means: "
-                         + " ".join(num(v) for v in self.schur.nu_per_point)
-                         + f"  spread={num(self.schur.spread)}")
-        lines.append(f"overall verdict: {self.overall.kind}"
-                     + (f" ({num(self.overall.constant)})" if self.overall.constant is not None else ""))
-        if self.expected_checks is not None:
-            lines.append("")
-            for c in self.expected_checks:
-                lines.append(f"   {'ok  ' if c['ok'] else 'FAIL'} {c['check']}: "
-                             f"expected {c['expected']}, observed {c['observed']}")
-            lines.append(f"expected-vs-observed: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+
+def _leaf(v) -> bool:
+    if isinstance(v, list):
+        return not any(isinstance(x, dict) for x in v)
+    return not isinstance(v, dict)
+
+
+def _fmt(v) -> str:
+    if v is None:
+        return "n/a"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    if isinstance(v, (list, tuple)):
+        return "(" + ", ".join(map(_fmt, v)) + ")"
+    return str(v)
+
+
+def _pairs(d: dict) -> str:
+    return "  ".join(f"{k}={_fmt(v)}" for k, v in d.items())
+
+
+def _text_lines(d: dict, indent: str) -> list[str]:
+    """Leaves as `key: value`, a dict of leaves on one line as `key: k=v  k=v`,
+    other dicts and lists of dicts as blocks indented under their key."""
+    lines = []
+    for key, v in d.items():
+        if _leaf(v):
+            lines.append(f"{indent}{key}: {_fmt(v)}")
+        elif isinstance(v, dict) and all(map(_leaf, v.values())):
+            lines.append(f"{indent}{key}: {_pairs(v)}")
+        elif isinstance(v, dict):
+            lines += [f"{indent}{key}:", *_text_lines(v, indent + "  ")]
+        else:
+            lines.append(f"{indent}{key}:")
+            for item in v:
+                if all(map(_leaf, item.values())):
+                    lines.append(f"{indent}  - {_pairs(item)}")
+                else:
+                    first, *rest = _text_lines(item, indent + "    ")
+                    lines += [f"{indent}  - {first.lstrip()}", *rest]
+    return lines
 
 
 def analyze_chart(chart: Chart, points=None, *, name: str = "chart", kind: str = "chart",
@@ -326,6 +293,11 @@ def analyze_chart(chart: Chart, points=None, *, name: str = "chart", kind: str =
                   samples: int = 256, seed: int = 42,
                   expected=None) -> AnalysisReport:
     """Analyze a chart at the given points (default: its bundled points)."""
+    for label, value in (("tol", tol), ("fd step h", h)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{label} must be finite and > 0, got {value!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     if points is None:
         points = chart.default_points
     points = [tuple(float(v) for v in p) for p in points]

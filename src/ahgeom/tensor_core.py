@@ -103,9 +103,6 @@ class HermitianPoint:
     def standard_flat(cls, m: int, tol: float = DEFAULT_TOL) -> "HermitianPoint":
         return cls(m=m, g=np.eye(2 * m), J=standard_j(m), tol=tol)
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.g @ y)
-
 
 @dataclass(frozen=True, eq=False)
 class Bilinear:

@@ -52,10 +52,10 @@ class TestSamplers:
         rng = np.random.default_rng(0)
         pt = random_hermitian_point(3, rng)
         for plane in sample_antiholomorphic_planes(pt, 64, rng):
-            assert abs(pt.inner(plane.x, plane.x) - 1.0) < 1e-12
-            assert abs(pt.inner(plane.y, plane.y) - 1.0) < 1e-12
-            assert abs(pt.inner(plane.x, plane.y)) < 1e-12
-            assert abs(pt.inner(plane.x, pt.J @ plane.y)) < 1e-12
+            assert abs(plane.x @ pt.g @ plane.x - 1.0) < 1e-12
+            assert abs(plane.y @ pt.g @ plane.y - 1.0) < 1e-12
+            assert abs(plane.x @ pt.g @ plane.y) < 1e-12
+            assert abs(plane.x @ pt.g @ pt.J @ plane.y) < 1e-12
 
     def test_m1_has_no_antiholomorphic_planes(self):
         pt = HermitianPoint.standard_flat(1)
@@ -75,7 +75,7 @@ class TestSamplers:
         pt = random_hermitian_point(2, rng)
         for plane in sample_holomorphic_planes(pt, 16, rng):
             np.testing.assert_allclose(plane.y, pt.J @ plane.x)
-            assert abs(pt.inner(plane.x, plane.y)) < 1e-12
+            assert abs(plane.x @ pt.g @ plane.y) < 1e-12
 
 
 class TestConstancy:

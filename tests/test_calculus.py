@@ -5,7 +5,6 @@ import pytest
 import sympy as sp
 
 from ahgeom.calculus import (
-    christoffel,
     class_residuals,
     gray_ak2_residual,
     nabla_J,
@@ -24,69 +23,86 @@ CP2 = parse_chart(bundled_chart_texts()["cp2"])
 S6 = Sphere6Chart()
 
 
-def symbolic_gamma(chart, point):
-    """Exact connection coefficients: the metric derivatives are computed
-    symbolically (independent of the finite differences), the inversion and
-    contraction numerically."""
+def symbolic_riemann(chart, point):
+    """Exact (0,4) curvature: the metric's first and second derivatives are
+    computed symbolically (independent of the finite differences), the
+    inversion and contractions numerically."""
     syms = sp.symbols(chart.coord_names)
     n = 2 * chart.m
-    subs = dict(zip(syms, point))
-    g_sym = [[sp.sympify(to_source(chart.metric_exprs[i][j]).replace("^", "**"),
-                         locals=dict(zip(chart.coord_names, syms)))
-              for j in range(n)] for i in range(n)]
-    dg = np.array([[[float(sp.diff(g_sym[i][j], syms[a]).subs(subs))
-                     for j in range(n)] for i in range(n)] for a in range(n)])
-    g_inv = np.linalg.inv(chart.metric_at(np.asarray(point, dtype=float)))
+    g_sym = sp.Matrix(n, n, lambda i, j: sp.sympify(
+        to_source(chart.metric_exprs[i][j]).replace("^", "**"),
+        locals=dict(zip(chart.coord_names, syms))))
+    dg_sym = [g_sym.diff(s) for s in syms]
+    ddg_sym = [[d.diff(s) for s in syms] for d in dg_sym]
+    values = sp.lambdify(syms, [dg_sym, ddg_sym], "numpy")(*point)
+    dg = np.array(values[0], dtype=float)  # dg[a, i, j] = partial_a g_ij
+    ddg = np.array(values[1], dtype=float)  # ddg[a, b, i, j] = partial_a partial_b g_ij
+    g = chart.metric_at(np.asarray(point, dtype=float))
+    g_inv = np.linalg.inv(g)
+    # Gamma^i_jk = 1/2 g^il T_ljk and its derivative, with
+    # partial_a g^-1 = -g^-1 (partial_a g) g^-1
     T = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
+    dT = np.einsum("ajlk->aljk", ddg) + np.einsum("aklj->aljk", ddg) - ddg
+    dg_inv = -np.einsum("ip,apq,ql->ail", g_inv, dg, g_inv)
+    gamma = 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
+    dgamma = 0.5 * (np.einsum("ail,ljk->aijk", dg_inv, T) + np.einsum("il,aljk->aijk", g_inv, dT))
+    up = (
+        np.einsum("iljk->lijk", dgamma)
+        - np.einsum("jlik->lijk", dgamma)
+        + np.einsum("lim,mjk->lijk", gamma, gamma)
+        - np.einsum("ljm,mik->lijk", gamma, gamma)
+    )
+    return np.einsum("lm,mijk->ijkl", g, up)
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols
+# Christoffel symbols, checked through the curvature built from them
 # ---------------------------------------------------------------------------
 
 
 class TestChristoffel:
     def test_flat_chart_vanishes(self):
-        conn = christoffel(FLAT, (0.3, -0.2, 0.1, 0.4))
-        assert np.max(np.abs(conn.gamma)) < 1e-10
+        p = (0.3, -0.2, 0.1, 0.4)
+        assert np.max(np.abs(riemann(FLAT, p).values)) < 1e-10
+        assert np.max(np.abs(nabla_J(FLAT, p))) < 1e-10
+        assert np.max(np.abs(nabla_R(FLAT, p))) < 1e-10
 
     def test_symmetric_by_construction(self):
-        conn = christoffel(CP2, (0.2, -0.1, 0.15, 0.05))
-        assert np.array_equal(conn.gamma, conn.gamma.swapaxes(1, 2))
+        # the connection is torsion free, so R satisfies the first Bianchi
+        # identity up to roundoff, far below the finite-difference error
+        V = riemann(CP2, (0.2, -0.1, 0.15, 0.05)).values
+        cyc = V + np.einsum("jkil->ijkl", V) + np.einsum("kijl->ijkl", V)
+        assert np.max(np.abs(cyc)) < 1e-12
 
     def test_matches_symbolic_oracle_on_projective_chart(self):
         point = (0.3, -0.2)
-        oracle = symbolic_gamma(CP1, point)
-        conn = christoffel(CP1, point)
-        assert np.max(np.abs(conn.gamma - oracle)) < 1e-7
+        oracle = symbolic_riemann(CP1, point)
+        assert np.max(np.abs(riemann(CP1, point).values - oracle)) < 1e-7
 
     def test_matches_symbolic_oracle_on_cp2(self):
         point = (0.1, -0.15, 0.2, -0.25)
-        oracle = symbolic_gamma(CP2, point)
-        conn = christoffel(CP2, point)
-        assert np.max(np.abs(conn.gamma - oracle)) < 1e-7
+        oracle = symbolic_riemann(CP2, point)
+        assert np.max(np.abs(riemann(CP2, point).values - oracle)) < 1e-7
 
     def test_fd_convergence_halving_h(self):
         # halving h divides the truncation error by ~4 until the roundoff floor
         point = (0.3, -0.2)
-        oracle = symbolic_gamma(CP1, point)
+        oracle = symbolic_riemann(CP1, point)
         errors = []
         for h in (4e-3, 2e-3, 1e-3):
-            gamma = christoffel(CP1, point, h).gamma
-            errors.append(np.max(np.abs(gamma - oracle)))
+            errors.append(np.max(np.abs(riemann(CP1, point, h).values - oracle)))
         assert errors[1] < errors[0] / 2.0
         assert errors[2] < errors[1] / 2.0
 
     def test_margin_enforced(self):
         with pytest.raises(DomainError, match="boundary"):
-            christoffel(CP1, (2.0, 0.0))
+            riemann(CP1, (2.0, 0.0))
 
     def test_step_underflow(self):
         from ahgeom.charts import ChartEvalError
 
         with pytest.raises(ChartEvalError, match="underflow"):
-            christoffel(FLAT, (1.0, 0.0, 0.0, 0.0), h=1e-18)
+            riemann(FLAT, (1.0, 0.0, 0.0, 0.0), h=1e-18)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ahgeom.calculus import nabla_R
 from ahgeom.charts import (
+    TABLE_CACHE_SIZE,
     ChartEvalError,
     ChartSyntaxError,
     DomainError,
@@ -129,6 +131,16 @@ class TestEvaluation:
         spec = parse_chart(text)
         with pytest.raises(ChartEvalError):
             spec.eval_point((0.0, 0.0))
+
+    def test_table_cache_stays_bounded(self):
+        chart = parse_chart(bundled_chart_texts()["cp3"])
+        rng = np.random.default_rng(5)
+        sizes = []
+        for p in rng.uniform(-1.5, 1.5, size=(16, 6)):
+            nabla_R(chart, p)  # the widest stencil: most of a point's table lookups
+            sizes.append(len(chart._cache))
+        assert 16 * sizes[0] > TABLE_CACHE_SIZE  # an unbounded cache would outgrow it
+        assert max(sizes) <= TABLE_CACHE_SIZE
 
 
 class TestSerialization:

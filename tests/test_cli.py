@@ -106,6 +106,14 @@ class TestAnalyze:
         assert code == 2
         assert "domain" in err.lower()
 
+    @pytest.mark.parametrize("option", ["--fd-step=inf", "--tol=nan", "--tol=inf",
+                                        "--fd-step=-1e-4", "--samples=0"])
+    def test_bad_numeric_option_exits_2(self, capsys, option):
+        code, out, err = run(capsys, "analyze", "--model", "flat2", option)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("analysis error:") and "must be" in err
+
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "s6", "--point", "a,b")
         assert code == 2
@@ -119,15 +127,25 @@ class TestDeterminismAndFormats:
         assert out1.encode() == out2.encode()
 
     def test_text_and_json_agree_to_12_digits(self, capsys):
-        _, text, _ = run(capsys, "analyze", "--model", "cp2", "--seed", "3")
-        _, raw, _ = run(capsys, "analyze", "--model", "cp2", "--seed", "3", "--format", "json")
-        report = json.loads(raw)
-        point = report["points"][0]
-        pairs = [
-            (r"nu=([-\d.e+]+)", point["nu"]),
-            (r"bianchi residual: ([-\d.e+]+)", point["bianchi_residual"]),
-            (r"decomposition residual: ([-\d.e+]+)", point["decomposition_residual"]),
-        ]
-        for pattern, value in pairs:
-            shown = re.search(pattern, text).group(1)
-            assert shown == f"{value:.12g}"
+        # every float of the JSON report shows in the text, to 12 digits and in order
+        for model in ("cp2", "s6", "cp1"):
+            _, text, _ = run(capsys, "analyze", "--model", model)
+            _, raw, _ = run(capsys, "analyze", "--model", model, "--format", "json")
+            report = json.loads(raw)
+            tokens = iter(re.split(r"[\s=(),]+", text))
+            for value in float_leaves(report):
+                shown = f"{value:.12g}"
+                assert any(tok == shown for tok in tokens), (model, shown)
+            missing = [pr["antiholomorphic"] is None for pr in report["points"]]
+            assert len(re.findall(r"^ +antiholomorphic: n/a$", text, re.M)) == sum(missing)
+        assert all(missing)  # cp1, where m = 1
+
+
+def float_leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from float_leaves(item)
+    elif isinstance(value, float):
+        yield value

@@ -1,13 +1,15 @@
 """Expression grammar: parsing, precedence, printing round-trip, evaluation."""
 
 import math
+import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahgeom.charts import ChartSyntaxError, parse_chart
 from ahgeom.expressions import (
+    FUNCTIONS,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -208,3 +210,42 @@ class TestRoundTrip:
         for src in ("1+2*3", "-x1^2", "x1^-2", "(x1+y1)/(1+x1^2)^2", "sin(x1)*cos(y1)"):
             expr = parse_expression(src)
             assert parse_expression(to_source(expr)) == expr
+
+
+def reference_value(expr, env):
+    """Tree-walking interpreter with Python's float semantics."""
+    match expr:
+        case Num(value):
+            return value
+        case Var(name):
+            return env[name]
+        case Neg(operand):
+            return -reference_value(operand, env)
+        case BinOp(op, left, right):
+            return _OPS[op](reference_value(left, env), reference_value(right, env))
+        case Call(func, arg):
+            return FUNCTIONS[func](reference_value(arg, env))
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow}
+
+
+@given(_exprs, st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4))
+@example(parse_expression("x1^(y1+x2)"), [1.5, 0.25, 2.0, -0.5])
+@example(parse_expression("(x1-y1)^x2^-y2+(x1^y1)^x2"), [1.5, 0.25, 2.0, -0.5])
+@example(parse_expression("x1/(y1*x2)-(y1-x2)"), [1.5, 0.25, 2.0, -0.5])
+@example(parse_expression("-(x1+y1)*x2^2"), [1.5, 0.25, 2.0, -0.5])
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_reference_interpreter(expr, values):
+    # bit for bit where the value is finite; otherwise evaluate must refuse
+    env = dict(zip(["x1", "y1", "x2", "y2"], values))
+    try:
+        want = float(reference_value(expr, env))
+    except (ArithmeticError, ValueError, TypeError):  # (-1)^0.5 is complex
+        want = math.nan
+    if math.isfinite(want):
+        assert evaluate(expr, env).hex() == want.hex()
+    else:
+        with pytest.raises(ExprEvalError):
+            evaluate(expr, env)

@@ -75,8 +75,8 @@ class TestSphere6Chart:
         rng = np.random.default_rng(4)
         v = rng.standard_normal(6)
         jv = pt.J @ v
-        assert pt.inner(jv, jv) == pytest.approx(pt.inner(v, v), rel=1e-12)
-        assert pt.inner(v, jv) == pytest.approx(0.0, abs=1e-12)
+        assert jv @ pt.g @ jv == pytest.approx(v @ pt.g @ v, rel=1e-12)
+        assert v @ pt.g @ jv == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_hemisphere_is_an_error(self):
         from ahgeom.charts import ChartEvalError, DomainError
