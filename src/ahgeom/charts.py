@@ -22,16 +22,19 @@ import keyword
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .expressions import (
     FUNCTIONS,
+    Compiled,
     Expr,
     ExprError,
     ExprEvalError,
     Num,
+    compile_expressions,
     evaluate,
     parse_expression,
     to_source,
@@ -124,10 +127,12 @@ def evaluate_chart_point(chart: Chart, p, tol: float = DEFAULT_POINT_TOL) -> Her
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """A parsed chart: immutable after construction, cheap to evaluate.
+    """A parsed chart, immutable after construction.
 
     Structural equality compares dimensions, names, domains, default points
-    and the (normalized) expression tables.
+    and the (normalized) expression tables.  The first table lookup compiles
+    every g and J entry into one program, so each new point costs one
+    `evaluate`; the tables of up to TABLE_CACHE_SIZE points are kept.
     """
 
     m: int
@@ -140,24 +145,31 @@ class ChartSpec:
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
 
+    @cached_property
+    def _program(self) -> tuple[Compiled, np.ndarray, np.ndarray]:
+        """g's upper triangle, then J, row by row, compiled as one program,
+        and the position of each g and J entry among its values."""
+        n = 2 * self.m
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        slot = {cell: k for k, cell in enumerate(upper)}
+        g_index = np.array([[slot[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+        j_index = len(upper) + np.arange(n * n).reshape(n, n)
+        exprs = [self.metric_exprs[i][j] for i, j in upper]
+        exprs += [e for row in self.j_exprs for e in row]
+        return compile_expressions(exprs), g_index, j_index
+
     def _tables_at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = tuple(p.tolist())
+        key = p.tobytes()  # exact bits: the point at -0.0 is not the one at 0.0
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        env = dict(zip(self.coord_names, key))
-        n = 2 * self.m
-        g = np.empty((n, n))
-        J = np.empty((n, n))
+        program, g_index, j_index = self._program
         try:
-            for i in range(n):
-                for j in range(i, n):
-                    g[i, j] = g[j, i] = evaluate(self.metric_exprs[i][j], env)
-            for i in range(n):
-                for j in range(n):
-                    J[i, j] = evaluate(self.j_exprs[i][j], env)
+            values = evaluate(program, dict(zip(self.coord_names, p.tolist())))
         except ExprEvalError as exc:
             raise ChartEvalError(str(exc)) from exc
+        # Indexing with arrays copies, so the cache holds no view of `values`.
+        g, J = values[g_index], values[j_index]
         g.setflags(write=False)
         J.setflags(write=False)
         if len(self._cache) >= TABLE_CACHE_SIZE:

@@ -1,4 +1,4 @@
-"""Recursive-descent parser and evaluator for chart coordinate expressions.
+"""Recursive-descent parser, printer and evaluator for chart coordinate expressions.
 
 Grammar (whitespace insensitive):
 
@@ -15,6 +15,12 @@ MAX_DEPTH levels: each operator, unary minus, call and parenthesized group
 is a level, so each term of a chain like 1+1+1 counts, and whatever parses
 also evaluates.  Parsing never raises anything but ExprError subclasses,
 each carrying a 1-based line/column position.
+
+Evaluation works on batches: `compile_expressions` turns a sequence of
+expressions into one code object built from `to_source`, and `evaluate`
+runs it once per point and returns every value, bit for bit what each
+expression gives on its own.  The compiled code belongs to its caller (a
+chart keeps its own), so nothing here caches expressions.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Union
+from types import CodeType
+from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 __all__ = [
     "FUNCTIONS",
@@ -38,8 +46,10 @@ __all__ = [
     "BinOp",
     "Call",
     "Expr",
+    "Compiled",
     "parse_expression",
     "to_source",
+    "compile_expressions",
     "evaluate",
     "variables_of",
 ]
@@ -315,25 +325,54 @@ def to_source(expr: Expr) -> str:
 
 
 _EVAL_GLOBALS = {"__builtins__": {}, **FUNCTIONS}
+# (-1)**0.5 is complex, so it fails the conversion to float with TypeError.
+_EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, TypeError)
 
 
-@lru_cache(maxsize=None)
-def _compiled(expr: Expr):
+@dataclass(frozen=True, eq=False)
+class Compiled:
+    """Expressions compiled into one code object that yields all their values."""
+
+    exprs: tuple[Expr, ...]
+    code: CodeType
+
+
+def _python_source(expr: Expr) -> str:
     # Python's operators have the grammar's precedence and associativity
     # once '^' is spelled '**' (the only '^' in the source is the operator).
-    return compile(to_source(expr).replace("^", "**"), "<chart expression>", "eval")
+    return to_source(expr).replace("^", "**")
 
 
-def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate at a point given as {coordinate name: value}.
+def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
+    """Compile expressions, in order, into one program for `evaluate`."""
+    exprs = tuple(exprs)
+    source = "(" + "".join(f"{_python_source(expr)}," for expr in exprs) + ")"
+    return Compiled(exprs, compile(source, "<chart expressions>", "eval"))
 
-    Domain violations (log of a non-positive number, division by zero, ...)
-    and non-finite results raise ExprEvalError naming the expression.
-    """
+
+def _evaluate_one(expr: Expr, env: Mapping[str, float]) -> float:
     try:
-        value = float(eval(_compiled(expr), _EVAL_GLOBALS, dict(env)))
-    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:  # (-1)**0.5 is complex
+        value = float(eval(_python_source(expr), _EVAL_GLOBALS, env))
+    except _EVAL_ERRORS as exc:
         raise ExprEvalError(f"cannot evaluate '{to_source(expr)}' at {dict(env)}: {exc}") from exc
     if not math.isfinite(value):
         raise ExprEvalError(f"expression '{to_source(expr)}' is not finite at {dict(env)}")
     return value
+
+
+def evaluate(compiled: Compiled, env: Mapping[str, float]) -> np.ndarray:
+    """Values of every compiled expression at a point given as {coordinate name: value}.
+
+    One `eval` computes them all, with Python's float operators and `math`
+    functions.  Domain violations (log of a non-positive number, division
+    by zero, ...) and non-finite or complex results raise ExprEvalError
+    naming the first failing expression and the point.
+    """
+    try:
+        values = np.array(eval(compiled.code, _EVAL_GLOBALS, env), dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except _EVAL_ERRORS:
+        pass
+    # One expression at a time, to find the one that fails.
+    return np.array([_evaluate_one(expr, env) for expr in compiled.exprs], dtype=float)

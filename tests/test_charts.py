@@ -1,10 +1,16 @@
 """Chart file parsing, validation diagnostics, evaluation, serialization."""
 
+import gc
+import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ahgeom import charts, expressions
 from ahgeom.calculus import nabla_R
 from ahgeom.charts import (
     TABLE_CACHE_SIZE,
@@ -14,7 +20,8 @@ from ahgeom.charts import (
     parse_chart,
     serialize_chart,
 )
-from ahgeom.models import bundled_chart_texts
+from ahgeom.expressions import compile_expressions, evaluate
+from ahgeom.models import bundled_chart_texts, complex_space_form_chart_text
 
 CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
 
@@ -129,8 +136,20 @@ class TestEvaluation:
     def test_non_finite_value_is_an_error(self):
         text = "dim = 1\ncoords = x y\ng[1][1] = 1/x\ng[2][2] = 1\nJ[2][1] = 1\nJ[1][2] = -1\n"
         spec = parse_chart(text)
-        with pytest.raises(ChartEvalError):
+        with pytest.raises(ChartEvalError, match=re.escape("'1.0/x'")):
             spec.eval_point((0.0, 0.0))
+
+    @pytest.mark.parametrize("src, x, entry", [
+        ("log(x)", -1.0, "cannot evaluate 'log(x)'"),
+        ("(x-1)^0.5", 0.0, "cannot evaluate '(x-1.0)^0.5'"),  # complex
+        ("x*1e308*10", 1.0, "expression 'x*1e+308*10.0' is not finite"),
+    ])
+    def test_failing_entry_is_named(self, src, x, entry):
+        spec = parse_chart(MINIMAL_FLAT + f"g[1][2] = {src}\n")
+        with pytest.raises(ChartEvalError) as err:
+            spec.eval_point((x, 0.0))
+        assert entry in str(err.value)
+        assert f"{{'x': {x!r}, 'y': 0.0}}" in str(err.value)
 
     def test_table_cache_stays_bounded(self):
         chart = parse_chart(bundled_chart_texts()["cp3"])
@@ -141,6 +160,66 @@ class TestEvaluation:
             sizes.append(len(chart._cache))
         assert 16 * sizes[0] > TABLE_CACHE_SIZE  # an unbounded cache would outgrow it
         assert max(sizes) <= TABLE_CACHE_SIZE
+
+
+def _hexes(table):
+    return [[v.hex() for v in row] for row in table]
+
+
+def _entry_by_entry(exprs, env):
+    """Each entry's value from a one-expression program, as .hex() text."""
+    return [[evaluate(compile_expressions([e]), env)[0].hex() for e in row] for row in exprs]
+
+
+def _cache_sizes():
+    """Size of every module-level cache or container in expressions and charts."""
+    return {(module.__name__, name): (value.cache_info().currsize
+                                      if hasattr(value, "cache_info") else len(value))
+            for module in (expressions, charts)
+            for name, value in vars(module).items()
+            if not name.startswith("__")
+            and (hasattr(value, "cache_info") or isinstance(value, (dict, list, set)))}
+
+
+_SPECS = {name: parse_chart(text) for name, text in bundled_chart_texts().items()}
+
+
+class TestCompiledTable:
+    @pytest.mark.parametrize("name", sorted(_SPECS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_each_entry_bit_for_bit(self, name, data):
+        spec = _SPECS[name]
+        drawn = tuple(data.draw(st.floats(max(lo, -3.0), min(hi, 3.0)), label=coord)
+                      for coord, (lo, hi) in zip(spec.coord_names, spec.domain))
+        for p in (*spec.default_points, drawn):
+            env = dict(zip(spec.coord_names, p))
+            assert _hexes(spec.metric_at(np.array(p)).tolist()) == _entry_by_entry(
+                spec.metric_exprs, env)
+            assert _hexes(spec.j_at(np.array(p)).tolist()) == _entry_by_entry(spec.j_exprs, env)
+
+    def test_signed_zero_points_have_their_own_tables(self):
+        spec = parse_chart(bundled_chart_texts()["cp2"])
+        zero, signed = (0.0, 0.0, 0.0, 0.0), (0.0, -0.0, 0.0, 0.0)
+        tables = []
+        for p in (zero, signed):
+            tables.append(_hexes(spec.metric_at(np.array(p)).tolist()))
+            assert tables[-1] == _entry_by_entry(spec.metric_exprs, dict(zip(spec.coord_names, p)))
+        # 0.0 == -0.0, yet some of cp2's g entries take the sign of zero from the point
+        assert tables[0] != tables[1]
+
+    def test_lives_and_dies_with_its_chart(self):
+        before = _cache_sizes()
+        p = np.array([0.1, -0.2, 0.3, 0.05])
+        for k in range(200):
+            chart = parse_chart(complex_space_form_chart_text(2, 1.0 + k / 100))
+            chart.metric_at(p)
+            if k == 0:
+                dropped = [weakref.ref(chart), weakref.ref(chart._program[0].code)]
+        del chart
+        gc.collect()
+        assert [ref() for ref in dropped] == [None, None]
+        assert _cache_sizes() == before
 
 
 class TestSerialization:

@@ -19,14 +19,21 @@ from ahgeom.expressions import (
     Neg,
     Num,
     Var,
+    compile_expressions,
     evaluate,
     parse_expression,
     to_source,
 )
 
 
+def value_of(expr, env):
+    """One expression's value, through a program of its own."""
+    [value] = evaluate(compile_expressions([expr]), env)
+    return value
+
+
 def ev(src, **env):
-    return evaluate(parse_expression(src), env)
+    return value_of(parse_expression(src), env)
 
 
 class TestParsing:
@@ -114,6 +121,25 @@ class TestEvaluation:
         with pytest.raises(ExprEvalError, match="x"):
             ev("x^0.5", x=-1.0)
 
+    def test_program_returns_each_value_in_order(self):
+        exprs = [parse_expression(src) for src in ("x*y", "-0.0*x", "2^x", "1")]
+        values = evaluate(compile_expressions(exprs), {"x": 3.0, "y": -0.5})
+        assert [v.hex() for v in values] == [v.hex() for v in (-1.5, -0.0, 8.0, 1.0)]
+        assert evaluate(compile_expressions([]), {}).shape == (0,)
+
+    @pytest.mark.parametrize("src, x, message", [
+        ("log(x)", -1.0, "cannot evaluate 'log(x)'"),
+        ("1/(x+1)", -1.0, "cannot evaluate '1.0/(x+1.0)'"),
+        ("(x-1)^0.5", 0.0, "cannot evaluate '(x-1.0)^0.5'"),
+        ("x*1e308*10", 1.0, "expression 'x*1e+308*10.0' is not finite"),
+    ])
+    def test_program_names_its_first_failing_entry(self, src, x, message):
+        exprs = [parse_expression(s) for s in ("x+1", src, "log(x-5)")]
+        with pytest.raises(ExprEvalError) as err:
+            evaluate(compile_expressions(exprs), {"x": x})
+        assert message in str(err.value)
+        assert f"{{'x': {x!r}}}" in str(err.value)
+
 
 # ---------------------------------------------------------------------------
 # Totality: hostile input raises ExprSyntaxError, never a RecursionError
@@ -173,7 +199,7 @@ def test_every_nesting_parses_and_evaluates_or_is_rejected(wrappers):
         expr = parse_expression(src)
     except ExprSyntaxError:
         return
-    assert math.isfinite(evaluate(expr, {"x": 0.5}))
+    assert math.isfinite(value_of(expr, {"x": 0.5}))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +215,16 @@ _leaves = st.one_of(_numbers.map(Num), _names.map(Var))
 
 
 def _branches(children):
+    binops = st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda t: BinOp(*t))
     return st.one_of(
         children.map(Neg),
-        st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda t: BinOp(*t)),
+        binops,
         st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "atan"]), children)
         .map(lambda t: Call(*t)),
+        # Operators with compound operands on both sides, so that a compound
+        # base or exponent, and a compound right operand of '-' or '/', turn
+        # up often: the printer must parenthesize each of them.
+        st.tuples(st.sampled_from("^-/"), binops, binops).map(lambda t: BinOp(*t)),
     )
 
 
@@ -245,7 +276,7 @@ def test_evaluate_matches_reference_interpreter(expr, values):
     except (ArithmeticError, ValueError, TypeError):  # (-1)^0.5 is complex
         want = math.nan
     if math.isfinite(want):
-        assert evaluate(expr, env).hex() == want.hex()
+        assert value_of(expr, env).hex() == want.hex()
     else:
         with pytest.raises(ExprEvalError):
-            evaluate(expr, env)
+            value_of(expr, env)
