@@ -11,7 +11,7 @@ from .tensor_core import (
     CurvatureTensor,
     HermitianPoint,
     InvariantViolation,
-    Plane,
+    Planes,
     ah_identity_residual,
     build_from_decomposition,
     fit_pi_span,

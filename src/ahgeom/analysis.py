@@ -1,9 +1,11 @@
 """Plane statistics, adapted frames, residual checks and the verdict.
 
 The sampling functions take an explicit seeded generator (or a seed), never
-ambient random state, so every run is reproducible.  All functions are pure
-and operate per point; multi-point constancy (`schur_check`) is a pure
-function of the per-point statistics and draws no planes of its own.
+ambient random state, so every run is reproducible.  They draw a point's
+planes as one `Planes` batch, and `constancy` evaluates the batch in one
+`sectional_curvature` call.  All functions are pure and operate per point;
+multi-point constancy (`schur_check`) is a pure function of the per-point
+statistics and draws no planes of its own.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from .tensor_core import (
     CurvatureTensor,
     HermitianPoint,
     InvariantViolation,
-    Plane,
+    Planes,
     ah_identity_residual,
     build_from_decomposition,
     fit_pi_span,
+    row_apply,
+    row_inner,
     sectional_curvature,
 )
 
@@ -100,55 +104,58 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _g_unit(point: HermitianPoint, v: np.ndarray) -> np.ndarray:
-    return v / np.sqrt(float(v @ point.g @ v))
+def _g_units(g: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The rows of V scaled to g-unit length."""
+    return V / np.sqrt(row_inner(V, g, V))[:, None]
 
 
-def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng) -> list[Plane]:
+def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng) -> Planes:
     """n orthonormal planes (x, y) with g(x, Jy) = 0, i.e. span(x,y) disjoint
     from its J-image.  Deterministic for a fixed seed.
 
-    x is drawn on the g-unit sphere; y is drawn, g-projected off {x, Jx}
-    and normalized, resampling if the projection degenerates.
+    One (n, 2, 2m) block of normals gives each plane's x and y draw, in the
+    stream order of drawing x then y plane by plane.  x is scaled to the
+    g-unit sphere; y is g-projected off {x, Jx} and normalized.  Rows whose
+    projection degenerates are drawn again in a further block, up to 100
+    rounds; only this path consumes the stream in a different order from
+    drawing each degenerate plane's y again before the next plane's x.
     """
     if ctx.m < 2:
         raise InvariantViolation("antiholomorphic planes need complex dimension m >= 2")
     rng = _as_rng(rng)
     g = ctx.g
-    planes = []
-    for _ in range(n):
-        x = _g_unit(ctx, rng.standard_normal(ctx.dim))
-        jx = ctx.J @ x
-        for attempt in range(100):
-            y = rng.standard_normal(ctx.dim)
-            y = y - float(y @ g @ x) * x - float(y @ g @ jx) * jx
-            norm2 = float(y @ g @ y)
-            if norm2 > 1e-12:
-                break
-        else:
-            raise InvariantViolation("plane sampling degenerated 100 times in a row")
-        planes.append(Plane(x=x, y=y / np.sqrt(norm2), kind="antiholomorphic"))
-    return planes
+    normals = rng.standard_normal((n, 2, ctx.dim))
+    X = _g_units(g, normals[:, 0])
+    JX = row_apply(ctx.J, X)
+    Y = np.empty_like(X)
+    norm2 = np.empty(n)
+    rows = np.arange(n)
+    for attempt in range(100):
+        draws = normals[:, 1] if attempt == 0 else rng.standard_normal((rows.size, ctx.dim))
+        x, jx = X[rows], JX[rows]
+        y = draws - row_inner(draws, g, x)[:, None] * x - row_inner(draws, g, jx)[:, None] * jx
+        Y[rows] = y
+        norm2[rows] = row_inner(y, g, y)
+        rows = rows[~(norm2[rows] > 1e-12)]  # a NaN norm counts as degenerate
+        if rows.size == 0:
+            return Planes(x=X, y=Y / np.sqrt(norm2)[:, None], kind="antiholomorphic")
+    raise InvariantViolation("plane sampling degenerated 100 times in a row")
 
 
-def sample_holomorphic_planes(ctx: HermitianPoint, n: int, rng) -> list[Plane]:
+def sample_holomorphic_planes(ctx: HermitianPoint, n: int, rng) -> Planes:
     """n planes spanned by (x, Jx) with x on the g-unit sphere."""
-    rng = _as_rng(rng)
-    planes = []
-    for _ in range(n):
-        x = _g_unit(ctx, rng.standard_normal(ctx.dim))
-        planes.append(Plane(x=x, y=ctx.J @ x, kind="holomorphic"))
-    return planes
+    X = _g_units(ctx.g, _as_rng(rng).standard_normal((n, ctx.dim)))
+    return Planes(x=X, y=row_apply(ctx.J, X), kind="holomorphic")
 
 
-def constancy(R: CurvatureTensor, planes: list[Plane]) -> CurvatureStats:
+def constancy(R: CurvatureTensor, planes: Planes) -> CurvatureStats:
     """Mean and max deviation of the sectional curvature over the planes."""
     if len(planes) < 1:
         raise InvariantViolation("constancy needs at least one plane")
-    values = np.array([sectional_curvature(R, plane) for plane in planes])
+    values = sectional_curvature(R, planes)
     mean = float(values.mean())
     return CurvatureStats(
-        kind=planes[0].kind,
+        kind=planes.kind,
         samples=len(planes),
         mean=mean,
         max_deviation=float(np.max(np.abs(values - mean))),
@@ -195,7 +202,7 @@ def adapted_eigenframe(S: Bilinear, merge_tol: float = 1e-8,
         cluster = [vecs[:, k] for k in range(block.start, block.stop)]
         full = list(cluster)
         while cluster:
-            e = _g_unit(pt, cluster.pop(0))
+            e = _g_units(g, cluster.pop(0)[None])[0]
             je = J @ e
             # J-closure: Je must stay inside the original eigenspace
             proj = sum(g_dot(je, u) * u for u in full)

@@ -56,8 +56,9 @@ __all__ = [
 
 UNBOUNDED = (-math.inf, math.inf)
 DEFAULT_POINT_TOL = 1e-8
-# A ChartSpec keeps the g/J tables of at most this many stencil points, then
-# starts over: several cp3 points (about 460 each) or cp2 analyses (338).
+# A ChartSpec keeps the g/J tables of at most this many stencil points,
+# evicting the oldest first: several cp3 points (about 460 each) or cp2
+# analyses (338), so the point under analysis keeps its tables.
 TABLE_CACHE_SIZE = 4096
 
 
@@ -132,7 +133,7 @@ class ChartSpec:
     Structural equality compares dimensions, names, domains, default points
     and the (normalized) expression tables.  The first table lookup compiles
     every g and J entry into one program, so each new point costs one
-    `evaluate`; the tables of up to TABLE_CACHE_SIZE points are kept.
+    `evaluate`; the tables of the latest TABLE_CACHE_SIZE points are kept.
     """
 
     m: int
@@ -173,7 +174,7 @@ class ChartSpec:
         g.setflags(write=False)
         J.setflags(write=False)
         if len(self._cache) >= TABLE_CACHE_SIZE:
-            self._cache.clear()
+            del self._cache[next(iter(self._cache))]  # dicts keep insertion order
         self._cache[key] = (g, J)
         return g, J
 

@@ -1,11 +1,12 @@
 """Pointwise multilinear algebra for almost Hermitian structures.
 
 Everything in this module is exact linear algebra on one tangent space:
-the curvature-type operators ``pi1``/``pi2``/``psi``, sectional curvature,
-the three AH curvature identities, and construction / least-squares
-splitting of curvature tensors over span{pi1, pi2}.  No differentiation
-and no charts happen here; the functions are pure and the containers are
-immutable, so concurrent use is safe.
+the curvature-type operators ``pi1``/``pi2``/``psi``, sectional curvature
+of a batch of 2-planes (``Planes``), the three AH curvature identities, and
+construction / least-squares splitting of curvature tensors over
+span{pi1, pi2}.  No differentiation and no charts happen here; the
+functions are pure and the containers are immutable, so concurrent use is
+safe.
 
 Sign conventions are fixed so that the unit round sphere has curvature
 tensor ``pi1`` and the sectional curvature of an orthonormal plane (x, y)
@@ -24,7 +25,7 @@ __all__ = [
     "HermitianPoint",
     "Bilinear",
     "CurvatureTensor",
-    "Plane",
+    "Planes",
     "standard_j",
     "psi",
     "pi1",
@@ -32,6 +33,8 @@ __all__ = [
     "ah_identity_residual",
     "riemann_symmetry_residual",
     "sectional_curvature",
+    "row_inner",
+    "row_apply",
     "build_from_decomposition",
     "fit_pi_span",
 ]
@@ -145,16 +148,48 @@ class CurvatureTensor:
 
 
 @dataclass(frozen=True, eq=False)
-class Plane:
-    """A 2-plane spanned by tangent vectors x, y.
+class Planes:
+    """n 2-planes at one point: the i-th is spanned by x[i] and y[i].
 
-    kind is "holomorphic" (y = Jx), "antiholomorphic" (g(x, Jy) = 0) or
-    "generic"; samplers guarantee the orthonormality invariants.
+    x and y have shape (n, 2m).  kind is "holomorphic" (y = Jx),
+    "antiholomorphic" (g(x, Jy) = 0) or "generic"; samplers guarantee the
+    orthonormality invariants.  A single plane is a batch of one.
     """
 
     x: np.ndarray
     y: np.ndarray
     kind: str = "generic"
+
+    def __post_init__(self):
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        if x.ndim != 2 or x.shape != y.shape:
+            raise InvariantViolation(
+                f"planes need x and y of one shape (n, 2m), got {x.shape} and {y.shape}"
+            )
+        x.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+
+def row_inner(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The (n,) array of A[i] @ M @ B[i].
+
+    Each row rounds exactly like the single-vector ``a @ M @ b``: the
+    stacked matmuls take the same per-vector BLAS paths (vector-matrix,
+    then dot).  ``A @ M`` as one matrix product, or an einsum, sums in
+    another order and changes the last bits.
+    """
+    return ((A[:, None, :] @ M) @ B[:, :, None])[:, 0, 0]
+
+
+def row_apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (n, d) array of M @ X[i], each row rounded like ``M @ x``."""
+    return (M @ X[:, :, None])[:, :, 0]
 
 
 def psi(Q: Bilinear) -> CurvatureTensor:
@@ -251,14 +286,22 @@ def riemann_symmetry_residual(R: CurvatureTensor) -> float:
     return max(r, float(np.max(np.abs(cyc))))
 
 
-def sectional_curvature(R: CurvatureTensor, plane: Plane, *, degeneracy_tol: float = 1e-12) -> float:
-    """R(x, y, y, x) normalized by the Gram determinant of the plane."""
+def sectional_curvature(R: CurvatureTensor, planes: Planes, *,
+                        degeneracy_tol: float = 1e-12) -> np.ndarray:
+    """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant.
+
+    Raises InvariantViolation naming the first plane whose Gram determinant
+    is below degeneracy_tol.  The einsum is left unoptimized: it then sums
+    each plane's terms in the same order as a single-plane contraction.
+    """
     g = R.point.g
-    x, y = plane.x, plane.y
-    den = float((x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2)
-    if den < degeneracy_tol:
-        raise InvariantViolation(f"degenerate plane: Gram determinant {den:.3e}")
-    num = float(np.einsum("ijkl,i,j,k,l->", R.values, x, y, y, x))
+    X, Y = planes.x, planes.y
+    den = row_inner(X, g, X) * row_inner(Y, g, Y) - row_inner(X, g, Y) ** 2
+    bad = np.flatnonzero(den < degeneracy_tol)
+    if bad.size:
+        i = int(bad[0])
+        raise InvariantViolation(f"degenerate plane {i}: Gram determinant {den[i]:.3e}")
+    num = np.einsum("ijkl,ni,nj,nk,nl->n", R.values, X, Y, Y, X)
     return num / den
 
 

@@ -33,6 +33,7 @@ from ahgeom.tensor_core import (
     build_from_decomposition,
     pi1,
     pi2,
+    sectional_curvature,
 )
 
 ZERO_CLASS = ClassResiduals(kahler=0.0, nearly_kahler=0.0, almost_kahler=0.0)
@@ -51,11 +52,13 @@ class TestSamplers:
     def test_antiholomorphic_invariants(self):
         rng = np.random.default_rng(0)
         pt = random_hermitian_point(3, rng)
-        for plane in sample_antiholomorphic_planes(pt, 64, rng):
-            assert abs(plane.x @ pt.g @ plane.x - 1.0) < 1e-12
-            assert abs(plane.y @ pt.g @ plane.y - 1.0) < 1e-12
-            assert abs(plane.x @ pt.g @ plane.y) < 1e-12
-            assert abs(plane.x @ pt.g @ pt.J @ plane.y) < 1e-12
+        planes = sample_antiholomorphic_planes(pt, 64, rng)
+        assert len(planes) == 64
+        for x, y in zip(planes.x, planes.y):
+            assert abs(x @ pt.g @ x - 1.0) < 1e-12
+            assert abs(y @ pt.g @ y - 1.0) < 1e-12
+            assert abs(x @ pt.g @ y) < 1e-12
+            assert abs(x @ pt.g @ pt.J @ y) < 1e-12
 
     def test_m1_has_no_antiholomorphic_planes(self):
         pt = HermitianPoint.standard_flat(1)
@@ -66,16 +69,127 @@ class TestSamplers:
         pt = HermitianPoint.standard_flat(2)
         a = sample_antiholomorphic_planes(pt, 8, 123)
         b = sample_antiholomorphic_planes(pt, 8, 123)
-        for p, q in zip(a, b):
-            np.testing.assert_array_equal(p.x, q.x)
-            np.testing.assert_array_equal(p.y, q.y)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.y, b.y)
 
     def test_holomorphic_planes(self):
         rng = np.random.default_rng(1)
         pt = random_hermitian_point(2, rng)
-        for plane in sample_holomorphic_planes(pt, 16, rng):
-            np.testing.assert_allclose(plane.y, pt.J @ plane.x)
-            assert abs(plane.x @ pt.g @ plane.y) < 1e-12
+        planes = sample_holomorphic_planes(pt, 16, rng)
+        assert len(planes) == 16
+        for x, y in zip(planes.x, planes.y):
+            np.testing.assert_allclose(y, pt.J @ x)
+            assert abs(x @ pt.g @ y) < 1e-12
+
+
+class _ScriptedNormals(np.random.Generator):
+    """A generator whose first standard_normal block is given; later blocks
+    come from `later(size)`.  Records the size of every block drawn."""
+
+    def __init__(self, first, later):
+        super().__init__(np.random.PCG64(0))
+        self.first, self.later, self.sizes = first, later, []
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self.sizes.append(size)
+        return self.first if len(self.sizes) == 1 else self.later(size)
+
+
+class TestDegenerateDraws:
+    def test_only_degenerate_rows_are_drawn_again(self):
+        rng = np.random.default_rng(8)
+        pt = random_hermitian_point(2, rng)
+        block = rng.standard_normal((3, 2, pt.dim))
+        parallel = block.copy()
+        parallel[1, 1] = -2.0 * parallel[1, 0]  # plane 1: y parallel to x
+        redraws = np.random.default_rng(9)
+        scripted = _ScriptedNormals(parallel, redraws.standard_normal)
+        planes = sample_antiholomorphic_planes(pt, 3, scripted)
+        assert scripted.sizes == [(3, 2, pt.dim), (1, pt.dim)]
+
+        clean = sample_antiholomorphic_planes(pt, 3, _ScriptedNormals(block, None))
+        np.testing.assert_array_equal(planes.x, clean.x)
+        np.testing.assert_array_equal(planes.y[[0, 2]], clean.y[[0, 2]])
+        x, y = planes.x[1], planes.y[1]
+        assert abs(y @ pt.g @ y - 1.0) < 1e-12
+        assert abs(x @ pt.g @ y) < 1e-12
+        assert abs(x @ pt.g @ pt.J @ y) < 1e-12
+
+    def test_gives_up_after_100_rounds(self):
+        pt = HermitianPoint.standard_flat(2)
+        block = np.random.default_rng(10).standard_normal((4, 2, pt.dim))
+        block[2, 1] = block[2, 0]
+        scripted = _ScriptedNormals(block, np.zeros)
+        with pytest.raises(InvariantViolation, match="degenerated 100 times"):
+            sample_antiholomorphic_planes(pt, 4, scripted)
+        assert scripted.sizes == [(4, 2, pt.dim)] + [(1, pt.dim)] * 99
+
+
+def _reference_antiholomorphic(pt, n, rng):
+    """The per-plane sampler the batch one replaces: x, then y, plane by plane."""
+    g = pt.g
+    xs, ys = [], []
+    for _ in range(n):
+        v = rng.standard_normal(pt.dim)
+        x = v / np.sqrt(float(v @ g @ v))
+        jx = pt.J @ x
+        for _attempt in range(100):
+            y = rng.standard_normal(pt.dim)
+            y = y - float(y @ g @ x) * x - float(y @ g @ jx) * jx
+            norm2 = float(y @ g @ y)
+            if norm2 > 1e-12:
+                break
+        xs.append(x)
+        ys.append(y / np.sqrt(norm2))
+    return np.array(xs), np.array(ys)
+
+
+def _reference_holomorphic(pt, n, rng):
+    xs = []
+    for _ in range(n):
+        v = rng.standard_normal(pt.dim)
+        xs.append(v / np.sqrt(float(v @ pt.g @ v)))
+    return np.array(xs), np.array([pt.J @ x for x in xs])
+
+
+def _reference_curvatures(R, xs, ys):
+    g = R.point.g
+    out = []
+    for x, y in zip(xs, ys):
+        den = float((x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2)
+        out.append(float(np.einsum("ijkl,i,j,k,l->", R.values, x, y, y, x)) / den)
+    return np.array(out)
+
+
+def _bit_for_bit_cases():
+    rng = np.random.default_rng(11)
+    for m in (2, 3):
+        for k in range(3):
+            pt = random_hermitian_point(m, rng, spread=0.2 + 0.1 * k)
+            S = random_j_invariant_bilinear(pt, rng)
+            R = build_from_decomposition(S, 0.6 - k, tol=1e-8)
+            yield pytest.param(R, id=f"random-m{m}-{k}")
+    for name in ("cp3", "s6"):
+        chart = get_model(name).chart
+        for i, p in enumerate(chart.default_points):
+            yield pytest.param(riemann(chart, p), id=f"{name}-{i}")
+
+
+class TestBatchMatchesPerPlaneReference:
+    """The batch forms round exactly like the per-plane code they replace."""
+
+    @pytest.mark.parametrize("R", list(_bit_for_bit_cases()))
+    def test_samplers_and_curvatures_bit_for_bit(self, R):
+        pt = R.point
+        for n in (1, 5, 256):
+            for sample, reference in ((sample_antiholomorphic_planes, _reference_antiholomorphic),
+                                      (sample_holomorphic_planes, _reference_holomorphic)):
+                planes = sample(pt, n, np.random.default_rng([n, pt.m]))
+                xs, ys = reference(pt, n, np.random.default_rng([n, pt.m]))
+                assert np.array_equal(planes.x, xs)
+                assert np.array_equal(planes.y, ys)
+                assert np.array_equal(sectional_curvature(R, planes),
+                                      _reference_curvatures(R, xs, ys))
 
 
 class TestConstancy:

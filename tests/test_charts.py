@@ -160,6 +160,12 @@ class TestEvaluation:
             sizes.append(len(chart._cache))
         assert 16 * sizes[0] > TABLE_CACHE_SIZE  # an unbounded cache would outgrow it
         assert max(sizes) <= TABLE_CACHE_SIZE
+        # a full cache evicts its oldest entries: the most recent ones survive
+        before = list(chart._cache)
+        fresh = [np.array([k * 1e-6, 0.0, 0.0, 0.0, 0.0, 0.0]) for k in range(10)]
+        for p in fresh:
+            chart.metric_at(p)
+        assert list(chart._cache) == before[10:] + [p.tobytes() for p in fresh]
 
 
 def _hexes(table):

@@ -147,14 +147,14 @@ class TestDescriptors:
 class TestProductSpheres:
     def test_plane_curvatures_at_origin(self):
         from ahgeom.calculus import riemann
-        from ahgeom.tensor_core import Plane, sectional_curvature
+        from ahgeom.tensor_core import Planes, sectional_curvature
 
         chart = get_model("s2xs2").chart  # radii 1 and 2
         R = riemann(chart, (0.0, 0.0, 0.0, 0.0))
         e = np.eye(4)
-        mixed = Plane(x=e[0], y=e[2], kind="antiholomorphic")
-        assert sectional_curvature(R, mixed) == pytest.approx(0.0, abs=1e-8)
-        first = Plane(x=e[0], y=e[1], kind="holomorphic")
-        second = Plane(x=e[2], y=e[3], kind="holomorphic")
-        assert sectional_curvature(R, first) == pytest.approx(1.0, abs=1e-7)
-        assert sectional_curvature(R, second) == pytest.approx(0.25, abs=1e-7)
+        mixed = Planes(x=[e[0]], y=[e[2]], kind="antiholomorphic")
+        assert sectional_curvature(R, mixed)[0] == pytest.approx(0.0, abs=1e-8)
+        factors = Planes(x=[e[0], e[2]], y=[e[1], e[3]], kind="holomorphic")
+        first, second = sectional_curvature(R, factors)
+        assert first == pytest.approx(1.0, abs=1e-7)
+        assert second == pytest.approx(0.25, abs=1e-7)

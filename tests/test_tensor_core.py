@@ -16,7 +16,7 @@ from ahgeom.tensor_core import (
     CurvatureTensor,
     HermitianPoint,
     InvariantViolation,
-    Plane,
+    Planes,
     ah_identity_residual,
     build_from_decomposition,
     fit_pi_span,
@@ -191,8 +191,8 @@ class TestPi1:
         R = CurvatureTensor(pt, c * pi1(pt).values)
         for _ in range(100):
             v = rng.standard_normal((2, pt.dim))
-            plane = Plane(x=v[0], y=v[1])
-            assert sectional_curvature(R, plane) == pytest.approx(c, abs=1e-10)
+            plane = Planes(x=[v[0]], y=[v[1]])
+            assert sectional_curvature(R, plane)[0] == pytest.approx(c, abs=1e-10)
 
 
 class TestPi2:
@@ -208,14 +208,15 @@ class TestPi2:
         rng = np.random.default_rng(7)
         from ahgeom.analysis import sample_antiholomorphic_planes
 
-        for plane in sample_antiholomorphic_planes(pt, 50, rng):
-            assert sectional_curvature(R, plane) == pytest.approx(0.0, abs=1e-12)
+        values = sectional_curvature(R, sample_antiholomorphic_planes(pt, 50, rng))
+        assert values.shape == (50,)
+        assert np.max(np.abs(values)) <= 1e-12
 
     def test_holomorphic_plane_value_is_three(self):
         pt = HermitianPoint.standard_flat(2)
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        plane = Plane(x=x, y=pt.J @ x, kind="holomorphic")
-        assert sectional_curvature(pi2(pt), plane) == pytest.approx(3.0)
+        plane = Planes(x=[x], y=[pt.J @ x], kind="holomorphic")
+        assert sectional_curvature(pi2(pt), plane)[0] == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +283,36 @@ class TestSectionalCurvature:
         pt = HermitianPoint.standard_flat(2)
         R = CurvatureTensor(pt, pi1(pt).values + pi2(pt).values)
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        holo = Plane(x=x, y=pt.J @ x, kind="holomorphic")
-        anti = Plane(x=x, y=np.array([0.0, 0.0, 1.0, 0.0]), kind="antiholomorphic")
-        assert sectional_curvature(R, holo) == pytest.approx(4.0)
-        assert sectional_curvature(R, anti) == pytest.approx(1.0)
+        holo = Planes(x=[x], y=[pt.J @ x], kind="holomorphic")
+        anti = Planes(x=[x], y=[[0.0, 0.0, 1.0, 0.0]], kind="antiholomorphic")
+        assert sectional_curvature(R, holo)[0] == pytest.approx(4.0)
+        assert sectional_curvature(R, anti)[0] == pytest.approx(1.0)
 
     def test_zero_tensor(self):
         pt = HermitianPoint.standard_flat(2)
         R = CurvatureTensor(pt, np.zeros((4, 4, 4, 4)))
-        plane = Plane(x=np.array([1.0, 0, 0, 0]), y=np.array([0, 1.0, 0, 0]))
-        assert sectional_curvature(R, plane) == 0.0
+        plane = Planes(x=[[1.0, 0, 0, 0]], y=[[0, 1.0, 0, 0]])
+        assert sectional_curvature(R, plane)[0] == 0.0
 
     def test_degenerate_plane_raises(self):
         pt = HermitianPoint.standard_flat(2)
         x = np.array([1.0, 0, 0, 0])
         with pytest.raises(InvariantViolation, match="degenerate"):
-            sectional_curvature(pi1(pt), Plane(x=x, y=2.0 * x))
+            sectional_curvature(pi1(pt), Planes(x=[x], y=[2.0 * x]))
+        # in a batch, the message names the first degenerate plane and its determinant
+        e = np.eye(4)
+        planes = Planes(x=[e[0], e[0], e[1], e[2]], y=[e[1], 2.0 * e[0], e[1], e[3]])
+        with pytest.raises(InvariantViolation,
+                           match=r"degenerate plane 1: Gram determinant 0\.000e\+00"):
+            sectional_curvature(pi1(pt), planes)
+
+    def test_planes_need_matching_batches(self):
+        e = np.eye(4)
+        assert len(Planes(x=e[:3], y=e[1:])) == 3
+        with pytest.raises(InvariantViolation, match="one shape"):
+            Planes(x=e[:3], y=e[:2])
+        with pytest.raises(InvariantViolation, match="one shape"):
+            Planes(x=e[0], y=e[1])  # a single plane is a batch of one: shape (1, 4)
 
     def test_invariant_under_plane_basis_change(self):
         rng = np.random.default_rng(10)
@@ -305,12 +320,12 @@ class TestSectionalCurvature:
         S = random_j_invariant_bilinear(pt, rng)
         R = build_from_decomposition(S, 0.3, tol=1e-8)
         x, y = rng.standard_normal((2, 4))
-        k0 = sectional_curvature(R, Plane(x=x, y=y))
+        k0 = sectional_curvature(R, Planes(x=[x], y=[y]))[0]
         for _ in range(20):
             a, b, c, d = rng.uniform(-2, 2, size=4)
             if abs(a * d - b * c) < 0.1:
                 continue
-            k1 = sectional_curvature(R, Plane(x=a * x + b * y, y=c * x + d * y))
+            k1 = sectional_curvature(R, Planes(x=[a * x + b * y], y=[c * x + d * y]))[0]
             assert abs(k1 - k0) < 1e-10
 
 
