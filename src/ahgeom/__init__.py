@@ -2,8 +2,9 @@
 
 Point-level tensor algebra (`tensor_core`), an expression-chart engine with
 finite-difference covariant calculus (`charts`, `calculus`), bundled model
-manifolds (`models`), per-point statistics and classification (`analysis`),
-and a deterministic report front end (`report`, `cli`).
+manifolds, each an expression chart from a text generator (`models`),
+per-point statistics and classification (`analysis`), and a deterministic
+report front end (`report`, `cli`).
 """
 
 from .tensor_core import (

@@ -1,4 +1,4 @@
-"""Finite-difference covariant calculus on charts.
+"""Finite-difference covariant calculus on expression charts (`ChartSpec`).
 
 All derivatives are second-order central differences with a per-coordinate
 step h_k = h * max(1, |p_k|).  Derivatives of the connection coefficients
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart, ChartEvalError, DomainError
+from .charts import ChartEvalError, ChartSpec, DomainError
 from .tensor_core import Bilinear, CurvatureTensor
 
 __all__ = [
@@ -46,7 +46,7 @@ def _steps(p: np.ndarray, h: float) -> np.ndarray:
     return h * np.maximum(1.0, np.abs(p))
 
 
-def _require_margin(chart: Chart, p: np.ndarray, h: float, factor: int) -> None:
+def _require_margin(chart: ChartSpec, p: np.ndarray, h: float, factor: int) -> None:
     steps = _steps(p, h)
     if np.any(p + steps == p) or np.any(p - steps == p):
         raise ChartEvalError(f"step underflow at point {p.tolist()} with h = {h!r}")
@@ -73,7 +73,7 @@ def _central_diff(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float
     return np.stack(rows, axis=0)
 
 
-def _gamma_values(chart: Chart, p: np.ndarray, h: float) -> np.ndarray:
+def _gamma_values(chart: ChartSpec, p: np.ndarray, h: float) -> np.ndarray:
     """Levi-Civita connection coefficients gamma[i, j, k] = Gamma^i_{jk}."""
     g = chart.metric_at(p)
     try:
@@ -86,7 +86,7 @@ def _gamma_values(chart: Chart, p: np.ndarray, h: float) -> np.ndarray:
     return 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
 
 
-def _riemann_values(chart: Chart, p: np.ndarray, h: float) -> np.ndarray:
+def _riemann_values(chart: ChartSpec, p: np.ndarray, h: float) -> np.ndarray:
     gamma = _gamma_values(chart, p, h)
     dgamma = _central_diff(lambda q: _gamma_values(chart, q, h), p, h)
     # R^l_{ijk} = partial_i Gamma^l_jk - partial_j Gamma^l_ik
@@ -102,7 +102,7 @@ def _riemann_values(chart: Chart, p: np.ndarray, h: float) -> np.ndarray:
     return np.einsum("lm,mijk->ijkl", g, up)
 
 
-def riemann(chart: Chart, p, h: float = DEFAULT_STEP) -> CurvatureTensor:
+def riemann(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> CurvatureTensor:
     """(0,4) curvature tensor at p, in the convention where the unit sphere gives pi1."""
     p = np.asarray(p, dtype=float)
     _require_margin(chart, p, h, 3)
@@ -120,7 +120,7 @@ def ricci(R: CurvatureTensor) -> Bilinear:
     return Bilinear(R.point, np.einsum("pq,pabq->ab", g_inv, R.values))
 
 
-def nabla_J(chart: Chart, p, h: float = DEFAULT_STEP) -> np.ndarray:
+def nabla_J(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> np.ndarray:
     """Covariant derivative of J: out[k, i, j] = (nabla_k J)^i_j."""
     p = np.asarray(p, dtype=float)
     _require_margin(chart, p, h, 2)
@@ -130,7 +130,7 @@ def nabla_J(chart: Chart, p, h: float = DEFAULT_STEP) -> np.ndarray:
     return dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
 
 
-def nabla_R(chart: Chart, p, h: float = DEFAULT_STEP) -> np.ndarray:
+def nabla_R(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> np.ndarray:
     """Covariant derivative of the (0,4) curvature: out[v, x, y, z, u] = (nabla_v R)(x,y,z,u)."""
     p = np.asarray(p, dtype=float)
     # nabla R sits three difference levels above the metric, where roundoff

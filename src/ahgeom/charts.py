@@ -23,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -48,10 +47,8 @@ __all__ = [
     "ChartEvalError",
     "DomainError",
     "ChartSpec",
-    "Chart",
     "parse_chart",
     "serialize_chart",
-    "evaluate_chart_point",
 ]
 
 UNBOUNDED = (-math.inf, math.inf)
@@ -78,57 +75,10 @@ class DomainError(ChartError):
     pass
 
 
-@runtime_checkable
-class Chart(Protocol):
-    """What the finite-difference calculus needs from a chart.
-
-    ChartSpec implements this with expression tables; model charts may
-    implement it natively (e.g. through an embedding).
-    """
-
-    m: int
-    coord_names: tuple[str, ...]
-    domain: tuple[tuple[float, float], ...]
-    default_points: tuple[tuple[float, ...], ...]
-
-    def metric_at(self, p: np.ndarray) -> np.ndarray: ...
-
-    def j_at(self, p: np.ndarray) -> np.ndarray: ...
-
-    def eval_point(self, p, tol: float = DEFAULT_POINT_TOL) -> HermitianPoint: ...
-
-
-def check_domain(chart: Chart, p: np.ndarray) -> None:
-    for k, name in enumerate(chart.coord_names):
-        lo, hi = chart.domain[k]
-        if not (lo <= p[k] <= hi):
-            raise DomainError(
-                f"coordinate {name} = {p[k]!r} outside domain [{lo}, {hi}]"
-            )
-
-
-def evaluate_chart_point(chart: Chart, p, tol: float = DEFAULT_POINT_TOL) -> HermitianPoint:
-    """Evaluate g and J at p and verify the almost Hermitian invariants.
-
-    A violation beyond `tol` is an error, not a warning.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2 * chart.m,):
-        raise ChartEvalError(f"point must have {2 * chart.m} coordinates, got {p.shape}")
-    check_domain(chart, p)
-    g = chart.metric_at(p)
-    J = chart.j_at(p)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(J))):
-        raise ChartEvalError(f"non-finite chart value at point {p.tolist()}")
-    try:
-        return HermitianPoint(m=chart.m, g=g, J=J, tol=tol)
-    except InvariantViolation as exc:
-        raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ChartSpec:
-    """A parsed chart, immutable after construction.
+    """A parsed chart, immutable after construction; every chart, bundled
+    model or file, is one of these.
 
     Structural equality compares dimensions, names, domains, default points
     and the (normalized) expression tables.  The first table lookup compiles
@@ -185,7 +135,22 @@ class ChartSpec:
         return self._tables_at(np.asarray(p, dtype=float))[1]
 
     def eval_point(self, p, tol: float = DEFAULT_POINT_TOL) -> HermitianPoint:
-        return evaluate_chart_point(self, p, tol)
+        """g and J at p, with the almost Hermitian invariants verified.
+
+        A point outside the domain is a DomainError; a violation beyond
+        `tol` is an error, not a warning.
+        """
+        p = np.asarray(p, dtype=float)
+        if p.shape != (2 * self.m,):
+            raise ChartEvalError(f"point must have {2 * self.m} coordinates, got {p.shape}")
+        for name, x, (lo, hi) in zip(self.coord_names, p.tolist(), self.domain):
+            if not (lo <= x <= hi):
+                raise DomainError(f"coordinate {name} = {x!r} outside domain [{lo}, {hi}]")
+        g, J = self._tables_at(p)
+        try:
+            return HermitianPoint(m=self.m, g=g, J=J, tol=tol)
+        except InvariantViolation as exc:
+            raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
 
 
 _LHS_ENTRY_RE = re.compile(r"^([gJ])\[(\d+)\]\[(\d+)\]$")

@@ -1,7 +1,7 @@
 """Bundled model manifolds with ground-truth metadata.
 
-Each model carries a chart (an expression chart, except for the sphere in
-R^7 which uses a native embedding evaluator) together with the expected
+Each model carries an expression chart, parsed from the text its generator
+emits (the files in `charts/` are that text), together with the expected
 class flags, curvature constants and classification verdict.  The expected
 flags are validated against the class lattice at construction time: the
 Kahler class is exactly the intersection of nearly Kahler and almost
@@ -10,23 +10,17 @@ Kahler, and the three curvature-identity classes are nested.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .analysis import (
     COMPLEX_SPACE_FORM,
     NOT_CONSTANT_ANTIHOLOMORPHIC,
     REAL_SPACE_FORM,
 )
-from .charts import Chart, ChartEvalError, evaluate_chart_point, parse_chart
-from .tensor_core import HermitianPoint
+from .charts import ChartSpec, parse_chart
 
 __all__ = [
-    "cross7",
-    "Sphere6Chart",
     "ExpectedProfile",
     "ModelDescriptor",
     "model_flat",
@@ -38,81 +32,13 @@ __all__ = [
     "model_names",
     "flat_chart_text",
     "complex_space_form_chart_text",
+    "sphere6_chart_text",
     "product_spheres_chart_text",
-    "bundled_chart_texts",
 ]
 
 # Cayley multiplication table on the 7 imaginary units: each line (a, b, c)
 # means e_a e_b = e_c cyclically (the e_n e_{n+1} = e_{n+3} convention).
 _FANO_LINES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3))
-
-
-def _structure_constants() -> np.ndarray:
-    f = np.zeros((7, 7, 7))
-    for line in _FANO_LINES:
-        for a, b, c in (line, line[1:] + line[:1], line[2:] + line[:2]):
-            f[a - 1, b - 1, c - 1] = 1.0
-            f[b - 1, a - 1, c - 1] = -1.0
-    return f
-
-
-_F7 = _structure_constants()
-_F7.setflags(write=False)
-
-
-def cross7(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Seven dimensional cross product from the Cayley multiplication table.
-
-    Bilinear, antisymmetric, with x cross (x cross y) = <x,y> x - |x|^2 y.
-    """
-    return np.einsum("ijk,i,j->k", _F7, x, y)
-
-
-class Sphere6Chart:
-    """Unit sphere in R^7, orthographic chart p -> (p, sqrt(1 - |p|^2)).
-
-    The almost complex structure is J_P(V) = P cross V on tangent vectors
-    of the embedded sphere, pulled back through the chart Jacobian.  This
-    is the canonical nearly Kahler, non Kahler structure.
-    """
-
-    m = 3
-    coord_names = ("x1", "x2", "x3", "x4", "x5", "x6")
-    domain = ((-0.35, 0.35),) * 6
-    default_points = (
-        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        (0.12, -0.07, 0.2, 0.05, -0.1, 0.08),
-        (-0.2, 0.15, -0.05, 0.1, 0.07, -0.12),
-    )
-
-    def _embedding(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        w2 = 1.0 - float(p @ p)
-        if w2 <= 0.0:
-            raise ChartEvalError(f"point {p.tolist()} outside the chart hemisphere")
-        w = math.sqrt(w2)
-        P = np.concatenate([p, [w]])
-        E = np.zeros((7, 6))
-        E[:6, :] = np.eye(6)
-        E[6, :] = -p / w
-        return P, E, w2
-
-    def metric_at(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        _, _, w2 = self._embedding(p)
-        g = np.eye(6) + np.outer(p, p) / w2
-        g.setflags(write=False)
-        return g
-
-    def j_at(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        P, E, _ = self._embedding(p)
-        cross_with_p = np.einsum("abc,a->cb", _F7, P)  # v -> P cross v
-        J = np.linalg.solve(self.metric_at(p), E.T @ cross_with_p @ E)
-        J.setflags(write=False)
-        return J
-
-    def eval_point(self, p, tol: float = 1e-8) -> HermitianPoint:
-        return evaluate_chart_point(self, p, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +122,51 @@ def complex_space_form_chart_text(m: int, c: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cross_entry(c: int, b: int) -> tuple[int, int]:
+    """(sign, a) with (P x e_b)_c = sign * P_a, for b != c: a is the third
+    unit on the Fano line through b and c, and sign is +1 when e_a e_b = e_c."""
+    line = next(l for l in _FANO_LINES if b in l and c in l)
+    a = (set(line) - {b, c}).pop()
+    return (1 if (a, b, c) in (line, line[1:] + line[:1], line[2:] + line[:2]) else -1), a
+
+
+def sphere6_chart_text() -> str:
+    """Unit sphere in R^7, orthographic chart p -> P = (p, w), w = sqrt(1 - |p|^2).
+
+    g = I + p p^T / w^2 pulls back the round metric, and J_P(V) = P x V
+    (the Cayley cross product) is the canonical nearly Kahler, non Kahler
+    structure.  With E = [I; -p^T / w] the chart Jacobian, J v is the first
+    six components of P x (E v), so J[i][j] = C[i][j] - C[i][7] x_j / w
+    where C[c][b] = (P x e_b)_c is a single signed P_a, or 0 when b = c.
+    """
+    coords = [f"x{k}" for k in range(1, 7)]
+    r2 = "+".join(f"{v}^2" for v in coords)
+    w = f"sqrt(1-({r2}))"
+    P = coords + [w]
+    lines = ["# unit 6-sphere, orthographic chart, Cayley cross-product structure",
+             "dim = 3", "coords = " + " ".join(coords)]
+    lines += [f"domain {v} = -0.35 0.35" for v in coords]
+    for i in range(6):
+        lines.append(f"g[{i + 1}][{i + 1}] = 1+{coords[i]}^2/(1-({r2}))")
+        lines += [f"g[{i + 1}][{j + 1}] = {coords[i]}*{coords[j]}/(1-({r2}))"
+                  for j in range(i + 1, 6)]
+    for i in range(1, 7):
+        s7, a7 = _cross_entry(i, 7)
+        minus = "-" if s7 > 0 else "+"  # the sign of -C[i][7]
+        for j in range(1, 7):
+            tail = f"{P[a7 - 1]}*{coords[j - 1]}/{w}"
+            if i == j:
+                entry = minus.removeprefix("+") + tail
+            else:
+                s, a = _cross_entry(i, j)
+                entry = f"{'-' if s < 0 else ''}{P[a - 1]}{minus}{tail}"
+            lines.append(f"J[{i}][{j}] = {entry}")
+    lines += _point_lines([(0.0,) * 6,
+                           (0.12, -0.07, 0.2, 0.05, -0.1, 0.08),
+                           (-0.2, 0.15, -0.05, 0.1, 0.07, -0.12)])
+    return "\n".join(lines) + "\n"
+
+
 def product_spheres_chart_text(r1: float, r2: float) -> str:
     """Product of two round 2-spheres of the given radii, product structure.
 
@@ -269,7 +240,7 @@ class ExpectedProfile:
 class ModelDescriptor:
     name: str
     description: str
-    chart: Chart
+    chart: ChartSpec
     expected: ExpectedProfile
 
 
@@ -297,7 +268,7 @@ def model_sphere6() -> ModelDescriptor:
     return ModelDescriptor(
         name="s6",
         description="unit 6-sphere with the Cayley cross-product structure",
-        chart=Sphere6Chart(),
+        chart=parse_chart(sphere6_chart_text()),
         expected=ExpectedProfile(
             kahler=False, nearly_kahler=True, almost_kahler=False,
             ah1=False, ah2=True, ah3=True,
@@ -374,15 +345,3 @@ def get_model(name: str) -> ModelDescriptor:
         raise KeyError(f"unknown model {name!r} (known: {known})")
     return factory()
 
-
-def bundled_chart_texts() -> dict[str, str]:
-    """Chart file text for every chart-backed bundled model (all but s6)."""
-    return {
-        "flat2": flat_chart_text(2),
-        "cp1": complex_space_form_chart_text(1, 4.0),
-        "cp2": complex_space_form_chart_text(2, 4.0),
-        "cp3": complex_space_form_chart_text(3, 4.0),
-        "ch1": complex_space_form_chart_text(1, -4.0),
-        "ch2": complex_space_form_chart_text(2, -4.0),
-        "s2xs2": product_spheres_chart_text(1.0, 2.0),
-    }

@@ -35,7 +35,7 @@ from .analysis import (
     schur_check,
 )
 from .calculus import ClassResiduals
-from .charts import Chart
+from .charts import ChartEvalError, ChartSpec
 from .models import ModelDescriptor
 from .tensor_core import InvariantViolation, ah_identity_residual, riemann_symmetry_residual
 
@@ -65,7 +65,7 @@ class PointReport:
     verdict: Verdict
 
 
-def analyze_point(chart: Chart, p, index: int, *, tol: float, h: float,
+def analyze_point(chart: ChartSpec, p, index: int, *, tol: float, h: float,
                   samples: int, seed: int) -> PointReport:
     """Run every check at one point; deterministic for fixed arguments."""
     p = np.asarray(p, dtype=float)
@@ -288,7 +288,7 @@ def _text_lines(d: dict, indent: str) -> list[str]:
     return lines
 
 
-def analyze_chart(chart: Chart, points=None, *, name: str = "chart", kind: str = "chart",
+def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart", kind: str = "chart",
                   tol: float = 1e-4, h: float = calculus.DEFAULT_STEP,
                   samples: int = 256, seed: int = 42,
                   expected=None) -> AnalysisReport:
@@ -303,6 +303,10 @@ def analyze_chart(chart: Chart, points=None, *, name: str = "chart", kind: str =
     points = [tuple(float(v) for v in p) for p in points]
     if not points:
         raise ValueError("no evaluation points: pass points or add them to the chart")
+    for p in points:
+        if len(p) != 2 * chart.m or not all(map(math.isfinite, p)):
+            raise ChartEvalError(
+                f"point must have {2 * chart.m} coordinates, all finite, got {list(p)}")
     meta = {
         "target": name,
         "kind": kind,

@@ -22,7 +22,7 @@ from ahgeom.analysis import (
     schur_check,
 )
 from ahgeom.calculus import ClassResiduals, class_residuals, nabla_J, nabla_R, ricci, riemann
-from ahgeom.models import Sphere6Chart, get_model
+from ahgeom.models import get_model
 from ahgeom.report import analyze_chart, analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
 from ahgeom.tensor_core import (
@@ -284,7 +284,7 @@ class TestAdaptedEigenframe:
 
 class TestEinsteinResidual:
     def test_unit_sphere(self):
-        chart = Sphere6Chart()
+        chart = get_model("s6").chart
         S = ricci(riemann(chart, chart.default_points[1]))
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(5.0, abs=1e-4)
@@ -306,7 +306,7 @@ class TestEinsteinResidual:
 
 class TestDecompositionResidual:
     def test_unit_sphere_fixture(self):
-        chart = Sphere6Chart()
+        chart = get_model("s6").chart
         R = riemann(chart, chart.default_points[1])
         assert decomposition_residual(R, ricci(R), 1.0, tol=1e-4) < 1e-5
 
@@ -330,7 +330,7 @@ class TestBianchi2Residual:
         assert bianchi2_residual(nabla_R(chart, (0.1, 0.2, -0.3, 0.0), 1e-4)) < 1e-8
 
     def test_unit_sphere(self):
-        chart = Sphere6Chart()
+        chart = get_model("s6").chart
         assert bianchi2_residual(nabla_R(chart, chart.default_points[1], 1e-4)) < 1e-4
 
     def test_cp2(self):
@@ -354,7 +354,7 @@ class TestProofRelation:
 
     def test_unit_sphere(self):
         # nabla S = 0 and the nearly Kahler condition kill both summands
-        chart = Sphere6Chart()
+        chart = get_model("s6").chart
         assert self._residual_at(chart, chart.default_points[1]) < 1e-4
 
     def test_cp2(self):
@@ -467,7 +467,7 @@ class TestClassify:
 
 class TestSchurCheck:
     def test_unit_sphere_spread(self):
-        chart = Sphere6Chart()
+        chart = get_model("s6").chart
         report = analyze_chart(chart, h=1e-4, samples=64, seed=42).schur
         assert report.kind == "antiholomorphic"
         for nu in report.nu_per_point:

@@ -12,15 +12,15 @@ from ahgeom.calculus import (
     ricci,
     riemann,
 )
-from ahgeom.charts import DomainError, parse_chart
+from ahgeom.charts import DomainError
 from ahgeom.expressions import to_source
-from ahgeom.models import Sphere6Chart, bundled_chart_texts, get_model
+from ahgeom.models import get_model, model_names
 from ahgeom.tensor_core import pi1, pi2, riemann_symmetry_residual
 
-FLAT = parse_chart(bundled_chart_texts()["flat2"])
-CP1 = parse_chart(bundled_chart_texts()["cp1"])
-CP2 = parse_chart(bundled_chart_texts()["cp2"])
-S6 = Sphere6Chart()
+FLAT = get_model("flat2").chart
+CP1 = get_model("cp1").chart
+CP2 = get_model("cp2").chart
+S6 = get_model("s6").chart
 
 
 def symbolic_riemann(chart, point):
@@ -125,7 +125,7 @@ class TestRiemann:
         target = pi1(R.point).values + pi2(R.point).values
         assert np.max(np.abs(R.values - target)) < 1e-5
 
-    @pytest.mark.parametrize("name", sorted(bundled_chart_texts()))
+    @pytest.mark.parametrize("name", sorted(model_names()))
     def test_symmetries_on_bundled_charts(self, name):
         chart = get_model(name).chart
         for p in chart.default_points:

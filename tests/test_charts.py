@@ -21,7 +21,7 @@ from ahgeom.charts import (
     serialize_chart,
 )
 from ahgeom.expressions import compile_expressions, evaluate
-from ahgeom.models import bundled_chart_texts, complex_space_form_chart_text
+from ahgeom.models import complex_space_form_chart_text, get_model, model_names
 
 CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
 
@@ -113,7 +113,7 @@ class TestEvaluation:
         np.testing.assert_array_equal(pt.J, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_fubini_study_identity_at_origin(self):
-        spec = parse_chart(bundled_chart_texts()["cp2"])
+        spec = get_model("cp2").chart
         pt = spec.eval_point((0.0, 0.0, 0.0, 0.0))
         np.testing.assert_allclose(pt.g, np.eye(4), atol=1e-15)
 
@@ -127,6 +127,11 @@ class TestEvaluation:
         spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")
         with pytest.raises(DomainError, match="outside domain"):
             spec.eval_point((2.0, 0.0))
+
+    def test_out_of_domain_message_shows_plain_floats(self):
+        spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")
+        with pytest.raises(DomainError, match=re.escape("coordinate x = nan outside")):
+            spec.eval_point(np.array([np.nan, 0.0]))
 
     def test_wrong_point_arity(self):
         spec = parse_chart(MINIMAL_FLAT)
@@ -152,7 +157,7 @@ class TestEvaluation:
         assert f"{{'x': {x!r}, 'y': 0.0}}" in str(err.value)
 
     def test_table_cache_stays_bounded(self):
-        chart = parse_chart(bundled_chart_texts()["cp3"])
+        chart = get_model("cp3").chart
         rng = np.random.default_rng(5)
         sizes = []
         for p in rng.uniform(-1.5, 1.5, size=(16, 6)):
@@ -187,7 +192,7 @@ def _cache_sizes():
             and (hasattr(value, "cache_info") or isinstance(value, (dict, list, set)))}
 
 
-_SPECS = {name: parse_chart(text) for name, text in bundled_chart_texts().items()}
+_SPECS = {name: get_model(name).chart for name in model_names()}
 
 
 class TestCompiledTable:
@@ -205,7 +210,7 @@ class TestCompiledTable:
             assert _hexes(spec.j_at(np.array(p)).tolist()) == _entry_by_entry(spec.j_exprs, env)
 
     def test_signed_zero_points_have_their_own_tables(self):
-        spec = parse_chart(bundled_chart_texts()["cp2"])
+        spec = get_model("cp2").chart
         zero, signed = (0.0, 0.0, 0.0, 0.0), (0.0, -0.0, 0.0, 0.0)
         tables = []
         for p in (zero, signed):
@@ -229,9 +234,9 @@ class TestCompiledTable:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("name", sorted(bundled_chart_texts()))
+    @pytest.mark.parametrize("name", sorted(model_names()))
     def test_round_trip_over_bundled_models(self, name):
-        spec = parse_chart(bundled_chart_texts()[name])
+        spec = get_model(name).chart
         assert parse_chart(serialize_chart(spec)) == spec
 
     @pytest.mark.parametrize("path", sorted(CHART_DIR.glob("*.ahm")), ids=lambda p: p.stem)
@@ -240,6 +245,7 @@ class TestSerialization:
         assert parse_chart(serialize_chart(spec)) == spec
 
     def test_repo_files_match_generators(self):
-        texts = bundled_chart_texts()
         on_disk = {p.stem: p.read_text() for p in CHART_DIR.glob("*.ahm")}
-        assert on_disk == texts
+        assert sorted(on_disk) == sorted(model_names())
+        for name, text in on_disk.items():
+            assert parse_chart(text) == get_model(name).chart, name

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from ahgeom.cli import main
-from ahgeom.models import bundled_chart_texts
+from ahgeom.models import complex_space_form_chart_text
 from test_expressions import HOSTILE, chart_with_entry
 
 
@@ -94,7 +94,7 @@ class TestAnalyze:
 
     def test_chart_mode_reports_without_expectations(self, tmp_path, capsys):
         path = tmp_path / "cp1.ahm"
-        path.write_text(bundled_chart_texts()["cp1"])
+        path.write_text(complex_space_form_chart_text(1, 4.0))
         code, out, _ = run(capsys, "analyze", "--chart", str(path), "--format", "json")
         assert code == 0
         report = json.loads(out)
@@ -113,6 +113,14 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.startswith("analysis error:") and "must be" in err
+
+    @pytest.mark.parametrize("point", ["0,0", "0,0,0,0,0,0", "nan,0,0,0", "0,inf,0,0"],
+                             ids=["short", "long", "nan", "inf"])
+    def test_bad_point_exits_2(self, capsys, point):
+        code, out, err = run(capsys, "analyze", "--model", "cp2", "--point", point)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("analysis error: point must have 4 coordinates")
 
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "s6", "--point", "a,b")

@@ -1,23 +1,65 @@
 """Bundled models: the cross-product algebra, chart invariants, metadata."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ahgeom.charts import DomainError, parse_chart
 from ahgeom.models import (
+    _FANO_LINES,
     ExpectedProfile,
-    Sphere6Chart,
-    cross7,
     get_model,
     model_flat,
     model_names,
     model_product_spheres,
+    sphere6_chart_text,
 )
 from ahgeom.analysis import REAL_SPACE_FORM
+from ahgeom.report import analyze_chart, analyze_model
+
+CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
 
 
 # ---------------------------------------------------------------------------
-# Seven dimensional cross product
+# Seven dimensional cross product, built here from the Fano lines alone
 # ---------------------------------------------------------------------------
+
+
+def _structure_constants() -> np.ndarray:
+    """f[a, b, c] = +1 when e_a e_b = e_c on a Fano line, -1 for the swapped pair."""
+    f = np.zeros((7, 7, 7))
+    for line in _FANO_LINES:
+        for a, b, c in (line, line[1:] + line[:1], line[2:] + line[:2]):
+            f[a - 1, b - 1, c - 1] = 1.0
+            f[b - 1, a - 1, c - 1] = -1.0
+    return f
+
+
+F7 = _structure_constants()
+
+
+def cross(x, y):
+    return np.einsum("ijk,i,j->k", F7, x, y)
+
+
+def embedding(p):
+    """P = (p, w) on the unit sphere and the chart Jacobian E = [I; -p^T / w]."""
+    p = np.asarray(p, dtype=float)
+    w = np.sqrt(1.0 - p @ p)
+    E = np.vstack([np.eye(6), -p / w])
+    return np.append(p, w), E
+
+
+def reference_tables(p):
+    """g and J of the sphere chart from the embedding: g = E^T E and
+    J = g^-1 E^T [P x] E, the pull-back of J_P(V) = P x V."""
+    P, E = embedding(p)
+    g = E.T @ E
+    cross_with_p = np.einsum("abc,a->cb", F7, P)  # v -> P x v
+    return g, np.linalg.solve(g, E.T @ cross_with_p @ E)
 
 
 class TestCross7:
@@ -25,21 +67,21 @@ class TestCross7:
         rng = np.random.default_rng(0)
         for _ in range(50):
             x, y = rng.standard_normal((2, 7))
-            c = cross7(x, y)
+            c = cross(x, y)
             assert abs(x @ c) < 1e-12
             assert abs(y @ c) < 1e-12
 
     def test_antisymmetric(self):
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal((2, 7))
-        np.testing.assert_allclose(cross7(x, y), -cross7(y, x), atol=1e-14)
+        np.testing.assert_allclose(cross(x, y), -cross(y, x), atol=1e-14)
 
     def test_norm_identity(self):
         # |x X y|^2 = |x|^2 |y|^2 - <x,y>^2
         rng = np.random.default_rng(2)
         for _ in range(50):
             x, y = rng.standard_normal((2, 7))
-            c = cross7(x, y)
+            c = cross(x, y)
             assert c @ c == pytest.approx((x @ x) * (y @ y) - (x @ y) ** 2, rel=1e-12)
 
     def test_triple_product_identity(self):
@@ -47,7 +89,7 @@ class TestCross7:
         rng = np.random.default_rng(3)
         for _ in range(50):
             x, y = rng.standard_normal((2, 7))
-            lhs = cross7(x, cross7(x, y))
+            lhs = cross(x, cross(x, y))
             rhs = (x @ y) * x - (x @ x) * y
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -57,21 +99,22 @@ class TestCross7:
 # ---------------------------------------------------------------------------
 
 
-class TestSphere6Chart:
+S6 = get_model("s6").chart
+_in_domain = st.tuples(*[st.floats(-0.35, 0.35)] * 6)
+
+
+class TestSphere6:
     def test_metric_at_origin_is_identity(self):
-        chart = Sphere6Chart()
-        np.testing.assert_array_equal(chart.metric_at(np.zeros(6)), np.eye(6))
+        np.testing.assert_array_equal(S6.metric_at(np.zeros(6)), np.eye(6))
 
     def test_invariants_hold_at_default_points(self):
-        chart = Sphere6Chart()
-        for p in chart.default_points:
-            pt = chart.eval_point(p)
+        for p in S6.default_points:
+            pt = S6.eval_point(p)
             assert np.max(np.abs(pt.J @ pt.J + np.eye(6))) < 1e-12
 
     def test_j_rotates_tangent_vectors_isometrically(self):
-        chart = Sphere6Chart()
-        p = np.array(chart.default_points[2])
-        pt = chart.eval_point(p)
+        p = np.array(S6.default_points[2])
+        pt = S6.eval_point(p)
         rng = np.random.default_rng(4)
         v = rng.standard_normal(6)
         jv = pt.J @ v
@@ -79,11 +122,42 @@ class TestSphere6Chart:
         assert v @ pt.g @ jv == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_hemisphere_is_an_error(self):
-        from ahgeom.charts import ChartEvalError, DomainError
+        with pytest.raises(DomainError):
+            S6.eval_point((0.9, 0.9, 0.9, 0.9, 0.9, 0.9))
 
-        chart = Sphere6Chart()
-        with pytest.raises((ChartEvalError, DomainError)):
-            chart.eval_point((0.9, 0.9, 0.9, 0.9, 0.9, 0.9))
+    @staticmethod
+    def _assert_matches_reference(p):
+        g, J = reference_tables(p)
+        assert np.max(np.abs(S6.metric_at(np.array(p)) - g)) <= 1e-15
+        assert np.max(np.abs(S6.j_at(np.array(p)) - J)) <= 1e-15
+
+    def test_matches_embedding_reference_at_default_points(self):
+        for p in S6.default_points:
+            self._assert_matches_reference(p)
+
+    @given(p=_in_domain)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_embedding_reference_in_domain(self, p):
+        self._assert_matches_reference(p)
+
+    @given(p=_in_domain, v=st.tuples(*[st.floats(-1.0, 1.0)] * 6))
+    @settings(max_examples=100, deadline=None)
+    def test_j_is_the_cross_product_through_the_jacobian(self, p, v):
+        # J v is the first six components of P x (E v): E u has u as its
+        # first six components, and P x (E v) is tangent at P
+        P, E = embedding(p)
+        v = np.array(v)
+        np.testing.assert_allclose(S6.j_at(np.array(p)) @ v, cross(P, E @ v)[:6],
+                                   rtol=0, atol=1e-15)
+
+    def test_repo_file_is_the_generator_text(self):
+        assert (CHART_DIR / "s6.ahm").read_text() == sphere6_chart_text()
+
+    def test_chart_file_analyzes_like_the_model(self):
+        model = analyze_model(get_model("s6")).to_dict()
+        chart = analyze_chart(parse_chart((CHART_DIR / "s6.ahm").read_text())).to_dict()
+        assert chart["points"] == model["points"]
+        assert chart["global"]["verdict"] == model["global"]["verdict"]
 
 
 # ---------------------------------------------------------------------------
