@@ -1,8 +1,8 @@
 """Plane statistics, adapted frames, residual checks and the verdict.
 
-The sampling functions take an explicit seeded generator (or a seed), never
-ambient random state, so every run is reproducible.  They draw a point's
-planes as one `Planes` batch, and `constancy` evaluates the batch in one
+The sampling functions take an explicit seeded generator, never ambient
+random state, so every run is reproducible.  They draw a point's planes as
+one `Planes` batch, and `constancy` evaluates the batch in one
 `sectional_curvature` call.  All functions are pure and operate per point;
 multi-point constancy (`schur_check`) is a pure function of the per-point
 statistics and draws no planes of its own.
@@ -98,18 +98,12 @@ class SchurReport:
     spread: float
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _g_units(g: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The rows of V scaled to g-unit length."""
     return V / np.sqrt(row_inner(V, g, V))[:, None]
 
 
-def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng) -> Planes:
+def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
     """n orthonormal planes (x, y) with g(x, Jy) = 0, i.e. span(x,y) disjoint
     from its J-image.  Deterministic for a fixed seed.
 
@@ -122,7 +116,6 @@ def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng) -> Planes:
     """
     if ctx.m < 2:
         raise InvariantViolation("antiholomorphic planes need complex dimension m >= 2")
-    rng = _as_rng(rng)
     g = ctx.g
     normals = rng.standard_normal((n, 2, ctx.dim))
     X = _g_units(g, normals[:, 0])
@@ -142,9 +135,9 @@ def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng) -> Planes:
     raise InvariantViolation("plane sampling degenerated 100 times in a row")
 
 
-def sample_holomorphic_planes(ctx: HermitianPoint, n: int, rng) -> Planes:
+def sample_holomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
     """n planes spanned by (x, Jx) with x on the g-unit sphere."""
-    X = _g_units(ctx.g, _as_rng(rng).standard_normal((n, ctx.dim)))
+    X = _g_units(ctx.g, rng.standard_normal((n, ctx.dim)))
     return Planes(x=X, y=row_apply(ctx.J, X), kind="holomorphic")
 
 
@@ -173,15 +166,15 @@ def _cluster(eigenvalues: np.ndarray, merge_tol: float) -> list[slice]:
     return slices
 
 
-def adapted_eigenframe(S: Bilinear, merge_tol: float = 1e-8,
-                       jtol: float = 1e-6) -> SpectralFrame:
+def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
     """Diagonalize S relative to g by a J-adapted orthonormal basis.
 
     Solves the symmetric eigenproblem of S relative to g; eigenvalues closer
-    than merge_tol are merged into one eigenspace.  Within each eigenspace
-    (J-invariant when S commutes with J) a unit vector e is picked, Je is
-    adjoined, the 2-plane is deflated, and the process repeats.  If an
-    eigenspace is not J-closed within jtol the input was not J-invariant.
+    than max(tol, 1e-8) are merged into one eigenspace.  Within each
+    eigenspace (J-invariant when S commutes with J) a unit vector e is
+    picked, Je is adjoined, the 2-plane is deflated, and the process
+    repeats.  If an eigenspace is not J-closed within max(tol, 1e-6) the
+    input was not J-invariant.
     """
     pt = S.point
     g, J = pt.g, pt.J
@@ -197,7 +190,7 @@ def adapted_eigenframe(S: Bilinear, merge_tol: float = 1e-8,
 
     basis_cols = []
     eigenvalues = []
-    for block in _cluster(w, merge_tol):
+    for block in _cluster(w, max(tol, 1e-8)):
         value = float(w[block].mean())
         cluster = [vecs[:, k] for k in range(block.start, block.stop)]
         full = list(cluster)
@@ -207,7 +200,7 @@ def adapted_eigenframe(S: Bilinear, merge_tol: float = 1e-8,
             # J-closure: Je must stay inside the original eigenspace
             proj = sum(g_dot(je, u) * u for u in full)
             defect = float(np.sqrt(max(g_dot(je - proj, je - proj), 0.0)))
-            if defect > jtol:
+            if defect > max(tol, 1e-6):
                 raise InvariantViolation(
                     f"S is not J-invariant: eigenspace not J-closed (defect {defect:.3e})"
                 )
@@ -238,9 +231,10 @@ def einstein_residual(S: Bilinear) -> tuple[float, float]:
 
 
 def decomposition_residual(R: CurvatureTensor, S: Bilinear, nu: float,
-                           *, tol: float | None = None) -> float:
-    """Max-norm gap between R and the curvature tensor rebuilt from (S, nu)."""
-    rebuilt = build_from_decomposition(S, nu, tol=tol)
+                           *, tol: float = 0.0) -> float:
+    """Max-norm gap between R and the curvature tensor rebuilt from (S, nu);
+    S must be symmetric and J-invariant within max(tol, the point's tol)."""
+    rebuilt = build_from_decomposition(S, nu, tol=max(tol, S.point.tol))
     return float(np.max(np.abs(R.values - rebuilt.values)))
 
 

@@ -4,7 +4,9 @@ A chart file is line oriented; `#` starts a comment.  Recognized lines:
 
     dim = <m>                    complex dimension (real dimension is 2m)
     coords = <id> <id> ...       exactly 2m coordinate names
-    domain <id> = <lo> <hi>      closed interval, default unbounded
+    domain <id> = <lo> <hi>      closed interval, default unbounded; every
+                                 point where g or J is evaluated, stencil
+                                 points included, must be finite and in it
     g[<i>][<j>] = <expr>         metric entries, 1-based; the symmetric
                                  counterpart is auto-filled; unset entries
                                  default to 0; conflicting duplicates error
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 UNBOUNDED = (-math.inf, math.inf)
-DEFAULT_POINT_TOL = 1e-8
+POINT_TOL = 1e-8  # entrywise tolerance of the almost Hermitian invariants
 # A ChartSpec keeps the g/J tables of at most this many stencil points,
 # evicting the oldest first: several cp3 points (about 460 each) or cp2
 # analyses (338), so the point under analysis keeps its tables.
@@ -84,6 +86,10 @@ class ChartSpec:
     and the (normalized) expression tables.  The first table lookup compiles
     every g and J entry into one program, so each new point costs one
     `evaluate`; the tables of the latest TABLE_CACHE_SIZE points are kept.
+
+    It alone decides where g and J may be evaluated: every such point,
+    stencil points included, needs 2m coordinates (else ChartEvalError),
+    each finite and in its domain interval (else DomainError).
     """
 
     m: int
@@ -112,8 +118,13 @@ class ChartSpec:
     def _tables_at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = p.tobytes()  # exact bits: the point at -0.0 is not the one at 0.0
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is not None and p.ndim == 1:
+            return cached  # the same bits and rank as a point checked on its miss
+        if p.shape != (2 * self.m,):
+            raise ChartEvalError(f"point must have {2 * self.m} coordinates, got {p.shape}")
+        for name, x, (lo, hi) in zip(self.coord_names, p.tolist(), self.domain):
+            if not (math.isfinite(x) and lo <= x <= hi):
+                raise DomainError(f"coordinate {name} = {x!r} outside domain [{lo}, {hi}]")
         program, g_index, j_index = self._program
         try:
             values = evaluate(program, dict(zip(self.coord_names, p.tolist())))
@@ -134,21 +145,15 @@ class ChartSpec:
     def j_at(self, p: np.ndarray) -> np.ndarray:
         return self._tables_at(np.asarray(p, dtype=float))[1]
 
-    def eval_point(self, p, tol: float = DEFAULT_POINT_TOL) -> HermitianPoint:
+    def eval_point(self, p) -> HermitianPoint:
         """g and J at p, with the almost Hermitian invariants verified.
 
-        A point outside the domain is a DomainError; a violation beyond
-        `tol` is an error, not a warning.
+        A violation beyond POINT_TOL is an error, not a warning.
         """
         p = np.asarray(p, dtype=float)
-        if p.shape != (2 * self.m,):
-            raise ChartEvalError(f"point must have {2 * self.m} coordinates, got {p.shape}")
-        for name, x, (lo, hi) in zip(self.coord_names, p.tolist(), self.domain):
-            if not (lo <= x <= hi):
-                raise DomainError(f"coordinate {name} = {x!r} outside domain [{lo}, {hi}]")
         g, J = self._tables_at(p)
         try:
-            return HermitianPoint(m=self.m, g=g, J=J, tol=tol)
+            return HermitianPoint(m=self.m, g=g, J=J, tol=POINT_TOL)
         except InvariantViolation as exc:
             raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
 

@@ -84,7 +84,7 @@ class ExprSyntaxError(ExprError):
 
 
 class ExprNameError(ExprError):
-    """An identifier is neither a declared coordinate nor a known function."""
+    """An identifier called as a function is not one of the known functions."""
 
 
 class ExprEvalError(ValueError):
@@ -251,15 +251,9 @@ class _Parser:
         return node, depth
 
 
-def parse_expression(src: str, line: int = 1, col_base: int = 1,
-                     variables: tuple[str, ...] | None = None) -> Expr:
-    """Parse one expression; optionally restrict identifiers to `variables`."""
-    node = _Parser(_tokenize(src, line, col_base), line).parse()
-    if variables is not None:
-        for name in sorted(variables_of(node)):
-            if name not in variables:
-                raise ExprNameError(f"undeclared identifier '{name}'", line, col_base)
-    return node
+def parse_expression(src: str, line: int = 1, col_base: int = 1) -> Expr:
+    """Parse one expression; any identifier that is not a function is a variable."""
+    return _Parser(_tokenize(src, line, col_base), line).parse()
 
 
 def variables_of(expr: Expr) -> set[str]:

@@ -35,7 +35,7 @@ from .analysis import (
     schur_check,
 )
 from .calculus import ClassResiduals
-from .charts import ChartEvalError, ChartSpec
+from .charts import ChartSpec
 from .models import ModelDescriptor
 from .tensor_core import InvariantViolation, ah_identity_residual, riemann_symmetry_residual
 
@@ -98,10 +98,10 @@ def analyze_point(chart: ChartSpec, p, index: int, *, tol: float, h: float,
         nu = holo.mean / 4.0
 
     lam, einstein_defect = einstein_residual(S)
-    decomposition = decomposition_residual(R, S, nu, tol=max(tol, pt.tol))
+    decomposition = decomposition_residual(R, S, nu, tol=tol)
     bianchi = bianchi2_residual(NR)
     try:
-        frame = adapted_eigenframe(S, merge_tol=max(1e-8, tol), jtol=max(1e-6, tol))
+        frame = adapted_eigenframe(S, tol)
         relation = proof_relation_32_residual(frame, NS, NJ, nu)
     except InvariantViolation:
         relation = None  # Ricci tensor not J-invariant: the relation does not apply
@@ -298,15 +298,13 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart", kind: s
             raise ValueError(f"{label} must be finite and > 0, got {value!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if points is None:
         points = chart.default_points
     points = [tuple(float(v) for v in p) for p in points]
     if not points:
         raise ValueError("no evaluation points: pass points or add them to the chart")
-    for p in points:
-        if len(p) != 2 * chart.m or not all(map(math.isfinite, p)):
-            raise ChartEvalError(
-                f"point must have {2 * chart.m} coordinates, all finite, got {list(p)}")
     meta = {
         "target": name,
         "kind": kind,

@@ -286,18 +286,17 @@ def riemann_symmetry_residual(R: CurvatureTensor) -> float:
     return max(r, float(np.max(np.abs(cyc))))
 
 
-def sectional_curvature(R: CurvatureTensor, planes: Planes, *,
-                        degeneracy_tol: float = 1e-12) -> np.ndarray:
+def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
     """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant.
 
     Raises InvariantViolation naming the first plane whose Gram determinant
-    is below degeneracy_tol.  The einsum is left unoptimized: it then sums
+    is below 1e-12.  The einsum is left unoptimized: it then sums
     each plane's terms in the same order as a single-plane contraction.
     """
     g = R.point.g
     X, Y = planes.x, planes.y
     den = row_inner(X, g, X) * row_inner(Y, g, Y) - row_inner(X, g, Y) ** 2
-    bad = np.flatnonzero(den < degeneracy_tol)
+    bad = np.flatnonzero(den < 1e-12)
     if bad.size:
         i = int(bad[0])
         raise InvariantViolation(f"degenerate plane {i}: Gram determinant {den[i]:.3e}")

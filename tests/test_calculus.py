@@ -12,7 +12,7 @@ from ahgeom.calculus import (
     ricci,
     riemann,
 )
-from ahgeom.charts import DomainError
+from ahgeom.charts import ChartEvalError, DomainError
 from ahgeom.expressions import to_source
 from ahgeom.models import get_model, model_names
 from ahgeom.tensor_core import pi1, pi2, riemann_symmetry_residual
@@ -95,12 +95,30 @@ class TestChristoffel:
         assert errors[2] < errors[1] / 2.0
 
     def test_margin_enforced(self):
-        with pytest.raises(DomainError, match="boundary"):
+        with pytest.raises(DomainError, match="coordinate x1 = 2.0002 outside domain"):
             riemann(CP1, (2.0, 0.0))
 
-    def test_step_underflow(self):
-        from ahgeom.charts import ChartEvalError
+    def test_stencil_may_reach_the_boundary(self):
+        # the nested stencil reaches 2 steps of h * 1.9995 out: 1.9999 < 2
+        R = riemann(CP1, (1.9995, 0.0))
+        assert np.all(np.isfinite(R.values))
 
+    def test_stencil_past_the_boundary(self):
+        # 1.9997 + 2 * 1e-4 * 1.9997 > 2
+        with pytest.raises(DomainError, match="x1 = 2.000"):
+            riemann(CP1, (1.9997, 0.0))
+
+    @pytest.mark.parametrize("entry", [riemann, nabla_J, nabla_R])
+    def test_wrong_length_point_is_a_chart_error(self, entry):
+        with pytest.raises(ChartEvalError, match="4 coordinates"):
+            entry(CP2, (0.0, 0.0))
+
+    @pytest.mark.parametrize("entry", [riemann, nabla_J, nabla_R])
+    def test_infinite_coordinate_is_named_before_underflow(self, entry):
+        with pytest.raises(DomainError, match="y1 = inf"):
+            entry(CP2, (0.0, np.inf, 0.0, 0.0))
+
+    def test_step_underflow(self):
         with pytest.raises(ChartEvalError, match="underflow"):
             riemann(FLAT, (1.0, 0.0, 0.0, 0.0), h=1e-18)
 

@@ -133,6 +133,25 @@ class TestEvaluation:
         with pytest.raises(DomainError, match=re.escape("coordinate x = nan outside")):
             spec.eval_point(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("lookup", ["metric_at", "j_at"])
+    @pytest.mark.parametrize("point, shown", [
+        ((2.5, 0.0), "x = 2.5 outside domain [-1.0, 1.0]"),
+        ((0.0, np.nan), "y = nan outside domain [-inf, inf]"),
+        ((0.0, np.inf), "y = inf outside domain [-inf, inf]"),
+        ((-np.inf, 0.0), "x = -inf outside domain [-1.0, 1.0]"),
+    ])
+    def test_table_lookup_checks_the_domain(self, lookup, point, shown):
+        spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")
+        with pytest.raises(DomainError, match=re.escape(shown)):
+            getattr(spec, lookup)(np.array(point))
+
+    def test_wrong_rank_point_misses_a_warm_cache(self):
+        # the same bytes as a checked point, but not a point
+        spec = parse_chart(MINIMAL_FLAT)
+        spec.metric_at(np.zeros(2))
+        with pytest.raises(ChartEvalError, match="coordinates"):
+            spec.metric_at(np.zeros((1, 2)))
+
     def test_wrong_point_arity(self):
         spec = parse_chart(MINIMAL_FLAT)
         with pytest.raises(ChartEvalError, match="coordinates"):

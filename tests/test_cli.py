@@ -107,20 +107,26 @@ class TestAnalyze:
         assert "domain" in err.lower()
 
     @pytest.mark.parametrize("option", ["--fd-step=inf", "--tol=nan", "--tol=inf",
-                                        "--fd-step=-1e-4", "--samples=0"])
+                                        "--fd-step=-1e-4", "--samples=0", "--seed=-1"])
     def test_bad_numeric_option_exits_2(self, capsys, option):
         code, out, err = run(capsys, "analyze", "--model", "flat2", option)
         assert code == 2
         assert out == ""
         assert err.startswith("analysis error:") and "must be" in err
 
-    @pytest.mark.parametrize("point", ["0,0", "0,0,0,0,0,0", "nan,0,0,0", "0,inf,0,0"],
-                             ids=["short", "long", "nan", "inf"])
-    def test_bad_point_exits_2(self, capsys, point):
+    @pytest.mark.parametrize("point, prefix", [
+        ("0,0", "point must have 4 coordinates"),
+        ("0,0,0,0,0,0", "point must have 4 coordinates"),
+        ("nan,0,0,0", "coordinate x1 = nan outside domain"),
+        ("0,inf,0,0", "coordinate y1 = inf outside domain"),
+        ("0,1.9999,0,0", "coordinate y1 = 2.0"),
+    ], ids=["short", "long", "nan", "inf", "boundary"])
+    def test_bad_point_exits_2(self, capsys, point, prefix):
         code, out, err = run(capsys, "analyze", "--model", "cp2", "--point", point)
         assert code == 2
         assert out == ""
-        assert err.startswith("analysis error: point must have 4 coordinates")
+        assert err.startswith("analysis error: " + prefix)
+        assert "np.float64" not in err
 
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "s6", "--point", "a,b")

@@ -88,10 +88,6 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError, match="unexpected character"):
             parse_expression("1 @ 2")
 
-    def test_undeclared_identifier_rejected_when_restricted(self):
-        with pytest.raises(ExprNameError, match="x9"):
-            parse_expression("x1 + x9", variables=("x1", "y1"))
-
 
 class TestEvaluation:
     def test_coordinates(self):
