@@ -23,7 +23,7 @@ from .tensor_core import (
     sectional_curvature,
     standard_j,
 )
-from .charts import ChartError, ChartSpec, parse_chart, serialize_chart
+from .charts import ChartError, ChartSpec, parse_chart
 from .calculus import (
     class_residuals,
     gray_ak2_residual,

@@ -10,11 +10,12 @@ statistics and draws no planes of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor_core import (
+    INVARIANT_TOL,
     Bilinear,
     CurvatureTensor,
     HermitianPoint,
@@ -86,7 +87,7 @@ class Verdict:
 
     kind: str
     constant: float | None
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -231,10 +232,16 @@ def einstein_residual(S: Bilinear) -> tuple[float, float]:
 
 
 def decomposition_residual(R: CurvatureTensor, S: Bilinear, nu: float,
-                           *, tol: float = 0.0) -> float:
-    """Max-norm gap between R and the curvature tensor rebuilt from (S, nu);
-    S must be symmetric and J-invariant within max(tol, the point's tol)."""
-    rebuilt = build_from_decomposition(S, nu, tol=max(tol, S.point.tol))
+                           *, tol: float = 0.0) -> float | None:
+    """Max-norm gap between R and the curvature tensor rebuilt from (S, nu).
+
+    None when S is not symmetric and J-invariant within
+    max(tol, INVARIANT_TOL): the decomposition then does not apply.
+    """
+    try:
+        rebuilt = build_from_decomposition(S, nu, tol=max(tol, INVARIANT_TOL))
+    except InvariantViolation:
+        return None
     return float(np.max(np.abs(R.values - rebuilt.values)))
 
 

@@ -1,4 +1,4 @@
-"""Chart files: parsing, validation, serialization and pointwise evaluation.
+"""Chart files: parsing, validation and pointwise evaluation.
 
 A chart file is line oriented; `#` starts a comment.  Recognized lines:
 
@@ -38,7 +38,6 @@ from .expressions import (
     compile_expressions,
     evaluate,
     parse_expression,
-    to_source,
     variables_of,
 )
 from .tensor_core import HermitianPoint, InvariantViolation
@@ -50,11 +49,9 @@ __all__ = [
     "DomainError",
     "ChartSpec",
     "parse_chart",
-    "serialize_chart",
 ]
 
 UNBOUNDED = (-math.inf, math.inf)
-POINT_TOL = 1e-8  # entrywise tolerance of the almost Hermitian invariants
 # A ChartSpec keeps the g/J tables of at most this many stencil points,
 # evicting the oldest first: several cp3 points (about 460 each) or cp2
 # analyses (338), so the point under analysis keeps its tables.
@@ -97,7 +94,7 @@ class ChartSpec:
     metric_exprs: tuple[tuple[Expr, ...], ...]
     j_exprs: tuple[tuple[Expr, ...], ...]
     domain: tuple[tuple[float, float], ...]
-    default_points: tuple[tuple[float, ...], ...] = ()
+    default_points: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -123,7 +120,9 @@ class ChartSpec:
         if p.shape != (2 * self.m,):
             raise ChartEvalError(f"point must have {2 * self.m} coordinates, got {p.shape}")
         for name, x, (lo, hi) in zip(self.coord_names, p.tolist(), self.domain):
-            if not (math.isfinite(x) and lo <= x <= hi):
+            if not math.isfinite(x):
+                raise DomainError(f"coordinate {name} = {x!r} is not finite")
+            if not lo <= x <= hi:
                 raise DomainError(f"coordinate {name} = {x!r} outside domain [{lo}, {hi}]")
         program, g_index, j_index = self._program
         try:
@@ -148,12 +147,13 @@ class ChartSpec:
     def eval_point(self, p) -> HermitianPoint:
         """g and J at p, with the almost Hermitian invariants verified.
 
-        A violation beyond POINT_TOL is an error, not a warning.
+        A violation beyond tensor_core.INVARIANT_TOL is an error, not a
+        warning.
         """
         p = np.asarray(p, dtype=float)
         g, J = self._tables_at(p)
         try:
-            return HermitianPoint(m=self.m, g=g, J=J, tol=POINT_TOL)
+            return HermitianPoint(m=self.m, g=g, J=J)
         except InvariantViolation as exc:
             raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
 
@@ -297,25 +297,3 @@ def parse_chart(text: str) -> ChartSpec:
         default_points=tuple(points),
     )
 
-
-def serialize_chart(spec: ChartSpec) -> str:
-    """Canonical chart file text; parse(serialize(parse(t))) == parse(t)."""
-    zero = Num(0.0)
-    lines = [f"dim = {spec.m}", "coords = " + " ".join(spec.coord_names)]
-    for name, (lo, hi) in zip(spec.coord_names, spec.domain):
-        if (lo, hi) != UNBOUNDED:
-            lines.append(f"domain {name} = {lo!r} {hi!r}")
-    n = 2 * spec.m
-    for i in range(n):
-        for j in range(i, n):
-            expr = spec.metric_exprs[i][j]
-            if expr != zero:
-                lines.append(f"g[{i + 1}][{j + 1}] = {to_source(expr)}")
-    for i in range(n):
-        for j in range(n):
-            expr = spec.j_exprs[i][j]
-            if expr != zero:
-                lines.append(f"J[{i + 1}][{j + 1}] = {to_source(expr)}")
-    for pt in spec.default_points:
-        lines.append("point = " + " ".join(repr(v) for v in pt))
-    return "\n".join(lines) + "\n"

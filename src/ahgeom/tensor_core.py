@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
+    "INVARIANT_TOL",
     "InvariantViolation",
     "HermitianPoint",
     "Bilinear",
@@ -39,7 +39,9 @@ __all__ = [
     "fit_pi_span",
 ]
 
-DEFAULT_TOL = 1e-9
+# Entrywise tolerance of the almost Hermitian invariants, and the floor of
+# the symmetry and J-invariance checks on a Ricci tensor.
+INVARIANT_TOL = 1e-8
 
 
 class InvariantViolation(ValueError):
@@ -67,14 +69,13 @@ def standard_j(m: int) -> np.ndarray:
 class HermitianPoint:
     """A tangent space R^{2m} with metric g and compatible almost complex structure J.
 
-    Invariants, each enforced to `tol` (absolute, entrywise):
+    Invariants, each enforced to INVARIANT_TOL (absolute, entrywise):
     g symmetric positive definite, J @ J = -Id, and J^T g J = g.
     """
 
     m: int
     g: np.ndarray
     J: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.m < 1:
@@ -83,17 +84,17 @@ class HermitianPoint:
         object.__setattr__(self, "g", _frozen_array(self.g, (n, n)))
         object.__setattr__(self, "J", _frozen_array(self.J, (n, n)))
         sym = float(np.max(np.abs(self.g - self.g.T)))
-        if sym > self.tol:
+        if sym > INVARIANT_TOL:
             raise InvariantViolation(f"metric not symmetric: max |g - g^T| = {sym:.3e}")
         try:
             np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:
             raise InvariantViolation("metric not positive definite") from None
         jj = float(np.max(np.abs(self.J @ self.J + np.eye(n))))
-        if jj > self.tol:
+        if jj > INVARIANT_TOL:
             raise InvariantViolation(f"J @ J differs from -Id: max residual = {jj:.3e}")
         comp = float(np.max(np.abs(self.J.T @ self.g @ self.J - self.g)))
-        if comp > self.tol:
+        if comp > INVARIANT_TOL:
             raise InvariantViolation(
                 f"J not compatible with metric: max |J^T g J - g| = {comp:.3e}"
             )
@@ -103,8 +104,8 @@ class HermitianPoint:
         return 2 * self.m
 
     @classmethod
-    def standard_flat(cls, m: int, tol: float = DEFAULT_TOL) -> "HermitianPoint":
-        return cls(m=m, g=np.eye(2 * m), J=standard_j(m), tol=tol)
+    def standard_flat(cls, m: int) -> "HermitianPoint":
+        return cls(m=m, g=np.eye(2 * m), J=standard_j(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,17 +305,16 @@ def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
     return num / den
 
 
-def build_from_decomposition(S: Bilinear, nu: float, *, tol: float | None = None) -> CurvatureTensor:
+def build_from_decomposition(S: Bilinear, nu: float, *,
+                             tol: float = INVARIANT_TOL) -> CurvatureTensor:
     """Curvature tensor of an AH3 space with constant antiholomorphic curvature nu:
 
         R = (1/6) psi(S) + nu * pi1 - ((2m-1)/3) * nu * pi2
 
-    S must be symmetric and J-invariant (within `tol`, default the point's).
+    S must be symmetric and J-invariant within `tol`.
     Every antiholomorphic plane of the result has sectional curvature nu.
     """
     pt = S.point
-    if tol is None:
-        tol = pt.tol
     sd = S.symmetry_defect()
     if sd > tol:
         raise InvariantViolation(f"S not symmetric: max |S - S^T| = {sd:.3e}")

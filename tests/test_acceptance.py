@@ -101,10 +101,10 @@ def test_criterion_3_class_lattice_on_fixtures():
 def test_criterion_4_einstein_constants():
     s6, _ = report_for("s6")
     cp2, _ = report_for("cp2")
-    ok = all(abs(pr.einstein_lambda - 5.0) <= 1e-3 and pr.einstein_residual <= 1e-3
+    ok = all(abs(pr.einstein["lambda"] - 5.0) <= 1e-3 and pr.einstein["residual"] <= 1e-3
              for pr in s6.points)
-    ok = ok and all(abs(pr.einstein_lambda - 6.0) <= 1e-3 and pr.einstein_residual <= 1e-3
-                    for pr in cp2.points)
+    ok = ok and all(abs(pr.einstein["lambda"] - 6.0) <= 1e-3
+                    and pr.einstein["residual"] <= 1e-3 for pr in cp2.points)
     check(4, "s6 is Einstein with constant 5 +- 1e-3, cp2 with constant 6 +- 1e-3", ok)
 
 
@@ -148,7 +148,7 @@ def test_criterion_7_bianchi_and_symmetries_everywhere():
         report, _ = report_for(name)
         for pr in report.points:
             worst_b = max(worst_b, pr.bianchi_residual)
-            worst_s = max(worst_s, pr.riemann_symmetry)
+            worst_s = max(worst_s, pr.riemann_symmetry_residual)
     check(7, f"all bundled charts, all default points: bianchi {worst_b:.2e} (< 1e-4), "
              f"curvature symmetries {worst_s:.2e} (< 1e-5)",
           worst_b < 1e-4 and worst_s < 1e-5)

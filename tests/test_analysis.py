@@ -323,6 +323,12 @@ class TestDecompositionResidual:
         res = decomposition_residual(R, S, 1.0)
         assert res == pytest.approx(0.01 * np.max(np.abs(P2)), rel=1e-9)
 
+    def test_none_when_ricci_is_not_j_invariant(self):
+        pt = HermitianPoint.standard_flat(2)
+        S = Bilinear(pt, np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8]))
+        assert decomposition_residual(pi1(pt), S, 1.0) is None
+        assert decomposition_residual(pi1(pt), S, 1.0, tol=1e-7) is not None
+
 
 class TestBianchi2Residual:
     def test_flat_chart(self):
@@ -456,7 +462,7 @@ class TestClassify:
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         g2 = Q.T @ pt.g @ Q
         J2 = Q.T @ pt.J @ Q
-        pt2 = HermitianPoint(m=2, g=g2, J=J2, tol=1e-8)
+        pt2 = HermitianPoint(m=2, g=g2, J=J2)
         R2 = CurvatureTensor(pt2, np.einsum(
             "abcd,ai,bj,ck,dl->ijkl", base, Q, Q, Q, Q))
         v1 = classify_algebraic(CurvatureTensor(pt, base))
@@ -516,3 +522,14 @@ class TestComputedOncePerPoint:
         analyze_chart(chart, samples=16)
         n = len(chart.default_points)
         assert calls == {"riemann": n, "nabla_J": n, "nabla_R": n}
+
+
+class TestReportKind:
+    def test_model_report_exactly_when_a_profile_is_given(self):
+        model = get_model("flat2")
+        chart_report = analyze_chart(model.chart, samples=16)
+        model_report = analyze_model(model, samples=16)
+        assert chart_report.meta["kind"] == "chart"
+        assert chart_report.expected_checks is None
+        assert model_report.meta["kind"] == "model"
+        assert model_report.expected_checks is not None

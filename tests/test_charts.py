@@ -1,4 +1,4 @@
-"""Chart file parsing, validation diagnostics, evaluation, serialization."""
+"""Chart file parsing, validation diagnostics, evaluation, bundled chart files."""
 
 import gc
 import re
@@ -18,9 +18,8 @@ from ahgeom.charts import (
     ChartSyntaxError,
     DomainError,
     parse_chart,
-    serialize_chart,
 )
-from ahgeom.expressions import compile_expressions, evaluate
+from ahgeom.expressions import compile_expressions, evaluate, parse_expression, to_source
 from ahgeom.models import complex_space_form_chart_text, get_model, model_names
 
 CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
@@ -130,15 +129,15 @@ class TestEvaluation:
 
     def test_out_of_domain_message_shows_plain_floats(self):
         spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")
-        with pytest.raises(DomainError, match=re.escape("coordinate x = nan outside")):
+        with pytest.raises(DomainError, match=re.escape("coordinate x = nan is not finite")):
             spec.eval_point(np.array([np.nan, 0.0]))
 
     @pytest.mark.parametrize("lookup", ["metric_at", "j_at"])
     @pytest.mark.parametrize("point, shown", [
         ((2.5, 0.0), "x = 2.5 outside domain [-1.0, 1.0]"),
-        ((0.0, np.nan), "y = nan outside domain [-inf, inf]"),
-        ((0.0, np.inf), "y = inf outside domain [-inf, inf]"),
-        ((-np.inf, 0.0), "x = -inf outside domain [-1.0, 1.0]"),
+        ((0.0, np.nan), "y = nan is not finite"),
+        ((0.0, np.inf), "y = inf is not finite"),
+        ((-np.inf, 0.0), "x = -inf is not finite"),
     ])
     def test_table_lookup_checks_the_domain(self, lookup, point, shown):
         spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")
@@ -254,14 +253,10 @@ class TestCompiledTable:
 
 class TestSerialization:
     @pytest.mark.parametrize("name", sorted(model_names()))
-    def test_round_trip_over_bundled_models(self, name):
+    def test_printer_round_trips_every_entry(self, name):
         spec = get_model(name).chart
-        assert parse_chart(serialize_chart(spec)) == spec
-
-    @pytest.mark.parametrize("path", sorted(CHART_DIR.glob("*.ahm")), ids=lambda p: p.stem)
-    def test_round_trip_over_repo_files(self, path):
-        spec = parse_chart(path.read_text())
-        assert parse_chart(serialize_chart(spec)) == spec
+        for e in (*sum(spec.metric_exprs, ()), *sum(spec.j_exprs, ())):
+            assert parse_expression(to_source(e)) == e
 
     def test_repo_files_match_generators(self):
         on_disk = {p.stem: p.read_text() for p in CHART_DIR.glob("*.ahm")}

@@ -117,8 +117,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("point, prefix", [
         ("0,0", "point must have 4 coordinates"),
         ("0,0,0,0,0,0", "point must have 4 coordinates"),
-        ("nan,0,0,0", "coordinate x1 = nan outside domain"),
-        ("0,inf,0,0", "coordinate y1 = inf outside domain"),
+        ("nan,0,0,0", "coordinate x1 = nan is not finite"),
+        ("0,inf,0,0", "coordinate y1 = inf is not finite"),
         ("0,1.9999,0,0", "coordinate y1 = 2.0"),
     ], ids=["short", "long", "nan", "inf", "boundary"])
     def test_bad_point_exits_2(self, capsys, point, prefix):
@@ -127,6 +127,15 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("analysis error: " + prefix)
         assert "np.float64" not in err
+
+    def test_tol_below_discretization_error_still_reports(self, capsys):
+        # S misses J-invariance by about 1.2e-8 at cp2's second point
+        code, out, _ = run(capsys, "analyze", "--model", "cp2", "--tol", "1e-10",
+                           "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["global"]["passed"] is False
+        assert [pr["decomposition_residual"] is None for pr in report["points"]] == [False, True]
 
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "s6", "--point", "a,b")
