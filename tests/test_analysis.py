@@ -1,5 +1,7 @@
 """Plane sampling, adapted frames, residual checks and classification."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from ahgeom.analysis import (
 )
 from ahgeom.calculus import ClassResiduals, class_residuals, nabla_J, nabla_R, ricci, riemann
 from ahgeom.models import get_model
-from ahgeom.report import analyze_chart, analyze_model
+from ahgeom.report import PointReport, analyze_chart, analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
 from ahgeom.tensor_core import (
     Bilinear,
@@ -329,6 +331,13 @@ class TestDecompositionResidual:
         assert decomposition_residual(pi1(pt), S, 1.0) is None
         assert decomposition_residual(pi1(pt), S, 1.0, tol=1e-7) is not None
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-12])
+    def test_tolerance_is_floored_at_the_invariant_tolerance(self, tol):
+        # a J-defect of 5e-9 is within INVARIANT_TOL whatever tol is asked for
+        pt = HermitianPoint.standard_flat(2)
+        S = Bilinear(pt, np.diag([1.0, 1.0, 1.0, 1.0 + 5e-9]))
+        assert decomposition_residual(pi1(pt), S, 1.0, tol=tol) is not None
+
 
 class TestBianchi2Residual:
     def test_flat_chart(self):
@@ -533,3 +542,9 @@ class TestReportKind:
         assert chart_report.expected_checks is None
         assert model_report.meta["kind"] == "model"
         assert model_report.expected_checks is not None
+
+
+class TestPointRecord:
+    def test_point_block_keys_are_the_record_fields_in_order(self):
+        block = analyze_chart(get_model("flat2").chart, samples=16).to_dict()["points"][0]
+        assert list(block) == [f.name for f in fields(PointReport)]

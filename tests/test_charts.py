@@ -132,7 +132,7 @@ class TestEvaluation:
         with pytest.raises(DomainError, match=re.escape("coordinate x = nan is not finite")):
             spec.eval_point(np.array([np.nan, 0.0]))
 
-    @pytest.mark.parametrize("lookup", ["metric_at", "j_at"])
+    @pytest.mark.parametrize("lookup", ["metric_at", "j_at", "eval_point"])
     @pytest.mark.parametrize("point, shown", [
         ((2.5, 0.0), "x = 2.5 outside domain [-1.0, 1.0]"),
         ((0.0, np.nan), "y = nan is not finite"),

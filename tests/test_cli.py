@@ -137,6 +137,25 @@ class TestAnalyze:
         assert report["global"]["passed"] is False
         assert [pr["decomposition_residual"] is None for pr in report["points"]] == [False, True]
 
+    @pytest.mark.parametrize("model, missing", [
+        ("s6", [False, True, True]),
+        ("ch2", [False, False]),
+    ])
+    def test_tol_below_discretization_error_marks_each_point(self, capsys, model, missing):
+        code, out, _ = run(capsys, "analyze", "--model", model, "--tol", "1e-10",
+                           "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert [pr["decomposition_residual"] is None for pr in report["points"]] == missing
+
+    def test_missing_residual_shows_as_na_in_text(self, capsys):
+        code, text, _ = run(capsys, "analyze", "--model", "cp2", "--tol", "1e-10")
+        assert code == 1
+        shown = re.findall(r"^ +decomposition_residual: (.*)$", text, re.M)
+        assert len(shown) == 2
+        assert float(shown[0]) > 0
+        assert shown[1] == "n/a"
+
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "s6", "--point", "a,b")
         assert code == 2
