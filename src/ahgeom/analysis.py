@@ -21,7 +21,6 @@ from .tensor_core import (
     HermitianPoint,
     InvariantViolation,
     Planes,
-    ah_identity_residual,
     build_from_decomposition,
     fit_pi_span,
     row_apply,
@@ -288,9 +287,12 @@ def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
     return worst
 
 
-def classify(R: CurvatureTensor, S: Bilinear, class_res, stats_holo: CurvatureStats,
-             stats_antiholo: CurvatureStats | None, tol: float) -> Verdict:
-    """Decide the verdict for one point from its curvature data.
+def classify(R: CurvatureTensor, ah3: float, einstein: tuple[float, float], class_res,
+             stats_holo: CurvatureStats, stats_antiholo: CurvatureStats | None,
+             tol: float) -> Verdict:
+    """Decide the verdict for one point from its curvature data: R, its AH3
+    residual `ah_identity_residual(R, 3)`, the (lambda, residual) pair of
+    `einstein_residual(S)`, the class residuals and the plane statistics.
 
     Order: not AH3 beats everything; then non-constant antiholomorphic
     curvature; then a least-squares split over span{pi1, pi2} decides
@@ -300,12 +302,11 @@ def classify(R: CurvatureTensor, S: Bilinear, class_res, stats_holo: CurvatureSt
     pi2 = 3 pi1; there the verdict comes from constant holomorphic
     curvature plus the Kahler condition.
     """
-    lam, einstein_defect = einstein_residual(S)
     residuals = {
-        "ah3": ah_identity_residual(R, 3),
+        "ah3": ah3,
         "kahler": class_res.kahler,
-        "einstein_lambda": lam,
-        "einstein": einstein_defect,
+        "einstein_lambda": einstein[0],
+        "einstein": einstein[1],
         "holomorphic_deviation": stats_holo.max_deviation,
     }
     if stats_antiholo is not None:

@@ -9,6 +9,12 @@ are pure functions of tensors already computed.  Every residual is a
 max-norm over enumerated basis tuples, so runs are deterministic.  Every
 point where g or J is evaluated, stencil points included, must lie in the
 chart's domain, which `ChartSpec` checks at each one.
+
+The stencils are batched: one difference level builds the 2n neighbours
+of every point it is given at once, and the connection and curvature are
+computed for whole stacks of points, one table lookup per point.  Each
+point still gets exactly the arithmetic of a point-by-point evaluation,
+so the values are the same to the bit.
 """
 
 from __future__ import annotations
@@ -57,46 +63,69 @@ def _check_steps(chart: ChartSpec, p: np.ndarray, h: float) -> None:
         raise ChartEvalError(f"step underflow at point {p.tolist()} with h = {h!r}")
 
 
-def _central_diff(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float) -> np.ndarray:
-    """d[k] = partial_k f(p), stacked along a new leading axis."""
-    steps = _steps(p, h)
-    rows = []
-    for k in range(p.size):
-        fwd = p.copy()
-        fwd[k] += steps[k]
-        bwd = p.copy()
-        bwd[k] -= steps[k]
-        rows.append((f(fwd) - f(bwd)) / (2.0 * steps[k]))
-    return np.stack(rows, axis=0)
+def _at_each(lookup: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> np.ndarray:
+    """lookup (a chart's metric_at or j_at) at every point of P, one call per
+    point, stacked as P.shape[:-1] + the table's shape."""
+    tables = [lookup(q) for q in P.reshape(-1, P.shape[-1])]
+    return np.stack(tables).reshape(P.shape[:-1] + tables[0].shape)
 
 
-def _gamma_values(chart: ChartSpec, p: np.ndarray, h: float) -> np.ndarray:
-    """Levi-Civita connection coefficients gamma[i, j, k] = Gamma^i_{jk}."""
-    g = chart.metric_at(p)
+def _central_diff(f: Callable[[np.ndarray], np.ndarray], P: np.ndarray, h: float) -> np.ndarray:
+    """d[..., k, :] = partial_k f at every point of P, shape (..., n).
+
+    f is called once, on the stencil Q of shape (2, ..., n, n): Q[0, ..., k, :]
+    is the point moved by +h_k along coordinate k, Q[1, ..., k, :] by -h_k.
+    It returns its values with Q.shape[:-1] leading.  Only coordinate k of
+    each neighbour is touched, so a -0.0 elsewhere keeps its sign.
+    """
+    n = P.shape[-1]
+    steps = _steps(P, h)
+    Q = np.empty((2, *P.shape[:-1], n, n))
+    Q[...] = P[..., np.newaxis, :]
+    diagonal = np.arange(n)
+    fwd, bwd = Q
+    fwd[..., diagonal, diagonal] += steps
+    bwd[..., diagonal, diagonal] -= steps
+    values = f(Q)
+    steps = steps.reshape(steps.shape + (1,) * (values.ndim - Q.ndim + 1))
+    return (values[0] - values[1]) / (2.0 * steps)
+
+
+def _inverse_metric(g: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """g^-1 at every point of P; a singular metric names its first point."""
     try:
-        g_inv = np.linalg.inv(g)
+        return np.linalg.inv(g)
     except np.linalg.LinAlgError:
-        raise ChartEvalError(f"singular metric at point {p.tolist()}") from None
-    dg = _central_diff(chart.metric_at, p, h)  # dg[a, i, j] = partial_a g_ij
+        singular = np.linalg.det(g).reshape(-1) == 0.0
+        q = P.reshape(-1, P.shape[-1])[np.argmax(singular)]
+        raise ChartEvalError(f"singular metric at point {q.tolist()}") from None
+
+
+def _gamma_values(chart: ChartSpec, P: np.ndarray, h: float) -> np.ndarray:
+    """Levi-Civita connection coefficients gamma[..., i, j, k] = Gamma^i_{jk}
+    at every point of P."""
+    g_inv = _inverse_metric(_at_each(chart.metric_at, P), P)
+    # dg[..., a, i, j] = partial_a g_ij
+    dg = _central_diff(lambda Q: _at_each(chart.metric_at, Q), P, h)
     # T[l, j, k] = partial_j g_lk + partial_k g_lj - partial_l g_jk, symmetric in (j, k)
-    T = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
+    T = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
+    return 0.5 * np.einsum("...il,...ljk->...ijk", g_inv, T)
 
 
-def _riemann_values(chart: ChartSpec, p: np.ndarray, h: float) -> np.ndarray:
-    gamma = _gamma_values(chart, p, h)
-    dgamma = _central_diff(lambda q: _gamma_values(chart, q, h), p, h)
+def _riemann_values(chart: ChartSpec, P: np.ndarray, h: float) -> np.ndarray:
+    gamma = _gamma_values(chart, P, h)
+    dgamma = _central_diff(lambda Q: _gamma_values(chart, Q, h), P, h)
     # R^l_{ijk} = partial_i Gamma^l_jk - partial_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
     up = (
-        np.einsum("iljk->lijk", dgamma)
-        - np.einsum("jlik->lijk", dgamma)
-        + np.einsum("lim,mjk->lijk", gamma, gamma)
-        - np.einsum("ljm,mik->lijk", gamma, gamma)
+        np.einsum("...iljk->...lijk", dgamma)
+        - np.einsum("...jlik->...lijk", dgamma)
+        + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+        - np.einsum("...ljm,...mik->...lijk", gamma, gamma)
     )
-    g = chart.metric_at(p)
+    g = _at_each(chart.metric_at, P)
     # R(e_i, e_j, e_k, e_l) = g_lm R^m_{ijk}; the unit round sphere yields pi1
-    return np.einsum("lm,mijk->ijkl", g, up)
+    return np.einsum("...lm,...mijk->...ijkl", g, up)
 
 
 def riemann(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> CurvatureTensor:
@@ -123,7 +152,7 @@ def nabla_J(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> np.ndarray:
     _check_steps(chart, p, h)
     gamma = _gamma_values(chart, p, h)
     J = chart.j_at(p)
-    dJ = _central_diff(chart.j_at, p, h)
+    dJ = _central_diff(lambda Q: _at_each(chart.j_at, Q), p, h)
     return dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
 
 

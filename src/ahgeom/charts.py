@@ -81,8 +81,11 @@ class ChartSpec:
 
     Structural equality compares dimensions, names, domains, default points
     and the (normalized) expression tables.  The first table lookup compiles
-    every g and J entry into one program, so each new point costs one
-    `evaluate`; the tables of the latest TABLE_CACHE_SIZE points are kept.
+    every g and J entry into one generated function that computes each
+    distinct subexpression once, so each new point costs one `evaluate`;
+    the tables of the latest TABLE_CACHE_SIZE points are kept.  Each lookup
+    takes one point: the batched stencils of `calculus` look up their
+    points one by one.
 
     It alone decides where g and J may be evaluated: every such point,
     stencil points included, needs 2m coordinates (else ChartEvalError),

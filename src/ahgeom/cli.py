@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .charts import ChartError, parse_chart
@@ -10,6 +11,21 @@ from .models import get_model, model_names
 from .report import analyze_chart, analyze_model
 from .selftest import run_selftest
 from .tensor_core import InvariantViolation
+
+
+# argparse takes "-0.1,0.2,..." for an unknown option, so a point value that
+# starts with a minus sign is glued to its flag, as "--point=-0.1,0.2,...".
+_SIGNED_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+
+def _glue_signed_points(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point" and _SIGNED_VALUE.match(arg):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
@@ -99,7 +115,7 @@ def main(argv=None) -> int:
     selftest.add_argument("--seed", type=int, default=42)
     selftest.set_defaults(func=_cmd_selftest)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_signed_points(sys.argv[1:] if argv is None else list(argv)))
     return args.func(args)
 
 

@@ -17,10 +17,11 @@ also evaluates.  Parsing never raises anything but ExprError subclasses,
 each carrying a 1-based line/column position.
 
 Evaluation works on batches: `compile_expressions` turns a sequence of
-expressions into one code object built from `to_source`, and `evaluate`
-runs it once per point and returns every value, bit for bit what each
-expression gives on its own.  The compiled code belongs to its caller (a
-chart keeps its own), so nothing here caches expressions.
+expressions into one generated Python function that computes each distinct
+subtree once, as a local, and `evaluate` calls it once per point and
+returns every value, bit for bit what each expression gives on its own.
+The compiled function belongs to its caller (a chart keeps its own), so
+nothing here caches expressions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from types import CodeType
+from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -325,9 +326,14 @@ _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, TypeError)
 
 @dataclass(frozen=True, eq=False)
 class Compiled:
-    """Expressions compiled into one code object that yields all their values."""
+    """Expressions compiled into one function that yields all their values.
+
+    `code` is the code object of that function; its parameters are
+    `variables`, in order, and it returns one value per expression.
+    """
 
     exprs: tuple[Expr, ...]
+    variables: tuple[str, ...]
     code: CodeType
 
 
@@ -338,10 +344,48 @@ def _python_source(expr: Expr) -> str:
 
 
 def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
-    """Compile expressions, in order, into one program for `evaluate`."""
+    """Compile expressions, in order, into one program for `evaluate`.
+
+    Every distinct non-leaf subtree becomes one local of the generated
+    function, assigned once from its operands: coordinates (the function's
+    parameters), literals or earlier locals.  Each local applies the one
+    float operation or `math` function its node stands for, so every value
+    is bit for bit that of the expression evaluated on its own.  A local is
+    keyed by its right-hand side, which names its operands' locals, so
+    equal subtrees share it without rehashing whole trees.
+    """
     exprs = tuple(exprs)
-    source = "(" + "".join(f"{_python_source(expr)}," for expr in exprs) + ")"
-    return Compiled(exprs, compile(source, "<chart expressions>", "eval"))
+    variables = tuple(sorted(set().union(*map(variables_of, exprs))))
+    prefix = "_"  # locals start with a prefix no coordinate starts with
+    while any(name.startswith(prefix) for name in variables):
+        prefix += "_"
+    local_of: dict[str, str] = {}  # right-hand side -> its local
+
+    def operand(expr: Expr) -> str:
+        match expr:
+            case Num(value):
+                return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
+            case Var(name):
+                return name
+            case Neg(arg):
+                rhs = f"-{operand(arg)}"
+            case BinOp(op, left, right):
+                rhs = f"{operand(left)} {'**' if op == '^' else op} {operand(right)}"
+            case Call(func, arg):
+                rhs = f"{func}({operand(arg)})"
+            case _:
+                raise TypeError(f"not an expression node: {expr!r}")
+        if rhs not in local_of:
+            local_of[rhs] = f"{prefix}{len(local_of)}"
+        return local_of[rhs]
+
+    values = [operand(expr) for expr in exprs]
+    body = [f"    {local} = {rhs}" for rhs, local in local_of.items()]
+    source = "\n".join([f"def program({', '.join(variables)}):", *body,
+                        f"    return ({''.join(v + ', ' for v in values)})"])
+    namespace: dict = {}
+    exec(compile(source, "<chart expressions>", "exec"), _EVAL_GLOBALS, namespace)
+    return Compiled(exprs, variables, namespace["program"].__code__)
 
 
 def _evaluate_one(expr: Expr, env: Mapping[str, float]) -> float:
@@ -357,13 +401,15 @@ def _evaluate_one(expr: Expr, env: Mapping[str, float]) -> float:
 def evaluate(compiled: Compiled, env: Mapping[str, float]) -> np.ndarray:
     """Values of every compiled expression at a point given as {coordinate name: value}.
 
-    One `eval` computes them all, with Python's float operators and `math`
-    functions.  Domain violations (log of a non-positive number, division
-    by zero, ...) and non-finite or complex results raise ExprEvalError
-    naming the first failing expression and the point.
+    One call of the compiled function computes them all, with Python's
+    float operators and `math` functions.  Domain violations (log of a
+    non-positive number, division by zero, ...) and non-finite or complex
+    results raise ExprEvalError naming the first failing expression and the
+    point.
     """
+    program = FunctionType(compiled.code, _EVAL_GLOBALS)
     try:
-        values = np.array(eval(compiled.code, _EVAL_GLOBALS, env), dtype=float)
+        values = np.array(program(*[env[name] for name in compiled.variables]), dtype=float)
         if np.isfinite(values).all():
             return values
     except _EVAL_ERRORS:

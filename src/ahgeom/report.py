@@ -102,7 +102,7 @@ def analyze_point(chart: ChartSpec, p, index: int, *, tol: float, h: float,
     except InvariantViolation:
         relation = None  # Ricci tensor not J-invariant: the relation does not apply
     gray = calculus.gray_ak2_residual(R, NJ)
-    verdict = classify(R, S, cls, holo, anti, tol)
+    verdict = classify(R, ah["AH3"], (lam, einstein_defect), cls, holo, anti, tol)
 
     return PointReport(
         point=tuple(float(v) for v in p),

@@ -32,6 +32,7 @@ from ahgeom.tensor_core import (
     CurvatureTensor,
     HermitianPoint,
     InvariantViolation,
+    ah_identity_residual,
     build_from_decomposition,
     pi1,
     pi2,
@@ -393,7 +394,8 @@ def classify_algebraic(R, nu_stats_planes=256, tol=1e-9, cls=ZERO_CLASS, seed=7)
     anti = None
     if pt.m >= 2:
         anti = constancy(R, sample_antiholomorphic_planes(pt, nu_stats_planes, rng))
-    return classify(R, ricci(R), cls, holo, anti, tol)
+    return classify(R, ah_identity_residual(R, 3), einstein_residual(ricci(R)), cls, holo, anti,
+                    tol)
 
 
 class TestClassify:
@@ -438,7 +440,8 @@ class TestClassify:
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng))
         cls = class_residuals(nabla_J(chart, (0.0,) * 4), R.point.g)
-        verdict = classify(R, S, cls, holo, anti, 1e-4)
+        verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(S), cls, holo, anti,
+                           1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_equal_radii_product_still_rejected(self):
@@ -453,7 +456,8 @@ class TestClassify:
         assert anti.max_deviation > 0.1
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
         cls = class_residuals(nabla_J(chart, (0.0,) * 4), R.point.g)
-        verdict = classify(R, ricci(R), cls, holo, anti, 1e-4)
+        verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(ricci(R)), cls, holo,
+                           anti, 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_m1_routes_through_holomorphic_constancy(self):

@@ -1,8 +1,12 @@
 """Finite-difference calculus against analytic and constant-curvature oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahgeom.calculus import (
     class_residuals,
@@ -12,7 +16,7 @@ from ahgeom.calculus import (
     ricci,
     riemann,
 )
-from ahgeom.charts import ChartEvalError, DomainError
+from ahgeom.charts import ChartEvalError, DomainError, parse_chart
 from ahgeom.expressions import to_source
 from ahgeom.models import get_model, model_names
 from ahgeom.tensor_core import pi1, pi2, riemann_symmetry_residual
@@ -259,3 +263,147 @@ class TestGrayAK2:
         # no pass/fail claim for the strictly nearly Kahler sphere
         value = gray_ak2_residual_at(S6, S6.default_points[0])
         assert np.isfinite(value)
+
+
+# ---------------------------------------------------------------------------
+# Batched stencils against the point-by-point nested differences
+# ---------------------------------------------------------------------------
+
+
+def pointwise_diff(f, p, h):
+    """d[k] = partial_k f(p), one stencil point at a time: the loop that the
+    batched stencils replace."""
+    steps = h * np.maximum(1.0, np.abs(p))
+    rows = []
+    for k in range(p.size):
+        fwd = p.copy()
+        fwd[k] += steps[k]
+        bwd = p.copy()
+        bwd[k] -= steps[k]
+        rows.append((f(fwd) - f(bwd)) / (2.0 * steps[k]))
+    return np.stack(rows, axis=0)
+
+
+def pointwise_gamma(chart, p, h):
+    g_inv = np.linalg.inv(chart.metric_at(p))
+    dg = pointwise_diff(chart.metric_at, p, h)
+    T = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
+    return 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
+
+
+def pointwise_riemann(chart, p, h):
+    gamma = pointwise_gamma(chart, p, h)
+    dgamma = pointwise_diff(lambda q: pointwise_gamma(chart, q, h), p, h)
+    up = (
+        np.einsum("iljk->lijk", dgamma)
+        - np.einsum("jlik->lijk", dgamma)
+        + np.einsum("lim,mjk->lijk", gamma, gamma)
+        - np.einsum("ljm,mik->lijk", gamma, gamma)
+    )
+    return np.einsum("lm,mijk->ijkl", chart.metric_at(p), up)
+
+
+def pointwise_nabla_J(chart, p, h):
+    gamma = pointwise_gamma(chart, p, h)
+    J = chart.j_at(p)
+    dJ = pointwise_diff(chart.j_at, p, h)
+    return dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
+
+
+def pointwise_nabla_R(chart, p, h):
+    h = 4.0 * h
+    gamma = pointwise_gamma(chart, p, h)
+    R0 = pointwise_riemann(chart, p, h)
+    dR = pointwise_diff(lambda q: pointwise_riemann(chart, q, h), p, h)
+    return (
+        dR
+        - np.einsum("avx,ayzu->vxyzu", gamma, R0)
+        - np.einsum("avy,xazu->vxyzu", gamma, R0)
+        - np.einsum("avz,xyau->vxyzu", gamma, R0)
+        - np.einsum("avu,xyza->vxyzu", gamma, R0)
+    )
+
+
+def assert_same_bits(a, b):
+    # equal as bit patterns, so that 0.0 and -0.0 count as different
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class RecordingChart:
+    """Forwards to a chart and records the bits of every point where g or J
+    is looked up."""
+
+    def __init__(self, chart):
+        self.chart = chart
+        self.looked_up = set()
+
+    def metric_at(self, p):
+        self.looked_up.add(np.asarray(p, dtype=float).tobytes())
+        return self.chart.metric_at(p)
+
+    def j_at(self, p):
+        self.looked_up.add(np.asarray(p, dtype=float).tobytes())
+        return self.chart.j_at(p)
+
+    def eval_point(self, p):
+        return self.chart.eval_point(p)
+
+
+def assert_matches_pointwise(chart, p, h=1e-4):
+    """Same values and the same stencil points, to the bit, as the nested loop."""
+    p = np.asarray(p, dtype=float)
+    pairs = [(lambda c: riemann(c, p, h).values, pointwise_riemann),
+             (lambda c: nabla_J(c, p, h), pointwise_nabla_J),
+             (lambda c: nabla_R(c, p, h), pointwise_nabla_R)]
+    for batched, pointwise in pairs:
+        once, looped = RecordingChart(chart), RecordingChart(chart)
+        assert_same_bits(batched(once), pointwise(looped, p, h))
+        assert once.looked_up == looped.looked_up
+
+
+_DEFAULT_POINTS = [(name, p) for name in sorted(model_names())
+                   for p in get_model(name).chart.default_points]
+
+
+class TestBatchedStencils:
+    @pytest.mark.parametrize("name, p", _DEFAULT_POINTS)
+    def test_default_points(self, name, p):
+        assert_matches_pointwise(get_model(name).chart, p)
+
+    @pytest.mark.parametrize("p", [(0.0, -0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, -0.0),
+                                   (-0.0, -0.0, -0.0, -0.0), (0.1, -0.0, -0.2, 0.0)])
+    def test_signed_zeros_keep_their_sign(self, p):
+        assert_matches_pointwise(CP2, p)
+
+    @pytest.mark.parametrize("p", [(1.3, -1.1, 0.7, -1.6, 1.2, -0.4),
+                                   (-1.5, 1.4, -0.9, 0.2, 1.7, -1.2)])
+    def test_steps_that_differ_per_coordinate(self, p):
+        assert_matches_pointwise(get_model("cp3").chart, p)
+
+    @pytest.mark.parametrize("name", ["cp2", "ch2", "s2xs2"])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_drawn_points(self, name, data):
+        chart = get_model(name).chart
+        # nabla_R's nested stencil reaches 4 steps of 4h * max(1, |p_k|) out
+        p = tuple(data.draw(st.floats(max(lo, -1.9) + 0.01, min(hi, 1.9) - 0.01), label=coord)
+                  for coord, (lo, hi) in zip(chart.coord_names, chart.domain))
+        h = data.draw(st.sampled_from([1e-4, 3e-4]), label="h")
+        assert_matches_pointwise(chart, p, h)
+
+    @pytest.mark.parametrize("entry", [riemann, nabla_J, nabla_R])
+    def test_stencil_outside_the_domain_names_one_coordinate(self, entry):
+        with pytest.raises(DomainError) as info:
+            entry(CP1, (1.9999, -1.9999))
+        assert re.fullmatch(r"coordinate (x1 = 2|y1 = -2)\.\d+ outside domain \[-2\.0, 2\.0\]",
+                            str(info.value))
+
+    @pytest.mark.parametrize("entry", [riemann, nabla_R])
+    def test_singular_metric_names_one_point(self, entry):
+        # g = x I is singular on x = 0, which the backward step from x = h
+        # reaches; nabla_J inverts g at p alone
+        chart = parse_chart("dim = 1\ncoords = x y\ng[1][1] = x\ng[2][2] = x\n"
+                            "J[1][2] = -1\nJ[2][1] = 1\n")
+        with pytest.raises(ChartEvalError, match=r"^singular metric at point \[0\.0, 0\.5\]$"):
+            entry(chart, (1e-4, 0.5), 1e-4 if entry is not nabla_R else 2.5e-5)

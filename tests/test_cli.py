@@ -156,6 +156,24 @@ class TestAnalyze:
         assert float(shown[0]) > 0
         assert shown[1] == "n/a"
 
+    def test_point_may_start_with_a_minus_sign(self, capsys):
+        points = ["-0.1,0.2,0.3,0.4", "-.5,-0.0,0,-1e-3"]
+        glued = run(capsys, "analyze", "--model", "cp2", *(f"--point={p}" for p in points),
+                    "--format", "json")
+        spaced = run(capsys, "analyze", "--model", "cp2", "--point", points[0],
+                     "--point", points[1], "--format", "json")
+        assert spaced == glued
+        code, out, _ = spaced
+        assert code == 0
+        assert json.dumps(json.loads(out)["meta"]["points"]) == \
+            "[[-0.1, 0.2, 0.3, 0.4], [-0.5, -0.0, 0.0, -0.001]]"
+
+    def test_negative_non_finite_point_is_named(self, capsys):
+        code, out, err = run(capsys, "analyze", "--model", "cp2", "--point", "-inf,0,0,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("analysis error: coordinate x1 = -inf is not finite")
+
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "s6", "--point", "a,b")
         assert code == 2

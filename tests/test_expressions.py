@@ -1,5 +1,6 @@
 """Expression grammar: parsing, precedence, printing round-trip, evaluation."""
 
+import dis
 import math
 import operator
 
@@ -24,6 +25,7 @@ from ahgeom.expressions import (
     parse_expression,
     to_source,
 )
+from ahgeom.models import get_model, model_names
 
 
 def value_of(expr, env):
@@ -135,6 +137,85 @@ class TestEvaluation:
             evaluate(compile_expressions(exprs), {"x": x})
         assert message in str(err.value)
         assert f"{{'x': {x!r}}}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The compiled program computes each distinct subtree once
+# ---------------------------------------------------------------------------
+
+
+def non_leaf_subtrees(expr, out):
+    """Add every subtree of expr that is not a number or a variable to out."""
+    match expr:
+        case Neg(arg) | Call(_, arg):
+            non_leaf_subtrees(arg, out)
+        case BinOp(_, left, right):
+            non_leaf_subtrees(left, out)
+            non_leaf_subtrees(right, out)
+        case _:
+            return out
+    out.add(expr)
+    return out
+
+
+def occurrences(expr, target):
+    if expr == target:
+        return 1
+    match expr:
+        case Neg(arg) | Call(_, arg):
+            return occurrences(arg, target)
+        case BinOp(_, left, right):
+            return occurrences(left, target) + occurrences(right, target)
+    return 0
+
+
+def instructions(compiled, opname):
+    return [ins for ins in dis.get_instructions(compiled.code) if ins.opname == opname]
+
+
+class TestSharedSubexpressions:
+    @pytest.mark.parametrize("name", sorted(model_names()))
+    def test_each_distinct_subtree_is_assigned_once(self, name):
+        compiled = get_model(name).chart._program[0]
+        subtrees = set()
+        for expr in compiled.exprs:
+            non_leaf_subtrees(expr, subtrees)
+        stored = [ins.argval for ins in instructions(compiled, "STORE_FAST")]
+        assert len(stored) == len(set(stored)) == len(subtrees)
+
+    def test_s6_squared_norm_is_summed_once(self):
+        compiled = get_model("s6").chart._program[0]
+        norm = parse_expression("x1^2+x2^2+x3^2+x4^2+x5^2+x6^2")
+        assert sum(occurrences(expr, norm) for expr in compiled.exprs) > 1
+        sums = {t for expr in compiled.exprs for t in non_leaf_subtrees(expr, set())
+                if isinstance(t, BinOp) and t.op == "+"}
+        additions = [ins for ins in instructions(compiled, "BINARY_OP") if ins.argrepr == "+"]
+        assert len(additions) == len(sums)
+
+    def test_equal_subtrees_across_expressions_share_one_value(self):
+        exprs = [parse_expression(src) for src in ("sqrt(x*x+y)", "1/sqrt(x*x+y)", "x*x")]
+        compiled = compile_expressions(exprs)
+        assert len(instructions(compiled, "STORE_FAST")) == 4  # x*x, x*x+y, sqrt(...), 1/sqrt(...)
+        values = evaluate(compiled, {"x": 0.3, "y": 2.0})
+        assert [v.hex() for v in values] == [
+            reference_value(e, {"x": 0.3, "y": 2.0}).hex() for e in exprs]
+
+    @pytest.mark.parametrize("src", [
+        "+".join(["x"] * MAX_DEPTH),
+        "-" * (MAX_DEPTH - 1) + "x",
+        "(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+    ])
+    def test_deepest_expression_compiles(self, src):
+        expr = parse_expression(src)
+        with pytest.raises(ExprSyntaxError, match="deeper"):
+            parse_expression(f"-({src})")
+        assert value_of(expr, {"x": 0.5}).hex() == reference_value(expr, {"x": 0.5}).hex()
+
+    def test_locals_avoid_coordinate_names(self):
+        exprs = [parse_expression(src) for src in ("_0*_1+__0", "sin(_0*_1)")]
+        env = {"_0": 0.5, "_1": 3.0, "__0": -1.0}
+        values = evaluate(compile_expressions(exprs), env)
+        assert [v.hex() for v in values] == [reference_value(e, env).hex() for e in exprs]
 
 
 # ---------------------------------------------------------------------------
