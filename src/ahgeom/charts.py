@@ -13,6 +13,7 @@ A chart file is line oriented; `#` starts a comment.  Recognized lines:
     J[<i>][<j>] = <expr>         complex structure entries, default 0
     point = <v1> <v2> ...        default evaluation point (repeatable)
 
+Identifiers are ASCII letters, digits and `_`, not starting with a digit.
 Expressions follow the grammar in `expressions`.  Parsing is total: any
 malformed input raises a ChartError with a line (and, for expressions,
 column) position instead of crashing.
@@ -161,9 +162,10 @@ class ChartSpec:
             raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
 
 
-_LHS_ENTRY_RE = re.compile(r"^([gJ])\[(\d+)\]\[(\d+)\]$")
-_LHS_DOMAIN_RE = re.compile(r"^domain\s+([A-Za-z_]\w*)$")
-_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
+# ASCII only: Python folds 'xﬁ' into 'xfi', and int() reads '١' as 1.
+_LHS_ENTRY_RE = re.compile(r"^([gJ])\[(\d+)\]\[(\d+)\]$", re.ASCII)
+_LHS_DOMAIN_RE = re.compile(r"^domain\s+([A-Za-z_]\w*)$", re.ASCII)
+_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$", re.ASCII)
 
 
 def _parse_floats(text: str, line: int, what: str) -> tuple[float, ...]:
@@ -223,7 +225,7 @@ def parse_chart(text: str) -> ChartSpec:
             if name in domains:
                 raise ChartSyntaxError(f"duplicate domain for {name!r} (line {lineno})")
             bounds = _parse_floats(rhs, lineno, f"domain of {name}")
-            if len(bounds) != 2 or bounds[0] > bounds[1]:
+            if len(bounds) != 2 or not bounds[0] <= bounds[1]:  # NaN bounds fail too
                 raise ChartSyntaxError(
                     f"domain needs '<lo> <hi>' with lo <= hi (line {lineno})"
                 )

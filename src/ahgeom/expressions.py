@@ -1,4 +1,4 @@
-"""Recursive-descent parser, printer and evaluator for chart coordinate expressions.
+"""Parser, printer and evaluator for chart coordinate expressions.
 
 Grammar (whitespace insensitive):
 
@@ -8,20 +8,24 @@ Grammar (whitespace insensitive):
     power  := atom ('^' factor)?        # right associative, binds above unary minus
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-so "-x^2" is -(x^2) and "2^3^2" is 2^(3^2).  Numbers are finite decimal
-literals (1e999 is an error) with an optional exponent.  The function set
-is fixed: sin cos tan exp log sqrt atan.  An expression nests at most
-MAX_DEPTH levels: each operator, unary minus, call and parenthesized group
-is a level, so each term of a chain like 1+1+1 counts, and whatever parses
-also evaluates.  Parsing never raises anything but ExprError subclasses,
-each carrying a 1-based line/column position.
+so "-x^2" is -(x^2) and "2^3^2" is 2^(3^2).  `_PREC` is the one table of
+these precedences: the parser climbs by it and `to_source` prints by it.
+Numbers are finite decimal literals (1e999 is an error) with an optional
+exponent; identifiers are ASCII.  The function set is fixed: sin cos tan
+exp log sqrt atan.  An expression nests at most MAX_DEPTH levels: each
+operator, unary minus, call and parenthesized group is a level, so each
+term of a chain like 1+1+1 counts, and whatever parses also evaluates.
+Parsing never raises anything but ExprError subclasses, each carrying a
+1-based line/column position.
 
 Evaluation works on batches: `compile_expressions` turns a sequence of
 expressions into one generated Python function that computes each distinct
 subtree once, as a local, and `evaluate` calls it once per point and
 returns every value, bit for bit what each expression gives on its own.
-The compiled function belongs to its caller (a chart keeps its own), so
-nothing here caches expressions.
+When that call fails, `evaluate` finds the first failing expression by
+compiling each on its own, so every error comes from the same generated
+code.  The compiled function belongs to its caller (a chart keeps its
+own), so nothing here caches expressions.
 """
 
 from __future__ import annotations
@@ -65,9 +69,10 @@ FUNCTIONS = {
     "atan": math.atan,
 }
 
-# The parser, `to_source`, `variables_of` and Python's compiler all recurse
-# once per level, and Python refuses more than 200 nested parentheses; the
-# bundled charts nest at most 13 levels.
+# The parser recurses through at most three Python frames per level, and
+# `to_source`, `variables_of` and `compile_expressions` through one, so the
+# deepest expression stays far inside Python's default recursion limit of
+# 1000 frames; the bundled charts nest at most 13 levels.
 MAX_DEPTH = 100
 
 
@@ -125,8 +130,14 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()]))",
+    re.ASCII,  # Python would fold a non-ASCII name such as 'xﬁ' into 'xfi'
 )
+
+
+# Binding strength of each operator, read by the parser and the printer:
+# '^' is right associative and binds above unary minus.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 @dataclass(frozen=True)
@@ -155,6 +166,12 @@ def _tokenize(src: str, line: int, col_base: int) -> list[_Token]:
 
 
 class _Parser:
+    """Precedence climbing over `_PREC`, yielding each node with its depth.
+
+    Unary minus, an exponent, a call and a parenthesized group each go one
+    `nested` recursion down; a chain of '+', '-', '*' and '/' is a loop.
+    """
+
     def __init__(self, tokens: list[_Token], line: int):
         self.tokens = tokens
         self.line = line
@@ -177,48 +194,42 @@ class _Parser:
             self.fail(f"expression nested deeper than {MAX_DEPTH} levels", tok)
         return depth
 
-    def nested(self, parse, tok: _Token) -> tuple[Expr, int]:
-        """(node, depth) one level down; refuses before the recursion gets deep."""
-        self.nesting += 1
-        self.check_depth(self.nesting, tok)
-        node, depth = parse()
-        self.nesting -= 1
-        return node, self.check_depth(depth + 1, tok)
-
     def parse(self) -> Expr:
-        node, _ = self.expr()
+        node, _ = self.climb(1)
         tok = self.peek()
         if tok.kind != "end":
             self.fail(f"unexpected {tok.text!r} after expression", tok)
         return node
 
-    def chain(self, ops: tuple[str, str], operand) -> tuple[Expr, int]:
-        node, depth = operand()
-        while self.peek().text in ops:
-            tok = self.advance()
-            right, rdepth = operand()
-            node = BinOp(tok.text, node, right)
-            depth = self.check_depth(max(depth, rdepth) + 1, tok)
-        return node, depth
+    def nested(self, tok: _Token, min_prec: int, unclosed: str = "") -> tuple[Expr, int]:
+        """(node, depth) one level below `tok`, up to its ')' if `unclosed`
+        is the error for a missing one; refuses before the recursion gets deep."""
+        self.nesting += 1
+        self.check_depth(self.nesting, tok)
+        node, depth = self.climb(min_prec)
+        if unclosed and (closing := self.advance()).text != ")":
+            self.fail(unclosed, closing)
+        self.nesting -= 1
+        return node, self.check_depth(depth + 1, tok)
 
-    def expr(self) -> tuple[Expr, int]:
-        return self.chain(("+", "-"), self.term)
-
-    def term(self) -> tuple[Expr, int]:
-        return self.chain(("*", "/"), self.factor)
-
-    def factor(self) -> tuple[Expr, int]:
-        if self.peek().text == "-":
-            operand, depth = self.nested(self.factor, self.advance())
-            return Neg(operand), depth
-        return self.power()
-
-    def power(self) -> tuple[Expr, int]:
-        node, depth = self.atom()
-        if self.peek().text == "^":
-            tok = self.advance()
-            exponent, edepth = self.nested(self.factor, tok)
-            node, depth = BinOp("^", node, exponent), self.check_depth(max(depth + 1, edepth), tok)
+    def climb(self, min_prec: int) -> tuple[Expr, int]:
+        """An operand and every operator binding at least `min_prec` after it."""
+        tok = self.peek()
+        if tok.text == "-":
+            self.advance()
+            operand, depth = self.nested(tok, _PREC["neg"])
+            node = Neg(operand)
+        else:
+            node, depth = self.atom()
+        while (tok := self.peek()).kind == "op" and _PREC.get(tok.text, 0) >= min_prec:
+            self.advance()
+            if tok.text == "^":  # right associative, its exponent may start with '-'
+                right, rdepth = self.nested(tok, _PREC["neg"])
+                depth = max(depth + 1, rdepth)
+            else:
+                right, rdepth = self.climb(_PREC[tok.text] + 1)
+                depth = max(depth, rdepth) + 1
+            node, depth = BinOp(tok.text, node, right), self.check_depth(depth, tok)
         return node, depth
 
     def atom(self) -> tuple[Expr, int]:
@@ -233,23 +244,14 @@ class _Parser:
                 if tok.text not in FUNCTIONS:
                     raise ExprNameError(f"unknown function '{tok.text}'", self.line, tok.col)
                 self.advance()
-                arg, depth = self.nested(
-                    lambda: self.group("expected ')' to close function call"), tok)
+                arg, depth = self.nested(tok, 1, "expected ')' to close function call")
                 return Call(tok.text, arg), depth
             return Var(tok.text), 1
         if tok.text == "(":
-            return self.nested(self.group, tok)
+            return self.nested(tok, 1, "expected ')'")
         if tok.kind == "end":
             self.fail("unexpected end of expression", tok)
         self.fail(f"unexpected {tok.text!r}", tok)
-
-    def group(self, unclosed: str = "expected ')'") -> tuple[Expr, int]:
-        """The rest of a parenthesized expression, after its '('."""
-        node, depth = self.expr()
-        closing = self.advance()
-        if closing.text != ")":
-            self.fail(unclosed, closing)
-        return node, depth
 
 
 def parse_expression(src: str, line: int = 1, col_base: int = 1) -> Expr:
@@ -270,10 +272,6 @@ def variables_of(expr: Expr) -> set[str]:
         case Call(_, arg):
             return variables_of(arg)
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-# Printing: precedence levels, with '^' right associative above unary minus.
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _prec(expr: Expr) -> int:
@@ -337,12 +335,6 @@ class Compiled:
     code: CodeType
 
 
-def _python_source(expr: Expr) -> str:
-    # Python's operators have the grammar's precedence and associativity
-    # once '^' is spelled '**' (the only '^' in the source is the operator).
-    return to_source(expr).replace("^", "**")
-
-
 def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
     """Compile expressions, in order, into one program for `evaluate`.
 
@@ -388,16 +380,6 @@ def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
     return Compiled(exprs, variables, namespace["program"].__code__)
 
 
-def _evaluate_one(expr: Expr, env: Mapping[str, float]) -> float:
-    try:
-        value = float(eval(_python_source(expr), _EVAL_GLOBALS, env))
-    except _EVAL_ERRORS as exc:
-        raise ExprEvalError(f"cannot evaluate '{to_source(expr)}' at {dict(env)}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ExprEvalError(f"expression '{to_source(expr)}' is not finite at {dict(env)}")
-    return value
-
-
 def evaluate(compiled: Compiled, env: Mapping[str, float]) -> np.ndarray:
     """Values of every compiled expression at a point given as {coordinate name: value}.
 
@@ -412,7 +394,14 @@ def evaluate(compiled: Compiled, env: Mapping[str, float]) -> np.ndarray:
         values = np.array(program(*[env[name] for name in compiled.variables]), dtype=float)
         if np.isfinite(values).all():
             return values
-    except _EVAL_ERRORS:
-        pass
-    # One expression at a time, to find the one that fails.
-    return np.array([_evaluate_one(expr, env) for expr in compiled.exprs], dtype=float)
+        error = None
+    except _EVAL_ERRORS as exc:
+        error = exc
+    if len(compiled.exprs) > 1:
+        # Each expression through a program of its own, to find the first that fails.
+        for expr in compiled.exprs:
+            evaluate(compile_expressions([expr]), env)
+    [expr] = compiled.exprs
+    if error is not None:
+        raise ExprEvalError(f"cannot evaluate '{to_source(expr)}' at {dict(env)}: {error}") from error
+    raise ExprEvalError(f"expression '{to_source(expr)}' is not finite at {dict(env)}")

@@ -90,6 +90,12 @@ class TestParsing:
         with pytest.raises(ChartSyntaxError, match="lo <= hi"):
             parse_chart(MINIMAL_FLAT + "domain x = 1 0\n")
 
+    @pytest.mark.parametrize("bounds", ["nan nan", "nan 1"])
+    def test_nan_domain_bound(self, bounds):
+        # else every point would fail later, as outside the domain [nan, nan]
+        with pytest.raises(ChartSyntaxError, match=r"lo <= hi \(line 9\)"):
+            parse_chart(MINIMAL_FLAT + f"domain x = {bounds}\n")
+
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# leading comment\n\n" + MINIMAL_FLAT.replace(
             "g[1][1] = 1", "g[1][1] = 1  # inline comment")

@@ -6,8 +6,9 @@ import re
 import pytest
 
 from ahgeom.cli import main
+from ahgeom.expressions import MAX_DEPTH
 from ahgeom.models import complex_space_form_chart_text
-from test_expressions import HOSTILE, chart_with_entry
+from test_expressions import HOSTILE, chain, chart_with_entry
 
 
 def run(capsys, *argv):
@@ -84,6 +85,30 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.startswith("analysis error:") and "line 3, col" in err
+
+    def test_entry_of_99_nested_calls_reports(self, tmp_path, capsys):
+        deep = chain("cos(", ")", MAX_DEPTH - 1)  # as deep as an entry may nest
+        path = tmp_path / "deep.ahm"
+        path.write_text(chart_with_entry(deep).replace("g[2][2] = 1", f"g[2][2] = {deep}")
+                        + "point = 0.3 0.2\n")
+        code, out, err = run(capsys, "analyze", "--chart", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["points"]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        # Python folds 'xﬁ' into 'xfi', so both would be one parameter of the program
+        (chart_with_entry("1 + xﬁ^2 + xfi^2").replace("x y", "xﬁ xfi"),
+         "bad coordinate name 'xﬁ' (line 2)"),
+        # int() reads Arabic-Indic digits, so this would be g[1][1] = 1
+        (chart_with_entry("١").replace("g[1][1]", "g[١][١]"),
+         "unrecognized directive 'g[١][١]' (line 3)"),
+    ], ids=["ligature", "arabic_indic_digits"])
+    def test_non_ascii_identifier_or_index_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "non_ascii.ahm"
+        path.write_text(text + "point = 0.3 0.2\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--chart", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"analysis error: {message}\n"
 
     def test_complex_valued_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "complex.ahm"

@@ -1,11 +1,13 @@
 """Expression grammar: parsing, precedence, printing round-trip, evaluation."""
 
+import contextlib
 import dis
 import math
 import operator
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ahgeom.charts import ChartSyntaxError, parse_chart
@@ -14,12 +16,14 @@ from ahgeom.expressions import (
     MAX_DEPTH,
     BinOp,
     Call,
+    ExprError,
     ExprEvalError,
     ExprNameError,
     ExprSyntaxError,
     Neg,
     Num,
     Var,
+    _tokenize,
     compile_expressions,
     evaluate,
     parse_expression,
@@ -238,6 +242,39 @@ def chart_with_entry(src):
     return f"dim = 1\ncoords = x y\ng[1][1] = {src}\ng[2][2] = 1\nJ[2][1] = 1\nJ[1][2] = -1\n"
 
 
+def chain(opening, closing, count, core="x"):
+    return opening * count + core + closing * count
+
+
+# Source nesting one construct `depth` levels deep; '2*(' and '(1+' add two
+# levels each, so an even depth starts from '(x)'.
+CHAINS = {
+    "call": lambda depth: chain("sin(", ")", depth - 1),
+    "parens": lambda depth: chain("(", ")", depth - 1),
+    "neg": lambda depth: chain("-", "", depth - 1),
+    "power": lambda depth: chain("x^", "", depth - 1),
+    "product": lambda depth: chain("2*(", ")", (depth - 1) // 2, "(x)" if depth % 2 == 0 else "x"),
+    "sum": lambda depth: chain("(1+", ")", (depth - 1) // 2, "(x)" if depth % 2 == 0 else "x"),
+}
+
+
+@contextlib.contextmanager
+def frame_budget():
+    """Run with room for 7 Python frames per level of a MAX_DEPTH-deep
+    expression above the stack in use, whatever the limit was: Hypothesis
+    raises it by up to 2000 frames while it runs a test.  The parser takes
+    about 3 frames per level; one method per precedence level took 10."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 7 * MAX_DEPTH)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestTotality:
     @pytest.mark.parametrize("name", sorted(HOSTILE))
     def test_parse_expression_rejects(self, name):
@@ -262,21 +299,42 @@ class TestTotality:
         expr = parse_expression("1e308")
         assert parse_expression(to_source(expr)) == expr
 
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_each_construct_nests_to_the_limit(self, name):
+        with frame_budget():
+            expr = parse_expression(CHAINS[name](MAX_DEPTH))
+            printed = parse_expression(to_source(expr))
+            value = value_of(expr, {"x": 0.5})
+            with pytest.raises(ExprSyntaxError) as deeper:
+                parse_expression(CHAINS[name](MAX_DEPTH + 1), line=4)
+        assert printed == expr
+        assert value.hex() == reference_value(expr, {"x": 0.5}).hex()
+        assert f"deeper than {MAX_DEPTH} levels (line 4, col" in str(deeper.value)
+
 
 _WRAPPERS = st.sampled_from(["({})", "-{}", "{}+1", "1*{}", "sin({})", "x^sin({})"])
 
 
 @given(st.lists(_WRAPPERS, max_size=2 * MAX_DEPTH))
+# single-construct chains MAX_DEPTH levels deep, and one level deeper
+@example(["sin({})"] * (MAX_DEPTH - 1))
+@example(["sin({})"] * MAX_DEPTH)
+@example(["({})"] * (MAX_DEPTH - 1))
+@example(["-{}"] * (MAX_DEPTH - 1))
+@example(["1*{}", "({})"] * (MAX_DEPTH // 2 - 1) + ["1*{}"])
+@example(["{}+1", "({})"] * (MAX_DEPTH // 2 - 1) + ["{}+1"])
 @settings(max_examples=200, deadline=None)
 def test_every_nesting_parses_and_evaluates_or_is_rejected(wrappers):
     src = "x"
     for wrapper in wrappers:
         src = wrapper.format(src)
-    try:
-        expr = parse_expression(src)
-    except ExprSyntaxError:
-        return
-    assert math.isfinite(value_of(expr, {"x": 0.5}))
+    with frame_budget():
+        try:
+            expr = parse_expression(src)
+        except ExprSyntaxError:
+            return
+        value = value_of(expr, {"x": 0.5})
+    assert math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +415,176 @@ def test_evaluate_matches_reference_interpreter(expr, values):
     else:
         with pytest.raises(ExprEvalError):
             value_of(expr, env)
+
+
+# ---------------------------------------------------------------------------
+# Precedence climbing against the recursive-descent parser it replaced
+# ---------------------------------------------------------------------------
+
+
+class RecursiveDescentParser:
+    """One method per precedence level: the parser that `_PREC`-driven
+    precedence climbing replaced, kept as the reference for trees, errors
+    and depth counting."""
+
+    def __init__(self, tokens, line):
+        self.tokens = tokens
+        self.line = line
+        self.pos = 0
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message, tok):
+        raise ExprSyntaxError(message, self.line, tok.col)
+
+    def check_depth(self, depth, tok):
+        if depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+        return depth
+
+    def nested(self, parse, tok):
+        self.nesting += 1
+        self.check_depth(self.nesting, tok)
+        node, depth = parse()
+        self.nesting -= 1
+        return node, self.check_depth(depth + 1, tok)
+
+    def parse(self):
+        node, _ = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            self.fail(f"unexpected {tok.text!r} after expression", tok)
+        return node
+
+    def chain(self, ops, operand):
+        node, depth = operand()
+        while self.peek().text in ops:
+            tok = self.advance()
+            right, rdepth = operand()
+            node = BinOp(tok.text, node, right)
+            depth = self.check_depth(max(depth, rdepth) + 1, tok)
+        return node, depth
+
+    def expr(self):
+        return self.chain(("+", "-"), self.term)
+
+    def term(self):
+        return self.chain(("*", "/"), self.factor)
+
+    def factor(self):
+        if self.peek().text == "-":
+            operand, depth = self.nested(self.factor, self.advance())
+            return Neg(operand), depth
+        return self.power()
+
+    def power(self):
+        node, depth = self.atom()
+        if self.peek().text == "^":
+            tok = self.advance()
+            exponent, edepth = self.nested(self.factor, tok)
+            node, depth = BinOp("^", node, exponent), self.check_depth(max(depth + 1, edepth), tok)
+        return node, depth
+
+    def atom(self):
+        tok = self.advance()
+        if tok.kind == "num":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                self.fail(f"number {tok.text!r} is out of range", tok)
+            return Num(value), 1
+        if tok.kind == "ident":
+            if self.peek().text == "(":
+                if tok.text not in FUNCTIONS:
+                    raise ExprNameError(f"unknown function '{tok.text}'", self.line, tok.col)
+                self.advance()
+                arg, depth = self.nested(
+                    lambda: self.group("expected ')' to close function call"), tok)
+                return Call(tok.text, arg), depth
+            return Var(tok.text), 1
+        if tok.text == "(":
+            return self.nested(self.group, tok)
+        if tok.kind == "end":
+            self.fail("unexpected end of expression", tok)
+        self.fail(f"unexpected {tok.text!r}", tok)
+
+    def group(self, unclosed="expected ')'"):
+        node, depth = self.expr()
+        closing = self.advance()
+        if closing.text != ")":
+            self.fail(unclosed, closing)
+        return node, depth
+
+
+def parse_outcome(parse, src):
+    """The tree, or the class, message and position of the error."""
+    try:
+        return parse(src, line=3, col_base=5)
+    except ExprError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+def reference_parse(src, line, col_base):
+    return RecursiveDescentParser(_tokenize(src, line, col_base), line).parse()
+
+
+def assert_parsers_agree(src):
+    try:
+        want = parse_outcome(reference_parse, src)
+    except RecursionError:
+        assume(False)  # the reference's own stack overflow, not an answer
+    assert parse_outcome(parse_expression, src) == want
+
+
+# '-' and 'neg' are prefix and binary, or an identifier named like _PREC's key.
+_TOKENS = st.sampled_from(["x", "neg", "2.5", "1e999", "sin", "sinh", "(", ")", "-", "+",
+                           "*", "/", "^", " ", "@"])
+# Runs of tokens, each repeated up to 1.5 MAX_DEPTH times.
+_TOKEN_STRINGS = st.lists(
+    st.tuples(st.lists(_TOKENS, min_size=1, max_size=4), st.integers(1, 3 * MAX_DEPTH // 2)),
+    max_size=6,
+).map(lambda runs: "".join("".join(tokens) * count for tokens, count in runs))
+
+
+# Trees near MAX_DEPTH levels deep: a random tree under runs of
+# single-operand constructs.
+_ENCLOSING = [Neg, lambda e: Call("sin", e), lambda e: BinOp("^", Var("x"), e),
+              lambda e: BinOp("^", e, Num(2.0)), lambda e: BinOp("*", Num(2.0), e),
+              lambda e: BinOp("-", Num(1.0), e), lambda e: BinOp("/", e, Var("y"))]
+
+
+def _enclose(expr, runs):
+    for wrap, count in runs:
+        for _ in range(count):
+            expr = wrap(expr)
+    return expr
+
+
+_deep_exprs = st.builds(_enclose, _exprs, st.lists(
+    st.tuples(st.sampled_from(_ENCLOSING), st.integers(1, MAX_DEPTH)), max_size=3))
+
+
+class TestAgainstRecursiveDescent:
+    @given(_TOKEN_STRINGS)
+    @example("-x^2")
+    @example("2^-3^2")
+    @example("a-b-c")
+    @example("neg*neg^-neg")
+    @example("(" * MAX_DEPTH + "x" + ")" * (MAX_DEPTH - 1))
+    @example("-" * MAX_DEPTH + "(x")
+    @settings(max_examples=500, deadline=None)
+    def test_token_strings(self, src):
+        assert_parsers_agree(src)
+
+    @given(_deep_exprs, st.integers(min_value=0), _TOKENS)
+    @settings(max_examples=500, deadline=None)
+    def test_printed_trees_with_one_token_inserted(self, expr, at, token):
+        src = to_source(expr)
+        at %= len(src) + 1
+        assert_parsers_agree(src[:at] + token + src[at:])
