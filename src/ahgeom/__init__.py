@@ -1,7 +1,7 @@
 """Numerical curvature workbench for almost Hermitian structures.
 
 Point-level tensor algebra (`tensor_core`), an expression-chart engine with
-finite-difference covariant calculus (`charts`, `calculus`), bundled model
+exact jet-based covariant calculus (`charts`, `calculus`), bundled model
 manifolds, each an expression chart from a text generator (`models`),
 per-point statistics and classification (`analysis`), and a deterministic
 report front end (`report`, `cli`).

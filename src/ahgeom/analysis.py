@@ -264,7 +264,7 @@ def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
         (nabla_{e_j} S)(e_i, e_j)
             + (lambda_i + lambda_j - 2 (2m-1) nu) g(J e_i, (nabla_{e_j} J) e_j)
 
-    maximized over i != j.  Zero (up to discretization error) on spaces with
+    maximized over i != j.  Zero (up to rounding) on spaces with
     constant antiholomorphic curvature; trivially small when both nabla S
     and the (nabla_X J)X defect vanish.
     """

@@ -1,34 +1,23 @@
-"""Finite-difference covariant calculus on expression charts (`ChartSpec`).
+"""Exact covariant calculus on a point's jet (`ChartSpec.jet_at`).
 
-All derivatives are second-order central differences with a per-coordinate
-step h_k = h * max(1, |p_k|).  Derivatives of the connection coefficients
-are taken by differencing the connection itself (nested differences), not
-by third derivatives of the metric.  Every chart function takes the same
-base step h (`nabla_R` differences at 4h internally); the residual checks
-are pure functions of tensors already computed.  Every residual is a
-max-norm over enumerated basis tuples, so runs are deterministic.  Every
-point where g or J is evaluated, stencil points included, must lie in the
-chart's domain, which `ChartSpec` checks at each one.
-
-The stencils are batched: one difference level builds the 2n neighbours
-of every point it is given at once, and the connection and curvature are
-computed for whole stacks of points, one table lookup per point.  Each
-point still gets exactly the arithmetic of a point-by-point evaluation,
-so the values are the same to the bit.
+The jet holds g, J and their derivatives at p, exact up to rounding, and
+every function here is a closed form in it: the connection and its
+derivatives from g's, R and nabla R from the connection, nabla J from dJ.
+Nothing is evaluated away from p.  The residual checks are pure functions
+of tensors already computed; each is a max-norm over enumerated basis
+tuples, so runs are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .charts import ChartEvalError, ChartSpec
+from .charts import Jet
 from .tensor_core import Bilinear, CurvatureTensor
 
 __all__ = [
-    "DEFAULT_STEP",
     "ClassResiduals",
     "riemann",
     "ricci",
@@ -37,8 +26,6 @@ __all__ = [
     "class_residuals",
     "gray_ak2_residual",
 ]
-
-DEFAULT_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -50,90 +37,35 @@ class ClassResiduals:
     almost_kahler: float
 
 
-def _steps(p: np.ndarray, h: float) -> np.ndarray:
-    return h * np.maximum(1.0, np.abs(p))
+def _lower(D: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma_ljk of the first kind, or their derivatives,
+    from the derivatives D[..., a, i, j] of g: out[..., l, j, k]."""
+    return 0.5 * (np.einsum("...jlk->...ljk", D) + np.einsum("...klj->...ljk", D) - D)
 
 
-def _check_steps(chart: ChartSpec, p: np.ndarray, h: float) -> None:
-    """Refuse a step lost to rounding at p, once the chart has checked p
-    itself: an infinite coordinate is named, not reported as underflow."""
-    chart.metric_at(p)
-    steps = _steps(p, h)
-    if np.any(p + steps == p) or np.any(p - steps == p):
-        raise ChartEvalError(f"step underflow at point {p.tolist()} with h = {h!r}")
+def _connection(jet: Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g^-1, gamma[i, j, k] = Gamma^i_jk, low = Gamma_ljk and dlow[a] = d_a Gamma_ljk."""
+    g_inv = np.linalg.inv(jet.point.g)
+    low = _lower(jet.dg)
+    return g_inv, np.einsum("il,ljk->ijk", g_inv, low), low, _lower(jet.ddg)
 
 
-def _at_each(lookup: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> np.ndarray:
-    """lookup (a chart's metric_at or j_at) at every point of P, one call per
-    point, stacked as P.shape[:-1] + the table's shape."""
-    tables = [lookup(q) for q in P.reshape(-1, P.shape[-1])]
-    return np.stack(tables).reshape(P.shape[:-1] + tables[0].shape)
+def _curvature(dlow: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """R_ijkl = d_i Gamma_ljk - d_j Gamma_lik + Gamma^p_jl Gamma_pik - Gamma^p_il Gamma_pjk,
+    with a (Gamma^p_jl, Gamma_pik) term for each pair, broadcast over leading axes."""
+    R = np.einsum("...iljk->...ijkl", dlow) - np.einsum("...jlik->...ijkl", dlow)
+    for gamma, low in pairs:
+        q = np.einsum("...pjl,...pik->...ijkl", gamma, low)
+        R = R + q - np.swapaxes(q, -4, -3)
+    return R
 
 
-def _central_diff(f: Callable[[np.ndarray], np.ndarray], P: np.ndarray, h: float) -> np.ndarray:
-    """d[..., k, :] = partial_k f at every point of P, shape (..., n).
-
-    f is called once, on the stencil Q of shape (2, ..., n, n): Q[0, ..., k, :]
-    is the point moved by +h_k along coordinate k, Q[1, ..., k, :] by -h_k.
-    It returns its values with Q.shape[:-1] leading.  Only coordinate k of
-    each neighbour is touched, so a -0.0 elsewhere keeps its sign.
-    """
-    n = P.shape[-1]
-    steps = _steps(P, h)
-    Q = np.empty((2, *P.shape[:-1], n, n))
-    Q[...] = P[..., np.newaxis, :]
-    diagonal = np.arange(n)
-    fwd, bwd = Q
-    fwd[..., diagonal, diagonal] += steps
-    bwd[..., diagonal, diagonal] -= steps
-    values = f(Q)
-    steps = steps.reshape(steps.shape + (1,) * (values.ndim - Q.ndim + 1))
-    return (values[0] - values[1]) / (2.0 * steps)
-
-
-def _inverse_metric(g: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """g^-1 at every point of P; a singular metric names its first point."""
-    try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        singular = np.linalg.det(g).reshape(-1) == 0.0
-        q = P.reshape(-1, P.shape[-1])[np.argmax(singular)]
-        raise ChartEvalError(f"singular metric at point {q.tolist()}") from None
-
-
-def _gamma_values(chart: ChartSpec, P: np.ndarray, h: float) -> np.ndarray:
-    """Levi-Civita connection coefficients gamma[..., i, j, k] = Gamma^i_{jk}
-    at every point of P."""
-    g_inv = _inverse_metric(_at_each(chart.metric_at, P), P)
-    # dg[..., a, i, j] = partial_a g_ij
-    dg = _central_diff(lambda Q: _at_each(chart.metric_at, Q), P, h)
-    # T[l, j, k] = partial_j g_lk + partial_k g_lj - partial_l g_jk, symmetric in (j, k)
-    T = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
-    return 0.5 * np.einsum("...il,...ljk->...ijk", g_inv, T)
-
-
-def _riemann_values(chart: ChartSpec, P: np.ndarray, h: float) -> np.ndarray:
-    gamma = _gamma_values(chart, P, h)
-    dgamma = _central_diff(lambda Q: _gamma_values(chart, Q, h), P, h)
-    # R^l_{ijk} = partial_i Gamma^l_jk - partial_j Gamma^l_ik
-    #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    up = (
-        np.einsum("...iljk->...lijk", dgamma)
-        - np.einsum("...jlik->...lijk", dgamma)
-        + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
-        - np.einsum("...ljm,...mik->...lijk", gamma, gamma)
-    )
-    g = _at_each(chart.metric_at, P)
-    # R(e_i, e_j, e_k, e_l) = g_lm R^m_{ijk}; the unit round sphere yields pi1
-    return np.einsum("...lm,...mijk->...ijkl", g, up)
-
-
-def riemann(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> CurvatureTensor:
-    """(0,4) curvature tensor at p, in the convention where the unit sphere gives pi1."""
-    p = np.asarray(p, dtype=float)
-    _check_steps(chart, p, h)
-    values = _riemann_values(chart, p, h)
-    return CurvatureTensor(chart.eval_point(p), values)
+def riemann(jet: Jet) -> CurvatureTensor:
+    """(0,4) curvature tensor at the jet's point, in the convention where the
+    unit sphere gives pi1: R(e_i, e_j, e_k, e_l) = g_lm R^m_ijk with
+    R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik."""
+    _, gamma, low, dlow = _connection(jet)
+    return CurvatureTensor(jet.point, _curvature(dlow, (gamma, low)))
 
 
 def ricci(R: CurvatureTensor) -> Bilinear:
@@ -146,26 +78,20 @@ def ricci(R: CurvatureTensor) -> Bilinear:
     return Bilinear(R.point, np.einsum("pq,pabq->ab", g_inv, R.values))
 
 
-def nabla_J(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> np.ndarray:
+def nabla_J(jet: Jet) -> np.ndarray:
     """Covariant derivative of J: out[k, i, j] = (nabla_k J)^i_j."""
-    p = np.asarray(p, dtype=float)
-    _check_steps(chart, p, h)
-    gamma = _gamma_values(chart, p, h)
-    J = chart.j_at(p)
-    dJ = _central_diff(lambda Q: _at_each(chart.j_at, Q), p, h)
-    return dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
+    _, gamma, _, _ = _connection(jet)
+    J = jet.point.J
+    return jet.dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
 
 
-def nabla_R(chart: ChartSpec, p, h: float = DEFAULT_STEP) -> np.ndarray:
+def nabla_R(jet: Jet) -> np.ndarray:
     """Covariant derivative of the (0,4) curvature: out[v, x, y, z, u] = (nabla_v R)(x,y,z,u)."""
-    p = np.asarray(p, dtype=float)
-    # nabla R sits three difference levels above the metric, where roundoff
-    # scales like eps / h^3: 4h is near the optimum there, h suits the rest.
-    h = 4.0 * h
-    _check_steps(chart, p, h)
-    gamma = _gamma_values(chart, p, h)
-    R0 = _riemann_values(chart, p, h)
-    dR = _central_diff(lambda q: _riemann_values(chart, q, h), p, h)
+    g_inv, gamma, low, dlow = _connection(jet)
+    R0 = _curvature(dlow, (gamma, low))
+    # d_a Gamma^i_jk = g^il (d_a Gamma_ljk - d_a g_lm Gamma^m_jk), then the product rule
+    dgamma = np.einsum("il,aljk->aijk", g_inv, dlow - np.einsum("alm,mjk->aljk", jet.dg, gamma))
+    dR = _curvature(_lower(jet.dddg), (dgamma, low), (gamma, dlow))
     return (
         dR
         - np.einsum("avx,ayzu->vxyzu", gamma, R0)

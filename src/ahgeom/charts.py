@@ -5,18 +5,19 @@ A chart file is line oriented; `#` starts a comment.  Recognized lines:
     dim = <m>                    complex dimension (real dimension is 2m)
     coords = <id> <id> ...       exactly 2m coordinate names
     domain <id> = <lo> <hi>      closed interval, default unbounded; every
-                                 point where g or J is evaluated, stencil
-                                 points included, must be finite and in it
+                                 point where g and J are evaluated (and
+                                 differentiated) must be finite and in it
     g[<i>][<j>] = <expr>         metric entries, 1-based; the symmetric
                                  counterpart is auto-filled; unset entries
                                  default to 0; conflicting duplicates error
     J[<i>][<j>] = <expr>         complex structure entries, default 0
     point = <v1> <v2> ...        default evaluation point (repeatable)
 
-Identifiers are ASCII letters, digits and `_`, not starting with a digit.
-Expressions follow the grammar in `expressions`.  Parsing is total: any
-malformed input raises a ChartError with a line (and, for expressions,
-column) position instead of crashing.
+Identifiers are ASCII letters, digits and `_`, not starting with a digit;
+numbers are ASCII decimals, or inf or nan.  Expressions follow the grammar
+in `expressions`.  Parsing is total: any malformed input raises a
+ChartError with a line (and, for expressions, column) position instead of
+crashing.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -49,14 +51,11 @@ __all__ = [
     "ChartEvalError",
     "DomainError",
     "ChartSpec",
+    "Jet",
     "parse_chart",
 ]
 
 UNBOUNDED = (-math.inf, math.inf)
-# A ChartSpec keeps the g/J tables of at most this many stencil points,
-# evicting the oldest first: several cp3 points (about 460 each) or cp2
-# analyses (338), so the point under analysis keeps its tables.
-TABLE_CACHE_SIZE = 4096
 
 
 class ChartError(ValueError):
@@ -75,6 +74,39 @@ class DomainError(ChartError):
     pass
 
 
+def _jet_lines(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The C(n+2, 3) directions v with nonnegative integer entries summing to
+    3 (Griewank, Utke & Walther, Math. Comp. 69 (2000) 1117-1130), and, for
+    k = 1, 2, 3, the (n^k, len(v)) map from degree-k Taylor coefficients
+    along them to the flattened k-th derivative: the coefficient is the sum
+    over multisets u of size k of d_u f * prod_a v_a^m_a / m_a!, with m_a
+    the multiplicity of a in u, a system these directions determine."""
+    lines = np.array([np.bincount(c, minlength=n)
+                      for c in combinations_with_replacement(range(n), 3)], dtype=float)
+    recover = []
+    for k in (1, 2, 3):
+        cells = list(combinations_with_replacement(range(n), k))
+        mult = np.array([np.bincount(c, minlength=n) for c in cells])
+        weights = [math.prod(map(math.factorial, row)) for row in mult.tolist()]
+        q, r = np.linalg.qr(np.prod(lines[:, None, :] ** mult, axis=-1) / weights)
+        where = {c: u for u, c in enumerate(cells)}
+        recover.append(np.linalg.solve(r, q.T)[[where[tuple(sorted(ix))]
+                                                for ix in np.ndindex(*(n,) * k)]])
+    return lines, recover
+
+
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """g and J at a point with their derivatives in the chart's coordinates:
+    dg[a, i, j] = d_a g_ij, ddg[a, b, i, j], dddg[a, b, c, i, j], dJ[a, i, j] = d_a J^i_j."""
+
+    point: HermitianPoint
+    dg: np.ndarray
+    ddg: np.ndarray
+    dddg: np.ndarray
+    dJ: np.ndarray
+
+
 @dataclass(frozen=True)
 class ChartSpec:
     """A parsed chart, immutable after construction; every chart, bundled
@@ -84,13 +116,11 @@ class ChartSpec:
     and the (normalized) expression tables.  The first table lookup compiles
     every g and J entry into one generated function that computes each
     distinct subexpression once, so each new point costs one `evaluate`;
-    the tables of the latest TABLE_CACHE_SIZE points are kept.  Each lookup
-    takes one point: the batched stencils of `calculus` look up their
-    points one by one.
+    `jet_at` runs the same function on Taylor series.
 
-    It alone decides where g and J may be evaluated: every such point,
-    stencil points included, needs 2m coordinates (else ChartEvalError),
-    each finite and in its domain interval (else DomainError).
+    It alone decides where g and J may be evaluated: every such point
+    needs 2m coordinates (else ChartEvalError), each finite and in its
+    domain interval (else DomainError).
     """
 
     m: int
@@ -100,13 +130,10 @@ class ChartSpec:
     domain: tuple[tuple[float, float], ...]
     default_points: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
-
     @cached_property
-    def _program(self) -> tuple[Compiled, np.ndarray, np.ndarray]:
+    def _program(self) -> tuple[Compiled, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
         """g's upper triangle, then J, row by row, compiled as one program,
-        and the position of each g and J entry among its values."""
+        the position of each g and J entry among its values, and `_jet_lines`."""
         n = 2 * self.m
         upper = [(i, j) for i in range(n) for j in range(i, n)]
         slot = {cell: k for k, cell in enumerate(upper)}
@@ -114,13 +141,11 @@ class ChartSpec:
         j_index = len(upper) + np.arange(n * n).reshape(n, n)
         exprs = [self.metric_exprs[i][j] for i, j in upper]
         exprs += [e for row in self.j_exprs for e in row]
-        return compile_expressions(exprs), g_index, j_index
+        return compile_expressions(exprs), g_index, j_index, *_jet_lines(n)
 
-    def _tables_at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = p.tobytes()  # exact bits: the point at -0.0 is not the one at 0.0
-        cached = self._cache.get(key)
-        if cached is not None and p.ndim == 1:
-            return cached  # the same bits and rank as a point checked on its miss
+    def _values(self, p, lines: np.ndarray | None = None) -> np.ndarray:
+        """`evaluate` of the program at p, checked first, along `lines` if given."""
+        p = np.asarray(p, dtype=float)
         if p.shape != (2 * self.m,):
             raise ChartEvalError(f"point must have {2 * self.m} coordinates, got {p.shape}")
         for name, x, (lo, hi) in zip(self.coord_names, p.tolist(), self.domain):
@@ -128,25 +153,17 @@ class ChartSpec:
                 raise DomainError(f"coordinate {name} = {x!r} is not finite")
             if not lo <= x <= hi:
                 raise DomainError(f"coordinate {name} = {x!r} outside domain [{lo}, {hi}]")
-        program, g_index, j_index = self._program
+        directions = None if lines is None else dict(zip(self.coord_names, lines.T))
         try:
-            values = evaluate(program, dict(zip(self.coord_names, p.tolist())))
+            return evaluate(self._program[0], dict(zip(self.coord_names, p.tolist())), directions)
         except ExprEvalError as exc:
             raise ChartEvalError(str(exc)) from exc
-        # Indexing with arrays copies, so the cache holds no view of `values`.
-        g, J = values[g_index], values[j_index]
-        g.setflags(write=False)
-        J.setflags(write=False)
-        if len(self._cache) >= TABLE_CACHE_SIZE:
-            del self._cache[next(iter(self._cache))]  # dicts keep insertion order
-        self._cache[key] = (g, J)
-        return g, J
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
-        return self._tables_at(np.asarray(p, dtype=float))[0]
+        return self._values(p)[self._program[1]]
 
     def j_at(self, p: np.ndarray) -> np.ndarray:
-        return self._tables_at(np.asarray(p, dtype=float))[1]
+        return self._values(p)[self._program[2]]
 
     def eval_point(self, p) -> HermitianPoint:
         """g and J at p, with the almost Hermitian invariants verified.
@@ -155,27 +172,43 @@ class ChartSpec:
         warning.
         """
         p = np.asarray(p, dtype=float)
-        g, J = self._tables_at(p)
         try:
-            return HermitianPoint(m=self.m, g=g, J=J)
+            return HermitianPoint(m=self.m, g=self.metric_at(p), J=self.j_at(p))
         except InvariantViolation as exc:
             raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
 
+    def jet_at(self, p) -> Jet:
+        """g, J and their derivatives at p, exact up to rounding: the program
+        runs once on Taylor series along the jet lines.  Only p must lie in
+        the domain; a derivative that is not finite there is an error."""
+        point = self.eval_point(p)
+        _, g_index, j_index, lines, recover = self._program
+        coeffs = self._values(p, lines)
+        n = 2 * self.m
 
-# ASCII only: Python folds 'xﬁ' into 'xfi', and int() reads '١' as 1.
+        def derivative(k: int, index: np.ndarray) -> np.ndarray:
+            flat = np.einsum("ijd,xd->ijx", coeffs[index, k - 1], recover[k - 1])
+            return np.moveaxis(flat.reshape((n,) * (k + 2)), (0, 1), (-2, -1))
+
+        return Jet(point, derivative(1, g_index), derivative(2, g_index),
+                   derivative(3, g_index), derivative(1, j_index))
+
+
+# ASCII only: Python folds 'xﬁ' into 'xfi', and int() and float() read
+# '١' as 1 and '1_0' as 10.
 _LHS_ENTRY_RE = re.compile(r"^([gJ])\[(\d+)\]\[(\d+)\]$", re.ASCII)
 _LHS_DOMAIN_RE = re.compile(r"^domain\s+([A-Za-z_]\w*)$", re.ASCII)
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
+_FLOAT_RE = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)",
+                       re.ASCII | re.IGNORECASE)
 
 
 def _parse_floats(text: str, line: int, what: str) -> tuple[float, ...]:
-    values = []
     for tok in text.split():
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ChartSyntaxError(f"bad number {tok!r} in {what} (line {line})") from None
-    return tuple(values)
+        if not _FLOAT_RE.fullmatch(tok):
+            raise ChartSyntaxError(f"bad number {tok!r} in {what} (line {line})")
+    return tuple(map(float, text.split()))
 
 
 def parse_chart(text: str) -> ChartSpec:
@@ -201,10 +234,9 @@ def parse_chart(text: str) -> ChartSpec:
         if lhs == "dim":
             if m is not None:
                 raise ChartSyntaxError(f"duplicate 'dim' (line {lineno})")
-            try:
-                m = int(rhs.strip())
-            except ValueError:
-                raise ChartSyntaxError(f"dim must be an integer (line {lineno})") from None
+            if not _INT_RE.fullmatch(rhs.strip()):
+                raise ChartSyntaxError(f"dim must be an integer (line {lineno})")
+            m = int(rhs)
             if m < 1:
                 raise ChartSyntaxError(f"dim must be >= 1 (line {lineno})")
         elif lhs == "coords":

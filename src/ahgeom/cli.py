@@ -41,8 +41,7 @@ def _cmd_analyze(args) -> int:
         return 2
     try:
         points = [_parse_point(p) for p in args.point] if args.point else None
-        kwargs = dict(points=points, tol=args.tol, h=args.fd_step,
-                      samples=args.samples, seed=args.seed)
+        kwargs = dict(points=points, tol=args.tol, samples=args.samples, seed=args.seed)
         if args.model is not None:
             try:
                 model = get_model(args.model)
@@ -100,8 +99,6 @@ def main(argv=None) -> int:
                          help="evaluation point, repeatable (default: chart points)")
     analyze.add_argument("--tol", type=float, default=1e-4,
                          help="residual tolerance for flags and verdicts (default 1e-4)")
-    analyze.add_argument("--fd-step", type=float, default=1e-4,
-                         help="finite difference step (default 1e-4)")
     analyze.add_argument("--samples", type=int, default=256,
                          help="planes sampled per kind per point (default 256)")
     analyze.add_argument("--seed", type=int, default=42, help="sampling seed (default 42)")

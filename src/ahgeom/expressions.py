@@ -22,6 +22,8 @@ Evaluation works on batches: `compile_expressions` turns a sequence of
 expressions into one generated Python function that computes each distinct
 subtree once, as a local, and `evaluate` calls it once per point and
 returns every value, bit for bit what each expression gives on its own.
+Given directions, `evaluate` runs the same function on Taylor series, for
+the exact derivatives of every expression along every direction.
 When that call fails, `evaluate` finds the first failing expression by
 compiling each on its own, so every error comes from the same generated
 code.  The compiled function belongs to its caller (a chart keeps its
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Union
 
@@ -317,7 +320,92 @@ def to_source(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+class _Series:
+    """c0 + c1 t + c2 t^2 + c3 t^3 along a batch of lines through a point: c0
+    is the value there, and hi[k - 1] holds c_k per line.  Floats are constants."""
+
+    __slots__ = ("c0", "hi")
+
+    def __init__(self, c0: float, hi: np.ndarray):
+        self.c0, self.hi = c0, hi
+
+    def __add__(self, other):
+        if isinstance(other, _Series):
+            return _Series(self.c0 + other.c0, self.hi + other.hi)
+        return _Series(self.c0 + other, self.hi)
+
+    def __neg__(self):
+        return _Series(-self.c0, -self.hi)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):  # the truncated Cauchy product
+        if not isinstance(other, _Series):
+            return _Series(self.c0 * other, self.hi * other)
+        a, b = self.hi, other.hi
+        hi = self.c0 * b + other.c0 * a
+        hi[1] += a[0] * b[0]
+        hi[2] += a[0] * b[1] + a[1] * b[0]
+        return _Series(self.c0 * other.c0, hi)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other):
+        return self * (_power(other, -1.0) if isinstance(other, _Series) else 1.0 / other)
+
+    def __rtruediv__(self, other):
+        return other * _power(self, -1.0)
+
+    def __pow__(self, other):
+        if isinstance(other, _Series):
+            return _apply("exp", other * _apply("log", self))
+        return _power(self, other)
+
+    def __rpow__(self, other):
+        return _apply("exp", self * math.log(other))
+
+
+def _compose(x: _Series, f0: float, f1: float, f2: float, f3: float) -> _Series:
+    """f(x) from the value and first three derivatives of f at x.c0."""
+    b1, b2, b3 = x.hi
+    return _Series(f0, np.stack([f1 * b1, f1 * b2 + (0.5 * f2) * (b1 * b1),
+                                 f1 * b3 + f2 * (b1 * b2) + (f3 / 6.0) * (b1 * b1 * b1)]))
+
+
+def _power(x: _Series, e: float) -> _Series:
+    """x^e for a constant e.  The k-th derivative e (e-1) ... (e-k+1) x^(e-k)
+    is 0 once its factor is, so x^2 is smooth at 0, where x^0.5 fails."""
+    f, factor = [x.c0 ** e], 1.0
+    for k in range(1, 4):
+        factor *= e - k + 1
+        f.append(0.0 if factor == 0.0 else factor * x.c0 ** (e - k))
+    return _compose(x, *f)
+
+
+# Each function's value and first three derivatives at a.
+_TAYLOR = {
+    "sin": lambda a: (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a)),
+    "cos": lambda a: (math.cos(a), -math.sin(a), -math.cos(a), math.sin(a)),
+    "tan": lambda a: ((t := math.tan(a)), 1.0 + t * t, 2.0 * t * (1.0 + t * t),
+                      (2.0 + 6.0 * t * t) * (1.0 + t * t)),
+    "exp": lambda a: (math.exp(a),) * 4,
+    "log": lambda a: (math.log(a), 1.0 / a, -1.0 / (a * a), 2.0 / (a * a * a)),
+    "sqrt": lambda a: ((r := math.sqrt(a)), 0.5 / r, -0.25 / (r * a), 0.375 / (r * a * a)),
+    "atan": lambda a: (math.atan(a), 1.0 / (1.0 + a * a), -2.0 * a / (1.0 + a * a) ** 2,
+                       (6.0 * a * a - 2.0) / (1.0 + a * a) ** 3),
+}
+
+
+def _apply(name: str, x):
+    return _compose(x, *_TAYLOR[name](x.c0)) if isinstance(x, _Series) else FUNCTIONS[name](x)
+
+
 _EVAL_GLOBALS = {"__builtins__": {}, **FUNCTIONS}
+_SERIES_GLOBALS = {"__builtins__": {}, **{name: partial(_apply, name) for name in FUNCTIONS}}
 # (-1)**0.5 is complex, so it fails the conversion to float with TypeError.
 _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, TypeError)
 
@@ -380,18 +468,29 @@ def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
     return Compiled(exprs, variables, namespace["program"].__code__)
 
 
-def evaluate(compiled: Compiled, env: Mapping[str, float]) -> np.ndarray:
+def evaluate(compiled: Compiled, env: Mapping[str, float],
+             directions: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
     """Values of every compiled expression at a point given as {coordinate name: value}.
 
     One call of the compiled function computes them all, with Python's
-    float operators and `math` functions.  Domain violations (log of a
-    non-positive number, division by zero, ...) and non-finite or complex
-    results raise ExprEvalError naming the first failing expression and the
-    point.
+    float operators and `math` functions.  With `directions`, {coordinate
+    name: (d,) array}, it runs on the lines x + t v instead and returns the
+    Taylor coefficients of degree 1 to 3 in t, shape (len(exprs), 3, d).
+    Domain violations (log of a non-positive number, division by zero, ...)
+    and non-finite or complex results raise ExprEvalError naming the first
+    failing expression and the point.
     """
-    program = FunctionType(compiled.code, _EVAL_GLOBALS)
+    args = [env[name] for name in compiled.variables]
+    if directions is not None:
+        none = np.zeros((3, len(next(iter(directions.values())))))
+        args = [_Series(x, np.stack([directions[name], none[0], none[0]]))
+                for name, x in zip(compiled.variables, args)]
+    program = FunctionType(compiled.code, _EVAL_GLOBALS if directions is None else _SERIES_GLOBALS)
     try:
-        values = np.array(program(*[env[name] for name in compiled.variables]), dtype=float)
+        with np.errstate(all="ignore"):  # a non-finite value is refused below
+            out = program(*args)
+            values = np.array(out, dtype=float) if directions is None else \
+                np.array([v.hi if isinstance(v, _Series) else none for v in out])
         if np.isfinite(values).all():
             return values
         error = None
@@ -400,8 +499,10 @@ def evaluate(compiled: Compiled, env: Mapping[str, float]) -> np.ndarray:
     if len(compiled.exprs) > 1:
         # Each expression through a program of its own, to find the first that fails.
         for expr in compiled.exprs:
-            evaluate(compile_expressions([expr]), env)
+            evaluate(compile_expressions([expr]), env, directions)
     [expr] = compiled.exprs
+    what = f"'{to_source(expr)}'" if directions is None else f"a derivative of '{to_source(expr)}'"
     if error is not None:
-        raise ExprEvalError(f"cannot evaluate '{to_source(expr)}' at {dict(env)}: {error}") from error
-    raise ExprEvalError(f"expression '{to_source(expr)}' is not finite at {dict(env)}")
+        raise ExprEvalError(f"cannot evaluate {what} at {dict(env)}: {error}") from error
+    noun = "expression " if directions is None else ""
+    raise ExprEvalError(f"{noun}{what} is not finite at {dict(env)}")

@@ -1,10 +1,11 @@
 """Full per-point analysis pipeline and deterministic report assembly.
 
-Each point's R, S, nabla J and nabla R are computed once; every check is a
-pure function of them.  The report has three blocks: run metadata, one
-block per evaluation point, and a global block (multi-point constancy over
-the points' nu, or holomorphic means for m = 1, plus the overall verdict
-and, in model mode, the expected-vs-observed checks).  Identical arguments,
+Each point's jet is built once, and R, S, nabla J and nabla R once from it;
+every check is a pure function of them.  The report has three blocks: run
+metadata (target, kind, tolerance, samples, seed and points), one block per
+evaluation point, and a global block (multi-point constancy over the
+points' nu, or holomorphic means for m = 1, plus the overall verdict and,
+in model mode, the expected-vs-observed checks).  Identical arguments,
 including the seed, produce byte-identical JSON; the text rendering is
 drawn from the same dict, with floats to 12 significant digits.
 """
@@ -68,16 +69,17 @@ class PointReport:
     verdict: Verdict
 
 
-def analyze_point(chart: ChartSpec, p, index: int, *, tol: float, h: float,
+def analyze_point(chart: ChartSpec, p, index: int, *, tol: float,
                   samples: int, seed: int) -> PointReport:
     """Run every check at one point; deterministic for fixed arguments."""
     p = np.asarray(p, dtype=float)
-    R = calculus.riemann(chart, p, h)
+    jet = chart.jet_at(p)
+    R = calculus.riemann(jet)
     pt = R.point
     S = calculus.ricci(R)
-    NJ = calculus.nabla_J(chart, p, h)
+    NJ = calculus.nabla_J(jet)
     cls = calculus.class_residuals(NJ, pt.g)
-    NR = calculus.nabla_R(chart, p, h)
+    NR = calculus.nabla_R(jet)
     # metric compatibility lets nabla S come from contracting nabla R
     NS = np.einsum("pq,kpabq->kab", np.linalg.inv(pt.g), NR)
 
@@ -261,17 +263,15 @@ def _text_lines(d: dict, indent: str) -> list[str]:
 
 
 def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
-                  tol: float = 1e-4, h: float = calculus.DEFAULT_STEP,
-                  samples: int = 256, seed: int = 42,
+                  tol: float = 1e-4, samples: int = 256, seed: int = 42,
                   expected=None) -> AnalysisReport:
     """Analyze a chart at the given points (default: its bundled points).
 
     With an `expected` profile the report is a model report: meta.kind is
     "model" and the global block holds the expected-vs-observed checks.
     """
-    for label, value in (("tol", tol), ("fd step h", h)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{label} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     if seed < 0:
@@ -285,13 +285,12 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         "target": name,
         "kind": "chart" if expected is None else "model",
         "tolerance": tol,
-        "fd_step": h,
         "samples": samples,
         "seed": seed,
         "points": [list(p) for p in points],
     }
     reports = [
-        analyze_point(chart, p, i, tol=tol, h=h, samples=samples, seed=seed)
+        analyze_point(chart, p, i, tol=tol, samples=samples, seed=seed)
         for i, p in enumerate(points)
     ]
     schur = None
@@ -305,6 +304,7 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
                           overall=overall, expected_checks=checks)
 
 
-def analyze_model(model: ModelDescriptor, points=None, **kwargs) -> AnalysisReport:
+def analyze_model(model: ModelDescriptor, points=None, *, h=None, **kwargs) -> AnalysisReport:
+    # h, once the finite-difference step, is ignored: bench/worker.py still passes it.
     return analyze_chart(model.chart, points, name=model.name,
                          expected=model.expected, **kwargs)

@@ -178,7 +178,8 @@ class Planes:
 
 
 def row_inner(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The (n,) array of A[i] @ M @ B[i].
+    """The (n,) array of A[i] @ M @ B[i], or of A[i] @ M[i] @ B[i] for a
+    stack of n matrices M.
 
     Each row rounds exactly like the single-vector ``a @ M @ b``: the
     stacked matmuls take the same per-vector BLAS paths (vector-matrix,
@@ -291,8 +292,9 @@ def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
     """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant.
 
     Raises InvariantViolation naming the first plane whose Gram determinant
-    is below 1e-12.  The einsum is left unoptimized: it then sums
-    each plane's terms in the same order as a single-plane contraction.
+    is below 1e-12.  R is contracted with x first, then with x again and y
+    twice, all as stacked matrix products: each plane rounds exactly like
+    the same products for that plane alone.
     """
     g = R.point.g
     X, Y = planes.x, planes.y
@@ -301,8 +303,11 @@ def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         raise InvariantViolation(f"degenerate plane {i}: Gram determinant {den[i]:.3e}")
-    num = np.einsum("ijkl,ni,nj,nk,nl->n", R.values, X, Y, Y, X)
-    return num / den
+    n, d = X.shape
+    # xR[s, j, k] = R(x_s, e_j, e_k, x_s)
+    xR = ((X[:, None, :] @ R.values.reshape(d, -1)).reshape(n, d * d, d)
+          @ X[:, :, None]).reshape(n, d, d)
+    return row_inner(Y, xR, Y) / den
 
 
 def build_from_decomposition(S: Bilinear, nu: float, *,

@@ -138,8 +138,8 @@ def test_criterion_6_decomposition_residuals():
         report, _ = report_for(name)
         for pr in report.points:
             worst = max(worst, pr.decomposition_residual)
-            ok = ok and pr.decomposition_residual < 1e-4
-    check(6, f"curvature decomposition residual on s6 and cp2: max {worst:.2e} (< 1e-4)", ok)
+            ok = ok and pr.decomposition_residual <= 1e-8
+    check(6, f"curvature decomposition residual on s6 and cp2: max {worst:.2e} (<= 1e-8)", ok)
 
 
 def test_criterion_7_bianchi_and_symmetries_everywhere():
@@ -149,9 +149,9 @@ def test_criterion_7_bianchi_and_symmetries_everywhere():
         for pr in report.points:
             worst_b = max(worst_b, pr.bianchi_residual)
             worst_s = max(worst_s, pr.riemann_symmetry_residual)
-    check(7, f"all bundled charts, all default points: bianchi {worst_b:.2e} (< 1e-4), "
+    check(7, f"all bundled charts, all default points: bianchi {worst_b:.2e} (<= 1e-8), "
              f"curvature symmetries {worst_s:.2e} (< 1e-5)",
-          worst_b < 1e-4 and worst_s < 1e-5)
+          worst_b <= 1e-8 and worst_s < 1e-5)
 
 
 def test_criterion_8_multipoint_spread():

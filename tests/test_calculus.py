@@ -1,5 +1,6 @@
-"""Finite-difference calculus against analytic and constant-curvature oracles."""
+"""Exact jet calculus against symbolic, finite-difference and constant-curvature oracles."""
 
+import itertools
 import re
 
 import numpy as np
@@ -27,104 +28,312 @@ CP2 = get_model("cp2").chart
 S6 = get_model("s6").chart
 
 
-def symbolic_riemann(chart, point):
-    """Exact (0,4) curvature: the metric's first and second derivatives are
-    computed symbolically (independent of the finite differences), the
-    inversion and contractions numerically."""
+def jet(chart, p):
+    return chart.jet_at(np.asarray(p, dtype=float))
+
+
+def symbolic_derivatives(chart, point, exprs, order=3):
+    """d[k - 1][a_1, ..., a_k, i, j] = d_a1 ... d_ak exprs[i][j] at a rational
+    point, for k = 1 to `order`: each entry is read with its literals as
+    rationals, differentiated by sympy and evaluated exactly."""
     syms = sp.symbols(chart.coord_names)
-    n = 2 * chart.m
-    g_sym = sp.Matrix(n, n, lambda i, j: sp.sympify(
-        to_source(chart.metric_exprs[i][j]).replace("^", "**"),
-        locals=dict(zip(chart.coord_names, syms))))
-    dg_sym = [g_sym.diff(s) for s in syms]
-    ddg_sym = [[d.diff(s) for s in syms] for d in dg_sym]
-    values = sp.lambdify(syms, [dg_sym, ddg_sym], "numpy")(*point)
-    dg = np.array(values[0], dtype=float)  # dg[a, i, j] = partial_a g_ij
-    ddg = np.array(values[1], dtype=float)  # ddg[a, b, i, j] = partial_a partial_b g_ij
-    g = chart.metric_at(np.asarray(point, dtype=float))
+    names = dict(zip(chart.coord_names, syms))
+    at = dict(zip(syms, point))
+    n, rows, cols = len(syms), len(exprs), len(exprs[0])
+    out = [np.zeros((n,) * k + (rows, cols)) for k in range(1, order + 1)]
+    for i, j in itertools.product(range(rows), range(cols)):
+        derivative = {(): sp.sympify(to_source(exprs[i][j]).replace("^", "**"),
+                                     locals=names, rational=True)}
+        for k in range(1, order + 1):
+            for ix in itertools.combinations_with_replacement(range(n), k):
+                derivative[ix] = derivative[ix[:-1]].diff(syms[ix[-1]])
+                value = float(derivative[ix].subs(at))
+                for perm in set(itertools.permutations(ix)):
+                    out[k - 1][perm + (i, j)] = value
+    return out
+
+
+def symbolic_riemann(chart, point):
+    """Exact (0,4) curvature and its covariant derivative at a rational point.
+
+    The metric's first three derivatives are exact (`symbolic_derivatives`);
+    the inversion and contractions are numeric, through the Christoffel
+    symbols of the second kind and the derivatives of g^-1, a route apart
+    from the jet calculus.
+    """
+    p = np.array([float(v) for v in point])
+    g = chart.metric_at(p)
+    dg, ddg, dddg = symbolic_derivatives(chart, point, chart.metric_exprs)
     g_inv = np.linalg.inv(g)
-    # Gamma^i_jk = 1/2 g^il T_ljk and its derivative, with
-    # partial_a g^-1 = -g^-1 (partial_a g) g^-1
-    T = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
-    dT = np.einsum("ajlk->aljk", ddg) + np.einsum("aklj->aljk", ddg) - ddg
+    # d g^-1 = -g^-1 (d g) g^-1, and its derivative by the product rule
     dg_inv = -np.einsum("ip,apq,ql->ail", g_inv, dg, g_inv)
+    ddg_inv = -(np.einsum("bip,apq,ql->abil", dg_inv, dg, g_inv)
+                + np.einsum("ip,abpq,ql->abil", g_inv, ddg, g_inv)
+                + np.einsum("ip,apq,bql->abil", g_inv, dg, dg_inv))
+
+    def lowered(D):  # D[..., a, i, j] -> T[..., l, j, k] = d_j g_lk + d_k g_lj - d_l g_jk
+        return np.einsum("...jlk->...ljk", D) + np.einsum("...klj->...ljk", D) - D
+
+    T, dT, ddT = lowered(dg), lowered(ddg), lowered(dddg)
     gamma = 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
     dgamma = 0.5 * (np.einsum("ail,ljk->aijk", dg_inv, T) + np.einsum("il,aljk->aijk", g_inv, dT))
-    up = (
-        np.einsum("iljk->lijk", dgamma)
-        - np.einsum("jlik->lijk", dgamma)
-        + np.einsum("lim,mjk->lijk", gamma, gamma)
-        - np.einsum("ljm,mik->lijk", gamma, gamma)
-    )
-    return np.einsum("lm,mijk->ijkl", g, up)
+    ddgamma = 0.5 * (np.einsum("abil,ljk->abijk", ddg_inv, T)
+                     + np.einsum("ail,bljk->abijk", dg_inv, dT)
+                     + np.einsum("bil,aljk->abijk", dg_inv, dT)
+                     + np.einsum("il,abljk->abijk", g_inv, ddT))
+    # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+    up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+          + np.einsum("lim,mjk->lijk", gamma, gamma) - np.einsum("ljm,mik->lijk", gamma, gamma))
+    dup = (np.einsum("ailjk->alijk", ddgamma) - np.einsum("ajlik->alijk", ddgamma)
+           + np.einsum("alim,mjk->alijk", dgamma, gamma)
+           + np.einsum("lim,amjk->alijk", gamma, dgamma)
+           - np.einsum("aljm,mik->alijk", dgamma, gamma)
+           - np.einsum("ljm,amik->alijk", gamma, dgamma))
+    R = np.einsum("lm,mijk->ijkl", g, up)
+    dR = np.einsum("alm,mijk->aijkl", dg, up) + np.einsum("lm,amijk->aijkl", g, dup)
+    NR = (dR
+          - np.einsum("avx,ayzu->vxyzu", gamma, R)
+          - np.einsum("avy,xazu->vxyzu", gamma, R)
+          - np.einsum("avz,xyau->vxyzu", gamma, R)
+          - np.einsum("avu,xyza->vxyzu", gamma, R))
+    return R, NR
+
+
+R_ = sp.Rational
+CP1_POINT = (R_(3, 10), R_(-1, 5))
+CP2_POINT = (R_(1, 10), R_(-3, 20), R_(1, 5), R_(-1, 4))
+# g = (dx1^2 + dy1^2 + dx2^2 + dy2^2) / (1 + x1^2 + y1^2)^2: nabla R is not zero
+CONF2 = parse_chart("dim = 2\ncoords = x1 y1 x2 y2\n"
+                    + "".join(f"g[{i}][{i}] = 1/(1+x1^2+y1^2)^2\n" for i in range(1, 5))
+                    + "J[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\nJ[3][4] = -1\n")
+
+
+# g = x I is singular on x = 0
+SINGULAR = parse_chart("dim = 1\ncoords = x y\ng[1][1] = x\ng[2][2] = x\n"
+                       "J[1][2] = -1\nJ[2][1] = 1\n")
+
+
+def as_floats(point):
+    return tuple(float(v) for v in point)
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols, checked through the curvature built from them
+# The jet against sympy, one construct at a time
 # ---------------------------------------------------------------------------
 
 
-class TestChristoffel:
+def conformal_chart(src):
+    """g = src * I on R^2 with the standard J: src is the one differentiated entry."""
+    return parse_chart(f"dim = 1\ncoords = x y\ng[1][1] = {src}\ng[2][2] = {src}\n"
+                       "J[2][1] = 1\nJ[1][2] = -1\n")
+
+
+AT = (R_(3, 10), R_(7, 10))
+ORIGIN = (R_(0), R_(0))
+
+
+class TestJet:
+    @pytest.mark.parametrize("src, point", [
+        ("2 + sin(x*y)", AT),
+        ("2 + cos(x - 2*y)", AT),
+        ("2 + tan(x*y)", AT),
+        ("exp(x*y^2)", AT),
+        ("2 + log(1 + x^2 + y)", AT),
+        ("sqrt(1 + x^2*y)", AT),
+        ("2 + atan(x - y^2)", AT),
+        ("1 + x^3 + x^2*y - y^4", ORIGIN),  # whole exponents at x0 = 0
+        ("(1 + x^2 + y)^1.5", AT),  # a constant exponent that is not whole
+        ("(2 + x)^(x*y)", AT),  # a variable exponent
+        ("2^(x - y) + 1", AT),  # a constant base
+        ("1/(1 + x^2 + y^2) + y/(2 + x)", AT),
+        ("(1 + x^2)^(-2)", ORIGIN),
+    ])
+    def test_derivatives_match_sympy(self, src, point):
+        chart = conformal_chart(src)
+        j = jet(chart, as_floats(point))
+        exact = symbolic_derivatives(chart, point, chart.metric_exprs)
+        for got, want in zip((j.dg, j.ddg, j.dddg), exact):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_six_coordinates(self):
+        # the 56 jet lines of a 6-dimensional chart, every third derivative mixed
+        f = "2 + x1*y2*x3 + sin(y1 - x2*y3)^2 + x1^3*y3"
+        chart = parse_chart("dim = 3\ncoords = x1 y1 x2 y2 x3 y3\n"
+                            + "".join(f"g[{i}][{i}] = {f}\n" for i in range(1, 7))
+                            + "J[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\nJ[3][4] = -1\n"
+                            + "J[6][5] = 1\nJ[5][6] = -1\n")
+        point = (R_(1, 5), R_(-1, 10), R_(3, 10), R_(1, 2), R_(-2, 5), R_(7, 10))
+        j = jet(chart, as_floats(point))
+        exact = symbolic_derivatives(chart, point, [[chart.metric_exprs[0][0]]])
+        for got, want in zip((j.dg, j.ddg, j.dddg), exact):
+            np.testing.assert_allclose(got[..., :1, :1], want, rtol=1e-13, atol=1e-13)
+
+    def test_constant_entries_have_zero_derivatives(self):
+        j = jet(conformal_chart("2"), (0.3, 0.7))
+        for d in (j.dg, j.ddg, j.dddg, j.dJ):
+            assert not np.any(d)
+
+    def test_structure_derivative_matches_sympy(self):
+        # s6's J varies from point to point
+        point = (R_(1, 10), R_(-1, 5), R_(3, 10), R_(1, 4), R_(-1, 10), R_(1, 5))
+        [exact] = symbolic_derivatives(S6, point, S6.j_exprs, order=1)
+        np.testing.assert_allclose(jet(S6, as_floats(point)).dJ, exact, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("src, point, message", [
+        ("1 + sqrt(x^2)", (0.0, 0.5),
+         "cannot evaluate a derivative of '1.0+sqrt(x^2.0)' at {'x': 0.0, 'y': 0.5}"),
+        ("1 + x^0.5", (0.0, 0.5), "cannot evaluate a derivative of '1.0+x^0.5' at"),
+        ("1 + x*1e200*1e200", (0.0, 0.5), "a derivative of '1.0+x*1e+200*1e+200' is not finite at"),
+    ])
+    def test_non_finite_derivative_is_a_chart_error(self, src, point, message):
+        # the values at p are finite, so only the derivatives fail
+        chart = conformal_chart(src)
+        chart.eval_point(point)
+        with pytest.raises(ChartEvalError, match=re.escape(message)):
+            chart.jet_at(point)
+
+    def test_point_on_the_domain_boundary_analyzes(self):
+        # nothing is evaluated away from p, so p may sit on the boundary
+        for p in [(2.0, 0.0), (-2.0, 2.0)]:
+            NR = nabla_R(jet(CP1, p))
+            assert np.all(np.isfinite(NR))
+
+    @pytest.mark.parametrize("p, shown", [
+        ((2.0000000000000004, 0.0), "x1 = 2.0000000000000004 outside domain [-2.0, 2.0]"),
+        ((0.0, np.inf), "y1 = inf is not finite"),
+    ])
+    def test_point_outside_the_domain_is_refused(self, p, shown):
+        with pytest.raises(DomainError, match=re.escape(shown)):
+            jet(CP1, p)
+
+    def test_wrong_length_point_is_a_chart_error(self):
+        with pytest.raises(ChartEvalError, match="4 coordinates"):
+            jet(CP2, (0.0, 0.0))
+
+    @pytest.mark.parametrize("x", [1e-4, 1e-2, 0.5])
+    def test_close_to_a_singular_metric(self, x):
+        # g = x I has K = 1/(2x^3): R(e1, e2, e2, e1) = K x^2 = 1/(2x) and its
+        # covariant x-derivative -3/(2x^2), however close p comes to the singular x = 0
+        j = jet(SINGULAR, (x, 0.5))
+        np.testing.assert_allclose(riemann(j).values[0, 1, 1, 0], 0.5 / x, rtol=1e-12)
+        np.testing.assert_allclose(nabla_R(j)[0, 0, 1, 1, 0], -1.5 / x**2, rtol=1e-12)
+        assert not np.any(nabla_J(j))
+
+    def test_singular_metric_at_p_is_a_chart_error(self):
+        with pytest.raises(ChartEvalError,
+                           match=r"^invariant violation at point \[0\.0, 0\.5\]: "):
+            jet(SINGULAR, (0.0, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# The jet against fourth-order central differences of itself
+# ---------------------------------------------------------------------------
+
+
+def central(f, p, h):
+    """out[a, ...] = d_a f at p by the fourth-order central difference."""
+    out = []
+    for a in range(p.size):
+        e = np.zeros_like(p)
+        e[a] = h
+        out.append((f(p - 2 * e) - 8 * f(p - e) + 8 * f(p + e) - f(p + 2 * e)) / (12 * h))
+    return np.array(out)
+
+
+def assert_same_bits(a, b):
+    # equal as bit patterns, so that 0.0 and -0.0 count as different
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_matches_differences(chart, p, h=2.5e-4):
+    """Degree 0 is metric_at/j_at to the bit; dg and dJ are the differences
+    of g and J, ddg and dddg those of the jet's own dg and ddg, each to 1e-9
+    of the largest entry (or of 1).  The differences' truncation error at
+    this h stays under 1.2e-10 on the bundled domains, corners included."""
+    p = np.asarray(p, dtype=float)
+    j = chart.jet_at(p)
+    assert_same_bits(j.point.g, chart.metric_at(p))
+    assert_same_bits(j.point.J, chart.j_at(p))
+    for got, f in [(j.dg, chart.metric_at), (j.dJ, chart.j_at),
+                   (j.ddg, lambda q: chart.jet_at(q).dg),
+                   (j.dddg, lambda q: chart.jet_at(q).ddg)]:
+        scale = max(1.0, float(np.max(np.abs(got))))
+        assert np.max(np.abs(got - central(f, p, h))) <= 1e-9 * scale
+
+
+_DEFAULT_POINTS = [(name, p) for name in sorted(model_names())
+                   for p in get_model(name).chart.default_points]
+
+
+class TestAgainstDifferences:
+    @pytest.mark.parametrize("name, p", _DEFAULT_POINTS)
+    def test_default_points(self, name, p):
+        assert_matches_differences(get_model(name).chart, p)
+
+    @pytest.mark.parametrize("p", [(0.0, -0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, -0.0),
+                                   (-0.0, -0.0, -0.0, -0.0), (0.1, -0.0, -0.2, 0.0)])
+    def test_signed_zeros_keep_their_sign(self, p):
+        # g and J keep the bits of metric_at/j_at at p; the derivatives equal
+        # those at the point with every zero positive
+        assert_matches_differences(CP2, p)
+        j, unsigned = jet(CP2, p), jet(CP2, np.asarray(p) + 0.0)
+        for d, e in [(j.dg, unsigned.dg), (j.ddg, unsigned.ddg), (j.dddg, unsigned.dddg)]:
+            assert np.array_equal(d, e)
+
+    @pytest.mark.parametrize("name", ["cp2", "ch2", "s2xs2"])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_drawn_points(self, name, data):
+        chart = get_model(name).chart
+        p = tuple(data.draw(st.floats(max(lo, -1.9) + 0.01, min(hi, 1.9) - 0.01), label=coord)
+                  for coord, (lo, hi) in zip(chart.coord_names, chart.domain))
+        assert_matches_differences(chart, p)
+
+
+# ---------------------------------------------------------------------------
+# Curvature and its covariant derivative against the symbolic oracle
+# ---------------------------------------------------------------------------
+
+
+class TestAgainstSymbolicOracle:
+    @pytest.mark.parametrize("chart, point", [(CP1, CP1_POINT), (CP2, CP2_POINT),
+                                              (CONF2, CP2_POINT)],
+                             ids=["cp1", "cp2", "conf2"])
+    def test_riemann_and_nabla_R(self, chart, point):
+        R, NR = symbolic_riemann(chart, point)
+        j = jet(chart, as_floats(point))
+        if chart is CONF2:
+            assert np.max(np.abs(NR)) > 0.5  # not locally symmetric, unlike the space forms
+        assert np.max(np.abs(riemann(j).values - R)) <= 1e-11
+        assert np.max(np.abs(nabla_R(j) - NR)) <= 1e-11
+
+    @pytest.mark.parametrize("name, c", [("cp2", 4.0), ("ch2", -4.0), ("cp3", 4.0)])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_complex_space_forms_at_drawn_points(self, name, c, data):
+        # R = (c/4)(pi1 + pi2) and nabla R = nabla J = 0 anywhere in the domain, corners included
+        chart = get_model(name).chart
+        p = tuple(data.draw(st.floats(lo, hi), label=coord)
+                  for coord, (lo, hi) in zip(chart.coord_names, chart.domain))
+        j = jet(chart, p)
+        R = riemann(j)
+        target = c / 4.0 * (pi1(R.point).values + pi2(R.point).values)
+        scale = np.max(np.abs(target))
+        assert np.max(np.abs(R.values - target)) <= 1e-11 * scale
+        assert np.max(np.abs(nabla_R(j))) <= 1e-11 * scale
+        assert np.max(np.abs(nabla_J(j))) <= 1e-11
+
     def test_flat_chart_vanishes(self):
-        p = (0.3, -0.2, 0.1, 0.4)
-        assert np.max(np.abs(riemann(FLAT, p).values)) < 1e-10
-        assert np.max(np.abs(nabla_J(FLAT, p))) < 1e-10
-        assert np.max(np.abs(nabla_R(FLAT, p))) < 1e-10
+        j = jet(FLAT, (0.3, -0.2, 0.1, 0.4))
+        assert np.max(np.abs(riemann(j).values)) < 1e-10
+        assert np.max(np.abs(nabla_J(j))) < 1e-10
+        assert np.max(np.abs(nabla_R(j))) < 1e-10
 
-    def test_symmetric_by_construction(self):
-        # the connection is torsion free, so R satisfies the first Bianchi
-        # identity up to roundoff, far below the finite-difference error
-        V = riemann(CP2, (0.2, -0.1, 0.15, 0.05)).values
+    def test_first_bianchi_identity(self):
+        V = riemann(jet(CP2, (0.2, -0.1, 0.15, 0.05))).values
         cyc = V + np.einsum("jkil->ijkl", V) + np.einsum("kijl->ijkl", V)
         assert np.max(np.abs(cyc)) < 1e-12
-
-    def test_matches_symbolic_oracle_on_projective_chart(self):
-        point = (0.3, -0.2)
-        oracle = symbolic_riemann(CP1, point)
-        assert np.max(np.abs(riemann(CP1, point).values - oracle)) < 1e-7
-
-    def test_matches_symbolic_oracle_on_cp2(self):
-        point = (0.1, -0.15, 0.2, -0.25)
-        oracle = symbolic_riemann(CP2, point)
-        assert np.max(np.abs(riemann(CP2, point).values - oracle)) < 1e-7
-
-    def test_fd_convergence_halving_h(self):
-        # halving h divides the truncation error by ~4 until the roundoff floor
-        point = (0.3, -0.2)
-        oracle = symbolic_riemann(CP1, point)
-        errors = []
-        for h in (4e-3, 2e-3, 1e-3):
-            errors.append(np.max(np.abs(riemann(CP1, point, h).values - oracle)))
-        assert errors[1] < errors[0] / 2.0
-        assert errors[2] < errors[1] / 2.0
-
-    def test_margin_enforced(self):
-        with pytest.raises(DomainError, match="coordinate x1 = 2.0002 outside domain"):
-            riemann(CP1, (2.0, 0.0))
-
-    def test_stencil_may_reach_the_boundary(self):
-        # the nested stencil reaches 2 steps of h * 1.9995 out: 1.9999 < 2
-        R = riemann(CP1, (1.9995, 0.0))
-        assert np.all(np.isfinite(R.values))
-
-    def test_stencil_past_the_boundary(self):
-        # 1.9997 + 2 * 1e-4 * 1.9997 > 2
-        with pytest.raises(DomainError, match="x1 = 2.000"):
-            riemann(CP1, (1.9997, 0.0))
-
-    @pytest.mark.parametrize("entry", [riemann, nabla_J, nabla_R])
-    def test_wrong_length_point_is_a_chart_error(self, entry):
-        with pytest.raises(ChartEvalError, match="4 coordinates"):
-            entry(CP2, (0.0, 0.0))
-
-    @pytest.mark.parametrize("entry", [riemann, nabla_J, nabla_R])
-    def test_infinite_coordinate_is_named_before_underflow(self, entry):
-        with pytest.raises(DomainError, match="y1 = inf"):
-            entry(CP2, (0.0, np.inf, 0.0, 0.0))
-
-    def test_step_underflow(self):
-        with pytest.raises(ChartEvalError, match="underflow"):
-            riemann(FLAT, (1.0, 0.0, 0.0, 0.0), h=1e-18)
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +343,16 @@ class TestChristoffel:
 
 class TestRiemann:
     def test_flat_chart_vanishes(self):
-        R = riemann(FLAT, (0.3, -0.2, 0.1, 0.4))
+        R = riemann(jet(FLAT, (0.3, -0.2, 0.1, 0.4)))
         assert np.max(np.abs(R.values)) < 1e-8
 
     @pytest.mark.parametrize("p", S6.default_points)
     def test_unit_sphere_matches_pi1(self, p):
-        R = riemann(S6, p)
+        R = riemann(jet(S6, p))
         assert np.max(np.abs(R.values - pi1(R.point).values)) < 1e-5
 
     def test_cp2_matches_complex_space_form_at_origin(self):
-        R = riemann(CP2, (0.0, 0.0, 0.0, 0.0))
+        R = riemann(jet(CP2, (0.0, 0.0, 0.0, 0.0)))
         target = pi1(R.point).values + pi2(R.point).values
         assert np.max(np.abs(R.values - target)) < 1e-5
 
@@ -151,7 +360,7 @@ class TestRiemann:
     def test_symmetries_on_bundled_charts(self, name):
         chart = get_model(name).chart
         for p in chart.default_points:
-            assert riemann_symmetry_residual(riemann(chart, p)) < 1e-5
+            assert riemann_symmetry_residual(riemann(jet(chart, p))) < 1e-5
 
 
 class TestRicci:
@@ -164,12 +373,12 @@ class TestRicci:
         np.testing.assert_allclose(S.values, (2 * m - 1) * pt.g, atol=1e-12)
 
     def test_unit_sphere_is_einstein_with_constant_5(self):
-        R = riemann(S6, S6.default_points[1])
+        R = riemann(jet(S6, S6.default_points[1]))
         S = ricci(R)
         assert np.max(np.abs(S.values - 5.0 * R.point.g)) < 1e-5
 
     def test_cp2_is_einstein_with_constant_6(self):
-        R = riemann(CP2, (0.2, -0.1, 0.15, 0.05))
+        R = riemann(jet(CP2, (0.2, -0.1, 0.15, 0.05)))
         S = ricci(R)
         assert np.max(np.abs(S.values - 6.0 * R.point.g)) < 1e-5
 
@@ -181,14 +390,14 @@ class TestRicci:
 
 class TestNablaJ:
     def test_flat_chart_vanishes(self):
-        assert np.max(np.abs(nabla_J(FLAT, (0.1, 0.2, -0.3, 0.0)))) < 1e-12
+        assert np.max(np.abs(nabla_J(jet(FLAT, (0.1, 0.2, -0.3, 0.0))))) < 1e-12
 
     def test_cp2_is_kahler(self):
-        assert np.max(np.abs(nabla_J(CP2, (0.2, -0.1, 0.15, 0.05)))) < 1e-6
+        assert np.max(np.abs(nabla_J(jet(CP2, (0.2, -0.1, 0.15, 0.05))))) < 1e-6
 
     def test_sphere_is_nearly_kahler_but_not_kahler(self):
         p = S6.default_points[1]
-        NJ = nabla_J(S6, p)
+        NJ = nabla_J(jet(S6, p))
         assert np.max(np.abs(NJ)) > 0.1
         rng = np.random.default_rng(12)
         pt = S6.eval_point(p)
@@ -202,19 +411,18 @@ class TestNablaJ:
 
 
 class TestNablaR:
-    # h is the base step; nabla_R differences at 4h internally
     def test_flat_chart_vanishes(self):
-        assert np.max(np.abs(nabla_R(FLAT, (0.1, 0.2, -0.3, 0.0), 1e-4))) < 1e-8
+        assert np.max(np.abs(nabla_R(jet(FLAT, (0.1, 0.2, -0.3, 0.0))))) < 1e-8
 
     def test_sphere_is_locally_symmetric(self):
-        assert np.max(np.abs(nabla_R(S6, S6.default_points[1], 1e-4))) < 1e-4
+        assert np.max(np.abs(nabla_R(jet(S6, S6.default_points[1])))) < 1e-4
 
     @pytest.mark.parametrize("name", ["s6", "cp2", "s2xs2"])
     def test_bianchi_cyclic_sum(self, name):
         from ahgeom.analysis import bianchi2_residual
 
         chart = get_model(name).chart
-        NR = nabla_R(chart, chart.default_points[1], 1e-4)
+        NR = nabla_R(jet(chart, chart.default_points[1]))
         assert bianchi2_residual(NR) < 1e-4
 
 
@@ -224,11 +432,11 @@ class TestNablaR:
 
 
 def class_residuals_at(chart, p):
-    return class_residuals(nabla_J(chart, p), chart.metric_at(np.asarray(p, dtype=float)))
+    return class_residuals(nabla_J(jet(chart, p)), chart.metric_at(np.asarray(p, dtype=float)))
 
 
 def gray_ak2_residual_at(chart, p):
-    return gray_ak2_residual(riemann(chart, p), nabla_J(chart, p))
+    return gray_ak2_residual(riemann(jet(chart, p)), nabla_J(jet(chart, p)))
 
 
 class TestClassResiduals:
@@ -263,147 +471,3 @@ class TestGrayAK2:
         # no pass/fail claim for the strictly nearly Kahler sphere
         value = gray_ak2_residual_at(S6, S6.default_points[0])
         assert np.isfinite(value)
-
-
-# ---------------------------------------------------------------------------
-# Batched stencils against the point-by-point nested differences
-# ---------------------------------------------------------------------------
-
-
-def pointwise_diff(f, p, h):
-    """d[k] = partial_k f(p), one stencil point at a time: the loop that the
-    batched stencils replace."""
-    steps = h * np.maximum(1.0, np.abs(p))
-    rows = []
-    for k in range(p.size):
-        fwd = p.copy()
-        fwd[k] += steps[k]
-        bwd = p.copy()
-        bwd[k] -= steps[k]
-        rows.append((f(fwd) - f(bwd)) / (2.0 * steps[k]))
-    return np.stack(rows, axis=0)
-
-
-def pointwise_gamma(chart, p, h):
-    g_inv = np.linalg.inv(chart.metric_at(p))
-    dg = pointwise_diff(chart.metric_at, p, h)
-    T = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", g_inv, T)
-
-
-def pointwise_riemann(chart, p, h):
-    gamma = pointwise_gamma(chart, p, h)
-    dgamma = pointwise_diff(lambda q: pointwise_gamma(chart, q, h), p, h)
-    up = (
-        np.einsum("iljk->lijk", dgamma)
-        - np.einsum("jlik->lijk", dgamma)
-        + np.einsum("lim,mjk->lijk", gamma, gamma)
-        - np.einsum("ljm,mik->lijk", gamma, gamma)
-    )
-    return np.einsum("lm,mijk->ijkl", chart.metric_at(p), up)
-
-
-def pointwise_nabla_J(chart, p, h):
-    gamma = pointwise_gamma(chart, p, h)
-    J = chart.j_at(p)
-    dJ = pointwise_diff(chart.j_at, p, h)
-    return dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
-
-
-def pointwise_nabla_R(chart, p, h):
-    h = 4.0 * h
-    gamma = pointwise_gamma(chart, p, h)
-    R0 = pointwise_riemann(chart, p, h)
-    dR = pointwise_diff(lambda q: pointwise_riemann(chart, q, h), p, h)
-    return (
-        dR
-        - np.einsum("avx,ayzu->vxyzu", gamma, R0)
-        - np.einsum("avy,xazu->vxyzu", gamma, R0)
-        - np.einsum("avz,xyau->vxyzu", gamma, R0)
-        - np.einsum("avu,xyza->vxyzu", gamma, R0)
-    )
-
-
-def assert_same_bits(a, b):
-    # equal as bit patterns, so that 0.0 and -0.0 count as different
-    assert a.shape == b.shape
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-class RecordingChart:
-    """Forwards to a chart and records the bits of every point where g or J
-    is looked up."""
-
-    def __init__(self, chart):
-        self.chart = chart
-        self.looked_up = set()
-
-    def metric_at(self, p):
-        self.looked_up.add(np.asarray(p, dtype=float).tobytes())
-        return self.chart.metric_at(p)
-
-    def j_at(self, p):
-        self.looked_up.add(np.asarray(p, dtype=float).tobytes())
-        return self.chart.j_at(p)
-
-    def eval_point(self, p):
-        return self.chart.eval_point(p)
-
-
-def assert_matches_pointwise(chart, p, h=1e-4):
-    """Same values and the same stencil points, to the bit, as the nested loop."""
-    p = np.asarray(p, dtype=float)
-    pairs = [(lambda c: riemann(c, p, h).values, pointwise_riemann),
-             (lambda c: nabla_J(c, p, h), pointwise_nabla_J),
-             (lambda c: nabla_R(c, p, h), pointwise_nabla_R)]
-    for batched, pointwise in pairs:
-        once, looped = RecordingChart(chart), RecordingChart(chart)
-        assert_same_bits(batched(once), pointwise(looped, p, h))
-        assert once.looked_up == looped.looked_up
-
-
-_DEFAULT_POINTS = [(name, p) for name in sorted(model_names())
-                   for p in get_model(name).chart.default_points]
-
-
-class TestBatchedStencils:
-    @pytest.mark.parametrize("name, p", _DEFAULT_POINTS)
-    def test_default_points(self, name, p):
-        assert_matches_pointwise(get_model(name).chart, p)
-
-    @pytest.mark.parametrize("p", [(0.0, -0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, -0.0),
-                                   (-0.0, -0.0, -0.0, -0.0), (0.1, -0.0, -0.2, 0.0)])
-    def test_signed_zeros_keep_their_sign(self, p):
-        assert_matches_pointwise(CP2, p)
-
-    @pytest.mark.parametrize("p", [(1.3, -1.1, 0.7, -1.6, 1.2, -0.4),
-                                   (-1.5, 1.4, -0.9, 0.2, 1.7, -1.2)])
-    def test_steps_that_differ_per_coordinate(self, p):
-        assert_matches_pointwise(get_model("cp3").chart, p)
-
-    @pytest.mark.parametrize("name", ["cp2", "ch2", "s2xs2"])
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_drawn_points(self, name, data):
-        chart = get_model(name).chart
-        # nabla_R's nested stencil reaches 4 steps of 4h * max(1, |p_k|) out
-        p = tuple(data.draw(st.floats(max(lo, -1.9) + 0.01, min(hi, 1.9) - 0.01), label=coord)
-                  for coord, (lo, hi) in zip(chart.coord_names, chart.domain))
-        h = data.draw(st.sampled_from([1e-4, 3e-4]), label="h")
-        assert_matches_pointwise(chart, p, h)
-
-    @pytest.mark.parametrize("entry", [riemann, nabla_J, nabla_R])
-    def test_stencil_outside_the_domain_names_one_coordinate(self, entry):
-        with pytest.raises(DomainError) as info:
-            entry(CP1, (1.9999, -1.9999))
-        assert re.fullmatch(r"coordinate (x1 = 2|y1 = -2)\.\d+ outside domain \[-2\.0, 2\.0\]",
-                            str(info.value))
-
-    @pytest.mark.parametrize("entry", [riemann, nabla_R])
-    def test_singular_metric_names_one_point(self, entry):
-        # g = x I is singular on x = 0, which the backward step from x = h
-        # reaches; nabla_J inverts g at p alone
-        chart = parse_chart("dim = 1\ncoords = x y\ng[1][1] = x\ng[2][2] = x\n"
-                            "J[1][2] = -1\nJ[2][1] = 1\n")
-        with pytest.raises(ChartEvalError, match=r"^singular metric at point \[0\.0, 0\.5\]$"):
-            entry(chart, (1e-4, 0.5), 1e-4 if entry is not nabla_R else 2.5e-5)

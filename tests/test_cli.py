@@ -11,6 +11,23 @@ from ahgeom.models import complex_space_form_chart_text
 from test_expressions import HOSTILE, chain, chart_with_entry
 
 
+# dx1^2 + dy1^2 + e^x1 (dx2^2 + dy2^2) with the standard J: not AH3
+WARP2 = """\
+dim = 2
+coords = x1 y1 x2 y2
+g[1][1] = 1
+g[2][2] = 1
+g[3][3] = exp(x1)
+g[4][4] = exp(x1)
+J[2][1] = 1
+J[1][2] = -1
+J[4][3] = 1
+J[3][4] = -1
+point = 0 0 0 0
+point = 0.3 -0.2 0.1 0.4
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -131,8 +148,8 @@ class TestAnalyze:
         assert code == 2
         assert "domain" in err.lower()
 
-    @pytest.mark.parametrize("option", ["--fd-step=inf", "--tol=nan", "--tol=inf",
-                                        "--fd-step=-1e-4", "--samples=0", "--seed=-1"])
+    @pytest.mark.parametrize("option", ["--tol=nan", "--tol=inf", "--tol=-1e-4", "--tol=0",
+                                        "--samples=0", "--seed=-1"])
     def test_bad_numeric_option_exits_2(self, capsys, option):
         code, out, err = run(capsys, "analyze", "--model", "flat2", option)
         assert code == 2
@@ -144,8 +161,8 @@ class TestAnalyze:
         ("0,0,0,0,0,0", "point must have 4 coordinates"),
         ("nan,0,0,0", "coordinate x1 = nan is not finite"),
         ("0,inf,0,0", "coordinate y1 = inf is not finite"),
-        ("0,1.9999,0,0", "coordinate y1 = 2.0"),
-    ], ids=["short", "long", "nan", "inf", "boundary"])
+        ("0,2.0001,0,0", "coordinate y1 = 2.0001 outside domain [-2.0, 2.0]"),
+    ], ids=["short", "long", "nan", "inf", "outside"])
     def test_bad_point_exits_2(self, capsys, point, prefix):
         code, out, err = run(capsys, "analyze", "--model", "cp2", "--point", point)
         assert code == 2
@@ -153,33 +170,35 @@ class TestAnalyze:
         assert err.startswith("analysis error: " + prefix)
         assert "np.float64" not in err
 
-    def test_tol_below_discretization_error_still_reports(self, capsys):
-        # S misses J-invariance by about 1.2e-8 at cp2's second point
-        code, out, _ = run(capsys, "analyze", "--model", "cp2", "--tol", "1e-10",
+    def test_finite_difference_step_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--model", "flat2", "--fd-step=1e-4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --fd-step=1e-4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["cp2", "s6", "ch2"])
+    def test_tol_below_the_numerical_floor_still_reports(self, capsys, model):
+        # the jet's residuals sit near 1e-15, so 1e-16 fails the checks
+        code, out, _ = run(capsys, "analyze", "--model", model, "--tol", "1e-16",
                            "--format", "json")
         assert code == 1
         report = json.loads(out)
         assert report["global"]["passed"] is False
-        assert [pr["decomposition_residual"] is None for pr in report["points"]] == [False, True]
+        assert "fd_step" not in report["meta"]
+        assert all(pr["decomposition_residual"] is not None for pr in report["points"])
 
-    @pytest.mark.parametrize("model, missing", [
-        ("s6", [False, True, True]),
-        ("ch2", [False, False]),
-    ])
-    def test_tol_below_discretization_error_marks_each_point(self, capsys, model, missing):
-        code, out, _ = run(capsys, "analyze", "--model", model, "--tol", "1e-10",
-                           "--format", "json")
-        assert code == 1
+    def test_missing_residual_is_null_in_json_and_na_in_text(self, tmp_path, capsys):
+        # warp2's Ricci tensor is not J-invariant: the decomposition does not apply
+        path = tmp_path / "warp2.ahm"
+        path.write_text(WARP2)
+        code, out, _ = run(capsys, "analyze", "--chart", str(path), "--format", "json")
+        assert code == 0
         report = json.loads(out)
-        assert [pr["decomposition_residual"] is None for pr in report["points"]] == missing
-
-    def test_missing_residual_shows_as_na_in_text(self, capsys):
-        code, text, _ = run(capsys, "analyze", "--model", "cp2", "--tol", "1e-10")
-        assert code == 1
-        shown = re.findall(r"^ +decomposition_residual: (.*)$", text, re.M)
-        assert len(shown) == 2
-        assert float(shown[0]) > 0
-        assert shown[1] == "n/a"
+        assert report["global"]["verdict"]["kind"] == "not_ah3"
+        assert [pr["decomposition_residual"] for pr in report["points"]] == [None, None]
+        code, text, _ = run(capsys, "analyze", "--chart", str(path))
+        assert code == 0
+        assert re.findall(r"^ +decomposition_residual: (.*)$", text, re.M) == ["n/a", "n/a"]
 
     def test_point_may_start_with_a_minus_sign(self, capsys):
         points = ["-0.1,0.2,0.3,0.4", "-.5,-0.0,0,-1e-3"]

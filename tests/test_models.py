@@ -224,7 +224,7 @@ class TestProductSpheres:
         from ahgeom.tensor_core import Planes, sectional_curvature
 
         chart = get_model("s2xs2").chart  # radii 1 and 2
-        R = riemann(chart, (0.0, 0.0, 0.0, 0.0))
+        R = riemann(chart.jet_at((0.0, 0.0, 0.0, 0.0)))
         e = np.eye(4)
         mixed = Planes(x=[e[0]], y=[e[2]], kind="antiholomorphic")
         assert sectional_curvature(R, mixed)[0] == pytest.approx(0.0, abs=1e-8)
