@@ -2,7 +2,7 @@
 
 Point-level tensor algebra (`tensor_core`), an expression-chart engine with
 exact jet-based covariant calculus (`charts`, `calculus`), bundled model
-manifolds, each an expression chart from a text generator (`models`),
+manifolds, each a packaged chart file with one row of expectations (`models`),
 per-point statistics and classification (`analysis`), and a deterministic
 report front end (`report`, `cli`).
 """

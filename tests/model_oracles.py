@@ -1,0 +1,214 @@
+"""Oracles for the bundled models: the chart-text generators and the
+expectation formulas that the packaged `.ahm` files and the expectation
+table in `ahgeom.models` were written from.
+
+The generators vary the parameters the bundled files fix (m, c, r1, r2),
+so tests can also build charts that are not bundled.
+"""
+
+from ahgeom.analysis import (
+    COMPLEX_SPACE_FORM,
+    NOT_CONSTANT_ANTIHOLOMORPHIC,
+    REAL_SPACE_FORM,
+)
+from ahgeom.models import ExpectedProfile
+
+# Cayley multiplication table on the 7 imaginary units: each line (a, b, c)
+# means e_a e_b = e_c cyclically (the e_n e_{n+1} = e_{n+3} convention).
+_FANO_LINES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Chart text generators (the bundled .ahm files are their output)
+# ---------------------------------------------------------------------------
+
+
+def _paired_coords(m: int) -> tuple[list[str], list[str], list[str]]:
+    xs = [f"x{a}" for a in range(1, m + 1)]
+    ys = [f"y{a}" for a in range(1, m + 1)]
+    coords = [v for pair in zip(xs, ys) for v in pair]
+    return xs, ys, coords
+
+
+def _j_lines(m: int) -> list[str]:
+    lines = []
+    for a in range(m):
+        lines.append(f"J[{2 * a + 2}][{2 * a + 1}] = 1")
+        lines.append(f"J[{2 * a + 1}][{2 * a + 2}] = -1")
+    return lines
+
+
+def _point_lines(points) -> list[str]:
+    return ["point = " + " ".join(repr(float(v)) for v in pt) for pt in points]
+
+
+def flat_chart_text(m: int) -> str:
+    _, _, coords = _paired_coords(m)
+    lines = [f"# flat model, complex dimension {m}", f"dim = {m}",
+             "coords = " + " ".join(coords)]
+    lines += [f"g[{i}][{i}] = 1" for i in range(1, 2 * m + 1)]
+    lines += _j_lines(m)
+    lines += _point_lines([(0.0,) * 2 * m, tuple(0.1 * (k + 1) * (-1) ** k for k in range(2 * m))])
+    return "\n".join(lines) + "\n"
+
+
+def complex_space_form_chart_text(m: int, c: float) -> str:
+    """Complex space form of holomorphic sectional curvature c != 0.
+
+    c > 0 gives projective space in inhomogeneous coordinates, c < 0 the
+    bounded-ball model of complex hyperbolic space; both are normalized so
+    g(0) = (4/|c|) Id, the identity for the bundled |c| = 4.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if c == 0:
+        raise ValueError("holomorphic curvature c must be nonzero")
+    s = repr(4.0 / abs(c))
+    xs, ys, coords = _paired_coords(m)
+    r2 = "+".join(f"{v}^2" for v in coords)
+    # the sign of c picks the base 1 +- r^2, the sign of the diagonal
+    # correction and the leading sign of the off-diagonal entries
+    if c > 0:
+        family, box = "projective", 2
+        base, corr, lead = f"1+{r2}", "-", "-"
+        points = [(0.0,) * 2 * m, tuple(0.05 * (k + 2) * (-1) ** k for k in range(2 * m))]
+        if m >= 3:
+            points.append(tuple(0.04 * (k + 1) * (-1) ** (k + 1) for k in range(2 * m)))
+    else:
+        family, box = "hyperbolic", {1: 0.6, 2: 0.45, 3: 0.35}[m]
+        base, corr, lead = f"1-({r2})", "+", ""
+        points = [(0.0,) * 2 * m, tuple(0.04 * (k + 1) * (-1) ** k for k in range(2 * m))]
+    den = f"({base})^2"
+    lines = [f"# {family} model, complex dimension {m}, holomorphic curvature {c}",
+             f"dim = {m}", "coords = " + " ".join(coords)]
+    lines += [f"domain {v} = -{box} {box}" for v in coords]
+    for a in range(m):
+        diag = f"{s}*({base}{corr}{xs[a]}^2{corr}{ys[a]}^2)/{den}"
+        lines.append(f"g[{2 * a + 1}][{2 * a + 1}] = {diag}")
+        lines.append(f"g[{2 * a + 2}][{2 * a + 2}] = {diag}")
+    for a in range(m):
+        for b in range(a + 1, m):
+            xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
+            xx = f"{lead}{s}*({xa}*{xb}+{ya}*{yb})/{den}"
+            lines.append(f"g[{2 * a + 1}][{2 * b + 1}] = {xx}")
+            lines.append(f"g[{2 * a + 2}][{2 * b + 2}] = {xx}")
+            lines.append(f"g[{2 * a + 1}][{2 * b + 2}] = {lead}{s}*({xa}*{yb}-{ya}*{xb})/{den}")
+            lines.append(f"g[{2 * a + 2}][{2 * b + 1}] = {lead}{s}*({ya}*{xb}-{xa}*{yb})/{den}")
+    lines += _j_lines(m)
+    lines += _point_lines(points)
+    return "\n".join(lines) + "\n"
+
+
+def _cross_entry(c: int, b: int) -> tuple[int, int]:
+    """(sign, a) with (P x e_b)_c = sign * P_a, for b != c: a is the third
+    unit on the Fano line through b and c, and sign is +1 when e_a e_b = e_c."""
+    line = next(l for l in _FANO_LINES if b in l and c in l)
+    a = (set(line) - {b, c}).pop()
+    return (1 if (a, b, c) in (line, line[1:] + line[:1], line[2:] + line[:2]) else -1), a
+
+
+def sphere6_chart_text() -> str:
+    """Unit sphere in R^7, orthographic chart p -> P = (p, w), w = sqrt(1 - |p|^2).
+
+    g = I + p p^T / w^2 pulls back the round metric, and J_P(V) = P x V
+    (the Cayley cross product) is the canonical nearly Kahler, non Kahler
+    structure.  With E = [I; -p^T / w] the chart Jacobian, J v is the first
+    six components of P x (E v), so J[i][j] = C[i][j] - C[i][7] x_j / w
+    where C[c][b] = (P x e_b)_c is a single signed P_a, or 0 when b = c.
+    """
+    coords = [f"x{k}" for k in range(1, 7)]
+    r2 = "+".join(f"{v}^2" for v in coords)
+    w = f"sqrt(1-({r2}))"
+    P = coords + [w]
+    lines = ["# unit 6-sphere, orthographic chart, Cayley cross-product structure",
+             "dim = 3", "coords = " + " ".join(coords)]
+    lines += [f"domain {v} = -0.35 0.35" for v in coords]
+    for i in range(6):
+        lines.append(f"g[{i + 1}][{i + 1}] = 1+{coords[i]}^2/(1-({r2}))")
+        lines += [f"g[{i + 1}][{j + 1}] = {coords[i]}*{coords[j]}/(1-({r2}))"
+                  for j in range(i + 1, 6)]
+    for i in range(1, 7):
+        s7, a7 = _cross_entry(i, 7)
+        minus = "-" if s7 > 0 else "+"  # the sign of -C[i][7]
+        for j in range(1, 7):
+            tail = f"{P[a7 - 1]}*{coords[j - 1]}/{w}"
+            if i == j:
+                entry = minus.removeprefix("+") + tail
+            else:
+                s, a = _cross_entry(i, j)
+                entry = f"{'-' if s < 0 else ''}{P[a - 1]}{minus}{tail}"
+            lines.append(f"J[{i}][{j}] = {entry}")
+    lines += _point_lines([(0.0,) * 6,
+                           (0.12, -0.07, 0.2, 0.05, -0.1, 0.08),
+                           (-0.2, 0.15, -0.05, 0.1, 0.07, -0.12)])
+    return "\n".join(lines) + "\n"
+
+
+def product_spheres_chart_text(r1: float, r2: float) -> str:
+    """Product of two round 2-spheres of the given radii, product structure.
+
+    Each factor uses isothermal coordinates with conformal factor
+    1 / (1 + rho^2 / (4 r^2))^2, so the factor curvature is 1 / r^2.
+    """
+    if r1 <= 0 or r2 <= 0:
+        raise ValueError("radii must be positive")
+    lines = [f"# product of round 2-spheres, radii {r1} and {r2}",
+             "dim = 2", "coords = x1 y1 x2 y2"]
+    for idx, r in ((1, r1), (2, r2)):
+        k = repr(1.0 / (4.0 * r * r))
+        factor = f"1/(1+{k}*(x{idx}^2+y{idx}^2))^2"
+        lines.append(f"g[{2 * idx - 1}][{2 * idx - 1}] = {factor}")
+        lines.append(f"g[{2 * idx}][{2 * idx}] = {factor}")
+    lines += _j_lines(2)
+    lines += _point_lines([(0.0, 0.0, 0.0, 0.0), (0.25, 0.1, -0.2, 0.3)])
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Expectation formulas
+# ---------------------------------------------------------------------------
+
+
+_KAHLER = dict(kahler=True, nearly_kahler=True, almost_kahler=True,
+               ah1=True, ah2=True, ah3=True)
+
+
+def flat_profile(m: int) -> ExpectedProfile:
+    return ExpectedProfile(**_KAHLER, antiholomorphic=0.0 if m >= 2 else None,
+                           holomorphic=0.0, einstein=0.0,
+                           verdict_kind=REAL_SPACE_FORM, verdict_constant=0.0)
+
+
+def sphere6_profile() -> ExpectedProfile:
+    return ExpectedProfile(kahler=False, nearly_kahler=True, almost_kahler=False,
+                           ah1=False, ah2=True, ah3=True,
+                           antiholomorphic=1.0, holomorphic=1.0, einstein=5.0,
+                           verdict_kind=REAL_SPACE_FORM, verdict_constant=1.0)
+
+
+def complex_space_form_profile(m: int, c: float) -> ExpectedProfile:
+    """Antiholomorphic curvature c/4 (only defined for m >= 2), Einstein (m+1)c/2."""
+    return ExpectedProfile(**_KAHLER, antiholomorphic=c / 4.0 if m >= 2 else None,
+                           holomorphic=c, einstein=(m + 1) * c / 2.0,
+                           verdict_kind=COMPLEX_SPACE_FORM, verdict_constant=c)
+
+
+def product_spheres_profile(r1: float, r2: float) -> ExpectedProfile:
+    """Negative control: Kahler, so AH3, but the antiholomorphic curvature
+    is not constant (mixed planes are flat, in-factor planes are not)."""
+    return ExpectedProfile(**_KAHLER, antiholomorphic=None, holomorphic=None,
+                           einstein=1.0 / r1**2 if r1 == r2 else None,
+                           verdict_kind=NOT_CONSTANT_ANTIHOLOMORPHIC, verdict_constant=None)
+
+
+# name -> (chart text, expected profile) of every bundled model
+BUNDLED = {
+    "flat2": (flat_chart_text(2), flat_profile(2)),
+    "s6": (sphere6_chart_text(), sphere6_profile()),
+    "cp1": (complex_space_form_chart_text(1, 4.0), complex_space_form_profile(1, 4.0)),
+    "cp2": (complex_space_form_chart_text(2, 4.0), complex_space_form_profile(2, 4.0)),
+    "cp3": (complex_space_form_chart_text(3, 4.0), complex_space_form_profile(3, 4.0)),
+    "ch1": (complex_space_form_chart_text(1, -4.0), complex_space_form_profile(1, -4.0)),
+    "ch2": (complex_space_form_chart_text(2, -4.0), complex_space_form_profile(2, -4.0)),
+    "s2xs2": (product_spheres_chart_text(1.0, 2.0), product_spheres_profile(1.0, 2.0)),
+}

@@ -24,6 +24,7 @@ from ahgeom.analysis import (
     schur_check,
 )
 from ahgeom.calculus import ClassResiduals, class_residuals, nabla_J, nabla_R, ricci, riemann
+from ahgeom.charts import parse_chart
 from ahgeom.models import get_model
 from ahgeom.report import PointReport, analyze_chart, analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
@@ -38,6 +39,7 @@ from ahgeom.tensor_core import (
     pi2,
     sectional_curvature,
 )
+from model_oracles import product_spheres_chart_text
 
 ZERO_CLASS = ClassResiduals(kahler=0.0, nearly_kahler=0.0, almost_kahler=0.0)
 
@@ -449,9 +451,7 @@ class TestClassify:
     def test_equal_radii_product_still_rejected(self):
         # holomorphic planes give 1, mixed antiholomorphic give 0: tilted
         # planes break constancy even with equal radii
-        from ahgeom.models import model_product_spheres
-
-        chart = model_product_spheres(1.0, 1.0).chart
+        chart = parse_chart(product_spheres_chart_text(1.0, 1.0))
         R = riemann(chart.jet_at((0.0, 0.0, 0.0, 0.0)))
         rng = np.random.default_rng(10)
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 1000, rng))

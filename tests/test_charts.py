@@ -3,7 +3,7 @@
 import gc
 import re
 import weakref
-from pathlib import Path
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from ahgeom import charts, expressions
 from ahgeom.charts import (
+    ChartError,
     ChartEvalError,
     ChartSyntaxError,
     DomainError,
     parse_chart,
 )
 from ahgeom.expressions import compile_expressions, evaluate, parse_expression, to_source
-from ahgeom.models import complex_space_form_chart_text, get_model, model_names
-
-CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
+from ahgeom.models import get_model, model_names
+from model_oracles import complex_space_form_chart_text
 
 MINIMAL_FLAT = """\
 # minimal flat chart
@@ -256,8 +256,41 @@ class TestSerialization:
         for e in (*sum(spec.metric_exprs, ()), *sum(spec.j_exprs, ())):
             assert parse_expression(to_source(e)) == e
 
-    def test_repo_files_match_generators(self):
-        on_disk = {p.stem: p.read_text() for p in CHART_DIR.glob("*.ahm")}
-        assert sorted(on_disk) == sorted(model_names())
-        for name, text in on_disk.items():
-            assert parse_chart(text) == get_model(name).chart, name
+
+# What an edit may insert: operators, brackets, the separators of the
+# grammar, hostile numbers (non-finite, non-ASCII, underscored) and the
+# directive names.
+_TOKENS = ("+", "-", "*", "/", "^", "(", ")", "[", "]", "=", "#", " ", "\n", ".", "e",
+           "nan", "inf", "1e999", "-0", "١", "1_0", "0", "x1", "sqrt(", "dim", "coords",
+           "domain", "point", "g[1][1]", "J[2][1]")
+_BUNDLED_TEXT = {name: (files("ahgeom") / "bundled" / f"{name}.ahm").read_text(encoding="utf-8")
+                 for name in model_names()}
+
+
+@st.composite
+def _edited_chart(draw):
+    text = draw(st.sampled_from(sorted(_BUNDLED_TEXT)).map(_BUNDLED_TEXT.get))
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("insert", "delete", "duplicate")))
+        if kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(_TOKENS)) + text[at:]
+        elif kind == "delete":
+            at = draw(st.integers(0, len(text)))
+            end = draw(st.integers(at, min(len(text), at + 40)))
+            text = text[:at] + text[end:]
+        else:
+            lines = text.splitlines(keepends=True)
+            k = draw(st.integers(0, len(lines) - 1))
+            text = "".join(lines[:k + 1] + lines[k:])
+    return text
+
+
+class TestChartFileTotality:
+    @given(text=_edited_chart())
+    @settings(max_examples=400, deadline=None)
+    def test_only_chart_errors_leave_parse_chart(self, text):
+        try:
+            parse_chart(text)
+        except ChartError:
+            pass

@@ -7,7 +7,7 @@ import pytest
 
 from ahgeom.cli import main
 from ahgeom.expressions import MAX_DEPTH
-from ahgeom.models import complex_space_form_chart_text
+from model_oracles import complex_space_form_chart_text
 from test_expressions import HOSTILE, chain, chart_with_entry
 
 
@@ -81,6 +81,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--model", "torus")
         assert code == 2
         assert "unknown model" in err
+
+    def test_model_name_is_not_a_path(self, capsys):
+        code, out, err = run(capsys, "analyze", "--model", "../bundled/cp2")
+        assert (code, out) == (2, "")
+        assert err == ("unknown model '../bundled/cp2' "
+                       "(known: flat2, s6, cp1, cp2, cp3, ch1, ch2, s2xs2)\n")
 
     def test_model_and_chart_both_missing(self, capsys):
         code, _, err = run(capsys, "analyze")

@@ -1,6 +1,7 @@
-"""Bundled models: the cross-product algebra, chart invariants, metadata."""
+"""Bundled models: the packaged files, the cross-product algebra, chart
+invariants, metadata."""
 
-from pathlib import Path
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -8,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahgeom.charts import DomainError, parse_chart
-from ahgeom.models import (
-    _FANO_LINES,
-    ExpectedProfile,
-    get_model,
-    model_flat,
-    model_names,
-    model_product_spheres,
-    sphere6_chart_text,
-)
+from ahgeom.models import ExpectedProfile, get_model, model_names
 from ahgeom.analysis import REAL_SPACE_FORM
+from ahgeom.calculus import ricci, riemann
 from ahgeom.report import analyze_chart, analyze_model
+from model_oracles import (
+    _FANO_LINES,
+    BUNDLED,
+    product_spheres_chart_text,
+    product_spheres_profile,
+)
 
-CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
+BUNDLED_DIR = files("ahgeom") / "bundled"
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +150,42 @@ class TestSphere6:
         np.testing.assert_allclose(S6.j_at(np.array(p)) @ v, cross(P, E @ v)[:6],
                                    rtol=0, atol=1e-15)
 
-    def test_repo_file_is_the_generator_text(self):
-        assert (CHART_DIR / "s6.ahm").read_text() == sphere6_chart_text()
-
     def test_chart_file_analyzes_like_the_model(self):
         model = analyze_model(get_model("s6")).to_dict()
-        chart = analyze_chart(parse_chart((CHART_DIR / "s6.ahm").read_text())).to_dict()
+        chart = analyze_chart(parse_chart((BUNDLED_DIR / "s6.ahm").read_text())).to_dict()
         assert chart["points"] == model["points"]
         assert chart["global"]["verdict"] == model["global"]["verdict"]
+
+
+# ---------------------------------------------------------------------------
+# Packaged chart files and the expectation table
+# ---------------------------------------------------------------------------
+
+
+class TestPackagedModels:
+    @pytest.mark.parametrize("name", list(BUNDLED))
+    def test_file_is_the_oracle_text(self, name):
+        assert (BUNDLED_DIR / f"{name}.ahm").read_bytes() == BUNDLED[name][0].encode()
+
+    @pytest.mark.parametrize("name", list(BUNDLED))
+    def test_expected_is_the_oracle_profile(self, name):
+        expected = get_model(name).expected
+        assert expected == BUNDLED[name][1]
+        # the reports print these values, so 6 in place of 6.0 would change them
+        for value in (expected.antiholomorphic, expected.holomorphic, expected.einstein,
+                      expected.verdict_constant):
+            assert value is None or type(value) is float
+
+    def test_one_packaged_file_per_name(self):
+        assert model_names() == tuple(BUNDLED)
+        assert sorted(entry.name for entry in BUNDLED_DIR.iterdir()) == sorted(
+            f"{name}.ahm" for name in model_names())
+
+    @pytest.mark.parametrize("name", ["../bundled/cp2", "cp2.ahm", "CP2", "", "bundled/cp2"])
+    def test_name_is_a_key_never_a_path(self, name):
+        with pytest.raises(KeyError, match=r"unknown model .*\(known: flat2, s6, cp1, cp2, cp3, "
+                                           r"ch1, ch2, s2xs2\)"):
+            get_model(name)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +211,7 @@ class TestDescriptors:
             chart.eval_point(p)
 
     def test_flat_descriptor(self):
-        md = model_flat(2)
+        md = get_model("flat2")
         assert md.expected.verdict_kind == REAL_SPACE_FORM
         assert md.expected.verdict_constant == 0.0
         np.testing.assert_array_equal(md.chart.metric_at(np.zeros(4)), np.eye(4))
@@ -206,11 +234,15 @@ class TestDescriptors:
                 verdict_kind=REAL_SPACE_FORM, verdict_constant=None,
             )
 
-    def test_equal_radii_product_is_einstein_in_metadata(self):
-        md = model_product_spheres(1.0, 1.0)
-        assert md.expected.einstein == pytest.approx(1.0)
-        md = model_product_spheres(1.0, 2.0)
-        assert md.expected.einstein is None
+    def test_oracle_einstein_constant_of_equal_radii_product_is_the_geometry(self):
+        # S = (1/r^2) g when r1 = r2; radii 1 and 2 give no Einstein constant
+        assert product_spheres_profile(1.0, 2.0).einstein is None
+        einstein = product_spheres_profile(1.5, 1.5).einstein
+        assert einstein == 1.0 / 1.5**2
+        chart = parse_chart(product_spheres_chart_text(1.5, 1.5))
+        for p in chart.default_points:
+            S = ricci(riemann(chart.jet_at(p)))
+            np.testing.assert_allclose(S.values, einstein * S.point.g, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
