@@ -185,8 +185,10 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
     w, V = np.linalg.eigh(0.5 * (A + A.T))
     vecs = Linv.T @ V  # columns are g-orthonormal generalized eigenvectors
 
-    def g_dot(a, b):
-        return float(a @ g @ b)
+    def paired(vectors):
+        # each v with v @ g: g(v, b) is float(v @ g @ b), that is float((v @ g) @ b),
+        # so taking v @ g once for every product with v keeps every bit
+        return [(v, v @ g) for v in vectors]
 
     basis_cols = []
     eigenvalues = []
@@ -198,8 +200,9 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
             e = _g_units(g, cluster.pop(0)[None])[0]
             je = J @ e
             # J-closure: Je must stay inside the original eigenspace
-            proj = sum(g_dot(je, u) * u for u in full)
-            defect = float(np.sqrt(max(g_dot(je - proj, je - proj), 0.0)))
+            jeg = je @ g
+            outside = je - sum(float(jeg @ u) * u for u in full)
+            defect = float(np.sqrt(max(float(outside @ g @ outside), 0.0)))
             if defect > max(tol, 1e-6):
                 raise InvariantViolation(
                     f"S is not J-invariant: eigenspace not J-closed (defect {defect:.3e})"
@@ -208,16 +211,17 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
             eigenvalues.append(value)
             # deflate span{e, Je}: the remaining vectors span a space whose
             # dimension drops by one more; re-orthonormalize with pivoting
-            reduced = [u - g_dot(u, e) * e - g_dot(u, je) * je for u in cluster]
+            reduced = paired(u - float(ug @ e) * e - float(ug @ je) * je
+                             for u, ug in paired(cluster))
             target = len(cluster) - 1
             cluster = []
             while len(cluster) < target:
-                norms = [g_dot(u, u) for u in reduced]
+                norms = [float(vg @ v) for v, vg in reduced]
                 best = int(np.argmax(norms))
                 if norms[best] < 1e-12:
                     raise InvariantViolation("eigenframe deflation degenerated")
-                u = reduced.pop(best) / np.sqrt(norms[best])
-                reduced = [v - g_dot(v, u) * u for v in reduced]
+                u = reduced.pop(best)[0] / np.sqrt(norms[best])
+                reduced = paired(v - float(vg @ u) * u for v, vg in reduced)
                 cluster.append(u)
     return SpectralFrame(point=pt, basis=np.column_stack(basis_cols),
                          eigenvalues=tuple(eigenvalues))
@@ -226,7 +230,7 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
 def einstein_residual(S: Bilinear) -> tuple[float, float]:
     """(lambda, residual) with lambda = trace_g(S) / 2m and residual = max |S - lambda g|."""
     pt = S.point
-    lam = float(np.trace(np.linalg.inv(pt.g) @ S.values)) / pt.dim
+    lam = float(np.trace(pt.g_inv @ S.values)) / pt.dim
     return lam, float(np.max(np.abs(S.values - lam * pt.g)))
 
 

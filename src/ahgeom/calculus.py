@@ -1,9 +1,11 @@
-"""Exact covariant calculus on a point's jet (`ChartSpec.jet_at`).
+"""Exact covariant calculus on a point's jet (`ChartSpec.jets_at`).
 
 The jet holds g, J and their derivatives at p, exact up to rounding, and
 every function here is a closed form in it: the connection and its
 derivatives from g's, R and nabla R from the connection, nabla J from dJ.
-Nothing is evaluated away from p.  The residual checks are pure functions
+Nothing is evaluated away from p.  g^-1 is computed once per point, and
+the connection and R once per jet, on first use, so `riemann`, `nabla_J`,
+`nabla_R` and `ricci` share them.  The residual checks are pure functions
 of tensors already computed; each is a max-norm over enumerated basis
 tuples, so runs are deterministic.
 """
@@ -11,13 +13,14 @@ tuples, so runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .charts import Jet
-from .tensor_core import Bilinear, CurvatureTensor
+from .tensor_core import Bilinear, CurvatureTensor, HermitianPoint
 
 __all__ = [
+    "Jet",
     "ClassResiduals",
     "riemann",
     "ricci",
@@ -43,13 +46,6 @@ def _lower(D: np.ndarray) -> np.ndarray:
     return 0.5 * (np.einsum("...jlk->...ljk", D) + np.einsum("...klj->...ljk", D) - D)
 
 
-def _connection(jet: Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """g^-1, gamma[i, j, k] = Gamma^i_jk, low = Gamma_ljk and dlow[a] = d_a Gamma_ljk."""
-    g_inv = np.linalg.inv(jet.point.g)
-    low = _lower(jet.dg)
-    return g_inv, np.einsum("il,ljk->ijk", g_inv, low), low, _lower(jet.ddg)
-
-
 def _curvature(dlow: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """R_ijkl = d_i Gamma_ljk - d_j Gamma_lik + Gamma^p_jl Gamma_pik - Gamma^p_il Gamma_pjk,
     with a (Gamma^p_jl, Gamma_pik) term for each pair, broadcast over leading axes."""
@@ -60,12 +56,34 @@ def _curvature(dlow: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> np.nd
     return R
 
 
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """g and J at a point with their derivatives in the chart's coordinates:
+    dg[a, i, j] = d_a g_ij, ddg[a, b, i, j], dddg[a, b, c, i, j], dJ[a, i, j] = d_a J^i_j."""
+
+    point: HermitianPoint
+    dg: np.ndarray
+    ddg: np.ndarray
+    dddg: np.ndarray
+    dJ: np.ndarray
+
+    @cached_property
+    def _connection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """gamma[i, j, k] = Gamma^i_jk, low = Gamma_ljk and dlow[a] = d_a Gamma_ljk."""
+        low = _lower(self.dg)
+        return np.einsum("il,ljk->ijk", self.point.g_inv, low), low, _lower(self.ddg)
+
+    @cached_property
+    def _riemann(self) -> np.ndarray:
+        gamma, low, dlow = self._connection
+        return _curvature(dlow, (gamma, low))
+
+
 def riemann(jet: Jet) -> CurvatureTensor:
     """(0,4) curvature tensor at the jet's point, in the convention where the
     unit sphere gives pi1: R(e_i, e_j, e_k, e_l) = g_lm R^m_ijk with
     R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik."""
-    _, gamma, low, dlow = _connection(jet)
-    return CurvatureTensor(jet.point, _curvature(dlow, (gamma, low)))
+    return CurvatureTensor(jet.point, jet._riemann)
 
 
 def ricci(R: CurvatureTensor) -> Bilinear:
@@ -74,23 +92,23 @@ def ricci(R: CurvatureTensor) -> Bilinear:
     The frame sum equals the g-inverse contraction, which is what is
     computed; with this sign the unit sphere gives S = (2m-1) g.
     """
-    g_inv = np.linalg.inv(R.point.g)
-    return Bilinear(R.point, np.einsum("pq,pabq->ab", g_inv, R.values))
+    return Bilinear(R.point, np.einsum("pq,pabq->ab", R.point.g_inv, R.values))
 
 
 def nabla_J(jet: Jet) -> np.ndarray:
     """Covariant derivative of J: out[k, i, j] = (nabla_k J)^i_j."""
-    _, gamma, _, _ = _connection(jet)
+    gamma = jet._connection[0]
     J = jet.point.J
     return jet.dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
 
 
 def nabla_R(jet: Jet) -> np.ndarray:
     """Covariant derivative of the (0,4) curvature: out[v, x, y, z, u] = (nabla_v R)(x,y,z,u)."""
-    g_inv, gamma, low, dlow = _connection(jet)
-    R0 = _curvature(dlow, (gamma, low))
+    gamma, low, dlow = jet._connection
+    R0 = jet._riemann
     # d_a Gamma^i_jk = g^il (d_a Gamma_ljk - d_a g_lm Gamma^m_jk), then the product rule
-    dgamma = np.einsum("il,aljk->aijk", g_inv, dlow - np.einsum("alm,mjk->aljk", jet.dg, gamma))
+    dgamma = np.einsum("il,aljk->aijk", jet.point.g_inv,
+                       dlow - np.einsum("alm,mjk->aljk", jet.dg, gamma))
     dR = _curvature(_lower(jet.dddg), (dgamma, low), (gamma, dlow))
     return (
         dR

@@ -25,9 +25,11 @@ from __future__ import annotations
 import keyword
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .expressions import (
     parse_expression,
     variables_of,
 )
+from .calculus import Jet
 from .tensor_core import HermitianPoint, InvariantViolation
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
     "ChartEvalError",
     "DomainError",
     "ChartSpec",
-    "Jet",
     "parse_chart",
 ]
 
@@ -74,37 +76,58 @@ class DomainError(ChartError):
     pass
 
 
-def _jet_lines(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The C(n+2, 3) directions v with nonnegative integer entries summing to
-    3 (Griewank, Utke & Walther, Math. Comp. 69 (2000) 1117-1130), and, for
-    k = 1, 2, 3, the (n^k, len(v)) map from degree-k Taylor coefficients
-    along them to the flattened k-th derivative: the coefficient is the sum
-    over multisets u of size k of d_u f * prod_a v_a^m_a / m_a!, with m_a
-    the multiplicity of a in u, a system these directions determine."""
+# Points per Taylor pass in `ChartSpec.jets_at`.  Per point, a cp3 pass
+# costs about the same from 8 points up, while its arrays grow with the
+# group; a fixed size keeps a long run's memory from growing with its length.
+JET_GROUP = 16
+
+
+class _Layout(NamedTuple):
+    """Where the values of a chart program go; the same for every chart of
+    one dimension, so `_layout` builds it once per dimension."""
+
+    upper: tuple[tuple[int, int], ...]  # g's upper triangle, the program's first values
+    g_index: np.ndarray  # (n, n) positions of g's entries among the values
+    j_index: np.ndarray  # (n, n) positions of J's entries, after g's
+    lines: np.ndarray  # (d, n) directions of the Taylor pass
+    recover: tuple[np.ndarray, ...]  # per k: degree-k coefficients -> distinct derivatives
+    gather: tuple[np.ndarray, ...]  # per k: distinct derivatives of g -> all ordered ones
+
+
+@lru_cache(maxsize=8)
+def _layout(n: int) -> _Layout:
+    """The tables of a chart of real dimension n.
+
+    The lines are the d = C(n+2, 3) directions v with nonnegative integer
+    entries summing to 3 (Griewank, Utke & Walther, Math. Comp. 69 (2000)
+    1117-1130).  For k = 1, 2, 3, recover[k - 1] maps degree-k Taylor
+    coefficients along them to the derivatives d_u f for the C(n+k-1, k)
+    multisets u of size k: the coefficient is the sum over u of
+    d_u f * prod_a v_a^m_a / m_a!, with m_a the multiplicity of a in u, a
+    system these directions determine.  gather[k - 1][i, j, a_1, ..., a_k]
+    is the position of d_a1 ... d_ak g_ij in the flattened (upper cell,
+    multiset) array of the recovered derivatives.
+    """
+    upper = tuple((i, j) for i in range(n) for j in range(i, n))
+    slot = {cell: k for k, cell in enumerate(upper)}
+    g_index = np.array([[slot[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    j_index = len(upper) + np.arange(n * n).reshape(n, n)
     lines = np.array([np.bincount(c, minlength=n)
                       for c in combinations_with_replacement(range(n), 3)], dtype=float)
-    recover = []
+    recover, gather = [], []
     for k in (1, 2, 3):
         cells = list(combinations_with_replacement(range(n), k))
         mult = np.array([np.bincount(c, minlength=n) for c in cells])
         weights = [math.prod(map(math.factorial, row)) for row in mult.tolist()]
         q, r = np.linalg.qr(np.prod(lines[:, None, :] ** mult, axis=-1) / weights)
+        # C-contiguous: einsum's rounding follows its operands' memory layout
+        recover.append(np.ascontiguousarray(np.linalg.solve(r, q.T)))
         where = {c: u for u, c in enumerate(cells)}
-        recover.append(np.linalg.solve(r, q.T)[[where[tuple(sorted(ix))]
-                                                for ix in np.ndindex(*(n,) * k)]])
-    return lines, recover
-
-
-@dataclass(frozen=True, eq=False)
-class Jet:
-    """g and J at a point with their derivatives in the chart's coordinates:
-    dg[a, i, j] = d_a g_ij, ddg[a, b, i, j], dddg[a, b, c, i, j], dJ[a, i, j] = d_a J^i_j."""
-
-    point: HermitianPoint
-    dg: np.ndarray
-    ddg: np.ndarray
-    dddg: np.ndarray
-    dJ: np.ndarray
+        cell = np.array([where[tuple(sorted(ix))] for ix in np.ndindex(*(n,) * k)])
+        gather.append((g_index[:, :, None] * len(cells) + cell).reshape((n,) * (k + 2)))
+    for table in (g_index, j_index, lines, *recover, *gather):
+        table.setflags(write=False)
+    return _Layout(upper, g_index, j_index, lines, tuple(recover), tuple(gather))
 
 
 @dataclass(frozen=True)
@@ -116,7 +139,8 @@ class ChartSpec:
     and the (normalized) expression tables.  The first table lookup compiles
     every g and J entry into one generated function that computes each
     distinct subexpression once, so each new point costs one `evaluate`;
-    `jet_at` runs the same function on Taylor series.
+    `jets_at` runs the same function on Taylor series, once for a whole
+    group of points.
 
     It alone decides where g and J may be evaluated: every such point
     needs 2m coordinates (else ChartEvalError), each finite and in its
@@ -131,20 +155,16 @@ class ChartSpec:
     default_points: tuple[tuple[float, ...], ...]
 
     @cached_property
-    def _program(self) -> tuple[Compiled, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    def _program(self) -> tuple[Compiled, _Layout]:
         """g's upper triangle, then J, row by row, compiled as one program,
-        the position of each g and J entry among its values, and `_jet_lines`."""
-        n = 2 * self.m
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
-        slot = {cell: k for k, cell in enumerate(upper)}
-        g_index = np.array([[slot[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
-        j_index = len(upper) + np.arange(n * n).reshape(n, n)
-        exprs = [self.metric_exprs[i][j] for i, j in upper]
+        and the `_layout` of the chart's dimension."""
+        layout = _layout(2 * self.m)
+        exprs = [self.metric_exprs[i][j] for i, j in layout.upper]
         exprs += [e for row in self.j_exprs for e in row]
-        return compile_expressions(exprs), g_index, j_index, *_jet_lines(n)
+        return compile_expressions(exprs), layout
 
-    def _values(self, p, lines: np.ndarray | None = None) -> np.ndarray:
-        """`evaluate` of the program at p, checked first, along `lines` if given."""
+    def _values(self, p) -> np.ndarray:
+        """`evaluate` of the program at p, checked first."""
         p = np.asarray(p, dtype=float)
         if p.shape != (2 * self.m,):
             raise ChartEvalError(f"point must have {2 * self.m} coordinates, got {p.shape}")
@@ -153,17 +173,16 @@ class ChartSpec:
                 raise DomainError(f"coordinate {name} = {x!r} is not finite")
             if not lo <= x <= hi:
                 raise DomainError(f"coordinate {name} = {x!r} outside domain [{lo}, {hi}]")
-        directions = None if lines is None else dict(zip(self.coord_names, lines.T))
         try:
-            return evaluate(self._program[0], dict(zip(self.coord_names, p.tolist())), directions)
+            return evaluate(self._program[0], dict(zip(self.coord_names, p.tolist())))
         except ExprEvalError as exc:
             raise ChartEvalError(str(exc)) from exc
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
-        return self._values(p)[self._program[1]]
+        return self._values(p)[self._program[1].g_index]
 
     def j_at(self, p: np.ndarray) -> np.ndarray:
-        return self._values(p)[self._program[2]]
+        return self._values(p)[self._program[1].j_index]
 
     def eval_point(self, p) -> HermitianPoint:
         """g and J at p, with the almost Hermitian invariants verified.
@@ -177,21 +196,67 @@ class ChartSpec:
         except InvariantViolation as exc:
             raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
 
+    def jets_at(self, points) -> Iterator[Jet]:
+        """The jet at each of `points`, in order: g, J and their derivatives,
+        exact up to rounding.
+
+        The program runs once on Taylor series along the jet lines for each
+        group of up to JET_GROUP points.  Only the points must lie in the
+        domain; a derivative that is not finite there is an error.  When a
+        group fails, its points run one by one, so the jets before the
+        first failing point still come out, and that point raises what
+        `jet_at` raises on it.
+        """
+        points = list(points)
+        for start in range(0, len(points), JET_GROUP):
+            group = points[start:start + JET_GROUP]
+            try:
+                jets = deque(self._jets(group))
+            except ChartError:
+                if len(group) == 1:
+                    raise
+                for p in group:
+                    yield from self._jets([p])
+                continue
+            while jets:  # a jet handed out is no longer held here
+                yield jets.popleft()
+
     def jet_at(self, p) -> Jet:
-        """g, J and their derivatives at p, exact up to rounding: the program
-        runs once on Taylor series along the jet lines.  Only p must lie in
-        the domain; a derivative that is not finite there is an error."""
-        point = self.eval_point(p)
-        _, g_index, j_index, lines, recover = self._program
-        coeffs = self._values(p, lines)
-        n = 2 * self.m
+        """The jet at p: `jets_at` of p alone."""
+        [jet] = self.jets_at([p])
+        return jet
 
-        def derivative(k: int, index: np.ndarray) -> np.ndarray:
-            flat = np.einsum("ijd,xd->ijx", coeffs[index, k - 1], recover[k - 1])
-            return np.moveaxis(flat.reshape((n,) * (k + 2)), (0, 1), (-2, -1))
+    def _jets(self, group: list) -> list[Jet]:
+        """One Taylor pass for a group of points, each checked by `eval_point`.
 
-        return Jet(point, derivative(1, g_index), derivative(2, g_index),
-                   derivative(3, g_index), derivative(1, j_index))
+        The derivatives of g are recovered only for its upper triangle and
+        each distinct multiset of directions, then gathered into one
+        C-contiguous (n, n, n^k) block per point.  The jet's arrays are
+        those blocks, and J's, with the axes (i, j) moved last: einsum
+        downstream rounds by its operands' memory layout, so that stays fixed.
+        """
+        points = [self.eval_point(p) for p in group]
+        compiled, layout = self._program
+        n, upper = 2 * self.m, slice(len(layout.upper))
+        coords = np.array(group, dtype=float)
+        try:
+            coeffs = evaluate(compiled, dict(zip(self.coord_names, coords.T)),
+                              dict(zip(self.coord_names, layout.lines.T)))
+        except ExprEvalError as exc:
+            raise ChartEvalError(str(exc)) from exc
+
+        def derivatives(k: int, rows: slice) -> np.ndarray:
+            flat = np.einsum("upd,xd->pux", coeffs[rows, k - 1], layout.recover[k - 1])
+            return flat.reshape(len(group), -1)
+
+        def at(block: np.ndarray) -> np.ndarray:
+            return np.moveaxis(block, (0, 1), (-2, -1))
+
+        dg, ddg, dddg = (derivatives(k, upper) for k in (1, 2, 3))
+        dJ = derivatives(1, slice(upper.stop, None)).reshape(len(group), n, n, n)
+        g1, g2, g3 = layout.gather
+        return [Jet(point, at(dg[i][g1]), at(ddg[i][g2]), at(dddg[i][g3]), at(dJ[i]))
+                for i, point in enumerate(points)]
 
 
 # ASCII only: Python folds 'xﬁ' into 'xfi', and int() and float() read

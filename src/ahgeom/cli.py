@@ -6,7 +6,7 @@ import argparse
 import re
 import sys
 
-from .charts import ChartError, parse_chart
+from .charts import _FLOAT_RE, ChartError, parse_chart
 from .models import get_model, model_names
 from .report import analyze_chart, analyze_model
 from .selftest import run_selftest
@@ -29,10 +29,12 @@ def _glue_signed_points(argv: list[str]) -> list[str]:
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad --point value {text!r}: expected v1,v2,...") from None
+    """Comma-separated numbers in the grammar of a chart file's `point` line:
+    float() alone would also read '1_0' as 10 and '١' as 1."""
+    values = [v.strip() for v in text.split(",")]
+    if not all(_FLOAT_RE.fullmatch(v) for v in values):
+        raise ValueError(f"bad --point value {text!r}: expected v1,v2,...")
+    return tuple(map(float, values))
 
 
 def _cmd_analyze(args) -> int:

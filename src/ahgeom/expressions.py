@@ -22,9 +22,11 @@ Evaluation works on batches: `compile_expressions` turns a sequence of
 expressions into one generated Python function that computes each distinct
 subtree once, as a local, and `evaluate` calls it once per point and
 returns every value, bit for bit what each expression gives on its own.
-Given directions, `evaluate` runs the same function on Taylor series, for
-the exact derivatives of every expression along every direction.
-When that call fails, `evaluate` finds the first failing expression by
+Given directions, `evaluate` runs the same function once for a whole group
+of points on Taylor series, for the exact derivatives of every expression
+along every direction at every point of the group.
+When that call fails, `evaluate` finds the first failing point by running
+each point of the group on its own, then the first failing expression by
 compiling each on its own, so every error comes from the same generated
 code.  The compiled function belongs to its caller (a chart keeps its
 own), so nothing here caches expressions.
@@ -321,12 +323,19 @@ def to_source(expr: Expr) -> str:
 
 
 class _Series:
-    """c0 + c1 t + c2 t^2 + c3 t^3 along a batch of lines through a point: c0
-    is the value there, and hi[k - 1] holds c_k per line.  Floats are constants."""
+    """c0 + c1 t + c2 t^2 + c3 t^3 along a batch of lines through each point of
+    a group: c0 is the (P, 1) array of values at the P points, and hi[k - 1]
+    holds c_k per point and line, shape (P, d).  Floats are constants.
+
+    `+ - *` run as numpy operations over the whole group, which round like
+    the same Python float operations one point at a time; a constant power
+    and the functions run per point on Python floats and `math`, because
+    numpy's versions of them round differently.
+    """
 
     __slots__ = ("c0", "hi")
 
-    def __init__(self, c0: float, hi: np.ndarray):
+    def __init__(self, c0: np.ndarray, hi: np.ndarray):
         self.c0, self.hi = c0, hi
 
     def __add__(self, other):
@@ -369,21 +378,30 @@ class _Series:
         return _apply("exp", self * math.log(other))
 
 
-def _compose(x: _Series, f0: float, f1: float, f2: float, f3: float) -> _Series:
-    """f(x) from the value and first three derivatives of f at x.c0."""
+def _compose(x: _Series, f0, f1, f2, f3) -> _Series:
+    """f(x) from the value and first three derivatives of f at x.c0, each a
+    (P, 1) array."""
     b1, b2, b3 = x.hi
     return _Series(f0, np.stack([f1 * b1, f1 * b2 + (0.5 * f2) * (b1 * b1),
                                  f1 * b3 + f2 * (b1 * b2) + (f3 / 6.0) * (b1 * b1 * b1)]))
 
 
+def _per_point(x: _Series, f) -> _Series:
+    """f(x), where f(a) gives the value and first three derivatives at a as
+    Python floats, called once per point; a complex value is a TypeError."""
+    table = np.array([f(a) for a in x.c0.ravel().tolist()], dtype=float)
+    return _compose(x, *table.T[:, :, None])
+
+
 def _power(x: _Series, e: float) -> _Series:
     """x^e for a constant e.  The k-th derivative e (e-1) ... (e-k+1) x^(e-k)
     is 0 once its factor is, so x^2 is smooth at 0, where x^0.5 fails."""
-    f, factor = [x.c0 ** e], 1.0
+    factors, factor = [], 1.0
     for k in range(1, 4):
         factor *= e - k + 1
-        f.append(0.0 if factor == 0.0 else factor * x.c0 ** (e - k))
-    return _compose(x, *f)
+        factors.append((k, factor))
+    return _per_point(x, lambda a: (a ** e, *(0.0 if c == 0.0 else c * a ** (e - k)
+                                               for k, c in factors)))
 
 
 # Each function's value and first three derivatives at a.
@@ -401,7 +419,7 @@ _TAYLOR = {
 
 
 def _apply(name: str, x):
-    return _compose(x, *_TAYLOR[name](x.c0)) if isinstance(x, _Series) else FUNCTIONS[name](x)
+    return _per_point(x, _TAYLOR[name]) if isinstance(x, _Series) else FUNCTIONS[name](x)
 
 
 _EVAL_GLOBALS = {"__builtins__": {}, **FUNCTIONS}
@@ -474,18 +492,28 @@ def evaluate(compiled: Compiled, env: Mapping[str, float],
 
     One call of the compiled function computes them all, with Python's
     float operators and `math` functions.  With `directions`, {coordinate
-    name: (d,) array}, it runs on the lines x + t v instead and returns the
-    Taylor coefficients of degree 1 to 3 in t, shape (len(exprs), 3, d).
+    name: (d,) array}, it runs once on the lines x + t v through a group of
+    P points instead: each value of `env` is then the sequence of that
+    coordinate at the P points, and the result holds the Taylor
+    coefficients of degree 1 to 3 in t, shape (len(exprs), 3, P, d), each
+    bit for bit what the group of that point alone gives.
     Domain violations (log of a non-positive number, division by zero, ...)
     and non-finite or complex results raise ExprEvalError naming the first
-    failing expression and the point.
+    failing expression and point.
     """
-    args = [env[name] for name in compiled.variables]
-    if directions is not None:
-        none = np.zeros((3, len(next(iter(directions.values())))))
-        args = [_Series(x, np.stack([directions[name], none[0], none[0]]))
-                for name, x in zip(compiled.variables, args)]
-    program = FunctionType(compiled.code, _EVAL_GLOBALS if directions is None else _SERIES_GLOBALS)
+    if directions is None:
+        points = [dict(env)]
+        program = FunctionType(compiled.code, _EVAL_GLOBALS)
+        args = [env[name] for name in compiled.variables]
+    else:
+        columns = {name: np.asarray(v, dtype=float).reshape(-1, 1) for name, v in env.items()}
+        points = [dict(zip(columns, row))
+                  for row in zip(*(c.ravel().tolist() for c in columns.values()))]
+        none = np.zeros((3, len(points), len(next(iter(directions.values())))))
+        program = FunctionType(compiled.code, _SERIES_GLOBALS)
+        args = [_Series(columns[name], np.stack([np.broadcast_to(directions[name], none[0].shape),
+                                                 none[0], none[0]]))
+                for name in compiled.variables]
     try:
         with np.errstate(all="ignore"):  # a non-finite value is refused below
             out = program(*args)
@@ -496,13 +524,18 @@ def evaluate(compiled: Compiled, env: Mapping[str, float],
         error = None
     except _EVAL_ERRORS as exc:
         error = exc
+    if len(points) > 1:
+        # Each point as a group of its own, to find the first that fails.
+        for point in points:
+            evaluate(compiled, {name: [x] for name, x in point.items()}, directions)
     if len(compiled.exprs) > 1:
         # Each expression through a program of its own, to find the first that fails.
         for expr in compiled.exprs:
             evaluate(compile_expressions([expr]), env, directions)
     [expr] = compiled.exprs
+    [at] = points
     what = f"'{to_source(expr)}'" if directions is None else f"a derivative of '{to_source(expr)}'"
     if error is not None:
-        raise ExprEvalError(f"cannot evaluate {what} at {dict(env)}: {error}") from error
+        raise ExprEvalError(f"cannot evaluate {what} at {at}: {error}") from error
     noun = "expression " if directions is None else ""
-    raise ExprEvalError(f"{noun}{what} is not finite at {dict(env)}")
+    raise ExprEvalError(f"{noun}{what} is not finite at {at}")

@@ -1,13 +1,15 @@
 """Full per-point analysis pipeline and deterministic report assembly.
 
-Each point's jet is built once, and R, S, nabla J and nabla R once from it;
-every check is a pure function of them.  The report has three blocks: run
-metadata (target, kind, tolerance, samples, seed and points), one block per
-evaluation point, and a global block (multi-point constancy over the
-points' nu, or holomorphic means for m = 1, plus the overall verdict and,
-in model mode, the expected-vs-observed checks).  Identical arguments,
-including the seed, produce byte-identical JSON; the text rendering is
-drawn from the same dict, with floats to 12 significant digits.
+One `jets_at` call gives every point's jet, running the chart program
+once per group of points; R, S, nabla J and nabla R come once from each
+jet, sharing its connection, and every check is a pure function of them.
+The report has three blocks: run metadata (target, kind, tolerance,
+samples, seed and points), one block per evaluation point, and a global
+block (multi-point constancy over the points' nu, or holomorphic means for
+m = 1, plus the overall verdict and, in model mode, the expected-vs-observed
+checks).  Identical arguments, including the seed, produce byte-identical
+JSON; the text rendering is drawn from the same dict, with floats to 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .analysis import (
     sample_holomorphic_planes,
     schur_check,
 )
-from .calculus import ClassResiduals
+from .calculus import ClassResiduals, Jet
 from .charts import ChartSpec
 from .models import ModelDescriptor
 from .tensor_core import InvariantViolation, ah_identity_residual, riemann_symmetry_residual
@@ -69,11 +71,10 @@ class PointReport:
     verdict: Verdict
 
 
-def analyze_point(chart: ChartSpec, p, index: int, *, tol: float,
+def analyze_point(jet: Jet, p: tuple[float, ...], index: int, *, tol: float,
                   samples: int, seed: int) -> PointReport:
-    """Run every check at one point; deterministic for fixed arguments."""
-    p = np.asarray(p, dtype=float)
-    jet = chart.jet_at(p)
+    """Run every check on the jet at the point p, the index-th of its run;
+    deterministic for fixed arguments."""
     R = calculus.riemann(jet)
     pt = R.point
     S = calculus.ricci(R)
@@ -81,7 +82,7 @@ def analyze_point(chart: ChartSpec, p, index: int, *, tol: float,
     cls = calculus.class_residuals(NJ, pt.g)
     NR = calculus.nabla_R(jet)
     # metric compatibility lets nabla S come from contracting nabla R
-    NS = np.einsum("pq,kpabq->kab", np.linalg.inv(pt.g), NR)
+    NS = np.einsum("pq,kpabq->kab", pt.g_inv, NR)
 
     ah = {f"AH{k}": ah_identity_residual(R, k) for k in (1, 2, 3)}
     by_flag = {"K": cls.kahler, "NK": cls.nearly_kahler, "AK": cls.almost_kahler, **ah}
@@ -107,7 +108,7 @@ def analyze_point(chart: ChartSpec, p, index: int, *, tol: float,
     verdict = classify(R, ah["AH3"], (lam, einstein_defect), cls, holo, anti, tol)
 
     return PointReport(
-        point=tuple(float(v) for v in p),
+        point=p,
         flags={flag: r <= tol for flag, r in by_flag.items()},
         class_residuals=cls,
         ah_residuals=ah,
@@ -290,8 +291,8 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         "points": [list(p) for p in points],
     }
     reports = [
-        analyze_point(chart, p, i, tol=tol, samples=samples, seed=seed)
-        for i, p in enumerate(points)
+        analyze_point(jet, p, i, tol=tol, samples=samples, seed=seed)
+        for i, (p, jet) in enumerate(zip(points, chart.jets_at(points)))
     ]
     schur = None
     if len(reports) >= 2:

@@ -16,6 +16,7 @@ is ``R(x, y, y, x)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,13 @@ class HermitianPoint:
     @property
     def dim(self) -> int:
         return 2 * self.m
+
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        """g^-1, computed once per point."""
+        inverse = np.linalg.inv(self.g)
+        inverse.setflags(write=False)
+        return inverse
 
     @classmethod
     def standard_flat(cls, m: int) -> "HermitianPoint":

@@ -1,7 +1,10 @@
 """Exact jet calculus against symbolic, finite-difference and constant-curvature oracles."""
 
 import itertools
+import json
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +20,10 @@ from ahgeom.calculus import (
     ricci,
     riemann,
 )
-from ahgeom.charts import ChartEvalError, DomainError, parse_chart
+from ahgeom.charts import JET_GROUP, ChartEvalError, DomainError, parse_chart
 from ahgeom.expressions import to_source
 from ahgeom.models import get_model, model_names
+from ahgeom.report import analyze_chart, analyze_model
 from ahgeom.tensor_core import pi1, pi2, riemann_symmetry_residual
 
 FLAT = get_model("flat2").chart
@@ -289,6 +293,91 @@ class TestAgainstDifferences:
         p = tuple(data.draw(st.floats(max(lo, -1.9) + 0.01, min(hi, 1.9) - 0.01), label=coord)
                   for coord, (lo, hi) in zip(chart.coord_names, chart.domain))
         assert_matches_differences(chart, p)
+
+
+# ---------------------------------------------------------------------------
+# One Taylor pass per group of points against one pass per point
+# ---------------------------------------------------------------------------
+
+
+def scan_points(seed, size=12):
+    """The cp3 points of the benchmark's scan workload (bench/workloads.py)."""
+    rng, reach = random.Random(seed), 4 * 4 * 1e-4 * 2.0
+    return [[rng.uniform(-2.0 + reach, 2.0 - reach) for _ in range(6)] for _ in range(size)]
+
+
+def assert_same_jet(a, b):
+    """Every array bit for bit, in the same memory layout: einsum's rounding
+    downstream depends on its operands' strides."""
+    for name in ("g", "J"):
+        assert_same_bits(getattr(a.point, name), getattr(b.point, name))
+    for name in ("dg", "ddg", "dddg", "dJ"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert_same_bits(x, y)
+        assert x.strides == y.strides
+
+
+_RUNS = [pytest.param(name, get_model(name).chart.default_points, id=f"{name}-defaults")
+         for name in sorted(model_names())]
+_RUNS += [pytest.param("cp3", scan_points(7), id="cp3-scan-seed-7"),
+          pytest.param("cp3", scan_points(40, size=40), id="cp3-40-points")]
+
+
+class TestStackedJets:
+    def test_runs_cross_the_group_boundary(self):
+        assert len(scan_points(40, size=40)) > 2 * JET_GROUP
+
+    @pytest.mark.parametrize("name, points", _RUNS)
+    def test_each_jet_is_the_jet_of_its_point_alone(self, name, points):
+        chart = get_model(name).chart
+        jets = list(chart.jets_at(points))
+        assert len(jets) == len(points)
+        n = 2 * chart.m
+        # einsum downstream rounds by layout, so each array stays a C-contiguous
+        # (n, n, n, ...) block with its axes (i, j) moved last
+        layout = [np.moveaxis(np.empty((n,) * (k + 2)), (0, 1), (-2, -1)).strides
+                  for k in (1, 2, 3, 1)]
+        for p, j in zip(points, jets):
+            assert_same_jet(j, chart.jet_at(p))
+            assert [d.strides for d in (j.dg, j.ddg, j.dddg, j.dJ)] == layout
+
+    def test_a_point_does_not_move_the_others_reports(self):
+        model = get_model("cp3")
+        a, b, c = scan_points(11, size=3)
+        blocks = [[json.dumps(pr) for pr in analyze_model(model, run).to_dict()["points"]]
+                  for run in ([a, b, c], [a, scan_points(12, size=1)[0], c])]
+        assert blocks[0][1] != blocks[1][1]
+        assert blocks[0][0] == blocks[1][0] and blocks[0][2] == blocks[1][2]
+
+    @pytest.mark.parametrize("chart, points, error", [
+        (conformal_chart("1.0+sqrt(x^2)"), [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
+        (CP1, [(0.1, 0.2), (2.5, 0.0), (0.0, 0.0)], DomainError),
+    ], ids=["non-finite-derivative", "outside-the-domain"])
+    def test_a_failing_point_raises_what_it_raises_alone(self, chart, points, error):
+        with pytest.raises(error) as alone:
+            chart.jet_at(points[1])
+        jets = chart.jets_at(points)
+        assert_same_jet(next(jets), chart.jet_at(points[0]))
+        with pytest.raises(error) as in_run:
+            next(jets)
+        assert str(in_run.value) == str(alone.value)
+        with pytest.raises(error) as analyzed:
+            analyze_chart(chart, points)
+        assert str(analyzed.value) == str(alone.value)
+
+    def test_memory_stays_bounded_over_a_long_run(self):
+        model = get_model("cp3")
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                analyze_model(model, points=points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        analyze_model(model, points=scan_points(5, size=1))  # compiles the chart program
+        assert peak(scan_points(5, size=128)) < 2 * peak(scan_points(5, size=16))
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,10 @@ class TestAnalyze:
         ("nan,0,0,0", "coordinate x1 = nan is not finite"),
         ("0,inf,0,0", "coordinate y1 = inf is not finite"),
         ("0,2.0001,0,0", "coordinate y1 = 2.0001 outside domain [-2.0, 2.0]"),
-    ], ids=["short", "long", "nan", "inf", "outside"])
+        # the chart grammar's numbers, as on a chart file's point line
+        ("0_0,1_0e-1,0,0", "bad --point value '0_0,1_0e-1,0,0': expected v1,v2,..."),
+        ("\u0661,0,0,0", "bad --point value '\u0661,0,0,0': expected v1,v2,..."),
+    ], ids=["short", "long", "nan", "inf", "outside", "underscores", "non_ascii_digit"])
     def test_bad_point_exits_2(self, capsys, point, prefix):
         code, out, err = run(capsys, "analyze", "--model", "cp2", "--point", point)
         assert code == 2
