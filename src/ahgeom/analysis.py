@@ -169,60 +169,36 @@ def _cluster(eigenvalues: np.ndarray, merge_tol: float) -> list[slice]:
 def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
     """Diagonalize S relative to g by a J-adapted orthonormal basis.
 
-    Solves the symmetric eigenproblem of S relative to g; eigenvalues closer
-    than max(tol, 1e-8) are merged into one eigenspace.  Within each
-    eigenspace (J-invariant when S commutes with J) a unit vector e is
-    picked, Je is adjoined, the 2-plane is deflated, and the process
-    repeats.  If an eigenspace is not J-closed within max(tol, 1e-6) the
-    input was not J-invariant.
+    Solves the symmetric eigenproblem of S in g-orthonormal coordinates
+    (g = L L^T), where J acts as K = L^T J L^-T; eigenvalues closer than
+    max(tol, 1e-8) are merged into one eigenspace.  With E an orthonormal
+    basis of an eigenspace and M = E^T K E, each +1 eigenvector x + iy of
+    the Hermitian iM has Mx = y, so e comes from E x and Je from E y.  If
+    an eigenspace has odd dimension or |KE - EM| exceeds max(tol, 1e-6),
+    it is not J-closed and the input was not J-invariant.
     """
     pt = S.point
     g, J = pt.g, pt.J
-    sym = 0.5 * (S.values + S.values.T)
     L = np.linalg.cholesky(g)
     Linv = np.linalg.inv(L)
-    A = Linv @ sym @ Linv.T
+    A = Linv @ (0.5 * (S.values + S.values.T)) @ Linv.T
     w, V = np.linalg.eigh(0.5 * (A + A.T))
-    vecs = Linv.T @ V  # columns are g-orthonormal generalized eigenvectors
-
-    def paired(vectors):
-        # each v with v @ g: g(v, b) is float(v @ g @ b), that is float((v @ g) @ b),
-        # so taking v @ g once for every product with v keeps every bit
-        return [(v, v @ g) for v in vectors]
-
+    K = L.T @ J @ Linv.T
     basis_cols = []
     eigenvalues = []
     for block in _cluster(w, max(tol, 1e-8)):
-        value = float(w[block].mean())
-        cluster = [vecs[:, k] for k in range(block.start, block.stop)]
-        full = list(cluster)
-        while cluster:
-            e = _g_units(g, cluster.pop(0)[None])[0]
-            je = J @ e
-            # J-closure: Je must stay inside the original eigenspace
-            jeg = je @ g
-            outside = je - sum(float(jeg @ u) * u for u in full)
-            defect = float(np.sqrt(max(float(outside @ g @ outside), 0.0)))
-            if defect > max(tol, 1e-6):
-                raise InvariantViolation(
-                    f"S is not J-invariant: eigenspace not J-closed (defect {defect:.3e})"
-                )
-            basis_cols += [e, je]
-            eigenvalues.append(value)
-            # deflate span{e, Je}: the remaining vectors span a space whose
-            # dimension drops by one more; re-orthonormalize with pivoting
-            reduced = paired(u - float(ug @ e) * e - float(ug @ je) * je
-                             for u, ug in paired(cluster))
-            target = len(cluster) - 1
-            cluster = []
-            while len(cluster) < target:
-                norms = [float(vg @ v) for v, vg in reduced]
-                best = int(np.argmax(norms))
-                if norms[best] < 1e-12:
-                    raise InvariantViolation("eigenframe deflation degenerated")
-                u = reduced.pop(best)[0] / np.sqrt(norms[best])
-                reduced = paired(v - float(vg @ u) * u for v, vg in reduced)
-                cluster.append(u)
+        E = V[:, block]
+        M = E.T @ K @ E
+        defect = float(np.linalg.norm(K @ E - E @ M))
+        if E.shape[1] % 2 or defect > max(tol, 1e-6):
+            raise InvariantViolation(
+                f"S is not J-invariant: eigenspace not J-closed (defect {defect:.3e})"
+            )
+        half = E.shape[1] // 2
+        x = np.linalg.eigh(1j * M)[1][:, half:].real  # the eigenvalue +1 half
+        for e in _g_units(g, (Linv.T @ E @ x).T):
+            basis_cols += [e, J @ e]
+        eigenvalues += [float(w[block].mean())] * half
     return SpectralFrame(point=pt, basis=np.column_stack(basis_cols),
                          eigenvalues=tuple(eigenvalues))
 
@@ -268,27 +244,21 @@ def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
         (nabla_{e_j} S)(e_i, e_j)
             + (lambda_i + lambda_j - 2 (2m-1) nu) g(J e_i, (nabla_{e_j} J) e_j)
 
-    maximized over i != j.  Zero (up to rounding) on spaces with
-    constant antiholomorphic curvature; trivially small when both nabla S
-    and the (nabla_X J)X defect vanish.
+    maximized over i != j.  On real and complex space forms every term
+    vanishes for any adapted frame: nabla S = 0, and either
+    (nabla_X J)X = 0 or lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the
+    value depends on the choice of each e_i within its plane span{e_i, Je_i}.
     """
     pt = frame.point
     m = pt.m
-    g = pt.g
-    lam = frame.eigenvalues
-    worst = 0.0
-    for i in range(m):
-        e_i = frame.basis[:, 2 * i]
-        je_i = frame.basis[:, 2 * i + 1]
-        for j in range(m):
-            if i == j:
-                continue
-            e_j = frame.basis[:, 2 * j]
-            t1 = float(np.einsum("kab,k,a,b->", nablaS, e_j, e_i, e_j))
-            v = np.einsum("kia,k,a->i", nablaJ, e_j, e_j)
-            t2 = (lam[i] + lam[j] - 2.0 * (2 * m - 1) * nu) * float(je_i @ g @ v)
-            worst = max(worst, abs(t1 + t2))
-    return worst
+    e, je = frame.basis[:, 0::2], frame.basis[:, 1::2]
+    lam = np.array(frame.eigenvalues)
+    # t1[i, j] = (nabla_{e_j} S)(e_i, e_j) and v[:, j] = (nabla_{e_j} J) e_j
+    t1 = e.T @ np.einsum("kab,kj,bj->aj", nablaS, e, e)
+    v = np.einsum("kia,kj,aj->ij", nablaJ, e, e)
+    coeff = lam[:, None] + lam[None, :] - 2.0 * (2 * m - 1) * nu
+    total = np.abs(t1 + coeff * (je.T @ pt.g @ v))
+    return float(np.max(total[~np.eye(m, dtype=bool)], initial=0.0))
 
 
 def classify(R: CurvatureTensor, ah3: float, einstein: tuple[float, float], class_res,

@@ -148,7 +148,8 @@ def gray_ak2_residual(R: CurvatureTensor, NJ: np.ndarray) -> float:
     evaluated over all basis quadruples, with g and J taken from R's point.
     """
     g, J = R.point.g, R.point.J
-    lhs = R.values - np.einsum("xyab,az,bu->xyzu", R.values, J, J)
-    V = np.einsum("xiy->xyi", NJ) - np.einsum("yix->xyi", NJ)
-    rhs = 0.5 * np.einsum("xyi,ij,zuj->xyzu", V, g, V)
+    n = g.shape[0]
+    lhs = R.values - np.einsum("xyau,az->xyzu", R.values @ J, J)
+    V = (np.einsum("xiy->xyi", NJ) - np.einsum("yix->xyi", NJ)).reshape(n * n, n)
+    rhs = 0.5 * ((V @ g) @ V.T).reshape(n, n, n, n)
     return float(np.max(np.abs(lhs - rhs)))

@@ -204,8 +204,8 @@ class ChartSpec:
         group of up to JET_GROUP points.  Only the points must lie in the
         domain; a derivative that is not finite there is an error.  When a
         group fails, its points run one by one, so the jets before the
-        first failing point still come out, and that point raises what
-        `jet_at` raises on it.
+        first failing point still come out, and that point raises what it
+        raises alone.
         """
         points = list(points)
         for start in range(0, len(points), JET_GROUP):
@@ -220,11 +220,6 @@ class ChartSpec:
                 continue
             while jets:  # a jet handed out is no longer held here
                 yield jets.popleft()
-
-    def jet_at(self, p) -> Jet:
-        """The jet at p: `jets_at` of p alone."""
-        [jet] = self.jets_at([p])
-        return jet
 
     def _jets(self, group: list) -> list[Jet]:
         """One Taylor pass for a group of points, each checked by `eval_point`.

@@ -87,15 +87,15 @@ def run_selftest(seed: int = 42) -> bool:
     for k in range(10):
         m = 2 + k % 2
         pt = random_hermitian_point(m, rng)
-        S = random_j_invariant_bilinear(pt, rng)
-        frame = adapted_eigenframe(S)
-        rebuilt = np.zeros_like(S.values)
-        for i, lam in enumerate(frame.eigenvalues):
-            for v in (frame.basis[:, 2 * i], frame.basis[:, 2 * i + 1]):
-                flat = pt.g @ v
-                rebuilt += lam * np.outer(flat, flat)
-        worst = max(worst, float(np.max(np.abs(S.values - rebuilt))))
-    check("adapted eigenframe reconstructs S", worst < 1e-9, f"max gap {worst:.3e}")
+        # a random S has single J-planes as eigenspaces; for an Einstein S = 3g the
+        # whole space is one eigenspace
+        for S in (random_j_invariant_bilinear(pt, rng), Bilinear(pt, 3.0 * pt.g)):
+            frame = adapted_eigenframe(S)
+            flat = pt.g @ frame.basis
+            lam = np.repeat(frame.eigenvalues, 2)
+            worst = max(worst, float(np.max(np.abs(S.values - (flat * lam) @ flat.T))))
+    check("adapted eigenframe reconstructs random and Einstein S", worst < 1e-9,
+          f"max gap {worst:.3e}")
 
     worst = 0.0
     for k in range(10):

@@ -3,7 +3,8 @@ expectation formulas that the packaged `.ahm` files and the expectation
 table in `ahgeom.models` were written from.
 
 The generators vary the parameters the bundled files fix (m, c, r1, r2),
-so tests can also build charts that are not bundled.
+so tests can also build charts that are not bundled.  `jet_at` is the jet
+of a chart at one point, for tests that look at points one at a time.
 """
 
 from ahgeom.analysis import (
@@ -12,6 +13,13 @@ from ahgeom.analysis import (
     REAL_SPACE_FORM,
 )
 from ahgeom.models import ExpectedProfile
+
+
+def jet_at(chart, p):
+    """The jet of `chart` at p: `ChartSpec.jets_at` of p alone."""
+    [jet] = chart.jets_at([p])
+    return jet
+
 
 # Cayley multiplication table on the 7 imaginary units: each line (a, b, c)
 # means e_a e_b = e_c cyclically (the e_n e_{n+1} = e_{n+3} convention).

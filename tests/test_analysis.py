@@ -12,6 +12,7 @@ from ahgeom.analysis import (
     NOT_CONSTANT_ANTIHOLOMORPHIC,
     REAL_SPACE_FORM,
     CurvatureStats,
+    SpectralFrame,
     adapted_eigenframe,
     bianchi2_residual,
     classify,
@@ -39,7 +40,7 @@ from ahgeom.tensor_core import (
     pi2,
     sectional_curvature,
 )
-from model_oracles import product_spheres_chart_text
+from model_oracles import jet_at, product_spheres_chart_text
 
 ZERO_CLASS = ClassResiduals(kahler=0.0, nearly_kahler=0.0, almost_kahler=0.0)
 
@@ -179,7 +180,7 @@ def _bit_for_bit_cases():
     for name in ("cp3", "s6"):
         chart = get_model(name).chart
         for i, p in enumerate(chart.default_points):
-            yield pytest.param(riemann(chart.jet_at(p)), id=f"{name}-{i}")
+            yield pytest.param(riemann(jet_at(chart, p)), id=f"{name}-{i}")
 
 
 class TestBatchMatchesPerPlaneReference:
@@ -220,7 +221,7 @@ class TestConstancy:
 
     def test_product_spheres_deviate(self):
         chart = get_model("s2xs2").chart
-        R = riemann(chart.jet_at((0.0, 0.0, 0.0, 0.0)))
+        R = riemann(jet_at(chart, (0.0, 0.0, 0.0, 0.0)))
         rng = np.random.default_rng(4)
         stats = constancy(R, sample_antiholomorphic_planes(R.point, 256, rng))
         assert stats.max_deviation > 0.1
@@ -276,6 +277,22 @@ class TestAdaptedEigenframe:
         with pytest.raises(InvariantViolation, match="J-invariant"):
             adapted_eigenframe(S)
 
+    def test_four_dimensional_eigenspace_on_a_random_point(self):
+        # eigenvalues 1, 1, 3 on the J-planes of a J-adapted g-orthonormal frame
+        rng = np.random.default_rng(8)
+        pt = random_hermitian_point(3, rng)
+        cols = []
+        for _ in range(pt.m):
+            v = rng.standard_normal(pt.dim)
+            v = v - sum((c @ pt.g @ v) * c for c in cols)
+            v = v / np.sqrt(v @ pt.g @ v)
+            cols += [v, pt.J @ v]
+        flat = pt.g @ np.column_stack(cols)
+        S = Bilinear(pt, (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T)
+        frame = adapted_eigenframe(S)
+        assert frame.eigenvalues == pytest.approx((1.0, 1.0, 3.0))
+        self._check_frame(S, frame)
+
     def test_merges_close_eigenvalues(self):
         pt = HermitianPoint.standard_flat(2)
         noise = 1e-10
@@ -292,14 +309,14 @@ class TestAdaptedEigenframe:
 class TestEinsteinResidual:
     def test_unit_sphere(self):
         chart = get_model("s6").chart
-        S = ricci(riemann(chart.jet_at(chart.default_points[1])))
+        S = ricci(riemann(jet_at(chart, chart.default_points[1])))
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(5.0, abs=1e-4)
         assert res < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        S = ricci(riemann(chart.jet_at(chart.default_points[1])))
+        S = ricci(riemann(jet_at(chart, chart.default_points[1])))
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(6.0, abs=1e-4)
         assert res < 1e-4
@@ -314,12 +331,12 @@ class TestEinsteinResidual:
 class TestDecompositionResidual:
     def test_unit_sphere_fixture(self):
         chart = get_model("s6").chart
-        R = riemann(chart.jet_at(chart.default_points[1]))
+        R = riemann(jet_at(chart, chart.default_points[1]))
         assert decomposition_residual(R, ricci(R), 1.0, tol=1e-4) < 1e-5
 
     def test_cp2_fixture(self):
         chart = get_model("cp2").chart
-        R = riemann(chart.jet_at(chart.default_points[1]))
+        R = riemann(jet_at(chart, chart.default_points[1]))
         assert decomposition_residual(R, ricci(R), 1.0, tol=1e-4) < 1e-5
 
     def test_linear_perturbation(self):
@@ -347,30 +364,31 @@ class TestDecompositionResidual:
 class TestBianchi2Residual:
     def test_flat_chart(self):
         chart = get_model("flat2").chart
-        assert bianchi2_residual(nabla_R(chart.jet_at((0.1, 0.2, -0.3, 0.0)))) < 1e-8
+        assert bianchi2_residual(nabla_R(jet_at(chart, (0.1, 0.2, -0.3, 0.0)))) < 1e-8
 
     def test_unit_sphere(self):
         chart = get_model("s6").chart
-        assert bianchi2_residual(nabla_R(chart.jet_at(chart.default_points[1]))) < 1e-4
+        assert bianchi2_residual(nabla_R(jet_at(chart, chart.default_points[1]))) < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        assert bianchi2_residual(nabla_R(chart.jet_at(chart.default_points[1]))) < 1e-4
+        assert bianchi2_residual(nabla_R(jet_at(chart, chart.default_points[1]))) < 1e-4
 
 
 class TestProofRelation:
     @staticmethod
-    def _residual_at(chart, p):
-        R = riemann(chart.jet_at(p))
+    def _inputs_at(chart, p):
+        """The adapted frame, nabla S, nabla J and nu at p."""
+        jet = jet_at(chart, p)
+        R = riemann(jet)
         pt = R.point
-        S = ricci(R)
-        NR = nabla_R(chart.jet_at(p))
-        NS = np.einsum("pq,kpabq->kab", np.linalg.inv(pt.g), NR)
-        NJ = nabla_J(chart.jet_at(p))
+        NS = np.einsum("pq,kpabq->kab", np.linalg.inv(pt.g), nabla_R(jet))
         rng = np.random.default_rng(6)
         nu = constancy(R, sample_antiholomorphic_planes(pt, 128, rng)).mean
-        frame = adapted_eigenframe(S, 1e-4)
-        return proof_relation_32_residual(frame, NS, NJ, nu)
+        return adapted_eigenframe(ricci(R), 1e-4), NS, nabla_J(jet), nu
+
+    def _residual_at(self, chart, p):
+        return proof_relation_32_residual(*self._inputs_at(chart, p))
 
     def test_unit_sphere(self):
         # nabla S = 0 and the nearly Kahler condition kill both summands
@@ -384,6 +402,23 @@ class TestProofRelation:
     def test_flat(self):
         chart = get_model("flat2").chart
         assert self._residual_at(chart, (0.1, 0.2, -0.3, 0.0)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["s6", "cp2", "cp3", "ch2", "flat2"])
+    def test_any_adapted_frame_on_space_forms(self, name):
+        # every term vanishes on a space form, so turning each e_i within
+        # span{e_i, Je_i} keeps the residual at rounding level
+        chart = get_model(name).chart
+        rng = np.random.default_rng(9)
+        for p in chart.default_points:
+            frame, NS, NJ, nu = self._inputs_at(chart, p)
+            pt = frame.point
+            e, je = frame.basis[:, 0::2], frame.basis[:, 1::2]
+            for _ in range(20):
+                theta = rng.uniform(0.0, 2.0 * np.pi, pt.m)
+                turned = np.cos(theta) * e + np.sin(theta) * je
+                basis = np.column_stack([c for v in turned.T for c in (v, pt.J @ v)])
+                rotated = SpectralFrame(pt, basis, frame.eigenvalues)
+                assert proof_relation_32_residual(rotated, NS, NJ, nu) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +473,12 @@ class TestClassify:
 
     def test_product_tensor_is_not_constant(self):
         chart = get_model("s2xs2").chart
-        R = riemann(chart.jet_at((0.0, 0.0, 0.0, 0.0)))
+        R = riemann(jet_at(chart, (0.0, 0.0, 0.0, 0.0)))
         S = ricci(R)
         rng = np.random.default_rng(9)
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng))
-        cls = class_residuals(nabla_J(chart.jet_at((0.0,) * 4)), R.point.g)
+        cls = class_residuals(nabla_J(jet_at(chart, (0.0,) * 4)), R.point.g)
         verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(S), cls, holo, anti,
                            1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
@@ -452,12 +487,12 @@ class TestClassify:
         # holomorphic planes give 1, mixed antiholomorphic give 0: tilted
         # planes break constancy even with equal radii
         chart = parse_chart(product_spheres_chart_text(1.0, 1.0))
-        R = riemann(chart.jet_at((0.0, 0.0, 0.0, 0.0)))
+        R = riemann(jet_at(chart, (0.0, 0.0, 0.0, 0.0)))
         rng = np.random.default_rng(10)
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 1000, rng))
         assert anti.max_deviation > 0.1
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
-        cls = class_residuals(nabla_J(chart.jet_at((0.0,) * 4)), R.point.g)
+        cls = class_residuals(nabla_J(jet_at(chart, (0.0,) * 4)), R.point.g)
         verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(ricci(R)), cls, holo,
                            anti, 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
