@@ -2,7 +2,9 @@
 
 A chart file is line oriented; `#` starts a comment.  Recognized lines:
 
-    dim = <m>                    complex dimension (real dimension is 2m)
+    dim = <m>                    complex dimension (real dimension is 2m),
+                                 1 <= m <= MAX_DIM = 6, as a jet's memory
+                                 grows about as m^5
     coords = <id> <id> ...       exactly 2m coordinate names
     domain <id> = <lo> <hi>      closed interval, default unbounded; every
                                  point where g and J are evaluated (and
@@ -54,6 +56,7 @@ __all__ = [
     "ChartEvalError",
     "DomainError",
     "ChartSpec",
+    "MAX_DIM",
     "parse_chart",
 ]
 
@@ -76,6 +79,13 @@ class DomainError(ChartError):
     pass
 
 
+# The largest complex dimension a chart file may declare, as MAX_DEPTH bounds
+# an expression.  A jet's memory grows about as (2m)^5: analyzing 16 points
+# of g = delta/(1+|x|^2)^2 peaks at 2.9 MB of Python allocations at m = 3
+# and 74 MB at m = 6, so m = 12 would need gigabytes.  The bundled models
+# have m <= 3.
+MAX_DIM = 6
+
 # Points per Taylor pass in `ChartSpec.jets_at`.  Per point, a cp3 pass
 # costs about the same from 8 points up, while its arrays grow with the
 # group; a fixed size keeps a long run's memory from growing with its length.
@@ -83,12 +93,11 @@ JET_GROUP = 16
 
 
 class _Layout(NamedTuple):
-    """Where the values of a chart program go; the same for every chart of
-    one dimension, so `_layout` builds it once per dimension."""
+    """Where g's program puts each entry, and the tables of the Taylor pass;
+    the same for every chart of one dimension, so `_layout` builds it once."""
 
-    upper: tuple[tuple[int, int], ...]  # g's upper triangle, the program's first values
-    g_index: np.ndarray  # (n, n) positions of g's entries among the values
-    j_index: np.ndarray  # (n, n) positions of J's entries, after g's
+    upper: tuple[tuple[int, int], ...]  # g's upper triangle, the order of g's program
+    g_index: np.ndarray  # (n, n) positions of g's entries among the program's values
     lines: np.ndarray  # (d, n) directions of the Taylor pass
     recover: tuple[np.ndarray, ...]  # per k: degree-k coefficients -> distinct derivatives
     gather: tuple[np.ndarray, ...]  # per k: distinct derivatives of g -> all ordered ones
@@ -111,7 +120,6 @@ def _layout(n: int) -> _Layout:
     upper = tuple((i, j) for i in range(n) for j in range(i, n))
     slot = {cell: k for k, cell in enumerate(upper)}
     g_index = np.array([[slot[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
-    j_index = len(upper) + np.arange(n * n).reshape(n, n)
     lines = np.array([np.bincount(c, minlength=n)
                       for c in combinations_with_replacement(range(n), 3)], dtype=float)
     recover, gather = [], []
@@ -125,9 +133,9 @@ def _layout(n: int) -> _Layout:
         where = {c: u for u, c in enumerate(cells)}
         cell = np.array([where[tuple(sorted(ix))] for ix in np.ndindex(*(n,) * k)])
         gather.append((g_index[:, :, None] * len(cells) + cell).reshape((n,) * (k + 2)))
-    for table in (g_index, j_index, lines, *recover, *gather):
+    for table in (g_index, lines, *recover, *gather):
         table.setflags(write=False)
-    return _Layout(upper, g_index, j_index, lines, tuple(recover), tuple(gather))
+    return _Layout(upper, g_index, lines, tuple(recover), tuple(gather))
 
 
 @dataclass(frozen=True)
@@ -136,10 +144,10 @@ class ChartSpec:
     model or file, is one of these.
 
     Structural equality compares dimensions, names, domains, default points
-    and the (normalized) expression tables.  The first table lookup compiles
-    every g and J entry into one generated function that computes each
-    distinct subexpression once, so each new point costs one `evaluate`;
-    `jets_at` runs the same function on Taylor series, once for a whole
+    and the (normalized) expression tables.  g's upper triangle and J, row by
+    row, are two programs, each compiled on first use into a function that
+    computes each distinct subexpression once.  `metric_at` runs only g's and
+    `j_at` only J's; `jets_at` runs each on Taylor series, once for a whole
     group of points.
 
     It alone decides where g and J may be evaluated: every such point
@@ -155,16 +163,17 @@ class ChartSpec:
     default_points: tuple[tuple[float, ...], ...]
 
     @cached_property
-    def _program(self) -> tuple[Compiled, _Layout]:
-        """g's upper triangle, then J, row by row, compiled as one program,
-        and the `_layout` of the chart's dimension."""
-        layout = _layout(2 * self.m)
-        exprs = [self.metric_exprs[i][j] for i, j in layout.upper]
-        exprs += [e for row in self.j_exprs for e in row]
-        return compile_expressions(exprs), layout
+    def _metric_program(self) -> Compiled:
+        """g's upper triangle, in `_layout` order."""
+        return compile_expressions(self.metric_exprs[i][j] for i, j in _layout(2 * self.m).upper)
 
-    def _values(self, p) -> np.ndarray:
-        """`evaluate` of the program at p, checked first."""
+    @cached_property
+    def _j_program(self) -> Compiled:
+        """J, row by row."""
+        return compile_expressions(e for row in self.j_exprs for e in row)
+
+    def _values(self, program: Compiled, p) -> np.ndarray:
+        """`evaluate` of one of the chart's programs at p, checked first."""
         p = np.asarray(p, dtype=float)
         if p.shape != (2 * self.m,):
             raise ChartEvalError(f"point must have {2 * self.m} coordinates, got {p.shape}")
@@ -174,15 +183,15 @@ class ChartSpec:
             if not lo <= x <= hi:
                 raise DomainError(f"coordinate {name} = {x!r} outside domain [{lo}, {hi}]")
         try:
-            return evaluate(self._program[0], dict(zip(self.coord_names, p.tolist())))
+            return evaluate(program, dict(zip(self.coord_names, p.tolist())))
         except ExprEvalError as exc:
             raise ChartEvalError(str(exc)) from exc
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
-        return self._values(p)[self._program[1].g_index]
+        return self._values(self._metric_program, p)[_layout(2 * self.m).g_index]
 
     def j_at(self, p: np.ndarray) -> np.ndarray:
-        return self._values(p)[self._program[1].j_index]
+        return self._values(self._j_program, p).reshape(2 * self.m, 2 * self.m)
 
     def eval_point(self, p) -> HermitianPoint:
         """g and J at p, with the almost Hermitian invariants verified.
@@ -231,24 +240,24 @@ class ChartSpec:
         downstream rounds by its operands' memory layout, so that stays fixed.
         """
         points = [self.eval_point(p) for p in group]
-        compiled, layout = self._program
-        n, upper = 2 * self.m, slice(len(layout.upper))
-        coords = np.array(group, dtype=float)
+        n, layout = 2 * self.m, _layout(2 * self.m)
+        env = dict(zip(self.coord_names, np.array(group, dtype=float).T))
+        lines = dict(zip(self.coord_names, layout.lines.T))
         try:
-            coeffs = evaluate(compiled, dict(zip(self.coord_names, coords.T)),
-                              dict(zip(self.coord_names, layout.lines.T)))
+            g_coeffs, j_coeffs = (evaluate(program, env, lines)
+                                  for program in (self._metric_program, self._j_program))
         except ExprEvalError as exc:
             raise ChartEvalError(str(exc)) from exc
 
-        def derivatives(k: int, rows: slice) -> np.ndarray:
-            flat = np.einsum("upd,xd->pux", coeffs[rows, k - 1], layout.recover[k - 1])
+        def derivatives(coeffs: np.ndarray, k: int) -> np.ndarray:
+            flat = np.einsum("upd,xd->pux", coeffs[:, k - 1], layout.recover[k - 1])
             return flat.reshape(len(group), -1)
 
         def at(block: np.ndarray) -> np.ndarray:
             return np.moveaxis(block, (0, 1), (-2, -1))
 
-        dg, ddg, dddg = (derivatives(k, upper) for k in (1, 2, 3))
-        dJ = derivatives(1, slice(upper.stop, None)).reshape(len(group), n, n, n)
+        dg, ddg, dddg = (derivatives(g_coeffs, k) for k in (1, 2, 3))
+        dJ = derivatives(j_coeffs, 1).reshape(len(group), n, n, n)
         g1, g2, g3 = layout.gather
         return [Jet(point, at(dg[i][g1]), at(ddg[i][g2]), at(dddg[i][g3]), at(dJ[i]))
                 for i, point in enumerate(points)]
@@ -299,6 +308,8 @@ def parse_chart(text: str) -> ChartSpec:
             m = int(rhs)
             if m < 1:
                 raise ChartSyntaxError(f"dim must be >= 1 (line {lineno})")
+            if m > MAX_DIM:
+                raise ChartSyntaxError(f"dim must be <= {MAX_DIM} (line {lineno})")
         elif lhs == "coords":
             if coords is not None:
                 raise ChartSyntaxError(f"duplicate 'coords' (line {lineno})")

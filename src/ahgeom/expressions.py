@@ -24,7 +24,9 @@ subtree once, as a local, and `evaluate` calls it once per point and
 returns every value, bit for bit what each expression gives on its own.
 Given directions, `evaluate` runs the same function once for a whole group
 of points on Taylor series, for the exact derivatives of every expression
-along every direction at every point of the group.
+along every direction at every point of the group.  Every program has the
+same globals table: each of the seven functions there takes a float, for
+which it is the `math` function, or a Taylor series.
 When that call fails, `evaluate` finds the first failing point by running
 each point of the group on its own, then the first failing expression by
 compiling each on its own, so every error comes from the same generated
@@ -38,8 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from types import CodeType, FunctionType
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -422,8 +423,7 @@ def _apply(name: str, x):
     return _per_point(x, _TAYLOR[name]) if isinstance(x, _Series) else FUNCTIONS[name](x)
 
 
-_EVAL_GLOBALS = {"__builtins__": {}, **FUNCTIONS}
-_SERIES_GLOBALS = {"__builtins__": {}, **{name: partial(_apply, name) for name in FUNCTIONS}}
+_GLOBALS = {"__builtins__": {}, **{name: partial(_apply, name) for name in FUNCTIONS}}
 # (-1)**0.5 is complex, so it fails the conversion to float with TypeError.
 _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, TypeError)
 
@@ -432,13 +432,13 @@ _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, TypeError)
 class Compiled:
     """Expressions compiled into one function that yields all their values.
 
-    `code` is the code object of that function; its parameters are
-    `variables`, in order, and it returns one value per expression.
+    `function` takes `variables`, in order, as floats or all as Taylor
+    series, and returns one value per expression.
     """
 
     exprs: tuple[Expr, ...]
     variables: tuple[str, ...]
-    code: CodeType
+    function: Callable[..., tuple]
 
 
 def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
@@ -482,8 +482,8 @@ def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
     source = "\n".join([f"def program({', '.join(variables)}):", *body,
                         f"    return ({''.join(v + ', ' for v in values)})"])
     namespace: dict = {}
-    exec(compile(source, "<chart expressions>", "exec"), _EVAL_GLOBALS, namespace)
-    return Compiled(exprs, variables, namespace["program"].__code__)
+    exec(compile(source, "<chart expressions>", "exec"), _GLOBALS, namespace)
+    return Compiled(exprs, variables, namespace["program"])
 
 
 def evaluate(compiled: Compiled, env: Mapping[str, float],
@@ -503,20 +503,18 @@ def evaluate(compiled: Compiled, env: Mapping[str, float],
     """
     if directions is None:
         points = [dict(env)]
-        program = FunctionType(compiled.code, _EVAL_GLOBALS)
         args = [env[name] for name in compiled.variables]
     else:
         columns = {name: np.asarray(v, dtype=float).reshape(-1, 1) for name, v in env.items()}
         points = [dict(zip(columns, row))
                   for row in zip(*(c.ravel().tolist() for c in columns.values()))]
         none = np.zeros((3, len(points), len(next(iter(directions.values())))))
-        program = FunctionType(compiled.code, _SERIES_GLOBALS)
         args = [_Series(columns[name], np.stack([np.broadcast_to(directions[name], none[0].shape),
                                                  none[0], none[0]]))
                 for name in compiled.variables]
     try:
         with np.errstate(all="ignore"):  # a non-finite value is refused below
-            out = program(*args)
+            out = compiled.function(*args)
             values = np.array(out, dtype=float) if directions is None else \
                 np.array([v.hi if isinstance(v, _Series) else none for v in out])
         if np.isfinite(values).all():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
@@ -71,16 +71,40 @@ class PointReport:
     verdict: Verdict
 
 
+def _non_finite(value, key: str = "") -> str | None:
+    """The key of the first non-finite float in a record, as "holomorphic.mean",
+    or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    if is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):  # the record's one tuple, its point, is checked by the chart
+        for k, v in value.items():
+            if (bad := _non_finite(v, k)) is not None:
+                return f"{key}.{bad}" if key else bad
+    return None
+
+
+# Non-finite values are refused below: einsum overflows to inf without
+# raising, so a raising errstate would not catch them all.
+@np.errstate(all="ignore")
 def analyze_point(jet: Jet, p: tuple[float, ...], index: int, *, tol: float,
                   samples: int, seed: int) -> PointReport:
     """Run every check on the jet at the point p, the index-th of its run;
-    deterministic for fixed arguments."""
+    deterministic for fixed arguments.
+
+    A chart whose values overflow on the way is an InvariantViolation naming
+    p: when R, nabla J or nabla R is not finite, or any float of the record.
+    """
     R = calculus.riemann(jet)
     pt = R.point
     S = calculus.ricci(R)
     NJ = calculus.nabla_J(jet)
     cls = calculus.class_residuals(NJ, pt.g)
     NR = calculus.nabla_R(jet)
+    for name, values in (("R", R.values), ("nabla J", NJ), ("nabla R", NR)):
+        if not np.isfinite(values).all():
+            raise InvariantViolation(f"{name} is not finite at point {list(p)}")
     # metric compatibility lets nabla S come from contracting nabla R
     NS = np.einsum("pq,kpabq->kab", pt.g_inv, NR)
 
@@ -107,7 +131,7 @@ def analyze_point(jet: Jet, p: tuple[float, ...], index: int, *, tol: float,
     gray = calculus.gray_ak2_residual(R, NJ)
     verdict = classify(R, ah["AH3"], (lam, einstein_defect), cls, holo, anti, tol)
 
-    return PointReport(
+    record = PointReport(
         point=p,
         flags={flag: r <= tol for flag, r in by_flag.items()},
         class_residuals=cls,
@@ -123,6 +147,10 @@ def analyze_point(jet: Jet, p: tuple[float, ...], index: int, *, tol: float,
         gray_ak2_residual=gray,
         verdict=verdict,
     )
+    bad = _non_finite(record)
+    if bad is not None:
+        raise InvariantViolation(f"{bad} is not finite at point {list(p)}")
+    return record
 
 
 def _overall_verdict(points: list[PointReport]) -> Verdict:

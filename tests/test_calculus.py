@@ -133,6 +133,12 @@ def conformal_chart(src):
                        "J[2][1] = 1\nJ[1][2] = -1\n")
 
 
+def j_chart(src):
+    """Flat R^2 with J[2][1] = src: src must evaluate to 1 for J to be a structure."""
+    return parse_chart(f"dim = 1\ncoords = x y\ng[1][1] = 1\ng[2][2] = 1\n"
+                       f"J[2][1] = {src}\nJ[1][2] = -1\n")
+
+
 AT = (R_(3, 10), R_(7, 10))
 ORIGIN = (R_(0), R_(0))
 
@@ -353,7 +359,10 @@ class TestStackedJets:
     @pytest.mark.parametrize("chart, points, error", [
         (conformal_chart("1.0+sqrt(x^2)"), [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
         (CP1, [(0.1, 0.2), (2.5, 0.0), (0.0, 0.0)], DomainError),
-    ], ids=["non-finite-derivative", "outside-the-domain"])
+        (j_chart("1+0*log(x)"), [(0.5, 0.1), (-1.0, 0.0), (0.2, 0.2)], ChartEvalError),
+        (j_chart("1+0*sqrt(x^2)"), [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
+    ], ids=["non-finite-derivative", "outside-the-domain", "failing-j-entry",
+            "failing-j-derivative"])
     def test_a_failing_point_raises_what_it_raises_alone(self, chart, points, error):
         with pytest.raises(error) as alone:
             jet(chart, points[1])
@@ -365,6 +374,18 @@ class TestStackedJets:
         with pytest.raises(error) as analyzed:
             analyze_chart(chart, points)
         assert str(analyzed.value) == str(alone.value)
+
+    @pytest.mark.parametrize("src, p, message", [
+        ("1+0*log(x)", (-1.0, 0.0),
+         "cannot evaluate '1.0+0.0*log(x)' at {'x': -1.0, 'y': 0.0}: math domain error"),
+        ("1+0*sqrt(x^2)", (0.0, 0.5), "cannot evaluate a derivative of "
+         "'1.0+0.0*sqrt(x^2.0)' at {'x': 0.0, 'y': 0.5}: float division by zero"),
+    ], ids=["value", "derivative"])
+    def test_a_failing_j_entry_is_named(self, src, p, message):
+        # the jet's eval_point raises the first; only the Taylor pass fails the second
+        with pytest.raises(ChartEvalError) as err:
+            jet(j_chart(src), p)
+        assert str(err.value) == message
 
     def test_memory_stays_bounded_over_a_long_run(self):
         model = get_model("cp3")

@@ -20,7 +20,7 @@ from ahgeom.charts import (
 )
 from ahgeom.expressions import compile_expressions, evaluate, parse_expression, to_source
 from ahgeom.models import get_model, model_names
-from model_oracles import complex_space_form_chart_text
+from model_oracles import complex_space_form_chart_text, flat_chart_text
 
 MINIMAL_FLAT = """\
 # minimal flat chart
@@ -112,6 +112,11 @@ class TestParsing:
         # int() and float() would read these as 1, [-10, 10] and (0, 1)
         with pytest.raises(ChartSyntaxError, match=re.escape(message)):
             parse_chart(MINIMAL_FLAT.replace(old, new))
+
+    def test_dimension_is_bounded(self):
+        assert parse_chart(flat_chart_text(6)).m == 6
+        with pytest.raises(ChartSyntaxError, match=re.escape("dim must be <= 6 (line 2)")):
+            parse_chart(flat_chart_text(7))
 
     def test_coordinate_name_collision_with_function(self):
         with pytest.raises(ChartSyntaxError, match="collides"):
@@ -235,6 +240,18 @@ class TestCompiledTable:
         # 0.0 == -0.0, yet some of cp2's g entries take the sign of zero from the point
         assert tables[0] != tables[1]
 
+    def test_each_lookup_evaluates_only_its_own_entries(self, monkeypatch):
+        sizes = []
+
+        def counted(compiled, env, directions=None):
+            sizes.append(len(compiled.exprs))
+            return evaluate(compiled, env, directions)
+
+        monkeypatch.setattr(charts, "evaluate", counted)
+        spec = get_model("cp3").chart
+        spec.eval_point(spec.default_points[0])
+        assert sizes == [21, 36]  # g's upper triangle, then J
+
     def test_lives_and_dies_with_its_chart(self):
         before = _cache_sizes()
         p = np.array([0.1, -0.2, 0.3, 0.05])
@@ -242,7 +259,7 @@ class TestCompiledTable:
             chart = parse_chart(complex_space_form_chart_text(2, 1.0 + k / 100))
             chart.metric_at(p)
             if k == 0:
-                dropped = [weakref.ref(chart), weakref.ref(chart._program[0].code)]
+                dropped = [weakref.ref(chart), weakref.ref(chart._metric_program.function)]
         del chart
         gc.collect()
         assert [ref() for ref in dropped] == [None, None]

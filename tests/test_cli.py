@@ -7,7 +7,7 @@ import pytest
 
 from ahgeom.cli import main
 from ahgeom.expressions import MAX_DEPTH
-from model_oracles import complex_space_form_chart_text
+from model_oracles import complex_space_form_chart_text, flat_chart_text
 from test_expressions import HOSTILE, chain, chart_with_entry
 
 
@@ -26,6 +26,18 @@ J[3][4] = -1
 point = 0 0 0 0
 point = 0.3 -0.2 0.1 0.4
 """
+
+
+# Charts whose values overflow in the analysis, each at its one point
+OVERFLOWING = {
+    # pi1 = g (x) g overflows
+    "huge": "dim = 1\ncoords = x y\ng[1][1] = 1e200*(1+x^2)\ng[2][2] = 1e200*(1+x^2)\n"
+            "J[2][1] = 1\nJ[1][2] = -1\npoint = 0.3 0.2\n",
+    # Gamma . Gamma overflows in R
+    "steep": "dim = 2\ncoords = a b c d\ng[1][1] = exp(300*a)\ng[2][2] = exp(300*a)\n"
+             "g[3][3] = 1\ng[4][4] = 1\nJ[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\n"
+             "J[3][4] = -1\npoint = 2.3 0 0 0\n",
+}
 
 
 def run(capsys, *argv):
@@ -226,6 +238,26 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.startswith("analysis error: coordinate x1 = -inf is not finite")
+
+    @pytest.mark.parametrize("name, shown", [
+        ("huge", "decomposition_residual is not finite at point [0.3, 0.2]"),
+        ("steep", "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
+    ])
+    def test_overflow_is_an_error(self, tmp_path, capsys, name, shown):
+        path = tmp_path / f"{name}.ahm"
+        path.write_text(OVERFLOWING[name])
+        code, out, err = run(capsys, "analyze", "--chart", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == f"analysis error: {shown}\n"
+
+    def test_dimension_above_the_bound_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "flat7.ahm"
+        path.write_text(flat_chart_text(7))
+        code, out, err = run(capsys, "analyze", "--chart", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "analysis error: dim must be <= 6 (line 2)\n"
 
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "s6", "--point", "a,b")

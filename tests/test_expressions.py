@@ -174,27 +174,42 @@ def occurrences(expr, target):
 
 
 def instructions(compiled, opname):
-    return [ins for ins in dis.get_instructions(compiled.code) if ins.opname == opname]
+    return [ins for ins in dis.get_instructions(compiled.function) if ins.opname == opname]
+
+
+# A chart's two programs: g's upper triangle and J's rows.
+PROGRAMS = ("_metric_program", "_j_program")
 
 
 class TestSharedSubexpressions:
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["g", "J"])
     @pytest.mark.parametrize("name", sorted(model_names()))
-    def test_each_distinct_subtree_is_assigned_once(self, name):
-        compiled = get_model(name).chart._program[0]
+    def test_each_distinct_subtree_is_assigned_once(self, name, program):
+        compiled = getattr(get_model(name).chart, program)
         subtrees = set()
         for expr in compiled.exprs:
             non_leaf_subtrees(expr, subtrees)
         stored = [ins.argval for ins in instructions(compiled, "STORE_FAST")]
         assert len(stored) == len(set(stored)) == len(subtrees)
 
-    def test_s6_squared_norm_is_summed_once(self):
-        compiled = get_model("s6").chart._program[0]
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["g", "J"])
+    def test_s6_squared_norm_is_summed_once(self, program):
+        compiled = getattr(get_model("s6").chart, program)
         norm = parse_expression("x1^2+x2^2+x3^2+x4^2+x5^2+x6^2")
         assert sum(occurrences(expr, norm) for expr in compiled.exprs) > 1
         sums = {t for expr in compiled.exprs for t in non_leaf_subtrees(expr, set())
                 if isinstance(t, BinOp) and t.op == "+"}
         additions = [ins for ins in instructions(compiled, "BINARY_OP") if ins.argrepr == "+"]
         assert len(additions) == len(sums)
+
+    def test_s6_j_takes_its_own_square_root_once(self):
+        chart = get_model("s6").chart
+        root = parse_expression("sqrt(1-(x1^2+x2^2+x3^2+x4^2+x5^2+x6^2))")
+        assert not any(occurrences(expr, root) for expr in chart._metric_program.exprs)
+        assert sum(occurrences(expr, root) for expr in chart._j_program.exprs) > 1
+        calls = [ins for ins in instructions(chart._j_program, "LOAD_GLOBAL")
+                 if ins.argval == "sqrt"]
+        assert len(calls) == 1
 
     def test_equal_subtrees_across_expressions_share_one_value(self):
         exprs = [parse_expression(src) for src in ("sqrt(x*x+y)", "1/sqrt(x*x+y)", "x*x")]
