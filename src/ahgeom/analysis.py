@@ -2,10 +2,12 @@
 
 The sampling functions take an explicit seeded generator, never ambient
 random state, so every run is reproducible.  They draw a point's planes as
-one `Planes` batch, and `constancy` evaluates the batch in one
-`sectional_curvature` call.  All functions are pure and operate per point;
-multi-point constancy (`schur_check`) is a pure function of the per-point
-statistics and draws no planes of its own.
+one `Planes` batch in the metric's Cholesky frame (`HermitianPoint.frame`),
+where the g-unit sphere is the unit sphere, so the planes are uniform on it
+in any chart.  `constancy` evaluates the batch in one `sectional_curvature`
+call, which is one matrix product for the whole batch.  All functions are
+pure and operate per point; multi-point constancy (`schur_check`) is a pure
+function of the per-point statistics and draws no planes of its own.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .tensor_core import (
     Planes,
     build_from_decomposition,
     fit_pi_span,
-    row_apply,
-    row_inner,
     sectional_curvature,
 )
 
@@ -98,47 +98,61 @@ class SchurReport:
     spread: float
 
 
-def _g_units(g: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The rows of V scaled to g-unit length."""
-    return V / np.sqrt(row_inner(V, g, V))[:, None]
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The (n,) array of the Euclidean dot products A[i] @ B[i]."""
+    return np.einsum("ij,ij->i", A, B)
 
 
 def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
     """n orthonormal planes (x, y) with g(x, Jy) = 0, i.e. span(x,y) disjoint
-    from its J-image.  Deterministic for a fixed seed.
+    from its J-image, uniform on the g-unit sphere.  Deterministic for a
+    fixed seed.
 
-    One (n, 2, 2m) block of normals gives each plane's x and y draw, in the
-    stream order of drawing x then y plane by plane.  x is scaled to the
-    g-unit sphere; y is g-projected off {x, Jx} and normalized.  Rows whose
-    projection degenerates are drawn again in a further block, up to 100
-    rounds; only this path consumes the stream in a different order from
-    drawing each degenerate plane's y again before the next plane's x.
+    The planes are drawn in the metric's Cholesky frame (`ctx.frame`),
+    where g is the identity and J acts as K.  One (n, 2, 2m) block of
+    normals gives each plane's x and y draw, in the stream order of drawing
+    x then y plane by plane.  x is z / |z|; y is projected off {x, Kx} and
+    normalized.  Rows whose projection degenerates are drawn again in a
+    further block, up to 100 rounds; only this path consumes the stream in
+    a different order from drawing each degenerate plane's y again before
+    the next plane's x.  The batch then maps to coordinates with one matrix
+    product.
     """
     if ctx.m < 2:
         raise InvariantViolation("antiholomorphic planes need complex dimension m >= 2")
-    g = ctx.g
+    Linv, K = ctx.frame
     normals = rng.standard_normal((n, 2, ctx.dim))
-    X = _g_units(g, normals[:, 0])
-    JX = row_apply(ctx.J, X)
-    Y = np.empty_like(X)
+    XY = np.empty_like(normals)
+    X, Y = XY[:, 0], XY[:, 1]
+    X[:] = normals[:, 0] / np.sqrt(_row_dots(normals[:, 0], normals[:, 0]))[:, None]
+    KX = X @ K.T
     norm2 = np.empty(n)
-    rows = np.arange(n)
+    rows = slice(None)
     for attempt in range(100):
         draws = normals[:, 1] if attempt == 0 else rng.standard_normal((rows.size, ctx.dim))
-        x, jx = X[rows], JX[rows]
-        y = draws - row_inner(draws, g, x)[:, None] * x - row_inner(draws, g, jx)[:, None] * jx
+        x, kx = X[rows], KX[rows]
+        y = draws - _row_dots(draws, x)[:, None] * x - _row_dots(draws, kx)[:, None] * kx
         Y[rows] = y
-        norm2[rows] = row_inner(y, g, y)
-        rows = rows[~(norm2[rows] > 1e-12)]  # a NaN norm counts as degenerate
+        norm2[rows] = _row_dots(y, y)
+        rows = np.flatnonzero(~(norm2 > 1e-12))  # a NaN norm counts as degenerate
         if rows.size == 0:
-            return Planes(x=X, y=Y / np.sqrt(norm2)[:, None], kind="antiholomorphic")
+            Y /= np.sqrt(norm2)[:, None]
+            XY = (XY.reshape(2 * n, ctx.dim) @ Linv).reshape(n, 2, ctx.dim)
+            return Planes(x=XY[:, 0], y=XY[:, 1], kind="antiholomorphic")
     raise InvariantViolation("plane sampling degenerated 100 times in a row")
 
 
 def sample_holomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
-    """n planes spanned by (x, Jx) with x on the g-unit sphere."""
-    X = _g_units(ctx.g, rng.standard_normal((n, ctx.dim)))
-    return Planes(x=X, y=row_apply(ctx.J, X), kind="holomorphic")
+    """n planes spanned by (x, Jx), x uniform on the g-unit sphere.
+
+    x is z / |z| for a row z of one (n, 2m) block of normals, in the
+    metric's Cholesky frame (`ctx.frame`), mapped to coordinates with one
+    matrix product; the stream order is that of drawing x plane by plane.
+    """
+    Linv = ctx.frame[0]
+    Z = rng.standard_normal((n, ctx.dim))
+    X = (Z / np.sqrt(_row_dots(Z, Z))[:, None]) @ Linv
+    return Planes(x=X, y=X @ ctx.J.T, kind="holomorphic")
 
 
 def constancy(R: CurvatureTensor, planes: Planes) -> CurvatureStats:
@@ -169,9 +183,9 @@ def _cluster(eigenvalues: np.ndarray, merge_tol: float) -> list[slice]:
 def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
     """Diagonalize S relative to g by a J-adapted orthonormal basis.
 
-    Solves the symmetric eigenproblem of S in g-orthonormal coordinates
-    (g = L L^T), where J acts as K = L^T J L^-T; eigenvalues closer than
-    max(tol, 1e-8) are merged into one eigenspace.  With E an orthonormal
+    Solves the symmetric eigenproblem of S in the metric's Cholesky frame
+    (`HermitianPoint.frame`, g = L L^T), where J acts as K; eigenvalues
+    closer than max(tol, 1e-8) are merged into one eigenspace.  With E an orthonormal
     basis of an eigenspace and M = E^T K E, each +1 eigenvector x + iy of
     the Hermitian iM has Mx = y, so e comes from E x and Je from E y.  If
     an eigenspace has odd dimension or |KE - EM| exceeds max(tol, 1e-6),
@@ -179,11 +193,9 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
     """
     pt = S.point
     g, J = pt.g, pt.J
-    L = np.linalg.cholesky(g)
-    Linv = np.linalg.inv(L)
+    Linv, K = pt.frame
     A = Linv @ (0.5 * (S.values + S.values.T)) @ Linv.T
     w, V = np.linalg.eigh(0.5 * (A + A.T))
-    K = L.T @ J @ Linv.T
     basis_cols = []
     eigenvalues = []
     for block in _cluster(w, max(tol, 1e-8)):
@@ -196,7 +208,8 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
             )
         half = E.shape[1] // 2
         x = np.linalg.eigh(1j * M)[1][:, half:].real  # the eigenvalue +1 half
-        for e in _g_units(g, (Linv.T @ E @ x).T):
+        for e in (Linv.T @ E @ x).T:
+            e = e / np.sqrt(e @ g @ e)
             basis_cols += [e, J @ e]
         eigenvalues += [float(w[block].mean())] * half
     return SpectralFrame(point=pt, basis=np.column_stack(basis_cols),

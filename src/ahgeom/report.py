@@ -42,11 +42,18 @@ from .charts import ChartSpec
 from .models import ModelDescriptor
 from .tensor_core import InvariantViolation, ah_identity_residual, riemann_symmetry_residual
 
-__all__ = ["PointReport", "AnalysisReport", "analyze_chart", "analyze_model", "EXPECTED_TOL"]
+__all__ = ["PointReport", "AnalysisReport", "analyze_chart", "analyze_model", "EXPECTED_TOL",
+           "MAX_SAMPLES"]
 
 # Comparison width for expected-vs-observed constants (Einstein constant,
 # curvature constants, verdict constants, multi-point spread).
 EXPECTED_TOL = 1e-3
+
+# The most planes a run may sample per kind and point, as charts.MAX_DIM
+# bounds a chart's dimension.  A point's planes are analyzed as one batch,
+# whose arrays take about 0.7 KB per plane at m = 3 and 2.8 KB at m = 6
+# (peak Python allocations), so this bound keeps one batch under 300 MB.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -303,6 +310,8 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     if points is None:

@@ -15,7 +15,7 @@ is ``R(x, y, y, x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +34,6 @@ __all__ = [
     "ah_identity_residual",
     "riemann_symmetry_residual",
     "sectional_curvature",
-    "row_inner",
-    "row_apply",
     "build_from_decomposition",
     "fit_pi_span",
 ]
@@ -72,11 +70,18 @@ class HermitianPoint:
 
     Invariants, each enforced to INVARIANT_TOL (absolute, entrywise):
     g symmetric positive definite, J @ J = -Id, and J^T g J = g.
+
+    frame = (Linv, K) is the metric's Cholesky frame, from the one
+    factorization g = L L^T that also checks positive definiteness.  Its
+    basis is the columns of L^-T, which are g-orthonormal: a row v of frame
+    components has the coordinates v @ Linv, with Linv = L^-1.  K = L^T J L^-T
+    is J in that frame, an orthogonal matrix with K @ K = -Id.
     """
 
     m: int
     g: np.ndarray
     J: np.ndarray
+    frame: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -88,7 +93,7 @@ class HermitianPoint:
         if sym > INVARIANT_TOL:
             raise InvariantViolation(f"metric not symmetric: max |g - g^T| = {sym:.3e}")
         try:
-            np.linalg.cholesky(self.g)
+            L = np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:
             raise InvariantViolation("metric not positive definite") from None
         jj = float(np.max(np.abs(self.J @ self.J + np.eye(n))))
@@ -99,6 +104,11 @@ class HermitianPoint:
             raise InvariantViolation(
                 f"J not compatible with metric: max |J^T g J - g| = {comp:.3e}"
             )
+        Linv = np.linalg.inv(L)
+        K = L.T @ self.J @ Linv.T
+        Linv.setflags(write=False)
+        K.setflags(write=False)
+        object.__setattr__(self, "frame", (Linv, K))
 
     @property
     def dim(self) -> int:
@@ -155,6 +165,18 @@ class CurvatureTensor:
         n = self.point.dim
         object.__setattr__(self, "values", _frozen_array(self.values, (n, n, n, n)))
 
+    @cached_property
+    def _plane_form(self) -> np.ndarray:
+        """The (b, 2b) matrix [-R | G] on the index pairs i < j, b = n(n-1)/2,
+        with R[(ij), (kl)] = R(e_i, e_j, e_k, e_l) and
+        G[(ij), (kl)] = g_ik g_jl - g_il g_jk, the metric of bivectors."""
+        g = self.point.g
+        i, j = np.triu_indices(self.point.dim, 1)
+        G = g[i][:, i] * g[j][:, j] - g[i][:, j] * g[j][:, i]
+        form = np.hstack([-self.values[i, j][:, i, j], G])
+        form.setflags(write=False)
+        return form
+
 
 @dataclass(frozen=True, eq=False)
 class Planes:
@@ -183,23 +205,6 @@ class Planes:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-
-def row_inner(A: np.ndarray, M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The (n,) array of A[i] @ M @ B[i], or of A[i] @ M[i] @ B[i] for a
-    stack of n matrices M.
-
-    Each row rounds exactly like the single-vector ``a @ M @ b``: the
-    stacked matmuls take the same per-vector BLAS paths (vector-matrix,
-    then dot).  ``A @ M`` as one matrix product, or an einsum, sums in
-    another order and changes the last bits.
-    """
-    return ((A[:, None, :] @ M) @ B[:, :, None])[:, 0, 0]
-
-
-def row_apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The (n, d) array of M @ X[i], each row rounded like ``M @ x``."""
-    return (M @ X[:, :, None])[:, :, 0]
 
 
 def psi(Q: Bilinear) -> CurvatureTensor:
@@ -299,23 +304,23 @@ def riemann_symmetry_residual(R: CurvatureTensor) -> float:
 def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
     """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant.
 
-    Raises InvariantViolation naming the first plane whose Gram determinant
-    is below 1e-12.  R is contracted with x first, then with x again and y
-    twice, all as stacked matrix products: each plane rounds exactly like
-    the same products for that plane alone.
+    The Rayleigh quotient of R on bivectors: with w = x ^ y, whose
+    components are w_ij = x_i y_j - x_j y_i for i < j, one matrix product
+    of the batch's w with R's cached plane form gives both the numerator
+    R(x, y, y, x) and the Gram determinant g(x,x) g(y,y) - g(x,y)^2 = |w|_g^2.
+    Exact for tensors antisymmetric in each index pair, as curvature
+    tensors are.  Raises InvariantViolation naming the first plane whose
+    Gram determinant is below 1e-12.
     """
-    g = R.point.g
     X, Y = planes.x, planes.y
-    den = row_inner(X, g, X) * row_inner(Y, g, Y) - row_inner(X, g, Y) ** 2
+    i, j = np.triu_indices(X.shape[1], 1)
+    W = X[:, i] * Y[:, j] - X[:, j] * Y[:, i]
+    num, den = np.einsum("nkb,nb->kn", (W @ R._plane_form).reshape(len(W), 2, i.size), W)
     bad = np.flatnonzero(den < 1e-12)
     if bad.size:
-        i = int(bad[0])
-        raise InvariantViolation(f"degenerate plane {i}: Gram determinant {den[i]:.3e}")
-    n, d = X.shape
-    # xR[s, j, k] = R(x_s, e_j, e_k, x_s)
-    xR = ((X[:, None, :] @ R.values.reshape(d, -1)).reshape(n, d * d, d)
-          @ X[:, :, None]).reshape(n, d, d)
-    return row_inner(Y, xR, Y) / den
+        k = int(bad[0])
+        raise InvariantViolation(f"degenerate plane {k}: Gram determinant {den[k]:.3e}")
+    return num / den
 
 
 def build_from_decomposition(S: Bilinear, nu: float, *,

@@ -7,6 +7,7 @@ import pytest
 
 from ahgeom.cli import main
 from ahgeom.expressions import MAX_DEPTH
+from ahgeom.report import MAX_SAMPLES
 from model_oracles import complex_space_form_chart_text, flat_chart_text
 from test_expressions import HOSTILE, chain, chart_with_entry
 
@@ -167,7 +168,8 @@ class TestAnalyze:
         assert "domain" in err.lower()
 
     @pytest.mark.parametrize("option", ["--tol=nan", "--tol=inf", "--tol=-1e-4", "--tol=0",
-                                        "--samples=0", "--seed=-1"])
+                                        "--samples=0", f"--samples={MAX_SAMPLES + 1}",
+                                        "--seed=-1"])
     def test_bad_numeric_option_exits_2(self, capsys, option):
         code, out, err = run(capsys, "analyze", "--model", "flat2", option)
         assert code == 2
