@@ -27,6 +27,7 @@ from .charts import ChartError, ChartSpec, parse_chart
 from .calculus import (
     class_residuals,
     gray_ak2_residual,
+    in_frame,
     nabla_J,
     nabla_R,
     ricci,

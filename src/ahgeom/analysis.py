@@ -1,13 +1,12 @@
 """Plane statistics, adapted frames, residual checks and the verdict.
 
-The sampling functions take an explicit seeded generator, never ambient
-random state, so every run is reproducible.  They draw a point's planes as
-one `Planes` batch in the metric's Cholesky frame (`HermitianPoint.frame`),
-where the g-unit sphere is the unit sphere, so the planes are uniform on it
-in any chart.  `constancy` evaluates the batch in one `sectional_curvature`
-call, which is one matrix product for the whole batch.  All functions are
-pure and operate per point; multi-point constancy (`schur_check`) is a pure
-function of the per-point statistics and draws no planes of its own.
+Every function takes tensors in an orthonormal frame (`calculus.in_frame`,
+g = Id) and reads only J and m from the point.  The samplers take an
+explicit seeded generator, so every run is reproducible, and draw a point's
+planes as one `Planes` batch, uniform on the unit sphere; `constancy`
+evaluates it in one `sectional_curvature` call, one matrix product.  All
+functions are pure and operate per point; multi-point constancy
+(`schur_check`) is a pure function of the per-point statistics.
 """
 
 from __future__ import annotations
@@ -104,54 +103,45 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
-    """n orthonormal planes (x, y) with g(x, Jy) = 0, i.e. span(x,y) disjoint
-    from its J-image, uniform on the g-unit sphere.  Deterministic for a
-    fixed seed.
+    """n orthonormal planes (x, y) with x . Jy = 0, i.e. span(x,y) disjoint
+    from its J-image, uniform on the unit sphere (g = Id).  Deterministic
+    for a fixed seed.
 
-    The planes are drawn in the metric's Cholesky frame (`ctx.frame`),
-    where g is the identity and J acts as K.  One (n, 2, 2m) block of
-    normals gives each plane's x and y draw, in the stream order of drawing
-    x then y plane by plane.  x is z / |z|; y is projected off {x, Kx} and
-    normalized.  Rows whose projection degenerates are drawn again in a
-    further block, up to 100 rounds; only this path consumes the stream in
-    a different order from drawing each degenerate plane's y again before
-    the next plane's x.  The batch then maps to coordinates with one matrix
-    product.
+    One (n, 2, 2m) block of normals gives each plane's x and y draw, in the
+    stream order of drawing x then y plane by plane.  x is z / |z|; y is
+    projected off {x, Jx} and normalized.  Rows whose projection
+    degenerates are drawn again in a further block, up to 100 rounds; only
+    this path consumes the stream in a different order from drawing each
+    degenerate plane's y again before the next plane's x.
     """
     if ctx.m < 2:
         raise InvariantViolation("antiholomorphic planes need complex dimension m >= 2")
-    Linv, K = ctx.frame
     normals = rng.standard_normal((n, 2, ctx.dim))
-    XY = np.empty_like(normals)
-    X, Y = XY[:, 0], XY[:, 1]
-    X[:] = normals[:, 0] / np.sqrt(_row_dots(normals[:, 0], normals[:, 0]))[:, None]
-    KX = X @ K.T
+    X = normals[:, 0] / np.sqrt(_row_dots(normals[:, 0], normals[:, 0]))[:, None]
+    Y = np.empty_like(X)
+    JX = X @ ctx.J.T
     norm2 = np.empty(n)
     rows = slice(None)
     for attempt in range(100):
         draws = normals[:, 1] if attempt == 0 else rng.standard_normal((rows.size, ctx.dim))
-        x, kx = X[rows], KX[rows]
-        y = draws - _row_dots(draws, x)[:, None] * x - _row_dots(draws, kx)[:, None] * kx
+        x, jx = X[rows], JX[rows]
+        y = draws - _row_dots(draws, x)[:, None] * x - _row_dots(draws, jx)[:, None] * jx
         Y[rows] = y
         norm2[rows] = _row_dots(y, y)
         rows = np.flatnonzero(~(norm2 > 1e-12))  # a NaN norm counts as degenerate
         if rows.size == 0:
-            Y /= np.sqrt(norm2)[:, None]
-            XY = (XY.reshape(2 * n, ctx.dim) @ Linv).reshape(n, 2, ctx.dim)
-            return Planes(x=XY[:, 0], y=XY[:, 1], kind="antiholomorphic")
+            return Planes(x=X, y=Y / np.sqrt(norm2)[:, None], kind="antiholomorphic")
     raise InvariantViolation("plane sampling degenerated 100 times in a row")
 
 
 def sample_holomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
-    """n planes spanned by (x, Jx), x uniform on the g-unit sphere.
+    """n planes spanned by (x, Jx), x uniform on the unit sphere (g = Id).
 
-    x is z / |z| for a row z of one (n, 2m) block of normals, in the
-    metric's Cholesky frame (`ctx.frame`), mapped to coordinates with one
-    matrix product; the stream order is that of drawing x plane by plane.
+    x is z / |z| for a row z of one (n, 2m) block of normals; the stream
+    order is that of drawing x plane by plane.
     """
-    Linv = ctx.frame[0]
     Z = rng.standard_normal((n, ctx.dim))
-    X = (Z / np.sqrt(_row_dots(Z, Z))[:, None]) @ Linv
+    X = Z / np.sqrt(_row_dots(Z, Z))[:, None]
     return Planes(x=X, y=X @ ctx.J.T, kind="holomorphic")
 
 
@@ -181,35 +171,32 @@ def _cluster(eigenvalues: np.ndarray, merge_tol: float) -> list[slice]:
 
 
 def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
-    """Diagonalize S relative to g by a J-adapted orthonormal basis.
+    """Diagonalize S, given in an orthonormal frame (g = Id), by a J-adapted
+    orthonormal basis.
 
-    Solves the symmetric eigenproblem of S in the metric's Cholesky frame
-    (`HermitianPoint.frame`, g = L L^T), where J acts as K; eigenvalues
-    closer than max(tol, 1e-8) are merged into one eigenspace.  With E an orthonormal
-    basis of an eigenspace and M = E^T K E, each +1 eigenvector x + iy of
-    the Hermitian iM has Mx = y, so e comes from E x and Je from E y.  If
-    an eigenspace has odd dimension or |KE - EM| exceeds max(tol, 1e-6),
-    it is not J-closed and the input was not J-invariant.
+    Eigenvalues closer than max(tol, 1e-8) are merged into one eigenspace.
+    With E an orthonormal basis of an eigenspace and M = E^T J E, each unit
+    +1 eigenvector x + iy of the Hermitian iM has Mx = y and |x| = 1/sqrt(2),
+    so e comes from E x and Je from E y.  If an eigenspace has odd dimension
+    or |JE - EM| exceeds max(tol, 1e-6), it is not J-closed and the input
+    was not J-invariant.
     """
     pt = S.point
-    g, J = pt.g, pt.J
-    Linv, K = pt.frame
-    A = Linv @ (0.5 * (S.values + S.values.T)) @ Linv.T
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    J = pt.J
+    w, V = np.linalg.eigh(0.5 * (S.values + S.values.T))
     basis_cols = []
     eigenvalues = []
     for block in _cluster(w, max(tol, 1e-8)):
         E = V[:, block]
-        M = E.T @ K @ E
-        defect = float(np.linalg.norm(K @ E - E @ M))
+        M = E.T @ J @ E
+        defect = float(np.linalg.norm(J @ E - E @ M))
         if E.shape[1] % 2 or defect > max(tol, 1e-6):
             raise InvariantViolation(
                 f"S is not J-invariant: eigenspace not J-closed (defect {defect:.3e})"
             )
         half = E.shape[1] // 2
         x = np.linalg.eigh(1j * M)[1][:, half:].real  # the eigenvalue +1 half
-        for e in (Linv.T @ E @ x).T:
-            e = e / np.sqrt(e @ g @ e)
+        for e in (np.sqrt(2.0) * E @ x).T:
             basis_cols += [e, J @ e]
         eigenvalues += [float(w[block].mean())] * half
     return SpectralFrame(point=pt, basis=np.column_stack(basis_cols),
@@ -217,10 +204,10 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
 
 
 def einstein_residual(S: Bilinear) -> tuple[float, float]:
-    """(lambda, residual) with lambda = trace_g(S) / 2m and residual = max |S - lambda g|."""
-    pt = S.point
-    lam = float(np.trace(pt.g_inv @ S.values)) / pt.dim
-    return lam, float(np.max(np.abs(S.values - lam * pt.g)))
+    """(lambda, residual) with lambda = trace(S) / 2m and residual = max |S - lambda g|, g = Id."""
+    n = S.point.dim
+    lam = float(np.trace(S.values)) / n
+    return lam, float(np.max(np.abs(S.values - lam * np.eye(n))))
 
 
 def decomposition_residual(R: CurvatureTensor, S: Bilinear, nu: float,
@@ -257,20 +244,20 @@ def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
         (nabla_{e_j} S)(e_i, e_j)
             + (lambda_i + lambda_j - 2 (2m-1) nu) g(J e_i, (nabla_{e_j} J) e_j)
 
-    maximized over i != j.  On real and complex space forms every term
-    vanishes for any adapted frame: nabla S = 0, and either
-    (nabla_X J)X = 0 or lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the
-    value depends on the choice of each e_i within its plane span{e_i, Je_i}.
+    maximized over i != j, all in one orthonormal frame (g = Id).  On real
+    and complex space forms every term vanishes for any adapted frame:
+    nabla S = 0, and either (nabla_X J)X = 0 or
+    lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the value depends on the
+    choice of each e_i within its plane span{e_i, Je_i}.
     """
-    pt = frame.point
-    m = pt.m
+    m = frame.point.m
     e, je = frame.basis[:, 0::2], frame.basis[:, 1::2]
     lam = np.array(frame.eigenvalues)
     # t1[i, j] = (nabla_{e_j} S)(e_i, e_j) and v[:, j] = (nabla_{e_j} J) e_j
     t1 = e.T @ np.einsum("kab,kj,bj->aj", nablaS, e, e)
     v = np.einsum("kia,kj,aj->ij", nablaJ, e, e)
     coeff = lam[:, None] + lam[None, :] - 2.0 * (2 * m - 1) * nu
-    total = np.abs(t1 + coeff * (je.T @ pt.g @ v))
+    total = np.abs(t1 + coeff * (je.T @ v))
     return float(np.max(total[~np.eye(m, dtype=bool)], initial=0.0))
 
 

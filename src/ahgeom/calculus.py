@@ -1,13 +1,12 @@
 """Exact covariant calculus on a point's jet (`ChartSpec.jets_at`).
 
 The jet holds g, J and their derivatives at p, exact up to rounding, and
-every function here is a closed form in it: the connection and its
-derivatives from g's, R and nabla R from the connection, nabla J from dJ.
-Nothing is evaluated away from p.  g^-1 is computed once per point, and
-the connection and R once per jet, on first use, so `riemann`, `nabla_J`,
-`nabla_R` and `ricci` share them.  The residual checks are pure functions
-of tensors already computed; each is a max-norm over enumerated basis
-tuples, so runs are deterministic.
+`riemann`, `nabla_J` and `nabla_R` are closed forms in it: the connection
+and its derivatives from g's, R and nabla R from the connection, nabla J
+from dJ.  Nothing is evaluated away from p.  The connection and R are
+computed once per jet, on first use.  `in_frame` expresses the three in
+g's orthonormal frame, where `ricci` and the residual checks take them;
+each check is a max-norm over basis tuples, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ __all__ = [
     "ricci",
     "nabla_J",
     "nabla_R",
+    "in_frame",
     "class_residuals",
     "gray_ak2_residual",
 ]
@@ -68,14 +68,20 @@ class Jet:
     dJ: np.ndarray
 
     @cached_property
-    def _connection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """gamma[i, j, k] = Gamma^i_jk, low = Gamma_ljk and dlow[a] = d_a Gamma_ljk."""
-        low = _lower(self.dg)
-        return np.einsum("il,ljk->ijk", self.point.g_inv, low), low, _lower(self.ddg)
+    def _connection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """gamma[i, j, k] = Gamma^i_jk, low = Gamma_ljk, dlow[a] = d_a Gamma_ljk
+        and dgamma[a] = d_a Gamma^i_jk."""
+        g_inv = np.linalg.inv(self.point.g)
+        low, dlow = _lower(self.dg), _lower(self.ddg)
+        gamma = np.einsum("il,ljk->ijk", g_inv, low)
+        # d_a Gamma^i_jk = g^il (d_a Gamma_ljk - d_a g_lm Gamma^m_jk)
+        dgamma = np.einsum("il,aljk->aijk", g_inv,
+                           dlow - np.einsum("alm,mjk->aljk", self.dg, gamma))
+        return gamma, low, dlow, dgamma
 
     @cached_property
     def _riemann(self) -> np.ndarray:
-        gamma, low, dlow = self._connection
+        gamma, low, dlow, _ = self._connection
         return _curvature(dlow, (gamma, low))
 
 
@@ -87,12 +93,9 @@ def riemann(jet: Jet) -> CurvatureTensor:
 
 
 def ricci(R: CurvatureTensor) -> Bilinear:
-    """S(y, z) = sum_i R(b_i, y, z, b_i) over a g-orthonormal frame.
-
-    The frame sum equals the g-inverse contraction, which is what is
-    computed; with this sign the unit sphere gives S = (2m-1) g.
-    """
-    return Bilinear(R.point, np.einsum("pq,pabq->ab", R.point.g_inv, R.values))
+    """S(y, z) = sum_i R(e_i, y, z, e_i), a trace, as R's basis is orthonormal
+    (g = Id); with this sign the unit sphere gives S = (2m-1) g."""
+    return Bilinear(R.point, np.trace(R.values, axis1=0, axis2=3))
 
 
 def nabla_J(jet: Jet) -> np.ndarray:
@@ -104,11 +107,8 @@ def nabla_J(jet: Jet) -> np.ndarray:
 
 def nabla_R(jet: Jet) -> np.ndarray:
     """Covariant derivative of the (0,4) curvature: out[v, x, y, z, u] = (nabla_v R)(x,y,z,u)."""
-    gamma, low, dlow = jet._connection
+    gamma, low, dlow, dgamma = jet._connection
     R0 = jet._riemann
-    # d_a Gamma^i_jk = g^il (d_a Gamma_ljk - d_a g_lm Gamma^m_jk), then the product rule
-    dgamma = np.einsum("il,aljk->aijk", jet.point.g_inv,
-                       dlow - np.einsum("alm,mjk->aljk", jet.dg, gamma))
     dR = _curvature(_lower(jet.dddg), (dgamma, low), (gamma, dlow))
     return (
         dR
@@ -119,9 +119,30 @@ def nabla_R(jet: Jet) -> np.ndarray:
     )
 
 
-def class_residuals(NJ: np.ndarray, g: np.ndarray) -> ClassResiduals:
+def _to_frame(T: np.ndarray, Linv: np.ndarray) -> np.ndarray:
+    """The covariant tensor T in the frame of Linv's rows: each product contracts
+    the first axis with Linv and puts it last, so T.ndim products keep the order."""
+    n = Linv.shape[0]
+    for _ in range(T.ndim):
+        T = (T.reshape(n, -1).T @ Linv.T).reshape(T.shape)
+    return T
+
+
+def in_frame(R: CurvatureTensor, NJ: np.ndarray,
+             NR: np.ndarray) -> tuple[CurvatureTensor, np.ndarray, np.ndarray]:
+    """R, nabla J and nabla R from the chart's coordinates to the metric's
+    Cholesky frame (`HermitianPoint.frame`), which is g-orthonormal: R's
+    point becomes HermitianPoint(m, Id, K), and index positions agree."""
+    pt = R.point
+    Linv, K = pt.frame
+    frame = HermitianPoint(pt.m, np.eye(pt.dim), K)
+    return (CurvatureTensor(frame, _to_frame(R.values, Linv)),
+            _to_frame(pt.g @ NJ, Linv), _to_frame(NR, Linv))
+
+
+def class_residuals(NJ: np.ndarray) -> ClassResiduals:
     """Defects of the Kahler, nearly Kahler and almost Kahler conditions,
-    from NJ = nabla_J(...) and the metric g at the same point.
+    from NJ = nabla_J(...) in an orthonormal frame (g = Id).
 
     kahler:        max |(nabla_k J)^i_j| over all entries
     nearly_kahler: max over basis pairs of the symmetrized defect
@@ -132,9 +153,8 @@ def class_residuals(NJ: np.ndarray, g: np.ndarray) -> ClassResiduals:
     kahler = float(np.max(np.abs(NJ)))
     sym = NJ + np.einsum("jik->kij", NJ)
     nearly = 0.5 * float(np.max(np.abs(sym)))
-    # wl[k, a, j] = g((nabla_k J) e_j, e_a)
-    wl = np.einsum("ai,kij->kaj", g, NJ)
-    cyc = np.einsum("xzy->xyz", wl) + np.einsum("yxz->xyz", wl) + np.einsum("zyx->xyz", wl)
+    # NJ[k, a, j] = g((nabla_k J) e_j, e_a)
+    cyc = np.einsum("xzy->xyz", NJ) + np.einsum("yxz->xyz", NJ) + np.einsum("zyx->xyz", NJ)
     almost = float(np.max(np.abs(cyc)))
     return ClassResiduals(kahler=kahler, nearly_kahler=nearly, almost_kahler=almost)
 
@@ -145,11 +165,12 @@ def gray_ak2_residual(R: CurvatureTensor, NJ: np.ndarray) -> float:
         R(x,y,z,u) - R(x,y,Jz,Ju)
             = 1/2 g((nabla_x J)y - (nabla_y J)x, (nabla_z J)u - (nabla_u J)z)
 
-    evaluated over all basis quadruples, with g and J taken from R's point.
+    evaluated over all basis quadruples of an orthonormal frame (g = Id),
+    with J taken from R's point.
     """
-    g, J = R.point.g, R.point.J
-    n = g.shape[0]
+    J = R.point.J
+    n = J.shape[0]
     lhs = R.values - np.einsum("xyau,az->xyzu", R.values @ J, J)
     V = (np.einsum("xiy->xyi", NJ) - np.einsum("yix->xyi", NJ)).reshape(n * n, n)
-    rhs = 0.5 * ((V @ g) @ V.T).reshape(n, n, n, n)
+    rhs = 0.5 * (V @ V.T).reshape(n, n, n, n)
     return float(np.max(np.abs(lhs - rhs)))

@@ -100,7 +100,8 @@ def main(argv=None) -> int:
     analyze.add_argument("--point", action="append", metavar="V1,V2,...",
                          help="evaluation point, repeatable (default: chart points)")
     analyze.add_argument("--tol", type=float, default=1e-4,
-                         help="residual tolerance for flags and verdicts (default 1e-4)")
+                         help="residual tolerance for flags and verdicts, in curvature units "
+                              "of a g-orthonormal frame (default 1e-4)")
     analyze.add_argument("--samples", type=int, default=256,
                          help="planes sampled per kind per point (default 256)")
     analyze.add_argument("--seed", type=int, default=42, help="sampling seed (default 42)")

@@ -1,8 +1,14 @@
 """Full per-point analysis pipeline and deterministic report assembly.
 
 One `jets_at` call gives every point's jet, running the chart program
-once per group of points; R, S, nabla J and nabla R come once from each
-jet, sharing its connection, and every check is a pure function of them.
+once per group of points; R, nabla J and nabla R come once from each jet,
+sharing its connection, and are expressed once in g's orthonormal Cholesky
+frame (`calculus.in_frame`), where every check runs.  So `tol` is in the
+curvature units of an orthonormal frame, whatever the chart's coordinates
+or scale.  Each residual is a max-norm over frame components: a diagonal
+change of coordinates keeps the frame and every value; a general linear
+one turns the frame, which moves a max-norm over a k-tensor's components
+in dimension n by at most a factor n^(k/2).
 The report has three blocks: run metadata (target, kind, tolerance,
 samples, seed and points), one block per evaluation point, and a global
 block (multi-point constancy over the points' nu, or holomorphic means for
@@ -104,16 +110,17 @@ def analyze_point(jet: Jet, p: tuple[float, ...], index: int, *, tol: float,
     p: when R, nabla J or nabla R is not finite, or any float of the record.
     """
     R = calculus.riemann(jet)
-    pt = R.point
-    S = calculus.ricci(R)
     NJ = calculus.nabla_J(jet)
-    cls = calculus.class_residuals(NJ, pt.g)
     NR = calculus.nabla_R(jet)
     for name, values in (("R", R.values), ("nabla J", NJ), ("nabla R", NR)):
         if not np.isfinite(values).all():
             raise InvariantViolation(f"{name} is not finite at point {list(p)}")
-    # metric compatibility lets nabla S come from contracting nabla R
-    NS = np.einsum("pq,kpabq->kab", pt.g_inv, NR)
+    R, NJ, NR = calculus.in_frame(R, NJ, NR)
+    pt = R.point
+    S = calculus.ricci(R)
+    cls = calculus.class_residuals(NJ)
+    # metric compatibility lets nabla S come from tracing nabla R
+    NS = np.trace(NR, axis1=1, axis2=4)
 
     ah = {f"AH{k}": ah_identity_residual(R, k) for k in (1, 2, 3)}
     by_flag = {"K": cls.kahler, "NK": cls.nearly_kahler, "AK": cls.almost_kahler, **ah}

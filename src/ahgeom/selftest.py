@@ -25,21 +25,12 @@ from .tensor_core import (
 __all__ = ["random_hermitian_point", "random_j_invariant_bilinear", "run_selftest"]
 
 
-def random_hermitian_point(m: int, rng: np.random.Generator,
-                           spread: float = 0.25) -> HermitianPoint:
-    """A random well-conditioned metric with a compatible complex structure.
-
-    Conjugating the standard structure by P and taking g = P^T P keeps both
-    invariants exact up to rounding.
-    """
-    n = 2 * m
-    while True:
-        P = np.eye(n) + spread * rng.standard_normal((n, n))
-        if np.linalg.cond(P) < 20.0:
-            break
-    g = P.T @ P
-    J = np.linalg.solve(P, standard_j(m) @ P)
-    return HermitianPoint(m=m, g=0.5 * (g + g.T), J=J)
+def random_hermitian_point(m: int, rng: np.random.Generator) -> HermitianPoint:
+    """A point in an orthonormal frame, as the analysis sees every point:
+    g = Id and J = Q^T J0 Q for the standard structure J0 and a random
+    orthogonal Q, which keeps both invariants exact up to rounding."""
+    Q, _ = np.linalg.qr(rng.standard_normal((2 * m, 2 * m)))
+    return HermitianPoint(m=m, g=np.eye(2 * m), J=Q.T @ standard_j(m) @ Q)
 
 
 def random_j_invariant_bilinear(point: HermitianPoint, rng: np.random.Generator) -> Bilinear:
@@ -91,9 +82,8 @@ def run_selftest(seed: int = 42) -> bool:
         # whole space is one eigenspace
         for S in (random_j_invariant_bilinear(pt, rng), Bilinear(pt, 3.0 * pt.g)):
             frame = adapted_eigenframe(S)
-            flat = pt.g @ frame.basis
-            lam = np.repeat(frame.eigenvalues, 2)
-            worst = max(worst, float(np.max(np.abs(S.values - (flat * lam) @ flat.T))))
+            B, lam = frame.basis, np.repeat(frame.eigenvalues, 2)
+            worst = max(worst, float(np.max(np.abs(S.values - (B * lam) @ B.T))))
     check("adapted eigenframe reconstructs random and Einstein S", worst < 1e-9,
           f"max gap {worst:.3e}")
 

@@ -114,13 +114,6 @@ class HermitianPoint:
     def dim(self) -> int:
         return 2 * self.m
 
-    @cached_property
-    def g_inv(self) -> np.ndarray:
-        """g^-1, computed once per point."""
-        inverse = np.linalg.inv(self.g)
-        inverse.setflags(write=False)
-        return inverse
-
     @classmethod
     def standard_flat(cls, m: int) -> "HermitianPoint":
         return cls(m=m, g=np.eye(2 * m), J=standard_j(m))
@@ -167,13 +160,10 @@ class CurvatureTensor:
 
     @cached_property
     def _plane_form(self) -> np.ndarray:
-        """The (b, 2b) matrix [-R | G] on the index pairs i < j, b = n(n-1)/2,
-        with R[(ij), (kl)] = R(e_i, e_j, e_k, e_l) and
-        G[(ij), (kl)] = g_ik g_jl - g_il g_jk, the metric of bivectors."""
-        g = self.point.g
+        """The (b, b) matrix -R[(ij), (kl)] = -R(e_i, e_j, e_k, e_l) on the
+        index pairs i < j, b = n(n-1)/2."""
         i, j = np.triu_indices(self.point.dim, 1)
-        G = g[i][:, i] * g[j][:, j] - g[i][:, j] * g[j][:, i]
-        form = np.hstack([-self.values[i, j][:, i, j], G])
+        form = -self.values[i, j][:, i, j]
         form.setflags(write=False)
         return form
 
@@ -304,18 +294,19 @@ def riemann_symmetry_residual(R: CurvatureTensor) -> float:
 def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
     """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant.
 
-    The Rayleigh quotient of R on bivectors: with w = x ^ y, whose
-    components are w_ij = x_i y_j - x_j y_i for i < j, one matrix product
-    of the batch's w with R's cached plane form gives both the numerator
-    R(x, y, y, x) and the Gram determinant g(x,x) g(y,y) - g(x,y)^2 = |w|_g^2.
-    Exact for tensors antisymmetric in each index pair, as curvature
-    tensors are.  Raises InvariantViolation naming the first plane whose
-    Gram determinant is below 1e-12.
+    The Rayleigh quotient of R on bivectors, in an orthonormal basis
+    (g = Id): with w = x ^ y, whose components are w_ij = x_i y_j - x_j y_i
+    for i < j, one matrix product of the batch's w with R's cached plane
+    form gives R(x, y, y, x), and the Gram determinant is |w|^2.  Exact for
+    tensors antisymmetric in each index pair, as curvature tensors are.
+    Raises InvariantViolation naming the first plane whose Gram determinant
+    is below 1e-12.
     """
     X, Y = planes.x, planes.y
     i, j = np.triu_indices(X.shape[1], 1)
     W = X[:, i] * Y[:, j] - X[:, j] * Y[:, i]
-    num, den = np.einsum("nkb,nb->kn", (W @ R._plane_form).reshape(len(W), 2, i.size), W)
+    num = np.einsum("nb,nb->n", W @ R._plane_form, W)
+    den = np.einsum("nb,nb->n", W, W)
     bad = np.flatnonzero(den < 1e-12)
     if bad.size:
         k = int(bad[0])

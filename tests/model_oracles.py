@@ -4,7 +4,8 @@ table in `ahgeom.models` were written from.
 
 The generators vary the parameters the bundled files fix (m, c, r1, r2),
 so tests can also build charts that are not bundled.  `jet_at` is the jet
-of a chart at one point, for tests that look at points one at a time.
+of a chart at one point, for tests that look at points one at a time, and
+`frame_at` its R, nabla J and nabla R in the frame the analysis uses.
 """
 
 from ahgeom.analysis import (
@@ -12,6 +13,7 @@ from ahgeom.analysis import (
     NOT_CONSTANT_ANTIHOLOMORPHIC,
     REAL_SPACE_FORM,
 )
+from ahgeom.calculus import in_frame, nabla_J, nabla_R, riemann
 from ahgeom.models import ExpectedProfile
 
 
@@ -19,6 +21,13 @@ def jet_at(chart, p):
     """The jet of `chart` at p: `ChartSpec.jets_at` of p alone."""
     [jet] = chart.jets_at([p])
     return jet
+
+
+def frame_at(chart, p):
+    """(R, nabla J, nabla R) of `chart` at p in the metric's Cholesky frame,
+    where g = Id, as `report.analyze_point` checks them."""
+    jet = jet_at(chart, p)
+    return in_frame(riemann(jet), nabla_J(jet), nabla_R(jet))
 
 
 # Cayley multiplication table on the 7 imaginary units: each line (a, b, c)

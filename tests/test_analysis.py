@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ahgeom.analysis import (
     COMPLEX_SPACE_FORM,
@@ -24,8 +26,9 @@ from ahgeom.analysis import (
     sample_holomorphic_planes,
     schur_check,
 )
-from ahgeom.calculus import ClassResiduals, class_residuals, nabla_J, nabla_R, ricci, riemann
-from ahgeom.charts import parse_chart
+from ahgeom.calculus import ClassResiduals, class_residuals, ricci
+from ahgeom.charts import ChartSpec, parse_chart
+from ahgeom.expressions import BinOp, Call, Neg, Num, Var
 from ahgeom.models import get_model
 from ahgeom.report import PointReport, analyze_chart, analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
@@ -40,13 +43,9 @@ from ahgeom.tensor_core import (
     pi2,
     sectional_curvature,
 )
-from model_oracles import jet_at, product_spheres_chart_text
+from model_oracles import BUNDLED, frame_at, product_spheres_chart_text
 
 ZERO_CLASS = ClassResiduals(kahler=0.0, nearly_kahler=0.0, almost_kahler=0.0)
-
-
-def algebraic_stats(R, planes):
-    return constancy(R, planes)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +151,14 @@ def _kernel_cases():
     rng = np.random.default_rng(11)
     for m in (2, 3):
         for k in range(3):
-            pt = random_hermitian_point(m, rng, spread=0.2 + 0.1 * k)
+            pt = random_hermitian_point(m, rng)
             S = random_j_invariant_bilinear(pt, rng)
             R = build_from_decomposition(S, 0.6 - k, tol=1e-8)
             yield pytest.param(_antisymmetrized(R), id=f"random-m{m}-{k}")
     for name in ("cp3", "s6"):
         chart = get_model(name).chart
         for i, p in enumerate(chart.default_points):
-            yield pytest.param(_antisymmetrized(riemann(jet_at(chart, p))), id=f"{name}-{i}")
+            yield pytest.param(_antisymmetrized(frame_at(chart, p)[0]), id=f"{name}-{i}")
 
 
 class TestSectionalCurvatureKernel:
@@ -175,20 +174,6 @@ class TestSectionalCurvatureKernel:
                                       for x, y in zip(planes.x, planes.y)])
                 error = np.max(np.abs(sectional_curvature(R, planes) - reference))
                 assert error <= 1e-13 * np.max(np.abs(reference))
-
-    def test_statistics_do_not_depend_on_a_diagonal_rescaling_of_the_chart(self):
-        # the chart u = A^-1 x: g' = A g A, J' = A^-1 J A, R' = R(A., A., A., A.)
-        R = riemann(jet_at(get_model("s2xs2").chart, (0.3, -0.2, 0.5, 0.1)))
-        pt = R.point
-        a = np.array([0.5, 2.0, 1.3, 0.7])
-        scaled_pt = HermitianPoint(pt.m, g=a[:, None] * pt.g * a, J=pt.J * a / a[:, None])
-        scaled = CurvatureTensor(scaled_pt, np.einsum("ijkl,i,j,k,l->ijkl", R.values, a, a, a, a))
-        for sample in (sample_holomorphic_planes, sample_antiholomorphic_planes):
-            stats = constancy(R, sample(pt, 256, np.random.default_rng(12)))
-            stats_scaled = constancy(scaled, sample(scaled_pt, 256, np.random.default_rng(12)))
-            assert stats.max_deviation > 0.1  # not constant: the planes drawn matter
-            assert stats_scaled.mean == pytest.approx(stats.mean, rel=1e-12)
-            assert stats_scaled.max_deviation == pytest.approx(stats.max_deviation, rel=1e-12)
 
 
 class TestConstancy:
@@ -212,7 +197,7 @@ class TestConstancy:
 
     def test_product_spheres_deviate(self):
         chart = get_model("s2xs2").chart
-        R = riemann(jet_at(chart, (0.0, 0.0, 0.0, 0.0)))
+        R = frame_at(chart, (0.0, 0.0, 0.0, 0.0))[0]
         rng = np.random.default_rng(4)
         stats = constancy(R, sample_antiholomorphic_planes(R.point, 256, rng))
         assert stats.max_deviation > 0.1
@@ -300,14 +285,14 @@ class TestAdaptedEigenframe:
 class TestEinsteinResidual:
     def test_unit_sphere(self):
         chart = get_model("s6").chart
-        S = ricci(riemann(jet_at(chart, chart.default_points[1])))
+        S = ricci(frame_at(chart, chart.default_points[1])[0])
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(5.0, abs=1e-4)
         assert res < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        S = ricci(riemann(jet_at(chart, chart.default_points[1])))
+        S = ricci(frame_at(chart, chart.default_points[1])[0])
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(6.0, abs=1e-4)
         assert res < 1e-4
@@ -322,12 +307,12 @@ class TestEinsteinResidual:
 class TestDecompositionResidual:
     def test_unit_sphere_fixture(self):
         chart = get_model("s6").chart
-        R = riemann(jet_at(chart, chart.default_points[1]))
+        R = frame_at(chart, chart.default_points[1])[0]
         assert decomposition_residual(R, ricci(R), 1.0, tol=1e-4) < 1e-5
 
     def test_cp2_fixture(self):
         chart = get_model("cp2").chart
-        R = riemann(jet_at(chart, chart.default_points[1]))
+        R = frame_at(chart, chart.default_points[1])[0]
         assert decomposition_residual(R, ricci(R), 1.0, tol=1e-4) < 1e-5
 
     def test_linear_perturbation(self):
@@ -355,28 +340,25 @@ class TestDecompositionResidual:
 class TestBianchi2Residual:
     def test_flat_chart(self):
         chart = get_model("flat2").chart
-        assert bianchi2_residual(nabla_R(jet_at(chart, (0.1, 0.2, -0.3, 0.0)))) < 1e-8
+        assert bianchi2_residual(frame_at(chart, (0.1, 0.2, -0.3, 0.0))[2]) < 1e-8
 
     def test_unit_sphere(self):
         chart = get_model("s6").chart
-        assert bianchi2_residual(nabla_R(jet_at(chart, chart.default_points[1]))) < 1e-4
+        assert bianchi2_residual(frame_at(chart, chart.default_points[1])[2]) < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        assert bianchi2_residual(nabla_R(jet_at(chart, chart.default_points[1]))) < 1e-4
+        assert bianchi2_residual(frame_at(chart, chart.default_points[1])[2]) < 1e-4
 
 
 class TestProofRelation:
     @staticmethod
     def _inputs_at(chart, p):
         """The adapted frame, nabla S, nabla J and nu at p."""
-        jet = jet_at(chart, p)
-        R = riemann(jet)
-        pt = R.point
-        NS = np.einsum("pq,kpabq->kab", np.linalg.inv(pt.g), nabla_R(jet))
+        R, NJ, NR = frame_at(chart, p)
         rng = np.random.default_rng(6)
-        nu = constancy(R, sample_antiholomorphic_planes(pt, 128, rng)).mean
-        return adapted_eigenframe(ricci(R), 1e-4), NS, nabla_J(jet), nu
+        nu = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng)).mean
+        return adapted_eigenframe(ricci(R), 1e-4), np.trace(NR, axis1=1, axis2=4), NJ, nu
 
     def _residual_at(self, chart, p):
         return proof_relation_32_residual(*self._inputs_at(chart, p))
@@ -464,12 +446,12 @@ class TestClassify:
 
     def test_product_tensor_is_not_constant(self):
         chart = get_model("s2xs2").chart
-        R = riemann(jet_at(chart, (0.0, 0.0, 0.0, 0.0)))
+        R, NJ, _ = frame_at(chart, (0.0, 0.0, 0.0, 0.0))
         S = ricci(R)
         rng = np.random.default_rng(9)
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng))
-        cls = class_residuals(nabla_J(jet_at(chart, (0.0,) * 4)), R.point.g)
+        cls = class_residuals(NJ)
         verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(S), cls, holo, anti,
                            1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
@@ -478,12 +460,12 @@ class TestClassify:
         # holomorphic planes give 1, mixed antiholomorphic give 0: tilted
         # planes break constancy even with equal radii
         chart = parse_chart(product_spheres_chart_text(1.0, 1.0))
-        R = riemann(jet_at(chart, (0.0, 0.0, 0.0, 0.0)))
+        R, NJ, _ = frame_at(chart, (0.0, 0.0, 0.0, 0.0))
         rng = np.random.default_rng(10)
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 1000, rng))
         assert anti.max_deviation > 0.1
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
-        cls = class_residuals(nabla_J(jet_at(chart, (0.0,) * 4)), R.point.g)
+        cls = class_residuals(NJ)
         verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(ricci(R)), cls, holo,
                            anti, 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
@@ -563,6 +545,123 @@ class TestComputedOncePerPoint:
         analyze_chart(chart, samples=16)
         n = len(chart.default_points)
         assert calls == {"riemann": n, "nabla_J": n, "nabla_R": n}
+
+
+# ---------------------------------------------------------------------------
+# Changes of coordinates
+# ---------------------------------------------------------------------------
+
+
+def _substitute(expr, env):
+    """expr with each variable replaced by its expression in env."""
+    match expr:
+        case Var(name):
+            return env[name]
+        case Neg(operand):
+            return Neg(_substitute(operand, env))
+        case BinOp(op, left, right):
+            return BinOp(op, _substitute(left, env), _substitute(right, env))
+        case Call(func, arg):
+            return Call(func, _substitute(arg, env))
+    return expr
+
+
+def _combination(terms):
+    """sum c * e over the (c, e) terms with c and e nonzero, as a balanced tree."""
+    terms = [BinOp("*", Num(float(c)), e) for c, e in terms if c != 0.0 and e != Num(0.0)]
+    if not terms:
+        return Num(0.0)
+    while len(terms) > 1:
+        pairs = [BinOp("+", *terms[k:k + 2]) for k in range(0, len(terms) - 1, 2)]
+        terms = pairs + terms[len(terms) - len(terms) % 2:]
+    return terms[0]
+
+
+def _rewritten(chart, A):
+    """The chart in the coordinates u with x = A u: g'(u) = A^T g(Au) A and
+    J'(u) = A^-1 J(Au) A, on the box enclosing the domain's preimage, at the
+    preimages of the default points."""
+    n = 2 * chart.m
+    names = chart.coord_names
+    x_of_u = {names[k]: _combination(zip(A[k], map(Var, names))) for k in range(n)}
+    g = [[_substitute(e, x_of_u) for e in row] for row in chart.metric_exprs]
+    J = [[_substitute(e, x_of_u) for e in row] for row in chart.j_exprs]
+    A_inv = np.linalg.inv(A)
+
+    def product(L, T, R):
+        return tuple(tuple(_combination((L[a, i] * R[b, j], T[a][b])
+                                        for a in range(n) for b in range(n))
+                           for j in range(n)) for i in range(n))
+
+    lo, hi = np.array(chart.domain).T
+    with np.errstate(invalid="ignore"):  # inf * 0 is a term that is not there
+        ends = np.stack([A_inv * lo, A_inv * hi])
+    ends[:, A_inv == 0.0] = 0.0
+    return ChartSpec(
+        m=chart.m, coord_names=names,
+        metric_exprs=product(A, g, A), j_exprs=product(A_inv.T, J, A),
+        domain=tuple(zip(ends.min(axis=0).sum(axis=1).tolist(),
+                         ends.max(axis=0).sum(axis=1).tolist())),
+        default_points=tuple(tuple((A_inv @ p).tolist()) for p in chart.default_points),
+    )
+
+
+def _report_values(report):
+    """The report's flags, verdict kinds and floats, without the points."""
+    block = report.to_dict()
+    del block["meta"]
+    for pr in block["points"]:
+        del pr["point"]
+
+    def leaves(v):
+        if isinstance(v, dict):
+            v = list(v.values())
+        if isinstance(v, (list, tuple)):
+            return [leaf for item in v for leaf in leaves(item)]
+        return [v]
+    return leaves(block)
+
+
+_charts = st.sampled_from(sorted(BUNDLED))
+
+
+class TestChangeOfCoordinates:
+    """Every check runs in g's orthonormal Cholesky frame, so a chart
+    rewritten under x = A u reports the same geometry."""
+
+    @given(name=_charts, data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_a_diagonal_change_keeps_every_value(self, name, data):
+        # it keeps the Cholesky frame: the values agree to rounding, and the
+        # residuals that vanish agree to an absolute 1e-9
+        chart = get_model(name).chart
+        a = data.draw(st.lists(st.floats(0.25, 4.0), min_size=2 * chart.m,
+                               max_size=2 * chart.m), label="diagonal")
+        before = _report_values(analyze_chart(chart, samples=64))
+        after = _report_values(analyze_chart(_rewritten(chart, np.diag(a)), samples=64))
+        assert len(after) == len(before)
+        for x, y in zip(before, after):
+            if isinstance(x, float):
+                assert y == pytest.approx(x, rel=1e-9, abs=1e-9)
+            else:
+                assert y == x
+
+    @given(name=_charts, data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_a_linear_change_keeps_flags_and_verdicts(self, name, data):
+        # the frame turns, so max-norms and sampled planes move, but not across tol
+        chart = get_model(name).chart
+        n = 2 * chart.m
+        A = np.eye(n) + np.array(data.draw(
+            st.lists(st.floats(-0.4, 0.4), min_size=n * n, max_size=n * n),
+            label="A - Id")).reshape(n, n)
+        assume(np.linalg.cond(A) < 10.0)
+        before = analyze_chart(chart, samples=64)
+        after = analyze_chart(_rewritten(chart, A), samples=64)
+        assert [pr.flags for pr in after.points] == [pr.flags for pr in before.points]
+        assert [pr.verdict.kind for pr in after.points] == \
+            [pr.verdict.kind for pr in before.points]
+        assert after.overall.kind == before.overall.kind
 
 
 class TestReportKind:

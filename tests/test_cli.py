@@ -29,11 +29,28 @@ point = 0.3 -0.2 0.1 0.4
 """
 
 
+def warp2_text(c: float, scale: float = 1.0) -> str:
+    """WARP2 with g multiplied by `scale`, in the coordinates u = c*x at
+    WARP2's points times c: g_u = scale * g_x(u/c) / c^2, and J stays."""
+    k = f"{scale!r}/{c!r}^2"
+    return "\n".join([
+        "dim = 2", "coords = x1 y1 x2 y2", f"g[1][1] = {k}", f"g[2][2] = {k}",
+        f"g[3][3] = {k}*exp(x1/{c!r})", f"g[4][4] = {k}*exp(x1/{c!r})",
+        "J[2][1] = 1", "J[1][2] = -1", "J[4][3] = 1", "J[3][4] = -1", "point = 0 0 0 0",
+        "point = " + " ".join(repr(v * c) for v in (0.3, -0.2, 0.1, 0.4)), "",
+    ])
+
+
+def conformal_line_text(factor: str) -> str:
+    """g = factor * (1 + x^2) delta on R^2, at the point (0.3, 0.2)."""
+    return (f"dim = 1\ncoords = x y\ng[1][1] = {factor}*(1+x^2)\ng[2][2] = {factor}*(1+x^2)\n"
+            "J[2][1] = 1\nJ[1][2] = -1\npoint = 0.3 0.2\n")
+
+
 # Charts whose values overflow in the analysis, each at its one point
 OVERFLOWING = {
-    # pi1 = g (x) g overflows
-    "huge": "dim = 1\ncoords = x y\ng[1][1] = 1e200*(1+x^2)\ng[2][2] = 1e200*(1+x^2)\n"
-            "J[2][1] = 1\nJ[1][2] = -1\npoint = 0.3 0.2\n",
+    # nabla R's frame components grow as the metric's scale to the power -3/2
+    "tiny": conformal_line_text("1e-300"),
     # Gamma . Gamma overflows in R
     "steep": "dim = 2\ncoords = a b c d\ng[1][1] = exp(300*a)\ng[2][2] = exp(300*a)\n"
              "g[3][3] = 1\ng[4][4] = 1\nJ[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\n"
@@ -223,6 +240,42 @@ class TestAnalyze:
         assert code == 0
         assert re.findall(r"^ +decomposition_residual: (.*)$", text, re.M) == ["n/a", "n/a"]
 
+    @pytest.mark.parametrize("c", [1.0, 10.0, 100.0, 1000.0])
+    def test_warp2_is_not_ah3_in_every_coordinate_scale(self, tmp_path, capsys, c):
+        # the checks run in an orthonormal frame, which u = c*x does not change
+        path = tmp_path / "warp2.ahm"
+        path.write_text(warp2_text(c))
+        code, out, _ = run(capsys, "analyze", "--chart", str(path), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["global"]["verdict"]["kind"] == "not_ah3"
+        for pr in report["points"]:
+            assert not any(pr["flags"].values())
+            assert pr["ah_residuals"]["AH3"] == pytest.approx(0.25, rel=1e-12)
+
+    def test_warp2_is_not_ah3_at_every_metric_scale(self, tmp_path, capsys):
+        # g -> 1e-6 g keeps every curvature class and multiplies R's frame components by 1e6
+        path = tmp_path / "warp2.ahm"
+        path.write_text(warp2_text(1.0, 1e-6))
+        code, out, _ = run(capsys, "analyze", "--chart", str(path), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["global"]["verdict"]["kind"] == "not_ah3"
+        for pr in report["points"]:
+            assert not pr["flags"]["AH3"]
+            assert pr["ah_residuals"]["AH3"] == pytest.approx(2.5e5, rel=1e-12)
+
+    def test_a_tiny_metric_reports(self, tmp_path, capsys):
+        # g -> 1e-200 g multiplies every sectional curvature by 1e200; no plane is degenerate
+        means = []
+        for factor in ("1", "1e-200"):
+            path = tmp_path / "line.ahm"
+            path.write_text(conformal_line_text(factor))
+            code, out, _ = run(capsys, "analyze", "--chart", str(path), "--format", "json")
+            assert code == 0
+            means.append(json.loads(out)["points"][0]["holomorphic"]["mean"])
+        assert means[1] == pytest.approx(1e200 * means[0], rel=1e-12)
+
     def test_point_may_start_with_a_minus_sign(self, capsys):
         points = ["-0.1,0.2,0.3,0.4", "-.5,-0.0,0,-1e-3"]
         glued = run(capsys, "analyze", "--model", "cp2", *(f"--point={p}" for p in points),
@@ -242,7 +295,7 @@ class TestAnalyze:
         assert err.startswith("analysis error: coordinate x1 = -inf is not finite")
 
     @pytest.mark.parametrize("name, shown", [
-        ("huge", "decomposition_residual is not finite at point [0.3, 0.2]"),
+        ("tiny", "bianchi_residual is not finite at point [0.3, 0.2]"),
         ("steep", "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
     ])
     def test_overflow_is_an_error(self, tmp_path, capsys, name, shown):
