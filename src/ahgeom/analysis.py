@@ -1,12 +1,17 @@
 """Plane statistics, adapted frames, residual checks and the verdict.
 
 Every function takes tensors in an orthonormal frame (`calculus.in_frame`,
-g = Id) and reads only J and m from the point.  The samplers take an
-explicit seeded generator, so every run is reproducible, and draw a point's
-planes as one `Planes` batch, uniform on the unit sphere; `constancy`
-evaluates it in one `sectional_curvature` call, one matrix product.  All
-functions are pure and operate per point; multi-point constancy
-(`schur_check`) is a pure function of the per-point statistics.
+g = Id) and reads only J and m.  The residuals of tensors alone
+(`einstein_residual`, `bianchi2_residual`) take arrays whose leading axes
+index points and give one value per point, so a group of points is one
+call.  What depends on a point's sampled planes runs per point: the
+samplers take an explicit seeded generator, so every run is reproducible,
+and draw a point's planes as one `Planes` batch, uniform on the unit
+sphere; `constancy` evaluates it in one `sectional_curvature` call, one
+matrix product; the decomposition residual, the adapted eigenframe,
+relation (3.2) and the verdict follow from it.  All functions are pure;
+multi-point constancy (`schur_check`) is a pure function of the per-point
+statistics.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .tensor_core import (
     InvariantViolation,
     Planes,
     build_from_decomposition,
-    fit_pi_span,
     sectional_curvature,
 )
 
@@ -203,38 +207,39 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
                          eigenvalues=tuple(eigenvalues))
 
 
-def einstein_residual(S: Bilinear) -> tuple[float, float]:
-    """(lambda, residual) with lambda = trace(S) / 2m and residual = max |S - lambda g|, g = Id."""
-    n = S.point.dim
-    lam = float(np.trace(S.values)) / n
-    return lam, float(np.max(np.abs(S.values - lam * np.eye(n))))
+def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, residual) with lambda = trace(S) / 2m and residual =
+    max |S - lambda g|, g = Id, one value each per point of S (..., n, n)."""
+    n = S.shape[-1]
+    lam = np.trace(S, axis1=-2, axis2=-1) / n
+    return lam, np.max(np.abs(S - lam[..., None, None] * np.eye(n)), axis=(-2, -1))
 
 
-def decomposition_residual(R: CurvatureTensor, S: Bilinear, nu: float,
+def decomposition_residual(R: np.ndarray, S: np.ndarray, nu: float, J: np.ndarray,
                            *, tol: float = 0.0) -> float | None:
-    """Max-norm gap between R and the curvature tensor rebuilt from (S, nu).
+    """Max-norm gap between one point's R and the curvature tensor rebuilt
+    from (S, nu) with the point's structure J.
 
     None when S is not symmetric and J-invariant within
     max(tol, INVARIANT_TOL): the decomposition then does not apply.
     """
     try:
-        rebuilt = build_from_decomposition(S, nu, tol=max(tol, INVARIANT_TOL))
+        rebuilt = build_from_decomposition(S, nu, J, tol=max(tol, INVARIANT_TOL))
     except InvariantViolation:
         return None
-    return float(np.max(np.abs(R.values - rebuilt.values)))
+    return float(np.max(np.abs(R - rebuilt)))
 
 
-def bianchi2_residual(nablaR: np.ndarray) -> float:
+def bianchi2_residual(nablaR: np.ndarray) -> np.ndarray:
     """Max over basis 5-tuples of the cyclic sum
 
     (nabla_x R)(y,z,u,v) + (nabla_y R)(z,x,u,v) + (nabla_z R)(x,y,u,v)
+
+    one value per point of nablaR (..., n, n, n, n, n).
     """
-    cyc = (
-        nablaR
-        + np.einsum("yzxuv->xyzuv", nablaR)
-        + np.einsum("zxyuv->xyzuv", nablaR)
-    )
-    return float(np.max(np.abs(cyc)))
+    cyc = nablaR + np.moveaxis(nablaR, -3, -5)
+    cyc += np.moveaxis(nablaR, -5, -3)
+    return np.max(np.abs(cyc, out=cyc), axis=(-5, -4, -3, -2, -1))
 
 
 def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
@@ -261,12 +266,14 @@ def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
     return float(np.max(total[~np.eye(m, dtype=bool)], initial=0.0))
 
 
-def classify(R: CurvatureTensor, ah3: float, einstein: tuple[float, float], class_res,
+def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,
              stats_holo: CurvatureStats, stats_antiholo: CurvatureStats | None,
-             tol: float) -> Verdict:
-    """Decide the verdict for one point from its curvature data: R, its AH3
-    residual `ah_identity_residual(R, 3)`, the (lambda, residual) pair of
-    `einstein_residual(S)`, the class residuals and the plane statistics.
+             fit: tuple[float, float, float], tol: float) -> Verdict:
+    """Decide the verdict for one point of complex dimension m from its
+    curvature data: the AH3 residual `ah_identity_residual(R, J, 3)`, the
+    (lambda, residual) pair of `einstein_residual(S)`, the class residuals,
+    the plane statistics and the span fit (a, b, residual) of
+    `fit_pi_span(R, J)`.
 
     Order: not AH3 beats everything; then non-constant antiholomorphic
     curvature; then a least-squares split over span{pi1, pi2} decides
@@ -289,7 +296,7 @@ def classify(R: CurvatureTensor, ah3: float, einstein: tuple[float, float], clas
     if residuals["ah3"] > tol:
         return Verdict(NOT_AH3, None, residuals)
 
-    if R.point.m == 1:
+    if m == 1:
         if stats_holo.max_deviation <= tol and class_res.kahler <= tol:
             return Verdict(COMPLEX_SPACE_FORM, stats_holo.mean, residuals)
         return Verdict(INCONCLUSIVE, None, residuals)
@@ -299,7 +306,7 @@ def classify(R: CurvatureTensor, ah3: float, einstein: tuple[float, float], clas
     if stats_antiholo.max_deviation > tol:
         return Verdict(NOT_CONSTANT_ANTIHOLOMORPHIC, None, residuals)
 
-    a, b, fit_residual = fit_pi_span(R)
+    a, b, fit_residual = fit
     residuals.update({"fit_a": a, "fit_b": b, "fit": fit_residual})
     if fit_residual <= tol and abs(b) <= tol:
         return Verdict(REAL_SPACE_FORM, a, residuals)

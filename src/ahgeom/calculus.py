@@ -1,12 +1,16 @@
-"""Exact covariant calculus on a point's jet (`ChartSpec.jets_at`).
+"""Exact covariant calculus on the jets of a group of points (`ChartSpec.jets_at`).
 
-The jet holds g, J and their derivatives at p, exact up to rounding, and
-`riemann`, `nabla_J` and `nabla_R` are closed forms in it: the connection
-and its derivatives from g's, R and nabla R from the connection, nabla J
-from dJ.  Nothing is evaluated away from p.  The connection and R are
-computed once per jet, on first use.  `in_frame` expresses the three in
-g's orthonormal frame, where `ricci` and the residual checks take them;
-each check is a max-norm over basis tuples, so runs are deterministic.
+A `Jet` holds g, J and their derivatives at up to JET_GROUP points, exact
+up to rounding, with a leading point axis on every array.  `riemann`,
+`nabla_J` and `nabla_R` are closed forms in it: the connection and its
+derivatives from g's, R and nabla R from the connection, nabla J from dJ.
+Nothing is evaluated away from the points.  Each stage runs once for the
+whole group, contracting by matrix products that work point by point, so
+a point's values do not depend on the other points of its group; the
+connection and R are computed once per jet, on first use.  `in_frame`
+expresses the three in each point's orthonormal Cholesky frame, where
+`ricci` and the residual checks take them; each residual is a max-norm
+over basis tuples, one value per point, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_core import Bilinear, CurvatureTensor, HermitianPoint
+from .tensor_core import _apply, _max_abs
 
 __all__ = [
     "Jet",
@@ -33,116 +37,153 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassResiduals:
-    """Max-norm defects of the three defining conditions of K / NK / AK."""
+    """Max-norm defects of the three defining conditions of K / NK / AK:
+    floats for one point, or arrays with one value per point."""
 
     kahler: float
     nearly_kahler: float
     almost_kahler: float
 
 
-def _lower(D: np.ndarray) -> np.ndarray:
+def _lower(D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Christoffel symbols Gamma_ljk of the first kind, or their derivatives,
     from the derivatives D[..., a, i, j] of g: out[..., l, j, k]."""
-    return 0.5 * (np.einsum("...jlk->...ljk", D) + np.einsum("...klj->...ljk", D) - D)
+    out = np.add(np.swapaxes(D, -3, -2), np.moveaxis(D, -3, -1), out=out)
+    out -= D
+    out *= 0.5
+    return out
 
 
-def _curvature(dlow: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """R_ijkl = d_i Gamma_ljk - d_j Gamma_lik + Gamma^p_jl Gamma_pik - Gamma^p_il Gamma_pjk,
-    with a (Gamma^p_jl, Gamma_pik) term for each pair, broadcast over leading axes."""
-    R = np.einsum("...iljk->...ijkl", dlow) - np.einsum("...jlik->...ijkl", dlow)
-    for gamma, low in pairs:
-        q = np.einsum("...pjl,...pik->...ijkl", gamma, low)
-        R = R + q - np.swapaxes(q, -4, -3)
-    return R
+def _products(gamma: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """q[..., i, k, j, l] = Gamma^p_jl Gamma_pik, in the order (i, k, j, l)
+    of one matrix product per point."""
+    n = gamma.shape[-1]
+    q = (np.swapaxes(low.reshape(low.shape[:-3] + (n, n * n)), -2, -1)
+         @ gamma.reshape(gamma.shape[:-3] + (n, n * n)))
+    return q.reshape(q.shape[:-2] + (n,) * 4)
+
+
+def _curvature(X: np.ndarray) -> np.ndarray:
+    """R_ijkl = X_ijkl - X_jikl from X in the order (i, k, j, l), where
+    X_ijkl = d_i Gamma_ljk + Gamma^p_jl Gamma_pik, or its derivative."""
+    X = np.swapaxes(X, -3, -2)
+    return X - np.swapaxes(X, -4, -3)
 
 
 @dataclass(frozen=True, eq=False)
 class Jet:
-    """g and J at a point with their derivatives in the chart's coordinates:
-    dg[a, i, j] = d_a g_ij, ddg[a, b, i, j], dddg[a, b, c, i, j], dJ[a, i, j] = d_a J^i_j."""
+    """g and J with their derivatives at a group of P points, in the
+    chart's coordinates; axis 0 indexes the points:
+    g[p, i, j], J[p, i, j], dg[p, a, i, j] = d_a g_ij, ddg[p, a, b, i, j],
+    dddg[p, a, b, c, i, j] and dJ[p, a, i, j] = d_a J^i_j.
+    (Linv, K) are the points' Cholesky frames (`tensor_core.hermitian_frames`),
+    from the one factorization that checked g and J."""
 
-    point: HermitianPoint
+    g: np.ndarray
+    J: np.ndarray
     dg: np.ndarray
     ddg: np.ndarray
     dddg: np.ndarray
     dJ: np.ndarray
+    Linv: np.ndarray
+    K: np.ndarray
+
+    def __len__(self) -> int:
+        return self.g.shape[0]
 
     @cached_property
     def _connection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """gamma[i, j, k] = Gamma^i_jk, low = Gamma_ljk, dlow[a] = d_a Gamma_ljk
-        and dgamma[a] = d_a Gamma^i_jk."""
-        g_inv = np.linalg.inv(self.point.g)
+        """gamma[p, i, j, k] = Gamma^i_jk, low = Gamma_ljk, dlow[p, a] = d_a Gamma_ljk
+        and dgamma[p, a] = d_a Gamma^i_jk."""
+        P, n = self.g.shape[:2]
+        g_inv = np.linalg.inv(self.g)
         low, dlow = _lower(self.dg), _lower(self.ddg)
-        gamma = np.einsum("il,ljk->ijk", g_inv, low)
+        gamma = (g_inv @ low.reshape(P, n, n * n)).reshape(P, n, n, n)
         # d_a Gamma^i_jk = g^il (d_a Gamma_ljk - d_a g_lm Gamma^m_jk)
-        dgamma = np.einsum("il,aljk->aijk", g_inv,
-                           dlow - np.einsum("alm,mjk->aljk", self.dg, gamma))
+        t = dlow - (self.dg.reshape(P, n * n, n)
+                    @ gamma.reshape(P, n, n * n)).reshape(P, n, n, n, n)
+        dgamma = (g_inv[:, None] @ t.reshape(P, n, n, n * n)).reshape(P, n, n, n, n)
         return gamma, low, dlow, dgamma
 
     @cached_property
     def _riemann(self) -> np.ndarray:
         gamma, low, dlow, _ = self._connection
-        return _curvature(dlow, (gamma, low))
+        X = _products(gamma, low)
+        X += np.swapaxes(dlow, -3, -1)
+        return _curvature(X)
 
 
-def riemann(jet: Jet) -> CurvatureTensor:
-    """(0,4) curvature tensor at the jet's point, in the convention where the
-    unit sphere gives pi1: R(e_i, e_j, e_k, e_l) = g_lm R^m_ijk with
+def riemann(jet: Jet) -> np.ndarray:
+    """(0,4) curvature tensors (P, n, n, n, n) at the jet's points, in the
+    convention where the unit sphere gives pi1: R(e_i, e_j, e_k, e_l) = g_lm R^m_ijk with
     R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik."""
-    return CurvatureTensor(jet.point, jet._riemann)
+    return jet._riemann
 
 
-def ricci(R: CurvatureTensor) -> Bilinear:
+def ricci(R: np.ndarray) -> np.ndarray:
     """S(y, z) = sum_i R(e_i, y, z, e_i), a trace, as R's basis is orthonormal
     (g = Id); with this sign the unit sphere gives S = (2m-1) g."""
-    return Bilinear(R.point, np.trace(R.values, axis1=0, axis2=3))
+    return np.trace(R, axis1=-4, axis2=-1)
 
 
 def nabla_J(jet: Jet) -> np.ndarray:
-    """Covariant derivative of J: out[k, i, j] = (nabla_k J)^i_j."""
+    """Covariant derivative of J: out[p, k, i, j] = (nabla_k J)^i_j."""
     gamma = jet._connection[0]
-    J = jet.point.J
-    return jet.dJ + np.einsum("ikl,lj->kij", gamma, J) - np.einsum("lkj,il->kij", gamma, J)
+    P, n = jet.J.shape[:2]
+    # Gamma^i_kl J^l_j and J^i_l Gamma^l_kj, both as (i, k, j)
+    turned = (gamma.reshape(P, n * n, n) @ jet.J).reshape(P, n, n, n)
+    turning = (jet.J @ gamma.reshape(P, n, n * n)).reshape(P, n, n, n)
+    return jet.dJ + np.swapaxes(turned, 1, 2) - np.swapaxes(turning, 1, 2)
 
 
 def nabla_R(jet: Jet) -> np.ndarray:
-    """Covariant derivative of the (0,4) curvature: out[v, x, y, z, u] = (nabla_v R)(x,y,z,u)."""
+    """Covariant derivative of the (0,4) curvature:
+    out[p, v, x, y, z, u] = (nabla_v R)(x, y, z, u)."""
     gamma, low, dlow, dgamma = jet._connection
     R0 = jet._riemann
-    dR = _curvature(_lower(jet.dddg), (dgamma, low), (gamma, dlow))
-    return (
-        dR
-        - np.einsum("avx,ayzu->vxyzu", gamma, R0)
-        - np.einsum("avy,xazu->vxyzu", gamma, R0)
-        - np.einsum("avz,xyau->vxyzu", gamma, R0)
-        - np.einsum("avu,xyza->vxyzu", gamma, R0)
-    )
+    P, n = jet.g.shape[:2]
+    # the derivative of R's X: d_v d_i Gamma_ljk, lowered into X's own memory,
+    # + d_v Gamma^p_jl Gamma_pik + Gamma^p_jl d_v Gamma_pik
+    X = np.empty((P,) + (n,) * 5)
+    _lower(jet.dddg, out=np.swapaxes(X, -3, -1))
+    X += _products(dgamma, low[:, None])
+    X += _products(gamma[:, None], dlow)
+    NR = _curvature(X)
+    del X  # before the correction terms, which hold one more such array each
+    # minus Gamma^a_vw R(..., e_a, ...) for each slot w of R, each product
+    # batched so that its result comes out in the order (v, x, y, z, u)
+    G = np.moveaxis(gamma, 1, 3)  # G[p, v, w, a] = Gamma^a_vw
+    NR -= (G.reshape(P, n * n, n) @ R0.reshape(P, n, n**3)).reshape(NR.shape)
+    NR -= (G[:, :, None] @ R0.reshape(P, 1, n, n, n * n)).reshape(NR.shape)
+    NR -= G[:, :, None, None] @ R0[:, None]
+    NR -= (R0.reshape(P, 1, n**3, n) @ np.swapaxes(gamma, 1, 2)).reshape(NR.shape)
+    return NR
 
 
 def _to_frame(T: np.ndarray, Linv: np.ndarray) -> np.ndarray:
-    """The covariant tensor T in the frame of Linv's rows: each product contracts
-    the first axis with Linv and puts it last, so T.ndim products keep the order."""
-    n = Linv.shape[0]
-    for _ in range(T.ndim):
-        T = (T.reshape(n, -1).T @ Linv.T).reshape(T.shape)
+    """The covariant tensors T (P, n, ..., n) in the frames of Linv's rows:
+    each product contracts the first tensor axis with Linv and puts it
+    last, so one product per tensor axis keeps the order."""
+    P, n = Linv.shape[:2]
+    frame = np.swapaxes(Linv, 1, 2)
+    for _ in range(T.ndim - 1):
+        T = (np.swapaxes(T.reshape(P, n, -1), 1, 2) @ frame).reshape(T.shape)
     return T
 
 
-def in_frame(R: CurvatureTensor, NJ: np.ndarray,
-             NR: np.ndarray) -> tuple[CurvatureTensor, np.ndarray, np.ndarray]:
-    """R, nabla J and nabla R from the chart's coordinates to the metric's
-    Cholesky frame (`HermitianPoint.frame`), which is g-orthonormal: R's
-    point becomes HermitianPoint(m, Id, K), and index positions agree."""
-    pt = R.point
-    Linv, K = pt.frame
-    frame = HermitianPoint(pt.m, np.eye(pt.dim), K)
-    return (CurvatureTensor(frame, _to_frame(R.values, Linv)),
-            _to_frame(pt.g @ NJ, Linv), _to_frame(NR, Linv))
+def in_frame(jet: Jet, R: np.ndarray, NJ: np.ndarray,
+             NR: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R, nabla J and nabla R from the chart's coordinates to each point's
+    Cholesky frame (jet.Linv), which is g-orthonormal; J there is jet.K,
+    and index positions agree."""
+    return (_to_frame(R, jet.Linv), _to_frame(jet.g[:, None] @ NJ, jet.Linv),
+            _to_frame(NR, jet.Linv))
 
 
 def class_residuals(NJ: np.ndarray) -> ClassResiduals:
     """Defects of the Kahler, nearly Kahler and almost Kahler conditions,
-    from NJ = nabla_J(...) in an orthonormal frame (g = Id).
+    from NJ = nabla_J(...) (..., n, n, n) in an orthonormal frame (g = Id),
+    one value per point in each field.
 
     kahler:        max |(nabla_k J)^i_j| over all entries
     nearly_kahler: max over basis pairs of the symmetrized defect
@@ -150,27 +191,24 @@ def class_residuals(NJ: np.ndarray) -> ClassResiduals:
     almost_kahler: max over basis triples of the cyclic sum
                    g((nabla_x J)y, z) + g((nabla_y J)z, x) + g((nabla_z J)x, y)
     """
-    kahler = float(np.max(np.abs(NJ)))
-    sym = NJ + np.einsum("jik->kij", NJ)
-    nearly = 0.5 * float(np.max(np.abs(sym)))
+    kahler = _max_abs(NJ, 3)
+    nearly = 0.5 * _max_abs(NJ + np.swapaxes(NJ, -3, -1), 3)
     # NJ[k, a, j] = g((nabla_k J) e_j, e_a)
-    cyc = np.einsum("xzy->xyz", NJ) + np.einsum("yxz->xyz", NJ) + np.einsum("zyx->xyz", NJ)
-    almost = float(np.max(np.abs(cyc)))
-    return ClassResiduals(kahler=kahler, nearly_kahler=nearly, almost_kahler=almost)
+    cyc = np.swapaxes(NJ, -2, -1) + np.swapaxes(NJ, -3, -2) + np.swapaxes(NJ, -3, -1)
+    return ClassResiduals(kahler=kahler, nearly_kahler=nearly, almost_kahler=_max_abs(cyc, 3))
 
 
-def gray_ak2_residual(R: CurvatureTensor, NJ: np.ndarray) -> float:
+def gray_ak2_residual(R: np.ndarray, NJ: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Defect of the curvature identity characterizing the AK_2 class:
 
         R(x,y,z,u) - R(x,y,Jz,Ju)
             = 1/2 g((nabla_x J)y - (nabla_y J)x, (nabla_z J)u - (nabla_u J)z)
 
     evaluated over all basis quadruples of an orthonormal frame (g = Id),
-    with J taken from R's point.
+    one value per point of R (..., n, n, n, n), NJ (..., n, n, n) and J (..., n, n).
     """
-    J = R.point.J
-    n = J.shape[0]
-    lhs = R.values - np.einsum("xyau,az->xyzu", R.values @ J, J)
-    V = (np.einsum("xiy->xyi", NJ) - np.einsum("yix->xyi", NJ)).reshape(n * n, n)
-    rhs = 0.5 * (V @ V.T).reshape(n, n, n, n)
-    return float(np.max(np.abs(lhs - rhs)))
+    n = J.shape[-1]
+    lhs = R - _apply(_apply(R, J, -1), J, -2)
+    V = (np.swapaxes(NJ, -2, -1) - np.moveaxis(NJ, -1, -3)).reshape(J.shape[:-2] + (n * n, n))
+    rhs = 0.5 * (V @ np.swapaxes(V, -2, -1)).reshape(R.shape)
+    return _max_abs(lhs - rhs, 4)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import keyword
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -48,7 +47,7 @@ from .expressions import (
     variables_of,
 )
 from .calculus import Jet
-from .tensor_core import HermitianPoint, InvariantViolation
+from .tensor_core import HermitianPoint, InvariantViolation, hermitian_frames
 
 __all__ = [
     "ChartError",
@@ -86,9 +85,10 @@ class DomainError(ChartError):
 # have m <= 3.
 MAX_DIM = 6
 
-# Points per Taylor pass in `ChartSpec.jets_at`.  Per point, a cp3 pass
-# costs about the same from 8 points up, while its arrays grow with the
-# group; a fixed size keeps a long run's memory from growing with its length.
+# Points per Taylor pass in `ChartSpec.jets_at`, and so per stacked tensor
+# stage of the analysis.  Per point, a cp3 pass costs about the same from 8
+# points up, while its arrays grow with the group; a fixed size keeps a long
+# run's memory from growing with its length.
 JET_GROUP = 16
 
 
@@ -206,40 +206,44 @@ class ChartSpec:
             raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
 
     def jets_at(self, points) -> Iterator[Jet]:
-        """The jet at each of `points`, in order: g, J and their derivatives,
-        exact up to rounding.
+        """The jets at `points`, in order, one `Jet` per group of up to
+        JET_GROUP points: g, J and their derivatives, exact up to rounding.
 
         The program runs once on Taylor series along the jet lines for each
-        group of up to JET_GROUP points.  Only the points must lie in the
-        domain; a derivative that is not finite there is an error.  When a
-        group fails, its points run one by one, so the jets before the
-        first failing point still come out, and that point raises what it
-        raises alone.
+        group.  Only the points must lie in the domain; a derivative that is
+        not finite there is an error.  When a group fails, its points run
+        one by one, each a group of one, so the jets before the first
+        failing point still come out, and that point raises what it raises
+        alone.
         """
         points = list(points)
         for start in range(0, len(points), JET_GROUP):
             group = points[start:start + JET_GROUP]
             try:
-                jets = deque(self._jets(group))
+                jet = self._jets(group)
             except ChartError:
                 if len(group) == 1:
                     raise
                 for p in group:
-                    yield from self._jets([p])
+                    yield self._jets([p])
                 continue
-            while jets:  # a jet handed out is no longer held here
-                yield jets.popleft()
+            yield jet
 
-    def _jets(self, group: list) -> list[Jet]:
-        """One Taylor pass for a group of points, each checked by `eval_point`.
+    def _jets(self, group: list) -> Jet:
+        """One Taylor pass for a group of points, after `metric_at` and
+        `j_at` at each and one `hermitian_frames` check of them all.
 
         The derivatives of g are recovered only for its upper triangle and
         each distinct multiset of directions, then gathered into one
-        C-contiguous (n, n, n^k) block per point.  The jet's arrays are
-        those blocks, and J's, with the axes (i, j) moved last: einsum
-        downstream rounds by its operands' memory layout, so that stays fixed.
+        (P, n^k, n, n) block per order.
         """
-        points = [self.eval_point(p) for p in group]
+        g = np.stack([self.metric_at(p) for p in group])
+        J = np.stack([self.j_at(p) for p in group])
+        try:
+            Linv, K = hermitian_frames(g, J)
+        except InvariantViolation as exc:
+            p = np.asarray(group[exc.index], dtype=float)
+            raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
         n, layout = 2 * self.m, _layout(2 * self.m)
         env = dict(zip(self.coord_names, np.array(group, dtype=float).T))
         lines = dict(zip(self.coord_names, layout.lines.T))
@@ -254,13 +258,12 @@ class ChartSpec:
             return flat.reshape(len(group), -1)
 
         def at(block: np.ndarray) -> np.ndarray:
-            return np.moveaxis(block, (0, 1), (-2, -1))
+            return np.moveaxis(block, (1, 2), (-2, -1))
 
         dg, ddg, dddg = (derivatives(g_coeffs, k) for k in (1, 2, 3))
         dJ = derivatives(j_coeffs, 1).reshape(len(group), n, n, n)
         g1, g2, g3 = layout.gather
-        return [Jet(point, at(dg[i][g1]), at(ddg[i][g2]), at(dddg[i][g3]), at(dJ[i]))
-                for i, point in enumerate(points)]
+        return Jet(g, J, at(dg[:, g1]), at(ddg[:, g2]), at(dddg[:, g3]), at(dJ), Linv, K)
 
 
 # ASCII only: Python folds 'xﬁ' into 'xfi', and int() and float() read

@@ -1,9 +1,16 @@
-"""Full per-point analysis pipeline and deterministic report assembly.
+"""The analysis pipeline and deterministic report assembly.
 
-One `jets_at` call gives every point's jet, running the chart program
-once per group of points; R, nabla J and nabla R come once from each jet,
-sharing its connection, and are expressed once in g's orthonormal Cholesky
-frame (`calculus.in_frame`), where every check runs.  So `tol` is in the
+One `jets_at` call gives the jets of every group of up to JET_GROUP
+points, running the chart program once per group.  Each group's tensor
+stage runs once on arrays with a leading point axis (`_group_checks`):
+R, nabla J and nabla R share the jet's connection, are expressed once in
+each point's orthonormal Cholesky frame (`calculus.in_frame`), where every
+check runs, and each residual of the tensors alone comes out as one value
+per point.  A lone point is a group of one, and a point's values do not
+depend on its group.  What rests on a point's sampled planes then runs
+per point in `analyze_point`: plane statistics, the decomposition
+residual, the adapted eigenframe and relation (3.2), the verdict and the
+record, each point drawing from its own generator.  So `tol` is in the
 curvature units of an orthonormal frame, whatever the chart's coordinates
 or scale.  Each residual is a max-norm over frame components: a diagonal
 change of coordinates keeps the frame and every value; a general linear
@@ -46,7 +53,15 @@ from .analysis import (
 from .calculus import ClassResiduals, Jet
 from .charts import ChartSpec
 from .models import ModelDescriptor
-from .tensor_core import InvariantViolation, ah_identity_residual, riemann_symmetry_residual
+from .tensor_core import (
+    Bilinear,
+    CurvatureTensor,
+    HermitianPoint,
+    InvariantViolation,
+    ah_identity_residual,
+    fit_pi_span,
+    riemann_symmetry_residual,
+)
 
 __all__ = ["PointReport", "AnalysisReport", "analyze_chart", "analyze_model", "EXPECTED_TOL",
            "MAX_SAMPLES"]
@@ -98,31 +113,74 @@ def _non_finite(value, key: str = "") -> str | None:
     return None
 
 
-# Non-finite values are refused below: einsum overflows to inf without
-# raising, so a raising errstate would not catch them all.
+@dataclass(frozen=True, eq=False)
+class _GroupChecks:
+    """A group's tensors in the points' frames and the residuals that read
+    only them, each with a leading point axis.  not_finite[k] names the
+    first of R, nabla J and nabla R that is not finite at the k-th point."""
+
+    K: np.ndarray
+    R: np.ndarray
+    S: np.ndarray
+    NJ: np.ndarray
+    NS: np.ndarray
+    not_finite: list[str | None]
+    class_residuals: ClassResiduals
+    ah: dict[str, np.ndarray]
+    symmetry: np.ndarray
+    einstein: tuple[np.ndarray, np.ndarray]
+    bianchi: np.ndarray
+    gray: np.ndarray
+    fit: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+# Non-finite values are refused per point: einsum and matmul overflow to
+# inf without raising, so a raising errstate would not catch them all.
 @np.errstate(all="ignore")
-def analyze_point(jet: Jet, p: tuple[float, ...], index: int, *, tol: float,
-                  samples: int, seed: int) -> PointReport:
-    """Run every check on the jet at the point p, the index-th of its run;
-    deterministic for fixed arguments.
+def _group_checks(jet: Jet) -> _GroupChecks:
+    """The tensor stage of a group, once for all its points."""
+    R = calculus.riemann(jet)
+    NJ = calculus.nabla_J(jet)
+    NR = calculus.nabla_R(jet)
+    finite = [(name, np.isfinite(T).reshape(len(jet), -1).all(axis=1))
+              for name, T in (("R", R), ("nabla J", NJ), ("nabla R", NR))]
+    not_finite = [next((name for name, ok in finite if not ok[k]), None)
+                  for k in range(len(jet))]
+    R, NJ, NR = calculus.in_frame(jet, R, NJ, NR)
+    K = jet.K
+    S = calculus.ricci(R)
+    return _GroupChecks(
+        K=K, R=R, S=S, NJ=NJ,
+        # metric compatibility lets nabla S come from tracing nabla R
+        NS=np.trace(NR, axis1=2, axis2=5),
+        not_finite=not_finite,
+        class_residuals=calculus.class_residuals(NJ),
+        ah={f"AH{k}": ah_identity_residual(R, K, k) for k in (1, 2, 3)},
+        symmetry=riemann_symmetry_residual(R),
+        einstein=einstein_residual(S),
+        bianchi=bianchi2_residual(NR),
+        gray=calculus.gray_ak2_residual(R, NJ, K),
+        fit=fit_pi_span(R, K),
+    )
+
+
+@np.errstate(all="ignore")
+def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int, *,
+                  tol: float, samples: int, seed: int) -> PointReport:
+    """Run every check on the k-th point of a group, the point p, the
+    index-th of its run; deterministic for fixed arguments.
 
     A chart whose values overflow on the way is an InvariantViolation naming
     p: when R, nabla J or nabla R is not finite, or any float of the record.
     """
-    R = calculus.riemann(jet)
-    NJ = calculus.nabla_J(jet)
-    NR = calculus.nabla_R(jet)
-    for name, values in (("R", R.values), ("nabla J", NJ), ("nabla R", NR)):
-        if not np.isfinite(values).all():
-            raise InvariantViolation(f"{name} is not finite at point {list(p)}")
-    R, NJ, NR = calculus.in_frame(R, NJ, NR)
-    pt = R.point
-    S = calculus.ricci(R)
-    cls = calculus.class_residuals(NJ)
-    # metric compatibility lets nabla S come from tracing nabla R
-    NS = np.trace(NR, axis1=1, axis2=4)
-
-    ah = {f"AH{k}": ah_identity_residual(R, k) for k in (1, 2, 3)}
+    if group.not_finite[k] is not None:
+        raise InvariantViolation(f"{group.not_finite[k]} is not finite at point {list(p)}")
+    pt = HermitianPoint.orthonormal(group.K[k])
+    R = CurvatureTensor(pt, group.R[k])
+    c = group.class_residuals
+    cls = ClassResiduals(kahler=float(c.kahler[k]), nearly_kahler=float(c.nearly_kahler[k]),
+                         almost_kahler=float(c.almost_kahler[k]))
+    ah = {name: float(values[k]) for name, values in group.ah.items()}
     by_flag = {"K": cls.kahler, "NK": cls.nearly_kahler, "AK": cls.almost_kahler, **ah}
 
     rng = np.random.default_rng([seed, index])
@@ -134,31 +192,30 @@ def analyze_point(jet: Jet, p: tuple[float, ...], index: int, *, tol: float,
         anti = None
         nu = holo.mean / 4.0
 
-    lam, einstein_defect = einstein_residual(S)
-    decomposition = decomposition_residual(R, S, nu, tol=tol)
-    bianchi = bianchi2_residual(NR)
+    lam, einstein_defect = (float(v[k]) for v in group.einstein)
+    decomposition = decomposition_residual(group.R[k], group.S[k], nu, group.K[k], tol=tol)
     try:
-        frame = adapted_eigenframe(S, tol)
-        relation = proof_relation_32_residual(frame, NS, NJ, nu)
+        frame = adapted_eigenframe(Bilinear(pt, group.S[k]), tol)
+        relation = proof_relation_32_residual(frame, group.NS[k], group.NJ[k], nu)
     except InvariantViolation:
         relation = None  # Ricci tensor not J-invariant: the relation does not apply
-    gray = calculus.gray_ak2_residual(R, NJ)
-    verdict = classify(R, ah["AH3"], (lam, einstein_defect), cls, holo, anti, tol)
+    fit = tuple(float(v[k]) for v in group.fit)
+    verdict = classify(pt.m, ah["AH3"], (lam, einstein_defect), cls, holo, anti, fit, tol)
 
     record = PointReport(
         point=p,
         flags={flag: r <= tol for flag, r in by_flag.items()},
         class_residuals=cls,
         ah_residuals=ah,
-        riemann_symmetry_residual=riemann_symmetry_residual(R),
+        riemann_symmetry_residual=float(group.symmetry[k]),
         einstein={"lambda": lam, "residual": einstein_defect},
         holomorphic=holo,
         antiholomorphic=anti,
         nu=nu,
         decomposition_residual=decomposition,
-        bianchi_residual=bianchi,
+        bianchi_residual=float(group.bianchi[k]),
         eigenframe_relation_residual=relation,
-        gray_ak2_residual=gray,
+        gray_ak2_residual=float(group.gray[k]),
         verdict=verdict,
     )
     bad = _non_finite(record)
@@ -334,10 +391,13 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         "seed": seed,
         "points": [list(p) for p in points],
     }
-    reports = [
-        analyze_point(jet, p, i, tol=tol, samples=samples, seed=seed)
-        for i, (p, jet) in enumerate(zip(points, chart.jets_at(points)))
-    ]
+    reports: list[PointReport] = []
+    for jet in chart.jets_at(points):
+        group = _group_checks(jet)
+        for k in range(len(jet)):
+            i = len(reports)
+            reports.append(analyze_point(group, k, points[i], i, tol=tol, samples=samples,
+                                         seed=seed))
     schur = None
     if len(reports) >= 2:
         schur = schur_check([pr.antiholomorphic or pr.holomorphic for pr in reports])

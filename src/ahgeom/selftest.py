@@ -13,6 +13,7 @@ import numpy as np
 from .analysis import adapted_eigenframe, constancy, sample_antiholomorphic_planes
 from .tensor_core import (
     Bilinear,
+    CurvatureTensor,
     HermitianPoint,
     build_from_decomposition,
     fit_pi_span,
@@ -53,12 +54,9 @@ def run_selftest(seed: int = 42) -> bool:
 
     worst = 0.0
     for m in (1, 2, 3):
-        pt = HermitianPoint.standard_flat(m)
-        gap = float(np.max(np.abs(psi(Bilinear.from_metric(pt)).values - 2.0 * pi2(pt).values)))
-        worst = max(worst, gap)
-        pt = random_hermitian_point(m, rng)
-        gap = float(np.max(np.abs(psi(Bilinear.from_metric(pt)).values - 2.0 * pi2(pt).values)))
-        worst = max(worst, gap)
+        for pt in (HermitianPoint.standard_flat(m), random_hermitian_point(m, rng)):
+            gap = float(np.max(np.abs(psi(pt.g, pt.J) - 2.0 * pi2(pt.J))))
+            worst = max(worst, gap)
     check("psi(g) = 2 pi2 for m in {1,2,3}", worst < 1e-12, f"max gap {worst:.3e}")
 
     worst = 0.0
@@ -67,7 +65,7 @@ def run_selftest(seed: int = 42) -> bool:
         pt = random_hermitian_point(m, rng)
         S = random_j_invariant_bilinear(pt, rng)
         nu = float(rng.uniform(-2.0, 2.0))
-        R = build_from_decomposition(S, nu)
+        R = CurvatureTensor(pt, build_from_decomposition(S.values, nu, pt.J))
         planes = sample_antiholomorphic_planes(pt, 64, rng)
         stats = constancy(R, planes)
         worst = max(worst, abs(stats.mean - nu) + stats.max_deviation)
@@ -92,9 +90,8 @@ def run_selftest(seed: int = 42) -> bool:
         m = 1 + k % 3
         pt = random_hermitian_point(m, rng)
         a0, b0 = rng.uniform(-3.0, 3.0, size=2)
-        R = pi1(pt)
-        values = a0 * R.values + b0 * pi2(pt).values
-        a, b, residual = fit_pi_span(type(R)(pt, values))
+        values = a0 * pi1(pt.dim) + b0 * pi2(pt.J)
+        a, b, residual = map(float, fit_pi_span(values, pt.J))
         worst = max(worst, residual)
         if m >= 2:
             worst = max(worst, abs(a - a0), abs(b - b0))

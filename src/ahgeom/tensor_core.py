@@ -1,12 +1,18 @@
 """Pointwise multilinear algebra for almost Hermitian structures.
 
-Everything in this module is exact linear algebra on one tangent space:
-the curvature-type operators ``pi1``/``pi2``/``psi``, sectional curvature
-of a batch of 2-planes (``Planes``), the three AH curvature identities, and
-construction / least-squares splitting of curvature tensors over
-span{pi1, pi2}.  No differentiation and no charts happen here; the
-functions are pure and the containers are immutable, so concurrent use is
-safe.
+Everything in this module is exact linear algebra on tangent spaces.  The
+tensor functions take arrays whose leading axes index points (none for
+one point) and whose trailing axes are the tensor's; they work on every
+point at once, contract by matrix products, and each residual is a max
+over the trailing axes, one value per point.  The tensors are in an
+orthonormal frame (g = Id), so J is the only structure they read: the
+curvature-type operators ``pi1``/``pi2``/``psi``, the three AH curvature
+identities, and construction / least-squares splitting of curvature
+tensors over span{pi1, pi2}.  The containers (`HermitianPoint`,
+`Bilinear`, `CurvatureTensor`, `Planes`) hold one point, for the plane
+statistics; `sectional_curvature` evaluates a batch of 2-planes there.
+No differentiation and no charts happen here; the functions are pure and
+the containers are immutable, so concurrent use is safe.
 
 Sign conventions are fixed so that the unit round sphere has curvature
 tensor ``pi1`` and the sectional curvature of an orthonormal plane (x, y)
@@ -15,7 +21,7 @@ is ``R(x, y, y, x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +34,7 @@ __all__ = [
     "CurvatureTensor",
     "Planes",
     "standard_j",
+    "hermitian_frames",
     "psi",
     "pi1",
     "pi2",
@@ -38,13 +45,19 @@ __all__ = [
     "fit_pi_span",
 ]
 
-# Entrywise tolerance of the almost Hermitian invariants, and the floor of
-# the symmetry and J-invariance checks on a Ricci tensor.
+# Tolerance of the almost Hermitian invariants, relative to the metric's
+# scale, and the floor of the symmetry and J-invariance checks on a Ricci
+# tensor.
 INVARIANT_TOL = 1e-8
 
 
 class InvariantViolation(ValueError):
-    """An input breaks a structural invariant (message carries the magnitude)."""
+    """An input breaks a structural invariant (message carries the magnitude).
+
+    `index` is the position of the offending point in a stack of points,
+    where the check ran on one (`hermitian_frames`), else None."""
+
+    index: int | None = None
 
 
 def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -53,6 +66,30 @@ def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
         raise InvariantViolation(f"expected array of shape {shape}, got {a.shape}")
     a.setflags(write=False)
     return a
+
+
+def _max_abs(T: np.ndarray, axes: int) -> np.ndarray:
+    """max |T| over the last `axes` axes: one value per point."""
+    return np.max(np.abs(T), axis=tuple(range(-axes, 0)))
+
+
+def _apply(T: np.ndarray, J: np.ndarray, slot: int) -> np.ndarray:
+    """The tensor T with J applied to one argument slot (negative, counted
+    from the end): out[..., w, ...] = sum_a T[..., a, ...] J[a, w], as one
+    matrix product per point."""
+    moved = np.moveaxis(T, slot, -1)
+    out = moved.reshape(J.shape[:-2] + (-1, J.shape[-1])) @ J
+    return np.moveaxis(out.reshape(moved.shape), -1, slot)
+
+
+def _pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """out[..., x, y, z, u] = A[..., x, u] B[..., y, z]."""
+    return A[..., :, None, None, :] * B[..., None, :, :, None]
+
+
+def _split(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """out[..., x, y, z, u] = A[..., x, y] B[..., z, u]."""
+    return A[..., :, :, None, None] * B[..., None, None, :, :]
 
 
 def standard_j(m: int) -> np.ndarray:
@@ -64,24 +101,75 @@ def standard_j(m: int) -> np.ndarray:
     return J
 
 
+def _breaks(residual: np.ndarray) -> bool:
+    """Whether some point's residual is above INVARIANT_TOL or NaN."""
+    return not np.all(residual <= INVARIANT_TOL)
+
+
+@np.errstate(all="ignore")  # an overflow gives inf or NaN, which _breaks refuses
+def _frames(g: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_frames` of a stack, raising for the stack as a whole."""
+    n = g.shape[-1]
+    eye = np.eye(n)
+    scale = np.maximum(_max_abs(g, 2), np.finfo(float).tiny)  # g = 0 fails Cholesky
+    sym = _max_abs(g - np.swapaxes(g, -2, -1), 2) / scale
+    if _breaks(sym):
+        raise InvariantViolation(
+            f"metric not symmetric: max |g - g^T| / max |g| = {np.max(sym):.3e}")
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise InvariantViolation("metric not positive definite") from None
+    jj = _max_abs(J @ J + eye, 2)
+    if _breaks(jj):
+        raise InvariantViolation(f"J @ J differs from -Id: max residual = {np.max(jj):.3e}")
+    Linv = np.linalg.inv(L)
+    K = np.swapaxes(L, -2, -1) @ J @ np.swapaxes(Linv, -2, -1)
+    comp = _max_abs(np.swapaxes(K, -2, -1) @ K - eye, 2)
+    if _breaks(comp):
+        raise InvariantViolation(
+            "J not compatible with metric: max |J^T g J - g| = "
+            f"{np.max(comp):.3e} in g's orthonormal frame")
+    return Linv, K
+
+
+def hermitian_frames(g: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky frames (Linv, K) of a stack of points (P, n, n), from
+    one factorization g = L L^T per point, after checking the invariants.
+
+    Each check is to INVARIANT_TOL and does not change when g is scaled:
+    max |g - g^T| relative to max |g|, positive definiteness,
+    max |J @ J + Id|, and J^T g J = g as K^T K = Id for K = L^T J L^-T, J
+    in the frame of the columns of L^-T, which are g-orthonormal.  An
+    invariant that fails raises InvariantViolation for the first point
+    that breaks one, with its message alone and `index` its position.
+    """
+    try:
+        return _frames(g, J)
+    except InvariantViolation as exc:
+        failure = exc
+    for k in range(len(g)):  # the failing stack again, point by point
+        try:
+            _frames(g[k:k + 1], J[k:k + 1])
+        except InvariantViolation as exc:
+            exc.index = k
+            raise
+    raise failure
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianPoint:
     """A tangent space R^{2m} with metric g and compatible almost complex structure J.
 
-    Invariants, each enforced to INVARIANT_TOL (absolute, entrywise):
+    Invariants, each enforced to INVARIANT_TOL by `hermitian_frames`:
     g symmetric positive definite, J @ J = -Id, and J^T g J = g.
-
-    frame = (Linv, K) is the metric's Cholesky frame, from the one
-    factorization g = L L^T that also checks positive definiteness.  Its
-    basis is the columns of L^-T, which are g-orthonormal: a row v of frame
-    components has the coordinates v @ Linv, with Linv = L^-1.  K = L^T J L^-T
-    is J in that frame, an orthogonal matrix with K @ K = -Id.
+    The analysis holds its points in their orthonormal frames
+    (`orthonormal`), where g = Id.
     """
 
     m: int
     g: np.ndarray
     J: np.ndarray
-    frame: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -89,26 +177,7 @@ class HermitianPoint:
         n = 2 * self.m
         object.__setattr__(self, "g", _frozen_array(self.g, (n, n)))
         object.__setattr__(self, "J", _frozen_array(self.J, (n, n)))
-        sym = float(np.max(np.abs(self.g - self.g.T)))
-        if sym > INVARIANT_TOL:
-            raise InvariantViolation(f"metric not symmetric: max |g - g^T| = {sym:.3e}")
-        try:
-            L = np.linalg.cholesky(self.g)
-        except np.linalg.LinAlgError:
-            raise InvariantViolation("metric not positive definite") from None
-        jj = float(np.max(np.abs(self.J @ self.J + np.eye(n))))
-        if jj > INVARIANT_TOL:
-            raise InvariantViolation(f"J @ J differs from -Id: max residual = {jj:.3e}")
-        comp = float(np.max(np.abs(self.J.T @ self.g @ self.J - self.g)))
-        if comp > INVARIANT_TOL:
-            raise InvariantViolation(
-                f"J not compatible with metric: max |J^T g J - g| = {comp:.3e}"
-            )
-        Linv = np.linalg.inv(L)
-        K = L.T @ self.J @ Linv.T
-        Linv.setflags(write=False)
-        K.setflags(write=False)
-        object.__setattr__(self, "frame", (Linv, K))
+        hermitian_frames(self.g[None], self.J[None])
 
     @property
     def dim(self) -> int:
@@ -118,14 +187,23 @@ class HermitianPoint:
     def standard_flat(cls, m: int) -> "HermitianPoint":
         return cls(m=m, g=np.eye(2 * m), J=standard_j(m))
 
+    @classmethod
+    def orthonormal(cls, K: np.ndarray) -> "HermitianPoint":
+        """A point in its own Cholesky frame: g = Id and J = K, the K of a
+        frame that `hermitian_frames` computed and checked, so nothing is
+        factorized or checked again."""
+        point = object.__new__(cls)
+        eye = np.eye(K.shape[0])
+        eye.setflags(write=False)
+        J = _frozen_array(K, eye.shape)
+        for name, value in (("m", K.shape[0] // 2), ("g", eye), ("J", J)):
+            object.__setattr__(point, name, value)
+        return point
+
 
 @dataclass(frozen=True, eq=False)
 class Bilinear:
-    """A (0,2) tensor at a point, stored as Q[i, j] = Q(e_i, e_j).
-
-    Symmetry and J-invariance are not assumed; they are measured by the
-    defect methods and gated where an operation requires them.
-    """
+    """A (0,2) tensor at a point, stored as Q[i, j] = Q(e_i, e_j)."""
 
     point: HermitianPoint
     values: np.ndarray
@@ -133,18 +211,6 @@ class Bilinear:
     def __post_init__(self):
         n = self.point.dim
         object.__setattr__(self, "values", _frozen_array(self.values, (n, n)))
-
-    @classmethod
-    def from_metric(cls, point: HermitianPoint) -> "Bilinear":
-        return cls(point, point.g)
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T)))
-
-    def j_invariance_defect(self) -> float:
-        """max |Q(Jx, Jy) - Q(x, y)| over basis pairs."""
-        J = self.point.J
-        return float(np.max(np.abs(J.T @ self.values @ J - self.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +263,9 @@ class Planes:
         return self.x.shape[0]
 
 
-def psi(Q: Bilinear) -> CurvatureTensor:
-    """Six-term curvature-type product of a (0,2) tensor with the fundamental form.
+def psi(Q: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Six-term curvature-type product of (0,2) tensors Q (..., n, n) with
+    the fundamental form, in an orthonormal frame (g = Id):
 
     psi(Q)(x,y,z,u) = g(x,Ju) Q(y,Jz) - g(x,Jz) Q(y,Ju) - 2 g(x,Jy) Q(z,Ju)
                     + g(y,Jz) Q(x,Ju) - g(y,Ju) Q(x,Jz) - 2 g(z,Ju) Q(x,Jy)
@@ -206,89 +273,68 @@ def psi(Q: Bilinear) -> CurvatureTensor:
     For symmetric J-invariant Q the result has all the algebraic symmetries
     of a curvature tensor; for arbitrary Q it does not.
     """
-    pt = Q.point
-    A = pt.g @ pt.J  # A[i, j] = g(e_i, J e_j)
-    B = Q.values @ pt.J  # B[i, j] = Q(e_i, J e_j)
-    values = (
-        np.einsum("xu,yz->xyzu", A, B)
-        - np.einsum("xz,yu->xyzu", A, B)
-        - 2.0 * np.einsum("xy,zu->xyzu", A, B)
-        + np.einsum("yz,xu->xyzu", A, B)
-        - np.einsum("yu,xz->xyzu", A, B)
-        - 2.0 * np.einsum("zu,xy->xyzu", A, B)
-    )
-    return CurvatureTensor(pt, values)
+    B = Q @ J  # B[i, j] = Q(e_i, J e_j); J[i, j] = g(e_i, J e_j)
+    AB, BA = _pair(J, B), _pair(B, J)
+    return (AB - np.swapaxes(AB, -2, -1) - 2.0 * _split(J, B)
+            + BA - np.swapaxes(BA, -2, -1) - 2.0 * _split(B, J))
 
 
-def pi1(ctx: HermitianPoint) -> CurvatureTensor:
-    """Constant-curvature building block: pi1(x,y,z,u) = g(x,u)g(y,z) - g(x,z)g(y,u)."""
-    g = ctx.g
-    values = np.einsum("xu,yz->xyzu", g, g) - np.einsum("xz,yu->xyzu", g, g)
-    return CurvatureTensor(ctx, values)
+def pi1(n: int) -> np.ndarray:
+    """Constant-curvature building block in dimension n, orthonormal frame:
+    pi1(x,y,z,u) = g(x,u)g(y,z) - g(x,z)g(y,u)."""
+    gg = _pair(np.eye(n), np.eye(n))
+    return gg - np.swapaxes(gg, -2, -1)
 
 
-def pi2(ctx: HermitianPoint) -> CurvatureTensor:
-    """Complex-space-form building block, equal to psi(g) / 2:
+def pi2(J: np.ndarray) -> np.ndarray:
+    """Complex-space-form building block, equal to psi(g) / 2, for structures
+    J (..., n, n) in an orthonormal frame:
 
     pi2(x,y,z,u) = g(x,Ju)g(y,Jz) - g(x,Jz)g(y,Ju) - 2 g(x,Jy)g(z,Ju)
     """
-    A = ctx.g @ ctx.J
-    values = (
-        np.einsum("xu,yz->xyzu", A, A)
-        - np.einsum("xz,yu->xyzu", A, A)
-        - 2.0 * np.einsum("xy,zu->xyzu", A, A)
-    )
-    return CurvatureTensor(ctx, values)
+    AA = _pair(J, J)
+    return AA - np.swapaxes(AA, -2, -1) - 2.0 * _split(J, J)
 
 
-def _rotate_slots(values: np.ndarray, J: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    """Apply J to the given argument slots of a (0,4) tensor."""
-    out = values
-    letters = "ijkl"
-    for s in slots:
-        src = letters[s]
-        spec = letters.replace(src, "a") + f",a{src}->" + letters
-        out = np.einsum(spec, out, J)
-    return out
-
-
-def ah_identity_residual(R: CurvatureTensor, which: int) -> float:
-    """Max-norm violation of one of the three AH curvature identities.
+def ah_identity_residual(R: np.ndarray, J: np.ndarray, which: int) -> np.ndarray:
+    """Max-norm violation of one of the three AH curvature identities, per
+    point of R (..., n, n, n, n) with structures J (..., n, n):
 
     1: R(X,Y,Z,U) = R(X,Y,JZ,JU)
     2: R(X,Y,Z,U) = R(X,Y,JZ,JU) + R(X,JY,Z,JU) + R(JX,Y,Z,JU)
     3: R(X,Y,Z,U) = R(JX,JY,JZ,JU)
 
-    Zero means the tensor satisfies the identity at this point.
+    Zero means the tensor satisfies the identity at that point.
     """
-    V, J = R.values, R.point.J
+
+    def rotated(*slots: int) -> np.ndarray:
+        out = R
+        for s in slots:
+            out = _apply(out, J, s)
+        return out
+
     if which == 1:
-        rhs = _rotate_slots(V, J, (2, 3))
+        rhs = rotated(-2, -1)
     elif which == 2:
-        rhs = (
-            _rotate_slots(V, J, (2, 3))
-            + _rotate_slots(V, J, (1, 3))
-            + _rotate_slots(V, J, (0, 3))
-        )
+        rhs = rotated(-2, -1) + rotated(-3, -1) + rotated(-4, -1)
     elif which == 3:
-        rhs = _rotate_slots(V, J, (0, 1, 2, 3))
+        rhs = rotated(-4, -3, -2, -1)
     else:
         raise ValueError(f"identity index must be 1, 2 or 3, got {which!r}")
-    return float(np.max(np.abs(V - rhs)))
+    return _max_abs(R - rhs, 4)
 
 
-def riemann_symmetry_residual(R: CurvatureTensor) -> float:
-    """Max violation of the algebraic curvature symmetries.
+def riemann_symmetry_residual(R: np.ndarray) -> np.ndarray:
+    """Max violation of the algebraic curvature symmetries, per point.
 
     Checks antisymmetry in the first and second index pairs, pair exchange
     symmetry, and the first Bianchi cyclic identity.
     """
-    V = R.values
-    r = float(np.max(np.abs(V + np.einsum("jikl->ijkl", V))))
-    r = max(r, float(np.max(np.abs(V + np.einsum("ijlk->ijkl", V)))))
-    r = max(r, float(np.max(np.abs(V - np.einsum("klij->ijkl", V)))))
-    cyc = V + np.einsum("jkil->ijkl", V) + np.einsum("kijl->ijkl", V)
-    return max(r, float(np.max(np.abs(cyc))))
+    r = _max_abs(R + np.swapaxes(R, -4, -3), 4)
+    r = np.maximum(r, _max_abs(R + np.swapaxes(R, -2, -1), 4))
+    r = np.maximum(r, _max_abs(R - np.moveaxis(R, (-2, -1), (-4, -3)), 4))
+    cyc = R + np.moveaxis(R, -2, -4) + np.moveaxis(R, -4, -2)
+    return np.maximum(r, _max_abs(cyc, 4))
 
 
 def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
@@ -314,50 +360,51 @@ def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
     return num / den
 
 
-def build_from_decomposition(S: Bilinear, nu: float, *,
-                             tol: float = INVARIANT_TOL) -> CurvatureTensor:
-    """Curvature tensor of an AH3 space with constant antiholomorphic curvature nu:
+def build_from_decomposition(S: np.ndarray, nu, J: np.ndarray, *,
+                             tol: float = INVARIANT_TOL) -> np.ndarray:
+    """Curvature tensors of AH3 spaces with constant antiholomorphic curvature nu:
 
         R = (1/6) psi(S) + nu * pi1 - ((2m-1)/3) * nu * pi2
 
-    S must be symmetric and J-invariant within `tol`.
-    Every antiholomorphic plane of the result has sectional curvature nu.
+    for Ricci tensors S (..., n, n), constants nu (...) and structures J
+    (..., n, n) in an orthonormal frame.  S must be symmetric and
+    J-invariant within `tol` at every point.  Every antiholomorphic plane
+    of the result has sectional curvature nu.
     """
-    pt = S.point
-    sd = S.symmetry_defect()
+    n = J.shape[-1]
+    sd = np.max(_max_abs(S - np.swapaxes(S, -2, -1), 2))
     if sd > tol:
         raise InvariantViolation(f"S not symmetric: max |S - S^T| = {sd:.3e}")
-    jd = S.j_invariance_defect()
+    jd = np.max(_max_abs(np.swapaxes(J, -2, -1) @ S @ J - S, 2))
     if jd > tol:
         raise InvariantViolation(f"S not J-invariant: max defect = {jd:.3e}")
-    values = (
-        psi(S).values / 6.0
-        + nu * pi1(pt).values
-        - (2 * pt.m - 1) / 3.0 * nu * pi2(pt).values
-    )
-    return CurvatureTensor(pt, values)
+    nu = np.asarray(nu, dtype=float)[..., None, None, None, None]
+    return psi(S, J) / 6.0 + nu * pi1(n) - (n - 1) / 3.0 * nu * pi2(J)
 
 
-def fit_pi_span(R: CurvatureTensor) -> tuple[float, float, float]:
-    """Least-squares coefficients (a, b) minimizing ||R - a*pi1 - b*pi2||_2.
+def fit_pi_span(R: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares coefficients (a, b) minimizing ||R - a*pi1 - b*pi2||_2
+    at each point of R (..., n, n, n, n), with structures J (..., n, n).
 
-    Returns (a, b, residual) with the componentwise 2-norm of the best
-    approximation defect.  Solves the 2x2 normal equations; if pi1 and pi2
-    are (numerically) parallel, which happens exactly at m = 1 where
-    pi2 = 3*pi1 identically, falls back to the minimum-norm solution.
+    Returns (a, b, residual), one value per point each, the residual the
+    componentwise 2-norm of the best approximation defect.  Solves the 2x2
+    normal equations; where pi1 and pi2 are (numerically) parallel, which
+    happens exactly at m = 1 where pi2 = 3*pi1 identically, it takes the
+    minimum-norm solution, on the line a*pi1 + b*pi2 = c*pi1 through the
+    projection c*pi1 of R.
     """
-    p1 = pi1(R.point).values.ravel()
-    p2 = pi2(R.point).values.ravel()
-    r = R.values.ravel()
-    g11 = float(p1 @ p1)
-    g12 = float(p1 @ p2)
-    g22 = float(p2 @ p2)
+    n = J.shape[-1]
+    p1 = pi1(n).reshape(n**4)
+    p2 = pi2(J).reshape(J.shape[:-2] + (n**4,))
+    r = R.reshape(R.shape[:-4] + (n**4,))
+    g11 = np.sum(p1 * p1)
+    g12, g22 = np.sum(p1 * p2, axis=-1), np.sum(p2 * p2, axis=-1)
+    p1r, p2r = np.sum(p1 * r, axis=-1), np.sum(p2 * r, axis=-1)
     det = g11 * g22 - g12 * g12
-    if abs(det) > 1e-12 * g11 * g22:
-        a = (g22 * float(p1 @ r) - g12 * float(p2 @ r)) / det
-        b = (g11 * float(p2 @ r) - g12 * float(p1 @ r)) / det
-    else:
-        coeffs, *_ = np.linalg.lstsq(np.stack([p1, p2], axis=1), r, rcond=None)
-        a, b = float(coeffs[0]), float(coeffs[1])
-    residual = float(np.linalg.norm(r - a * p1 - b * p2))
-    return a, b, residual
+    solved = np.abs(det) > 1e-12 * g11 * g22
+    det = np.where(solved, det, 1.0)
+    lam, c = g12 / g11, p1r / g11  # p2 = lam * p1 where they are parallel
+    a = np.where(solved, (g22 * p1r - g12 * p2r) / det, c / (1.0 + lam * lam))
+    b = np.where(solved, (g11 * p2r - g12 * p1r) / det, lam * c / (1.0 + lam * lam))
+    defect = r - a[..., None] * p1 - b[..., None] * p2
+    return a, b, np.sqrt(np.sum(defect * defect, axis=-1))

@@ -1,12 +1,19 @@
-"""Oracles for the bundled models: the chart-text generators and the
-expectation formulas that the packaged `.ahm` files and the expectation
-table in `ahgeom.models` were written from.
+"""Oracles for the bundled models and for the stacked tensor kernels.
 
-The generators vary the parameters the bundled files fix (m, c, r1, r2),
-so tests can also build charts that are not bundled.  `jet_at` is the jet
-of a chart at one point, for tests that look at points one at a time, and
-`frame_at` its R, nabla J and nabla R in the frame the analysis uses.
+The chart-text generators and the expectation formulas are what the
+packaged `.ahm` files and the expectation table in `ahgeom.models` were
+written from.  The generators vary the parameters the bundled files fix
+(m, c, r1, r2), so tests can also build charts that are not bundled.
+`jet_at` is the jet of a chart at one point, a group of one, for tests
+that look at points one at a time, and `frame_at` its R, nabla J and
+nabla R in the frame the analysis uses.
+
+The kernel oracles are the per-point einsum definitions of nabla R, the
+AH identities and psi that the stacked matrix-product kernels replaced:
+one point at a time, each index spelled out.
 """
+
+import numpy as np
 
 from ahgeom.analysis import (
     COMPLEX_SPACE_FORM,
@@ -15,19 +22,91 @@ from ahgeom.analysis import (
 )
 from ahgeom.calculus import in_frame, nabla_J, nabla_R, riemann
 from ahgeom.models import ExpectedProfile
+from ahgeom.tensor_core import CurvatureTensor, HermitianPoint
 
 
 def jet_at(chart, p):
-    """The jet of `chart` at p: `ChartSpec.jets_at` of p alone."""
+    """The jet of `chart` at p: `ChartSpec.jets_at` of p alone, a group of one."""
     [jet] = chart.jets_at([p])
     return jet
 
 
 def frame_at(chart, p):
     """(R, nabla J, nabla R) of `chart` at p in the metric's Cholesky frame,
-    where g = Id, as `report.analyze_point` checks them."""
+    where g = Id, as `report.analyze_point` checks them: R as a
+    CurvatureTensor at the point HermitianPoint(m, Id, K)."""
     jet = jet_at(chart, p)
-    return in_frame(riemann(jet), nabla_J(jet), nabla_R(jet))
+    R, NJ, NR = in_frame(jet, riemann(jet), nabla_J(jet), nabla_R(jet))
+    return CurvatureTensor(HermitianPoint.orthonormal(jet.K[0]), R[0]), NJ[0], NR[0]
+
+
+# ---------------------------------------------------------------------------
+# Kernel oracles: one point, einsum
+# ---------------------------------------------------------------------------
+
+
+def _lower_oracle(D):
+    return 0.5 * (np.einsum("...jlk->...ljk", D) + np.einsum("...klj->...ljk", D) - D)
+
+
+def _curvature_oracle(dlow, *pairs):
+    R = np.einsum("...iljk->...ijkl", dlow) - np.einsum("...jlik->...ijkl", dlow)
+    for gamma, low in pairs:
+        q = np.einsum("...pjl,...pik->...ijkl", gamma, low)
+        R = R + q - np.swapaxes(q, -4, -3)
+    return R
+
+
+def nabla_R_oracle(g, dg, ddg, dddg):
+    """(nabla_v R)(x, y, z, u) at one point from g and its derivatives
+    dg[a, i, j] = d_a g_ij, ddg[a, b, i, j] and dddg[a, b, c, i, j]."""
+    g_inv = np.linalg.inv(g)
+    low, dlow = _lower_oracle(dg), _lower_oracle(ddg)
+    gamma = np.einsum("il,ljk->ijk", g_inv, low)
+    dgamma = np.einsum("il,aljk->aijk", g_inv, dlow - np.einsum("alm,mjk->aljk", dg, gamma))
+    R0 = _curvature_oracle(dlow, (gamma, low))
+    dR = _curvature_oracle(_lower_oracle(dddg), (dgamma, low), (gamma, dlow))
+    return (
+        dR
+        - np.einsum("avx,ayzu->vxyzu", gamma, R0)
+        - np.einsum("avy,xazu->vxyzu", gamma, R0)
+        - np.einsum("avz,xyau->vxyzu", gamma, R0)
+        - np.einsum("avu,xyza->vxyzu", gamma, R0)
+    )
+
+
+def _rotate_slots_oracle(values, J, slots):
+    out = values
+    letters = "ijkl"
+    for s in slots:
+        src = letters[s]
+        spec = letters.replace(src, "a") + f",a{src}->" + letters
+        out = np.einsum(spec, out, J)
+    return out
+
+
+def ah_identity_oracle(V, J, which):
+    """max |V - rhs| for AH identity 1, 2 or 3 of one (0,4) tensor V."""
+    rotated = {
+        1: lambda: _rotate_slots_oracle(V, J, (2, 3)),
+        2: lambda: (_rotate_slots_oracle(V, J, (2, 3)) + _rotate_slots_oracle(V, J, (1, 3))
+                    + _rotate_slots_oracle(V, J, (0, 3))),
+        3: lambda: _rotate_slots_oracle(V, J, (0, 1, 2, 3)),
+    }[which]()
+    return float(np.max(np.abs(V - rotated)))
+
+
+def psi_oracle(Q, J):
+    """psi(Q) of one (0,2) tensor Q in an orthonormal frame, term by term."""
+    B = Q @ J
+    return (
+        np.einsum("xu,yz->xyzu", J, B)
+        - np.einsum("xz,yu->xyzu", J, B)
+        - 2.0 * np.einsum("xy,zu->xyzu", J, B)
+        + np.einsum("yz,xu->xyzu", J, B)
+        - np.einsum("yu,xz->xyzu", J, B)
+        - 2.0 * np.einsum("zu,xy->xyzu", J, B)
+    )
 
 
 # Cayley multiplication table on the 7 imaginary units: each line (a, b, c)

@@ -22,7 +22,7 @@ from ahgeom.models import get_model, model_names
 from ahgeom.report import analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
 from ahgeom.tensor_core import (
-    Bilinear,
+    CurvatureTensor,
     HermitianPoint,
     build_from_decomposition,
     pi2,
@@ -52,12 +52,11 @@ def test_criterion_1_algebraic_identity_suite():
     exact = True
     for m in (1, 2, 3):
         for pt in (HermitianPoint.standard_flat(m), random_hermitian_point(m, rng)):
-            gap = float(np.max(np.abs(
-                psi(Bilinear.from_metric(pt)).values - 2.0 * pi2(pt).values)))
+            gap = float(np.max(np.abs(psi(pt.g, pt.J) - 2.0 * pi2(pt.J))))
             worst = max(worst, gap)
         flat = HermitianPoint.standard_flat(m)
         for _ in range(5):
-            V = psi(random_j_invariant_bilinear(flat, rng)).values
+            V = psi(random_j_invariant_bilinear(flat, rng).values, flat.J)
             exact = exact and np.array_equal(V, -V.swapaxes(0, 1))
             exact = exact and np.array_equal(V, -V.swapaxes(2, 3))
     elapsed = time.perf_counter() - start
@@ -74,7 +73,7 @@ def test_criterion_2_decomposition_forward_constancy():
         pt = HermitianPoint.standard_flat(m) if k % 4 == 0 else random_hermitian_point(m, rng)
         S = random_j_invariant_bilinear(pt, rng)
         nu = float(rng.uniform(-2.0, 2.0))
-        R = build_from_decomposition(S, nu, tol=1e-8)
+        R = CurvatureTensor(pt, build_from_decomposition(S.values, nu, pt.J, tol=1e-8))
         stats = constancy(R, sample_antiholomorphic_planes(pt, 256, rng))
         worst = max(worst, abs(stats.mean - nu) + stats.max_deviation)
     check(2, f"200 random (S, nu): max |K(plane) - nu| = {worst:.2e} (< 1e-10)",

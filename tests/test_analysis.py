@@ -27,7 +27,7 @@ from ahgeom.analysis import (
     schur_check,
 )
 from ahgeom.calculus import ClassResiduals, class_residuals, ricci
-from ahgeom.charts import ChartSpec, parse_chart
+from ahgeom.charts import JET_GROUP, ChartSpec, parse_chart
 from ahgeom.expressions import BinOp, Call, Neg, Num, Var
 from ahgeom.models import get_model
 from ahgeom.report import PointReport, analyze_chart, analyze_model
@@ -39,6 +39,7 @@ from ahgeom.tensor_core import (
     InvariantViolation,
     ah_identity_residual,
     build_from_decomposition,
+    fit_pi_span,
     pi1,
     pi2,
     sectional_curvature,
@@ -153,7 +154,7 @@ def _kernel_cases():
         for k in range(3):
             pt = random_hermitian_point(m, rng)
             S = random_j_invariant_bilinear(pt, rng)
-            R = build_from_decomposition(S, 0.6 - k, tol=1e-8)
+            R = CurvatureTensor(pt, build_from_decomposition(S.values, 0.6 - k, pt.J, tol=1e-8))
             yield pytest.param(_antisymmetrized(R), id=f"random-m{m}-{k}")
     for name in ("cp3", "s6"):
         chart = get_model(name).chart
@@ -183,7 +184,7 @@ class TestConstancy:
         rng = np.random.default_rng(2)
         pt = random_hermitian_point(3, rng)
         S = random_j_invariant_bilinear(pt, rng)
-        R = build_from_decomposition(S, 0.7, tol=1e-8)
+        R = CurvatureTensor(pt, build_from_decomposition(S.values, 0.7, pt.J, tol=1e-8))
         stats = constancy(R, sample_antiholomorphic_planes(pt, 1000, rng))
         assert stats.mean == pytest.approx(0.7, abs=1e-11)
         assert stats.max_deviation < 1e-10
@@ -191,7 +192,8 @@ class TestConstancy:
     def test_constant_curvature_tensor(self):
         pt = HermitianPoint.standard_flat(2)
         rng = np.random.default_rng(3)
-        stats = constancy(pi1(pt), sample_antiholomorphic_planes(pt, 32, rng))
+        R = CurvatureTensor(pt, pi1(pt.dim))
+        stats = constancy(R, sample_antiholomorphic_planes(pt, 32, rng))
         assert stats.mean == pytest.approx(1.0)
         assert stats.max_deviation < 1e-12
 
@@ -285,21 +287,21 @@ class TestAdaptedEigenframe:
 class TestEinsteinResidual:
     def test_unit_sphere(self):
         chart = get_model("s6").chart
-        S = ricci(frame_at(chart, chart.default_points[1])[0])
+        S = ricci(frame_at(chart, chart.default_points[1])[0].values)
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(5.0, abs=1e-4)
         assert res < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        S = ricci(frame_at(chart, chart.default_points[1])[0])
+        S = ricci(frame_at(chart, chart.default_points[1])[0].values)
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(6.0, abs=1e-4)
         assert res < 1e-4
 
     def test_block_spectrum(self):
         pt = HermitianPoint.standard_flat(2)
-        lam, res = einstein_residual(Bilinear(pt, np.diag([2.0, 2.0, 5.0, 5.0])))
+        lam, res = einstein_residual(np.diag([2.0, 2.0, 5.0, 5.0]))
         assert lam == pytest.approx(3.5)
         assert res == pytest.approx(1.5)
 
@@ -308,33 +310,33 @@ class TestDecompositionResidual:
     def test_unit_sphere_fixture(self):
         chart = get_model("s6").chart
         R = frame_at(chart, chart.default_points[1])[0]
-        assert decomposition_residual(R, ricci(R), 1.0, tol=1e-4) < 1e-5
+        assert decomposition_residual(R.values, ricci(R.values), 1.0, R.point.J, tol=1e-4) < 1e-5
 
     def test_cp2_fixture(self):
         chart = get_model("cp2").chart
         R = frame_at(chart, chart.default_points[1])[0]
-        assert decomposition_residual(R, ricci(R), 1.0, tol=1e-4) < 1e-5
+        assert decomposition_residual(R.values, ricci(R.values), 1.0, R.point.J, tol=1e-4) < 1e-5
 
     def test_linear_perturbation(self):
         pt = HermitianPoint.standard_flat(3)
-        P2 = pi2(pt).values
-        R = CurvatureTensor(pt, pi1(pt).values + 0.01 * P2)
-        S = ricci(pi1(pt))
-        res = decomposition_residual(R, S, 1.0)
+        P2 = pi2(pt.J)
+        R = pi1(pt.dim) + 0.01 * P2
+        S = ricci(pi1(pt.dim))
+        res = decomposition_residual(R, S, 1.0, pt.J)
         assert res == pytest.approx(0.01 * np.max(np.abs(P2)), rel=1e-9)
 
     def test_none_when_ricci_is_not_j_invariant(self):
         pt = HermitianPoint.standard_flat(2)
-        S = Bilinear(pt, np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8]))
-        assert decomposition_residual(pi1(pt), S, 1.0) is None
-        assert decomposition_residual(pi1(pt), S, 1.0, tol=1e-7) is not None
+        S = np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8])
+        assert decomposition_residual(pi1(pt.dim), S, 1.0, pt.J) is None
+        assert decomposition_residual(pi1(pt.dim), S, 1.0, pt.J, tol=1e-7) is not None
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
     def test_tolerance_is_floored_at_the_invariant_tolerance(self, tol):
         # a J-defect of 5e-9 is within INVARIANT_TOL whatever tol is asked for
         pt = HermitianPoint.standard_flat(2)
-        S = Bilinear(pt, np.diag([1.0, 1.0, 1.0, 1.0 + 5e-9]))
-        assert decomposition_residual(pi1(pt), S, 1.0, tol=tol) is not None
+        S = np.diag([1.0, 1.0, 1.0, 1.0 + 5e-9])
+        assert decomposition_residual(pi1(pt.dim), S, 1.0, pt.J, tol=tol) is not None
 
 
 class TestBianchi2Residual:
@@ -358,7 +360,8 @@ class TestProofRelation:
         R, NJ, NR = frame_at(chart, p)
         rng = np.random.default_rng(6)
         nu = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng)).mean
-        return adapted_eigenframe(ricci(R), 1e-4), np.trace(NR, axis1=1, axis2=4), NJ, nu
+        S = Bilinear(R.point, ricci(R.values))
+        return adapted_eigenframe(S, 1e-4), np.trace(NR, axis1=1, axis2=4), NJ, nu
 
     def _residual_at(self, chart, p):
         return proof_relation_32_residual(*self._inputs_at(chart, p))
@@ -406,22 +409,23 @@ def classify_algebraic(R, nu_stats_planes=256, tol=1e-9, cls=ZERO_CLASS, seed=7)
     anti = None
     if pt.m >= 2:
         anti = constancy(R, sample_antiholomorphic_planes(pt, nu_stats_planes, rng))
-    return classify(R, ah_identity_residual(R, 3), einstein_residual(ricci(R)), cls, holo, anti,
-                    tol)
+    return classify(pt.m, float(ah_identity_residual(R.values, pt.J, 3)),
+                    einstein_residual(ricci(R.values)), cls, holo, anti,
+                    fit_pi_span(R.values, pt.J), tol)
 
 
 class TestClassify:
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0, 2.5])
     def test_scaled_pi1_is_a_real_space_form(self, c):
         pt = HermitianPoint.standard_flat(3)
-        R = CurvatureTensor(pt, c * pi1(pt).values)
+        R = CurvatureTensor(pt, c * pi1(pt.dim))
         verdict = classify_algebraic(R)
         assert verdict.kind == REAL_SPACE_FORM
         assert verdict.constant == pytest.approx(c, abs=1e-10)
 
     def test_complex_space_form(self):
         pt = HermitianPoint.standard_flat(2)
-        R = CurvatureTensor(pt, pi1(pt).values + pi2(pt).values)
+        R = CurvatureTensor(pt, pi1(pt.dim) + pi2(pt.J))
         verdict = classify_algebraic(R)
         assert verdict.kind == COMPLEX_SPACE_FORM
         assert verdict.constant == pytest.approx(4.0, abs=1e-10)
@@ -429,7 +433,7 @@ class TestClassify:
     def test_non_kahler_span_member_is_inconclusive(self):
         # right curvature shape but a structure that is not parallel
         pt = HermitianPoint.standard_flat(2)
-        R = CurvatureTensor(pt, pi1(pt).values + pi2(pt).values)
+        R = CurvatureTensor(pt, pi1(pt.dim) + pi2(pt.J))
         cls = ClassResiduals(kahler=0.5, nearly_kahler=0.0, almost_kahler=0.5)
         verdict = classify_algebraic(R, cls=cls)
         assert verdict.kind == INCONCLUSIVE
@@ -440,20 +444,20 @@ class TestClassify:
         pt = HermitianPoint.standard_flat(2)
         u = np.diag([1.0, 0.0, 1.0, 0.0])
         T = np.einsum("xu,yz->xyzu", u, u) - np.einsum("xz,yu->xyzu", u, u)
-        R = CurvatureTensor(pt, pi1(pt).values + 0.5 * T)
+        R = CurvatureTensor(pt, pi1(pt.dim) + 0.5 * T)
         verdict = classify_algebraic(R, tol=1e-6)
         assert verdict.kind == NOT_AH3
 
     def test_product_tensor_is_not_constant(self):
         chart = get_model("s2xs2").chart
         R, NJ, _ = frame_at(chart, (0.0, 0.0, 0.0, 0.0))
-        S = ricci(R)
+        S = ricci(R.values)
         rng = np.random.default_rng(9)
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
         anti = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng))
         cls = class_residuals(NJ)
-        verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(S), cls, holo, anti,
-                           1e-4)
+        verdict = classify(2, ah_identity_residual(R.values, R.point.J, 3), einstein_residual(S),
+                           cls, holo, anti, fit_pi_span(R.values, R.point.J), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_equal_radii_product_still_rejected(self):
@@ -466,13 +470,14 @@ class TestClassify:
         assert anti.max_deviation > 0.1
         holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
         cls = class_residuals(NJ)
-        verdict = classify(R, ah_identity_residual(R, 3), einstein_residual(ricci(R)), cls, holo,
-                           anti, 1e-4)
+        verdict = classify(2, ah_identity_residual(R.values, R.point.J, 3),
+                           einstein_residual(ricci(R.values)), cls, holo, anti,
+                           fit_pi_span(R.values, R.point.J), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_m1_routes_through_holomorphic_constancy(self):
         pt = HermitianPoint.standard_flat(1)
-        R = CurvatureTensor(pt, -4.0 * pi1(pt).values)
+        R = CurvatureTensor(pt, -4.0 * pi1(pt.dim))
         verdict = classify_algebraic(R)
         assert verdict.kind == COMPLEX_SPACE_FORM
         assert verdict.constant == pytest.approx(-4.0, abs=1e-10)
@@ -480,7 +485,7 @@ class TestClassify:
     def test_verdict_invariant_under_basis_rotation(self):
         rng = np.random.default_rng(11)
         pt = HermitianPoint.standard_flat(2)
-        base = pi1(pt).values + pi2(pt).values
+        base = pi1(pt.dim) + pi2(pt.J)
         # random rotation commuting with nothing in particular
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         g2 = Q.T @ pt.g @ Q
@@ -530,21 +535,22 @@ class TestSchurCheck:
 
 class TestComputedOncePerPoint:
     def test_each_tensor_is_computed_once_per_point(self, monkeypatch):
+        # one call per group of points, whose arrays hold each point once
         from ahgeom import calculus
 
-        calls = {"riemann": 0, "nabla_J": 0, "nabla_R": 0}
+        calls = {"riemann": [], "nabla_J": [], "nabla_R": []}
         for name in calls:
             original = getattr(calculus, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(jet, _name=name, _original=original):
+                calls[_name].append(len(jet))
+                return _original(jet)
 
             monkeypatch.setattr(calculus, name, counted)
         chart = get_model("cp2").chart
-        analyze_chart(chart, samples=16)
-        n = len(chart.default_points)
-        assert calls == {"riemann": n, "nabla_J": n, "nabla_R": n}
+        points = list(chart.default_points) * 9
+        analyze_chart(chart, points, samples=16)
+        assert calls == {name: [JET_GROUP, len(points) - JET_GROUP] for name in calls}
 
 
 # ---------------------------------------------------------------------------

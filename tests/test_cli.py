@@ -57,6 +57,15 @@ OVERFLOWING = {
              "J[3][4] = -1\npoint = 2.3 0 0 0\n",
 }
 
+# The overflowing charts with the overflow at the middle point of a group of
+# three; "fading" is "tiny" whose scale falls from 1 at y = 0 to 1e-300 at y = 1.
+OVERFLOWING_IN_A_GROUP = {
+    "fading": (conformal_line_text("exp(-690*y)"), ("0.3,0", "0.3,1", "0.3,-0.1"),
+               "bianchi_residual is not finite at point [0.3, 1.0]"),
+    "steep": (OVERFLOWING["steep"], ("0,0,0,0", "2.3,0,0,0", "0.5,0,0,0"),
+              "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -305,6 +314,32 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err == f"analysis error: {shown}\n"
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_IN_A_GROUP))
+    def test_overflow_in_a_group_is_its_points_error(self, tmp_path, capsys, name):
+        # the point's own error, as alone, and no report of the points before it
+        text, (before, bad, after), shown = OVERFLOWING_IN_A_GROUP[name]
+        path = tmp_path / f"{name}.ahm"
+        path.write_text(text)
+        for points in ([bad], [before, bad, after]):
+            flags = [f"--point={p}" for p in points]
+            code, out, err = run(capsys, "analyze", "--chart", str(path), *flags)
+            assert (code, out, err) == (2, "", f"analysis error: {shown}\n")
+        code, _, _ = run(capsys, "analyze", "--chart", str(path), f"--point={before}")
+        assert code == 0
+
+    @pytest.mark.parametrize("factor", ["1e-200", "1", "1e200"])
+    def test_incompatible_structure_is_refused_at_its_point_at_any_scale(
+            self, tmp_path, capsys, factor):
+        # J = [[0, -1/2], [2, 0]] squares to -Id but is not orthogonal for g = c (1+x^2) Id
+        path = tmp_path / "squeezed.ahm"
+        path.write_text(conformal_line_text(factor).replace(
+            "J[2][1] = 1\nJ[1][2] = -1", "J[2][1] = 2\nJ[1][2] = -0.5"))
+        code, out, err = run(capsys, "analyze", "--chart", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("analysis error: invariant violation at point [0.3, 0.2]: J not "
+                       "compatible with metric: max |J^T g J - g| = 3.000e+00 in g's "
+                       "orthonormal frame\n")
 
     def test_dimension_above_the_bound_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat7.ahm"
