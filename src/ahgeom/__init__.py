@@ -1,16 +1,14 @@
 """Numerical curvature workbench for almost Hermitian structures.
 
-Point-level tensor algebra (`tensor_core`), an expression-chart engine with
-exact jet-based covariant calculus (`charts`, `calculus`), bundled model
-manifolds, each a packaged chart file with one row of expectations (`models`),
-per-point statistics and classification (`analysis`), and a deterministic
-report front end (`report`, `cli`).
+Tensor algebra on plain arrays in g's orthonormal frames, where a point is
+its structure J and its tensors (`tensor_core`), an expression-chart engine
+with exact jet-based covariant calculus (`charts`, `calculus`), bundled
+model manifolds, each a packaged chart file with one row of expectations
+(`models`), per-point statistics and classification (`analysis`), and a
+deterministic report front end (`report`, `cli`).
 """
 
 from .tensor_core import (
-    Bilinear,
-    CurvatureTensor,
-    HermitianPoint,
     InvariantViolation,
     Planes,
     ah_identity_residual,

@@ -1,17 +1,18 @@
 """Plane statistics, adapted frames, residual checks and the verdict.
 
 Every function takes tensors in an orthonormal frame (`calculus.in_frame`,
-g = Id) and reads only J and m.  The residuals of tensors alone
-(`einstein_residual`, `bianchi2_residual`) take arrays whose leading axes
-index points and give one value per point, so a group of points is one
-call.  What depends on a point's sampled planes runs per point: the
-samplers take an explicit seeded generator, so every run is reproducible,
-and draw a point's planes as one `Planes` batch, uniform on the unit
-sphere; `constancy` evaluates it in one `sectional_curvature` call, one
-matrix product; the decomposition residual, the adapted eigenframe,
-relation (3.2) and the verdict follow from it.  All functions are pure;
-multi-point constancy (`schur_check`) is a pure function of the per-point
-statistics.
+g = Id) as plain arrays, with the point's structure J where it needs one.
+The residuals of tensors alone (`einstein_residual`, `bianchi2_residual`)
+take arrays whose leading axes index points and give one value per
+point, so a group of points is one call.  What depends on a point's
+sampled planes runs per point, on that point's slices of its group's
+arrays: the samplers take an explicit seeded generator, so every run is
+reproducible, and draw a point's planes from its J as one `Planes` batch,
+uniform on the unit sphere; `constancy` evaluates it on the point's R in
+one `sectional_curvature` call, one matrix product; the decomposition
+residual, the adapted eigenframe, relation (3.2) and the verdict follow
+from it.  All functions are pure; multi-point constancy (`schur_check`)
+is a pure function of the per-point statistics.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ import numpy as np
 
 from .tensor_core import (
     INVARIANT_TOL,
-    Bilinear,
-    CurvatureTensor,
-    HermitianPoint,
     InvariantViolation,
     Planes,
     build_from_decomposition,
@@ -78,7 +76,6 @@ class SpectralFrame:
     eigenvalue shared by the J-invariant 2-plane span{e_i, Je_i}.
     """
 
-    point: HermitianPoint
     basis: np.ndarray
     eigenvalues: tuple[float, ...]
 
@@ -106,10 +103,10 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
+def sample_antiholomorphic_planes(J: np.ndarray, n: int, rng: np.random.Generator) -> Planes:
     """n orthonormal planes (x, y) with x . Jy = 0, i.e. span(x,y) disjoint
-    from its J-image, uniform on the unit sphere (g = Id).  Deterministic
-    for a fixed seed.
+    from its J-image, uniform on the unit sphere (g = Id), for a structure
+    J (2m, 2m).  Deterministic for a fixed seed.
 
     One (n, 2, 2m) block of normals gives each plane's x and y draw, in the
     stream order of drawing x then y plane by plane.  x is z / |z|; y is
@@ -118,16 +115,17 @@ def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Ge
     this path consumes the stream in a different order from drawing each
     degenerate plane's y again before the next plane's x.
     """
-    if ctx.m < 2:
+    dim = J.shape[-1]
+    if dim < 4:
         raise InvariantViolation("antiholomorphic planes need complex dimension m >= 2")
-    normals = rng.standard_normal((n, 2, ctx.dim))
+    normals = rng.standard_normal((n, 2, dim))
     X = normals[:, 0] / np.sqrt(_row_dots(normals[:, 0], normals[:, 0]))[:, None]
     Y = np.empty_like(X)
-    JX = X @ ctx.J.T
+    JX = X @ J.T
     norm2 = np.empty(n)
     rows = slice(None)
     for attempt in range(100):
-        draws = normals[:, 1] if attempt == 0 else rng.standard_normal((rows.size, ctx.dim))
+        draws = normals[:, 1] if attempt == 0 else rng.standard_normal((rows.size, dim))
         x, jx = X[rows], JX[rows]
         y = draws - _row_dots(draws, x)[:, None] * x - _row_dots(draws, jx)[:, None] * jx
         Y[rows] = y
@@ -138,19 +136,21 @@ def sample_antiholomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Ge
     raise InvariantViolation("plane sampling degenerated 100 times in a row")
 
 
-def sample_holomorphic_planes(ctx: HermitianPoint, n: int, rng: np.random.Generator) -> Planes:
-    """n planes spanned by (x, Jx), x uniform on the unit sphere (g = Id).
+def sample_holomorphic_planes(J: np.ndarray, n: int, rng: np.random.Generator) -> Planes:
+    """n planes spanned by (x, Jx), x uniform on the unit sphere (g = Id),
+    for a structure J (2m, 2m).
 
     x is z / |z| for a row z of one (n, 2m) block of normals; the stream
     order is that of drawing x plane by plane.
     """
-    Z = rng.standard_normal((n, ctx.dim))
+    Z = rng.standard_normal((n, J.shape[-1]))
     X = Z / np.sqrt(_row_dots(Z, Z))[:, None]
-    return Planes(x=X, y=X @ ctx.J.T, kind="holomorphic")
+    return Planes(x=X, y=X @ J.T, kind="holomorphic")
 
 
-def constancy(R: CurvatureTensor, planes: Planes) -> CurvatureStats:
-    """Mean and max deviation of the sectional curvature over the planes."""
+def constancy(R: np.ndarray, planes: Planes) -> CurvatureStats:
+    """Mean and max deviation of the sectional curvature of one point's
+    R (2m, 2m, 2m, 2m) over the planes."""
     if len(planes) < 1:
         raise InvariantViolation("constancy needs at least one plane")
     values = sectional_curvature(R, planes)
@@ -174,9 +174,9 @@ def _cluster(eigenvalues: np.ndarray, merge_tol: float) -> list[slice]:
     return slices
 
 
-def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
-    """Diagonalize S, given in an orthonormal frame (g = Id), by a J-adapted
-    orthonormal basis.
+def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0) -> SpectralFrame:
+    """Diagonalize one point's S (2m, 2m), given in an orthonormal frame
+    (g = Id), by a basis adapted to the point's structure J.
 
     Eigenvalues closer than max(tol, 1e-8) are merged into one eigenspace.
     With E an orthonormal basis of an eigenspace and M = E^T J E, each unit
@@ -185,9 +185,7 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
     or |JE - EM| exceeds max(tol, 1e-6), it is not J-closed and the input
     was not J-invariant.
     """
-    pt = S.point
-    J = pt.J
-    w, V = np.linalg.eigh(0.5 * (S.values + S.values.T))
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
     basis_cols = []
     eigenvalues = []
     for block in _cluster(w, max(tol, 1e-8)):
@@ -203,7 +201,7 @@ def adapted_eigenframe(S: Bilinear, tol: float = 0.0) -> SpectralFrame:
         for e in (np.sqrt(2.0) * E @ x).T:
             basis_cols += [e, J @ e]
         eigenvalues += [float(w[block].mean())] * half
-    return SpectralFrame(point=pt, basis=np.column_stack(basis_cols),
+    return SpectralFrame(basis=np.column_stack(basis_cols),
                          eigenvalues=tuple(eigenvalues))
 
 
@@ -255,7 +253,7 @@ def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
     lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the value depends on the
     choice of each e_i within its plane span{e_i, Je_i}.
     """
-    m = frame.point.m
+    m = frame.basis.shape[0] // 2
     e, je = frame.basis[:, 0::2], frame.basis[:, 1::2]
     lam = np.array(frame.eigenvalues)
     # t1[i, j] = (nabla_{e_j} S)(e_i, e_j) and v[:, j] = (nabla_{e_j} J) e_j

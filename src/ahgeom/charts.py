@@ -47,7 +47,7 @@ from .expressions import (
     variables_of,
 )
 from .calculus import Jet
-from .tensor_core import HermitianPoint, InvariantViolation, hermitian_frames
+from .tensor_core import InvariantViolation, hermitian_frames
 
 __all__ = [
     "ChartError",
@@ -193,18 +193,6 @@ class ChartSpec:
     def j_at(self, p: np.ndarray) -> np.ndarray:
         return self._values(self._j_program, p).reshape(2 * self.m, 2 * self.m)
 
-    def eval_point(self, p) -> HermitianPoint:
-        """g and J at p, with the almost Hermitian invariants verified.
-
-        A violation beyond tensor_core.INVARIANT_TOL is an error, not a
-        warning.
-        """
-        p = np.asarray(p, dtype=float)
-        try:
-            return HermitianPoint(m=self.m, g=self.metric_at(p), J=self.j_at(p))
-        except InvariantViolation as exc:
-            raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
-
     def jets_at(self, points) -> Iterator[Jet]:
         """The jets at `points`, in order, one `Jet` per group of up to
         JET_GROUP points: g, J and their derivatives, exact up to rounding.
@@ -242,7 +230,8 @@ class ChartSpec:
         try:
             Linv, K = hermitian_frames(g, J)
         except InvariantViolation as exc:
-            p = np.asarray(group[exc.index], dtype=float)
+            # a failing group runs again point by point, so only a lone point's error escapes
+            p = np.asarray(group[0], dtype=float)
             raise ChartEvalError(f"invariant violation at point {p.tolist()}: {exc}") from exc
         n, layout = 2 * self.m, _layout(2 * self.m)
         env = dict(zip(self.coord_names, np.array(group, dtype=float).T))

@@ -8,14 +8,16 @@ each point's orthonormal Cholesky frame (`calculus.in_frame`), where every
 check runs, and each residual of the tensors alone comes out as one value
 per point.  A lone point is a group of one, and a point's values do not
 depend on its group.  What rests on a point's sampled planes then runs
-per point in `analyze_point`: plane statistics, the decomposition
-residual, the adapted eigenframe and relation (3.2), the verdict and the
-record, each point drawing from its own generator.  So `tol` is in the
-curvature units of an orthonormal frame, whatever the chart's coordinates
-or scale.  Each residual is a max-norm over frame components: a diagonal
-change of coordinates keeps the frame and every value; a general linear
-one turns the frame, which moves a max-norm over a k-tensor's components
-in dimension n by at most a factor n^(k/2).
+per point in `analyze_point`, on the point's slices of the group's
+read-only arrays (its structure K, R, S, nabla S and nabla J): plane
+statistics, the decomposition residual, the adapted eigenframe and
+relation (3.2), the verdict and the record, each point drawing from its
+own generator.  So `tol` is in the curvature units of an orthonormal
+frame, whatever the chart's coordinates or scale.  Each residual is a
+max-norm over frame components: a diagonal change of coordinates keeps
+the frame and every value; a general linear one turns the frame, which
+moves a max-norm over a k-tensor's components in dimension n by at most a
+factor n^(k/2).
 The report has three blocks: run metadata (target, kind, tolerance,
 samples, seed and points), one block per evaluation point, and a global
 block (multi-point constancy over the points' nu, or holomorphic means for
@@ -54,9 +56,6 @@ from .calculus import ClassResiduals, Jet
 from .charts import ChartSpec
 from .models import ModelDescriptor
 from .tensor_core import (
-    Bilinear,
-    CurvatureTensor,
-    HermitianPoint,
     InvariantViolation,
     ah_identity_residual,
     fit_pi_span,
@@ -116,8 +115,11 @@ def _non_finite(value, key: str = "") -> str | None:
 @dataclass(frozen=True, eq=False)
 class _GroupChecks:
     """A group's tensors in the points' frames and the residuals that read
-    only them, each with a leading point axis.  not_finite[k] names the
-    first of R, nabla J and nabla R that is not finite at the k-th point."""
+    only them, each with a leading point axis.  K is the points' J in those
+    frames.  The tensors are read-only, so a per-point function that writes
+    into its point's slice raises instead of changing a neighbour's values.
+    not_finite[k] names the first of R, nabla J and nabla R that is not
+    finite at the k-th point."""
 
     K: np.ndarray
     R: np.ndarray
@@ -149,10 +151,11 @@ def _group_checks(jet: Jet) -> _GroupChecks:
     R, NJ, NR = calculus.in_frame(jet, R, NJ, NR)
     K = jet.K
     S = calculus.ricci(R)
+    NS = np.trace(NR, axis1=2, axis2=5)  # metric compatibility: nabla S traces nabla R
+    for T in (K, R, S, NJ, NS):
+        T.setflags(write=False)
     return _GroupChecks(
-        K=K, R=R, S=S, NJ=NJ,
-        # metric compatibility lets nabla S come from tracing nabla R
-        NS=np.trace(NR, axis1=2, axis2=5),
+        K=K, R=R, S=S, NJ=NJ, NS=NS,
         not_finite=not_finite,
         class_residuals=calculus.class_residuals(NJ),
         ah={f"AH{k}": ah_identity_residual(R, K, k) for k in (1, 2, 3)},
@@ -175,8 +178,8 @@ def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int,
     """
     if group.not_finite[k] is not None:
         raise InvariantViolation(f"{group.not_finite[k]} is not finite at point {list(p)}")
-    pt = HermitianPoint.orthonormal(group.K[k])
-    R = CurvatureTensor(pt, group.R[k])
+    K, R, S = group.K[k], group.R[k], group.S[k]
+    m = len(K) // 2
     c = group.class_residuals
     cls = ClassResiduals(kahler=float(c.kahler[k]), nearly_kahler=float(c.nearly_kahler[k]),
                          almost_kahler=float(c.almost_kahler[k]))
@@ -184,23 +187,23 @@ def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int,
     by_flag = {"K": cls.kahler, "NK": cls.nearly_kahler, "AK": cls.almost_kahler, **ah}
 
     rng = np.random.default_rng([seed, index])
-    holo = constancy(R, sample_holomorphic_planes(pt, samples, rng))
-    if pt.m >= 2:
-        anti = constancy(R, sample_antiholomorphic_planes(pt, samples, rng))
+    holo = constancy(R, sample_holomorphic_planes(K, samples, rng))
+    if m >= 2:
+        anti = constancy(R, sample_antiholomorphic_planes(K, samples, rng))
         nu = anti.mean
     else:
         anti = None
         nu = holo.mean / 4.0
 
     lam, einstein_defect = (float(v[k]) for v in group.einstein)
-    decomposition = decomposition_residual(group.R[k], group.S[k], nu, group.K[k], tol=tol)
+    decomposition = decomposition_residual(R, S, nu, K, tol=tol)
     try:
-        frame = adapted_eigenframe(Bilinear(pt, group.S[k]), tol)
+        frame = adapted_eigenframe(S, K, tol)
         relation = proof_relation_32_residual(frame, group.NS[k], group.NJ[k], nu)
     except InvariantViolation:
         relation = None  # Ricci tensor not J-invariant: the relation does not apply
     fit = tuple(float(v[k]) for v in group.fit)
-    verdict = classify(pt.m, ah["AH3"], (lam, einstein_defect), cls, holo, anti, fit, tol)
+    verdict = classify(m, ah["AH3"], (lam, einstein_defect), cls, holo, anti, fit, tol)
 
     record = PointReport(
         point=p,

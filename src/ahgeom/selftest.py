@@ -12,9 +12,6 @@ import numpy as np
 
 from .analysis import adapted_eigenframe, constancy, sample_antiholomorphic_planes
 from .tensor_core import (
-    Bilinear,
-    CurvatureTensor,
-    HermitianPoint,
     build_from_decomposition,
     fit_pi_span,
     pi1,
@@ -26,21 +23,21 @@ from .tensor_core import (
 __all__ = ["random_hermitian_point", "random_j_invariant_bilinear", "run_selftest"]
 
 
-def random_hermitian_point(m: int, rng: np.random.Generator) -> HermitianPoint:
-    """A point in an orthonormal frame, as the analysis sees every point:
-    g = Id and J = Q^T J0 Q for the standard structure J0 and a random
-    orthogonal Q, which keeps both invariants exact up to rounding."""
+def random_hermitian_point(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The structure J of a point in an orthonormal frame, as the analysis
+    sees every point: g = Id and J = Q^T J0 Q for the standard structure J0
+    and a random orthogonal Q, which keeps both invariants exact up to
+    rounding."""
     Q, _ = np.linalg.qr(rng.standard_normal((2 * m, 2 * m)))
-    return HermitianPoint(m=m, g=np.eye(2 * m), J=Q.T @ standard_j(m) @ Q)
+    return Q.T @ standard_j(m) @ Q
 
 
-def random_j_invariant_bilinear(point: HermitianPoint, rng: np.random.Generator) -> Bilinear:
+def random_j_invariant_bilinear(J: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random symmetric J-invariant (0,2) tensor: the J-average of a symmetric one."""
-    n = point.dim
+    n = J.shape[0]
     A = rng.standard_normal((n, n))
     A = 0.5 * (A + A.T)
-    J = point.J
-    return Bilinear(point, 0.5 * (A + J.T @ A @ J))
+    return 0.5 * (A + J.T @ A @ J)
 
 
 def run_selftest(seed: int = 42) -> bool:
@@ -54,19 +51,19 @@ def run_selftest(seed: int = 42) -> bool:
 
     worst = 0.0
     for m in (1, 2, 3):
-        for pt in (HermitianPoint.standard_flat(m), random_hermitian_point(m, rng)):
-            gap = float(np.max(np.abs(psi(pt.g, pt.J) - 2.0 * pi2(pt.J))))
+        for J in (standard_j(m), random_hermitian_point(m, rng)):
+            gap = float(np.max(np.abs(psi(np.eye(2 * m), J) - 2.0 * pi2(J))))
             worst = max(worst, gap)
     check("psi(g) = 2 pi2 for m in {1,2,3}", worst < 1e-12, f"max gap {worst:.3e}")
 
     worst = 0.0
     for k in range(20):
         m = 2 + k % 2
-        pt = random_hermitian_point(m, rng)
-        S = random_j_invariant_bilinear(pt, rng)
+        J = random_hermitian_point(m, rng)
+        S = random_j_invariant_bilinear(J, rng)
         nu = float(rng.uniform(-2.0, 2.0))
-        R = CurvatureTensor(pt, build_from_decomposition(S.values, nu, pt.J))
-        planes = sample_antiholomorphic_planes(pt, 64, rng)
+        R = build_from_decomposition(S, nu, J)
+        planes = sample_antiholomorphic_planes(J, 64, rng)
         stats = constancy(R, planes)
         worst = max(worst, abs(stats.mean - nu) + stats.max_deviation)
     check("decomposition gives constant antiholomorphic curvature",
@@ -75,23 +72,23 @@ def run_selftest(seed: int = 42) -> bool:
     worst = 0.0
     for k in range(10):
         m = 2 + k % 2
-        pt = random_hermitian_point(m, rng)
+        J = random_hermitian_point(m, rng)
         # a random S has single J-planes as eigenspaces; for an Einstein S = 3g the
         # whole space is one eigenspace
-        for S in (random_j_invariant_bilinear(pt, rng), Bilinear(pt, 3.0 * pt.g)):
-            frame = adapted_eigenframe(S)
+        for S in (random_j_invariant_bilinear(J, rng), 3.0 * np.eye(2 * m)):
+            frame = adapted_eigenframe(S, J)
             B, lam = frame.basis, np.repeat(frame.eigenvalues, 2)
-            worst = max(worst, float(np.max(np.abs(S.values - (B * lam) @ B.T))))
+            worst = max(worst, float(np.max(np.abs(S - (B * lam) @ B.T))))
     check("adapted eigenframe reconstructs random and Einstein S", worst < 1e-9,
           f"max gap {worst:.3e}")
 
     worst = 0.0
     for k in range(10):
         m = 1 + k % 3
-        pt = random_hermitian_point(m, rng)
+        J = random_hermitian_point(m, rng)
         a0, b0 = rng.uniform(-3.0, 3.0, size=2)
-        values = a0 * pi1(pt.dim) + b0 * pi2(pt.J)
-        a, b, residual = map(float, fit_pi_span(values, pt.J))
+        values = a0 * pi1(2 * m) + b0 * pi2(J)
+        a, b, residual = map(float, fit_pi_span(values, J))
         worst = max(worst, residual)
         if m >= 2:
             worst = max(worst, abs(a - a0), abs(b - b0))

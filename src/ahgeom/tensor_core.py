@@ -8,11 +8,13 @@ over the trailing axes, one value per point.  The tensors are in an
 orthonormal frame (g = Id), so J is the only structure they read: the
 curvature-type operators ``pi1``/``pi2``/``psi``, the three AH curvature
 identities, and construction / least-squares splitting of curvature
-tensors over span{pi1, pi2}.  The containers (`HermitianPoint`,
-`Bilinear`, `CurvatureTensor`, `Planes`) hold one point, for the plane
-statistics; `sectional_curvature` evaluates a batch of 2-planes there.
-No differentiation and no charts happen here; the functions are pure and
-the containers are immutable, so concurrent use is safe.
+tensors over span{pi1, pi2}.  `hermitian_frames` is the one check of a
+chart's g and J, and gives the frames (Linv, K) in which everything else
+runs: a point is its structure K and its frame tensors, plain arrays.
+`Planes` holds a batch of 2-planes at one point, and `sectional_curvature`
+evaluates it on that point's R.  No differentiation and no charts happen
+here; the functions are pure and do not write into their inputs, so
+concurrent use is safe.
 
 Sign conventions are fixed so that the unit round sphere has curvature
 tensor ``pi1`` and the sectional curvature of an orthonormal plane (x, y)
@@ -22,16 +24,12 @@ is ``R(x, y, y, x)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "INVARIANT_TOL",
     "InvariantViolation",
-    "HermitianPoint",
-    "Bilinear",
-    "CurvatureTensor",
     "Planes",
     "standard_j",
     "hermitian_frames",
@@ -52,20 +50,7 @@ INVARIANT_TOL = 1e-8
 
 
 class InvariantViolation(ValueError):
-    """An input breaks a structural invariant (message carries the magnitude).
-
-    `index` is the position of the offending point in a stack of points,
-    where the check ran on one (`hermitian_frames`), else None."""
-
-    index: int | None = None
-
-
-def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
-    a = np.array(values, dtype=float)
-    if a.shape != shape:
-        raise InvariantViolation(f"expected array of shape {shape}, got {a.shape}")
-    a.setflags(write=False)
-    return a
+    """An input breaks a structural invariant (message carries the magnitude)."""
 
 
 def _max_abs(T: np.ndarray, axes: int) -> np.ndarray:
@@ -107,8 +92,17 @@ def _breaks(residual: np.ndarray) -> bool:
 
 
 @np.errstate(all="ignore")  # an overflow gives inf or NaN, which _breaks refuses
-def _frames(g: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`hermitian_frames` of a stack, raising for the stack as a whole."""
+def hermitian_frames(g: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky frames (Linv, K) of a stack of points (P, n, n), from
+    one factorization g = L L^T per point, after checking the invariants.
+
+    Each check is to INVARIANT_TOL and does not change when g is scaled:
+    max |g - g^T| relative to max |g|, positive definiteness,
+    max |J @ J + Id|, and J^T g J = g as K^T K = Id for K = L^T J L^-T, J
+    in the frame of the columns of L^-T, which are g-orthonormal.  An
+    invariant that fails raises InvariantViolation for the stack, with the
+    largest residual over its points.
+    """
     n = g.shape[-1]
     eye = np.eye(n)
     scale = np.maximum(_max_abs(g, 2), np.finfo(float).tiny)  # g = 0 fails Cholesky
@@ -131,107 +125,6 @@ def _frames(g: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "J not compatible with metric: max |J^T g J - g| = "
             f"{np.max(comp):.3e} in g's orthonormal frame")
     return Linv, K
-
-
-def hermitian_frames(g: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Cholesky frames (Linv, K) of a stack of points (P, n, n), from
-    one factorization g = L L^T per point, after checking the invariants.
-
-    Each check is to INVARIANT_TOL and does not change when g is scaled:
-    max |g - g^T| relative to max |g|, positive definiteness,
-    max |J @ J + Id|, and J^T g J = g as K^T K = Id for K = L^T J L^-T, J
-    in the frame of the columns of L^-T, which are g-orthonormal.  An
-    invariant that fails raises InvariantViolation for the first point
-    that breaks one, with its message alone and `index` its position.
-    """
-    try:
-        return _frames(g, J)
-    except InvariantViolation as exc:
-        failure = exc
-    for k in range(len(g)):  # the failing stack again, point by point
-        try:
-            _frames(g[k:k + 1], J[k:k + 1])
-        except InvariantViolation as exc:
-            exc.index = k
-            raise
-    raise failure
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianPoint:
-    """A tangent space R^{2m} with metric g and compatible almost complex structure J.
-
-    Invariants, each enforced to INVARIANT_TOL by `hermitian_frames`:
-    g symmetric positive definite, J @ J = -Id, and J^T g J = g.
-    The analysis holds its points in their orthonormal frames
-    (`orthonormal`), where g = Id.
-    """
-
-    m: int
-    g: np.ndarray
-    J: np.ndarray
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvariantViolation("complex dimension m must be >= 1")
-        n = 2 * self.m
-        object.__setattr__(self, "g", _frozen_array(self.g, (n, n)))
-        object.__setattr__(self, "J", _frozen_array(self.J, (n, n)))
-        hermitian_frames(self.g[None], self.J[None])
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.m
-
-    @classmethod
-    def standard_flat(cls, m: int) -> "HermitianPoint":
-        return cls(m=m, g=np.eye(2 * m), J=standard_j(m))
-
-    @classmethod
-    def orthonormal(cls, K: np.ndarray) -> "HermitianPoint":
-        """A point in its own Cholesky frame: g = Id and J = K, the K of a
-        frame that `hermitian_frames` computed and checked, so nothing is
-        factorized or checked again."""
-        point = object.__new__(cls)
-        eye = np.eye(K.shape[0])
-        eye.setflags(write=False)
-        J = _frozen_array(K, eye.shape)
-        for name, value in (("m", K.shape[0] // 2), ("g", eye), ("J", J)):
-            object.__setattr__(point, name, value)
-        return point
-
-
-@dataclass(frozen=True, eq=False)
-class Bilinear:
-    """A (0,2) tensor at a point, stored as Q[i, j] = Q(e_i, e_j)."""
-
-    point: HermitianPoint
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.point.dim
-        object.__setattr__(self, "values", _frozen_array(self.values, (n, n)))
-
-
-@dataclass(frozen=True, eq=False)
-class CurvatureTensor:
-    """A (0,4) tensor at a point: values[i, j, k, l] = R(e_i, e_j, e_k, e_l)."""
-
-    point: HermitianPoint
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.point.dim
-        object.__setattr__(self, "values", _frozen_array(self.values, (n, n, n, n)))
-
-    @cached_property
-    def _plane_form(self) -> np.ndarray:
-        """The (b, b) matrix -R[(ij), (kl)] = -R(e_i, e_j, e_k, e_l) on the
-        index pairs i < j, b = n(n-1)/2."""
-        i, j = np.triu_indices(self.point.dim, 1)
-        form = -self.values[i, j][:, i, j]
-        form.setflags(write=False)
-        return form
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,21 +230,23 @@ def riemann_symmetry_residual(R: np.ndarray) -> np.ndarray:
     return np.maximum(r, _max_abs(cyc, 4))
 
 
-def sectional_curvature(R: CurvatureTensor, planes: Planes) -> np.ndarray:
-    """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant.
+def sectional_curvature(R: np.ndarray, planes: Planes) -> np.ndarray:
+    """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant,
+    for one point's curvature tensor R (2m, 2m, 2m, 2m).
 
     The Rayleigh quotient of R on bivectors, in an orthonormal basis
     (g = Id): with w = x ^ y, whose components are w_ij = x_i y_j - x_j y_i
-    for i < j, one matrix product of the batch's w with R's cached plane
-    form gives R(x, y, y, x), and the Gram determinant is |w|^2.  Exact for
-    tensors antisymmetric in each index pair, as curvature tensors are.
-    Raises InvariantViolation naming the first plane whose Gram determinant
-    is below 1e-12.
+    for i < j, one matrix product of the batch's w with R's (b, b) plane
+    form -R(e_i, e_j, e_k, e_l) on the index pairs i < j, k < l,
+    b = n(n-1)/2, gives R(x, y, y, x), and the Gram determinant is |w|^2.
+    Exact for tensors antisymmetric in each index pair, as curvature
+    tensors are.  Raises InvariantViolation naming the first plane whose
+    Gram determinant is below 1e-12.
     """
     X, Y = planes.x, planes.y
     i, j = np.triu_indices(X.shape[1], 1)
     W = X[:, i] * Y[:, j] - X[:, j] * Y[:, i]
-    num = np.einsum("nb,nb->n", W @ R._plane_form, W)
+    num = np.einsum("nb,nb->n", W @ -R[i, j][:, i, j], W)
     den = np.einsum("nb,nb->n", W, W)
     bad = np.flatnonzero(den < 1e-12)
     if bad.size:

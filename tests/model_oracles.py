@@ -5,7 +5,7 @@ packaged `.ahm` files and the expectation table in `ahgeom.models` were
 written from.  The generators vary the parameters the bundled files fix
 (m, c, r1, r2), so tests can also build charts that are not bundled.
 `jet_at` is the jet of a chart at one point, a group of one, for tests
-that look at points one at a time, and `frame_at` its R, nabla J and
+that look at points one at a time, and `frame_at` its K, R, nabla J and
 nabla R in the frame the analysis uses.
 
 The kernel oracles are the per-point einsum definitions of nabla R, the
@@ -22,7 +22,6 @@ from ahgeom.analysis import (
 )
 from ahgeom.calculus import in_frame, nabla_J, nabla_R, riemann
 from ahgeom.models import ExpectedProfile
-from ahgeom.tensor_core import CurvatureTensor, HermitianPoint
 
 
 def jet_at(chart, p):
@@ -32,12 +31,11 @@ def jet_at(chart, p):
 
 
 def frame_at(chart, p):
-    """(R, nabla J, nabla R) of `chart` at p in the metric's Cholesky frame,
-    where g = Id, as `report.analyze_point` checks them: R as a
-    CurvatureTensor at the point HermitianPoint(m, Id, K)."""
+    """(K, R, nabla J, nabla R) of `chart` at p in the metric's Cholesky
+    frame, where g = Id and J is K, as `report.analyze_point` checks them."""
     jet = jet_at(chart, p)
     R, NJ, NR = in_frame(jet, riemann(jet), nabla_J(jet), nabla_R(jet))
-    return CurvatureTensor(HermitianPoint.orthonormal(jet.K[0]), R[0]), NJ[0], NR[0]
+    return jet.K[0], R[0], NJ[0], NR[0]
 
 
 # ---------------------------------------------------------------------------

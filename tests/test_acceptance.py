@@ -22,11 +22,10 @@ from ahgeom.models import get_model, model_names
 from ahgeom.report import analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
 from ahgeom.tensor_core import (
-    CurvatureTensor,
-    HermitianPoint,
     build_from_decomposition,
     pi2,
     psi,
+    standard_j,
 )
 
 _REPORTS = {}
@@ -51,12 +50,12 @@ def test_criterion_1_algebraic_identity_suite():
     worst = 0.0
     exact = True
     for m in (1, 2, 3):
-        for pt in (HermitianPoint.standard_flat(m), random_hermitian_point(m, rng)):
-            gap = float(np.max(np.abs(psi(pt.g, pt.J) - 2.0 * pi2(pt.J))))
+        for J in (standard_j(m), random_hermitian_point(m, rng)):
+            gap = float(np.max(np.abs(psi(np.eye(2 * m), J) - 2.0 * pi2(J))))
             worst = max(worst, gap)
-        flat = HermitianPoint.standard_flat(m)
+        flat = standard_j(m)
         for _ in range(5):
-            V = psi(random_j_invariant_bilinear(flat, rng).values, flat.J)
+            V = psi(random_j_invariant_bilinear(flat, rng), flat)
             exact = exact and np.array_equal(V, -V.swapaxes(0, 1))
             exact = exact and np.array_equal(V, -V.swapaxes(2, 3))
     elapsed = time.perf_counter() - start
@@ -70,11 +69,11 @@ def test_criterion_2_decomposition_forward_constancy():
     worst = 0.0
     for k in range(200):
         m = 2 + k % 2
-        pt = HermitianPoint.standard_flat(m) if k % 4 == 0 else random_hermitian_point(m, rng)
-        S = random_j_invariant_bilinear(pt, rng)
+        J = standard_j(m) if k % 4 == 0 else random_hermitian_point(m, rng)
+        S = random_j_invariant_bilinear(J, rng)
         nu = float(rng.uniform(-2.0, 2.0))
-        R = CurvatureTensor(pt, build_from_decomposition(S.values, nu, pt.J, tol=1e-8))
-        stats = constancy(R, sample_antiholomorphic_planes(pt, 256, rng))
+        R = build_from_decomposition(S, nu, J, tol=1e-8)
+        stats = constancy(R, sample_antiholomorphic_planes(J, 256, rng))
         worst = max(worst, abs(stats.mean - nu) + stats.max_deviation)
     check(2, f"200 random (S, nu): max |K(plane) - nu| = {worst:.2e} (< 1e-10)",
           worst < 1e-10)

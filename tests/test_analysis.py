@@ -30,12 +30,9 @@ from ahgeom.calculus import ClassResiduals, class_residuals, ricci
 from ahgeom.charts import JET_GROUP, ChartSpec, parse_chart
 from ahgeom.expressions import BinOp, Call, Neg, Num, Var
 from ahgeom.models import get_model
-from ahgeom.report import PointReport, analyze_chart, analyze_model
+from ahgeom.report import PointReport, _group_checks, analyze_chart, analyze_model
 from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
 from ahgeom.tensor_core import (
-    Bilinear,
-    CurvatureTensor,
-    HermitianPoint,
     InvariantViolation,
     ah_identity_residual,
     build_from_decomposition,
@@ -43,6 +40,7 @@ from ahgeom.tensor_core import (
     pi1,
     pi2,
     sectional_curvature,
+    standard_j,
 )
 from model_oracles import BUNDLED, frame_at, product_spheres_chart_text
 
@@ -57,35 +55,34 @@ ZERO_CLASS = ClassResiduals(kahler=0.0, nearly_kahler=0.0, almost_kahler=0.0)
 class TestSamplers:
     def test_antiholomorphic_invariants(self):
         rng = np.random.default_rng(0)
-        pt = random_hermitian_point(3, rng)
-        planes = sample_antiholomorphic_planes(pt, 64, rng)
+        J = random_hermitian_point(3, rng)
+        planes = sample_antiholomorphic_planes(J, 64, rng)
         assert len(planes) == 64
         for x, y in zip(planes.x, planes.y):
-            assert abs(x @ pt.g @ x - 1.0) < 1e-12
-            assert abs(y @ pt.g @ y - 1.0) < 1e-12
-            assert abs(x @ pt.g @ y) < 1e-12
-            assert abs(x @ pt.g @ pt.J @ y) < 1e-12
+            assert abs(x @ x - 1.0) < 1e-12
+            assert abs(y @ y - 1.0) < 1e-12
+            assert abs(x @ y) < 1e-12
+            assert abs(x @ J @ y) < 1e-12
 
     def test_m1_has_no_antiholomorphic_planes(self):
-        pt = HermitianPoint.standard_flat(1)
         with pytest.raises(InvariantViolation, match="m >= 2"):
-            sample_antiholomorphic_planes(pt, 4, np.random.default_rng(0))
+            sample_antiholomorphic_planes(standard_j(1), 4, np.random.default_rng(0))
 
     def test_deterministic_for_fixed_seed(self):
-        pt = HermitianPoint.standard_flat(2)
-        a = sample_antiholomorphic_planes(pt, 8, np.random.default_rng(123))
-        b = sample_antiholomorphic_planes(pt, 8, np.random.default_rng(123))
+        J = standard_j(2)
+        a = sample_antiholomorphic_planes(J, 8, np.random.default_rng(123))
+        b = sample_antiholomorphic_planes(J, 8, np.random.default_rng(123))
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_holomorphic_planes(self):
         rng = np.random.default_rng(1)
-        pt = random_hermitian_point(2, rng)
-        planes = sample_holomorphic_planes(pt, 16, rng)
+        J = random_hermitian_point(2, rng)
+        planes = sample_holomorphic_planes(J, 16, rng)
         assert len(planes) == 16
         for x, y in zip(planes.x, planes.y):
-            np.testing.assert_allclose(y, pt.J @ x)
-            assert abs(x @ pt.g @ y) < 1e-12
+            np.testing.assert_allclose(y, J @ x)
+            assert abs(x @ y) < 1e-12
 
 
 class _ScriptedNormals(np.random.Generator):
@@ -104,73 +101,73 @@ class _ScriptedNormals(np.random.Generator):
 class TestDegenerateDraws:
     def test_only_degenerate_rows_are_drawn_again(self):
         rng = np.random.default_rng(8)
-        pt = random_hermitian_point(2, rng)
-        block = rng.standard_normal((3, 2, pt.dim))
+        J = random_hermitian_point(2, rng)
+        block = rng.standard_normal((3, 2, 4))
         parallel = block.copy()
         parallel[1, 1] = -2.0 * parallel[1, 0]  # plane 1: y parallel to x
         redraws = np.random.default_rng(9)
         scripted = _ScriptedNormals(parallel, redraws.standard_normal)
-        planes = sample_antiholomorphic_planes(pt, 3, scripted)
-        assert scripted.sizes == [(3, 2, pt.dim), (1, pt.dim)]
+        planes = sample_antiholomorphic_planes(J, 3, scripted)
+        assert scripted.sizes == [(3, 2, 4), (1, 4)]
 
-        clean = sample_antiholomorphic_planes(pt, 3, _ScriptedNormals(block, None))
+        clean = sample_antiholomorphic_planes(J, 3, _ScriptedNormals(block, None))
         np.testing.assert_array_equal(planes.x, clean.x)
         np.testing.assert_array_equal(planes.y[[0, 2]], clean.y[[0, 2]])
         x, y = planes.x[1], planes.y[1]
-        assert abs(y @ pt.g @ y - 1.0) < 1e-12
-        assert abs(x @ pt.g @ y) < 1e-12
-        assert abs(x @ pt.g @ pt.J @ y) < 1e-12
+        assert abs(y @ y - 1.0) < 1e-12
+        assert abs(x @ y) < 1e-12
+        assert abs(x @ J @ y) < 1e-12
 
     def test_gives_up_after_100_rounds(self):
-        pt = HermitianPoint.standard_flat(2)
-        block = np.random.default_rng(10).standard_normal((4, 2, pt.dim))
+        block = np.random.default_rng(10).standard_normal((4, 2, 4))
         block[2, 1] = block[2, 0]
         scripted = _ScriptedNormals(block, np.zeros)
         with pytest.raises(InvariantViolation, match="degenerated 100 times"):
-            sample_antiholomorphic_planes(pt, 4, scripted)
-        assert scripted.sizes == [(4, 2, pt.dim)] + [(1, pt.dim)] * 99
+            sample_antiholomorphic_planes(standard_j(2), 4, scripted)
+        assert scripted.sizes == [(4, 2, 4)] + [(1, 4)] * 99
 
 
 def _reference_curvature(R, x, y):
-    """R(x, y, y, x) / (g(x,x) g(y,y) - g(x,y)^2) for one plane, in extended
-    precision where the platform has it, so that the reference's own rounding
-    does not count."""
-    V, g, x, y = (np.asarray(a, dtype=np.longdouble) for a in (R.values, R.point.g, x, y))
+    """R(x, y, y, x) / (|x|^2 |y|^2 - (x . y)^2) for one plane (g = Id), in
+    extended precision where the platform has it, so that the reference's
+    own rounding does not count."""
+    V, x, y = (np.asarray(a, dtype=np.longdouble) for a in (R, x, y))
     num = np.einsum("ijkl,i,j,k,l->", V, x, y, y, x)
-    return float(num / ((x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2))
+    return float(num / ((x @ x) * (y @ y) - (x @ y) ** 2))
 
 
-def _antisymmetrized(R):
-    """R made exactly antisymmetric in each index pair: rounding leaves the
+def _antisymmetrized(V):
+    """V made exactly antisymmetric in each index pair: rounding leaves the
     tensors built below antisymmetric only to the last bits."""
-    V = R.values
     V = 0.5 * (V - V.transpose(1, 0, 2, 3))
-    return CurvatureTensor(R.point, 0.5 * (V - V.transpose(0, 1, 3, 2)))
+    return 0.5 * (V - V.transpose(0, 1, 3, 2))
 
 
 def _kernel_cases():
+    """(J, R) pairs in orthonormal frames: random decompositions and the
+    cp3 and s6 default points."""
     rng = np.random.default_rng(11)
     for m in (2, 3):
         for k in range(3):
-            pt = random_hermitian_point(m, rng)
-            S = random_j_invariant_bilinear(pt, rng)
-            R = CurvatureTensor(pt, build_from_decomposition(S.values, 0.6 - k, pt.J, tol=1e-8))
-            yield pytest.param(_antisymmetrized(R), id=f"random-m{m}-{k}")
+            J = random_hermitian_point(m, rng)
+            S = random_j_invariant_bilinear(J, rng)
+            R = build_from_decomposition(S, 0.6 - k, J, tol=1e-8)
+            yield pytest.param(J, _antisymmetrized(R), id=f"random-m{m}-{k}")
     for name in ("cp3", "s6"):
         chart = get_model(name).chart
         for i, p in enumerate(chart.default_points):
-            yield pytest.param(_antisymmetrized(frame_at(chart, p)[0]), id=f"{name}-{i}")
+            K, R = frame_at(chart, p)[:2]
+            yield pytest.param(K, _antisymmetrized(R), id=f"{name}-{i}")
 
 
 class TestSectionalCurvatureKernel:
-    @pytest.mark.parametrize("R", list(_kernel_cases()))
-    def test_batch_matches_per_plane_reference(self, R):
+    @pytest.mark.parametrize("J, R", list(_kernel_cases()))
+    def test_batch_matches_per_plane_reference(self, J, R):
         # relative to the batch's largest curvature: a holomorphic batch of
         # the random tensors holds values near 0 beside values near 25
-        pt = R.point
         for n in (1, 5, 256):
             for sample in (sample_antiholomorphic_planes, sample_holomorphic_planes):
-                planes = sample(pt, n, np.random.default_rng([n, pt.m]))
+                planes = sample(J, n, np.random.default_rng([n, len(J) // 2]))
                 reference = np.array([_reference_curvature(R, x, y)
                                       for x, y in zip(planes.x, planes.y)])
                 error = np.max(np.abs(sectional_curvature(R, planes) - reference))
@@ -182,26 +179,24 @@ class TestConstancy:
         # algebraic, no discretization error: every antiholomorphic plane
         # of the rebuilt tensor has curvature nu
         rng = np.random.default_rng(2)
-        pt = random_hermitian_point(3, rng)
-        S = random_j_invariant_bilinear(pt, rng)
-        R = CurvatureTensor(pt, build_from_decomposition(S.values, 0.7, pt.J, tol=1e-8))
-        stats = constancy(R, sample_antiholomorphic_planes(pt, 1000, rng))
+        J = random_hermitian_point(3, rng)
+        S = random_j_invariant_bilinear(J, rng)
+        R = build_from_decomposition(S, 0.7, J, tol=1e-8)
+        stats = constancy(R, sample_antiholomorphic_planes(J, 1000, rng))
         assert stats.mean == pytest.approx(0.7, abs=1e-11)
         assert stats.max_deviation < 1e-10
 
     def test_constant_curvature_tensor(self):
-        pt = HermitianPoint.standard_flat(2)
         rng = np.random.default_rng(3)
-        R = CurvatureTensor(pt, pi1(pt.dim))
-        stats = constancy(R, sample_antiholomorphic_planes(pt, 32, rng))
+        stats = constancy(pi1(4), sample_antiholomorphic_planes(standard_j(2), 32, rng))
         assert stats.mean == pytest.approx(1.0)
         assert stats.max_deviation < 1e-12
 
     def test_product_spheres_deviate(self):
         chart = get_model("s2xs2").chart
-        R = frame_at(chart, (0.0, 0.0, 0.0, 0.0))[0]
+        K, R = frame_at(chart, (0.0, 0.0, 0.0, 0.0))[:2]
         rng = np.random.default_rng(4)
-        stats = constancy(R, sample_antiholomorphic_planes(R.point, 256, rng))
+        stats = constancy(R, sample_antiholomorphic_planes(K, 256, rng))
         assert stats.max_deviation > 0.1
 
 
@@ -211,71 +206,64 @@ class TestConstancy:
 
 
 class TestAdaptedEigenframe:
-    def _check_frame(self, S, frame, tol=1e-9):
-        pt = S.point
-        n = pt.dim
+    def _check_frame(self, S, J, frame, tol=1e-9):
         B = frame.basis
-        gram = B.T @ pt.g @ B
-        assert np.max(np.abs(gram - np.eye(n))) < tol
+        assert np.max(np.abs(B.T @ B - np.eye(len(J)))) < tol
         for i, lam in enumerate(frame.eigenvalues):
             e, je = B[:, 2 * i], B[:, 2 * i + 1]
-            np.testing.assert_allclose(je, pt.J @ e, atol=tol)
-            # S e = lambda e in the bilinear sense: S(e, .) = lambda g(e, .)
-            assert np.max(np.abs(S.values @ e - lam * pt.g @ e)) < tol
-            assert np.max(np.abs(S.values @ je - lam * pt.g @ je)) < tol
+            np.testing.assert_allclose(je, J @ e, atol=tol)
+            # S e = lambda e in the bilinear sense: S(e, .) = lambda g(e, .), g = Id
+            assert np.max(np.abs(S @ e - lam * e)) < tol
+            assert np.max(np.abs(S @ je - lam * je)) < tol
 
     def test_scalar_case(self):
-        pt = HermitianPoint.standard_flat(3)
-        frame = adapted_eigenframe(Bilinear(pt, 2.5 * pt.g))
+        S, J = 2.5 * np.eye(6), standard_j(3)
+        frame = adapted_eigenframe(S, J)
         assert frame.eigenvalues == (2.5, 2.5, 2.5)
-        self._check_frame(Bilinear(pt, 2.5 * pt.g), frame)
+        self._check_frame(S, J, frame)
 
     def test_two_eigenvalue_blocks(self):
-        pt = HermitianPoint.standard_flat(2)
-        S = Bilinear(pt, np.diag([2.0, 2.0, 5.0, 5.0]))
-        frame = adapted_eigenframe(S)
+        S = np.diag([2.0, 2.0, 5.0, 5.0])
+        frame = adapted_eigenframe(S, standard_j(2))
         assert frame.eigenvalues == (2.0, 5.0)
         rebuilt = np.zeros((4, 4))
         for i, lam in enumerate(frame.eigenvalues):
             for v in (frame.basis[:, 2 * i], frame.basis[:, 2 * i + 1]):
-                flat = pt.g @ v
-                rebuilt += lam * np.outer(flat, flat)
-        assert np.max(np.abs(S.values - rebuilt)) < 1e-10
+                rebuilt += lam * np.outer(v, v)
+        assert np.max(np.abs(S - rebuilt)) < 1e-10
 
     def test_random_j_invariant_inputs(self):
         rng = np.random.default_rng(5)
         for m in (2, 3):
-            pt = random_hermitian_point(m, rng)
-            S = random_j_invariant_bilinear(pt, rng)
-            self._check_frame(S, adapted_eigenframe(S), tol=1e-8)
+            J = random_hermitian_point(m, rng)
+            S = random_j_invariant_bilinear(J, rng)
+            self._check_frame(S, J, adapted_eigenframe(S, J), tol=1e-8)
 
     def test_rejects_non_j_invariant_input(self):
-        pt = HermitianPoint.standard_flat(2)
-        S = Bilinear(pt, np.diag([1.0, 2.0, 3.0, 4.0]))
+        S = np.diag([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(InvariantViolation, match="J-invariant"):
-            adapted_eigenframe(S)
+            adapted_eigenframe(S, standard_j(2))
 
     def test_four_dimensional_eigenspace_on_a_random_point(self):
-        # eigenvalues 1, 1, 3 on the J-planes of a J-adapted g-orthonormal frame
+        # eigenvalues 1, 1, 3 on the J-planes of a J-adapted orthonormal frame
         rng = np.random.default_rng(8)
-        pt = random_hermitian_point(3, rng)
+        J = random_hermitian_point(3, rng)
         cols = []
-        for _ in range(pt.m):
-            v = rng.standard_normal(pt.dim)
-            v = v - sum((c @ pt.g @ v) * c for c in cols)
-            v = v / np.sqrt(v @ pt.g @ v)
-            cols += [v, pt.J @ v]
-        flat = pt.g @ np.column_stack(cols)
-        S = Bilinear(pt, (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T)
-        frame = adapted_eigenframe(S)
+        for _ in range(3):
+            v = rng.standard_normal(6)
+            v = v - sum((c @ v) * c for c in cols)
+            v = v / np.sqrt(v @ v)
+            cols += [v, J @ v]
+        flat = np.column_stack(cols)
+        S = (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T
+        frame = adapted_eigenframe(S, J)
         assert frame.eigenvalues == pytest.approx((1.0, 1.0, 3.0))
-        self._check_frame(S, frame)
+        self._check_frame(S, J, frame)
 
     def test_merges_close_eigenvalues(self):
-        pt = HermitianPoint.standard_flat(2)
         noise = 1e-10
-        S = Bilinear(pt, np.diag([3.0, 3.0 + noise, 3.0 - noise, 3.0]))
-        frame = adapted_eigenframe(S, 1e-8)
+        S = np.diag([3.0, 3.0 + noise, 3.0 - noise, 3.0])
+        frame = adapted_eigenframe(S, standard_j(2), 1e-8)
         assert frame.eigenvalues == (pytest.approx(3.0), pytest.approx(3.0))
 
 
@@ -287,20 +275,19 @@ class TestAdaptedEigenframe:
 class TestEinsteinResidual:
     def test_unit_sphere(self):
         chart = get_model("s6").chart
-        S = ricci(frame_at(chart, chart.default_points[1])[0].values)
+        S = ricci(frame_at(chart, chart.default_points[1])[1])
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(5.0, abs=1e-4)
         assert res < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        S = ricci(frame_at(chart, chart.default_points[1])[0].values)
+        S = ricci(frame_at(chart, chart.default_points[1])[1])
         lam, res = einstein_residual(S)
         assert lam == pytest.approx(6.0, abs=1e-4)
         assert res < 1e-4
 
     def test_block_spectrum(self):
-        pt = HermitianPoint.standard_flat(2)
         lam, res = einstein_residual(np.diag([2.0, 2.0, 5.0, 5.0]))
         assert lam == pytest.approx(3.5)
         assert res == pytest.approx(1.5)
@@ -309,59 +296,58 @@ class TestEinsteinResidual:
 class TestDecompositionResidual:
     def test_unit_sphere_fixture(self):
         chart = get_model("s6").chart
-        R = frame_at(chart, chart.default_points[1])[0]
-        assert decomposition_residual(R.values, ricci(R.values), 1.0, R.point.J, tol=1e-4) < 1e-5
+        K, R = frame_at(chart, chart.default_points[1])[:2]
+        assert decomposition_residual(R, ricci(R), 1.0, K, tol=1e-4) < 1e-5
 
     def test_cp2_fixture(self):
         chart = get_model("cp2").chart
-        R = frame_at(chart, chart.default_points[1])[0]
-        assert decomposition_residual(R.values, ricci(R.values), 1.0, R.point.J, tol=1e-4) < 1e-5
+        K, R = frame_at(chart, chart.default_points[1])[:2]
+        assert decomposition_residual(R, ricci(R), 1.0, K, tol=1e-4) < 1e-5
 
     def test_linear_perturbation(self):
-        pt = HermitianPoint.standard_flat(3)
-        P2 = pi2(pt.J)
-        R = pi1(pt.dim) + 0.01 * P2
-        S = ricci(pi1(pt.dim))
-        res = decomposition_residual(R, S, 1.0, pt.J)
+        J = standard_j(3)
+        P2 = pi2(J)
+        R = pi1(6) + 0.01 * P2
+        S = ricci(pi1(6))
+        res = decomposition_residual(R, S, 1.0, J)
         assert res == pytest.approx(0.01 * np.max(np.abs(P2)), rel=1e-9)
 
     def test_none_when_ricci_is_not_j_invariant(self):
-        pt = HermitianPoint.standard_flat(2)
+        J = standard_j(2)
         S = np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8])
-        assert decomposition_residual(pi1(pt.dim), S, 1.0, pt.J) is None
-        assert decomposition_residual(pi1(pt.dim), S, 1.0, pt.J, tol=1e-7) is not None
+        assert decomposition_residual(pi1(4), S, 1.0, J) is None
+        assert decomposition_residual(pi1(4), S, 1.0, J, tol=1e-7) is not None
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
     def test_tolerance_is_floored_at_the_invariant_tolerance(self, tol):
         # a J-defect of 5e-9 is within INVARIANT_TOL whatever tol is asked for
-        pt = HermitianPoint.standard_flat(2)
         S = np.diag([1.0, 1.0, 1.0, 1.0 + 5e-9])
-        assert decomposition_residual(pi1(pt.dim), S, 1.0, pt.J, tol=tol) is not None
+        assert decomposition_residual(pi1(4), S, 1.0, standard_j(2), tol=tol) is not None
 
 
 class TestBianchi2Residual:
     def test_flat_chart(self):
         chart = get_model("flat2").chart
-        assert bianchi2_residual(frame_at(chart, (0.1, 0.2, -0.3, 0.0))[2]) < 1e-8
+        assert bianchi2_residual(frame_at(chart, (0.1, 0.2, -0.3, 0.0))[3]) < 1e-8
 
     def test_unit_sphere(self):
         chart = get_model("s6").chart
-        assert bianchi2_residual(frame_at(chart, chart.default_points[1])[2]) < 1e-4
+        assert bianchi2_residual(frame_at(chart, chart.default_points[1])[3]) < 1e-4
 
     def test_cp2(self):
         chart = get_model("cp2").chart
-        assert bianchi2_residual(frame_at(chart, chart.default_points[1])[2]) < 1e-4
+        assert bianchi2_residual(frame_at(chart, chart.default_points[1])[3]) < 1e-4
 
 
 class TestProofRelation:
     @staticmethod
     def _inputs_at(chart, p):
         """The adapted frame, nabla S, nabla J and nu at p."""
-        R, NJ, NR = frame_at(chart, p)
+        K, R, NJ, NR = frame_at(chart, p)
         rng = np.random.default_rng(6)
-        nu = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng)).mean
-        S = Bilinear(R.point, ricci(R.values))
-        return adapted_eigenframe(S, 1e-4), np.trace(NR, axis1=1, axis2=4), NJ, nu
+        nu = constancy(R, sample_antiholomorphic_planes(K, 128, rng)).mean
+        frame = adapted_eigenframe(ricci(R), K, 1e-4)
+        return frame, np.trace(NR, axis1=1, axis2=4), NJ, nu
 
     def _residual_at(self, chart, p):
         return proof_relation_32_residual(*self._inputs_at(chart, p))
@@ -387,13 +373,14 @@ class TestProofRelation:
         rng = np.random.default_rng(9)
         for p in chart.default_points:
             frame, NS, NJ, nu = self._inputs_at(chart, p)
-            pt = frame.point
             e, je = frame.basis[:, 0::2], frame.basis[:, 1::2]
             for _ in range(20):
-                theta = rng.uniform(0.0, 2.0 * np.pi, pt.m)
+                theta = rng.uniform(0.0, 2.0 * np.pi, e.shape[1])
+                # e_i turned by theta_i within its plane, and J of it
                 turned = np.cos(theta) * e + np.sin(theta) * je
-                basis = np.column_stack([c for v in turned.T for c in (v, pt.J @ v)])
-                rotated = SpectralFrame(pt, basis, frame.eigenvalues)
+                j_turned = np.cos(theta) * je - np.sin(theta) * e
+                basis = np.column_stack([c for pair in zip(turned.T, j_turned.T) for c in pair])
+                rotated = SpectralFrame(basis, frame.eigenvalues)
                 assert proof_relation_32_residual(rotated, NS, NJ, nu) <= 1e-12
 
 
@@ -402,99 +389,87 @@ class TestProofRelation:
 # ---------------------------------------------------------------------------
 
 
-def classify_algebraic(R, nu_stats_planes=256, tol=1e-9, cls=ZERO_CLASS, seed=7):
+def classify_algebraic(R, J, nu_stats_planes=256, tol=1e-9, cls=ZERO_CLASS, seed=7):
     rng = np.random.default_rng(seed)
-    pt = R.point
-    holo = constancy(R, sample_holomorphic_planes(pt, nu_stats_planes, rng))
+    m = len(J) // 2
+    holo = constancy(R, sample_holomorphic_planes(J, nu_stats_planes, rng))
     anti = None
-    if pt.m >= 2:
-        anti = constancy(R, sample_antiholomorphic_planes(pt, nu_stats_planes, rng))
-    return classify(pt.m, float(ah_identity_residual(R.values, pt.J, 3)),
-                    einstein_residual(ricci(R.values)), cls, holo, anti,
-                    fit_pi_span(R.values, pt.J), tol)
+    if m >= 2:
+        anti = constancy(R, sample_antiholomorphic_planes(J, nu_stats_planes, rng))
+    return classify(m, float(ah_identity_residual(R, J, 3)), einstein_residual(ricci(R)), cls,
+                    holo, anti, fit_pi_span(R, J), tol)
 
 
 class TestClassify:
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0, 2.5])
     def test_scaled_pi1_is_a_real_space_form(self, c):
-        pt = HermitianPoint.standard_flat(3)
-        R = CurvatureTensor(pt, c * pi1(pt.dim))
-        verdict = classify_algebraic(R)
+        verdict = classify_algebraic(c * pi1(6), standard_j(3))
         assert verdict.kind == REAL_SPACE_FORM
         assert verdict.constant == pytest.approx(c, abs=1e-10)
 
     def test_complex_space_form(self):
-        pt = HermitianPoint.standard_flat(2)
-        R = CurvatureTensor(pt, pi1(pt.dim) + pi2(pt.J))
-        verdict = classify_algebraic(R)
+        J = standard_j(2)
+        verdict = classify_algebraic(pi1(4) + pi2(J), J)
         assert verdict.kind == COMPLEX_SPACE_FORM
         assert verdict.constant == pytest.approx(4.0, abs=1e-10)
 
     def test_non_kahler_span_member_is_inconclusive(self):
         # right curvature shape but a structure that is not parallel
-        pt = HermitianPoint.standard_flat(2)
-        R = CurvatureTensor(pt, pi1(pt.dim) + pi2(pt.J))
+        J = standard_j(2)
         cls = ClassResiduals(kahler=0.5, nearly_kahler=0.0, almost_kahler=0.5)
-        verdict = classify_algebraic(R, cls=cls)
+        verdict = classify_algebraic(pi1(4) + pi2(J), J, cls=cls)
         assert verdict.kind == INCONCLUSIVE
 
     def test_not_ah3(self):
         # pi1 built from a symmetric but not J-invariant form u has all the
         # curvature symmetries yet breaks the full J-rotation identity
-        pt = HermitianPoint.standard_flat(2)
         u = np.diag([1.0, 0.0, 1.0, 0.0])
         T = np.einsum("xu,yz->xyzu", u, u) - np.einsum("xz,yu->xyzu", u, u)
-        R = CurvatureTensor(pt, pi1(pt.dim) + 0.5 * T)
-        verdict = classify_algebraic(R, tol=1e-6)
+        verdict = classify_algebraic(pi1(4) + 0.5 * T, standard_j(2), tol=1e-6)
         assert verdict.kind == NOT_AH3
 
     def test_product_tensor_is_not_constant(self):
         chart = get_model("s2xs2").chart
-        R, NJ, _ = frame_at(chart, (0.0, 0.0, 0.0, 0.0))
-        S = ricci(R.values)
+        K, R, NJ, _ = frame_at(chart, (0.0, 0.0, 0.0, 0.0))
+        S = ricci(R)
         rng = np.random.default_rng(9)
-        holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
-        anti = constancy(R, sample_antiholomorphic_planes(R.point, 128, rng))
+        holo = constancy(R, sample_holomorphic_planes(K, 128, rng))
+        anti = constancy(R, sample_antiholomorphic_planes(K, 128, rng))
         cls = class_residuals(NJ)
-        verdict = classify(2, ah_identity_residual(R.values, R.point.J, 3), einstein_residual(S),
-                           cls, holo, anti, fit_pi_span(R.values, R.point.J), 1e-4)
+        verdict = classify(2, ah_identity_residual(R, K, 3), einstein_residual(S),
+                           cls, holo, anti, fit_pi_span(R, K), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_equal_radii_product_still_rejected(self):
         # holomorphic planes give 1, mixed antiholomorphic give 0: tilted
         # planes break constancy even with equal radii
         chart = parse_chart(product_spheres_chart_text(1.0, 1.0))
-        R, NJ, _ = frame_at(chart, (0.0, 0.0, 0.0, 0.0))
+        K, R, NJ, _ = frame_at(chart, (0.0, 0.0, 0.0, 0.0))
         rng = np.random.default_rng(10)
-        anti = constancy(R, sample_antiholomorphic_planes(R.point, 1000, rng))
+        anti = constancy(R, sample_antiholomorphic_planes(K, 1000, rng))
         assert anti.max_deviation > 0.1
-        holo = constancy(R, sample_holomorphic_planes(R.point, 128, rng))
+        holo = constancy(R, sample_holomorphic_planes(K, 128, rng))
         cls = class_residuals(NJ)
-        verdict = classify(2, ah_identity_residual(R.values, R.point.J, 3),
-                           einstein_residual(ricci(R.values)), cls, holo, anti,
-                           fit_pi_span(R.values, R.point.J), 1e-4)
+        verdict = classify(2, ah_identity_residual(R, K, 3),
+                           einstein_residual(ricci(R)), cls, holo, anti,
+                           fit_pi_span(R, K), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_m1_routes_through_holomorphic_constancy(self):
-        pt = HermitianPoint.standard_flat(1)
-        R = CurvatureTensor(pt, -4.0 * pi1(pt.dim))
-        verdict = classify_algebraic(R)
+        verdict = classify_algebraic(-4.0 * pi1(2), standard_j(1))
         assert verdict.kind == COMPLEX_SPACE_FORM
         assert verdict.constant == pytest.approx(-4.0, abs=1e-10)
 
     def test_verdict_invariant_under_basis_rotation(self):
         rng = np.random.default_rng(11)
-        pt = HermitianPoint.standard_flat(2)
-        base = pi1(pt.dim) + pi2(pt.J)
-        # random rotation commuting with nothing in particular
+        J = standard_j(2)
+        base = pi1(4) + pi2(J)
+        # random rotation commuting with nothing in particular; g = Q^T Q = Id
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        g2 = Q.T @ pt.g @ Q
-        J2 = Q.T @ pt.J @ Q
-        pt2 = HermitianPoint(m=2, g=g2, J=J2)
-        R2 = CurvatureTensor(pt2, np.einsum(
-            "abcd,ai,bj,ck,dl->ijkl", base, Q, Q, Q, Q))
-        v1 = classify_algebraic(CurvatureTensor(pt, base))
-        v2 = classify_algebraic(R2)
+        J2 = Q.T @ J @ Q
+        R2 = np.einsum("abcd,ai,bj,ck,dl->ijkl", base, Q, Q, Q, Q)
+        v1 = classify_algebraic(base, J)
+        v2 = classify_algebraic(R2, J2)
         assert v1.kind == v2.kind
         assert v2.constant == pytest.approx(v1.constant, abs=1e-8)
 
@@ -551,6 +526,18 @@ class TestComputedOncePerPoint:
         points = list(chart.default_points) * 9
         analyze_chart(chart, points, samples=16)
         assert calls == {name: [JET_GROUP, len(points) - JET_GROUP] for name in calls}
+
+
+class TestGroupArrays:
+    def test_a_point_cannot_write_into_its_group(self):
+        # each point's functions get views into the group's arrays, which are
+        # read-only, so a write raises instead of changing a neighbour's values
+        chart = get_model("cp2").chart
+        group = _group_checks(next(chart.jets_at(chart.default_points)))
+        for name in ("K", "R", "S", "NJ", "NS"):
+            view = getattr(group, name)[1]
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from ahgeom.charts import JET_GROUP, ChartEvalError, DomainError, parse_chart
 from ahgeom.expressions import to_source
 from ahgeom.models import get_model, model_names
 from ahgeom.report import analyze_chart, analyze_model
-from ahgeom.tensor_core import pi1, pi2, riemann_symmetry_residual
+from ahgeom.tensor_core import hermitian_frames, pi1, pi2, riemann_symmetry_residual
 from model_oracles import frame_at, jet_at, nabla_R_oracle
 
 FLAT = get_model("flat2").chart
@@ -197,9 +197,9 @@ class TestJet:
         ("1 + x*1e200*1e200", (0.0, 0.5), "a derivative of '1.0+x*1e+200*1e+200' is not finite at"),
     ])
     def test_non_finite_derivative_is_a_chart_error(self, src, point, message):
-        # the values at p are finite, so only the derivatives fail
+        # g and J at p are finite and almost Hermitian, so only the derivatives fail
         chart = conformal_chart(src)
-        chart.eval_point(point)
+        hermitian_frames(chart.metric_at(point)[None], chart.j_at(point)[None])
         with pytest.raises(ChartEvalError, match=re.escape(message)):
             jet(chart, point)
 
@@ -392,8 +392,9 @@ class TestStackedJets:
         (CP1, [(0.1, 0.2), (2.5, 0.0), (0.0, 0.0)], DomainError),
         (j_chart("1+0*log(x)"), [(0.5, 0.1), (-1.0, 0.0), (0.2, 0.2)], ChartEvalError),
         (j_chart("1+0*sqrt(x^2)"), [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
+        (SINGULAR, [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
     ], ids=["non-finite-derivative", "outside-the-domain", "failing-j-entry",
-            "failing-j-derivative"])
+            "failing-j-derivative", "invariant-violation"])
     def test_a_failing_point_raises_what_it_raises_alone(self, chart, points, error):
         with pytest.raises(error) as alone:
             jet(chart, points[1])
@@ -413,7 +414,7 @@ class TestStackedJets:
          "'1.0+0.0*sqrt(x^2.0)' at {'x': 0.0, 'y': 0.5}: float division by zero"),
     ], ids=["value", "derivative"])
     def test_a_failing_j_entry_is_named(self, src, p, message):
-        # the jet's eval_point raises the first; only the Taylor pass fails the second
+        # the jet's j_at raises the first; only the Taylor pass fails the second
         with pytest.raises(ChartEvalError) as err:
             jet(j_chart(src), p)
         assert str(err.value) == message
@@ -458,10 +459,10 @@ class TestAgainstSymbolicOracle:
         chart = get_model(name).chart
         p = tuple(data.draw(st.floats(lo, hi), label=coord)
                   for coord, (lo, hi) in zip(chart.coord_names, chart.domain))
-        R, NJ, NR = frame_at(chart, p)
-        target = c / 4.0 * (pi1(R.point.dim) + pi2(R.point.J))
+        K, R, NJ, NR = frame_at(chart, p)
+        target = c / 4.0 * (pi1(len(K)) + pi2(K))
         scale = np.max(np.abs(target))
-        assert np.max(np.abs(R.values - target)) <= 1e-11 * scale
+        assert np.max(np.abs(R - target)) <= 1e-11 * scale
         assert np.max(np.abs(NR)) <= 1e-11 * scale
         assert np.max(np.abs(NJ)) <= 1e-11
 
@@ -506,13 +507,13 @@ class TestRiemann:
 
     @pytest.mark.parametrize("p", S6.default_points)
     def test_unit_sphere_matches_pi1(self, p):
-        R = frame_at(S6, p)[0]
-        assert np.max(np.abs(R.values - pi1(6))) < 1e-5
+        R = frame_at(S6, p)[1]
+        assert np.max(np.abs(R - pi1(6))) < 1e-5
 
     def test_cp2_matches_complex_space_form_at_origin(self):
-        R = frame_at(CP2, (0.0, 0.0, 0.0, 0.0))[0]
-        target = pi1(4) + pi2(R.point.J)
-        assert np.max(np.abs(R.values - target)) < 1e-5
+        K, R = frame_at(CP2, (0.0, 0.0, 0.0, 0.0))[:2]
+        target = pi1(4) + pi2(K)
+        assert np.max(np.abs(R - target)) < 1e-5
 
     @pytest.mark.parametrize("name", sorted(model_names()))
     def test_symmetries_on_bundled_charts(self, name):
@@ -528,11 +529,11 @@ class TestRicci:
         np.testing.assert_allclose(S, (2 * m - 1) * np.eye(2 * m), atol=1e-12)
 
     def test_unit_sphere_is_einstein_with_constant_5(self):
-        S = ricci(frame_at(S6, S6.default_points[1])[0].values)
+        S = ricci(frame_at(S6, S6.default_points[1])[1])
         assert np.max(np.abs(S - 5.0 * np.eye(6))) < 1e-5
 
     def test_cp2_is_einstein_with_constant_6(self):
-        S = ricci(frame_at(CP2, (0.2, -0.1, 0.15, 0.05))[0].values)
+        S = ricci(frame_at(CP2, (0.2, -0.1, 0.15, 0.05))[1])
         assert np.max(np.abs(S - 6.0 * np.eye(4))) < 1e-5
 
 
@@ -553,11 +554,11 @@ class TestNablaJ:
         NJ = nabla_J(jet(S6, p))[0]
         assert np.max(np.abs(NJ)) > 0.1
         rng = np.random.default_rng(12)
-        pt = S6.eval_point(p)
+        g = S6.metric_at(p)
         worst = 0.0
         for _ in range(50):
             x = rng.standard_normal(6)
-            x = x / np.sqrt(float(x @ pt.g @ x))
+            x = x / np.sqrt(float(x @ g @ x))
             v = np.einsum("kia,k,a->i", NJ, x, x)
             worst = max(worst, float(np.max(np.abs(v))))
         assert worst < 1e-5
@@ -585,12 +586,12 @@ class TestNablaR:
 
 
 def class_residuals_at(chart, p):
-    return class_residuals(frame_at(chart, p)[1])
+    return class_residuals(frame_at(chart, p)[2])
 
 
 def gray_ak2_residual_at(chart, p):
-    R, NJ, _ = frame_at(chart, p)
-    return gray_ak2_residual(R.values, NJ, R.point.J)
+    K, R, NJ, _ = frame_at(chart, p)
+    return gray_ak2_residual(R, NJ, K)
 
 
 class TestClassResiduals:

@@ -126,32 +126,31 @@ class TestParsing:
 class TestEvaluation:
     def test_flat_chart_at_origin(self):
         spec = parse_chart(MINIMAL_FLAT)
-        pt = spec.eval_point((0.0, 0.0))
-        np.testing.assert_array_equal(pt.g, np.eye(2))
-        np.testing.assert_array_equal(pt.J, [[0.0, -1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(spec.metric_at((0.0, 0.0)), np.eye(2))
+        np.testing.assert_array_equal(spec.j_at((0.0, 0.0)), [[0.0, -1.0], [1.0, 0.0]])
 
     def test_fubini_study_identity_at_origin(self):
         spec = get_model("cp2").chart
-        pt = spec.eval_point((0.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(pt.g, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(spec.metric_at((0.0, 0.0, 0.0, 0.0)), np.eye(4), atol=1e-15)
 
     def test_invalid_j_entry_reports_invariant(self):
         text = MINIMAL_FLAT.replace("J[2][1] = 1", "J[2][1] = 2")
         spec = parse_chart(text)
-        with pytest.raises(ChartEvalError, match="-Id"):
-            spec.eval_point((0.0, 0.0))
+        shown = r"^invariant violation at point \[0\.0, 0\.0\]: J @ J differs from -Id"
+        with pytest.raises(ChartEvalError, match=shown):
+            next(spec.jets_at([(0.0, 0.0)]))
 
     def test_out_of_domain_point(self):
         spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")
         with pytest.raises(DomainError, match="outside domain"):
-            spec.eval_point((2.0, 0.0))
+            spec.metric_at((2.0, 0.0))
 
     def test_out_of_domain_message_shows_plain_floats(self):
         spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")
         with pytest.raises(DomainError, match=re.escape("coordinate x = nan is not finite")):
-            spec.eval_point(np.array([np.nan, 0.0]))
+            spec.metric_at(np.array([np.nan, 0.0]))
 
-    @pytest.mark.parametrize("lookup", ["metric_at", "j_at", "eval_point"])
+    @pytest.mark.parametrize("lookup", ["metric_at", "j_at"])
     @pytest.mark.parametrize("point, shown", [
         ((2.5, 0.0), "x = 2.5 outside domain [-1.0, 1.0]"),
         ((0.0, np.nan), "y = nan is not finite"),
@@ -173,13 +172,13 @@ class TestEvaluation:
     def test_wrong_point_arity(self):
         spec = parse_chart(MINIMAL_FLAT)
         with pytest.raises(ChartEvalError, match="coordinates"):
-            spec.eval_point((0.0, 0.0, 0.0))
+            spec.metric_at((0.0, 0.0, 0.0))
 
     def test_non_finite_value_is_an_error(self):
         text = "dim = 1\ncoords = x y\ng[1][1] = 1/x\ng[2][2] = 1\nJ[2][1] = 1\nJ[1][2] = -1\n"
         spec = parse_chart(text)
         with pytest.raises(ChartEvalError, match=re.escape("'1.0/x'")):
-            spec.eval_point((0.0, 0.0))
+            spec.metric_at((0.0, 0.0))
 
     @pytest.mark.parametrize("src, x, entry", [
         ("log(x)", -1.0, "cannot evaluate 'log(x)'"),
@@ -189,7 +188,7 @@ class TestEvaluation:
     def test_failing_entry_is_named(self, src, x, entry):
         spec = parse_chart(MINIMAL_FLAT + f"g[1][2] = {src}\n")
         with pytest.raises(ChartEvalError) as err:
-            spec.eval_point((x, 0.0))
+            spec.metric_at((x, 0.0))
         assert entry in str(err.value)
         assert f"{{'x': {x!r}, 'y': 0.0}}" in str(err.value)
 
@@ -249,7 +248,8 @@ class TestCompiledTable:
 
         monkeypatch.setattr(charts, "evaluate", counted)
         spec = get_model("cp3").chart
-        spec.eval_point(spec.default_points[0])
+        spec.metric_at(spec.default_points[0])
+        spec.j_at(spec.default_points[0])
         assert sizes == [21, 36]  # g's upper triangle, then J
 
     def test_lives_and_dies_with_its_chart(self):

@@ -13,6 +13,7 @@ from ahgeom.models import ExpectedProfile, get_model, model_names
 from ahgeom.analysis import REAL_SPACE_FORM
 from ahgeom.calculus import ricci
 from ahgeom.report import analyze_chart, analyze_model
+from ahgeom.tensor_core import hermitian_frames
 from model_oracles import (
     _FANO_LINES,
     BUNDLED,
@@ -110,21 +111,21 @@ class TestSphere6:
 
     def test_invariants_hold_at_default_points(self):
         for p in S6.default_points:
-            pt = S6.eval_point(p)
-            assert np.max(np.abs(pt.J @ pt.J + np.eye(6))) < 1e-12
+            J = S6.j_at(p)
+            assert np.max(np.abs(J @ J + np.eye(6))) < 1e-12
 
     def test_j_rotates_tangent_vectors_isometrically(self):
         p = np.array(S6.default_points[2])
-        pt = S6.eval_point(p)
+        g, J = S6.metric_at(p), S6.j_at(p)
         rng = np.random.default_rng(4)
         v = rng.standard_normal(6)
-        jv = pt.J @ v
-        assert jv @ pt.g @ jv == pytest.approx(v @ pt.g @ v, rel=1e-12)
-        assert v @ pt.g @ jv == pytest.approx(0.0, abs=1e-12)
+        jv = J @ v
+        assert jv @ g @ jv == pytest.approx(v @ g @ v, rel=1e-12)
+        assert v @ g @ jv == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_hemisphere_is_an_error(self):
         with pytest.raises(DomainError):
-            S6.eval_point((0.9, 0.9, 0.9, 0.9, 0.9, 0.9))
+            S6.metric_at((0.9, 0.9, 0.9, 0.9, 0.9, 0.9))
 
     @staticmethod
     def _assert_matches_reference(p):
@@ -208,8 +209,9 @@ class TestDescriptors:
     def test_every_chart_point_satisfies_invariants(self, name):
         chart = get_model(name).chart
         assert len(chart.default_points) >= 2
-        for p in chart.default_points:
-            chart.eval_point(p)
+        g = np.stack([chart.metric_at(p) for p in chart.default_points])
+        J = np.stack([chart.j_at(p) for p in chart.default_points])
+        hermitian_frames(g, J)
 
     def test_flat_descriptor(self):
         md = get_model("flat2")
@@ -242,7 +244,7 @@ class TestDescriptors:
         assert einstein == 1.0 / 1.5**2
         chart = parse_chart(product_spheres_chart_text(1.5, 1.5))
         for p in chart.default_points:
-            S = ricci(frame_at(chart, p)[0].values)
+            S = ricci(frame_at(chart, p)[1])
             np.testing.assert_allclose(S, einstein * np.eye(4), rtol=0, atol=1e-12)
 
 
@@ -256,7 +258,7 @@ class TestProductSpheres:
         from ahgeom.tensor_core import Planes, sectional_curvature
 
         chart = get_model("s2xs2").chart  # radii 1 and 2, g = Id at the origin
-        R = frame_at(chart, (0.0, 0.0, 0.0, 0.0))[0]
+        R = frame_at(chart, (0.0, 0.0, 0.0, 0.0))[1]
         e = np.eye(4)
         mixed = Planes(x=[e[0]], y=[e[2]], kind="antiholomorphic")
         assert sectional_curvature(R, mixed)[0] == pytest.approx(0.0, abs=1e-8)
