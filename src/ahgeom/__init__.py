@@ -33,7 +33,6 @@ from .calculus import (
 )
 from .analysis import (
     CurvatureStats,
-    SpectralFrame,
     Verdict,
     adapted_eigenframe,
     bianchi2_residual,

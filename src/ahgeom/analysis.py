@@ -36,7 +36,6 @@ __all__ = [
     "NOT_AH3",
     "INCONCLUSIVE",
     "CurvatureStats",
-    "SpectralFrame",
     "Verdict",
     "SchurReport",
     "sample_antiholomorphic_planes",
@@ -66,18 +65,6 @@ class CurvatureStats:
     samples: int
     mean: float
     max_deviation: float
-
-
-@dataclass(frozen=True)
-class SpectralFrame:
-    """Adapted orthonormal basis (e_1, Je_1, ..., e_m, Je_m) diagonalizing S.
-
-    basis[:, 2i] = e_i and basis[:, 2i+1] = J e_i; eigenvalues[i] is the
-    eigenvalue shared by the J-invariant 2-plane span{e_i, Je_i}.
-    """
-
-    basis: np.ndarray
-    eigenvalues: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -163,22 +150,14 @@ def constancy(R: np.ndarray, planes: Planes) -> CurvatureStats:
     )
 
 
-def _cluster(eigenvalues: np.ndarray, merge_tol: float) -> list[slice]:
-    """Group consecutive sorted eigenvalues whose gaps are below merge_tol."""
-    slices = []
-    start = 0
-    for k in range(1, eigenvalues.size + 1):
-        if k == eigenvalues.size or eigenvalues[k] - eigenvalues[k - 1] > merge_tol:
-            slices.append(slice(start, k))
-            start = k
-    return slices
-
-
-def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0) -> SpectralFrame:
+def adapted_eigenframe(S: np.ndarray, J: np.ndarray,
+                       tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize one point's S (2m, 2m), given in an orthonormal frame
     (g = Id), by a basis adapted to the point's structure J.
 
-    Eigenvalues closer than max(tol, 1e-8) are merged into one eigenspace.
+    Returns the orthonormal basis (e_1, Je_1, ..., e_m, Je_m) as columns
+    and the (m,) eigenvalues, the i-th that of span{e_i, Je_i}.  Sorted
+    eigenvalues split into eigenspaces where a gap exceeds max(tol, 1e-8).
     With E an orthonormal basis of an eigenspace and M = E^T J E, each unit
     +1 eigenvector x + iy of the Hermitian iM has Mx = y and |x| = 1/sqrt(2),
     so e comes from E x and Je from E y.  If an eigenspace has odd dimension
@@ -186,9 +165,10 @@ def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0) -> Spectr
     was not J-invariant.
     """
     w, V = np.linalg.eigh(0.5 * (S + S.T))
+    cuts = [0, *(np.flatnonzero(np.diff(w) > max(tol, 1e-8)) + 1).tolist(), w.size]
     basis_cols = []
     eigenvalues = []
-    for block in _cluster(w, max(tol, 1e-8)):
+    for block in map(slice, cuts, cuts[1:]):
         E = V[:, block]
         M = E.T @ J @ E
         defect = float(np.linalg.norm(J @ E - E @ M))
@@ -201,8 +181,7 @@ def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0) -> Spectr
         for e in (np.sqrt(2.0) * E @ x).T:
             basis_cols += [e, J @ e]
         eigenvalues += [float(w[block].mean())] * half
-    return SpectralFrame(basis=np.column_stack(basis_cols),
-                         eigenvalues=tuple(eigenvalues))
+    return np.column_stack(basis_cols), np.array(eigenvalues)
 
 
 def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +219,10 @@ def bianchi2_residual(nablaR: np.ndarray) -> np.ndarray:
     return np.max(np.abs(cyc, out=cyc), axis=(-5, -4, -3, -2, -1))
 
 
-def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
-                               nablaJ: np.ndarray, nu: float) -> float:
-    """Residual of the eigenframe relation tying nabla S to nabla J:
+def proof_relation_32_residual(basis: np.ndarray, eigenvalues: np.ndarray,
+                               nablaS: np.ndarray, nablaJ: np.ndarray, nu: float) -> float:
+    """Residual of the eigenframe relation tying nabla S to nabla J, in the
+    adapted frame (basis, eigenvalues) of `adapted_eigenframe`:
 
         (nabla_{e_j} S)(e_i, e_j)
             + (lambda_i + lambda_j - 2 (2m-1) nu) g(J e_i, (nabla_{e_j} J) e_j)
@@ -253,25 +233,24 @@ def proof_relation_32_residual(frame: SpectralFrame, nablaS: np.ndarray,
     lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the value depends on the
     choice of each e_i within its plane span{e_i, Je_i}.
     """
-    m = frame.basis.shape[0] // 2
-    e, je = frame.basis[:, 0::2], frame.basis[:, 1::2]
-    lam = np.array(frame.eigenvalues)
+    m = basis.shape[0] // 2
+    e, je = basis[:, 0::2], basis[:, 1::2]
     # t1[i, j] = (nabla_{e_j} S)(e_i, e_j) and v[:, j] = (nabla_{e_j} J) e_j
     t1 = e.T @ np.einsum("kab,kj,bj->aj", nablaS, e, e)
     v = np.einsum("kia,kj,aj->ij", nablaJ, e, e)
-    coeff = lam[:, None] + lam[None, :] - 2.0 * (2 * m - 1) * nu
+    coeff = eigenvalues[:, None] + eigenvalues[None, :] - 2.0 * (2 * m - 1) * nu
     total = np.abs(t1 + coeff * (je.T @ v))
     return float(np.max(total[~np.eye(m, dtype=bool)], initial=0.0))
 
 
 def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,
              stats_holo: CurvatureStats, stats_antiholo: CurvatureStats | None,
-             fit: tuple[float, float, float], tol: float) -> Verdict:
+             fit: tuple[float, float, float] | None, tol: float) -> Verdict:
     """Decide the verdict for one point of complex dimension m from its
-    curvature data: the AH3 residual `ah_identity_residual(R, J, 3)`, the
+    curvature data: the AH3 residual of `ah_identity_residual(R, J)`, the
     (lambda, residual) pair of `einstein_residual(S)`, the class residuals,
     the plane statistics and the span fit (a, b, residual) of
-    `fit_pi_span(R, J)`.
+    `fit_pi_span(R, J)`, which is None at m = 1.
 
     Order: not AH3 beats everything; then non-constant antiholomorphic
     curvature; then a least-squares split over span{pi1, pi2} decides

@@ -6,11 +6,10 @@ import argparse
 import re
 import sys
 
-from .charts import _FLOAT_RE, ChartError, parse_chart
+from .charts import _FLOAT_RE, parse_chart
 from .models import get_model, model_names
 from .report import analyze_chart, analyze_model
 from .selftest import run_selftest
-from .tensor_core import InvariantViolation
 
 
 # argparse takes "-0.1,0.2,..." for an unknown option, so a point value that
@@ -58,7 +57,7 @@ def _cmd_analyze(args) -> int:
                 print(f"cannot read chart file: {exc}", file=sys.stderr)
                 return 2
             report = analyze_chart(parse_chart(text), name=str(args.chart), **kwargs)
-    except (ChartError, InvariantViolation, ValueError) as exc:
+    except ValueError as exc:  # ChartError, ExprError and InvariantViolation among them
         print(f"analysis error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())

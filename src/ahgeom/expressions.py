@@ -27,11 +27,12 @@ of points on Taylor series, for the exact derivatives of every expression
 along every direction at every point of the group.  Every program has the
 same globals table: each of the seven functions there takes a float, for
 which it is the `math` function, or a Taylor series.
-When that call fails, `evaluate` finds the first failing point by running
-each point of the group on its own, then the first failing expression by
-compiling each on its own, so every error comes from the same generated
-code.  The compiled function belongs to its caller (a chart keeps its
-own), so nothing here caches expressions.
+When a group's call fails, `evaluate` raises once for the whole group,
+and the caller runs each point alone to find the first that fails
+(`ChartSpec.jets_at`).  At one point it finds the first failing
+expression by compiling each on its own, so every error comes from the
+same generated code.  The compiled function belongs to its caller (a
+chart keeps its own), so nothing here caches expressions.
 """
 
 from __future__ import annotations
@@ -498,8 +499,9 @@ def evaluate(compiled: Compiled, env: Mapping[str, float],
     coefficients of degree 1 to 3 in t, shape (len(exprs), 3, P, d), each
     bit for bit what the group of that point alone gives.
     Domain violations (log of a non-positive number, division by zero, ...)
-    and non-finite or complex results raise ExprEvalError naming the first
-    failing expression and point.
+    and non-finite or complex results raise ExprEvalError.  At one point it
+    names the first failing expression and the point; for a group of
+    several points it names neither, and each point run alone finds them.
     """
     if directions is None:
         points = [dict(env)]
@@ -523,9 +525,8 @@ def evaluate(compiled: Compiled, env: Mapping[str, float],
     except _EVAL_ERRORS as exc:
         error = exc
     if len(points) > 1:
-        # Each point as a group of its own, to find the first that fails.
-        for point in points:
-            evaluate(compiled, {name: [x] for name, x in point.items()}, directions)
+        detail = "a value is not finite" if error is None else error
+        raise ExprEvalError(f"a group of {len(points)} points fails: {detail}") from error
     if len(compiled.exprs) > 1:
         # Each expression through a program of its own, to find the first that fails.
         for expr in compiled.exprs:

@@ -6,7 +6,8 @@ stage runs once on arrays with a leading point axis (`_group_checks`):
 R, nabla J and nabla R share the jet's connection, are expressed once in
 each point's orthonormal Cholesky frame (`calculus.in_frame`), where every
 check runs, and each residual of the tensors alone comes out as one value
-per point.  A lone point is a group of one, and a point's values do not
+per point, once; the span fit runs only at m >= 2, where the verdict
+reads it.  A lone point is a group of one, and a point's values do not
 depend on its group.  What rests on a point's sampled planes then runs
 per point in `analyze_point`, on the point's slices of the group's
 read-only arrays (its structure K, R, S, nabla S and nabla J): plane
@@ -119,7 +120,8 @@ class _GroupChecks:
     frames.  The tensors are read-only, so a per-point function that writes
     into its point's slice raises instead of changing a neighbour's values.
     not_finite[k] names the first of R, nabla J and nabla R that is not
-    finite at the k-th point."""
+    finite at the k-th point.  fit is None at m = 1, where `classify`
+    does not read it."""
 
     K: np.ndarray
     R: np.ndarray
@@ -133,7 +135,7 @@ class _GroupChecks:
     einstein: tuple[np.ndarray, np.ndarray]
     bianchi: np.ndarray
     gray: np.ndarray
-    fit: tuple[np.ndarray, np.ndarray, np.ndarray]
+    fit: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 # Non-finite values are refused per point: einsum and matmul overflow to
@@ -158,12 +160,12 @@ def _group_checks(jet: Jet) -> _GroupChecks:
         K=K, R=R, S=S, NJ=NJ, NS=NS,
         not_finite=not_finite,
         class_residuals=calculus.class_residuals(NJ),
-        ah={f"AH{k}": ah_identity_residual(R, K, k) for k in (1, 2, 3)},
+        ah=dict(zip(("AH1", "AH2", "AH3"), ah_identity_residual(R, K))),
         symmetry=riemann_symmetry_residual(R),
         einstein=einstein_residual(S),
         bianchi=bianchi2_residual(NR),
         gray=calculus.gray_ak2_residual(R, NJ, K),
-        fit=fit_pi_span(R, K),
+        fit=fit_pi_span(R, K) if K.shape[-1] >= 4 else None,
     )
 
 
@@ -198,11 +200,11 @@ def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int,
     lam, einstein_defect = (float(v[k]) for v in group.einstein)
     decomposition = decomposition_residual(R, S, nu, K, tol=tol)
     try:
-        frame = adapted_eigenframe(S, K, tol)
-        relation = proof_relation_32_residual(frame, group.NS[k], group.NJ[k], nu)
+        relation = proof_relation_32_residual(*adapted_eigenframe(S, K, tol), group.NS[k],
+                                              group.NJ[k], nu)
     except InvariantViolation:
         relation = None  # Ricci tensor not J-invariant: the relation does not apply
-    fit = tuple(float(v[k]) for v in group.fit)
+    fit = None if group.fit is None else tuple(float(v[k]) for v in group.fit)
     verdict = classify(m, ah["AH3"], (lam, einstein_defect), cls, holo, anti, fit, tol)
 
     record = PointReport(

@@ -7,10 +7,11 @@ point at once, contract by matrix products, and each residual is a max
 over the trailing axes, one value per point.  The tensors are in an
 orthonormal frame (g = Id), so J is the only structure they read: the
 curvature-type operators ``pi1``/``pi2``/``psi``, the three AH curvature
-identities, and construction / least-squares splitting of curvature
-tensors over span{pi1, pi2}.  `hermitian_frames` is the one check of a
-chart's g and J, and gives the frames (Linv, K) in which everything else
-runs: a point is its structure K and its frame tensors, plain arrays.
+identities in one pass, and construction / least-squares splitting of
+curvature tensors over span{pi1, pi2} (m >= 2).  `hermitian_frames` is the
+one check of a chart's g and J, and gives the frames (Linv, K) in which
+everything else runs: a point is its structure K and its frame tensors,
+plain arrays.
 `Planes` holds a batch of 2-planes at one point, and `sectional_curvature`
 evaluates it on that point's R.  No differentiation and no charts happen
 here; the functions are pure and do not write into their inputs, so
@@ -189,9 +190,9 @@ def pi2(J: np.ndarray) -> np.ndarray:
     return AA - np.swapaxes(AA, -2, -1) - 2.0 * _split(J, J)
 
 
-def ah_identity_residual(R: np.ndarray, J: np.ndarray, which: int) -> np.ndarray:
-    """Max-norm violation of one of the three AH curvature identities, per
-    point of R (..., n, n, n, n) with structures J (..., n, n):
+def ah_identity_residual(R: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Max-norm violations (AH1, AH2, AH3) of the AH curvature identities,
+    per point of R (..., n, n, n, n) with structures J (..., n, n):
 
     1: R(X,Y,Z,U) = R(X,Y,JZ,JU)
     2: R(X,Y,Z,U) = R(X,Y,JZ,JU) + R(X,JY,Z,JU) + R(JX,Y,Z,JU)
@@ -199,22 +200,10 @@ def ah_identity_residual(R: np.ndarray, J: np.ndarray, which: int) -> np.ndarray
 
     Zero means the tensor satisfies the identity at that point.
     """
-
-    def rotated(*slots: int) -> np.ndarray:
-        out = R
-        for s in slots:
-            out = _apply(out, J, s)
-        return out
-
-    if which == 1:
-        rhs = rotated(-2, -1)
-    elif which == 2:
-        rhs = rotated(-2, -1) + rotated(-3, -1) + rotated(-4, -1)
-    elif which == 3:
-        rhs = rotated(-4, -3, -2, -1)
-    else:
-        raise ValueError(f"identity index must be 1, 2 or 3, got {which!r}")
-    return _max_abs(R - rhs, 4)
+    jzju = _apply(_apply(R, J, -2), J, -1)  # R(X,Y,JZ,JU), once for AH1 and AH2
+    ah2 = jzju + _apply(_apply(R, J, -3), J, -1) + _apply(_apply(R, J, -4), J, -1)
+    ah3 = _apply(_apply(_apply(_apply(R, J, -4), J, -3), J, -2), J, -1)
+    return _max_abs(R - jzju, 4), _max_abs(R - ah2, 4), _max_abs(R - ah3, 4)
 
 
 def riemann_symmetry_residual(R: np.ndarray) -> np.ndarray:
@@ -282,13 +271,13 @@ def fit_pi_span(R: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     at each point of R (..., n, n, n, n), with structures J (..., n, n).
 
     Returns (a, b, residual), one value per point each, the residual the
-    componentwise 2-norm of the best approximation defect.  Solves the 2x2
-    normal equations; where pi1 and pi2 are (numerically) parallel, which
-    happens exactly at m = 1 where pi2 = 3*pi1 identically, it takes the
-    minimum-norm solution, on the line a*pi1 + b*pi2 = c*pi1 through the
-    projection c*pi1 of R.
+    componentwise 2-norm of the best approximation defect, from the 2x2
+    normal equations.  At m = 1, pi2 = 3*pi1 identically, so the span is a
+    line with nothing to separate, and the fit raises InvariantViolation.
     """
     n = J.shape[-1]
+    if n < 4:
+        raise InvariantViolation("the span fit needs m >= 2: pi2 = 3 pi1 at m = 1")
     p1 = pi1(n).reshape(n**4)
     p2 = pi2(J).reshape(J.shape[:-2] + (n**4,))
     r = R.reshape(R.shape[:-4] + (n**4,))
@@ -296,10 +285,7 @@ def fit_pi_span(R: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     g12, g22 = np.sum(p1 * p2, axis=-1), np.sum(p2 * p2, axis=-1)
     p1r, p2r = np.sum(p1 * r, axis=-1), np.sum(p2 * r, axis=-1)
     det = g11 * g22 - g12 * g12
-    solved = np.abs(det) > 1e-12 * g11 * g22
-    det = np.where(solved, det, 1.0)
-    lam, c = g12 / g11, p1r / g11  # p2 = lam * p1 where they are parallel
-    a = np.where(solved, (g22 * p1r - g12 * p2r) / det, c / (1.0 + lam * lam))
-    b = np.where(solved, (g11 * p2r - g12 * p1r) / det, lam * c / (1.0 + lam * lam))
+    a = (g22 * p1r - g12 * p2r) / det
+    b = (g11 * p2r - g12 * p1r) / det
     defect = r - a[..., None] * p1 - b[..., None] * p2
     return a, b, np.sqrt(np.sum(defect * defect, axis=-1))

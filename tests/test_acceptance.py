@@ -20,7 +20,7 @@ from ahgeom.analysis import (
 from ahgeom.cli import main as cli_main
 from ahgeom.models import get_model, model_names
 from ahgeom.report import analyze_model
-from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
+from ahgeom.selftest import random_j_invariant_bilinear, random_structure
 from ahgeom.tensor_core import (
     build_from_decomposition,
     pi2,
@@ -50,7 +50,7 @@ def test_criterion_1_algebraic_identity_suite():
     worst = 0.0
     exact = True
     for m in (1, 2, 3):
-        for J in (standard_j(m), random_hermitian_point(m, rng)):
+        for J in (standard_j(m), random_structure(m, rng)):
             gap = float(np.max(np.abs(psi(np.eye(2 * m), J) - 2.0 * pi2(J))))
             worst = max(worst, gap)
         flat = standard_j(m)
@@ -69,7 +69,7 @@ def test_criterion_2_decomposition_forward_constancy():
     worst = 0.0
     for k in range(200):
         m = 2 + k % 2
-        J = standard_j(m) if k % 4 == 0 else random_hermitian_point(m, rng)
+        J = standard_j(m) if k % 4 == 0 else random_structure(m, rng)
         S = random_j_invariant_bilinear(J, rng)
         nu = float(rng.uniform(-2.0, 2.0))
         R = build_from_decomposition(S, nu, J, tol=1e-8)

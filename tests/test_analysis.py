@@ -14,7 +14,6 @@ from ahgeom.analysis import (
     NOT_CONSTANT_ANTIHOLOMORPHIC,
     REAL_SPACE_FORM,
     CurvatureStats,
-    SpectralFrame,
     adapted_eigenframe,
     bianchi2_residual,
     classify,
@@ -31,7 +30,7 @@ from ahgeom.charts import JET_GROUP, ChartSpec, parse_chart
 from ahgeom.expressions import BinOp, Call, Neg, Num, Var
 from ahgeom.models import get_model
 from ahgeom.report import PointReport, _group_checks, analyze_chart, analyze_model
-from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
+from ahgeom.selftest import random_j_invariant_bilinear, random_structure
 from ahgeom.tensor_core import (
     InvariantViolation,
     ah_identity_residual,
@@ -55,7 +54,7 @@ ZERO_CLASS = ClassResiduals(kahler=0.0, nearly_kahler=0.0, almost_kahler=0.0)
 class TestSamplers:
     def test_antiholomorphic_invariants(self):
         rng = np.random.default_rng(0)
-        J = random_hermitian_point(3, rng)
+        J = random_structure(3, rng)
         planes = sample_antiholomorphic_planes(J, 64, rng)
         assert len(planes) == 64
         for x, y in zip(planes.x, planes.y):
@@ -77,7 +76,7 @@ class TestSamplers:
 
     def test_holomorphic_planes(self):
         rng = np.random.default_rng(1)
-        J = random_hermitian_point(2, rng)
+        J = random_structure(2, rng)
         planes = sample_holomorphic_planes(J, 16, rng)
         assert len(planes) == 16
         for x, y in zip(planes.x, planes.y):
@@ -101,7 +100,7 @@ class _ScriptedNormals(np.random.Generator):
 class TestDegenerateDraws:
     def test_only_degenerate_rows_are_drawn_again(self):
         rng = np.random.default_rng(8)
-        J = random_hermitian_point(2, rng)
+        J = random_structure(2, rng)
         block = rng.standard_normal((3, 2, 4))
         parallel = block.copy()
         parallel[1, 1] = -2.0 * parallel[1, 0]  # plane 1: y parallel to x
@@ -149,7 +148,7 @@ def _kernel_cases():
     rng = np.random.default_rng(11)
     for m in (2, 3):
         for k in range(3):
-            J = random_hermitian_point(m, rng)
+            J = random_structure(m, rng)
             S = random_j_invariant_bilinear(J, rng)
             R = build_from_decomposition(S, 0.6 - k, J, tol=1e-8)
             yield pytest.param(J, _antisymmetrized(R), id=f"random-m{m}-{k}")
@@ -179,7 +178,7 @@ class TestConstancy:
         # algebraic, no discretization error: every antiholomorphic plane
         # of the rebuilt tensor has curvature nu
         rng = np.random.default_rng(2)
-        J = random_hermitian_point(3, rng)
+        J = random_structure(3, rng)
         S = random_j_invariant_bilinear(J, rng)
         R = build_from_decomposition(S, 0.7, J, tol=1e-8)
         stats = constancy(R, sample_antiholomorphic_planes(J, 1000, rng))
@@ -207,9 +206,9 @@ class TestConstancy:
 
 class TestAdaptedEigenframe:
     def _check_frame(self, S, J, frame, tol=1e-9):
-        B = frame.basis
+        B, eigenvalues = frame
         assert np.max(np.abs(B.T @ B - np.eye(len(J)))) < tol
-        for i, lam in enumerate(frame.eigenvalues):
+        for i, lam in enumerate(eigenvalues):
             e, je = B[:, 2 * i], B[:, 2 * i + 1]
             np.testing.assert_allclose(je, J @ e, atol=tol)
             # S e = lambda e in the bilinear sense: S(e, .) = lambda g(e, .), g = Id
@@ -219,23 +218,23 @@ class TestAdaptedEigenframe:
     def test_scalar_case(self):
         S, J = 2.5 * np.eye(6), standard_j(3)
         frame = adapted_eigenframe(S, J)
-        assert frame.eigenvalues == (2.5, 2.5, 2.5)
+        assert frame[1].tolist() == [2.5, 2.5, 2.5]
         self._check_frame(S, J, frame)
 
     def test_two_eigenvalue_blocks(self):
         S = np.diag([2.0, 2.0, 5.0, 5.0])
-        frame = adapted_eigenframe(S, standard_j(2))
-        assert frame.eigenvalues == (2.0, 5.0)
+        B, eigenvalues = adapted_eigenframe(S, standard_j(2))
+        assert eigenvalues.tolist() == [2.0, 5.0]
         rebuilt = np.zeros((4, 4))
-        for i, lam in enumerate(frame.eigenvalues):
-            for v in (frame.basis[:, 2 * i], frame.basis[:, 2 * i + 1]):
+        for i, lam in enumerate(eigenvalues):
+            for v in (B[:, 2 * i], B[:, 2 * i + 1]):
                 rebuilt += lam * np.outer(v, v)
         assert np.max(np.abs(S - rebuilt)) < 1e-10
 
     def test_random_j_invariant_inputs(self):
         rng = np.random.default_rng(5)
         for m in (2, 3):
-            J = random_hermitian_point(m, rng)
+            J = random_structure(m, rng)
             S = random_j_invariant_bilinear(J, rng)
             self._check_frame(S, J, adapted_eigenframe(S, J), tol=1e-8)
 
@@ -247,7 +246,7 @@ class TestAdaptedEigenframe:
     def test_four_dimensional_eigenspace_on_a_random_point(self):
         # eigenvalues 1, 1, 3 on the J-planes of a J-adapted orthonormal frame
         rng = np.random.default_rng(8)
-        J = random_hermitian_point(3, rng)
+        J = random_structure(3, rng)
         cols = []
         for _ in range(3):
             v = rng.standard_normal(6)
@@ -257,14 +256,14 @@ class TestAdaptedEigenframe:
         flat = np.column_stack(cols)
         S = (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T
         frame = adapted_eigenframe(S, J)
-        assert frame.eigenvalues == pytest.approx((1.0, 1.0, 3.0))
+        assert frame[1].tolist() == pytest.approx([1.0, 1.0, 3.0])
         self._check_frame(S, J, frame)
 
     def test_merges_close_eigenvalues(self):
         noise = 1e-10
         S = np.diag([3.0, 3.0 + noise, 3.0 - noise, 3.0])
-        frame = adapted_eigenframe(S, standard_j(2), 1e-8)
-        assert frame.eigenvalues == (pytest.approx(3.0), pytest.approx(3.0))
+        _, eigenvalues = adapted_eigenframe(S, standard_j(2), 1e-8)
+        assert eigenvalues.tolist() == pytest.approx([3.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +341,12 @@ class TestBianchi2Residual:
 class TestProofRelation:
     @staticmethod
     def _inputs_at(chart, p):
-        """The adapted frame, nabla S, nabla J and nu at p."""
+        """The adapted basis and eigenvalues, nabla S, nabla J and nu at p."""
         K, R, NJ, NR = frame_at(chart, p)
         rng = np.random.default_rng(6)
         nu = constancy(R, sample_antiholomorphic_planes(K, 128, rng)).mean
-        frame = adapted_eigenframe(ricci(R), K, 1e-4)
-        return frame, np.trace(NR, axis1=1, axis2=4), NJ, nu
+        basis, eigenvalues = adapted_eigenframe(ricci(R), K, 1e-4)
+        return basis, eigenvalues, np.trace(NR, axis1=1, axis2=4), NJ, nu
 
     def _residual_at(self, chart, p):
         return proof_relation_32_residual(*self._inputs_at(chart, p))
@@ -372,16 +371,15 @@ class TestProofRelation:
         chart = get_model(name).chart
         rng = np.random.default_rng(9)
         for p in chart.default_points:
-            frame, NS, NJ, nu = self._inputs_at(chart, p)
-            e, je = frame.basis[:, 0::2], frame.basis[:, 1::2]
+            basis, eigenvalues, NS, NJ, nu = self._inputs_at(chart, p)
+            e, je = basis[:, 0::2], basis[:, 1::2]
             for _ in range(20):
                 theta = rng.uniform(0.0, 2.0 * np.pi, e.shape[1])
                 # e_i turned by theta_i within its plane, and J of it
                 turned = np.cos(theta) * e + np.sin(theta) * je
                 j_turned = np.cos(theta) * je - np.sin(theta) * e
-                basis = np.column_stack([c for pair in zip(turned.T, j_turned.T) for c in pair])
-                rotated = SpectralFrame(basis, frame.eigenvalues)
-                assert proof_relation_32_residual(rotated, NS, NJ, nu) <= 1e-12
+                rotated = np.column_stack([c for pair in zip(turned.T, j_turned.T) for c in pair])
+                assert proof_relation_32_residual(rotated, eigenvalues, NS, NJ, nu) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +394,9 @@ def classify_algebraic(R, J, nu_stats_planes=256, tol=1e-9, cls=ZERO_CLASS, seed
     anti = None
     if m >= 2:
         anti = constancy(R, sample_antiholomorphic_planes(J, nu_stats_planes, rng))
-    return classify(m, float(ah_identity_residual(R, J, 3)), einstein_residual(ricci(R)), cls,
-                    holo, anti, fit_pi_span(R, J), tol)
+    fit = fit_pi_span(R, J) if m >= 2 else None
+    return classify(m, float(ah_identity_residual(R, J)[2]), einstein_residual(ricci(R)), cls,
+                    holo, anti, fit, tol)
 
 
 class TestClassify:
@@ -436,7 +435,7 @@ class TestClassify:
         holo = constancy(R, sample_holomorphic_planes(K, 128, rng))
         anti = constancy(R, sample_antiholomorphic_planes(K, 128, rng))
         cls = class_residuals(NJ)
-        verdict = classify(2, ah_identity_residual(R, K, 3), einstein_residual(S),
+        verdict = classify(2, ah_identity_residual(R, K)[2], einstein_residual(S),
                            cls, holo, anti, fit_pi_span(R, K), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
@@ -450,7 +449,7 @@ class TestClassify:
         assert anti.max_deviation > 0.1
         holo = constancy(R, sample_holomorphic_planes(K, 128, rng))
         cls = class_residuals(NJ)
-        verdict = classify(2, ah_identity_residual(R, K, 3),
+        verdict = classify(2, ah_identity_residual(R, K)[2],
                            einstein_residual(ricci(R)), cls, holo, anti,
                            fit_pi_span(R, K), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC

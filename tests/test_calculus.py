@@ -12,6 +12,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahgeom import expressions
 from ahgeom.calculus import (
     class_residuals,
     gray_ak2_residual,
@@ -418,6 +419,22 @@ class TestStackedJets:
         with pytest.raises(ChartEvalError) as err:
             jet(j_chart(src), p)
         assert str(err.value) == message
+
+    def test_a_failing_group_is_searched_once(self, monkeypatch):
+        # only the Taylor pass fails, at the middle point: the group fails as a
+        # whole, and the point alone searches its expressions, once
+        chart = conformal_chart("1+0*sqrt(x^2)")
+        points = [(0.3, 0.5), (0.0, 0.5), (0.2, 0.2)]
+        with pytest.raises(ChartEvalError) as alone:
+            jet(chart, points[1])
+        compiled = []
+        compile_expressions = expressions.compile_expressions
+        monkeypatch.setattr(expressions, "compile_expressions",
+                            lambda exprs: compiled.append(exprs) or compile_expressions(exprs))
+        with pytest.raises(ChartEvalError) as in_run:
+            list(chart.jets_at(points))
+        assert len(compiled) == 1
+        assert str(in_run.value) == str(alone.value)
 
     def test_memory_stays_bounded_over_a_long_run(self):
         model = get_model("cp3")

@@ -12,7 +12,7 @@ import pytest
 
 from ahgeom.calculus import ricci
 from ahgeom.models import get_model, model_names
-from ahgeom.selftest import random_hermitian_point, random_j_invariant_bilinear
+from ahgeom.selftest import random_j_invariant_bilinear, random_structure
 from ahgeom.tensor_core import (
     InvariantViolation,
     Planes,
@@ -114,7 +114,7 @@ class TestHermitianFrames:
 
     def test_rejects_incompatible_j(self):
         # a valid J for a different metric
-        J = random_hermitian_point(2, np.random.default_rng(5))
+        J = random_structure(2, np.random.default_rng(5))
         with pytest.raises(InvariantViolation, match="compatible"):
             frames(np.diag([4.0, 1.0, 1.0, 1.0]), J)
 
@@ -154,13 +154,13 @@ class TestPsi:
     def test_psi_of_metric_is_twice_pi2(self):
         rng = np.random.default_rng(1)
         for m in (1, 2, 3):
-            for J in (standard_j(m), random_hermitian_point(m, rng)):
+            for J in (standard_j(m), random_structure(m, rng)):
                 gap = np.max(np.abs(psi(np.eye(2 * m), J) - 2.0 * pi2(J)))
                 assert gap < 1e-12
 
     def test_matches_reference_on_random_input(self):
         rng = np.random.default_rng(2)
-        J = random_hermitian_point(2, rng)
+        J = random_structure(2, rng)
         Q = random_j_invariant_bilinear(J, rng)
         np.testing.assert_allclose(psi(Q, J), psi_reference(J, Q), rtol=0, atol=1e-12)
 
@@ -182,7 +182,7 @@ class TestPsi:
             assert np.array_equal(V, -V.swapaxes(2, 3))
         # within rounding on random structures, whose invariants hold to tol
         for m in (2, 3):
-            J = random_hermitian_point(m, rng)
+            J = random_structure(m, rng)
             V = psi(random_j_invariant_bilinear(J, rng), J)
             scale = np.max(np.abs(V)) + 1.0
             assert np.max(np.abs(V + V.swapaxes(0, 1))) < 1e-7 * scale
@@ -214,7 +214,7 @@ class TestPi1:
 class TestPi2:
     def test_matches_reference(self):
         rng = np.random.default_rng(6)
-        J = random_hermitian_point(2, rng)
+        J = random_structure(2, rng)
         np.testing.assert_allclose(pi2(J), pi2_reference(J), rtol=0, atol=1e-13)
 
     def test_vanishes_on_antiholomorphic_planes(self):
@@ -243,34 +243,29 @@ class TestAHIdentities:
     def test_complex_space_form_shape_passes_all(self):
         J = standard_j(2)
         R = pi1(4) + pi2(J)
-        for which in (1, 2, 3):
-            assert ah_identity_residual(R, J, which) < 1e-12
+        assert all(r < 1e-12 for r in ah_identity_residual(R, J))
 
     def test_pi1_passes_3_but_not_1(self):
         J = standard_j(2)
-        R = pi1(4)
-        assert ah_identity_residual(R, J, 3) < 1e-12
-        assert ah_identity_residual(R, J, 1) > 0.5
+        ah1, _, ah3 = ah_identity_residual(pi1(4), J)
+        assert ah3 < 1e-12
+        assert ah1 > 0.5
 
     def test_pi1_passes_2(self):
         # constant-curvature tensors satisfy the three-term identity exactly
         rng = np.random.default_rng(8)
-        J = random_hermitian_point(3, rng)
-        assert ah_identity_residual(pi1(6), J, 2) < 1e-12
+        J = random_structure(3, rng)
+        assert ah_identity_residual(pi1(6), J)[1] < 1e-12
 
     def test_zero_tensor_passes_all(self):
         R = np.zeros((4, 4, 4, 4))
-        assert all(ah_identity_residual(R, standard_j(2), k) == 0.0 for k in (1, 2, 3))
-
-    def test_bad_identity_index_raises(self):
-        with pytest.raises(ValueError, match="identity index"):
-            ah_identity_residual(pi1(2), standard_j(1), 4)
+        assert all(r == 0.0 for r in ah_identity_residual(R, standard_j(2)))
 
 
 class TestRiemannSymmetryResidual:
     def test_algebraic_construction_is_exact(self):
         rng = np.random.default_rng(9)
-        J = random_hermitian_point(2, rng)
+        J = random_structure(2, rng)
         S = random_j_invariant_bilinear(J, rng)
         R = build_from_decomposition(S, 0.8, J, tol=1e-8)
         assert riemann_symmetry_residual(R) < 1e-12
@@ -325,7 +320,7 @@ class TestSectionalCurvature:
 
     def test_invariant_under_plane_basis_change(self):
         rng = np.random.default_rng(10)
-        J = random_hermitian_point(2, rng)
+        J = random_structure(2, rng)
         S = random_j_invariant_bilinear(J, rng)
         R = build_from_decomposition(S, 0.3, J, tol=1e-8)
         x, y = rng.standard_normal((2, 4))
@@ -375,8 +370,9 @@ class TestBuildFromDecomposition:
             J = standard_j(m)
             S = random_j_invariant_bilinear(J, rng)
             R = build_from_decomposition(S, float(rng.uniform(-1, 1)), J)
-            assert ah_identity_residual(R, J, 2) < 1e-12
-            assert ah_identity_residual(R, J, 3) < 1e-12
+            _, ah2, ah3 = ah_identity_residual(R, J)
+            assert ah2 < 1e-12
+            assert ah3 < 1e-12
 
 
 class TestFitPiSpan:
@@ -401,14 +397,12 @@ class TestFitPiSpan:
         _, _, res = fit_pi_span(values, J)
         assert res <= 1e-6 + 1e-18
 
-    def test_m1_degenerate_span(self):
-        # at m = 1 the two generators are parallel (pi2 = 3 pi1); the fit
-        # must still reproduce the tensor it is given
+    def test_refuses_m1(self):
+        # at m = 1 the two generators are parallel (pi2 = 3 pi1): nothing to separate
         J = standard_j(1)
         np.testing.assert_allclose(pi2(J), 3.0 * pi1(2), atol=1e-14)
-        a, b, res = fit_pi_span(-4.0 * pi1(2), J)
-        assert res < 1e-12
-        assert a + 3.0 * b == pytest.approx(-4.0)
+        with pytest.raises(InvariantViolation, match="m >= 2"):
+            fit_pi_span(-4.0 * pi1(2), J)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +429,8 @@ class TestKernelOracles:
     @pytest.mark.parametrize("J, R", _ORACLE_CASES)
     def test_ah_identities(self, J, R):
         scale = np.max(np.abs(R))
-        for which in (1, 2, 3):
-            want = ah_identity_oracle(R, J, which)
-            assert abs(ah_identity_residual(R, J, which) - want) <= 1e-13 * scale
+        for which, got in zip((1, 2, 3), ah_identity_residual(R, J), strict=True):
+            assert abs(got - ah_identity_oracle(R, J, which)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("J, R", _ORACLE_CASES)
     def test_psi_of_the_ricci_tensor(self, J, R):
@@ -452,8 +445,7 @@ class TestKernelOracles:
         assert len(cases) >= 2
         J = np.stack([K for K, _ in cases])
         V = np.stack([R for _, R in cases])
-        for which in (1, 2, 3):
-            stacked = ah_identity_residual(V, J, which)
-            assert stacked.tolist() == [float(ah_identity_residual(R, K, which))
-                                        for K, R in cases]
+        per_point = [ah_identity_residual(R, K) for K, R in cases]
+        for which, stacked in enumerate(ah_identity_residual(V, J)):
+            assert stacked.tolist() == [float(ah[which]) for ah in per_point]
         assert np.array_equal(psi(ricci(V), J), np.stack([psi(ricci(R), K) for K, R in cases]))
