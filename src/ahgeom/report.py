@@ -19,6 +19,16 @@ max-norm over frame components: a diagonal change of coordinates keeps
 the frame and every value; a general linear one turns the frame, which
 moves a max-norm over a k-tensor's components in dimension n by at most a
 factor n^(k/2).
+Nothing before the plane draws reads the seed, `samples` or `tol`, so each
+chart keeps the checks of the last group it analyzed
+(`ChartSpec._group_memo`), keyed by the bits of the group's coordinates,
+and a chart analyzed again at the same points, as when a run of up to
+JET_GROUP points is repeated under other seeds, reuses them: its points
+run only their per-point stage.  A run of several groups replaces the
+memo group by group, so a repeat of it finds none.  A group enters the
+memo only once every point of it has been analyzed, so a failing group
+fails the same way on every call.  The CLI analyzes one chart once per
+process and never reuses a group.
 The report has three blocks: run metadata (target, kind, tolerance,
 samples, seed and points), one block per evaluation point, and a global
 block (multi-point constancy over the points' nu, or holomorphic means for
@@ -32,7 +42,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, is_dataclass
+import threading
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -54,7 +65,7 @@ from .analysis import (
     schur_check,
 )
 from .calculus import ClassResiduals, Jet
-from .charts import ChartSpec
+from .charts import JET_GROUP, ChartSpec
 from .models import ModelDescriptor
 from .tensor_core import (
     InvariantViolation,
@@ -75,6 +86,10 @@ EXPECTED_TOL = 1e-3
 # whose arrays take about 0.7 KB per plane at m = 3 and 2.8 KB at m = 6
 # (peak Python allocations), so this bound keeps one batch under 300 MB.
 MAX_SAMPLES = 100_000
+
+# Guards the one-group memo that `_checked_groups` keeps on each chart.  A
+# 16-point group holds about 0.23 MB at m = 3 and 3.1 MB at m = 6.
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -118,7 +133,8 @@ class _GroupChecks:
     """A group's tensors in the points' frames and the residuals that read
     only them, each with a leading point axis.  K is the points' J in those
     frames.  The tensors are read-only, so a per-point function that writes
-    into its point's slice raises instead of changing a neighbour's values.
+    into its point's slice raises instead of changing a neighbour's values,
+    or those of a later call that reuses the group from the chart's memo.
     not_finite[k] names the first of R, nabla J and nabla R that is not
     finite at the k-th point.  fit is None at m = 1, where `classify`
     does not read it."""
@@ -167,6 +183,34 @@ def _group_checks(jet: Jet) -> _GroupChecks:
         gray=calculus.gray_ak2_residual(R, NJ, K),
         fit=fit_pi_span(R, K) if K.shape[-1] >= 4 else None,
     )
+
+
+def _checked_groups(chart: ChartSpec, points: list[tuple[float, ...]]):
+    """`_group_checks` of each jet of `chart.jets_at(points)`, in order and
+    one at a time.  Each run of up to JET_GROUP points is looked up in the
+    chart's memo first, and a hit runs neither the Taylor pass nor the
+    tensor stage.
+
+    The key is the points' bits, as 0.0 == -0.0.  A run is stored once each
+    of its points has been analyzed, so one that raises, in `jets_at` or in
+    a point's analysis, is computed again on every call.  The memo keeps
+    the last run only; concurrent calls may compute a run twice.
+    """
+    memo = chart._group_memo
+    for start in range(0, len(points), JET_GROUP):
+        chunk = points[start:start + JET_GROUP]
+        key = tuple(np.array(p, dtype=float).tobytes() for p in chunk)
+        groups = memo.get(key)
+        if groups is not None:
+            yield from groups
+            continue
+        groups = []
+        for jet in chart.jets_at(chunk):
+            groups.append(_group_checks(jet))
+            yield groups[-1]
+        with _MEMO_LOCK:
+            memo.clear()
+            memo[key] = groups
 
 
 @np.errstate(all="ignore")
@@ -308,21 +352,32 @@ class AnalysisReport:
         return all(c["ok"] for c in self.expected_checks)
 
     def to_dict(self) -> dict:
-        points = [asdict(pr) for pr in self.points]
         global_block: dict = {
-            "schur": None if self.schur is None else asdict(self.schur),
+            "schur": self.schur,
             "verdict": {"kind": self.overall.kind, "constant": self.overall.constant},
         }
         if self.expected_checks is not None:
             global_block["expected_checks"] = self.expected_checks
             global_block["passed"] = self.passed
-        return {"meta": self.meta, "points": points, "global": global_block}
+        return _plain({"meta": self.meta, "points": self.points, "global": global_block})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
         return "\n".join(_text_lines(self.to_dict(), "")) + "\n"
+
+
+def _plain(value):
+    """value with every dataclass in it as the dict of its fields, as
+    `dataclasses.asdict` gives it but without copying the leaves."""
+    if is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value
 
 
 def _leaf(v) -> bool:
@@ -397,9 +452,8 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         "points": [list(p) for p in points],
     }
     reports: list[PointReport] = []
-    for jet in chart.jets_at(points):
-        group = _group_checks(jet)
-        for k in range(len(jet)):
+    for group in _checked_groups(chart, points):
+        for k in range(len(group.K)):
             i = len(reports)
             reports.append(analyze_point(group, k, points[i], i, tol=tol, samples=samples,
                                          seed=seed))

@@ -1,10 +1,15 @@
 """Exact jet calculus against symbolic, finite-difference and constant-curvature oracles."""
 
+import gc
 import itertools
 import json
+import math
 import random
 import re
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahgeom import expressions
+from ahgeom import charts, expressions, report
 from ahgeom.calculus import (
     class_residuals,
     gray_ak2_residual,
@@ -21,11 +26,17 @@ from ahgeom.calculus import (
     ricci,
     riemann,
 )
-from ahgeom.charts import JET_GROUP, ChartEvalError, DomainError, parse_chart
+from ahgeom.charts import JET_GROUP, ChartEvalError, ChartSpec, DomainError, parse_chart
 from ahgeom.expressions import to_source
 from ahgeom.models import get_model, model_names
 from ahgeom.report import analyze_chart, analyze_model
-from ahgeom.tensor_core import hermitian_frames, pi1, pi2, riemann_symmetry_residual
+from ahgeom.tensor_core import (
+    InvariantViolation,
+    hermitian_frames,
+    pi1,
+    pi2,
+    riemann_symmetry_residual,
+)
 from model_oracles import frame_at, jet_at, nabla_R_oracle
 
 FLAT = get_model("flat2").chart
@@ -449,6 +460,127 @@ class TestStackedJets:
 
         analyze_model(model, points=scan_points(5, size=1))  # compiles the chart program
         assert peak(scan_points(5, size=128)) < 2 * peak(scan_points(5, size=16))
+
+
+# ---------------------------------------------------------------------------
+# Each group's tensor stage once per chart
+# ---------------------------------------------------------------------------
+
+
+def counted_stage(monkeypatch):
+    """Record each `_group_checks` and chart program call from now on."""
+    calls = []
+    group_checks, evaluate = report._group_checks, charts.evaluate
+    monkeypatch.setattr(report, "_group_checks",
+                        lambda jet: calls.append("_group_checks") or group_checks(jet))
+    monkeypatch.setattr(charts, "evaluate",
+                        lambda *args: calls.append("evaluate") or evaluate(*args))
+    return calls
+
+
+class TestGroupMemo:
+    @pytest.mark.parametrize("name, points, stage_calls", [
+        ("cp2", None, 0),
+        # three groups, the last one partial: each replaces the memo in turn
+        ("cp3", scan_points(40, size=40), 3),
+    ], ids=["cp2-defaults", "cp3-40-points"])
+    def test_other_seeds_reuse_the_tensor_stage(self, monkeypatch, name, points, stage_calls):
+        model = get_model(name)
+        texts = [analyze_model(model, points, seed=1).to_json()]
+        calls = counted_stage(monkeypatch)
+        texts += [analyze_model(model, points, seed=seed).to_json() for seed in (2, 3)]
+        assert calls.count("_group_checks") == 2 * stage_calls
+        assert ("evaluate" in calls) == (stage_calls > 0)
+        monkeypatch.undo()
+        assert texts == [analyze_model(get_model(name), points, seed=seed).to_json()
+                         for seed in (1, 2, 3)]
+
+    def test_signed_zeros_are_other_points(self, monkeypatch):
+        # 0.0 == -0.0, so a key of float values would take one for the other
+        chart = get_model("cp2").chart
+        runs = [[(0.0, 0.0, 0.0, 0.0)], [(-0.0, 0.0, -0.0, -0.0)]]
+        texts = [analyze_chart(chart, runs[0]).to_json()]
+        calls = counted_stage(monkeypatch)
+        texts.append(analyze_chart(chart, runs[1]).to_json())
+        assert calls.count("_group_checks") == 1
+        monkeypatch.undo()
+        assert texts == [analyze_chart(get_model("cp2").chart, run).to_json() for run in runs]
+
+    def test_a_failing_group_is_not_stored(self):
+        # only the Taylor pass fails, at the middle point
+        chart = conformal_chart("1+0*sqrt(x^2)")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ChartEvalError) as err:
+                analyze_chart(chart, [(0.3, 0.5), (0.0, 0.5), (0.2, 0.2)])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert chart._group_memo == {}
+
+    def test_a_failing_point_ends_the_run_before_the_next_group(self, monkeypatch):
+        # nabla R's frame components overflow at y = 1: the first point raises
+        # in its analysis, and the second group's jets are never taken
+        chart = conformal_chart("exp(-690*y)")
+        points = [(0.3, 1.0)] + [(0.3, 0.01 * k) for k in range(JET_GROUP)]
+        sizes = []
+        jets_at = ChartSpec.jets_at
+        monkeypatch.setattr(ChartSpec, "jets_at",
+                            lambda self, group: sizes.append(len(group)) or jets_at(self, group))
+        with pytest.raises(InvariantViolation,
+                           match=re.escape("bianchi_residual is not finite at point [0.3, 1.0]")):
+            analyze_chart(chart, points)
+        assert sizes == [JET_GROUP]
+        # in a group that fails as a whole, before a later point's jet fails
+        with pytest.raises(InvariantViolation, match="bianchi_residual is not finite"):
+            analyze_chart(chart, [(0.3, 1.0), (0.3, math.inf)])
+
+    def test_the_memo_keeps_the_last_group(self, monkeypatch):
+        chart = get_model("cp3").chart
+        points = scan_points(5, size=128)
+        analyze_chart(chart, points, samples=16)
+        assert len(chart._group_memo) == 1
+        calls = counted_stage(monkeypatch)
+        analyze_chart(chart, points[-JET_GROUP:], samples=16)
+        assert calls == []
+        analyze_chart(chart, points[:JET_GROUP], samples=16)
+        assert calls.count("_group_checks") == 1
+        assert len(chart._group_memo) == 1
+        # the memo lives and dies with its chart
+        stored = weakref.ref(next(iter(chart._group_memo.values()))[0])
+        del chart
+        gc.collect()
+        assert stored() is None
+
+    def test_concurrent_runs_on_one_chart(self):
+        # more runs than the memo keeps, so threads store and replace at once
+        chart = get_model("cp1").chart
+        runs = [domain_points(chart, 3, seed) for seed in range(4)]
+        expected = [analyze_chart(get_model("cp1").chart, run, samples=8).to_json()
+                    for run in runs]
+        failures = []
+
+        def work(t):
+            try:
+                for i in range(12):
+                    k = (t + i) % len(runs)
+                    if analyze_chart(chart, runs[k], samples=8).to_json() != expected[k]:
+                        failures.append(k)
+            except Exception as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(chart._group_memo) == 1
 
 
 # ---------------------------------------------------------------------------
