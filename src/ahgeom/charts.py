@@ -150,14 +150,6 @@ class ChartSpec:
     `j_at` only J's; `jets_at` runs each on Taylor series, once for a whole
     group of points.
 
-    `_group_memo` keeps the tensor stage that `report.analyze_chart`
-    computed for the chart's last group of up to JET_GROUP points, keyed by
-    the bits of their coordinates, so a chart analyzed again at the same
-    points (under another seed, sample count or tol) skips the Taylor pass
-    and the tensor stage.  It holds one group, and is freed with the chart.
-    The CLI parses a chart for each run, one run per process, so it never
-    finds a group there.
-
     It alone decides where g and J may be evaluated: every such point
     needs 2m coordinates (else ChartEvalError), each finite and in its
     domain interval (else DomainError).
@@ -179,11 +171,6 @@ class ChartSpec:
     def _j_program(self) -> Compiled:
         """J, row by row."""
         return compile_expressions(e for row in self.j_exprs for e in row)
-
-    @cached_property
-    def _group_memo(self) -> dict:
-        """The last group's key -> that group's checks (see `report`)."""
-        return {}
 
     def _values(self, program: Compiled, p) -> np.ndarray:
         """`evaluate` of one of the chart's programs at p, checked first."""

@@ -37,6 +37,7 @@ chart keeps its own), so nothing here caches expressions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -445,19 +446,18 @@ class Compiled:
 def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
     """Compile expressions, in order, into one program for `evaluate`.
 
-    Every distinct non-leaf subtree becomes one local of the generated
-    function, assigned once from its operands: coordinates (the function's
-    parameters), literals or earlier locals.  Each local applies the one
+    Every coordinate and every distinct non-leaf subtree becomes one local
+    of the generated function, `_0`, `_1`, ... in order of first use, so no
+    chart name reaches its source.  Coordinates are its parameters; each
+    other local is assigned once from its operands.  Each applies the one
     float operation or `math` function its node stands for, so every value
     is bit for bit that of the expression evaluated on its own.  A local is
     keyed by its right-hand side, which names its operands' locals, so
     equal subtrees share it without rehashing whole trees.
     """
     exprs = tuple(exprs)
-    variables = tuple(sorted(set().union(*map(variables_of, exprs))))
-    prefix = "_"  # locals start with a prefix no coordinate starts with
-    while any(name.startswith(prefix) for name in variables):
-        prefix += "_"
+    fresh = map("_{}".format, itertools.count())
+    param_of: dict[str, str] = {}  # coordinate -> its local
     local_of: dict[str, str] = {}  # right-hand side -> its local
 
     def operand(expr: Expr) -> str:
@@ -465,7 +465,9 @@ def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
             case Num(value):
                 return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
             case Var(name):
-                return name
+                if name not in param_of:
+                    param_of[name] = next(fresh)
+                return param_of[name]
             case Neg(arg):
                 rhs = f"-{operand(arg)}"
             case BinOp(op, left, right):
@@ -475,12 +477,13 @@ def compile_expressions(exprs: Iterable[Expr]) -> Compiled:
             case _:
                 raise TypeError(f"not an expression node: {expr!r}")
         if rhs not in local_of:
-            local_of[rhs] = f"{prefix}{len(local_of)}"
+            local_of[rhs] = next(fresh)
         return local_of[rhs]
 
     values = [operand(expr) for expr in exprs]
     body = [f"    {local} = {rhs}" for rhs, local in local_of.items()]
-    source = "\n".join([f"def program({', '.join(variables)}):", *body,
+    variables = tuple(sorted(param_of))
+    source = "\n".join([f"def program({', '.join(map(param_of.get, variables))}):", *body,
                         f"    return ({''.join(v + ', ' for v in values)})"])
     namespace: dict = {}
     exec(compile(source, "<chart expressions>", "exec"), _GLOBALS, namespace)

@@ -19,16 +19,17 @@ max-norm over frame components: a diagonal change of coordinates keeps
 the frame and every value; a general linear one turns the frame, which
 moves a max-norm over a k-tensor's components in dimension n by at most a
 factor n^(k/2).
-Nothing before the plane draws reads the seed, `samples` or `tol`, so each
-chart keeps the checks of the last group it analyzed
-(`ChartSpec._group_memo`), keyed by the bits of the group's coordinates,
-and a chart analyzed again at the same points, as when a run of up to
-JET_GROUP points is repeated under other seeds, reuses them: its points
-run only their per-point stage.  A run of several groups replaces the
-memo group by group, so a repeat of it finds none.  A group enters the
-memo only once every point of it has been analyzed, so a failing group
-fails the same way on every call.  The CLI analyzes one chart once per
-process and never reuses a group.
+Nothing before the plane draws reads the seed, `samples` or `tol`, so the
+process keeps the checks of the last group it analyzed, with its chart and
+the bits of the group's coordinates, in one slot, and a chart analyzed
+again at the same points, as when a run of up to JET_GROUP points is
+repeated under other seeds, reuses them: its points run only their
+per-point stage.  A run of several groups replaces the slot group by
+group, so a repeat of it finds none, and analyzing another chart replaces
+it too, so the process holds one group however many charts are alive.  A
+group enters the slot only once every point of it has been analyzed, so a
+failing group fails the same way on every call.  The CLI analyzes one
+chart once per process and never reuses a group.
 The report has three blocks: run metadata (target, kind, tolerance,
 samples, seed and points), one block per evaluation point, and a global
 block (multi-point constancy over the points' nu, or holomorphic means for
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, is_dataclass
 
 import numpy as np
@@ -87,9 +87,9 @@ EXPECTED_TOL = 1e-3
 # (peak Python allocations), so this bound keeps one batch under 300 MB.
 MAX_SAMPLES = 100_000
 
-# Guards the one-group memo that `_checked_groups` keeps on each chart.  A
+# (chart, key, checks) of the last group `_checked_groups` analyzed.  A
 # 16-point group holds about 0.23 MB at m = 3 and 3.1 MB at m = 6.
-_MEMO_LOCK = threading.Lock()
+_last_run: tuple = (None, (), [])
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class _GroupChecks:
     only them, each with a leading point axis.  K is the points' J in those
     frames.  The tensors are read-only, so a per-point function that writes
     into its point's slice raises instead of changing a neighbour's values,
-    or those of a later call that reuses the group from the chart's memo.
+    or those of a later call that reuses the group from the slot.
     not_finite[k] names the first of R, nabla J and nabla R that is not
     finite at the k-th point.  fit is None at m = 1, where `classify`
     does not read it."""
@@ -188,29 +188,28 @@ def _group_checks(jet: Jet) -> _GroupChecks:
 def _checked_groups(chart: ChartSpec, points: list[tuple[float, ...]]):
     """`_group_checks` of each jet of `chart.jets_at(points)`, in order and
     one at a time.  Each run of up to JET_GROUP points is looked up in the
-    chart's memo first, and a hit runs neither the Taylor pass nor the
-    tensor stage.
+    process's slot first, and a hit, the same chart at the same points,
+    runs neither the Taylor pass nor the tensor stage.
 
     The key is the points' bits, as 0.0 == -0.0.  A run is stored once each
     of its points has been analyzed, so one that raises, in `jets_at` or in
-    a point's analysis, is computed again on every call.  The memo keeps
-    the last run only; concurrent calls may compute a run twice.
+    a point's analysis, is computed again on every call.  The slot is read
+    once and replaced by one assignment, so concurrent calls never see a
+    half-stored run; they may compute a run twice.
     """
-    memo = chart._group_memo
+    global _last_run
     for start in range(0, len(points), JET_GROUP):
         chunk = points[start:start + JET_GROUP]
         key = tuple(np.array(p, dtype=float).tobytes() for p in chunk)
-        groups = memo.get(key)
-        if groups is not None:
-            yield from groups
+        last = _last_run
+        if last[0] is chart and last[1] == key:
+            yield from last[2]
             continue
         groups = []
         for jet in chart.jets_at(chunk):
             groups.append(_group_checks(jet))
             yield groups[-1]
-        with _MEMO_LOCK:
-            memo.clear()
-            memo[key] = groups
+        _last_run = (chart, key, groups)
 
 
 @np.errstate(all="ignore")

@@ -478,10 +478,25 @@ def counted_stage(monkeypatch):
     return calls
 
 
+def group_refs(monkeypatch):
+    """Weak references to each group's checks that `_group_checks` makes from now on."""
+    refs = []
+    group_checks = report._group_checks
+    monkeypatch.setattr(report, "_group_checks",
+                        lambda jet: refs.append(weakref.ref(group := group_checks(jet))) or group)
+    return refs
+
+
+def alive(refs):
+    """Which of refs still reach their object, after a full collection."""
+    gc.collect()
+    return [ref() is not None for ref in refs]
+
+
 class TestGroupMemo:
     @pytest.mark.parametrize("name, points, stage_calls", [
         ("cp2", None, 0),
-        # three groups, the last one partial: each replaces the memo in turn
+        # three groups, the last one partial: each replaces the slot in turn
         ("cp3", scan_points(40, size=40), 3),
     ], ids=["cp2-defaults", "cp3-40-points"])
     def test_other_seeds_reuse_the_tensor_stage(self, monkeypatch, name, points, stage_calls):
@@ -506,16 +521,26 @@ class TestGroupMemo:
         monkeypatch.undo()
         assert texts == [analyze_chart(get_model("cp2").chart, run).to_json() for run in runs]
 
-    def test_a_failing_group_is_not_stored(self):
-        # only the Taylor pass fails, at the middle point
-        chart = conformal_chart("1+0*sqrt(x^2)")
-        messages = []
-        for _ in range(2):
-            with pytest.raises(ChartEvalError) as err:
-                analyze_chart(chart, [(0.3, 0.5), (0.0, 0.5), (0.2, 0.2)])
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert chart._group_memo == {}
+    def test_a_failing_group_is_not_stored(self, monkeypatch):
+        for chart, points, error in [
+            # only the Taylor pass fails, at the middle point
+            (conformal_chart("1+0*sqrt(x^2)"), [(0.3, 0.5), (0.0, 0.5), (0.2, 0.2)],
+             ChartEvalError),
+            # the tensor stage runs, and nabla R's frame components overflow in
+            # the point's analysis
+            (conformal_chart("exp(-690*y)"), [(0.3, 1.0)], InvariantViolation),
+        ]:
+            calls = counted_stage(monkeypatch)
+            messages, counts = [], []
+            for _ in range(2):
+                with pytest.raises(error) as err:
+                    analyze_chart(chart, points)
+                messages.append(str(err.value))
+                counts.append(len(calls))
+            monkeypatch.undo()
+            assert messages[0] == messages[1]
+            # the second call computes again all that the first did
+            assert counts[1] == 2 * counts[0] > 0
 
     def test_a_failing_point_ends_the_run_before_the_next_group(self, monkeypatch):
         # nabla R's frame components overflow at y = 1: the first point raises
@@ -537,27 +562,42 @@ class TestGroupMemo:
     def test_the_memo_keeps_the_last_group(self, monkeypatch):
         chart = get_model("cp3").chart
         points = scan_points(5, size=128)
+        refs = group_refs(monkeypatch)
         analyze_chart(chart, points, samples=16)
-        assert len(chart._group_memo) == 1
+        assert alive(refs) == [False] * 7 + [True]
         calls = counted_stage(monkeypatch)
         analyze_chart(chart, points[-JET_GROUP:], samples=16)
         assert calls == []
         analyze_chart(chart, points[:JET_GROUP], samples=16)
         assert calls.count("_group_checks") == 1
-        assert len(chart._group_memo) == 1
-        # the memo lives and dies with its chart
-        stored = weakref.ref(next(iter(chart._group_memo.values()))[0])
+        assert alive(refs) == [False] * 8 + [True]
+        # analyzing another chart frees the first chart and its group
+        held = weakref.ref(chart)
         del chart
-        gc.collect()
-        assert stored() is None
+        analyze_chart(get_model("cp2").chart, samples=16)
+        assert alive(refs) == [False] * 9 + [True]
+        assert held() is None
 
-    def test_concurrent_runs_on_one_chart(self):
-        # more runs than the memo keeps, so threads store and replace at once
+    def test_one_group_however_many_charts_are_alive(self, monkeypatch):
+        models = [get_model(name) for name in model_names()]
+        refs = group_refs(monkeypatch)
+        for model in models:
+            analyze_model(model)
+        assert alive(refs) == [False] * (len(models) - 1) + [True]
+        calls = counted_stage(monkeypatch)
+        analyze_model(models[-1], seed=2)
+        assert calls == []
+        analyze_model(models[0], seed=2)
+        assert calls.count("_group_checks") == 1
+
+    def test_concurrent_runs_on_one_chart(self, monkeypatch):
+        # more runs than the slot keeps, so threads store and replace at once
         chart = get_model("cp1").chart
         runs = [domain_points(chart, 3, seed) for seed in range(4)]
         expected = [analyze_chart(get_model("cp1").chart, run, samples=8).to_json()
                     for run in runs]
         failures = []
+        refs = group_refs(monkeypatch)
 
         def work(t):
             try:
@@ -580,7 +620,7 @@ class TestGroupMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert len(chart._group_memo) == 1
+        assert sum(alive(refs)) == 1
 
 
 # ---------------------------------------------------------------------------
