@@ -24,7 +24,6 @@ crashing.
 
 from __future__ import annotations
 
-import keyword
 import math
 import re
 from dataclasses import dataclass
@@ -145,8 +144,8 @@ class ChartSpec:
 
     Structural equality compares dimensions, names, domains, default points
     and the (normalized) expression tables.  g's upper triangle and J, row by
-    row, are two programs, each compiled on first use into a function that
-    computes each distinct subexpression once.  `metric_at` runs only g's and
+    row, are two programs, each compiled on first use into steps that
+    compute each distinct subexpression once.  `metric_at` runs only g's and
     `j_at` only J's; `jets_at` runs each on Taylor series, once for a whole
     group of points.
 
@@ -307,7 +306,7 @@ def parse_chart(text: str) -> ChartSpec:
                 raise ChartSyntaxError(f"duplicate 'coords' (line {lineno})")
             coords = tuple(rhs.split())
             for name in coords:
-                if not _IDENT_RE.match(name) or keyword.iskeyword(name):
+                if not _IDENT_RE.match(name):
                     raise ChartSyntaxError(f"bad coordinate name {name!r} (line {lineno})")
                 if name in FUNCTIONS:
                     raise ChartSyntaxError(

@@ -20,6 +20,7 @@ from ahgeom.charts import (
 )
 from ahgeom.expressions import compile_expressions, evaluate, parse_expression, to_source
 from ahgeom.models import get_model, model_names
+from ahgeom.report import analyze_chart
 from model_oracles import complex_space_form_chart_text, flat_chart_text
 
 MINIMAL_FLAT = """\
@@ -121,6 +122,13 @@ class TestParsing:
     def test_coordinate_name_collision_with_function(self):
         with pytest.raises(ChartSyntaxError, match="collides"):
             parse_chart("dim = 1\ncoords = sin y\n")
+
+    def test_python_keywords_name_coordinates(self):
+        text = (files("ahgeom") / "bundled" / "cp1.ahm").read_text(encoding="utf-8")
+        renamed = re.sub(r"\by1\b", "lambda", re.sub(r"\bx1\b", "if", text))
+        assert "coords = if lambda" in renamed
+        reports = [analyze_chart(parse_chart(t), name="cp1").to_json() for t in (text, renamed)]
+        assert reports[0] == reports[1]
 
 
 class TestEvaluation:
@@ -259,7 +267,7 @@ class TestCompiledTable:
             chart = parse_chart(complex_space_form_chart_text(2, 1.0 + k / 100))
             chart.metric_at(p)
             if k == 0:
-                dropped = [weakref.ref(chart), weakref.ref(chart._metric_program.function)]
+                dropped = [weakref.ref(chart), weakref.ref(chart._metric_program)]
         del chart
         gc.collect()
         assert [ref() for ref in dropped] == [None, None]

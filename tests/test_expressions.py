@@ -1,17 +1,20 @@
 """Expression grammar: parsing, precedence, printing round-trip, evaluation."""
 
+import ast
 import contextlib
-import dis
 import math
 import operator
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ahgeom
 from ahgeom.charts import ChartSyntaxError, parse_chart
 from ahgeom.expressions import (
+    _OPERATIONS,
     FUNCTIONS,
     MAX_DEPTH,
     BinOp,
@@ -173,8 +176,9 @@ def occurrences(expr, target):
     return 0
 
 
-def instructions(compiled, opname):
-    return [ins for ins in dis.get_instructions(compiled.function) if ins.opname == opname]
+def steps(compiled, operation):
+    """The program's steps that apply `operation`, a key of `_OPERATIONS`."""
+    return [step for step in compiled.steps if step[1] is _OPERATIONS[operation]]
 
 
 # A chart's two programs: g's upper triangle and J's rows.
@@ -189,8 +193,8 @@ class TestSharedSubexpressions:
         subtrees = set()
         for expr in compiled.exprs:
             non_leaf_subtrees(expr, subtrees)
-        stored = [ins.argval for ins in instructions(compiled, "STORE_FAST")]
-        assert len(stored) == len(set(stored)) == len(subtrees)
+        filled = [step[0] for step in compiled.steps]
+        assert len(filled) == len(set(filled)) == len(subtrees)
 
     @pytest.mark.parametrize("program", PROGRAMS, ids=["g", "J"])
     def test_s6_squared_norm_is_summed_once(self, program):
@@ -199,22 +203,19 @@ class TestSharedSubexpressions:
         assert sum(occurrences(expr, norm) for expr in compiled.exprs) > 1
         sums = {t for expr in compiled.exprs for t in non_leaf_subtrees(expr, set())
                 if isinstance(t, BinOp) and t.op == "+"}
-        additions = [ins for ins in instructions(compiled, "BINARY_OP") if ins.argrepr == "+"]
-        assert len(additions) == len(sums)
+        assert len(steps(compiled, "+")) == len(sums)
 
     def test_s6_j_takes_its_own_square_root_once(self):
         chart = get_model("s6").chart
         root = parse_expression("sqrt(1-(x1^2+x2^2+x3^2+x4^2+x5^2+x6^2))")
         assert not any(occurrences(expr, root) for expr in chart._metric_program.exprs)
         assert sum(occurrences(expr, root) for expr in chart._j_program.exprs) > 1
-        calls = [ins for ins in instructions(chart._j_program, "LOAD_GLOBAL")
-                 if ins.argval == "sqrt"]
-        assert len(calls) == 1
+        assert len(steps(chart._j_program, "sqrt")) == 1
 
     def test_equal_subtrees_across_expressions_share_one_value(self):
         exprs = [parse_expression(src) for src in ("sqrt(x*x+y)", "1/sqrt(x*x+y)", "x*x")]
         compiled = compile_expressions(exprs)
-        assert len(instructions(compiled, "STORE_FAST")) == 4  # x*x, x*x+y, sqrt(...), 1/sqrt(...)
+        assert len(compiled.steps) == 4  # x*x, x*x+y, sqrt(...), 1/sqrt(...)
         values = evaluate(compiled, {"x": 0.3, "y": 2.0})
         assert [v.hex() for v in values] == [
             reference_value(e, {"x": 0.3, "y": 2.0}).hex() for e in exprs]
@@ -241,8 +242,8 @@ class TestSharedSubexpressions:
 # Totality: hostile input raises ExprSyntaxError, never a RecursionError
 # ---------------------------------------------------------------------------
 
-# Each was a RecursionError in the parser, a SyntaxError from the compiler
-# or a NameError at evaluation before the depth limit and finite literals.
+# Each breaks the depth limit or the rule of finite literals; before those,
+# each was a RecursionError in the parser, or failed when compiled or evaluated.
 HOSTILE = {
     "parens": "(" * 2000 + "x" + ")" * 2000,
     "unary_minus": "-" * 5000 + "x",
@@ -412,24 +413,42 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
         "^": operator.pow}
 
 
-@given(_exprs, st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4))
-@example(parse_expression("x1^(y1+x2)"), [1.5, 0.25, 2.0, -0.5])
-@example(parse_expression("(x1-y1)^x2^-y2+(x1^y1)^x2"), [1.5, 0.25, 2.0, -0.5])
-@example(parse_expression("x1/(y1*x2)-(y1-x2)"), [1.5, 0.25, 2.0, -0.5])
-@example(parse_expression("-(x1+y1)*x2^2"), [1.5, 0.25, 2.0, -0.5])
+@given(st.lists(_exprs, min_size=1, max_size=4),
+       st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4))
+@example([parse_expression("x1^(y1+x2)")], [1.5, 0.25, 2.0, -0.5])
+@example([parse_expression("(x1-y1)^x2^-y2+(x1^y1)^x2")], [1.5, 0.25, 2.0, -0.5])
+@example([parse_expression("x1/(y1*x2)-(y1-x2)")], [1.5, 0.25, 2.0, -0.5])
+@example([parse_expression("-(x1+y1)*x2^2")], [1.5, 0.25, 2.0, -0.5])
+# equal trees, as 0.0 == -0.0, whose values differ in sign
+@example([BinOp("*", Var("x1"), Num(0.0)), BinOp("*", Var("x1"), Num(-0.0))],
+         [1.5, 0.25, 2.0, -0.5])
 @settings(max_examples=300, deadline=None)
-def test_evaluate_matches_reference_interpreter(expr, values):
-    # bit for bit where the value is finite; otherwise evaluate must refuse
+def test_evaluate_matches_reference_interpreter(exprs, values):
+    # one program for all: bit for bit where every value is finite; otherwise
+    # evaluate must refuse
     env = dict(zip(["x1", "y1", "x2", "y2"], values))
-    try:
-        want = float(reference_value(expr, env))
-    except (ArithmeticError, ValueError, TypeError):  # (-1)^0.5 is complex
-        want = math.nan
-    if math.isfinite(want):
-        assert value_of(expr, env).hex() == want.hex()
+    wants = []
+    for expr in exprs:
+        try:
+            wants.append(float(reference_value(expr, env)))
+        except (ArithmeticError, ValueError, TypeError):  # (-1)^0.5 is complex
+            wants.append(math.nan)
+    compiled = compile_expressions(exprs)
+    if all(map(math.isfinite, wants)):
+        assert [v.hex() for v in evaluate(compiled, env)] == [w.hex() for w in wants]
     else:
         with pytest.raises(ExprEvalError):
-            value_of(expr, env)
+            evaluate(compiled, env)
+
+
+def test_no_module_builds_or_runs_python_source():
+    # a call of the builtin exec, eval or compile; re.compile is an attribute
+    calls = [f"{path.name}:{node.lineno} {node.func.id}"
+             for path in sorted(Path(ahgeom.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
