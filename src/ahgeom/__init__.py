@@ -38,6 +38,7 @@ from .analysis import (
     bianchi2_residual,
     classify,
     constancy,
+    decomposition_base,
     decomposition_residual,
     einstein_residual,
     proof_relation_32_residual,

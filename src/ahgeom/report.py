@@ -6,28 +6,36 @@ stage runs once on arrays with a leading point axis (`_group_checks`):
 R, nabla J and nabla R share the jet's connection, are expressed once in
 each point's orthonormal Cholesky frame (`calculus.in_frame`), where every
 check runs, and each residual of the tensors alone comes out as one value
-per point, once; the span fit runs only at m >= 2, where the verdict
-reads it.  A lone point is a group of one, and a point's values do not
-depend on its group.  What rests on a point's sampled planes then runs
-per point in `analyze_point`, on the point's slices of the group's
-read-only arrays (its structure K, R, S, nabla S and nabla J): plane
-statistics, the decomposition residual, the adapted eigenframe and
-relation (3.2), the verdict and the record, each point drawing from its
-own generator.  So `tol` is in the curvature units of an orthonormal
-frame, whatever the chart's coordinates or scale.  Each residual is a
-max-norm over frame components: a diagonal change of coordinates keeps
-the frame and every value; a general linear one turns the frame, which
-moves a max-norm over a k-tensor's components in dimension n by at most a
-factor n^(k/2).
-Nothing before the plane draws reads the seed, `samples` or `tol`, so the
-process keeps the checks of the last group it analyzed, with its chart and
+per point, once, and is checked for finiteness in one pass; the span fit
+runs only at m >= 2, where the verdict reads it.  The same stage takes
+every check of a point that does not read its plane draws: the adapted
+eigenframe of its Ricci tensor S and the nu-free part of the
+decomposition (`decomposition_base`), point by point, and pi2 of the
+points' structures, stacked.  A lone point is a group of one, and a
+point's values do not depend on its group.  What rests on a point's
+sampled planes then runs per point and seed in `analyze_point`, on the
+point's slices of the group's read-only arrays and parts: the plane
+draws and their statistics, the decomposition residual and relation (3.2)
+finished at the sampled nu, the verdict and the record, each point drawing
+from its own generator; only the floats the draws produce are checked for
+finiteness there, and the record is walked for the key of a bad one only
+when one is not finite.  So `tol` is in the curvature units of an
+orthonormal frame, whatever the chart's coordinates or scale.  Each
+residual is a max-norm over frame components: a diagonal change of
+coordinates keeps the frame and every value; a general linear one turns
+the frame, which moves a max-norm over a k-tensor's components in
+dimension n by at most a factor n^(k/2).
+Nothing before the plane draws reads the seed or `samples`, and only the
+eigenframe's and the decomposition's checks read `tol`, so the process
+keeps the checks of the last group it analyzed, with its chart, `tol` and
 the bits of the group's coordinates, in one slot, and a chart analyzed
-again at the same points, as when a run of up to JET_GROUP points is
-repeated under other seeds, reuses them: its points run only their
-per-point stage.  A run of several groups replaces the slot group by
-group, so a repeat of it finds none, and analyzing another chart replaces
-it too, so the process holds one group however many charts are alive.  A
-group enters the slot only once every point of it has been analyzed, so a
+again at the same points and `tol`, as when a run of up to JET_GROUP
+points is repeated under other seeds or `samples`, reuses them: its points
+run only their per-point stage.  A rerun at another `tol` computes the
+group again.  A run of several groups replaces the slot group by group,
+so a repeat of it finds none, and analyzing another chart replaces it too,
+so the process holds one group however many charts are alive.  A group
+enters the slot only once every point of it has been analyzed, so a
 failing group fails the same way on every call.  The CLI analyzes one
 chart once per process and never reuses a group.
 The report has three blocks: run metadata (target, kind, tolerance,
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +64,7 @@ from .analysis import (
     adapted_eigenframe,
     classify,
     constancy,
+    decomposition_base,
     decomposition_residual,
     bianchi2_residual,
     einstein_residual,
@@ -71,6 +80,7 @@ from .tensor_core import (
     InvariantViolation,
     ah_identity_residual,
     fit_pi_span,
+    pi2,
     riemann_symmetry_residual,
 )
 
@@ -88,7 +98,9 @@ EXPECTED_TOL = 1e-3
 MAX_SAMPLES = 100_000
 
 # (chart, key, checks) of the last group `_checked_groups` analyzed.  A
-# 16-point group holds about 0.23 MB at m = 3 and 3.1 MB at m = 6.
+# 16-point group holds about 0.56 MB at m = 3 and 8.4 MB at m = 6, of which
+# the stacked pi2 and the points' nu-free decomposition parts, two 4-tensors
+# per point, are 0.33 MB and 5.3 MB.
 _last_run: tuple = (None, (), [])
 
 
@@ -119,7 +131,7 @@ def _non_finite(value, key: str = "") -> str | None:
     or None."""
     if isinstance(value, float):
         return None if math.isfinite(value) else key
-    if is_dataclass(value):
+    if hasattr(value, "__dataclass_fields__"):
         value = vars(value)
     if isinstance(value, dict):  # the record's one tuple, its point, is checked by the chart
         for k, v in value.items():
@@ -130,21 +142,30 @@ def _non_finite(value, key: str = "") -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class _GroupChecks:
-    """A group's tensors in the points' frames and the residuals that read
-    only them, each with a leading point axis.  K is the points' J in those
-    frames.  The tensors are read-only, so a per-point function that writes
+    """A group's tensors in the points' frames and every check that does
+    not read a point's plane draws, each with a leading point axis or one
+    entry per point.  K is the points' J in those frames and P2 their
+    pi2(K).  The arrays are read-only, so a per-point function that writes
     into its point's slice raises instead of changing a neighbour's values,
     or those of a later call that reuses the group from the slot.
     not_finite[k] names the first of R, nabla J and nabla R that is not
-    finite at the k-th point.  fit is None at m = 1, where `classify`
-    does not read it."""
+    finite at the k-th point; finite[k] says whether every residual of the
+    k-th point's record read here (all but the span fit, which a record
+    holds only when the verdict reaches it) is finite.  frames[k] is the
+    k-th point's `adapted_eigenframe` and bases[k] its `decomposition_base`,
+    each None where the Ricci tensor fails its check, or where not_finite[k]
+    is set and the point's analysis raises before reading them.  fit is None
+    at m = 1, where `classify` does not read it."""
 
     K: np.ndarray
     R: np.ndarray
-    S: np.ndarray
     NJ: np.ndarray
     NS: np.ndarray
+    P2: np.ndarray
     not_finite: list[str | None]
+    finite: np.ndarray
+    frames: list[tuple[np.ndarray, np.ndarray] | None]
+    bases: list[np.ndarray | None]
     class_residuals: ClassResiduals
     ah: dict[str, np.ndarray]
     symmetry: np.ndarray
@@ -157,8 +178,9 @@ class _GroupChecks:
 # Non-finite values are refused per point: einsum and matmul overflow to
 # inf without raising, so a raising errstate would not catch them all.
 @np.errstate(all="ignore")
-def _group_checks(jet: Jet) -> _GroupChecks:
-    """The tensor stage of a group, once for all its points."""
+def _group_checks(jet: Jet, tol: float) -> _GroupChecks:
+    """The tensor stage of a group and the checks of its points that do not
+    read their plane draws, once for all its points."""
     R = calculus.riemann(jet)
     NJ = calculus.nabla_J(jet)
     NR = calculus.nabla_R(jet)
@@ -170,44 +192,68 @@ def _group_checks(jet: Jet) -> _GroupChecks:
     K = jet.K
     S = calculus.ricci(R)
     NS = np.trace(NR, axis1=2, axis2=5)  # metric compatibility: nabla S traces nabla R
-    for T in (K, R, S, NJ, NS):
+    frames, bases = [], []
+    for k, bad in enumerate(not_finite):
+        frame = base = None
+        if bad is None:  # eigh of a non-finite S would raise before the point's own error
+            try:
+                frame = adapted_eigenframe(S[k], K[k], tol)
+            except InvariantViolation:
+                pass  # Ricci tensor not J-invariant: relation (3.2) does not apply
+            base = decomposition_base(S[k], K[k], tol=tol)
+        frames.append(frame)
+        bases.append(base)
+    P2 = pi2(K)
+    cls = calculus.class_residuals(NJ)
+    ah = dict(zip(("AH1", "AH2", "AH3"), ah_identity_residual(R, K)))
+    symmetry = riemann_symmetry_residual(R)
+    einstein = einstein_residual(S)
+    bianchi = bianchi2_residual(NR)
+    gray = calculus.gray_ak2_residual(R, NJ, K)
+    residuals = np.stack([*vars(cls).values(), *ah.values(), symmetry, *einstein, bianchi, gray],
+                         axis=-1)
+    for T in (K, R, NJ, NS, P2, *(b for b in bases if b is not None),
+              *(T for frame in frames if frame is not None for T in frame)):
         T.setflags(write=False)
     return _GroupChecks(
-        K=K, R=R, S=S, NJ=NJ, NS=NS,
+        K=K, R=R, NJ=NJ, NS=NS, P2=P2,
         not_finite=not_finite,
-        class_residuals=calculus.class_residuals(NJ),
-        ah=dict(zip(("AH1", "AH2", "AH3"), ah_identity_residual(R, K))),
-        symmetry=riemann_symmetry_residual(R),
-        einstein=einstein_residual(S),
-        bianchi=bianchi2_residual(NR),
-        gray=calculus.gray_ak2_residual(R, NJ, K),
+        finite=np.isfinite(residuals).all(axis=-1),
+        frames=frames,
+        bases=bases,
+        class_residuals=cls,
+        ah=ah,
+        symmetry=symmetry,
+        einstein=einstein,
+        bianchi=bianchi,
+        gray=gray,
         fit=fit_pi_span(R, K) if K.shape[-1] >= 4 else None,
     )
 
 
-def _checked_groups(chart: ChartSpec, points: list[tuple[float, ...]]):
-    """`_group_checks` of each jet of `chart.jets_at(points)`, in order and
-    one at a time.  Each run of up to JET_GROUP points is looked up in the
-    process's slot first, and a hit, the same chart at the same points,
-    runs neither the Taylor pass nor the tensor stage.
+def _checked_groups(chart: ChartSpec, points: list[tuple[float, ...]], tol: float):
+    """`_group_checks` of each jet of `chart.jets_at(points)` at `tol`, in
+    order and one at a time.  Each run of up to JET_GROUP points is looked
+    up in the process's slot first, and a hit, the same chart at the same
+    points and `tol`, runs neither the Taylor pass nor the group stage.
 
-    The key is the points' bits, as 0.0 == -0.0.  A run is stored once each
-    of its points has been analyzed, so one that raises, in `jets_at` or in
-    a point's analysis, is computed again on every call.  The slot is read
-    once and replaced by one assignment, so concurrent calls never see a
-    half-stored run; they may compute a run twice.
+    The key is `tol` and the points' bits, as 0.0 == -0.0.  A run is stored
+    once each of its points has been analyzed, so one that raises, in
+    `jets_at` or in a point's analysis, is computed again on every call.
+    The slot is read once and replaced by one assignment, so concurrent
+    calls never see a half-stored run; they may compute a run twice.
     """
     global _last_run
     for start in range(0, len(points), JET_GROUP):
         chunk = points[start:start + JET_GROUP]
-        key = tuple(np.array(p, dtype=float).tobytes() for p in chunk)
+        key = (tol, tuple(np.array(p, dtype=float).tobytes() for p in chunk))
         last = _last_run
         if last[0] is chart and last[1] == key:
             yield from last[2]
             continue
         groups = []
         for jet in chart.jets_at(chunk):
-            groups.append(_group_checks(jet))
+            groups.append(_group_checks(jet, tol))
             yield groups[-1]
         _last_run = (chart, key, groups)
 
@@ -215,15 +261,16 @@ def _checked_groups(chart: ChartSpec, points: list[tuple[float, ...]]):
 @np.errstate(all="ignore")
 def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int, *,
                   tol: float, samples: int, seed: int) -> PointReport:
-    """Run every check on the k-th point of a group, the point p, the
-    index-th of its run; deterministic for fixed arguments.
+    """Finish the checks of the k-th point of a group, the point p, the
+    index-th of its run, from its plane draws; deterministic for fixed
+    arguments.  `tol` must be the one the group was checked at.
 
     A chart whose values overflow on the way is an InvariantViolation naming
     p: when R, nabla J or nabla R is not finite, or any float of the record.
     """
     if group.not_finite[k] is not None:
         raise InvariantViolation(f"{group.not_finite[k]} is not finite at point {list(p)}")
-    K, R, S = group.K[k], group.R[k], group.S[k]
+    K, R = group.K[k], group.R[k]
     m = len(K) // 2
     c = group.class_residuals
     cls = ClassResiduals(kahler=float(c.kahler[k]), nearly_kahler=float(c.nearly_kahler[k]),
@@ -241,12 +288,10 @@ def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int,
         nu = holo.mean / 4.0
 
     lam, einstein_defect = (float(v[k]) for v in group.einstein)
-    decomposition = decomposition_residual(R, S, nu, K, tol=tol)
-    try:
-        relation = proof_relation_32_residual(*adapted_eigenframe(S, K, tol), group.NS[k],
-                                              group.NJ[k], nu)
-    except InvariantViolation:
-        relation = None  # Ricci tensor not J-invariant: the relation does not apply
+    base, frame = group.bases[k], group.frames[k]
+    decomposition = None if base is None else decomposition_residual(R, base, nu, group.P2[k])
+    relation = None if frame is None else proof_relation_32_residual(
+        *frame, group.NS[k], group.NJ[k], nu)
     fit = None if group.fit is None else tuple(float(v[k]) for v in group.fit)
     verdict = classify(m, ah["AH3"], (lam, einstein_defect), cls, holo, anti, fit, tol)
 
@@ -266,9 +311,13 @@ def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int,
         gray_ak2_residual=float(group.gray[k]),
         verdict=verdict,
     )
-    bad = _non_finite(record)
-    if bad is not None:
-        raise InvariantViolation(f"{bad} is not finite at point {list(p)}")
+    # the record's floats that group.finite does not cover; the walk names the first bad one
+    drawn = [holo.mean, holo.max_deviation, nu, decomposition, relation, verdict.constant,
+             *verdict.residuals.values()]
+    if anti is not None:
+        drawn += [anti.mean, anti.max_deviation]
+    if not (group.finite[k] and all(v is None or math.isfinite(v) for v in drawn)):
+        raise InvariantViolation(f"{_non_finite(record)} is not finite at point {list(p)}")
     return record
 
 
@@ -370,7 +419,9 @@ class AnalysisReport:
 def _plain(value):
     """value with every dataclass in it as the dict of its fields, as
     `dataclasses.asdict` gives it but without copying the leaves."""
-    if is_dataclass(value):
+    if value is None or isinstance(value, (float, int, str)):  # bool is an int
+        return value
+    if hasattr(value, "__dataclass_fields__"):
         value = vars(value)
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
@@ -451,7 +502,7 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         "points": [list(p) for p in points],
     }
     reports: list[PointReport] = []
-    for group in _checked_groups(chart, points):
+    for group in _checked_groups(chart, points, tol):
         for k in range(len(group.K)):
             i = len(reports)
             reports.append(analyze_point(group, k, points[i], i, tol=tol, samples=samples,

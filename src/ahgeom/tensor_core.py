@@ -25,6 +25,7 @@ is ``R(x, y, y, x)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,11 +174,15 @@ def psi(Q: np.ndarray, J: np.ndarray) -> np.ndarray:
             + BA - np.swapaxes(BA, -2, -1) - 2.0 * _split(B, J))
 
 
+@lru_cache(maxsize=8)
 def pi1(n: int) -> np.ndarray:
     """Constant-curvature building block in dimension n, orthonormal frame:
-    pi1(x,y,z,u) = g(x,u)g(y,z) - g(x,z)g(y,u)."""
+    pi1(x,y,z,u) = g(x,u)g(y,z) - g(x,z)g(y,u).  Built once per n and
+    shared, so it is read-only."""
     gg = _pair(np.eye(n), np.eye(n))
-    return gg - np.swapaxes(gg, -2, -1)
+    out = gg - np.swapaxes(gg, -2, -1)
+    out.setflags(write=False)
+    return out
 
 
 def pi2(J: np.ndarray) -> np.ndarray:
@@ -219,6 +224,15 @@ def riemann_symmetry_residual(R: np.ndarray) -> np.ndarray:
     return np.maximum(r, _max_abs(cyc, 4))
 
 
+@lru_cache(maxsize=8)
+def _bivector_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of bivector components in dimension n, read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def sectional_curvature(R: np.ndarray, planes: Planes) -> np.ndarray:
     """(n,) array of R(x, y, y, x) normalized by each plane's Gram determinant,
     for one point's curvature tensor R (2m, 2m, 2m, 2m).
@@ -233,7 +247,7 @@ def sectional_curvature(R: np.ndarray, planes: Planes) -> np.ndarray:
     Gram determinant is below 1e-12.
     """
     X, Y = planes.x, planes.y
-    i, j = np.triu_indices(X.shape[1], 1)
+    i, j = _bivector_pairs(X.shape[1])
     W = X[:, i] * Y[:, j] - X[:, j] * Y[:, i]
     num = np.einsum("nb,nb->n", W @ -R[i, j][:, i, j], W)
     den = np.einsum("nb,nb->n", W, W)

@@ -1,12 +1,15 @@
 """Plane sampling, adapted frames, residual checks and classification."""
 
-from dataclasses import fields
+import math
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ahgeom import calculus, report
 from ahgeom.analysis import (
     COMPLEX_SPACE_FORM,
     INCONCLUSIVE,
@@ -14,10 +17,12 @@ from ahgeom.analysis import (
     NOT_CONSTANT_ANTIHOLOMORPHIC,
     REAL_SPACE_FORM,
     CurvatureStats,
+    Verdict,
     adapted_eigenframe,
     bianchi2_residual,
     classify,
     constancy,
+    decomposition_base,
     decomposition_residual,
     einstein_residual,
     proof_relation_32_residual,
@@ -292,36 +297,57 @@ class TestEinsteinResidual:
         assert res == pytest.approx(1.5)
 
 
+def rebuilt_residual(R, S, nu, J, tol=0.0):
+    """The decomposition residual of one point, or None, from its parts."""
+    base = decomposition_base(S, J, tol=tol)
+    return None if base is None else decomposition_residual(R, base, nu, pi2(J))
+
+
 class TestDecompositionResidual:
     def test_unit_sphere_fixture(self):
         chart = get_model("s6").chart
         K, R = frame_at(chart, chart.default_points[1])[:2]
-        assert decomposition_residual(R, ricci(R), 1.0, K, tol=1e-4) < 1e-5
+        assert rebuilt_residual(R, ricci(R), 1.0, K, tol=1e-4) < 1e-5
 
     def test_cp2_fixture(self):
         chart = get_model("cp2").chart
         K, R = frame_at(chart, chart.default_points[1])[:2]
-        assert decomposition_residual(R, ricci(R), 1.0, K, tol=1e-4) < 1e-5
+        assert rebuilt_residual(R, ricci(R), 1.0, K, tol=1e-4) < 1e-5
 
     def test_linear_perturbation(self):
         J = standard_j(3)
         P2 = pi2(J)
         R = pi1(6) + 0.01 * P2
         S = ricci(pi1(6))
-        res = decomposition_residual(R, S, 1.0, J)
+        res = rebuilt_residual(R, S, 1.0, J)
         assert res == pytest.approx(0.01 * np.max(np.abs(P2)), rel=1e-9)
 
     def test_none_when_ricci_is_not_j_invariant(self):
         J = standard_j(2)
         S = np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8])
-        assert decomposition_residual(pi1(4), S, 1.0, J) is None
-        assert decomposition_residual(pi1(4), S, 1.0, J, tol=1e-7) is not None
+        assert rebuilt_residual(pi1(4), S, 1.0, J) is None
+        assert rebuilt_residual(pi1(4), S, 1.0, J, tol=1e-7) is not None
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
     def test_tolerance_is_floored_at_the_invariant_tolerance(self, tol):
         # a J-defect of 5e-9 is within INVARIANT_TOL whatever tol is asked for
         S = np.diag([1.0, 1.0, 1.0, 1.0 + 5e-9])
-        assert decomposition_residual(pi1(4), S, 1.0, standard_j(2), tol=tol) is not None
+        assert rebuilt_residual(pi1(4), S, 1.0, standard_j(2), tol=tol) is not None
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_parts_give_the_bits_of_the_whole_tensor(self, m):
+        # the nu-free part is taken once per group and finished per draw: the
+        # residual must be that of the tensor rebuilt at nu in one piece
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            J = random_structure(m, rng)
+            S = random_j_invariant_bilinear(J, rng)
+            nu = float(rng.uniform(-2, 2))
+            # near the rebuilt tensor, so the residual reads its last bits
+            R = build_from_decomposition(S, nu + 1e-9 * rng.standard_normal(), J)
+            R = R + 1e-13 * rng.standard_normal(R.shape)
+            whole = float(np.max(np.abs(R - build_from_decomposition(S, nu, J))))
+            assert rebuilt_residual(R, S, nu, J) == whole
 
 
 class TestBianchi2Residual:
@@ -532,11 +558,47 @@ class TestGroupArrays:
         # each point's functions get views into the group's arrays, which are
         # read-only, so a write raises instead of changing a neighbour's values
         chart = get_model("cp2").chart
-        group = _group_checks(next(chart.jets_at(chart.default_points)))
-        for name in ("K", "R", "S", "NJ", "NS"):
-            view = getattr(group, name)[1]
+        group = _group_checks(next(chart.jets_at(chart.default_points)), 1e-4)
+        views = [getattr(group, name)[1] for name in ("K", "R", "NJ", "NS", "P2")]
+        for view in [*views, group.bases[1], *group.frames[1]]:
             with pytest.raises(ValueError, match="read-only"):
                 view[...] = 0.0
+
+
+# Each source of a record's floats made non-finite: (module, name, poison
+# of the function, the record's key the error names)
+NON_FINITE_SOURCES = [
+    (report, "riemann_symmetry_residual", lambda f: lambda R: f(R) * np.nan,
+     "riemann_symmetry_residual"),
+    (report, "einstein_residual", lambda f: lambda S: tuple(v * np.nan for v in f(S)),
+     "einstein.lambda"),
+    (calculus, "gray_ak2_residual", lambda f: lambda *args: f(*args) * np.inf,
+     "gray_ak2_residual"),
+    (report, "constancy", lambda f: lambda *args: replace(f(*args), mean=math.nan),
+     "holomorphic.mean"),
+    (report, "decomposition_residual", lambda f: lambda *args: math.nan,
+     "decomposition_residual"),
+    (report, "proof_relation_32_residual", lambda f: lambda *args: math.inf,
+     "eigenframe_relation_residual"),
+    (report, "fit_pi_span", lambda f: lambda *args: tuple(v * np.nan for v in f(*args)),
+     "verdict.residuals.fit_a"),
+    (report, "classify", lambda f: lambda *args: Verdict(INCONCLUSIVE, math.inf, {}),
+     "verdict.constant"),
+]
+
+
+class TestNonFiniteRecords:
+    # on cp2, where the verdict reads the span fit: the error names the
+    # record's key, whether the group's one check or a point's check of its
+    # drawn values sees it
+    @pytest.mark.parametrize("module, name, poison, key", NON_FINITE_SOURCES,
+                             ids=[source[1] for source in NON_FINITE_SOURCES])
+    def test_the_error_names_the_key(self, monkeypatch, module, name, poison, key):
+        monkeypatch.setattr(module, name, poison(getattr(module, name)))
+        chart = get_model("cp2").chart
+        shown = f"{key} is not finite at point {list(chart.default_points[0])}"
+        with pytest.raises(InvariantViolation, match=re.escape(shown)):
+            analyze_chart(chart)
 
 
 # ---------------------------------------------------------------------------

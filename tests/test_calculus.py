@@ -17,7 +17,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahgeom import charts, expressions, report
+from ahgeom import analysis, charts, expressions, report
 from ahgeom.calculus import (
     class_residuals,
     gray_ak2_residual,
@@ -38,6 +38,7 @@ from ahgeom.tensor_core import (
     riemann_symmetry_residual,
 )
 from model_oracles import frame_at, jet_at, nabla_R_oracle
+from test_cli import WARP2
 
 FLAT = get_model("flat2").chart
 CP1 = get_model("cp1").chart
@@ -467,14 +468,22 @@ class TestStackedJets:
 # ---------------------------------------------------------------------------
 
 
+# The group stage's work that does not read the plane draws, by the module
+# whose name each is called through
+SEED_FREE = [(report, "adapted_eigenframe"), (analysis, "build_from_decomposition"),
+             (report, "pi2")]
+
+
 def counted_stage(monkeypatch):
-    """Record each `_group_checks` and chart program call from now on."""
+    """Record each call of `_group_checks`, of a chart program and of the
+    SEED_FREE functions from now on, by name."""
     calls = []
-    group_checks, evaluate = report._group_checks, charts.evaluate
-    monkeypatch.setattr(report, "_group_checks",
-                        lambda jet: calls.append("_group_checks") or group_checks(jet))
-    monkeypatch.setattr(charts, "evaluate",
-                        lambda *args: calls.append("evaluate") or evaluate(*args))
+    for module, name in [(report, "_group_checks"), (charts, "evaluate"), *SEED_FREE]:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -482,8 +491,8 @@ def group_refs(monkeypatch):
     """Weak references to each group's checks that `_group_checks` makes from now on."""
     refs = []
     group_checks = report._group_checks
-    monkeypatch.setattr(report, "_group_checks",
-                        lambda jet: refs.append(weakref.ref(group := group_checks(jet))) or group)
+    monkeypatch.setattr(report, "_group_checks", lambda jet, tol: refs.append(
+        weakref.ref(group := group_checks(jet, tol))) or group)
     return refs
 
 
@@ -504,11 +513,29 @@ class TestGroupMemo:
         texts = [analyze_model(model, points, seed=1).to_json()]
         calls = counted_stage(monkeypatch)
         texts += [analyze_model(model, points, seed=seed).to_json() for seed in (2, 3)]
-        assert calls.count("_group_checks") == 2 * stage_calls
+        assert calls.count("_group_checks") == calls.count("pi2") == 2 * stage_calls
         assert ("evaluate" in calls) == (stage_calls > 0)
+        # once per point of each group computed again, and never on a reuse
+        per_point = 2 * len(points) if stage_calls else 0
+        assert calls.count("adapted_eigenframe") == per_point
+        assert calls.count("build_from_decomposition") == per_point
         monkeypatch.undo()
         assert texts == [analyze_model(get_model(name), points, seed=seed).to_json()
                          for seed in (1, 2, 3)]
+
+    def test_another_tol_checks_the_group_again(self, monkeypatch):
+        # warp2's Ricci tensor misses J-invariance by between 0.3 and 1: at
+        # tol = 1 it has an adapted frame and a decomposition, at 1e-4 neither
+        chart = parse_chart(WARP2)
+        tols = [1e-4, 1.0, 1.0, 1e-4]
+        texts = [analyze_chart(chart, tol=tols[0]).to_json()]
+        calls = counted_stage(monkeypatch)
+        texts += [analyze_chart(chart, tol=tol).to_json() for tol in tols[1:]]
+        assert calls.count("_group_checks") == 2
+        monkeypatch.undo()
+        assert texts == [analyze_chart(parse_chart(WARP2), tol=tol).to_json() for tol in tols]
+        assert '"decomposition_residual": null' in texts[0]
+        assert '"decomposition_residual": null' not in texts[1]
 
     def test_signed_zeros_are_other_points(self, monkeypatch):
         # 0.0 == -0.0, so a key of float values would take one for the other

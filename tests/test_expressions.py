@@ -231,7 +231,8 @@ class TestSharedSubexpressions:
             parse_expression(f"-({src})")
         assert value_of(expr, {"x": 0.5}).hex() == reference_value(expr, {"x": 0.5}).hex()
 
-    def test_locals_avoid_coordinate_names(self):
+    def test_coordinates_named_like_slots_evaluate_bit_for_bit(self):
+        # a program names its slots by position, not by these names
         exprs = [parse_expression(src) for src in ("_0*_1+__0", "sin(_0*_1)")]
         env = {"_0": 0.5, "_1": 3.0, "__0": -1.0}
         values = evaluate(compile_expressions(exprs), env)
