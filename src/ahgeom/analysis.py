@@ -264,7 +264,7 @@ def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,
     curvature data: the AH3 residual of `ah_identity_residual(R, J)`, the
     (lambda, residual) pair of `einstein_residual(S)`, the class residuals,
     the plane statistics and the span fit (a, b, residual) of
-    `fit_pi_span(R, J)`, which is None at m = 1.
+    `fit_pi_span(R, pi2(J))`, which is None at m = 1.
 
     Order: not AH3 beats everything; then non-constant antiholomorphic
     curvature; then a least-squares split over span{pi1, pi2} decides

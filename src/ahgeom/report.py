@@ -1,43 +1,22 @@
 """The analysis pipeline and deterministic report assembly.
 
-One `jets_at` call gives the jets of every group of up to JET_GROUP
-points, running the chart program once per group.  Each group's tensor
-stage runs once on arrays with a leading point axis (`_group_checks`):
-R, nabla J and nabla R share the jet's connection, are expressed once in
-each point's orthonormal Cholesky frame (`calculus.in_frame`), where every
-check runs, and each residual of the tensors alone comes out as one value
-per point, once, and is checked for finiteness in one pass; the span fit
-runs only at m >= 2, where the verdict reads it.  The same stage takes
-every check of a point that does not read its plane draws: the adapted
-eigenframe of its Ricci tensor S and the nu-free part of the
-decomposition (`decomposition_base`), point by point, and pi2 of the
-points' structures, stacked.  A lone point is a group of one, and a
-point's values do not depend on its group.  What rests on a point's
-sampled planes then runs per point and seed in `analyze_point`, on the
-point's slices of the group's read-only arrays and parts: the plane
-draws and their statistics, the decomposition residual and relation (3.2)
-finished at the sampled nu, the verdict and the record, each point drawing
-from its own generator; only the floats the draws produce are checked for
-finiteness there, and the record is walked for the key of a bad one only
-when one is not finite.  So `tol` is in the curvature units of an
-orthonormal frame, whatever the chart's coordinates or scale.  Each
+A run's points are checked a group of up to JET_GROUP points at a time:
+one jet and one tensor stage per group, in each point's orthonormal
+Cholesky frame, where every check runs, and every check that does not
+read the plane draws (`_group_checks`).  A point's values do not depend on
+its group.  `analyze_point` then draws the point's planes from its own
+generator and finishes the record.  So `tol` is in the curvature units of
+an orthonormal frame, whatever the chart's coordinates or scale.  Each
 residual is a max-norm over frame components: a diagonal change of
 coordinates keeps the frame and every value; a general linear one turns
 the frame, which moves a max-norm over a k-tensor's components in
 dimension n by at most a factor n^(k/2).
-Nothing before the plane draws reads the seed or `samples`, and only the
-eigenframe's and the decomposition's checks read `tol`, so the process
-keeps the checks of the last group it analyzed, with its chart, `tol` and
-the bits of the group's coordinates, in one slot, and a chart analyzed
-again at the same points and `tol`, as when a run of up to JET_GROUP
-points is repeated under other seeds or `samples`, reuses them: its points
-run only their per-point stage.  A rerun at another `tol` computes the
-group again.  A run of several groups replaces the slot group by group,
-so a repeat of it finds none, and analyzing another chart replaces it too,
-so the process holds one group however many charts are alive.  A group
-enters the slot only once every point of it has been analyzed, so a
-failing group fails the same way on every call.  The CLI analyzes one
-chart once per process and never reuses a group.
+
+Nothing before the draws reads the seed or `samples`, so a chart analyzed
+again at the same up to JET_GROUP points and `tol`, as under other seeds,
+reuses the checks of the process's last run (`_checked_points`).  The CLI
+analyzes one chart once per process and never reuses a run.
+
 The report has three blocks: run metadata (target, kind, tolerance,
 samples, seed and points), one block per evaluation point, and a global
 block (multi-point constancy over the points' nu, or holomorphic means for
@@ -97,10 +76,10 @@ EXPECTED_TOL = 1e-3
 # (peak Python allocations), so this bound keeps one batch under 300 MB.
 MAX_SAMPLES = 100_000
 
-# (chart, key, checks) of the last group `_checked_groups` analyzed.  A
-# 16-point group holds about 0.56 MB at m = 3 and 8.4 MB at m = 6, of which
-# the stacked pi2 and the points' nu-free decomposition parts, two 4-tensors
-# per point, are 0.33 MB and 5.3 MB.
+# (chart, key, checks) of the last run `_checked_points` analyzed.  A
+# 16-point run holds about 0.61 MB at m = 3 and 8.5 MB at m = 6 (tracemalloc),
+# of which the stacked pi2 and the points' nu-free decomposition parts, two
+# 4-tensors per point, are 0.33 MB and 5.3 MB.
 _last_run: tuple = (None, (), [])
 
 
@@ -141,44 +120,36 @@ def _non_finite(value, key: str = "") -> str | None:
 
 
 @dataclass(frozen=True, eq=False)
-class _GroupChecks:
-    """A group's tensors in the points' frames and every check that does
-    not read a point's plane draws, each with a leading point axis or one
-    entry per point.  K is the points' J in those frames and P2 their
-    pi2(K).  The arrays are read-only, so a per-point function that writes
-    into its point's slice raises instead of changing a neighbour's values,
-    or those of a later call that reuses the group from the slot.
-    not_finite[k] names the first of R, nabla J and nabla R that is not
-    finite at the k-th point; finite[k] says whether every residual of the
-    k-th point's record read here (all but the span fit, which a record
-    holds only when the verdict reaches it) is finite.  frames[k] is the
-    k-th point's `adapted_eigenframe` and bases[k] its `decomposition_base`,
-    each None where the Ricci tensor fails its check, or where not_finite[k]
-    is set and the point's analysis raises before reading them.  fit is None
-    at m = 1, where `classify` does not read it."""
+class _PointChecks:
+    """One point's tensors in its frame and every check of it that does not
+    read its plane draws.  K is the point's J in that frame and P2 its
+    pi2(K).  The arrays are read-only views into the group's, so a function
+    that writes into one raises instead of changing a neighbour's values,
+    or those of a later run that reuses the point from the slot.
+    not_finite names the first of R, nabla J and nabla R that is not finite.
+    frame is the point's `adapted_eigenframe` and base its
+    `decomposition_base`, each None where the Ricci tensor fails its check,
+    or where not_finite is set and the analysis raises before reading them.
+    fit is None at m = 1, where `classify` does not read it.  fields are the
+    `PointReport` fields that do not read the draws, as the record holds
+    them."""
 
     K: np.ndarray
     R: np.ndarray
     NJ: np.ndarray
     NS: np.ndarray
     P2: np.ndarray
-    not_finite: list[str | None]
-    finite: np.ndarray
-    frames: list[tuple[np.ndarray, np.ndarray] | None]
-    bases: list[np.ndarray | None]
-    class_residuals: ClassResiduals
-    ah: dict[str, np.ndarray]
-    symmetry: np.ndarray
-    einstein: tuple[np.ndarray, np.ndarray]
-    bianchi: np.ndarray
-    gray: np.ndarray
-    fit: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    not_finite: str | None
+    frame: tuple[np.ndarray, np.ndarray] | None
+    base: np.ndarray | None
+    fit: tuple[float, float, float] | None
+    fields: dict
 
 
 # Non-finite values are refused per point: einsum and matmul overflow to
 # inf without raising, so a raising errstate would not catch them all.
 @np.errstate(all="ignore")
-def _group_checks(jet: Jet, tol: float) -> _GroupChecks:
+def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     """The tensor stage of a group and the checks of its points that do not
     read their plane draws, once for all its points."""
     R = calculus.riemann(jet)
@@ -186,14 +157,23 @@ def _group_checks(jet: Jet, tol: float) -> _GroupChecks:
     NR = calculus.nabla_R(jet)
     finite = [(name, np.isfinite(T).reshape(len(jet), -1).all(axis=1))
               for name, T in (("R", R), ("nabla J", NJ), ("nabla R", NR))]
-    not_finite = [next((name for name, ok in finite if not ok[k]), None)
-                  for k in range(len(jet))]
     R, NJ, NR = calculus.in_frame(jet, R, NJ, NR)
     K = jet.K
     S = calculus.ricci(R)
     NS = np.trace(NR, axis1=2, axis2=5)  # metric compatibility: nabla S traces nabla R
-    frames, bases = [], []
-    for k, bad in enumerate(not_finite):
+    P2 = pi2(K)
+    for T in (K, R, NJ, NS, P2):
+        T.setflags(write=False)
+    fit = fit_pi_span(R, P2) if K.shape[-1] >= 4 else None
+    cls = calculus.class_residuals(NJ)
+    ah = dict(zip(("AH1", "AH2", "AH3"), ah_identity_residual(R, K)))
+    symmetry = riemann_symmetry_residual(R)
+    lam, einstein_defect = einstein_residual(S)
+    bianchi = bianchi2_residual(NR)
+    gray = calculus.gray_ak2_residual(R, NJ, K)
+    points = []
+    for k in range(len(jet)):
+        bad = next((name for name, ok in finite if not ok[k]), None)
         frame = base = None
         if bad is None:  # eigh of a non-finite S would raise before the point's own error
             try:
@@ -201,47 +181,45 @@ def _group_checks(jet: Jet, tol: float) -> _GroupChecks:
             except InvariantViolation:
                 pass  # Ricci tensor not J-invariant: relation (3.2) does not apply
             base = decomposition_base(S[k], K[k], tol=tol)
-        frames.append(frame)
-        bases.append(base)
-    P2 = pi2(K)
-    cls = calculus.class_residuals(NJ)
-    ah = dict(zip(("AH1", "AH2", "AH3"), ah_identity_residual(R, K)))
-    symmetry = riemann_symmetry_residual(R)
-    einstein = einstein_residual(S)
-    bianchi = bianchi2_residual(NR)
-    gray = calculus.gray_ak2_residual(R, NJ, K)
-    residuals = np.stack([*vars(cls).values(), *ah.values(), symmetry, *einstein, bianchi, gray],
-                         axis=-1)
-    for T in (K, R, NJ, NS, P2, *(b for b in bases if b is not None),
-              *(T for frame in frames if frame is not None for T in frame)):
-        T.setflags(write=False)
-    return _GroupChecks(
-        K=K, R=R, NJ=NJ, NS=NS, P2=P2,
-        not_finite=not_finite,
-        finite=np.isfinite(residuals).all(axis=-1),
-        frames=frames,
-        bases=bases,
-        class_residuals=cls,
-        ah=ah,
-        symmetry=symmetry,
-        einstein=einstein,
-        bianchi=bianchi,
-        gray=gray,
-        fit=fit_pi_span(R, K) if K.shape[-1] >= 4 else None,
-    )
+        for T in (*(frame or ()), base):
+            if T is not None:
+                T.setflags(write=False)
+        point_cls = ClassResiduals(*(float(v[k]) for v in vars(cls).values()))
+        point_ah = {name: float(values[k]) for name, values in ah.items()}
+        by_flag = {"K": point_cls.kahler, "NK": point_cls.nearly_kahler,
+                   "AK": point_cls.almost_kahler, **point_ah}
+        points.append(_PointChecks(
+            K=K[k], R=R[k], NJ=NJ[k], NS=NS[k], P2=P2[k],
+            not_finite=bad,
+            frame=frame,
+            base=base,
+            fit=None if fit is None else tuple(float(v[k]) for v in fit),
+            fields={
+                "flags": {flag: r <= tol for flag, r in by_flag.items()},
+                "class_residuals": point_cls,
+                "ah_residuals": point_ah,
+                "riemann_symmetry_residual": float(symmetry[k]),
+                "einstein": {"lambda": float(lam[k]), "residual": float(einstein_defect[k])},
+                "bianchi_residual": float(bianchi[k]),
+                "gray_ak2_residual": float(gray[k]),
+            },
+        ))
+    return points
 
 
-def _checked_groups(chart: ChartSpec, points: list[tuple[float, ...]], tol: float):
-    """`_group_checks` of each jet of `chart.jets_at(points)` at `tol`, in
-    order and one at a time.  Each run of up to JET_GROUP points is looked
-    up in the process's slot first, and a hit, the same chart at the same
-    points and `tol`, runs neither the Taylor pass nor the group stage.
+def _checked_points(chart: ChartSpec, points: list[tuple[float, ...]], tol: float):
+    """The `_group_checks` of each point of `chart.jets_at(points)` at `tol`,
+    in order and one group at a time.  Each run of up to JET_GROUP points is
+    looked up in the process's slot first, and a hit, the same chart at the
+    same points and `tol`, runs neither the Taylor pass nor the group stage.
 
     The key is `tol` and the points' bits, as 0.0 == -0.0.  A run is stored
     once each of its points has been analyzed, so one that raises, in
     `jets_at` or in a point's analysis, is computed again on every call.
-    The slot is read once and replaced by one assignment, so concurrent
-    calls never see a half-stored run; they may compute a run twice.
+    Each stored run replaces the last, so the process holds one however
+    many charts are alive.  The slot is read once and replaced by one
+    assignment, so concurrent calls never see a half-stored run; they may
+    compute a run twice.
     """
     global _last_run
     for start in range(0, len(points), JET_GROUP):
@@ -251,33 +229,28 @@ def _checked_groups(chart: ChartSpec, points: list[tuple[float, ...]], tol: floa
         if last[0] is chart and last[1] == key:
             yield from last[2]
             continue
-        groups = []
+        run = []
         for jet in chart.jets_at(chunk):
-            groups.append(_group_checks(jet, tol))
-            yield groups[-1]
-        _last_run = (chart, key, groups)
+            group = _group_checks(jet, tol)
+            run += group
+            yield from group
+        _last_run = (chart, key, run)
 
 
 @np.errstate(all="ignore")
-def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int, *,
+def analyze_point(checks: _PointChecks, p: tuple[float, ...], index: int, *,
                   tol: float, samples: int, seed: int) -> PointReport:
-    """Finish the checks of the k-th point of a group, the point p, the
-    index-th of its run, from its plane draws; deterministic for fixed
-    arguments.  `tol` must be the one the group was checked at.
+    """Finish the checks of the point p, the index-th of its run, from its
+    plane draws; deterministic for fixed arguments.  `tol` must be the one
+    `checks` were taken at.
 
     A chart whose values overflow on the way is an InvariantViolation naming
     p: when R, nabla J or nabla R is not finite, or any float of the record.
     """
-    if group.not_finite[k] is not None:
-        raise InvariantViolation(f"{group.not_finite[k]} is not finite at point {list(p)}")
-    K, R = group.K[k], group.R[k]
+    if checks.not_finite is not None:
+        raise InvariantViolation(f"{checks.not_finite} is not finite at point {list(p)}")
+    K, R = checks.K, checks.R
     m = len(K) // 2
-    c = group.class_residuals
-    cls = ClassResiduals(kahler=float(c.kahler[k]), nearly_kahler=float(c.nearly_kahler[k]),
-                         almost_kahler=float(c.almost_kahler[k]))
-    ah = {name: float(values[k]) for name, values in group.ah.items()}
-    by_flag = {"K": cls.kahler, "NK": cls.nearly_kahler, "AK": cls.almost_kahler, **ah}
-
     rng = np.random.default_rng([seed, index])
     holo = constancy(R, sample_holomorphic_planes(K, samples, rng))
     if m >= 2:
@@ -287,37 +260,20 @@ def analyze_point(group: _GroupChecks, k: int, p: tuple[float, ...], index: int,
         anti = None
         nu = holo.mean / 4.0
 
-    lam, einstein_defect = (float(v[k]) for v in group.einstein)
-    base, frame = group.bases[k], group.frames[k]
-    decomposition = None if base is None else decomposition_residual(R, base, nu, group.P2[k])
-    relation = None if frame is None else proof_relation_32_residual(
-        *frame, group.NS[k], group.NJ[k], nu)
-    fit = None if group.fit is None else tuple(float(v[k]) for v in group.fit)
-    verdict = classify(m, ah["AH3"], (lam, einstein_defect), cls, holo, anti, fit, tol)
-
-    record = PointReport(
-        point=p,
-        flags={flag: r <= tol for flag, r in by_flag.items()},
-        class_residuals=cls,
-        ah_residuals=ah,
-        riemann_symmetry_residual=float(group.symmetry[k]),
-        einstein={"lambda": lam, "residual": einstein_defect},
-        holomorphic=holo,
-        antiholomorphic=anti,
-        nu=nu,
-        decomposition_residual=decomposition,
-        bianchi_residual=float(group.bianchi[k]),
-        eigenframe_relation_residual=relation,
-        gray_ak2_residual=float(group.gray[k]),
-        verdict=verdict,
-    )
-    # the record's floats that group.finite does not cover; the walk names the first bad one
-    drawn = [holo.mean, holo.max_deviation, nu, decomposition, relation, verdict.constant,
-             *verdict.residuals.values()]
-    if anti is not None:
-        drawn += [anti.mean, anti.max_deviation]
-    if not (group.finite[k] and all(v is None or math.isfinite(v) for v in drawn)):
-        raise InvariantViolation(f"{_non_finite(record)} is not finite at point {list(p)}")
+    decomposition = None if checks.base is None else decomposition_residual(
+        R, checks.base, nu, checks.P2)
+    relation = None if checks.frame is None else proof_relation_32_residual(
+        *checks.frame, checks.NS, checks.NJ, nu)
+    # fresh dicts, so a caller that edits a record cannot reach the slot's
+    fields = {key: dict(v) if isinstance(v, dict) else v for key, v in checks.fields.items()}
+    einstein = fields["einstein"]
+    verdict = classify(m, fields["ah_residuals"]["AH3"], (einstein["lambda"], einstein["residual"]),
+                       fields["class_residuals"], holo, anti, checks.fit, tol)
+    record = PointReport(point=p, **fields, holomorphic=holo, antiholomorphic=anti, nu=nu,
+                         decomposition_residual=decomposition,
+                         eigenframe_relation_residual=relation, verdict=verdict)
+    if (bad := _non_finite(record)) is not None:
+        raise InvariantViolation(f"{bad} is not finite at point {list(p)}")
     return record
 
 
@@ -501,12 +457,8 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         "seed": seed,
         "points": [list(p) for p in points],
     }
-    reports: list[PointReport] = []
-    for group in _checked_groups(chart, points, tol):
-        for k in range(len(group.K)):
-            i = len(reports)
-            reports.append(analyze_point(group, k, points[i], i, tol=tol, samples=samples,
-                                         seed=seed))
+    reports = [analyze_point(checks, points[i], i, tol=tol, samples=samples, seed=seed)
+               for i, checks in enumerate(_checked_points(chart, points, tol))]
     schur = None
     if len(reports) >= 2:
         schur = schur_check([pr.antiholomorphic or pr.holomorphic for pr in reports])

@@ -87,7 +87,7 @@ def run_selftest(seed: int = 42) -> bool:
         J = random_structure(m, rng)
         a0, b0 = rng.uniform(-3.0, 3.0, size=2)
         values = a0 * pi1(2 * m) + b0 * pi2(J)
-        a, b, residual = map(float, fit_pi_span(values, J))
+        a, b, residual = map(float, fit_pi_span(values, pi2(J)))
         worst = max(worst, residual, abs(a - a0), abs(b - b0))
     check("span fit is exact on span members", worst < 1e-10, f"max defect {worst:.3e}")
 

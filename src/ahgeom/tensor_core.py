@@ -280,20 +280,21 @@ def build_from_decomposition(S: np.ndarray, nu, J: np.ndarray, *,
     return psi(S, J) / 6.0 + nu * pi1(n) - (n - 1) / 3.0 * nu * pi2(J)
 
 
-def fit_pi_span(R: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_pi_span(R: np.ndarray, P2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares coefficients (a, b) minimizing ||R - a*pi1 - b*pi2||_2
-    at each point of R (..., n, n, n, n), with structures J (..., n, n).
+    at each point of R (..., n, n, n, n), with P2 = pi2(J) (..., n, n, n, n)
+    of the points' structures J.
 
     Returns (a, b, residual), one value per point each, the residual the
     componentwise 2-norm of the best approximation defect, from the 2x2
     normal equations.  At m = 1, pi2 = 3*pi1 identically, so the span is a
     line with nothing to separate, and the fit raises InvariantViolation.
     """
-    n = J.shape[-1]
+    n = P2.shape[-1]
     if n < 4:
         raise InvariantViolation("the span fit needs m >= 2: pi2 = 3 pi1 at m = 1")
     p1 = pi1(n).reshape(n**4)
-    p2 = pi2(J).reshape(J.shape[:-2] + (n**4,))
+    p2 = P2.reshape(P2.shape[:-4] + (n**4,))
     r = R.reshape(R.shape[:-4] + (n**4,))
     g11 = np.sum(p1 * p1)
     g12, g22 = np.sum(p1 * p2, axis=-1), np.sum(p2 * p2, axis=-1)

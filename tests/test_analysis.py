@@ -420,7 +420,7 @@ def classify_algebraic(R, J, nu_stats_planes=256, tol=1e-9, cls=ZERO_CLASS, seed
     anti = None
     if m >= 2:
         anti = constancy(R, sample_antiholomorphic_planes(J, nu_stats_planes, rng))
-    fit = fit_pi_span(R, J) if m >= 2 else None
+    fit = fit_pi_span(R, pi2(J)) if m >= 2 else None
     return classify(m, float(ah_identity_residual(R, J)[2]), einstein_residual(ricci(R)), cls,
                     holo, anti, fit, tol)
 
@@ -462,7 +462,7 @@ class TestClassify:
         anti = constancy(R, sample_antiholomorphic_planes(K, 128, rng))
         cls = class_residuals(NJ)
         verdict = classify(2, ah_identity_residual(R, K)[2], einstein_residual(S),
-                           cls, holo, anti, fit_pi_span(R, K), 1e-4)
+                           cls, holo, anti, fit_pi_span(R, pi2(K)), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_equal_radii_product_still_rejected(self):
@@ -477,7 +477,7 @@ class TestClassify:
         cls = class_residuals(NJ)
         verdict = classify(2, ah_identity_residual(R, K)[2],
                            einstein_residual(ricci(R)), cls, holo, anti,
-                           fit_pi_span(R, K), 1e-4)
+                           fit_pi_span(R, pi2(K)), 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_m1_routes_through_holomorphic_constancy(self):
@@ -558,9 +558,9 @@ class TestGroupArrays:
         # each point's functions get views into the group's arrays, which are
         # read-only, so a write raises instead of changing a neighbour's values
         chart = get_model("cp2").chart
-        group = _group_checks(next(chart.jets_at(chart.default_points)), 1e-4)
-        views = [getattr(group, name)[1] for name in ("K", "R", "NJ", "NS", "P2")]
-        for view in [*views, group.bases[1], *group.frames[1]]:
+        checks = _group_checks(next(chart.jets_at(chart.default_points)), 1e-4)[1]
+        views = [getattr(checks, name) for name in ("K", "R", "NJ", "NS", "P2")]
+        for view in [*views, checks.base, *checks.frame]:
             with pytest.raises(ValueError, match="read-only"):
                 view[...] = 0.0
 
@@ -568,6 +568,12 @@ class TestGroupArrays:
 # Each source of a record's floats made non-finite: (module, name, poison
 # of the function, the record's key the error names)
 NON_FINITE_SOURCES = [
+    (calculus, "class_residuals",
+     lambda f: lambda NJ: ClassResiduals(*(v * np.nan for v in vars(f(NJ)).values())),
+     "class_residuals.kahler"),
+    (report, "ah_identity_residual", lambda f: lambda *args: tuple(v * np.nan for v in f(*args)),
+     "ah_residuals.AH1"),
+    (report, "bianchi2_residual", lambda f: lambda NR: f(NR) * np.inf, "bianchi_residual"),
     (report, "riemann_symmetry_residual", lambda f: lambda R: f(R) * np.nan,
      "riemann_symmetry_residual"),
     (report, "einstein_residual", lambda f: lambda S: tuple(v * np.nan for v in f(S)),
@@ -589,8 +595,7 @@ NON_FINITE_SOURCES = [
 
 class TestNonFiniteRecords:
     # on cp2, where the verdict reads the span fit: the error names the
-    # record's key, whether the group's one check or a point's check of its
-    # drawn values sees it
+    # record's key, whether the group stage or the point's draws made it
     @pytest.mark.parametrize("module, name, poison, key", NON_FINITE_SOURCES,
                              ids=[source[1] for source in NON_FINITE_SOURCES])
     def test_the_error_names_the_key(self, monkeypatch, module, name, poison, key):

@@ -488,18 +488,24 @@ def counted_stage(monkeypatch):
 
 
 def group_refs(monkeypatch):
-    """Weak references to each group's checks that `_group_checks` makes from now on."""
+    """Weak references to each point's checks that `_group_checks` makes from
+    now on, one list per call."""
     refs = []
-    group_checks = report._group_checks
-    monkeypatch.setattr(report, "_group_checks", lambda jet, tol: refs.append(
-        weakref.ref(group := group_checks(jet, tol))) or group)
+
+    def recorded(jet, tol, _original=report._group_checks):
+        group = _original(jet, tol)
+        refs.append([weakref.ref(checks) for checks in group])
+        return group
+
+    monkeypatch.setattr(report, "_group_checks", recorded)
     return refs
 
 
 def alive(refs):
-    """Which of refs still reach their object, after a full collection."""
+    """Which of refs still reach their object, after a full collection, one
+    list per call."""
     gc.collect()
-    return [ref() is not None for ref in refs]
+    return [[ref() is not None for ref in call] for call in refs]
 
 
 class TestGroupMemo:
@@ -536,6 +542,18 @@ class TestGroupMemo:
         assert texts == [analyze_chart(parse_chart(WARP2), tol=tol).to_json() for tol in tols]
         assert '"decomposition_residual": null' in texts[0]
         assert '"decomposition_residual": null' not in texts[1]
+        # the flags too are taken at the run's tol: AH3's residual is 0.25
+        assert '"AH3": false' in texts[0] and '"AH3": true' in texts[1]
+
+    def test_editing_a_record_leaves_the_slot_alone(self):
+        # a reused point hands its seed-free fields to each record: as copies
+        chart = get_model("cp2").chart
+        for record in analyze_chart(chart, seed=1).points:
+            record.flags["K"] = None
+            record.ah_residuals["AH1"] = None
+            record.einstein["lambda"] = None
+        assert analyze_chart(chart, seed=2).to_json() == \
+            analyze_chart(get_model("cp2").chart, seed=2).to_json()
 
     def test_signed_zeros_are_other_points(self, monkeypatch):
         # 0.0 == -0.0, so a key of float values would take one for the other
@@ -591,18 +609,20 @@ class TestGroupMemo:
         points = scan_points(5, size=128)
         refs = group_refs(monkeypatch)
         analyze_chart(chart, points, samples=16)
-        assert alive(refs) == [False] * 7 + [True]
+        dead, kept = [False] * JET_GROUP, [True] * JET_GROUP
+        assert alive(refs) == [dead] * 7 + [kept]
         calls = counted_stage(monkeypatch)
         analyze_chart(chart, points[-JET_GROUP:], samples=16)
         assert calls == []
         analyze_chart(chart, points[:JET_GROUP], samples=16)
         assert calls.count("_group_checks") == 1
-        assert alive(refs) == [False] * 8 + [True]
-        # analyzing another chart frees the first chart and its group
+        assert alive(refs) == [dead] * 8 + [kept]
+        # analyzing another chart frees the first chart and its points' checks
         held = weakref.ref(chart)
         del chart
-        analyze_chart(get_model("cp2").chart, samples=16)
-        assert alive(refs) == [False] * 9 + [True]
+        cp2 = get_model("cp2").chart
+        analyze_chart(cp2, samples=16)
+        assert alive(refs) == [dead] * 9 + [[True] * len(cp2.default_points)]
         assert held() is None
 
     def test_one_group_however_many_charts_are_alive(self, monkeypatch):
@@ -610,7 +630,8 @@ class TestGroupMemo:
         refs = group_refs(monkeypatch)
         for model in models:
             analyze_model(model)
-        assert alive(refs) == [False] * (len(models) - 1) + [True]
+        assert alive(refs) == [[False] * len(model.chart.default_points) for model in models[:-1]] \
+            + [[True] * len(models[-1].chart.default_points)]
         calls = counted_stage(monkeypatch)
         analyze_model(models[-1], seed=2)
         assert calls == []
@@ -647,7 +668,9 @@ class TestGroupMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert sum(alive(refs)) == 1
+        # the points of exactly one run stay alive, all of them
+        states = sorted(alive(refs))
+        assert states == [[False] * 3] * (len(states) - 1) + [[True] * 3]
 
 
 # ---------------------------------------------------------------------------

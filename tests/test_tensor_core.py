@@ -379,12 +379,12 @@ class TestFitPiSpan:
     def test_exact_span_member(self):
         J = standard_j(2)
         values = 2.0 * pi1(4) - 0.5 * pi2(J)
-        a, b, res = fit_pi_span(values, J)
+        a, b, res = fit_pi_span(values, pi2(J))
         assert (a, b) == (pytest.approx(2.0), pytest.approx(-0.5))
         assert res < 1e-12
 
     def test_pure_pi1(self):
-        a, b, res = fit_pi_span(pi1(6), standard_j(3))
+        a, b, res = fit_pi_span(pi1(6), pi2(standard_j(3)))
         assert (a, b) == (pytest.approx(1.0), pytest.approx(0.0, abs=1e-13))
         assert res < 1e-12
 
@@ -394,7 +394,7 @@ class TestFitPiSpan:
         E = 1e-6 * rng.standard_normal((4, 4, 4, 4))
         E *= 1e-6 / np.linalg.norm(E)
         values = pi1(4) + pi2(J) + E
-        _, _, res = fit_pi_span(values, J)
+        _, _, res = fit_pi_span(values, pi2(J))
         assert res <= 1e-6 + 1e-18
 
     def test_refuses_m1(self):
@@ -402,7 +402,7 @@ class TestFitPiSpan:
         J = standard_j(1)
         np.testing.assert_allclose(pi2(J), 3.0 * pi1(2), atol=1e-14)
         with pytest.raises(InvariantViolation, match="m >= 2"):
-            fit_pi_span(-4.0 * pi1(2), J)
+            fit_pi_span(-4.0 * pi1(2), pi2(J))
 
 
 # ---------------------------------------------------------------------------
