@@ -21,9 +21,11 @@ The report has three blocks: run metadata (target, kind, tolerance,
 samples, seed and points), one block per evaluation point, and a global
 block (multi-point constancy over the points' nu, or holomorphic means for
 m = 1, plus the overall verdict and, in model mode, the expected-vs-observed
-checks).  Identical arguments, including the seed, produce byte-identical
-JSON; the text rendering is drawn from the same dict, with floats to 12
-significant digits.
+checks).  The overall verdict is the points' common kind, or inconclusive
+when their kinds differ or their space-form constants spread beyond `tol`.
+Identical arguments, including the seed, produce byte-identical JSON; the
+text rendering is drawn from the same dict, with floats to 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -277,13 +279,19 @@ def analyze_point(checks: _PointChecks, p: tuple[float, ...], index: int, *,
     return record
 
 
-def _overall_verdict(points: list[PointReport]) -> Verdict:
+def _overall_verdict(points: list[PointReport], tol: float) -> Verdict:
+    """The points' common verdict kind, with the mean of their space-form
+    constants; inconclusive when the kinds differ or the constants spread
+    beyond `tol`, as on a surface whose curvature varies (at m = 1 every
+    Kähler point is a pointwise complex space form)."""
     kinds = sorted({pr.verdict.kind for pr in points})
     if len(kinds) != 1:
         return Verdict(INCONCLUSIVE, None, {})
     constants = [pr.verdict.constant for pr in points]
     if any(c is None for c in constants):
         return Verdict(kinds[0], None, {})
+    if max(constants) - min(constants) > tol:
+        return Verdict(INCONCLUSIVE, None, {})
     return Verdict(kinds[0], float(np.mean(constants)), {})
 
 
@@ -462,7 +470,7 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
     schur = None
     if len(reports) >= 2:
         schur = schur_check([pr.antiholomorphic or pr.holomorphic for pr in reports])
-    overall = _overall_verdict(reports)
+    overall = _overall_verdict(reports, tol)
     checks = None
     if expected is not None:
         checks = _expected_checks(expected, reports, schur, overall, tol)

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, report formats, determinism."""
 
 import json
+import math
 import re
 
 import pytest
@@ -65,6 +66,20 @@ OVERFLOWING_IN_A_GROUP = {
     "steep": (OVERFLOWING["steep"], ("0,0,0,0", "2.3,0,0,0", "0.5,0,0,0"),
               "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
 }
+
+
+# e^(x1^2) (dx1^2 + dx2^2) with the standard J: Gauss curvature -e^(-x1^2),
+# so every point is a complex space form, of constant -1 at (0, 0) and -1/e at (1, 0)
+VARYING_SURFACE = """\
+dim = 1
+coords = x1 x2
+g[1][1] = exp(x1^2)
+g[2][2] = exp(x1^2)
+J[2][1] = 1
+J[1][2] = -1
+point = 0 0
+point = 1 0
+"""
 
 
 def run(capsys, *argv):
@@ -187,6 +202,22 @@ class TestAnalyze:
         report = json.loads(out)
         assert "expected_checks" not in report["global"]
         assert report["global"]["verdict"]["kind"] == "complex_space_form"
+
+    @pytest.mark.parametrize("tol, kind, constant", [
+        ("1e-4", "inconclusive", None),
+        ("1", "complex_space_form", pytest.approx(-0.5 * (1 + math.exp(-1)), rel=1e-12)),
+    ])
+    def test_points_of_different_constants_are_no_space_form(self, tmp_path, capsys,
+                                                              tol, kind, constant):
+        path = tmp_path / "surface.ahm"
+        path.write_text(VARYING_SURFACE)
+        code, out, _ = run(capsys, "analyze", "--chart", str(path), "--tol", tol,
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert [pr["verdict"]["kind"] for pr in report["points"]] == ["complex_space_form"] * 2
+        assert report["global"]["schur"]["spread"] == pytest.approx(1 - math.exp(-1), rel=1e-12)
+        assert report["global"]["verdict"] == {"kind": kind, "constant": constant}
 
     def test_explicit_points_and_out_of_domain_error(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "ch1", "--point", "0.9,0.9")

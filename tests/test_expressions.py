@@ -7,11 +7,13 @@ import operator
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ahgeom
+from ahgeom import charts, expressions
 from ahgeom.charts import ChartSyntaxError, parse_chart
 from ahgeom.expressions import (
     _OPERATIONS,
@@ -237,6 +239,54 @@ class TestSharedSubexpressions:
         env = {"_0": 0.5, "_1": 3.0, "__0": -1.0}
         values = evaluate(compile_expressions(exprs), env)
         assert [v.hex() for v in values] == [reference_value(e, env).hex() for e in exprs]
+
+    @pytest.mark.parametrize("exprs", [["x"], [BinOp("+", Var("x"), 2.0)]], ids=["top", "operand"])
+    def test_a_node_of_another_type_is_refused(self, exprs):
+        with pytest.raises(TypeError, match="not an expression node: "):
+            compile_expressions(exprs)
+
+
+def counted_reciprocals(monkeypatch):
+    """A list that counts, from now on, each `_power(x, -1.0)` of a Taylor
+    series in its last entry."""
+    counts, power = [0], expressions._power
+
+    def counted(x, e):
+        counts[-1] += e == -1.0
+        return power(x, e)
+
+    monkeypatch.setattr(expressions, "_power", counted)
+    return counts
+
+
+class TestReciprocals:
+    def test_s6_takes_each_divisors_reciprocal_once_per_program(self, monkeypatch):
+        # s6 divides by 1-|x|^2 in 21 entries of g and by its square root in 36 of J
+        chart = get_model("s6").chart
+        names = {id(chart._metric_program): "g", id(chart._j_program): "J"}
+        counts, runs = counted_reciprocals(monkeypatch), []
+
+        def taylor_pass(compiled, env, directions=None):
+            if directions is not None:
+                runs.append(names[id(compiled)])
+                counts.append(0)
+            return evaluate(compiled, env, directions)
+
+        monkeypatch.setattr(charts, "evaluate", taylor_pass)
+        [_] = chart.jets_at(chart.default_points)
+        assert dict(zip(runs, counts[1:])) == {"g": 1, "J": 1}
+
+    def test_quotients_by_one_series_keep_their_bits(self, monkeypatch):
+        exprs = [parse_expression(src) for src in ("x/(1+y*y)", "sin(y)/(1+y*y)", "1/(1+y*y)")]
+        env = {"x": [0.3, -1.2, 0.0], "y": [0.7, 2.5, -0.1]}
+        lines = {"x": np.array([1.0, 0.0, 0.6]), "y": np.array([0.0, 1.0, -0.8])}
+        counts = counted_reciprocals(monkeypatch)
+        shared = evaluate(compile_expressions(exprs), env, lines)
+        assert counts == [1]
+        alone = [evaluate(compile_expressions([e]), env, lines)[0] for e in exprs]
+        assert counts == [4]
+        assert shared.shape == (3, 3, 3, 3)
+        assert [c.tobytes() for c in shared] == [c.tobytes() for c in alone]
 
 
 # ---------------------------------------------------------------------------
