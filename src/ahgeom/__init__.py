@@ -38,7 +38,6 @@ from .analysis import (
     bianchi2_residual,
     classify,
     constancy,
-    decomposition_base,
     decomposition_residual,
     einstein_residual,
     proof_relation_32_residual,

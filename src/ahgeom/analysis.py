@@ -5,17 +5,19 @@ g = Id) as plain arrays, with the point's structure J where it needs one.
 The residuals of tensors alone (`einstein_residual`, `bianchi2_residual`)
 take arrays whose leading axes index points and give one value per
 point, so a group of points is one call.  What reads a point's S and J
-but not its sampled planes runs once per point of a group: the adapted
-eigenframe and the nu-free part of the decomposition
-(`decomposition_base`).  What depends on a point's sampled planes runs
-per point and draw, on that point's slices of its group's arrays: the
-samplers take an explicit seeded generator, so every run is reproducible,
-and draw a point's planes from its J as one `Planes` batch, uniform on the
-unit sphere; `constancy` evaluates it on the point's R in one
-`sectional_curvature` call, one matrix product; the decomposition
-residual, relation (3.2) and the verdict follow from it and the group's
-parts.  All functions are pure; multi-point constancy (`schur_check`) is a
-pure function of the per-point statistics.
+but not its plane draws runs once per point of a group: the adapted
+eigenframe, the decomposition residual and relation (3.2).  Both
+residuals are taken at nu* = <R - psi(S)/6, Q> / <Q, Q>, Q = pi1 -
+(2m-1)/3 pi2, the U(m)-invariant part of R, which is the `a` of the span
+fit `fit_pi_span`; so they do not depend on the seed.  Only the plane
+statistics and the verdict read the draws: the samplers take an explicit
+seeded generator, so every run is reproducible, and draw a point's planes
+from its J as one `Planes` batch, uniform on the unit sphere; `constancy`
+evaluates it on the point's R in one `sectional_curvature` call, one
+matrix product, and the verdict follows from it.  A record's nu is still
+the mean of its antiholomorphic draws.  All functions are pure;
+multi-point constancy (`schur_check`) is a pure function of the per-point
+statistics.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .tensor_core import (
     InvariantViolation,
     Planes,
     build_from_decomposition,
-    pi1,
     sectional_curvature,
 )
 
@@ -47,7 +48,6 @@ __all__ = [
     "constancy",
     "adapted_eigenframe",
     "einstein_residual",
-    "decomposition_base",
     "decomposition_residual",
     "bianchi2_residual",
     "proof_relation_32_residual",
@@ -197,28 +197,18 @@ def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.max(np.abs(S - lam[..., None, None] * np.eye(n)), axis=(-2, -1))
 
 
-def decomposition_base(S: np.ndarray, J: np.ndarray, *, tol: float = 0.0) -> np.ndarray | None:
-    """The part of the curvature tensor rebuilt from one point's (S, nu)
-    with its structure J that does not read nu: `build_from_decomposition`
-    at nu = 0, which is psi(S) / 6 up to the sign of its zeros.
-
-    None when S is not symmetric and J-invariant within
+def decomposition_residual(R: np.ndarray, S: np.ndarray, J: np.ndarray, nu: float, *,
+                           tol: float = 0.0) -> float | None:
+    """Max-norm gap between one point's R and the curvature tensor
+    `build_from_decomposition` rebuilds from its (S, nu) with its structure
+    J.  None when S is not symmetric and J-invariant within
     max(tol, INVARIANT_TOL): the decomposition then does not apply.
     """
     try:
-        return build_from_decomposition(S, 0.0, J, tol=max(tol, INVARIANT_TOL))
+        rebuilt = build_from_decomposition(S, nu, J, tol=max(tol, INVARIANT_TOL))
     except InvariantViolation:
         return None
-
-
-def decomposition_residual(R: np.ndarray, base: np.ndarray, nu: float, P2: np.ndarray) -> float:
-    """Max-norm gap between one point's R and the curvature tensor rebuilt
-    from (S, nu), given the point's `decomposition_base` of S and its
-    pi2(J), P2: base + nu * pi1 - (2m-1)/3 * nu * pi2, in the order of
-    `build_from_decomposition`'s sum, so the value is the same.
-    """
-    n = R.shape[-1]
-    return float(np.max(np.abs(R - (base + nu * pi1(n) - (n - 1) / 3.0 * nu * P2))))
+    return float(np.max(np.abs(R - rebuilt)))
 
 
 def bianchi2_residual(nablaR: np.ndarray) -> np.ndarray:

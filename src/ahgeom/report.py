@@ -3,14 +3,18 @@
 A run's points are checked a group of up to JET_GROUP points at a time:
 one jet and one tensor stage per group, in each point's orthonormal
 Cholesky frame, where every check runs, and every check that does not
-read the plane draws (`_group_checks`).  A point's values do not depend on
-its group.  `analyze_point` then draws the point's planes from its own
-generator and finishes the record.  So `tol` is in the curvature units of
-an orthonormal frame, whatever the chart's coordinates or scale.  Each
-residual is a max-norm over frame components: a diagonal change of
-coordinates keeps the frame and every value; a general linear one turns
-the frame, which moves a max-norm over a k-tensor's components in
-dimension n by at most a factor n^(k/2).
+read the plane draws (`_group_checks`).  That includes the decomposition
+residual and relation (3.2), both taken at the point's nu* = the span
+fit's a (`analysis`), so no residual depends on the seed.  A point's
+values do not depend on its group.  `analyze_point` then draws the
+point's planes from its own generator, takes the plane statistics, the
+record's nu (their mean) and the verdict, and finishes the record.  So
+`tol` is in the curvature units of an orthonormal frame, whatever the
+chart's coordinates or scale.  Each residual is a max-norm over frame
+components, except the span fit's `fit`, the componentwise 2-norm of
+`fit_pi_span`: a diagonal change of coordinates keeps the frame and every
+value; a general linear one turns the frame, which moves a max-norm over
+a k-tensor's components in dimension n by at most a factor n^(k/2).
 
 Nothing before the draws reads the seed or `samples`, so a chart analyzed
 again at the same up to JET_GROUP points and `tol`, as under other seeds,
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +51,6 @@ from .analysis import (
     adapted_eigenframe,
     classify,
     constancy,
-    decomposition_base,
     decomposition_residual,
     bianchi2_residual,
     einstein_residual,
@@ -79,9 +84,8 @@ EXPECTED_TOL = 1e-3
 MAX_SAMPLES = 100_000
 
 # (chart, key, checks) of the last run `_checked_points` analyzed.  A
-# 16-point run holds about 0.61 MB at m = 3 and 8.5 MB at m = 6 (tracemalloc),
-# of which the stacked pi2 and the points' nu-free decomposition parts, two
-# 4-tensors per point, are 0.33 MB and 5.3 MB.
+# 16-point run holds about 0.20 MB at m = 3 and 2.7 MB at m = 6 (tracemalloc),
+# nearly all of it the points' R, one 4-tensor per point.
 _last_run: tuple = (None, (), [])
 
 
@@ -124,26 +128,17 @@ def _non_finite(value, key: str = "") -> str | None:
 @dataclass(frozen=True, eq=False)
 class _PointChecks:
     """One point's tensors in its frame and every check of it that does not
-    read its plane draws.  K is the point's J in that frame and P2 its
-    pi2(K).  The arrays are read-only views into the group's, so a function
-    that writes into one raises instead of changing a neighbour's values,
-    or those of a later run that reuses the point from the slot.
-    not_finite names the first of R, nabla J and nabla R that is not finite.
-    frame is the point's `adapted_eigenframe` and base its
-    `decomposition_base`, each None where the Ricci tensor fails its check,
-    or where not_finite is set and the analysis raises before reading them.
-    fit is None at m = 1, where `classify` does not read it.  fields are the
-    `PointReport` fields that do not read the draws, as the record holds
-    them."""
+    read its plane draws.  K is the point's J in that frame.  The arrays
+    are read-only views into the group's, so a function that writes into
+    one raises instead of changing a neighbour's values, or those of a
+    later run that reuses the point from the slot.  not_finite names the
+    first of R, nabla J and nabla R that is not finite.  fit is None at
+    m = 1, where `classify` does not read it.  fields are the `PointReport`
+    fields that do not read the draws, as the record holds them."""
 
     K: np.ndarray
     R: np.ndarray
-    NJ: np.ndarray
-    NS: np.ndarray
-    P2: np.ndarray
     not_finite: str | None
-    frame: tuple[np.ndarray, np.ndarray] | None
-    base: np.ndarray | None
     fit: tuple[float, float, float] | None
     fields: dict
 
@@ -163,10 +158,9 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     K = jet.K
     S = calculus.ricci(R)
     NS = np.trace(NR, axis1=2, axis2=5)  # metric compatibility: nabla S traces nabla R
-    P2 = pi2(K)
-    for T in (K, R, NJ, NS, P2):
+    for T in (K, R):
         T.setflags(write=False)
-    fit = fit_pi_span(R, P2) if K.shape[-1] >= 4 else None
+    fit = fit_pi_span(R, pi2(K)) if K.shape[-1] >= 4 else None
     cls = calculus.class_residuals(NJ)
     ah = dict(zip(("AH1", "AH2", "AH3"), ah_identity_residual(R, K)))
     symmetry = riemann_symmetry_residual(R)
@@ -176,33 +170,34 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     points = []
     for k in range(len(jet)):
         bad = next((name for name, ok in finite if not ok[k]), None)
-        frame = base = None
+        point_fit = None if fit is None else tuple(float(v[k]) for v in fit)
+        decomposition = relation = None
         if bad is None:  # eigh of a non-finite S would raise before the point's own error
+            # at m = 1, Q = pi1 - pi2/3 vanishes and (3.2) has no pair i != j: no residual reads nu
+            nu = 0.0 if point_fit is None else point_fit[0]
+            decomposition = decomposition_residual(R[k], S[k], K[k], nu, tol=tol)
             try:
-                frame = adapted_eigenframe(S[k], K[k], tol)
+                relation = proof_relation_32_residual(
+                    *adapted_eigenframe(S[k], K[k], tol), NS[k], NJ[k], nu)
             except InvariantViolation:
                 pass  # Ricci tensor not J-invariant: relation (3.2) does not apply
-            base = decomposition_base(S[k], K[k], tol=tol)
-        for T in (*(frame or ()), base):
-            if T is not None:
-                T.setflags(write=False)
         point_cls = ClassResiduals(*(float(v[k]) for v in vars(cls).values()))
         point_ah = {name: float(values[k]) for name, values in ah.items()}
         by_flag = {"K": point_cls.kahler, "NK": point_cls.nearly_kahler,
                    "AK": point_cls.almost_kahler, **point_ah}
         points.append(_PointChecks(
-            K=K[k], R=R[k], NJ=NJ[k], NS=NS[k], P2=P2[k],
+            K=K[k], R=R[k],
             not_finite=bad,
-            frame=frame,
-            base=base,
-            fit=None if fit is None else tuple(float(v[k]) for v in fit),
+            fit=point_fit,
             fields={
                 "flags": {flag: r <= tol for flag, r in by_flag.items()},
                 "class_residuals": point_cls,
                 "ah_residuals": point_ah,
                 "riemann_symmetry_residual": float(symmetry[k]),
                 "einstein": {"lambda": float(lam[k]), "residual": float(einstein_defect[k])},
+                "decomposition_residual": decomposition,
                 "bianchi_residual": float(bianchi[k]),
+                "eigenframe_relation_residual": relation,
                 "gray_ak2_residual": float(gray[k]),
             },
         ))
@@ -261,19 +256,13 @@ def analyze_point(checks: _PointChecks, p: tuple[float, ...], index: int, *,
     else:
         anti = None
         nu = holo.mean / 4.0
-
-    decomposition = None if checks.base is None else decomposition_residual(
-        R, checks.base, nu, checks.P2)
-    relation = None if checks.frame is None else proof_relation_32_residual(
-        *checks.frame, checks.NS, checks.NJ, nu)
     # fresh dicts, so a caller that edits a record cannot reach the slot's
     fields = {key: dict(v) if isinstance(v, dict) else v for key, v in checks.fields.items()}
     einstein = fields["einstein"]
     verdict = classify(m, fields["ah_residuals"]["AH3"], (einstein["lambda"], einstein["residual"]),
                        fields["class_residuals"], holo, anti, checks.fit, tol)
     record = PointReport(point=p, **fields, holomorphic=holo, antiholomorphic=anti, nu=nu,
-                         decomposition_residual=decomposition,
-                         eigenframe_relation_residual=relation, verdict=verdict)
+                         verdict=verdict)
     if (bad := _non_finite(record)) is not None:
         raise InvariantViolation(f"{bad} is not finite at point {list(p)}")
     return record
@@ -444,6 +433,13 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
     With an `expected` profile the report is a model report: meta.kind is
     "model" and the global block holds the expected-vs-observed checks.
     """
+    # numpy scalars become the equal Python numbers, which meta renders as JSON
+    if not isinstance(tol, numbers.Real):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
+    try:
+        tol, samples, seed = float(tol), operator.index(samples), operator.index(seed)
+    except TypeError:
+        raise ValueError(f"samples and seed must be integers, got {samples!r} and {seed!r}") from None
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if samples < 1:

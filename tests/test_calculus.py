@@ -121,9 +121,12 @@ R_ = sp.Rational
 CP1_POINT = (R_(3, 10), R_(-1, 5))
 CP2_POINT = (R_(1, 10), R_(-3, 20), R_(1, 5), R_(-1, 4))
 # g = (dx1^2 + dy1^2 + dx2^2 + dy2^2) / (1 + x1^2 + y1^2)^2: nabla R is not zero
-CONF2 = parse_chart("dim = 2\ncoords = x1 y1 x2 y2\n"
-                    + "".join(f"g[{i}][{i}] = 1/(1+x1^2+y1^2)^2\n" for i in range(1, 5))
-                    + "J[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\nJ[3][4] = -1\n")
+CONF2_TEXT = ("dim = 2\ncoords = x1 y1 x2 y2\n"
+              + "".join(f"g[{i}][{i}] = 1/(1+x1^2+y1^2)^2\n" for i in range(1, 5))
+              + "J[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\nJ[3][4] = -1\n")
+CONF2 = parse_chart(CONF2_TEXT)
+# off the plane x1 = y1 = 0, where nabla J vanishes; nu* = 2(1 - x1^2 - y1^2) is 1.74, 1.18 and 1.00
+CONF2_POINTS = [(0.3, 0.2, 0.1, -0.4), (-0.5, 0.4, 0.2, 0.1), (0.7, -0.1, -0.3, 0.5)]
 
 
 # g = x I is singular on x = 0
@@ -721,7 +724,7 @@ class TestNablaROracle:
     @pytest.mark.parametrize("chart, points", [
         *((get_model(name).chart, get_model(name).chart.default_points)
           for name in sorted(model_names())),
-        (CONF2, [(0.3, 0.2, 0.1, -0.4), (-0.5, 0.4, 0.2, 0.1), (0.7, -0.1, -0.3, 0.5)]),
+        (CONF2, CONF2_POINTS),
     ], ids=[*sorted(model_names()), "conf2"])
     def test_matches_the_einsum_definition(self, chart, points):
         # within 1e-13 of the size of its terms, max|Gamma| max|R| or max|nabla R|:
