@@ -4,12 +4,14 @@ Every function takes tensors in an orthonormal frame (`calculus.in_frame`,
 g = Id) as plain arrays, with the point's structure J where it needs one.
 The residuals of tensors alone (`einstein_residual`, `bianchi2_residual`)
 take arrays whose leading axes index points and give one value per
-point, so a group of points is one call.  What reads a point's S and J
-but not its plane draws runs once per point of a group: the adapted
-eigenframe, the decomposition residual and relation (3.2).  Both
-residuals are taken at nu* = <R - psi(S)/6, Q> / <Q, Q>, Q = pi1 -
-(2m-1)/3 pi2, the U(m)-invariant part of R, which is the `a` of the span
-fit `fit_pi_span`; so they do not depend on the seed.  Only the plane
+point, so a group of points is one call.  So do the checks that read a
+point's S and J but not its plane draws: the adapted eigenframe, the
+decomposition residual and relation (3.2) each take one point or a
+stack of them, and a point that one does not apply to is None without
+moving the others' values.  Both residuals are taken at nu* =
+<R - psi(S)/6, Q> / <Q, Q>, Q = pi1 - (2m-1)/3 pi2, the U(m)-invariant
+part of R, which is the `a` of the span fit `fit_pi_span`; so they do
+not depend on the seed.  Only the plane
 statistics and the verdict read the draws: the samplers take an explicit
 seeded generator, so every run is reproducible, and draw a point's planes
 from its J as one `Planes` batch, uniform on the unit sphere; `constancy`
@@ -155,38 +157,74 @@ def constancy(R: np.ndarray, planes: Planes) -> CurvatureStats:
     )
 
 
-def adapted_eigenframe(S: np.ndarray, J: np.ndarray,
-                       tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize one point's S (2m, 2m), given in an orthonormal frame
-    (g = Id), by a basis adapted to the point's structure J.
+def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0):
+    """Diagonalize S (n, n), or a stack (P, n, n) of points' S, given in
+    an orthonormal frame (g = Id), by bases adapted to the structures J of
+    the same shape.
 
-    Returns the orthonormal basis (e_1, Je_1, ..., e_m, Je_m) as columns
-    and the (m,) eigenvalues, the i-th that of span{e_i, Je_i}.  Sorted
-    eigenvalues split into eigenspaces where a gap exceeds max(tol, 1e-8).
-    With E an orthonormal basis of an eigenspace and M = E^T J E, each unit
-    +1 eigenvector x + iy of the Hermitian iM has Mx = y and |x| = 1/sqrt(2),
-    so e comes from E x and Je from E y.  If an eigenspace has odd dimension
-    or |JE - EM| exceeds max(tol, 1e-6), it is not J-closed and the input
-    was not J-invariant.
+    For one point, returns the orthonormal basis (e_1, Je_1, ..., e_m, Je_m)
+    as columns and the (m,) eigenvalues, the i-th that of span{e_i, Je_i},
+    and raises InvariantViolation when S is not J-invariant.  For a stack,
+    returns one such (basis, eigenvalues) per point, or None for a point
+    whose S is not J-invariant; a point's frame does not depend on the
+    others.  Sorted eigenvalues split into eigenspaces where a gap exceeds
+    max(tol, 1e-8).  With E an orthonormal basis of an eigenspace and
+    M = E^T J E, each unit +1 eigenvector x + iy of the Hermitian iM has
+    Mx = y and |x| = 1/sqrt(2), so e comes from E x and Je from E y.  If an
+    eigenspace has odd dimension or |JE - EM| exceeds max(tol, 1e-6), it is
+    not J-closed and the input was not J-invariant.  The stack takes one
+    `eigh`, and the points that split alike take each eigenspace's products
+    as stacked calls, which work point by point.
     """
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    cuts = [0, *(np.flatnonzero(np.diff(w) > max(tol, 1e-8)) + 1).tolist(), w.size]
-    basis_cols = []
-    eigenvalues = []
-    for block in map(slice, cuts, cuts[1:]):
-        E = V[:, block]
-        M = E.T @ J @ E
-        defect = float(np.linalg.norm(J @ E - E @ M))
-        if E.shape[1] % 2 or defect > max(tol, 1e-6):
+    if S.ndim == 2:
+        (frame,), (defect,) = _adapted_frames(S[None], J[None], tol)
+        if frame is None:
             raise InvariantViolation(
                 f"S is not J-invariant: eigenspace not J-closed (defect {defect:.3e})"
             )
-        half = E.shape[1] // 2
-        x = np.linalg.eigh(1j * M)[1][:, half:].real  # the eigenvalue +1 half
-        for e in (np.sqrt(2.0) * E @ x).T:
-            basis_cols += [e, J @ e]
-        eigenvalues += [float(w[block].mean())] * half
-    return np.column_stack(basis_cols), np.array(eigenvalues)
+        return frame
+    return _adapted_frames(S, J, tol)[0]
+
+
+def _adapted_frames(S: np.ndarray, J: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+    """The frames of `adapted_eigenframe` for a stack (P, n, n), None where
+    an eigenspace is not J-closed, and the defect of each point's first
+    eigenspace that is not (0.0 where all are)."""
+    n = S.shape[-1]
+    w, V = np.linalg.eigh(0.5 * (S + np.swapaxes(S, -2, -1)))
+    split = np.diff(w, axis=-1) > max(tol, 1e-8)
+    alike: dict[bytes, list[int]] = {}
+    for k, row in enumerate(split):
+        alike.setdefault(row.tobytes(), []).append(k)
+    frames: list = [None] * len(S)
+    defects = np.zeros(len(S))
+    for points in map(np.array, alike.values()):
+        cuts = [0, *(np.flatnonzero(split[points[0]]) + 1).tolist(), n]
+        Vp, Jp, wp = V[points], J[points], w[points]
+        basis, eigenvalues = np.empty((len(points), n, n)), np.empty((len(points), n // 2))
+        failed = np.zeros(len(points), dtype=bool)
+        for block in map(slice, cuts, cuts[1:]):
+            E = Vp[:, :, block]
+            M = np.swapaxes(E, -2, -1) @ Jp @ E
+            defect = np.linalg.norm(Jp @ E - E @ M, axis=(-2, -1))
+            odd = E.shape[-1] % 2 == 1
+            first = ~failed & (odd | (defect > max(tol, 1e-6)))
+            defects[points[first]] = defect[first]
+            failed |= first
+            if odd:
+                break
+            half = E.shape[-1] // 2
+            x = np.linalg.eigh(1j * M)[1][..., half:].real  # the eigenvalue +1 half
+            ex = np.sqrt(2.0) * E @ x
+            basis[:, :, block.start:block.stop:2] = ex
+            # J e for each column e, as one matrix-vector product each
+            basis[:, :, block.start + 1:block.stop:2] = np.swapaxes(
+                (Jp[:, None] @ np.swapaxes(ex, -2, -1)[..., None])[..., 0], -2, -1)
+            eigenvalues[:, block.start // 2:block.stop // 2] = wp[:, block].mean(axis=-1)[:, None]
+        for j, k in enumerate(points):
+            if not failed[j]:
+                frames[k] = basis[j], eigenvalues[j]
+    return frames, defects
 
 
 def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,18 +235,25 @@ def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.max(np.abs(S - lam[..., None, None] * np.eye(n)), axis=(-2, -1))
 
 
-def decomposition_residual(R: np.ndarray, S: np.ndarray, J: np.ndarray, nu: float, *,
-                           tol: float = 0.0) -> float | None:
-    """Max-norm gap between one point's R and the curvature tensor
-    `build_from_decomposition` rebuilds from its (S, nu) with its structure
-    J.  None when S is not symmetric and J-invariant within
-    max(tol, INVARIANT_TOL): the decomposition then does not apply.
+def decomposition_residual(R: np.ndarray, S: np.ndarray, J: np.ndarray, nu, *,
+                           tol: float = 0.0):
+    """Max-norm gap between R and the curvature tensor
+    `build_from_decomposition` rebuilds from (S, nu) with the structure J:
+    a float for one point's R (n, n, n, n), S and J (n, n) and nu, and a
+    list of one value per point for stacks R (P, n, n, n, n), S and J
+    (P, n, n) and nu (P,).  A point's value is None when its S is not
+    symmetric and J-invariant within max(tol, INVARIANT_TOL): the
+    decomposition then does not apply.  A stack is rebuilt in one call, and
+    only when some point fails the check is it rebuilt point by point.
     """
     try:
         rebuilt = build_from_decomposition(S, nu, J, tol=max(tol, INVARIANT_TOL))
     except InvariantViolation:
-        return None
-    return float(np.max(np.abs(R - rebuilt)))
+        if S.ndim == 2:
+            return None
+        return [decomposition_residual(*point, tol=tol)
+                for point in zip(R, S, J, np.broadcast_to(nu, len(S)))]
+    return np.max(np.abs(R - rebuilt), axis=(-4, -3, -2, -1)).tolist()
 
 
 def bianchi2_residual(nablaR: np.ndarray) -> np.ndarray:
@@ -224,27 +269,31 @@ def bianchi2_residual(nablaR: np.ndarray) -> np.ndarray:
 
 
 def proof_relation_32_residual(basis: np.ndarray, eigenvalues: np.ndarray,
-                               nablaS: np.ndarray, nablaJ: np.ndarray, nu: float) -> float:
+                               nablaS: np.ndarray, nablaJ: np.ndarray, nu):
     """Residual of the eigenframe relation tying nabla S to nabla J, in the
     adapted frame (basis, eigenvalues) of `adapted_eigenframe`:
 
         (nabla_{e_j} S)(e_i, e_j)
             + (lambda_i + lambda_j - 2 (2m-1) nu) g(J e_i, (nabla_{e_j} J) e_j)
 
-    maximized over i != j, all in one orthonormal frame (g = Id).  On real
-    and complex space forms every term vanishes for any adapted frame:
-    nabla S = 0, and either (nabla_X J)X = 0 or
-    lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the value depends on the
-    choice of each e_i within its plane span{e_i, Je_i}.
+    maximized over i != j, all in one orthonormal frame (g = Id).  A float
+    for one point's basis (n, n), eigenvalues (m,), nablaS and nablaJ
+    (n, n, n) and nu, and a list of one value per point for the stacks
+    (P, n, n), (P, m), (P, n, n, n) and nu (P,).  On real and complex space
+    forms every term vanishes for any adapted frame: nabla S = 0, and
+    either (nabla_X J)X = 0 or lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere
+    the value depends on the choice of each e_i within its plane
+    span{e_i, Je_i}.
     """
-    m = basis.shape[0] // 2
-    e, je = basis[:, 0::2], basis[:, 1::2]
+    m = basis.shape[-1] // 2
+    e, je = basis[..., 0::2], basis[..., 1::2]
     # t1[i, j] = (nabla_{e_j} S)(e_i, e_j) and v[:, j] = (nabla_{e_j} J) e_j
-    t1 = e.T @ np.einsum("kab,kj,bj->aj", nablaS, e, e)
-    v = np.einsum("kia,kj,aj->ij", nablaJ, e, e)
-    coeff = eigenvalues[:, None] + eigenvalues[None, :] - 2.0 * (2 * m - 1) * nu
-    total = np.abs(t1 + coeff * (je.T @ v))
-    return float(np.max(total[~np.eye(m, dtype=bool)], initial=0.0))
+    t1 = np.swapaxes(e, -2, -1) @ np.einsum("...kab,...kj,...bj->...aj", nablaS, e, e)
+    v = np.einsum("...kia,...kj,...aj->...ij", nablaJ, e, e)
+    coeff = (eigenvalues[..., :, None] + eigenvalues[..., None, :]
+             - 2.0 * (2 * m - 1) * np.asarray(nu)[..., None, None])
+    total = np.abs(t1 + coeff * (np.swapaxes(je, -2, -1) @ v))
+    return np.max(total[..., ~np.eye(m, dtype=bool)], axis=-1, initial=0.0).tolist()
 
 
 def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,

@@ -126,7 +126,9 @@ def _layout(n: int) -> _Layout:
         cells = list(combinations_with_replacement(range(n), k))
         mult = np.array([np.bincount(c, minlength=n) for c in cells])
         weights = [math.prod(map(math.factorial, row)) for row in mult.tolist()]
-        q, r = np.linalg.qr(np.prod(lines[:, None, :] ** mult, axis=-1) / weights)
+        # integer powers, exact and cheaper than float ones
+        powers = np.prod(lines.astype(np.int64)[:, None, :] ** mult, axis=-1)
+        q, r = np.linalg.qr(powers / weights)
         # C-contiguous: einsum's rounding follows its operands' memory layout
         recover.append(np.ascontiguousarray(np.linalg.solve(r, q.T)))
         where = {c: u for u, c in enumerate(cells)}

@@ -3,8 +3,9 @@
 A run's points are checked a group of up to JET_GROUP points at a time:
 one jet and one tensor stage per group, in each point's orthonormal
 Cholesky frame, where every check runs, and every check that does not
-read the plane draws (`_group_checks`).  That includes the decomposition
-residual and relation (3.2), both taken at the point's nu* = the span
+read the plane draws (`_group_checks`), each once for the group's stacked
+points.  That includes the adapted eigenframes, the decomposition
+residual and relation (3.2), both taken at each point's nu* = the span
 fit's a (`analysis`), so no residual depends on the seed.  A point's
 values do not depend on its group.  `analyze_point` then draws the
 point's planes from its own generator, takes the plane statistics, the
@@ -148,7 +149,9 @@ class _PointChecks:
 @np.errstate(all="ignore")
 def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     """The tensor stage of a group and the checks of its points that do not
-    read their plane draws, once for all its points."""
+    read their plane draws, each one call for all its points.  A point whose
+    R, nabla J or nabla R is not finite is left out of the eigenframes and
+    both residuals, so its error is its own."""
     R = calculus.riemann(jet)
     NJ = calculus.nabla_J(jet)
     NR = calculus.nabla_R(jet)
@@ -167,38 +170,45 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     lam, einstein_defect = einstein_residual(S)
     bianchi = bianchi2_residual(NR)
     gray = calculus.gray_ak2_residual(R, NJ, K)
+    bad = [next((name for name, ok in finite if not ok[k]), None) for k in range(len(jet))]
+    # at m = 1, Q = pi1 - pi2/3 vanishes and (3.2) has no pair i != j: no residual reads nu
+    nu = np.zeros(len(jet)) if fit is None else fit[0]
+    decomposition, relation = {}, {}  # by point, for the points they apply to
+    kept = [k for k, name in enumerate(bad) if name is None]
+    if kept:  # eigh of a non-finite S would raise before the point's own error
+        decomposition = dict(zip(kept, decomposition_residual(R[kept], S[kept], K[kept], nu[kept],
+                                                              tol=tol)))
+        # a point without a frame has a Ricci tensor that is not J-invariant: (3.2) does not apply
+        framed = {k: frame for k, frame in zip(kept, adapted_eigenframe(S[kept], K[kept], tol))
+                  if frame is not None}
+        if framed:
+            bases, eigenvalues = map(np.stack, zip(*framed.values()))
+            at = list(framed)
+            relation = dict(zip(at, proof_relation_32_residual(bases, eigenvalues, NS[at], NJ[at],
+                                                               nu[at])))
+    fits = [None] * len(jet) if fit is None else list(zip(*(v.tolist() for v in fit)))
+    cls = [ClassResiduals(*values) for values in zip(*(v.tolist() for v in vars(cls).values()))]
+    ah = [dict(zip(ah, values)) for values in zip(*(v.tolist() for v in ah.values()))]
+    symmetry, lam, einstein_defect, bianchi, gray = (
+        v.tolist() for v in (symmetry, lam, einstein_defect, bianchi, gray))
     points = []
     for k in range(len(jet)):
-        bad = next((name for name, ok in finite if not ok[k]), None)
-        point_fit = None if fit is None else tuple(float(v[k]) for v in fit)
-        decomposition = relation = None
-        if bad is None:  # eigh of a non-finite S would raise before the point's own error
-            # at m = 1, Q = pi1 - pi2/3 vanishes and (3.2) has no pair i != j: no residual reads nu
-            nu = 0.0 if point_fit is None else point_fit[0]
-            decomposition = decomposition_residual(R[k], S[k], K[k], nu, tol=tol)
-            try:
-                relation = proof_relation_32_residual(
-                    *adapted_eigenframe(S[k], K[k], tol), NS[k], NJ[k], nu)
-            except InvariantViolation:
-                pass  # Ricci tensor not J-invariant: relation (3.2) does not apply
-        point_cls = ClassResiduals(*(float(v[k]) for v in vars(cls).values()))
-        point_ah = {name: float(values[k]) for name, values in ah.items()}
-        by_flag = {"K": point_cls.kahler, "NK": point_cls.nearly_kahler,
-                   "AK": point_cls.almost_kahler, **point_ah}
+        by_flag = {"K": cls[k].kahler, "NK": cls[k].nearly_kahler,
+                   "AK": cls[k].almost_kahler, **ah[k]}
         points.append(_PointChecks(
             K=K[k], R=R[k],
-            not_finite=bad,
-            fit=point_fit,
+            not_finite=bad[k],
+            fit=fits[k],
             fields={
                 "flags": {flag: r <= tol for flag, r in by_flag.items()},
-                "class_residuals": point_cls,
-                "ah_residuals": point_ah,
-                "riemann_symmetry_residual": float(symmetry[k]),
-                "einstein": {"lambda": float(lam[k]), "residual": float(einstein_defect[k])},
-                "decomposition_residual": decomposition,
-                "bianchi_residual": float(bianchi[k]),
-                "eigenframe_relation_residual": relation,
-                "gray_ak2_residual": float(gray[k]),
+                "class_residuals": cls[k],
+                "ah_residuals": ah[k],
+                "riemann_symmetry_residual": symmetry[k],
+                "einstein": {"lambda": lam[k], "residual": einstein_defect[k]},
+                "decomposition_residual": decomposition.get(k),
+                "bianchi_residual": bianchi[k],
+                "eigenframe_relation_residual": relation.get(k),
+                "gray_ak2_residual": gray[k],
             },
         ))
     return points

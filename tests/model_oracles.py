@@ -10,7 +10,9 @@ nabla R in the frame the analysis uses.
 
 The kernel oracles are the per-point einsum definitions of nabla R, the
 AH identities and psi that the stacked matrix-product kernels replaced:
-one point at a time, each index spelled out.
+one point at a time, each index spelled out.  The adapted eigenframe and
+relation (3.2) oracles are the one-point code the stacked checks must
+reproduce bit for bit.
 """
 
 import numpy as np
@@ -105,6 +107,38 @@ def psi_oracle(Q, J):
         - np.einsum("yu,xz->xyzu", J, B)
         - 2.0 * np.einsum("zu,xy->xyzu", J, B)
     )
+
+
+def eigenframe_oracle(S, J, tol):
+    """One point's adapted frame as `analysis.adapted_eigenframe` took it
+    before it took stacks: 2-D products per eigenspace and J e one column
+    at a time.  None where an eigenspace is not J-closed."""
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    cuts = [0, *(np.flatnonzero(np.diff(w) > max(tol, 1e-8)) + 1).tolist(), w.size]
+    basis_cols, eigenvalues = [], []
+    for block in map(slice, cuts, cuts[1:]):
+        E = V[:, block]
+        M = E.T @ J @ E
+        if E.shape[1] % 2 or np.linalg.norm(J @ E - E @ M) > max(tol, 1e-6):
+            return None
+        half = E.shape[1] // 2
+        x = np.linalg.eigh(1j * M)[1][:, half:].real
+        for e in (np.sqrt(2.0) * E @ x).T:
+            basis_cols += [e, J @ e]
+        eigenvalues += [float(w[block].mean())] * half
+    return np.column_stack(basis_cols), np.array(eigenvalues)
+
+
+def relation_32_oracle(basis, eigenvalues, nablaS, nablaJ, nu):
+    """`analysis.proof_relation_32_residual` at one point, as it was taken
+    before it took stacks."""
+    m = basis.shape[0] // 2
+    e, je = basis[:, 0::2], basis[:, 1::2]
+    t1 = e.T @ np.einsum("kab,kj,bj->aj", nablaS, e, e)
+    v = np.einsum("kia,kj,aj->ij", nablaJ, e, e)
+    coeff = eigenvalues[:, None] + eigenvalues[None, :] - 2.0 * (2 * m - 1) * nu
+    total = np.abs(t1 + coeff * (je.T @ v))
+    return float(np.max(total[~np.eye(m, dtype=bool)], initial=0.0))
 
 
 # Cayley multiplication table on the 7 imaginary units: each line (a, b, c)

@@ -45,7 +45,13 @@ from ahgeom.tensor_core import (
     sectional_curvature,
     standard_j,
 )
-from model_oracles import BUNDLED, frame_at, product_spheres_chart_text
+from model_oracles import (
+    BUNDLED,
+    eigenframe_oracle,
+    frame_at,
+    product_spheres_chart_text,
+    relation_32_oracle,
+)
 from test_calculus import CONF2_POINTS, CONF2_TEXT
 from test_cli import VARYING_SURFACE, WARP2
 
@@ -210,6 +216,27 @@ class TestConstancy:
 # ---------------------------------------------------------------------------
 
 
+def mixed_stack():
+    """Six points' (S, J) at m = 3 with one structure J: a random J-invariant
+    S (three eigenspaces), a scalar S (one), S of eigenvalues 1, 1, 3 and
+    3, 1, 1 on J-planes (4 + 2 both: they split alike), an S whose
+    eigenspaces are coordinate planes, not J-closed, but split like the
+    random S's, and another random J-invariant S."""
+    rng = np.random.default_rng(11)
+    J = random_structure(3, rng)
+    cols = []
+    for _ in range(3):
+        v = rng.standard_normal(6)
+        v = v - sum((c @ v) * c for c in cols)
+        v = v / np.sqrt(v @ v)
+        cols += [v, J @ v]
+    flat = np.column_stack(cols)
+    S = [random_j_invariant_bilinear(J, rng), 2.5 * np.eye(6),
+         (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T, np.diag([1.0, 1.0, 2.0, 2.0, 4.0, 4.0]),
+         random_j_invariant_bilinear(J, rng), (flat * np.repeat([3.0, 1.0, 1.0], 2)) @ flat.T]
+    return np.array(S), np.array([J] * len(S))
+
+
 class TestAdaptedEigenframe:
     def _check_frame(self, S, J, frame, tol=1e-9):
         B, eigenvalues = frame
@@ -264,6 +291,20 @@ class TestAdaptedEigenframe:
         frame = adapted_eigenframe(S, J)
         assert frame[1].tolist() == pytest.approx([1.0, 1.0, 3.0])
         self._check_frame(S, J, frame)
+
+    def test_a_stack_has_the_bits_of_one_point_at_a_time(self):
+        # points that split alike share each eigenspace's products; a point
+        # that is not J-invariant gets None and leaves its neighbours alone
+        S, J = mixed_stack()
+        frames = adapted_eigenframe(S, J, 1e-8)
+        assert [frame is None for frame in frames] == [False, False, False, True, False, False]
+        for k, frame in enumerate(frames):
+            want = eigenframe_oracle(S[k], J[k], 1e-8)
+            assert (frame is None) == (want is None)
+            if frame is not None:
+                alone = adapted_eigenframe(S[k], J[k], 1e-8)
+                assert [a.tobytes() for a in frame] == [a.tobytes() for a in want] == \
+                    [a.tobytes() for a in alone]
 
     def test_merges_close_eigenvalues(self):
         noise = 1e-10
@@ -323,6 +364,18 @@ class TestDecompositionResidual:
         assert decomposition_residual(pi1(4), S, J, 1.0) is None
         assert decomposition_residual(pi1(4), S, J, 1.0, tol=1e-7) is not None
 
+    def test_a_stack_gives_each_point_its_own_value(self):
+        # one point whose S is not J-invariant sends the stack point by point:
+        # it is None and the others keep the values they have alone
+        J = standard_j(2)
+        S = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8]), 2.0 * np.eye(4)])
+        R = np.array([pi1(4), pi1(4), 0.5 * pi1(4) + 0.01 * pi2(J)])
+        nu = np.array([0.25, 1.0, 0.5])
+        alone = [decomposition_residual(R[k], S[k], J, nu[k]) for k in range(3)]
+        assert alone[1] is None and None not in (alone[0], alone[2])
+        assert decomposition_residual(R, S, np.array([J] * 3), nu) == alone
+        assert decomposition_residual(R[::2], S[::2], np.array([J] * 2), nu[::2]) == alone[::2]
+
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
     def test_tolerance_is_floored_at_the_invariant_tolerance(self, tol):
         # a J-defect of 5e-9 is within INVARIANT_TOL whatever tol is asked for
@@ -369,6 +422,18 @@ class TestProofRelation:
     def test_flat(self):
         chart = get_model("flat2").chart
         assert self._residual_at(chart, (0.1, 0.2, -0.3, 0.0)) < 1e-12
+
+    def test_a_stack_has_the_bits_of_the_one_point_code(self):
+        # cp3's and conf2's points, where nabla J and nabla S do not vanish
+        inputs = [self._inputs_at(chart, p) for chart, points in (
+            (get_model("cp3").chart, get_model("cp3").chart.default_points),
+            (parse_chart(CONF2_TEXT), CONF2_POINTS)) for p in points]
+        by_m = {}
+        for args in inputs:
+            by_m.setdefault(len(args[0]), []).append(args)
+        for stack in by_m.values():
+            stacked = proof_relation_32_residual(*map(np.array, zip(*stack)))
+            assert stacked == [relation_32_oracle(*args) for args in stack]
 
     @pytest.mark.parametrize("name", ["s6", "cp2", "cp3", "ch2", "flat2"])
     def test_any_adapted_frame_on_space_forms(self, name):
@@ -532,8 +597,9 @@ class TestComputedOncePerPoint:
         analyze_chart(chart, points, samples=16)
         assert calls == {name: [JET_GROUP, len(points) - JET_GROUP] for name in calls}
 
-    def test_each_residual_is_taken_once_per_point_whatever_the_seed(self, monkeypatch):
-        # both are taken in the group stage at nu*, which the draws do not read
+    def test_each_residual_is_taken_once_per_group_whatever_the_seed(self, monkeypatch):
+        # both are taken for the whole group in its stage at nu*, which the
+        # draws do not read
         calls = {"decomposition_residual": 0, "proof_relation_32_residual": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(report, name), **kwargs):
@@ -545,7 +611,7 @@ class TestComputedOncePerPoint:
         chart = get_model("cp2").chart
         for seed in (1, 2, 3):
             analyze_chart(chart, samples=16, seed=seed)
-        assert calls == {name: len(chart.default_points) for name in calls}
+        assert calls == {name: 1 for name in calls}
 
 
 # Every bundled model at its default points; conf2, where nu* varies from
@@ -595,9 +661,10 @@ NON_FINITE_SOURCES = [
      "gray_ak2_residual"),
     (report, "constancy", lambda f: lambda *args: replace(f(*args), mean=math.nan),
      "holomorphic.mean"),
-    (report, "decomposition_residual", lambda f: lambda *args, **kwargs: math.nan,
+    (report, "decomposition_residual",
+     lambda f: lambda *args, **kwargs: [math.nan for _ in f(*args, **kwargs)],
      "decomposition_residual"),
-    (report, "proof_relation_32_residual", lambda f: lambda *args: math.inf,
+    (report, "proof_relation_32_residual", lambda f: lambda *args: [math.inf for _ in f(*args)],
      "eigenframe_relation_residual"),
     # the decomposition residual, the record's first float that reads the fit, is taken at its a
     (report, "fit_pi_span", lambda f: lambda *args: tuple(v * np.nan for v in f(*args)),

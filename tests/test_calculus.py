@@ -38,7 +38,7 @@ from ahgeom.tensor_core import (
     riemann_symmetry_residual,
 )
 from model_oracles import frame_at, jet_at, nabla_R_oracle
-from test_cli import WARP2
+from test_cli import OVERFLOWING, WARP2
 
 FLAT = get_model("flat2").chart
 CP1 = get_model("cp1").chart
@@ -524,10 +524,9 @@ class TestGroupMemo:
         texts += [analyze_model(model, points, seed=seed).to_json() for seed in (2, 3)]
         assert calls.count("_group_checks") == calls.count("pi2") == 2 * stage_calls
         assert ("evaluate" in calls) == (stage_calls > 0)
-        # once per point of each group computed again, and never on a reuse
-        per_point = 2 * len(points) if stage_calls else 0
-        assert calls.count("adapted_eigenframe") == per_point
-        assert calls.count("build_from_decomposition") == per_point
+        # once per group computed again, on its stacked points, and never on a reuse
+        assert calls.count("adapted_eigenframe") == 2 * stage_calls
+        assert calls.count("build_from_decomposition") == 2 * stage_calls
         monkeypatch.undo()
         assert texts == [analyze_model(get_model(name), points, seed=seed).to_json()
                          for seed in (1, 2, 3)]
@@ -674,6 +673,81 @@ class TestGroupMemo:
         # the points of exactly one run stay alive, all of them
         states = sorted(alive(refs))
         assert states == [[False] * 3] * (len(states) - 1) + [[True] * 3]
+
+
+def checks_of(chart, points, tol):
+    """The group stage's checks of each point, the points taken as one group."""
+    assert len(points) <= JET_GROUP
+    return report._group_checks(next(chart.jets_at(points)), tol)
+
+
+def exact(checks):
+    """A point's checks as text that tells every float apart by its bits."""
+    return repr((checks.not_finite, checks.fit, checks.fields))
+
+
+# conf2 on C^3, where nu* varies from point to point
+CONF3 = parse_chart("dim = 3\ncoords = x1 y1 x2 y2 x3 y3\n"
+                    + "".join(f"g[{i}][{i}] = 1/(1+x1^2+y1^2)^2\n" for i in range(1, 7))
+                    + "".join(f"J[{2 * k}][{2 * k - 1}] = 1\nJ[{2 * k - 1}][{2 * k}] = -1\n"
+                              for k in range(1, 4)))
+# A product of three surfaces e^(x_k^2) (dx_k^2 + dy_k^2) of Gauss curvature
+# -e^(-x_k^2): the Ricci tensor's eigenspaces are the planes of equal |x_k|, so
+# they split 6, 4 + 2, 2 + 4, 2 + 2 + 2, 4 + 2 and 2 + 2 + 2 at these points
+SURFACES3 = parse_chart("dim = 3\ncoords = x1 y1 x2 y2 x3 y3\n"
+                        + "".join(f"g[{i}][{i}] = exp(x{(i + 1) // 2}^2)\n" for i in range(1, 7))
+                        + "".join(f"J[{2 * k}][{2 * k - 1}] = 1\nJ[{2 * k - 1}][{2 * k}] = -1\n"
+                                  for k in range(1, 4)))
+SURFACES3_POINTS = [(0.0, 0.1, 0.0, 0.2, 0.0, -0.3), (0.3, 0.1, 0.3, 0.0, 0.5, 0.2),
+                    (0.1, 0.0, 0.5, 0.1, -0.5, 0.0), (0.2, 0.0, 0.6, 0.1, -0.9, 0.3),
+                    (-0.3, 0.2, 0.3, 0.0, 0.5, 0.4), (0.4, 0.0, 0.1, 0.0, 0.8, 0.0)]
+
+# (chart, points, tol, whether every point has a frame: None where either may be)
+_STACKED = [pytest.param(get_model(name).chart, None, 1e-4, None, id=f"{name}-defaults")
+            for name in sorted(model_names())]
+_STACKED += [pytest.param(get_model("cp3").chart, scan_points(7), 1e-4, True, id="cp3-scan-seed-7"),
+             pytest.param(CONF2, CONF2_POINTS, 1e-4, True, id="conf2"),
+             pytest.param(CONF3, domain_points(CONF3, 12, seed=5), 1e-4, True,
+                          id="conf3-12-points"),
+             pytest.param(SURFACES3, SURFACES3_POINTS, 1e-4, True, id="surfaces3"),
+             # warp2's Ricci tensor is not J-invariant within 1e-4, and is within 1
+             pytest.param(parse_chart(WARP2), None, 1e-4, False, id="warp2-tol-1e-4"),
+             pytest.param(parse_chart(WARP2), None, 1.0, True, id="warp2-tol-1")]
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("chart, points, tol, framed", _STACKED)
+    def test_each_point_has_the_checks_it_has_alone(self, chart, points, tol, framed):
+        points = chart.default_points if points is None else points
+        group = checks_of(chart, points, tol)
+        assert [exact(checks) for checks in group] == \
+            [exact(checks_of(chart, [p], tol)[0]) for p in points]
+        if framed is not None:
+            for name in ("decomposition_residual", "eigenframe_relation_residual"):
+                assert [c.fields[name] is not None for c in group] == [framed] * len(points)
+
+    def test_the_surfaces_split_their_eigenspaces_differently(self):
+        # so one group takes several stacked eigenspace patterns
+        splits = []
+        for checks in checks_of(SURFACES3, SURFACES3_POINTS, 1e-4):
+            w = np.linalg.eigvalsh(ricci(checks.R))
+            splits.append(np.flatnonzero(np.diff(w) > 1e-8).tolist())
+        assert splits == [[], [3], [1], [1, 3], [3], [1, 3]]
+
+    def test_a_non_finite_point_leaves_its_neighbours_alone(self):
+        # steep's R overflows at a = 2.3, the middle point of three
+        chart = parse_chart(OVERFLOWING["steep"])
+        points = [(0.0, 0.0, 0.0, 0.0), (2.3, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)]
+        group = checks_of(chart, points, 1e-4)
+        assert [exact(checks) for checks in group] == \
+            [exact(checks_of(chart, [p], 1e-4)[0]) for p in points]
+        assert [checks.not_finite for checks in group] == [None, "R", None]
+        messages = []
+        for run in (points, points[1:2]):
+            with pytest.raises(InvariantViolation) as err:
+                analyze_chart(chart, run)
+            messages.append(str(err.value))
+        assert messages == ["R is not finite at point [2.3, 0.0, 0.0, 0.0]"] * 2
 
 
 # ---------------------------------------------------------------------------
