@@ -6,17 +6,18 @@ The residuals of tensors alone (`einstein_residual`, `bianchi2_residual`)
 take arrays whose leading axes index points and give one value per
 point, so a group of points is one call.  So do the checks that read a
 point's S and J but not its plane draws: the adapted eigenframe, the
-decomposition residual and relation (3.2) each take one point or a
-stack of them, and a point that one does not apply to is None without
-moving the others' values.  Both residuals are taken at nu* =
-<R - psi(S)/6, Q> / <Q, Q>, Q = pi1 - (2m-1)/3 pi2, the U(m)-invariant
+decomposition residual and relation (3.2) each take a stack of points
+and give a list of one value per point, None where the check does not
+apply, as where S is not finite or not J-invariant; one point's data
+never raises or moves the others' values.  Both residuals are taken at
+nu* = <R - psi(S)/6, Q> / <Q, Q>, Q = pi1 - (2m-1)/3 pi2, the U(m)-invariant
 part of R, which is the `a` of the span fit `fit_pi_span`; so they do
-not depend on the seed.  Only the plane
-statistics and the verdict read the draws: the samplers take an explicit
-seeded generator, so every run is reproducible, and draw a point's planes
-from its J as one `Planes` batch, uniform on the unit sphere; `constancy`
-evaluates it on the point's R in one `sectional_curvature` call, one
-matrix product, and the verdict follows from it.  A record's nu is still
+not depend on the seed.  Only the plane statistics and the verdict read
+the draws: the samplers take an explicit seeded generator, so every run
+is reproducible, and draw a point's planes from its J as one `Planes`
+batch, uniform on the unit sphere; `constancy` evaluates it on the
+point's R in one `sectional_curvature` call, one matrix product, and the
+verdict follows from it.  A record's nu is still
 the mean of its antiholomorphic draws.  All functions are pure;
 multi-point constancy (`schur_check`) is a pure function of the per-point
 statistics.
@@ -33,6 +34,7 @@ from .tensor_core import (
     InvariantViolation,
     Planes,
     build_from_decomposition,
+    form_defects,
     sectional_curvature,
 )
 
@@ -157,62 +159,45 @@ def constancy(R: np.ndarray, planes: Planes) -> CurvatureStats:
     )
 
 
-def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0):
-    """Diagonalize S (n, n), or a stack (P, n, n) of points' S, given in
-    an orthonormal frame (g = Id), by bases adapted to the structures J of
-    the same shape.
+def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0) -> list:
+    """Diagonalize each point's S of a stack (P, n, n), given in an
+    orthonormal frame (g = Id), by a basis adapted to the point's structure
+    J of the same stack.
 
-    For one point, returns the orthonormal basis (e_1, Je_1, ..., e_m, Je_m)
-    as columns and the (m,) eigenvalues, the i-th that of span{e_i, Je_i},
-    and raises InvariantViolation when S is not J-invariant.  For a stack,
-    returns one such (basis, eigenvalues) per point, or None for a point
-    whose S is not J-invariant; a point's frame does not depend on the
-    others.  Sorted eigenvalues split into eigenspaces where a gap exceeds
-    max(tol, 1e-8).  With E an orthonormal basis of an eigenspace and
-    M = E^T J E, each unit +1 eigenvector x + iy of the Hermitian iM has
-    Mx = y and |x| = 1/sqrt(2), so e comes from E x and Je from E y.  If an
-    eigenspace has odd dimension or |JE - EM| exceeds max(tol, 1e-6), it is
-    not J-closed and the input was not J-invariant.  The stack takes one
-    `eigh`, and the points that split alike take each eigenspace's products
-    as stacked calls, which work point by point.
+    Returns one frame per point: the orthonormal basis (e_1, Je_1, ...,
+    e_m, Je_m) as columns and the (m,) eigenvalues, the i-th that of
+    span{e_i, Je_i}; or None for a point whose S is not finite or not
+    J-invariant.  A point's frame does not depend on the others.  Sorted
+    eigenvalues split into eigenspaces where a gap exceeds max(tol, 1e-8).
+    With E an orthonormal basis of an eigenspace and M = E^T J E, each unit
+    +1 eigenvector x + iy of the Hermitian iM has Mx = y and
+    |x| = 1/sqrt(2), so e comes from E x and Je from E y.  If an eigenspace
+    has odd dimension or |JE - EM| exceeds max(tol, 1e-6), it is not
+    J-closed and S was not J-invariant.  The finite points take one `eigh`,
+    and the points that split alike take each eigenspace's products as
+    stacked calls, which work point by point.
     """
-    if S.ndim == 2:
-        (frame,), (defect,) = _adapted_frames(S[None], J[None], tol)
-        if frame is None:
-            raise InvariantViolation(
-                f"S is not J-invariant: eigenspace not J-closed (defect {defect:.3e})"
-            )
-        return frame
-    return _adapted_frames(S, J, tol)[0]
-
-
-def _adapted_frames(S: np.ndarray, J: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
-    """The frames of `adapted_eigenframe` for a stack (P, n, n), None where
-    an eigenspace is not J-closed, and the defect of each point's first
-    eigenspace that is not (0.0 where all are)."""
     n = S.shape[-1]
-    w, V = np.linalg.eigh(0.5 * (S + np.swapaxes(S, -2, -1)))
+    sym = 0.5 * (S + np.swapaxes(S, -2, -1))
+    finite = np.flatnonzero(np.isfinite(sym).all(axis=(-2, -1)))  # eigh raises on inf or NaN
+    w, V = np.linalg.eigh(sym[finite])
     split = np.diff(w, axis=-1) > max(tol, 1e-8)
     alike: dict[bytes, list[int]] = {}
     for k, row in enumerate(split):
         alike.setdefault(row.tobytes(), []).append(k)
     frames: list = [None] * len(S)
-    defects = np.zeros(len(S))
     for points in map(np.array, alike.values()):
         cuts = [0, *(np.flatnonzero(split[points[0]]) + 1).tolist(), n]
-        Vp, Jp, wp = V[points], J[points], w[points]
+        Vp, Jp, wp = V[points], J[finite[points]], w[points]
         basis, eigenvalues = np.empty((len(points), n, n)), np.empty((len(points), n // 2))
         failed = np.zeros(len(points), dtype=bool)
         for block in map(slice, cuts, cuts[1:]):
             E = Vp[:, :, block]
-            M = np.swapaxes(E, -2, -1) @ Jp @ E
-            defect = np.linalg.norm(Jp @ E - E @ M, axis=(-2, -1))
-            odd = E.shape[-1] % 2 == 1
-            first = ~failed & (odd | (defect > max(tol, 1e-6)))
-            defects[points[first]] = defect[first]
-            failed |= first
-            if odd:
+            if E.shape[-1] % 2 == 1:
+                failed[:] = True
                 break
+            M = np.swapaxes(E, -2, -1) @ Jp @ E
+            failed |= ~(np.linalg.norm(Jp @ E - E @ M, axis=(-2, -1)) <= max(tol, 1e-6))
             half = E.shape[-1] // 2
             x = np.linalg.eigh(1j * M)[1][..., half:].real  # the eigenvalue +1 half
             ex = np.sqrt(2.0) * E @ x
@@ -221,10 +206,10 @@ def _adapted_frames(S: np.ndarray, J: np.ndarray, tol: float) -> tuple[list, np.
             basis[:, :, block.start + 1:block.stop:2] = np.swapaxes(
                 (Jp[:, None] @ np.swapaxes(ex, -2, -1)[..., None])[..., 0], -2, -1)
             eigenvalues[:, block.start // 2:block.stop // 2] = wp[:, block].mean(axis=-1)[:, None]
-        for j, k in enumerate(points):
+        for j, k in enumerate(finite[points]):
             if not failed[j]:
                 frames[k] = basis[j], eigenvalues[j]
-    return frames, defects
+    return frames
 
 
 def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,25 +220,21 @@ def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.max(np.abs(S - lam[..., None, None] * np.eye(n)), axis=(-2, -1))
 
 
-def decomposition_residual(R: np.ndarray, S: np.ndarray, J: np.ndarray, nu, *,
-                           tol: float = 0.0):
+def decomposition_residual(R: np.ndarray, S: np.ndarray, J: np.ndarray, nu: np.ndarray, *,
+                           tol: float = 0.0) -> list:
     """Max-norm gap between R and the curvature tensor
-    `build_from_decomposition` rebuilds from (S, nu) with the structure J:
-    a float for one point's R (n, n, n, n), S and J (n, n) and nu, and a
-    list of one value per point for stacks R (P, n, n, n, n), S and J
-    (P, n, n) and nu (P,).  A point's value is None when its S is not
-    symmetric and J-invariant within max(tol, INVARIANT_TOL): the
-    decomposition then does not apply.  A stack is rebuilt in one call, and
-    only when some point fails the check is it rebuilt point by point.
+    `build_from_decomposition` rebuilds from (S, nu) with the structure J,
+    for stacks R (P, n, n, n, n), S and J (P, n, n) and nu (P,): one value
+    per point, or None for a point whose S is not symmetric and
+    J-invariant within max(tol, INVARIANT_TOL) (`form_defects`), where the
+    decomposition does not apply.  The other points are rebuilt in one
+    call.
     """
-    try:
-        rebuilt = build_from_decomposition(S, nu, J, tol=max(tol, INVARIANT_TOL))
-    except InvariantViolation:
-        if S.ndim == 2:
-            return None
-        return [decomposition_residual(*point, tol=tol)
-                for point in zip(R, S, J, np.broadcast_to(nu, len(S)))]
-    return np.max(np.abs(R - rebuilt), axis=(-4, -3, -2, -1)).tolist()
+    tol = max(tol, INVARIANT_TOL)
+    ok = np.flatnonzero(np.all(np.array(form_defects(S, J)) <= tol, axis=0))  # NaN fails
+    rebuilt = build_from_decomposition(S[ok], np.asarray(nu)[ok], J[ok], tol=tol)
+    values = dict(zip(ok.tolist(), np.max(np.abs(R[ok] - rebuilt), axis=(-4, -3, -2, -1)).tolist()))
+    return [values.get(k) for k in range(len(S))]
 
 
 def bianchi2_residual(nablaR: np.ndarray) -> np.ndarray:
@@ -268,32 +249,38 @@ def bianchi2_residual(nablaR: np.ndarray) -> np.ndarray:
     return np.max(np.abs(cyc, out=cyc), axis=(-5, -4, -3, -2, -1))
 
 
-def proof_relation_32_residual(basis: np.ndarray, eigenvalues: np.ndarray,
-                               nablaS: np.ndarray, nablaJ: np.ndarray, nu):
-    """Residual of the eigenframe relation tying nabla S to nabla J, in the
-    adapted frame (basis, eigenvalues) of `adapted_eigenframe`:
+def proof_relation_32_residual(frames: list, nablaS: np.ndarray, nablaJ: np.ndarray,
+                               nu: np.ndarray) -> list:
+    """Residual of the eigenframe relation tying nabla S to nabla J, in each
+    point's adapted frame (basis, eigenvalues) of `adapted_eigenframe`:
 
         (nabla_{e_j} S)(e_i, e_j)
             + (lambda_i + lambda_j - 2 (2m-1) nu) g(J e_i, (nabla_{e_j} J) e_j)
 
-    maximized over i != j, all in one orthonormal frame (g = Id).  A float
-    for one point's basis (n, n), eigenvalues (m,), nablaS and nablaJ
-    (n, n, n) and nu, and a list of one value per point for the stacks
-    (P, n, n), (P, m), (P, n, n, n) and nu (P,).  On real and complex space
-    forms every term vanishes for any adapted frame: nabla S = 0, and
-    either (nabla_X J)X = 0 or lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere
-    the value depends on the choice of each e_i within its plane
+    maximized over i != j, all in one orthonormal frame (g = Id).  Takes
+    the per-point list of frames that `adapted_eigenframe` returns and the
+    stacks nablaS and nablaJ (P, n, n, n) and nu (P,), and gives one value
+    per point, or None where the frame is None: S is not J-invariant
+    there, and (3.2) does not apply.  On real and complex space forms every
+    term vanishes for any adapted frame: nabla S = 0, and either
+    (nabla_X J)X = 0 or lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the
+    value depends on the choice of each e_i within its plane
     span{e_i, Je_i}.
     """
+    at = [k for k, frame in enumerate(frames) if frame is not None]
+    if not at:
+        return [None] * len(frames)
+    basis, eigenvalues = map(np.stack, zip(*(frames[k] for k in at)))
     m = basis.shape[-1] // 2
     e, je = basis[..., 0::2], basis[..., 1::2]
     # t1[i, j] = (nabla_{e_j} S)(e_i, e_j) and v[:, j] = (nabla_{e_j} J) e_j
-    t1 = np.swapaxes(e, -2, -1) @ np.einsum("...kab,...kj,...bj->...aj", nablaS, e, e)
-    v = np.einsum("...kia,...kj,...aj->...ij", nablaJ, e, e)
+    t1 = np.swapaxes(e, -2, -1) @ np.einsum("...kab,...kj,...bj->...aj", nablaS[at], e, e)
+    v = np.einsum("...kia,...kj,...aj->...ij", nablaJ[at], e, e)
     coeff = (eigenvalues[..., :, None] + eigenvalues[..., None, :]
-             - 2.0 * (2 * m - 1) * np.asarray(nu)[..., None, None])
+             - 2.0 * (2 * m - 1) * np.asarray(nu)[at][..., None, None])
     total = np.abs(t1 + coeff * (np.swapaxes(je, -2, -1) @ v))
-    return np.max(total[..., ~np.eye(m, dtype=bool)], axis=-1, initial=0.0).tolist()
+    values = dict(zip(at, np.max(total[..., ~np.eye(m, dtype=bool)], -1, initial=0.0).tolist()))
+    return [values.get(k) for k in range(len(frames))]
 
 
 def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,

@@ -80,6 +80,9 @@ def _cmd_models(_args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.seed < 0:  # a usage error, as in analyze, not a failed selftest
+        print(f"selftest error: seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     return 0 if run_selftest(seed=args.seed) else 1
 
 

@@ -6,8 +6,9 @@ Cholesky frame, where every check runs, and every check that does not
 read the plane draws (`_group_checks`), each once for the group's stacked
 points.  That includes the adapted eigenframes, the decomposition
 residual and relation (3.2), both taken at each point's nu* = the span
-fit's a (`analysis`), so no residual depends on the seed.  A point's
-values do not depend on its group.  `analyze_point` then draws the
+fit's a (`analysis`), so no residual depends on the seed; each is None
+where it does not apply.  A point's values, and its error when it
+overflows, do not depend on its group.  `analyze_point` then draws the
 point's planes from its own generator, takes the plane statistics, the
 record's nu (their mean) and the verdict, and finishes the record.  So
 `tol` is in the curvature units of an orthonormal frame, whatever the
@@ -150,8 +151,9 @@ class _PointChecks:
 def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     """The tensor stage of a group and the checks of its points that do not
     read their plane draws, each one call for all its points.  A point whose
-    R, nabla J or nabla R is not finite is left out of the eigenframes and
-    both residuals, so its error is its own."""
+    R, nabla J or nabla R is not finite is named by not_finite; one that
+    overflows later, as its S does when the frame change overflows, is named
+    by `analyze_point` from its record, never by an error of the group."""
     R = calculus.riemann(jet)
     NJ = calculus.nabla_J(jet)
     NR = calculus.nabla_R(jet)
@@ -173,19 +175,8 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     bad = [next((name for name, ok in finite if not ok[k]), None) for k in range(len(jet))]
     # at m = 1, Q = pi1 - pi2/3 vanishes and (3.2) has no pair i != j: no residual reads nu
     nu = np.zeros(len(jet)) if fit is None else fit[0]
-    decomposition, relation = {}, {}  # by point, for the points they apply to
-    kept = [k for k, name in enumerate(bad) if name is None]
-    if kept:  # eigh of a non-finite S would raise before the point's own error
-        decomposition = dict(zip(kept, decomposition_residual(R[kept], S[kept], K[kept], nu[kept],
-                                                              tol=tol)))
-        # a point without a frame has a Ricci tensor that is not J-invariant: (3.2) does not apply
-        framed = {k: frame for k, frame in zip(kept, adapted_eigenframe(S[kept], K[kept], tol))
-                  if frame is not None}
-        if framed:
-            bases, eigenvalues = map(np.stack, zip(*framed.values()))
-            at = list(framed)
-            relation = dict(zip(at, proof_relation_32_residual(bases, eigenvalues, NS[at], NJ[at],
-                                                               nu[at])))
+    decomposition = decomposition_residual(R, S, K, nu, tol=tol)
+    relation = proof_relation_32_residual(adapted_eigenframe(S, K, tol), NS, NJ, nu)
     fits = [None] * len(jet) if fit is None else list(zip(*(v.tolist() for v in fit)))
     cls = [ClassResiduals(*values) for values in zip(*(v.tolist() for v in vars(cls).values()))]
     ah = [dict(zip(ah, values)) for values in zip(*(v.tolist() for v in ah.values()))]
@@ -205,9 +196,9 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
                 "ah_residuals": ah[k],
                 "riemann_symmetry_residual": symmetry[k],
                 "einstein": {"lambda": lam[k], "residual": einstein_defect[k]},
-                "decomposition_residual": decomposition.get(k),
+                "decomposition_residual": decomposition[k],
                 "bianchi_residual": bianchi[k],
-                "eigenframe_relation_residual": relation.get(k),
+                "eigenframe_relation_residual": relation[k],
                 "gray_ak2_residual": gray[k],
             },
         ))

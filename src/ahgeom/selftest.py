@@ -75,9 +75,9 @@ def run_selftest(seed: int = 42) -> bool:
         J = random_structure(m, rng)
         # a random S has single J-planes as eigenspaces; for an Einstein S = 3g the
         # whole space is one eigenspace
-        for S in (random_j_invariant_bilinear(J, rng), 3.0 * np.eye(2 * m)):
-            B, lam = adapted_eigenframe(S, J)
-            worst = max(worst, float(np.max(np.abs(S - (B * np.repeat(lam, 2)) @ B.T))))
+        S = np.array([random_j_invariant_bilinear(J, rng), 3.0 * np.eye(2 * m)])
+        for S_k, (B, lam) in zip(S, adapted_eigenframe(S, np.array([J, J]))):
+            worst = max(worst, float(np.max(np.abs(S_k - (B * np.repeat(lam, 2)) @ B.T))))
     check("adapted eigenframe reconstructs random and Einstein S", worst < 1e-9,
           f"max gap {worst:.3e}")
 

@@ -41,6 +41,7 @@ __all__ = [
     "ah_identity_residual",
     "riemann_symmetry_residual",
     "sectional_curvature",
+    "form_defects",
     "build_from_decomposition",
     "fit_pi_span",
 ]
@@ -258,6 +259,14 @@ def sectional_curvature(R: np.ndarray, planes: Planes) -> np.ndarray:
     return num / den
 
 
+@np.errstate(all="ignore")  # inf - inf in a non-finite S gives NaN, which the checks refuse
+def form_defects(S: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max |S - S^T|, max |J^T S J - S|) per point of S and J (..., n, n) in
+    an orthonormal frame; the first is not finite where S is not."""
+    return (_max_abs(S - np.swapaxes(S, -2, -1), 2),
+            _max_abs(np.swapaxes(J, -2, -1) @ S @ J - S, 2))
+
+
 def build_from_decomposition(S: np.ndarray, nu, J: np.ndarray, *,
                              tol: float = INVARIANT_TOL) -> np.ndarray:
     """Curvature tensors of AH3 spaces with constant antiholomorphic curvature nu:
@@ -266,16 +275,16 @@ def build_from_decomposition(S: np.ndarray, nu, J: np.ndarray, *,
 
     for Ricci tensors S (..., n, n), constants nu (...) and structures J
     (..., n, n) in an orthonormal frame.  S must be symmetric and
-    J-invariant within `tol` at every point.  Every antiholomorphic plane
+    J-invariant within `tol` at every point (`form_defects`), or it raises
+    InvariantViolation.  Every antiholomorphic plane
     of the result has sectional curvature nu.
     """
     n = J.shape[-1]
-    sd = np.max(_max_abs(S - np.swapaxes(S, -2, -1), 2))
-    if sd > tol:
-        raise InvariantViolation(f"S not symmetric: max |S - S^T| = {sd:.3e}")
-    jd = np.max(_max_abs(np.swapaxes(J, -2, -1) @ S @ J - S, 2))
-    if jd > tol:
-        raise InvariantViolation(f"S not J-invariant: max defect = {jd:.3e}")
+    sd, jd = form_defects(S, J)
+    if not np.all(sd <= tol):  # a NaN defect fails too
+        raise InvariantViolation(f"S not symmetric: max |S - S^T| = {np.max(sd):.3e}")
+    if not np.all(jd <= tol):
+        raise InvariantViolation(f"S not J-invariant: max defect = {np.max(jd):.3e}")
     nu = np.asarray(nu, dtype=float)[..., None, None, None, None]
     return psi(S, J) / 6.0 + nu * pi1(n) - (n - 1) / 3.0 * nu * pi2(J)
 

@@ -42,6 +42,7 @@ from ahgeom.tensor_core import (
     fit_pi_span,
     pi1,
     pi2,
+    riemann_symmetry_residual,
     sectional_curvature,
     standard_j,
 )
@@ -237,6 +238,11 @@ def mixed_stack():
     return np.array(S), np.array([J] * len(S))
 
 
+def one_frame(S, J, tol=0.0):
+    """The adapted frame of one point's S and J, as a stack of one."""
+    return adapted_eigenframe(S[None], J[None], tol)[0]
+
+
 class TestAdaptedEigenframe:
     def _check_frame(self, S, J, frame, tol=1e-9):
         B, eigenvalues = frame
@@ -250,13 +256,13 @@ class TestAdaptedEigenframe:
 
     def test_scalar_case(self):
         S, J = 2.5 * np.eye(6), standard_j(3)
-        frame = adapted_eigenframe(S, J)
+        frame = one_frame(S, J)
         assert frame[1].tolist() == [2.5, 2.5, 2.5]
         self._check_frame(S, J, frame)
 
     def test_two_eigenvalue_blocks(self):
         S = np.diag([2.0, 2.0, 5.0, 5.0])
-        B, eigenvalues = adapted_eigenframe(S, standard_j(2))
+        B, eigenvalues = one_frame(S, standard_j(2))
         assert eigenvalues.tolist() == [2.0, 5.0]
         rebuilt = np.zeros((4, 4))
         for i, lam in enumerate(eigenvalues):
@@ -269,12 +275,22 @@ class TestAdaptedEigenframe:
         for m in (2, 3):
             J = random_structure(m, rng)
             S = random_j_invariant_bilinear(J, rng)
-            self._check_frame(S, J, adapted_eigenframe(S, J), tol=1e-8)
+            self._check_frame(S, J, one_frame(S, J), tol=1e-8)
 
     def test_rejects_non_j_invariant_input(self):
         S = np.diag([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(InvariantViolation, match="J-invariant"):
-            adapted_eigenframe(S, standard_j(2))
+        assert adapted_eigenframe(S[None], standard_j(2)[None]) == [None]
+
+    def test_a_point_whose_ricci_is_not_finite_has_no_frame(self):
+        # eigh raises on inf or NaN for the whole stack: those points never reach it
+        J = standard_j(2)
+        S = np.array([np.diag([2.0, 2.0, 5.0, 5.0]), np.full((4, 4), np.inf),
+                      np.diag([1.0, 1.0, np.nan, 3.0]), 3.0 * np.eye(4)])
+        frames = adapted_eigenframe(S, np.array([J] * 4))
+        assert [frame is None for frame in frames] == [False, True, True, False]
+        for k in (0, 3):
+            assert [a.tobytes() for a in frames[k]] == [a.tobytes() for a in one_frame(S[k], J)]
+        assert adapted_eigenframe(S[1:3], np.array([J] * 2)) == [None, None]
 
     def test_four_dimensional_eigenspace_on_a_random_point(self):
         # eigenvalues 1, 1, 3 on the J-planes of a J-adapted orthonormal frame
@@ -288,7 +304,7 @@ class TestAdaptedEigenframe:
             cols += [v, J @ v]
         flat = np.column_stack(cols)
         S = (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T
-        frame = adapted_eigenframe(S, J)
+        frame = one_frame(S, J)
         assert frame[1].tolist() == pytest.approx([1.0, 1.0, 3.0])
         self._check_frame(S, J, frame)
 
@@ -302,14 +318,14 @@ class TestAdaptedEigenframe:
             want = eigenframe_oracle(S[k], J[k], 1e-8)
             assert (frame is None) == (want is None)
             if frame is not None:
-                alone = adapted_eigenframe(S[k], J[k], 1e-8)
+                alone = one_frame(S[k], J[k], 1e-8)
                 assert [a.tobytes() for a in frame] == [a.tobytes() for a in want] == \
                     [a.tobytes() for a in alone]
 
     def test_merges_close_eigenvalues(self):
         noise = 1e-10
         S = np.diag([3.0, 3.0 + noise, 3.0 - noise, 3.0])
-        _, eigenvalues = adapted_eigenframe(S, standard_j(2), 1e-8)
+        _, eigenvalues = one_frame(S, standard_j(2), 1e-8)
         assert eigenvalues.tolist() == pytest.approx([3.0, 3.0])
 
 
@@ -339,39 +355,44 @@ class TestEinsteinResidual:
         assert res == pytest.approx(1.5)
 
 
+def one_residual(R, S, J, nu, **kwargs):
+    """The decomposition residual of one point, as a stack of one."""
+    return decomposition_residual(R[None], S[None], J[None], np.array([nu]), **kwargs)[0]
+
+
 class TestDecompositionResidual:
     def test_unit_sphere_fixture(self):
         chart = get_model("s6").chart
         K, R = frame_at(chart, chart.default_points[1])[:2]
-        assert decomposition_residual(R, ricci(R), K, 1.0, tol=1e-4) < 1e-5
+        assert one_residual(R, ricci(R), K, 1.0, tol=1e-4) < 1e-5
 
     def test_cp2_fixture(self):
         chart = get_model("cp2").chart
         K, R = frame_at(chart, chart.default_points[1])[:2]
-        assert decomposition_residual(R, ricci(R), K, 1.0, tol=1e-4) < 1e-5
+        assert one_residual(R, ricci(R), K, 1.0, tol=1e-4) < 1e-5
 
     def test_linear_perturbation(self):
         J = standard_j(3)
         P2 = pi2(J)
         R = pi1(6) + 0.01 * P2
         S = ricci(pi1(6))
-        res = decomposition_residual(R, S, J, 1.0)
+        res = one_residual(R, S, J, 1.0)
         assert res == pytest.approx(0.01 * np.max(np.abs(P2)), rel=1e-9)
 
     def test_none_when_ricci_is_not_j_invariant(self):
         J = standard_j(2)
         S = np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8])
-        assert decomposition_residual(pi1(4), S, J, 1.0) is None
-        assert decomposition_residual(pi1(4), S, J, 1.0, tol=1e-7) is not None
+        assert decomposition_residual(pi1(4)[None], S[None], J[None], np.ones(1)) == [None]
+        assert one_residual(pi1(4), S, J, 1.0, tol=1e-7) is not None
 
     def test_a_stack_gives_each_point_its_own_value(self):
-        # one point whose S is not J-invariant sends the stack point by point:
-        # it is None and the others keep the values they have alone
+        # a point whose S is not J-invariant is None, and the others keep the
+        # values they have alone
         J = standard_j(2)
         S = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, 1.0 + 2e-8]), 2.0 * np.eye(4)])
         R = np.array([pi1(4), pi1(4), 0.5 * pi1(4) + 0.01 * pi2(J)])
         nu = np.array([0.25, 1.0, 0.5])
-        alone = [decomposition_residual(R[k], S[k], J, nu[k]) for k in range(3)]
+        alone = [one_residual(R[k], S[k], J, nu[k]) for k in range(3)]
         assert alone[1] is None and None not in (alone[0], alone[2])
         assert decomposition_residual(R, S, np.array([J] * 3), nu) == alone
         assert decomposition_residual(R[::2], S[::2], np.array([J] * 2), nu[::2]) == alone[::2]
@@ -380,7 +401,42 @@ class TestDecompositionResidual:
     def test_tolerance_is_floored_at_the_invariant_tolerance(self, tol):
         # a J-defect of 5e-9 is within INVARIANT_TOL whatever tol is asked for
         S = np.diag([1.0, 1.0, 1.0, 1.0 + 5e-9])
-        assert decomposition_residual(pi1(4), S, standard_j(2), 1.0, tol=tol) is not None
+        assert one_residual(pi1(4), S, standard_j(2), 1.0, tol=tol) is not None
+
+    def test_none_where_ricci_is_not_finite(self):
+        # NaN > tol is False: a NaN or inf S must fail the check, not give nan
+        J = standard_j(2)
+        S = np.array([np.eye(4), np.diag([1.0, np.nan, 1.0, 1.0]), np.full((4, 4), np.inf)])
+        values = decomposition_residual(np.array([pi1(4)] * 3), S, np.array([J] * 3),
+                                        np.array([0.25, 0.25, 0.25]))
+        assert values == [one_residual(pi1(4), S[0], J, 0.25), None, None]
+        assert values[0] is not None
+
+
+def kulkarni_nomizu(h, k):
+    """(h o k)(x,y,z,u) = h(x,u)k(y,z) + h(y,z)k(x,u) - h(x,z)k(y,u) - h(y,u)k(x,z),
+    a curvature tensor for symmetric h and k; g o g = 2 pi1."""
+    A, B = np.einsum("xu,yz->xyzu", h, k), np.einsum("xz,yu->xyzu", h, k)
+    return A + A.transpose(1, 0, 3, 2) - B - B.transpose(1, 0, 3, 2)
+
+
+class TestDecompositionConverse:
+    @given(m=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_a_tensor_off_the_decomposition_shows_a_sampled_deviation(self, m, seed):
+        # AH3 with constant antiholomorphic curvature forces the decomposition,
+        # so an AH3 tensor far from it must deviate on some sampled plane
+        # (the smallest ratio over 400 draws of this construction was 0.78)
+        rng = np.random.default_rng(seed)
+        J = random_structure(m, rng)
+        forms = [A + A.T for A in rng.standard_normal((6, 2 * m, 2 * m))]
+        R = sum(kulkarni_nomizu(h, k) for h, k in zip(forms[::2], forms[1::2]))
+        R = 0.5 * (R + np.einsum("abcd,ai,bj,ck,dl->ijkl", R, J, J, J, J))  # (R + J*R) / 2
+        assert riemann_symmetry_residual(R) < 1e-12 and ah_identity_residual(R, J)[2] < 1e-12
+        (residual,) = decomposition_residual(R[None], ricci(R)[None], J[None],
+                                             fit_pi_span(R[None], pi2(J)[None])[0])
+        deviation = constancy(R, sample_antiholomorphic_planes(J, 256, rng)).max_deviation
+        assert deviation >= 0.1 * residual
 
 
 class TestBianchi2Residual:
@@ -400,15 +456,16 @@ class TestBianchi2Residual:
 class TestProofRelation:
     @staticmethod
     def _inputs_at(chart, p):
-        """The adapted basis and eigenvalues, nabla S, nabla J and nu at p."""
+        """The adapted frame, nabla S, nabla J and nu at p, as stacks of one."""
         K, R, NJ, NR = frame_at(chart, p)
         rng = np.random.default_rng(6)
         nu = constancy(R, sample_antiholomorphic_planes(K, 128, rng)).mean
-        basis, eigenvalues = adapted_eigenframe(ricci(R), K, 1e-4)
-        return basis, eigenvalues, np.trace(NR, axis1=1, axis2=4), NJ, nu
+        return ([one_frame(ricci(R), K, 1e-4)], np.trace(NR, axis1=1, axis2=4)[None], NJ[None],
+                np.array([nu]))
 
     def _residual_at(self, chart, p):
-        return proof_relation_32_residual(*self._inputs_at(chart, p))
+        (value,) = proof_relation_32_residual(*self._inputs_at(chart, p))
+        return value
 
     def test_unit_sphere(self):
         # nabla S = 0 and the nearly Kahler condition kill both summands
@@ -429,11 +486,23 @@ class TestProofRelation:
             (get_model("cp3").chart, get_model("cp3").chart.default_points),
             (parse_chart(CONF2_TEXT), CONF2_POINTS)) for p in points]
         by_m = {}
-        for args in inputs:
-            by_m.setdefault(len(args[0]), []).append(args)
+        for frames, NS, NJ, nu in inputs:
+            by_m.setdefault(len(NS[0]), []).append((frames[0], NS[0], NJ[0], nu[0]))
         for stack in by_m.values():
-            stacked = proof_relation_32_residual(*map(np.array, zip(*stack)))
-            assert stacked == [relation_32_oracle(*args) for args in stack]
+            frames, *rest = zip(*stack)
+            stacked = proof_relation_32_residual(list(frames), *map(np.array, rest))
+            assert stacked == [relation_32_oracle(*frame, *args) for frame, *args in stack]
+
+    def test_none_where_a_point_has_no_frame(self):
+        # S is not J-invariant there; the others keep the values they have alone
+        chart = get_model("cp3").chart
+        frames, NS, NJ, nu = self._inputs_at(chart, chart.default_points[0])
+        alone = proof_relation_32_residual(frames, NS, NJ, nu)
+        at = [0, 0, 0]
+        assert proof_relation_32_residual([None, frames[0], None], NS[at], NJ[at], nu[at]) == \
+            [None, *alone, None]
+        assert proof_relation_32_residual([None, None], NS[[0, 0]], NJ[[0, 0]], nu[[0, 0]]) == \
+            [None, None]
 
     @pytest.mark.parametrize("name", ["s6", "cp2", "cp3", "ch2", "flat2"])
     def test_any_adapted_frame_on_space_forms(self, name):
@@ -442,7 +511,7 @@ class TestProofRelation:
         chart = get_model(name).chart
         rng = np.random.default_rng(9)
         for p in chart.default_points:
-            basis, eigenvalues, NS, NJ, nu = self._inputs_at(chart, p)
+            [(basis, eigenvalues)], NS, NJ, nu = self._inputs_at(chart, p)
             e, je = basis[:, 0::2], basis[:, 1::2]
             for _ in range(20):
                 theta = rng.uniform(0.0, 2.0 * np.pi, e.shape[1])
@@ -450,7 +519,8 @@ class TestProofRelation:
                 turned = np.cos(theta) * e + np.sin(theta) * je
                 j_turned = np.cos(theta) * je - np.sin(theta) * e
                 rotated = np.column_stack([c for pair in zip(turned.T, j_turned.T) for c in pair])
-                assert proof_relation_32_residual(rotated, eigenvalues, NS, NJ, nu) <= 1e-12
+                (value,) = proof_relation_32_residual([(rotated, eigenvalues)], NS, NJ, nu)
+                assert value <= 1e-12
 
 
 # ---------------------------------------------------------------------------

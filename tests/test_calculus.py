@@ -749,6 +749,19 @@ class TestStackedChecks:
             messages.append(str(err.value))
         assert messages == ["R is not finite at point [2.3, 0.0, 0.0, 0.0]"] * 2
 
+    def test_a_point_whose_frame_overflows_leaves_its_neighbours_alone(self):
+        # collapsing's R is finite in chart coordinates at x1 = 6.56, but not in
+        # its frame: S is not finite, so neither residual applies there; at
+        # tol = 100 both apply at its neighbours, whose S is J-invariant within it
+        chart = parse_chart(OVERFLOWING["collapsing"])
+        points = [(0.1, 0.0, 0.0, 0.0), (6.56, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)]
+        group = checks_of(chart, points, 100.0)
+        assert [exact(checks) for checks in group] == \
+            [exact(checks_of(chart, [p], 100.0)[0]) for p in points]
+        assert [checks.not_finite for checks in group] == [None] * 3
+        for name in ("decomposition_residual", "eigenframe_relation_residual"):
+            assert [checks.fields[name] is None for checks in group] == [False, True, False]
+
 
 # ---------------------------------------------------------------------------
 # Curvature and its covariant derivative against the symbolic oracle

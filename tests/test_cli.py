@@ -56,6 +56,11 @@ OVERFLOWING = {
     "steep": "dim = 2\ncoords = a b c d\ng[1][1] = exp(300*a)\ng[2][2] = exp(300*a)\n"
              "g[3][3] = 1\ng[4][4] = 1\nJ[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\n"
              "J[3][4] = -1\npoint = 2.3 0 0 0\n",
+    # e^(-e^x1) delta: R, nabla J and nabla R are finite in chart coordinates, but the
+    # frame change overflows, so S is not finite, and no check may hand it to eigh
+    "collapsing": "dim = 2\ncoords = x1 y1 x2 y2\n"
+                  + "".join(f"g[{i}][{i}] = exp(-exp(x1))\n" for i in range(1, 5))
+                  + "J[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\nJ[3][4] = -1\npoint = 6.56 0 0 0\n",
 }
 
 # The overflowing charts with the overflow at the middle point of a group of
@@ -65,6 +70,8 @@ OVERFLOWING_IN_A_GROUP = {
                "bianchi_residual is not finite at point [0.3, 1.0]"),
     "steep": (OVERFLOWING["steep"], ("0,0,0,0", "2.3,0,0,0", "0.5,0,0,0"),
               "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
+    "collapsing": (OVERFLOWING["collapsing"], ("0.1,0,0,0", "6.56,0,0,0", "0.5,0,0,0"),
+                   "ah_residuals.AH1 is not finite at point [6.56, 0.0, 0.0, 0.0]"),
 }
 
 
@@ -108,6 +115,11 @@ class TestSelftest:
     def test_seed_variation_does_not_change_outcome(self, capsys, seed):
         code, _, _ = run(capsys, "selftest", "--seed", seed)
         assert code == 0
+
+    def test_negative_seed_exits_2(self, capsys):
+        # a usage error, as in analyze, not a failed selftest (exit 1)
+        code, out, err = run(capsys, "selftest", "--seed", "-1")
+        assert (code, out, err) == (2, "", "selftest error: seed must be >= 0, got -1\n")
 
 
 class TestAnalyze:
@@ -337,6 +349,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("name, shown", [
         ("tiny", "bianchi_residual is not finite at point [0.3, 0.2]"),
         ("steep", "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
+        ("collapsing", "ah_residuals.AH1 is not finite at point [6.56, 0.0, 0.0, 0.0]"),
     ])
     def test_overflow_is_an_error(self, tmp_path, capsys, name, shown):
         path = tmp_path / f"{name}.ahm"

@@ -364,6 +364,15 @@ class TestBuildFromDecomposition:
         with pytest.raises(InvariantViolation, match="J-invariant"):
             build_from_decomposition(S, 1.0, standard_j(2))
 
+    def test_gates_on_non_finite_input(self):
+        # NaN > tol is False: a NaN defect must fail the check, not pass a NaN tensor
+        S = np.diag([1.0, 1.0, np.nan, 2.0])
+        with pytest.raises(InvariantViolation, match="not symmetric: .* = nan"):
+            build_from_decomposition(S, 1.0, standard_j(2))
+        with pytest.raises(InvariantViolation):
+            build_from_decomposition(np.array([np.eye(4), S]), np.ones(2),
+                                     np.array([standard_j(2)] * 2))
+
     def test_output_satisfies_identities_2_and_3(self):
         rng = np.random.default_rng(12)
         for m in (2, 3):
