@@ -1,6 +1,7 @@
 """Chart files: parsing, validation and pointwise evaluation.
 
-A chart file is line oriented; `#` starts a comment.  Recognized lines:
+A chart file is UTF-8 text, line oriented; `#` starts a comment.
+Recognized lines:
 
     dim = <m>                    complex dimension (real dimension is 2m),
                                  1 <= m <= MAX_DIM = 6, as a jet's memory

