@@ -29,18 +29,19 @@ block (multi-point constancy over the points' nu, or holomorphic means for
 m = 1, plus the overall verdict and, in model mode, the expected-vs-observed
 checks).  The overall verdict is the points' common kind, or inconclusive
 when their kinds differ or their space-form constants spread beyond `tol`.
-Identical arguments, including the seed, produce byte-identical JSON; the
-text rendering is drawn from the same dict, with floats to 12 significant
-digits.
+Identical arguments, including the seed, produce byte-identical JSON.
+`to_json` writes it straight from the records, in the bytes json.dumps
+with indent=2 gives for the report's dict (`to_dict`); the text rendering
+is drawn from that dict, with floats to 12 significant digits.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -347,7 +348,7 @@ class AnalysisReport:
             return True
         return all(c["ok"] for c in self.expected_checks)
 
-    def to_dict(self) -> dict:
+    def _blocks(self) -> dict:
         global_block: dict = {
             "schur": self.schur,
             "verdict": {"kind": self.overall.kind, "constant": self.overall.constant},
@@ -355,10 +356,20 @@ class AnalysisReport:
         if self.expected_checks is not None:
             global_block["expected_checks"] = self.expected_checks
             global_block["passed"] = self.passed
-        return _plain({"meta": self.meta, "points": self.points, "global": global_block})
+        return {"meta": self.meta, "points": self.points, "global": global_block}
+
+    def to_dict(self) -> dict:
+        return _plain(self._blocks())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The report as the bytes of `json.dumps(self.to_dict(), indent=2)`
+        and a newline, written from the records without copying them.  A
+        cyclic container is out of scope: no report the pipeline builds has
+        one."""
+        out: list[str] = []
+        _write_json(self._blocks(), out.append, "\n")
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self) -> str:
         return "\n".join(_text_lines(self.to_dict(), "")) + "\n"
@@ -376,6 +387,71 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return type(value)(map(_plain, value))
     return value
+
+
+_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v: float) -> str:
+    text = repr(v)  # float.__repr__, as v is a float and no subclass
+    return _JSON_NAMES.get(text, text)
+
+
+# Each scalar's JSON text by its exact type, as json.dumps writes it.
+_JSON_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__repr__,
+                 bool: {True: "true", False: "false"}.__getitem__, type(None): lambda v: "null"}
+
+
+def _json_scalar(v) -> str:
+    """The JSON text of a str, int, float, bool or None.  A subclass is
+    written as the first of str, int and float that it is, as json's own
+    encoder does: an np.float64 as float.__repr__ writes its value."""
+    if render := _JSON_SCALARS.get(type(v)):
+        return render(v)
+    for base, exact in ((str, str.__str__), (int, int.__int__), (float, float.__float__)):
+        if isinstance(v, base):
+            return _JSON_SCALARS[base](exact(v))
+
+
+def _json_key(k) -> str:
+    if isinstance(k, (str, int, float)) or k is None:
+        return encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write_json(value, append, newline: str) -> None:
+    """Append the JSON text of `_plain(value)` as json.dumps with indent=2
+    writes it after newline, a line break and the indent of value's depth."""
+    if type(value) not in (dict, list, tuple):
+        if isinstance(value, (str, int, float)) or value is None:
+            return append(_json_scalar(value))
+        if hasattr(value, "__dataclass_fields__"):
+            value = vars(value)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return append("{}" if is_dict else "[]")
+    get, inner = _JSON_SCALARS.get, newline + "  "
+    sep, comma = ("{" if is_dict else "[") + inner, "," + inner
+    if is_dict:
+        for k, v in value.items():
+            key = encode_basestring_ascii(k) if type(k) is str else _json_key(k)
+            if render := get(type(v)):
+                append(f"{sep}{key}: {render(v)}")
+            else:
+                append(f"{sep}{key}: ")
+                _write_json(v, append, inner)
+            sep = comma
+    else:
+        for v in value:
+            if render := get(type(v)):
+                append(sep + render(v))
+            else:
+                append(sep)
+                _write_json(v, append, inner)
+            sep = comma
+    append(newline + ("}" if is_dict else "]"))
 
 
 def _leaf(v) -> bool:

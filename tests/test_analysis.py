@@ -1,6 +1,8 @@
 """Plane sampling, adapted frames, residual checks and classification."""
 
+import json
 import math
+import random
 import re
 from dataclasses import fields, replace
 
@@ -32,8 +34,8 @@ from ahgeom.analysis import (
 from ahgeom.calculus import ClassResiduals, class_residuals, ricci
 from ahgeom.charts import JET_GROUP, ChartSpec, parse_chart
 from ahgeom.expressions import BinOp, Call, Neg, Num, Var
-from ahgeom.models import get_model
-from ahgeom.report import PointReport, _group_checks, analyze_chart, analyze_model
+from ahgeom.models import get_model, model_names
+from ahgeom.report import AnalysisReport, PointReport, _group_checks, analyze_chart, analyze_model
 from ahgeom.selftest import random_j_invariant_bilinear, random_structure
 from ahgeom.tensor_core import (
     InvariantViolation,
@@ -913,3 +915,69 @@ class TestArguments:
         monkeypatch.setattr(report, "_group_checks", None)  # reaching the group stage fails
         with pytest.raises(ValueError, match=shown):
             analyze_model(get_model("cp2"), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The report's JSON
+# ---------------------------------------------------------------------------
+
+
+def dumped(rep):
+    """The bytes `to_json` must give: json.dumps of the report's dict."""
+    return json.dumps(rep.to_dict(), indent=2) + "\n"
+
+
+def _random_points(seed, count, dim, reach):
+    rng = random.Random(seed)
+    return [[rng.uniform(-reach, reach) for _ in range(dim)] for _ in range(count)]
+
+
+def _hand_built(meta):
+    return AnalysisReport(meta=meta, points=[], schur=None,
+                          overall=Verdict(INCONCLUSIVE, None, {}), expected_checks=None)
+
+
+class TestJson:
+    @pytest.mark.parametrize("seed", [1, 42])
+    @pytest.mark.parametrize("name", model_names())
+    def test_every_model_writes_the_bytes_of_json_dumps(self, name, seed):
+        model = get_model(name)
+        for rep in (analyze_model(model, seed=seed), analyze_chart(model.chart, seed=seed)):
+            assert rep.to_json() == dumped(rep)
+
+    @pytest.mark.parametrize("rep, shows", [
+        (lambda: analyze_model(get_model("cp1")),
+         lambda rep: rep.points[0].antiholomorphic is None),
+        (lambda: analyze_model(get_model("s2xs2"), samples=1),
+         lambda rep: not rep.passed),
+        (lambda: analyze_model(get_model("s6"), _random_points(17, 17, 6, 0.3)),
+         lambda rep: len(rep.points) == JET_GROUP + 1),
+    ], ids=["no-antiholomorphic", "failing-checks", "two-groups"])
+    def test_edge_reports_write_the_bytes_of_json_dumps(self, rep, shows):
+        rep = rep()
+        assert shows(rep)
+        assert rep.to_json() == dumped(rep)
+
+    def test_hostile_values_write_the_bytes_of_json_dumps(self):
+        rep = _hand_built({
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2],
+            "ints": [2**70, -(2**70), 0, True, False, None],
+            "strings": ["\u00e9t\u00e9 \u03bd* \U0001f600", "\x00\x1f\x7f\n\t", 'a "quote" \\ /', ""],
+            "empty": [{}, [], (), {"a": {}, "b": [[]], "c": ((), {})}],
+            "numpy": [np.float64(0.1), np.float64(math.nan), np.float64(-math.inf)],
+            "int keys": {1: "a", -(2**70): "b"},
+            "float keys": {0.5: 1, math.nan: 2, -math.inf: 3, -0.0: 4, np.float64(1e16): 5},
+            "bool keys": {True: 1, False: 2},
+            "none key": {None: [None]},
+            "tuple": (1, 2.5, "x", None, (Verdict("k", 1.0, {"r": 0.0}),)),
+        })
+        assert rep.to_json() == dumped(rep)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), object(), {(1, 2): 0}],
+                             ids=["np.bool_", "object", "tuple-key"])
+    def test_a_value_json_cannot_write_raises_its_type_error(self, value):
+        rep = _hand_built({"bad": [value]})
+        with pytest.raises(TypeError) as expected:
+            dumped(rep)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            rep.to_json()

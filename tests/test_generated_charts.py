@@ -13,6 +13,11 @@ from generated_charts import hermitian_charts, kahler_potential_charts
 TOL = 1e-4
 
 
+def _dumped(report):
+    """The bytes `to_json` must give: json.dumps of the report's dict."""
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 def _residuals(report):
     """Both residuals of each point, as their bits."""
     return [repr((pr.decomposition_residual, pr.eigenframe_relation_residual))
@@ -29,6 +34,7 @@ class TestHermitianCharts:
         except ValueError as exc:
             assert any(all(repr(c) in str(exc) for c in p) for p in points), str(exc)
             return
+        assert report.to_json() == _dumped(report)
         assert json.loads(report.to_json())["global"]["verdict"]["kind"] == report.overall.kind
         assert f"kind={report.overall.kind}" in report.to_text()
         if report.overall.kind in (REAL_SPACE_FORM, COMPLEX_SPACE_FORM):
@@ -56,6 +62,7 @@ class TestKahlerPotentials:
     def test_every_flag_holds_and_every_identity_vanishes(self, drawn):
         text, points = drawn
         report = analyze_chart(parse_chart(text), tol=TOL, samples=16)
+        assert report.to_json() == _dumped(report)
         for pr in report.points:
             assert all(pr.flags.values()), pr.flags
             worst = {name: value(pr) for name, value in _MUST_VANISH.items()}
