@@ -1,6 +1,8 @@
 """Chart files: parsing, validation and pointwise evaluation.
 
-A chart file is UTF-8 text, line oriented; `#` starts a comment.
+A chart file is UTF-8 text, line oriented; `#` starts a comment.  A
+byte-order mark at its start is not part of the chart: the CLI reads the
+file as utf-8-sig, which drops it.
 Recognized lines:
 
     dim = <m>                    complex dimension (real dimension is 2m),

@@ -15,6 +15,9 @@ sympy, with the standard J.  Their curvature is not parallel, unlike that
 of every bundled Kahler model.
 
 Each strategy draws (text, points): the chart file's text and two points.
+
+`HOSTILE` holds expressions that the parser must refuse, `chain` nests a
+construct, and `chart_with_entry` is a chart on R^2 with one given entry.
 """
 
 import itertools
@@ -104,3 +107,23 @@ def kahler_potential_charts(draw, dims=(2, 3)):
     text += _j_lines(m)
     points = draw(_points(m, 0.4))
     return "\n".join(text + _point_lines(points)) + "\n", points
+
+
+# Each breaks the depth limit or the rule of finite literals; before those,
+# each was a RecursionError in the parser, or failed when compiled or evaluated.
+HOSTILE = {
+    "parens": "(" * 2000 + "x" + ")" * 2000,
+    "unary_minus": "-" * 5000 + "x",
+    "long_sum": "+".join(["1"] * 2000),
+    "power_tower": "^".join(["x"] * 3000),
+    "sum_250": "+".join(["1"] * 250),
+    "inf_literal": "1e999",
+}
+
+
+def chart_with_entry(src):
+    return f"dim = 1\ncoords = x y\ng[1][1] = {src}\ng[2][2] = 1\nJ[2][1] = 1\nJ[1][2] = -1\n"
+
+
+def chain(opening, closing, count, core="x"):
+    return opening * count + core + closing * count

@@ -12,10 +12,19 @@ The kernel oracles are the per-point einsum definitions of nabla R, the
 AH identities and psi that the stacked matrix-product kernels replaced:
 one point at a time, each index spelled out.  The adapted eigenframe and
 relation (3.2) oracles are the one-point code the stacked checks must
-reproduce bit for bit.
+reproduce bit for bit.  `kernel_cases` are the (J, R) pairs the
+kernels are tested on, and `kulkarni_nomizu` builds curvature tensors
+from symmetric forms.
+
+The fixture charts are the hard cases beside the bundled models, one
+file each in `tests/charts`, whose comment says what the chart pins;
+`fixture_chart` parses one.
 """
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from ahgeom.analysis import (
     COMPLEX_SPACE_FORM,
@@ -23,7 +32,17 @@ from ahgeom.analysis import (
     REAL_SPACE_FORM,
 )
 from ahgeom.calculus import in_frame, nabla_J, nabla_R, riemann
-from ahgeom.models import ExpectedProfile
+from ahgeom.charts import parse_chart
+from ahgeom.models import ExpectedProfile, get_model
+from ahgeom.selftest import random_j_invariant_bilinear, random_structure
+from ahgeom.tensor_core import build_from_decomposition
+
+CHARTS = Path(__file__).parent / "charts"
+
+
+def fixture_chart(name):
+    """The chart of `tests/charts/<name>.ahm`, parsed afresh on each call."""
+    return parse_chart((CHARTS / f"{name}.ahm").read_text(encoding="utf-8"))
 
 
 def jet_at(chart, p):
@@ -139,6 +158,37 @@ def relation_32_oracle(basis, eigenvalues, nablaS, nablaJ, nu):
     coeff = eigenvalues[:, None] + eigenvalues[None, :] - 2.0 * (2 * m - 1) * nu
     total = np.abs(t1 + coeff * (je.T @ v))
     return float(np.max(total[~np.eye(m, dtype=bool)], initial=0.0))
+
+
+def _antisymmetrized(V):
+    """V made exactly antisymmetric in each index pair: rounding leaves the
+    tensors built below antisymmetric only to the last bits."""
+    V = 0.5 * (V - V.transpose(1, 0, 2, 3))
+    return 0.5 * (V - V.transpose(0, 1, 3, 2))
+
+
+def kernel_cases():
+    """(J, R) pairs in orthonormal frames: random decompositions and the
+    cp3 and s6 default points."""
+    rng = np.random.default_rng(11)
+    for m in (2, 3):
+        for k in range(3):
+            J = random_structure(m, rng)
+            S = random_j_invariant_bilinear(J, rng)
+            R = build_from_decomposition(S, 0.6 - k, J, tol=1e-8)
+            yield pytest.param(J, _antisymmetrized(R), id=f"random-m{m}-{k}")
+    for name in ("cp3", "s6"):
+        chart = get_model(name).chart
+        for i, p in enumerate(chart.default_points):
+            K, R = frame_at(chart, p)[:2]
+            yield pytest.param(K, _antisymmetrized(R), id=f"{name}-{i}")
+
+
+def kulkarni_nomizu(h, k):
+    """(h o k)(x,y,z,u) = h(x,u)k(y,z) + h(y,z)k(x,u) - h(x,z)k(y,u) - h(y,u)k(x,z),
+    a curvature tensor for symmetric h and k; g o g = 2 pi1."""
+    A, B = np.einsum("xu,yz->xyzu", h, k), np.einsum("xz,yu->xyzu", h, k)
+    return A + A.transpose(1, 0, 3, 2) - B - B.transpose(1, 0, 3, 2)
 
 
 # Cayley multiplication table on the 7 imaginary units: each line (a, b, c)

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -51,12 +52,13 @@ from ahgeom.tensor_core import (
 from model_oracles import (
     BUNDLED,
     eigenframe_oracle,
+    fixture_chart,
     frame_at,
+    kernel_cases,
+    kulkarni_nomizu,
     product_spheres_chart_text,
     relation_32_oracle,
 )
-from test_calculus import CONF2_POINTS, CONF2_TEXT
-from test_cli import VARYING_SURFACE, WARP2
 
 ZERO_CLASS = ClassResiduals(kahler=0.0, nearly_kahler=0.0, almost_kahler=0.0)
 
@@ -77,6 +79,20 @@ class TestSamplers:
             assert abs(y @ y - 1.0) < 1e-12
             assert abs(x @ y) < 1e-12
             assert abs(x @ J @ y) < 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="one projection pass leaves about eps / |y| where the "
+                       "projected y is short; ROADMAP item 14's second projection pass mends it")
+    def test_conf2_planes_are_antiholomorphic_to_rounding(self):
+        # 20,000 draws at each conf2 point, in its frame: max |x . Ky| and max |x . y|
+        # are 9.6e-15 to 1.8e-14 and 3.4e-14 to 5.3e-14 with one projection pass
+        chart = fixture_chart("conf2")
+        worst = []
+        for k, p in enumerate(chart.default_points):
+            K = frame_at(chart, p)[0]
+            planes = sample_antiholomorphic_planes(K, 20_000, np.random.default_rng([1, k]))
+            worst += [np.max(np.abs(np.einsum("ij,ij->i", planes.x, planes.y @ K.T))),
+                      np.max(np.abs(np.einsum("ij,ij->i", planes.x, planes.y)))]
+        assert max(worst) <= 1e-15, worst
 
     def test_m1_has_no_antiholomorphic_planes(self):
         with pytest.raises(InvariantViolation, match="m >= 2"):
@@ -150,32 +166,8 @@ def _reference_curvature(R, x, y):
     return float(num / ((x @ x) * (y @ y) - (x @ y) ** 2))
 
 
-def _antisymmetrized(V):
-    """V made exactly antisymmetric in each index pair: rounding leaves the
-    tensors built below antisymmetric only to the last bits."""
-    V = 0.5 * (V - V.transpose(1, 0, 2, 3))
-    return 0.5 * (V - V.transpose(0, 1, 3, 2))
-
-
-def _kernel_cases():
-    """(J, R) pairs in orthonormal frames: random decompositions and the
-    cp3 and s6 default points."""
-    rng = np.random.default_rng(11)
-    for m in (2, 3):
-        for k in range(3):
-            J = random_structure(m, rng)
-            S = random_j_invariant_bilinear(J, rng)
-            R = build_from_decomposition(S, 0.6 - k, J, tol=1e-8)
-            yield pytest.param(J, _antisymmetrized(R), id=f"random-m{m}-{k}")
-    for name in ("cp3", "s6"):
-        chart = get_model(name).chart
-        for i, p in enumerate(chart.default_points):
-            K, R = frame_at(chart, p)[:2]
-            yield pytest.param(K, _antisymmetrized(R), id=f"{name}-{i}")
-
-
 class TestSectionalCurvatureKernel:
-    @pytest.mark.parametrize("J, R", list(_kernel_cases()))
+    @pytest.mark.parametrize("J, R", list(kernel_cases()))
     def test_batch_matches_per_plane_reference(self, J, R):
         # relative to the batch's largest curvature: a holomorphic batch of
         # the random tensors holds values near 0 beside values near 25
@@ -415,13 +407,6 @@ class TestDecompositionResidual:
         assert values[0] is not None
 
 
-def kulkarni_nomizu(h, k):
-    """(h o k)(x,y,z,u) = h(x,u)k(y,z) + h(y,z)k(x,u) - h(x,z)k(y,u) - h(y,u)k(x,z),
-    a curvature tensor for symmetric h and k; g o g = 2 pi1."""
-    A, B = np.einsum("xu,yz->xyzu", h, k), np.einsum("xz,yu->xyzu", h, k)
-    return A + A.transpose(1, 0, 3, 2) - B - B.transpose(1, 0, 3, 2)
-
-
 class TestDecompositionConverse:
     @given(m=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -484,9 +469,8 @@ class TestProofRelation:
 
     def test_a_stack_has_the_bits_of_the_one_point_code(self):
         # cp3's and conf2's points, where nabla J and nabla S do not vanish
-        inputs = [self._inputs_at(chart, p) for chart, points in (
-            (get_model("cp3").chart, get_model("cp3").chart.default_points),
-            (parse_chart(CONF2_TEXT), CONF2_POINTS)) for p in points]
+        charts = (get_model("cp3").chart, fixture_chart("conf2"))
+        inputs = [self._inputs_at(chart, p) for chart in charts for p in chart.default_points]
         by_m = {}
         for frames, NS, NJ, nu in inputs:
             by_m.setdefault(len(NS[0]), []).append((frames[0], NS[0], NJ[0], nu[0]))
@@ -689,17 +673,17 @@ class TestComputedOncePerPoint:
 # Every bundled model at its default points; conf2, where nu* varies from
 # point to point and relation (3.2) does not vanish; warp2, where neither
 # residual applies; and a surface whose curvature varies
-_SEED_FREE_CHARTS = [pytest.param(text, None, id=name) for name, (text, _) in BUNDLED.items()]
-_SEED_FREE_CHARTS += [pytest.param(CONF2_TEXT, CONF2_POINTS, id="conf2"),
-                      pytest.param(WARP2, None, id="warp2"),
-                      pytest.param(VARYING_SURFACE, None, id="varying-surface")]
+_SEED_FREE_CHARTS = [pytest.param(partial(parse_chart, text), id=name)
+                     for name, (text, _) in BUNDLED.items()]
+_SEED_FREE_CHARTS += [pytest.param(partial(fixture_chart, name), id=name)
+                      for name in ("conf2", "warp2", "varying_surface")]
 
 
 class TestSeedFreeResiduals:
-    @pytest.mark.parametrize("text, points", _SEED_FREE_CHARTS)
-    def test_both_residuals_have_the_same_bits_under_another_seed(self, text, points):
+    @pytest.mark.parametrize("fresh_chart", _SEED_FREE_CHARTS)
+    def test_both_residuals_have_the_same_bits_under_another_seed(self, fresh_chart):
         # a freshly parsed chart per seed, so the slot cannot hand the first run to the second
-        runs = [analyze_chart(parse_chart(text), points, seed=seed).points for seed in (1, 2)]
+        runs = [analyze_chart(fresh_chart(), seed=seed).points for seed in (1, 2)]
         first, second = ([repr((pr.decomposition_residual, pr.eigenframe_relation_residual))
                           for pr in run] for run in runs)
         assert first == second

@@ -37,8 +37,7 @@ from ahgeom.tensor_core import (
     pi2,
     riemann_symmetry_residual,
 )
-from model_oracles import frame_at, jet_at, nabla_R_oracle
-from test_cli import OVERFLOWING, WARP2
+from model_oracles import fixture_chart, frame_at, jet_at, nabla_R_oracle
 
 FLAT = get_model("flat2").chart
 CP1 = get_model("cp1").chart
@@ -120,13 +119,7 @@ def symbolic_riemann(chart, point):
 R_ = sp.Rational
 CP1_POINT = (R_(3, 10), R_(-1, 5))
 CP2_POINT = (R_(1, 10), R_(-3, 20), R_(1, 5), R_(-1, 4))
-# g = (dx1^2 + dy1^2 + dx2^2 + dy2^2) / (1 + x1^2 + y1^2)^2: nabla R is not zero
-CONF2_TEXT = ("dim = 2\ncoords = x1 y1 x2 y2\n"
-              + "".join(f"g[{i}][{i}] = 1/(1+x1^2+y1^2)^2\n" for i in range(1, 5))
-              + "J[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\nJ[3][4] = -1\n")
-CONF2 = parse_chart(CONF2_TEXT)
-# off the plane x1 = y1 = 0, where nabla J vanishes; nu* = 2(1 - x1^2 - y1^2) is 1.74, 1.18 and 1.00
-CONF2_POINTS = [(0.3, 0.2, 0.1, -0.4), (-0.5, 0.4, 0.2, 0.1), (0.7, -0.1, -0.3, 0.5)]
+CONF2 = fixture_chart("conf2")
 
 
 # g = x I is singular on x = 0
@@ -534,14 +527,14 @@ class TestGroupMemo:
     def test_another_tol_checks_the_group_again(self, monkeypatch):
         # warp2's Ricci tensor misses J-invariance by between 0.3 and 1: at
         # tol = 1 it has an adapted frame and a decomposition, at 1e-4 neither
-        chart = parse_chart(WARP2)
+        chart = fixture_chart("warp2")
         tols = [1e-4, 1.0, 1.0, 1e-4]
         texts = [analyze_chart(chart, tol=tols[0]).to_json()]
         calls = counted_stage(monkeypatch)
         texts += [analyze_chart(chart, tol=tol).to_json() for tol in tols[1:]]
         assert calls.count("_group_checks") == 2
         monkeypatch.undo()
-        assert texts == [analyze_chart(parse_chart(WARP2), tol=tol).to_json() for tol in tols]
+        assert texts == [analyze_chart(fixture_chart("warp2"), tol=tol).to_json() for tol in tols]
         assert '"decomposition_residual": null' in texts[0]
         assert '"decomposition_residual": null' not in texts[1]
         # the flags too are taken at the run's tol: AH3's residual is 0.25
@@ -691,28 +684,19 @@ CONF3 = parse_chart("dim = 3\ncoords = x1 y1 x2 y2 x3 y3\n"
                     + "".join(f"g[{i}][{i}] = 1/(1+x1^2+y1^2)^2\n" for i in range(1, 7))
                     + "".join(f"J[{2 * k}][{2 * k - 1}] = 1\nJ[{2 * k - 1}][{2 * k}] = -1\n"
                               for k in range(1, 4)))
-# A product of three surfaces e^(x_k^2) (dx_k^2 + dy_k^2) of Gauss curvature
-# -e^(-x_k^2): the Ricci tensor's eigenspaces are the planes of equal |x_k|, so
-# they split 6, 4 + 2, 2 + 4, 2 + 2 + 2, 4 + 2 and 2 + 2 + 2 at these points
-SURFACES3 = parse_chart("dim = 3\ncoords = x1 y1 x2 y2 x3 y3\n"
-                        + "".join(f"g[{i}][{i}] = exp(x{(i + 1) // 2}^2)\n" for i in range(1, 7))
-                        + "".join(f"J[{2 * k}][{2 * k - 1}] = 1\nJ[{2 * k - 1}][{2 * k}] = -1\n"
-                                  for k in range(1, 4)))
-SURFACES3_POINTS = [(0.0, 0.1, 0.0, 0.2, 0.0, -0.3), (0.3, 0.1, 0.3, 0.0, 0.5, 0.2),
-                    (0.1, 0.0, 0.5, 0.1, -0.5, 0.0), (0.2, 0.0, 0.6, 0.1, -0.9, 0.3),
-                    (-0.3, 0.2, 0.3, 0.0, 0.5, 0.4), (0.4, 0.0, 0.1, 0.0, 0.8, 0.0)]
+SURFACES3 = fixture_chart("surfaces3")
 
 # (chart, points, tol, whether every point has a frame: None where either may be)
 _STACKED = [pytest.param(get_model(name).chart, None, 1e-4, None, id=f"{name}-defaults")
             for name in sorted(model_names())]
 _STACKED += [pytest.param(get_model("cp3").chart, scan_points(7), 1e-4, True, id="cp3-scan-seed-7"),
-             pytest.param(CONF2, CONF2_POINTS, 1e-4, True, id="conf2"),
+             pytest.param(CONF2, None, 1e-4, True, id="conf2"),
              pytest.param(CONF3, domain_points(CONF3, 12, seed=5), 1e-4, True,
                           id="conf3-12-points"),
-             pytest.param(SURFACES3, SURFACES3_POINTS, 1e-4, True, id="surfaces3"),
+             pytest.param(SURFACES3, None, 1e-4, True, id="surfaces3"),
              # warp2's Ricci tensor is not J-invariant within 1e-4, and is within 1
-             pytest.param(parse_chart(WARP2), None, 1e-4, False, id="warp2-tol-1e-4"),
-             pytest.param(parse_chart(WARP2), None, 1.0, True, id="warp2-tol-1")]
+             pytest.param(fixture_chart("warp2"), None, 1e-4, False, id="warp2-tol-1e-4"),
+             pytest.param(fixture_chart("warp2"), None, 1.0, True, id="warp2-tol-1")]
 
 
 class TestStackedChecks:
@@ -729,14 +713,14 @@ class TestStackedChecks:
     def test_the_surfaces_split_their_eigenspaces_differently(self):
         # so one group takes several stacked eigenspace patterns
         splits = []
-        for checks in checks_of(SURFACES3, SURFACES3_POINTS, 1e-4):
+        for checks in checks_of(SURFACES3, SURFACES3.default_points, 1e-4):
             w = np.linalg.eigvalsh(ricci(checks.R))
             splits.append(np.flatnonzero(np.diff(w) > 1e-8).tolist())
         assert splits == [[], [3], [1], [1, 3], [3], [1, 3]]
 
     def test_a_non_finite_point_leaves_its_neighbours_alone(self):
         # steep's R overflows at a = 2.3, the middle point of three
-        chart = parse_chart(OVERFLOWING["steep"])
+        chart = fixture_chart("steep")
         points = [(0.0, 0.0, 0.0, 0.0), (2.3, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)]
         group = checks_of(chart, points, 1e-4)
         assert [exact(checks) for checks in group] == \
@@ -753,7 +737,7 @@ class TestStackedChecks:
         # collapsing's R is finite in chart coordinates at x1 = 6.56, but not in
         # its frame: S is not finite, so neither residual applies there; at
         # tol = 100 both apply at its neighbours, whose S is J-invariant within it
-        chart = parse_chart(OVERFLOWING["collapsing"])
+        chart = fixture_chart("collapsing")
         points = [(0.1, 0.0, 0.0, 0.0), (6.56, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0)]
         group = checks_of(chart, points, 100.0)
         assert [exact(checks) for checks in group] == \
@@ -808,15 +792,12 @@ class TestAgainstSymbolicOracle:
 
 
 class TestNablaROracle:
-    @pytest.mark.parametrize("chart, points", [
-        *((get_model(name).chart, get_model(name).chart.default_points)
-          for name in sorted(model_names())),
-        (CONF2, CONF2_POINTS),
-    ], ids=[*sorted(model_names()), "conf2"])
-    def test_matches_the_einsum_definition(self, chart, points):
+    @pytest.mark.parametrize("chart", [*(get_model(name).chart for name in sorted(model_names())),
+                                       CONF2], ids=[*sorted(model_names()), "conf2"])
+    def test_matches_the_einsum_definition(self, chart):
         # within 1e-13 of the size of its terms, max|Gamma| max|R| or max|nabla R|:
         # nabla R vanishes on the bundled models, up to rounding in those terms
-        [group] = chart.jets_at(points)
+        [group] = chart.jets_at(chart.default_points)
         NR, R, gamma = nabla_R(group), riemann(group), group._connection[0]
         for k in range(len(group)):
             want = nabla_R_oracle(group.g[k], group.dg[k], group.ddg[k], group.dddg[k])

@@ -35,6 +35,7 @@ from ahgeom.expressions import (
     to_source,
 )
 from ahgeom.models import get_model, model_names
+from generated_charts import HOSTILE, chain, chart_with_entry
 
 
 def value_of(expr, env):
@@ -292,26 +293,6 @@ class TestReciprocals:
 # ---------------------------------------------------------------------------
 # Totality: hostile input raises ExprSyntaxError, never a RecursionError
 # ---------------------------------------------------------------------------
-
-# Each breaks the depth limit or the rule of finite literals; before those,
-# each was a RecursionError in the parser, or failed when compiled or evaluated.
-HOSTILE = {
-    "parens": "(" * 2000 + "x" + ")" * 2000,
-    "unary_minus": "-" * 5000 + "x",
-    "long_sum": "+".join(["1"] * 2000),
-    "power_tower": "^".join(["x"] * 3000),
-    "sum_250": "+".join(["1"] * 250),
-    "inf_literal": "1e999",
-}
-
-
-def chart_with_entry(src):
-    return f"dim = 1\ncoords = x y\ng[1][1] = {src}\ng[2][2] = 1\nJ[2][1] = 1\nJ[1][2] = -1\n"
-
-
-def chain(opening, closing, count, core="x"):
-    return opening * count + core + closing * count
-
 
 # Source nesting one construct `depth` levels deep; '2*(' and '(1+' add two
 # levels each, so an even depth starts from '(x)'.

@@ -29,8 +29,13 @@ from ahgeom.tensor_core import (
     sectional_curvature,
     standard_j,
 )
-from model_oracles import ah_identity_oracle, frame_at, psi_oracle
-from test_analysis import _kernel_cases, kulkarni_nomizu
+from model_oracles import (
+    ah_identity_oracle,
+    frame_at,
+    kernel_cases,
+    kulkarni_nomizu,
+    psi_oracle,
+)
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles
@@ -446,7 +451,7 @@ class TestFitPiSpan:
 
 def _oracle_cases():
     """The kernel cases and every bundled model's (K, R) at its default points."""
-    yield from _kernel_cases()
+    yield from kernel_cases()
     for name in sorted(model_names()):
         chart = get_model(name).chart
         for i, p in enumerate(chart.default_points):
