@@ -1,6 +1,6 @@
-"""Exact covariant calculus on the jets of a group of points (`ChartSpec.jets_at`).
+"""Exact covariant calculus on the jets of a group of points (`ChartSpec.jet`).
 
-A `Jet` holds g, J and their derivatives at up to JET_GROUP points, exact
+A `Jet` holds g, J and their derivatives at a group of points, exact
 up to rounding, with a leading point axis on every array.  `riemann`,
 `nabla_J` and `nabla_R` are closed forms in it: the connection and its
 derivatives from g's, R and nabla R from the connection, nabla J from dJ.

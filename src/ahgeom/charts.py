@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,12 +86,6 @@ class DomainError(ChartError):
 # and 74 MB at m = 6, so m = 12 would need gigabytes.  The bundled models
 # have m <= 3.
 MAX_DIM = 6
-
-# Points per Taylor pass in `ChartSpec.jets_at`, and so per stacked tensor
-# stage of the analysis.  Per point, a cp3 pass costs about the same from 8
-# points up, while its arrays grow with the group; a fixed size keeps a long
-# run's memory from growing with its length.
-JET_GROUP = 16
 
 
 class _Layout(NamedTuple):
@@ -151,8 +145,8 @@ class ChartSpec:
     and the (normalized) expression tables.  g's upper triangle and J, row by
     row, are two programs, each compiled on first use into steps that
     compute each distinct subexpression once.  `metric_at` runs only g's and
-    `j_at` only J's; `jets_at` runs each on Taylor series, once for a whole
-    group of points.
+    `j_at` only J's; `jet` runs each on Taylor series, once for a whole
+    group of points, whose size `report._checked_points` decides.
 
     It alone decides where g and J may be evaluated: every such point
     needs 2m coordinates (else ChartEvalError), each finite and in its
@@ -197,33 +191,16 @@ class ChartSpec:
     def j_at(self, p: np.ndarray) -> np.ndarray:
         return self._values(self._j_program, p).reshape(2 * self.m, 2 * self.m)
 
-    def jets_at(self, points) -> Iterator[Jet]:
-        """The jets at `points`, in order, one `Jet` per group of up to
-        JET_GROUP points: g, J and their derivatives, exact up to rounding.
+    def jet(self, group: list) -> Jet:
+        """The `Jet` of a group of points: g, J and their derivatives, exact
+        up to rounding, from one Taylor pass along the jet lines, after
+        `metric_at` and `j_at` at each point and one `hermitian_frames`
+        check of them all.
 
-        The program runs once on Taylor series along the jet lines for each
-        group.  Only the points must lie in the domain; a derivative that is
-        not finite there is an error.  When a group fails, its points run
-        one by one, each a group of one, so the jets before the first
-        failing point still come out, and that point raises what it raises
-        alone.
-        """
-        points = list(points)
-        for start in range(0, len(points), JET_GROUP):
-            group = points[start:start + JET_GROUP]
-            try:
-                jet = self._jets(group)
-            except ChartError:
-                if len(group) == 1:
-                    raise
-                for p in group:
-                    yield self._jets([p])
-                continue
-            yield jet
-
-    def _jets(self, group: list) -> Jet:
-        """One Taylor pass for a group of points, after `metric_at` and
-        `j_at` at each and one `hermitian_frames` check of them all.
+        Only the points must lie in the domain; a derivative that is not
+        finite there is an error.  If any point fails, the whole group
+        raises a ChartError, and only a group of one is sure to name the
+        failing point.
 
         The derivatives of g are recovered only for its upper triangle and
         each distinct multiset of directions, then gathered into one

@@ -32,7 +32,7 @@ within the run; it is the same function of y's bits each time, so every
 coefficient is bit for bit what taking y^-1 afresh gives.
 When a group's run fails, `evaluate` raises once for the whole group,
 and the caller runs each point alone to find the first that fails
-(`ChartSpec.jets_at`).  At one point it finds the first failing
+(`report._checked_points`).  At one point it finds the first failing
 expression by compiling each on its own, so every error comes from the
 same steps.  The program belongs to its caller (a chart keeps its own),
 so nothing here caches expressions.

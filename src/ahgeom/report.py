@@ -1,6 +1,6 @@
 """The analysis pipeline and deterministic report assembly.
 
-A run's points are checked a group of up to JET_GROUP points at a time:
+A run's points are checked up to JET_GROUP at a time (`_checked_points`):
 one jet and one tensor stage per group, in each point's orthonormal
 Cholesky frame, where every check runs, and every check that does not
 read the plane draws (`_group_checks`), each once for the group's stacked
@@ -20,7 +20,7 @@ a k-tensor's components in dimension n by at most a factor n^(k/2).
 
 Nothing before the draws reads the seed or `samples`, so a chart analyzed
 again at the same up to JET_GROUP points and `tol`, as under other seeds,
-reuses the checks of the process's last run (`_checked_points`).  The CLI
+reuses the checks of the process's last group (`_checked_points`).  The CLI
 analyzes one chart once per process and never reuses a run.
 
 The report has three blocks: run metadata (target, kind, tolerance,
@@ -63,7 +63,7 @@ from .analysis import (
     schur_check,
 )
 from .calculus import ClassResiduals, Jet
-from .charts import JET_GROUP, ChartSpec
+from .charts import ChartError, ChartSpec
 from .models import ModelDescriptor
 from .tensor_core import (
     InvariantViolation,
@@ -86,7 +86,13 @@ EXPECTED_TOL = 1e-3
 # (peak Python allocations), so this bound keeps one batch under 300 MB.
 MAX_SAMPLES = 100_000
 
-# (chart, key, checks) of the last run `_checked_points` analyzed.  A
+# Points per Taylor pass (`ChartSpec.jet`), and so per stacked tensor stage
+# of the analysis.  Per point, a cp3 pass costs about the same from 8 points
+# up, while its arrays grow with the group; a fixed size keeps a long run's
+# memory from growing with its length.
+JET_GROUP = 16
+
+# (chart, key, checks) of the last group `_checked_points` analyzed.  A
 # 16-point run holds about 0.20 MB at m = 3 and 2.7 MB at m = 6 (tracemalloc),
 # nearly all of it the points' R, one 4-tensor per point.
 _last_run: tuple = (None, (), [])
@@ -201,32 +207,41 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
 
 
 def _checked_points(chart: ChartSpec, points: list[tuple[float, ...]], tol: float):
-    """The `_group_checks` of each point of `chart.jets_at(points)` at `tol`,
-    in order and one group at a time.  Each run of up to JET_GROUP points is
-    looked up in the process's slot first, and a hit, the same chart at the
-    same points and `tol`, runs neither the Taylor pass nor the group stage.
+    """The `_group_checks` of each of `points` at `tol`, in order, one group
+    of up to JET_GROUP points at a time.  Each group is looked up in the
+    process's slot first, and a hit, the same chart at the same points and
+    `tol`, runs neither the Taylor pass nor the group stage.  A group whose
+    `chart.jet` fails takes its points' jets one at a time, lazily, so the
+    points before the first failing one are analyzed first, and that one
+    raises what it raises alone.
 
-    The key is `tol` and the points' bits, as 0.0 == -0.0.  A run is stored
+    The key is `tol` and the points' bits, as 0.0 == -0.0.  A group is stored
     once each of its points has been analyzed, so one that raises, in
-    `jets_at` or in a point's analysis, is computed again on every call.
-    Each stored run replaces the last, so the process holds one however
+    `chart.jet` or in a point's analysis, is computed again on every call.
+    Each stored group replaces the last, so the process holds one however
     many charts are alive.  The slot is read once and replaced by one
-    assignment, so concurrent calls never see a half-stored run; they may
-    compute a run twice.
+    assignment, so concurrent calls never see a half-stored group; they may
+    compute a group twice.
     """
     global _last_run
     for start in range(0, len(points), JET_GROUP):
-        chunk = points[start:start + JET_GROUP]
-        key = (tol, tuple(np.array(p, dtype=float).tobytes() for p in chunk))
+        group = points[start:start + JET_GROUP]
+        key = (tol, tuple(np.array(p, dtype=float).tobytes() for p in group))
         last = _last_run
         if last[0] is chart and last[1] == key:
             yield from last[2]
             continue
+        try:
+            jets = [chart.jet(group)]
+        except ChartError:
+            if len(group) == 1:
+                raise
+            jets = (chart.jet([p]) for p in group)
         run = []
-        for jet in chart.jets_at(chunk):
-            group = _group_checks(jet, tol)
-            run += group
-            yield from group
+        for jet in jets:
+            checks = _group_checks(jet, tol)
+            run += checks
+            yield from checks
         _last_run = (chart, key, run)
 
 

@@ -6,7 +6,8 @@ written from.  The generators vary the parameters the bundled files fix
 (m, c, r1, r2), so tests can also build charts that are not bundled.
 `jet_at` is the jet of a chart at one point, a group of one, for tests
 that look at points one at a time, and `frame_at` its K, R, nabla J and
-nabla R in the frame the analysis uses.
+nabla R in the frame the analysis uses.  `dumped` is the bytes a report's
+`to_json` must give.
 
 The kernel oracles are the per-point einsum definitions of nabla R, the
 AH identities and psi that the stacked matrix-product kernels replaced:
@@ -21,6 +22,7 @@ file each in `tests/charts`, whose comment says what the chart pins;
 `fixture_chart` parses one.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +48,14 @@ def fixture_chart(name):
 
 
 def jet_at(chart, p):
-    """The jet of `chart` at p: `ChartSpec.jets_at` of p alone, a group of one."""
-    [jet] = chart.jets_at([p])
-    return jet
+    """The jet of `chart` at p, any sequence of coordinates: `ChartSpec.jet`
+    of p alone, a group of one."""
+    return chart.jet([np.asarray(p, dtype=float)])
+
+
+def dumped(report):
+    """The bytes `to_json` must give: json.dumps of the report's dict."""
+    return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def frame_at(chart, p):

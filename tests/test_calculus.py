@@ -26,10 +26,10 @@ from ahgeom.calculus import (
     ricci,
     riemann,
 )
-from ahgeom.charts import JET_GROUP, ChartEvalError, ChartSpec, DomainError, parse_chart
+from ahgeom.charts import ChartEvalError, ChartSpec, DomainError, parse_chart
 from ahgeom.expressions import to_source
 from ahgeom.models import get_model, model_names
-from ahgeom.report import analyze_chart, analyze_model
+from ahgeom.report import JET_GROUP, analyze_chart, analyze_model
 from ahgeom.tensor_core import (
     InvariantViolation,
     hermitian_frames,
@@ -43,10 +43,6 @@ FLAT = get_model("flat2").chart
 CP1 = get_model("cp1").chart
 CP2 = get_model("cp2").chart
 S6 = get_model("s6").chart
-
-
-def jet(chart, p):
-    return jet_at(chart, np.asarray(p, dtype=float))
 
 
 def symbolic_derivatives(chart, point, exprs, order=3):
@@ -122,11 +118,6 @@ CP2_POINT = (R_(1, 10), R_(-3, 20), R_(1, 5), R_(-1, 4))
 CONF2 = fixture_chart("conf2")
 
 
-# g = x I is singular on x = 0
-SINGULAR = parse_chart("dim = 1\ncoords = x y\ng[1][1] = x\ng[2][2] = x\n"
-                       "J[1][2] = -1\nJ[2][1] = 1\n")
-
-
 def as_floats(point):
     return tuple(float(v) for v in point)
 
@@ -170,7 +161,7 @@ class TestJet:
     ])
     def test_derivatives_match_sympy(self, src, point):
         chart = conformal_chart(src)
-        j = jet(chart, as_floats(point))
+        j = jet_at(chart, as_floats(point))
         exact = symbolic_derivatives(chart, point, chart.metric_exprs)
         for got, want in zip((j.dg[0], j.ddg[0], j.dddg[0]), exact):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
@@ -183,13 +174,13 @@ class TestJet:
                             + "J[2][1] = 1\nJ[1][2] = -1\nJ[4][3] = 1\nJ[3][4] = -1\n"
                             + "J[6][5] = 1\nJ[5][6] = -1\n")
         point = (R_(1, 5), R_(-1, 10), R_(3, 10), R_(1, 2), R_(-2, 5), R_(7, 10))
-        j = jet(chart, as_floats(point))
+        j = jet_at(chart, as_floats(point))
         exact = symbolic_derivatives(chart, point, [[chart.metric_exprs[0][0]]])
         for got, want in zip((j.dg[0], j.ddg[0], j.dddg[0]), exact):
             np.testing.assert_allclose(got[..., :1, :1], want, rtol=1e-13, atol=1e-13)
 
     def test_constant_entries_have_zero_derivatives(self):
-        j = jet(conformal_chart("2"), (0.3, 0.7))
+        j = jet_at(conformal_chart("2"), (0.3, 0.7))
         for d in (j.dg, j.ddg, j.dddg, j.dJ):
             assert not np.any(d)
 
@@ -197,7 +188,8 @@ class TestJet:
         # s6's J varies from point to point
         point = (R_(1, 10), R_(-1, 5), R_(3, 10), R_(1, 4), R_(-1, 10), R_(1, 5))
         [exact] = symbolic_derivatives(S6, point, S6.j_exprs, order=1)
-        np.testing.assert_allclose(jet(S6, as_floats(point)).dJ[0], exact, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(jet_at(S6, as_floats(point)).dJ[0], exact,
+                                   rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("src, point, message", [
         ("1 + sqrt(x^2)", (0.0, 0.5),
@@ -210,12 +202,12 @@ class TestJet:
         chart = conformal_chart(src)
         hermitian_frames(chart.metric_at(point)[None], chart.j_at(point)[None])
         with pytest.raises(ChartEvalError, match=re.escape(message)):
-            jet(chart, point)
+            jet_at(chart, point)
 
     def test_point_on_the_domain_boundary_analyzes(self):
         # nothing is evaluated away from p, so p may sit on the boundary
         for p in [(2.0, 0.0), (-2.0, 2.0)]:
-            NR = nabla_R(jet(CP1, p))
+            NR = nabla_R(jet_at(CP1, p))
             assert np.all(np.isfinite(NR))
 
     @pytest.mark.parametrize("p, shown", [
@@ -224,17 +216,17 @@ class TestJet:
     ])
     def test_point_outside_the_domain_is_refused(self, p, shown):
         with pytest.raises(DomainError, match=re.escape(shown)):
-            jet(CP1, p)
+            jet_at(CP1, p)
 
     def test_wrong_length_point_is_a_chart_error(self):
         with pytest.raises(ChartEvalError, match="4 coordinates"):
-            jet(CP2, (0.0, 0.0))
+            jet_at(CP2, (0.0, 0.0))
 
     @pytest.mark.parametrize("x", [1e-4, 1e-2, 0.5])
     def test_close_to_a_singular_metric(self, x):
         # g = x I has K = 1/(2x^3): R(e1, e2, e2, e1) = K x^2 = 1/(2x) and its
         # covariant x-derivative -3/(2x^2), however close p comes to the singular x = 0
-        j = jet(SINGULAR, (x, 0.5))
+        j = jet_at(conformal_chart("x"), (x, 0.5))
         np.testing.assert_allclose(riemann(j)[0, 0, 1, 1, 0], 0.5 / x, rtol=1e-12)
         np.testing.assert_allclose(nabla_R(j)[0, 0, 0, 1, 1, 0], -1.5 / x**2, rtol=1e-12)
         assert not np.any(nabla_J(j))
@@ -242,7 +234,7 @@ class TestJet:
     def test_singular_metric_at_p_is_a_chart_error(self):
         with pytest.raises(ChartEvalError,
                            match=r"^invariant violation at point \[0\.0, 0\.5\]: "):
-            jet(SINGULAR, (0.0, 0.5))
+            jet_at(conformal_chart("x"), (0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +264,12 @@ def assert_matches_differences(chart, p, h=2.5e-4):
     of the largest entry (or of 1).  The differences' truncation error at
     this h stays under 1.2e-10 on the bundled domains, corners included."""
     p = np.asarray(p, dtype=float)
-    j = jet(chart, p)
+    j = jet_at(chart, p)
     assert_same_bits(j.g[0], chart.metric_at(p))
     assert_same_bits(j.J[0], chart.j_at(p))
     for got, f in [(j.dg[0], chart.metric_at), (j.dJ[0], chart.j_at),
-                   (j.ddg[0], lambda q: jet(chart, q).dg[0]),
-                   (j.dddg[0], lambda q: jet(chart, q).ddg[0])]:
+                   (j.ddg[0], lambda q: jet_at(chart, q).dg[0]),
+                   (j.dddg[0], lambda q: jet_at(chart, q).ddg[0])]:
         scale = max(1.0, float(np.max(np.abs(got))))
         assert np.max(np.abs(got - central(f, p, h))) <= 1e-9 * scale
 
@@ -297,7 +289,7 @@ class TestAgainstDifferences:
         # g and J keep the bits of metric_at/j_at at p; the derivatives equal
         # those at the point with every zero positive
         assert_matches_differences(CP2, p)
-        j, unsigned = jet(CP2, p), jet(CP2, np.asarray(p) + 0.0)
+        j, unsigned = jet_at(CP2, p), jet_at(CP2, np.asarray(p) + 0.0)
         for d, e in [(j.dg, unsigned.dg), (j.ddg, unsigned.ddg), (j.dddg, unsigned.dddg)]:
             assert np.array_equal(d, e)
 
@@ -360,11 +352,9 @@ class TestStackedJets:
     @pytest.mark.parametrize("name, points", _RUNS)
     def test_each_jet_is_the_jet_of_its_point_alone(self, name, points):
         chart = get_model(name).chart
-        groups = list(chart.jets_at(points))
-        assert [len(group) for group in groups] == \
-            [len(points[k:k + JET_GROUP]) for k in range(0, len(points), JET_GROUP)]
+        groups = [chart.jet(points[k:k + JET_GROUP]) for k in range(0, len(points), JET_GROUP)]
         for i, p in enumerate(points):
-            assert_same_jet(groups[i // JET_GROUP], i % JET_GROUP, jet(chart, p))
+            assert_same_jet(groups[i // JET_GROUP], i % JET_GROUP, jet_at(chart, p))
 
     @pytest.mark.parametrize("chart", _GROUPED)
     def test_a_points_block_does_not_depend_on_its_group(self, chart):
@@ -401,16 +391,25 @@ class TestStackedJets:
         (CP1, [(0.1, 0.2), (2.5, 0.0), (0.0, 0.0)], DomainError),
         (j_chart("1+0*log(x)"), [(0.5, 0.1), (-1.0, 0.0), (0.2, 0.2)], ChartEvalError),
         (j_chart("1+0*sqrt(x^2)"), [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
-        (SINGULAR, [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
+        (conformal_chart("x"), [(0.5, 0.1), (0.0, 0.5), (0.2, 0.2)], ChartEvalError),
     ], ids=["non-finite-derivative", "outside-the-domain", "failing-j-entry",
             "failing-j-derivative", "invariant-violation"])
-    def test_a_failing_point_raises_what_it_raises_alone(self, chart, points, error):
+    def test_a_failing_point_raises_what_it_raises_alone(self, monkeypatch, chart, points,
+                                                         error):
         with pytest.raises(error) as alone:
-            jet(chart, points[1])
-        jets = chart.jets_at(points)
-        assert_same_jet(next(jets), 0, jet(chart, points[0]))
+            jet_at(chart, points[1])
+        with pytest.raises(error):
+            chart.jet(points)
+        # the group fails as a whole, so its points' jets are taken one at a time
+        jets, group_checks = [], report._group_checks
+        monkeypatch.setattr(report, "_group_checks",
+                            lambda jet, tol: jets.append(jet) or group_checks(jet, tol))
+        run = report._checked_points(chart, points, 1e-4)
+        next(run)
+        assert len(jets) == len(jets[0]) == 1
+        assert_same_jet(jets[0], 0, jet_at(chart, points[0]))
         with pytest.raises(error) as in_run:
-            next(jets)
+            next(run)
         assert str(in_run.value) == str(alone.value)
         with pytest.raises(error) as analyzed:
             analyze_chart(chart, points)
@@ -425,7 +424,7 @@ class TestStackedJets:
     def test_a_failing_j_entry_is_named(self, src, p, message):
         # the jet's j_at raises the first; only the Taylor pass fails the second
         with pytest.raises(ChartEvalError) as err:
-            jet(j_chart(src), p)
+            jet_at(j_chart(src), p)
         assert str(err.value) == message
 
     def test_a_failing_group_is_searched_once(self, monkeypatch):
@@ -434,13 +433,13 @@ class TestStackedJets:
         chart = conformal_chart("1+0*sqrt(x^2)")
         points = [(0.3, 0.5), (0.0, 0.5), (0.2, 0.2)]
         with pytest.raises(ChartEvalError) as alone:
-            jet(chart, points[1])
+            jet_at(chart, points[1])
         compiled = []
         compile_expressions = expressions.compile_expressions
         monkeypatch.setattr(expressions, "compile_expressions",
                             lambda exprs: compiled.append(exprs) or compile_expressions(exprs))
         with pytest.raises(ChartEvalError) as in_run:
-            list(chart.jets_at(points))
+            list(report._checked_points(chart, points, 1e-4))
         assert len(compiled) == 1
         assert str(in_run.value) == str(alone.value)
 
@@ -588,16 +587,19 @@ class TestGroupMemo:
         chart = conformal_chart("exp(-690*y)")
         points = [(0.3, 1.0)] + [(0.3, 0.01 * k) for k in range(JET_GROUP)]
         sizes = []
-        jets_at = ChartSpec.jets_at
-        monkeypatch.setattr(ChartSpec, "jets_at",
-                            lambda self, group: sizes.append(len(group)) or jets_at(self, group))
+        jet = ChartSpec.jet
+        monkeypatch.setattr(ChartSpec, "jet",
+                            lambda self, group: sizes.append(len(group)) or jet(self, group))
         with pytest.raises(InvariantViolation,
                            match=re.escape("bianchi_residual is not finite at point [0.3, 1.0]")):
             analyze_chart(chart, points)
         assert sizes == [JET_GROUP]
-        # in a group that fails as a whole, before a later point's jet fails
+        # in a group that fails as a whole, before a later point's jet fails,
+        # and before that jet is taken
+        sizes.clear()
         with pytest.raises(InvariantViolation, match="bianchi_residual is not finite"):
             analyze_chart(chart, [(0.3, 1.0), (0.3, math.inf)])
+        assert sizes == [2, 1]
 
     def test_the_memo_keeps_the_last_group(self, monkeypatch):
         chart = get_model("cp3").chart
@@ -671,7 +673,7 @@ class TestGroupMemo:
 def checks_of(chart, points, tol):
     """The group stage's checks of each point, the points taken as one group."""
     assert len(points) <= JET_GROUP
-    return report._group_checks(next(chart.jets_at(points)), tol)
+    return report._group_checks(chart.jet(points), tol)
 
 
 def exact(checks):
@@ -679,11 +681,7 @@ def exact(checks):
     return repr((checks.not_finite, checks.fit, checks.fields))
 
 
-# conf2 on C^3, where nu* varies from point to point
-CONF3 = parse_chart("dim = 3\ncoords = x1 y1 x2 y2 x3 y3\n"
-                    + "".join(f"g[{i}][{i}] = 1/(1+x1^2+y1^2)^2\n" for i in range(1, 7))
-                    + "".join(f"J[{2 * k}][{2 * k - 1}] = 1\nJ[{2 * k - 1}][{2 * k}] = -1\n"
-                              for k in range(1, 4)))
+CONF3 = fixture_chart("conf3")
 SURFACES3 = fixture_chart("surfaces3")
 
 # (chart, points, tol, whether every point has a frame: None where either may be)
@@ -758,7 +756,7 @@ class TestAgainstSymbolicOracle:
                              ids=["cp1", "cp2", "conf2"])
     def test_riemann_and_nabla_R(self, chart, point):
         R, NR = symbolic_riemann(chart, point)
-        j = jet(chart, as_floats(point))
+        j = jet_at(chart, as_floats(point))
         if chart is CONF2:
             assert np.max(np.abs(NR)) > 0.5  # not locally symmetric, unlike the space forms
         assert np.max(np.abs(riemann(j)[0] - R)) <= 1e-11
@@ -780,13 +778,13 @@ class TestAgainstSymbolicOracle:
         assert np.max(np.abs(NJ)) <= 1e-11
 
     def test_flat_chart_vanishes(self):
-        j = jet(FLAT, (0.3, -0.2, 0.1, 0.4))
+        j = jet_at(FLAT, (0.3, -0.2, 0.1, 0.4))
         assert np.max(np.abs(riemann(j))) < 1e-10
         assert np.max(np.abs(nabla_J(j))) < 1e-10
         assert np.max(np.abs(nabla_R(j))) < 1e-10
 
     def test_first_bianchi_identity(self):
-        V = riemann(jet(CP2, (0.2, -0.1, 0.15, 0.05)))[0]
+        V = riemann(jet_at(CP2, (0.2, -0.1, 0.15, 0.05)))[0]
         cyc = V + np.einsum("jkil->ijkl", V) + np.einsum("kijl->ijkl", V)
         assert np.max(np.abs(cyc)) < 1e-12
 
@@ -797,7 +795,7 @@ class TestNablaROracle:
     def test_matches_the_einsum_definition(self, chart):
         # within 1e-13 of the size of its terms, max|Gamma| max|R| or max|nabla R|:
         # nabla R vanishes on the bundled models, up to rounding in those terms
-        [group] = chart.jets_at(chart.default_points)
+        group = chart.jet(chart.default_points)
         NR, R, gamma = nabla_R(group), riemann(group), group._connection[0]
         for k in range(len(group)):
             want = nabla_R_oracle(group.g[k], group.dg[k], group.ddg[k], group.dddg[k])
@@ -812,7 +810,7 @@ class TestNablaROracle:
 
 class TestRiemann:
     def test_flat_chart_vanishes(self):
-        R = riemann(jet(FLAT, (0.3, -0.2, 0.1, 0.4)))
+        R = riemann(jet_at(FLAT, (0.3, -0.2, 0.1, 0.4)))
         assert np.max(np.abs(R)) < 1e-8
 
     @pytest.mark.parametrize("p", S6.default_points)
@@ -829,7 +827,7 @@ class TestRiemann:
     def test_symmetries_on_bundled_charts(self, name):
         chart = get_model(name).chart
         for p in chart.default_points:
-            assert riemann_symmetry_residual(riemann(jet(chart, p))[0]) < 1e-5
+            assert riemann_symmetry_residual(riemann(jet_at(chart, p))[0]) < 1e-5
 
 
 class TestRicci:
@@ -854,14 +852,14 @@ class TestRicci:
 
 class TestNablaJ:
     def test_flat_chart_vanishes(self):
-        assert np.max(np.abs(nabla_J(jet(FLAT, (0.1, 0.2, -0.3, 0.0))))) < 1e-12
+        assert np.max(np.abs(nabla_J(jet_at(FLAT, (0.1, 0.2, -0.3, 0.0))))) < 1e-12
 
     def test_cp2_is_kahler(self):
-        assert np.max(np.abs(nabla_J(jet(CP2, (0.2, -0.1, 0.15, 0.05))))) < 1e-6
+        assert np.max(np.abs(nabla_J(jet_at(CP2, (0.2, -0.1, 0.15, 0.05))))) < 1e-6
 
     def test_sphere_is_nearly_kahler_but_not_kahler(self):
         p = S6.default_points[1]
-        NJ = nabla_J(jet(S6, p))[0]
+        NJ = nabla_J(jet_at(S6, p))[0]
         assert np.max(np.abs(NJ)) > 0.1
         rng = np.random.default_rng(12)
         g = S6.metric_at(p)
@@ -876,17 +874,17 @@ class TestNablaJ:
 
 class TestNablaR:
     def test_flat_chart_vanishes(self):
-        assert np.max(np.abs(nabla_R(jet(FLAT, (0.1, 0.2, -0.3, 0.0))))) < 1e-8
+        assert np.max(np.abs(nabla_R(jet_at(FLAT, (0.1, 0.2, -0.3, 0.0))))) < 1e-8
 
     def test_sphere_is_locally_symmetric(self):
-        assert np.max(np.abs(nabla_R(jet(S6, S6.default_points[1])))) < 1e-4
+        assert np.max(np.abs(nabla_R(jet_at(S6, S6.default_points[1])))) < 1e-4
 
     @pytest.mark.parametrize("name", ["s6", "cp2", "s2xs2"])
     def test_bianchi_cyclic_sum(self, name):
         from ahgeom.analysis import bianchi2_residual
 
         chart = get_model(name).chart
-        NR = nabla_R(jet(chart, chart.default_points[1]))[0]
+        NR = nabla_R(jet_at(chart, chart.default_points[1]))[0]
         assert bianchi2_residual(NR) < 1e-4
 
 

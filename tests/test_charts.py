@@ -146,7 +146,7 @@ class TestEvaluation:
         spec = parse_chart(text)
         shown = r"^invariant violation at point \[0\.0, 0\.0\]: J @ J differs from -Id"
         with pytest.raises(ChartEvalError, match=shown):
-            next(spec.jets_at([(0.0, 0.0)]))
+            spec.jet([(0.0, 0.0)])
 
     def test_out_of_domain_point(self):
         spec = parse_chart(MINIMAL_FLAT + "domain x = -1 1\n")

@@ -415,11 +415,6 @@ class TestDeterminismAndFormats:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert run(capsys, *argv) == (code, out, err)
 
-    def test_byte_identical_json_runs(self, capsys):
-        _, out1, _ = run(capsys, "analyze", "--model", "s6", "--seed", "7", "--format", "json")
-        _, out2, _ = run(capsys, "analyze", "--model", "s6", "--seed", "7", "--format", "json")
-        assert out1.encode() == out2.encode()
-
     def test_text_and_json_agree_to_12_digits(self, capsys):
         # every float of the JSON report shows in the text, to 12 digits and in order
         for model in ("cp2", "s6", "cp1"):

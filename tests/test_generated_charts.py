@@ -9,13 +9,9 @@ from ahgeom.analysis import COMPLEX_SPACE_FORM, REAL_SPACE_FORM
 from ahgeom.charts import parse_chart
 from ahgeom.report import analyze_chart
 from generated_charts import hermitian_charts, kahler_potential_charts
+from model_oracles import dumped
 
 TOL = 1e-4
-
-
-def _dumped(report):
-    """The bytes `to_json` must give: json.dumps of the report's dict."""
-    return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def _residuals(report):
@@ -34,7 +30,7 @@ class TestHermitianCharts:
         except ValueError as exc:
             assert any(all(repr(c) in str(exc) for c in p) for p in points), str(exc)
             return
-        assert report.to_json() == _dumped(report)
+        assert report.to_json() == dumped(report)
         assert json.loads(report.to_json())["global"]["verdict"]["kind"] == report.overall.kind
         assert f"kind={report.overall.kind}" in report.to_text()
         if report.overall.kind in (REAL_SPACE_FORM, COMPLEX_SPACE_FORM):
@@ -62,7 +58,7 @@ class TestKahlerPotentials:
     def test_every_flag_holds_and_every_identity_vanishes(self, drawn):
         text, points = drawn
         report = analyze_chart(parse_chart(text), tol=TOL, samples=16)
-        assert report.to_json() == _dumped(report)
+        assert report.to_json() == dumped(report)
         for pr in report.points:
             assert all(pr.flags.values()), pr.flags
             worst = {name: value(pr) for name, value in _MUST_VANISH.items()}

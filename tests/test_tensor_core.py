@@ -138,7 +138,7 @@ class TestHermitianFrames:
             frames(scale * np.array([[1.0, 2e-7], [0.0, 1.0]]), standard_j(1))
 
     def test_a_stack_is_checked_as_a_whole(self):
-        # one failing point fails the stack; ChartSpec.jets_at then names it
+        # one failing point fails the stack; report._checked_points then names it
         g = np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0]), np.eye(4) + 1.0])
         J = np.stack([standard_j(2)] * 3)
         with pytest.raises(InvariantViolation, match="positive definite"):
