@@ -11,6 +11,13 @@ connection and R are computed once per jet, on first use.  `in_frame`
 expresses the three in each point's orthonormal Cholesky frame, where
 `ricci` and the residual checks take them; each residual is a max-norm
 over basis tuples, one value per point, so runs are deterministic.
+
+nabla R is P n^5 floats for n = 2m, the size of the jet's dddg and the
+largest of a group's arrays.  `nabla_R` builds it in two such arrays, its
+running sum and one that takes each product, and `in_frame` changes its
+frame in its own memory and one new such array.  So beside the jet, at
+most two P n^5 arrays are live at once in either, and one, nabla R,
+between and after them.
 """
 
 from __future__ import annotations
@@ -54,20 +61,24 @@ def _lower(D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _products(gamma: np.ndarray, low: np.ndarray) -> np.ndarray:
+def _products(gamma: np.ndarray, low: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """q[..., i, k, j, l] = Gamma^p_jl Gamma_pik, in the order (i, k, j, l)
-    of one matrix product per point."""
+    of one matrix product per point; written into `out`, a C-contiguous
+    array of q's shape, when given."""
     n = gamma.shape[-1]
-    q = (np.swapaxes(low.reshape(low.shape[:-3] + (n, n * n)), -2, -1)
-         @ gamma.reshape(gamma.shape[:-3] + (n, n * n)))
+    q = np.matmul(np.swapaxes(low.reshape(low.shape[:-3] + (n, n * n)), -2, -1),
+                  gamma.reshape(gamma.shape[:-3] + (n, n * n)),
+                  out=None if out is None else out.reshape(out.shape[:-4] + (n * n, n * n)))
     return q.reshape(q.shape[:-2] + (n,) * 4)
 
 
-def _curvature(X: np.ndarray) -> np.ndarray:
+def _curvature(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """R_ijkl = X_ijkl - X_jikl from X in the order (i, k, j, l), where
-    X_ijkl = d_i Gamma_ljk + Gamma^p_jl Gamma_pik, or its derivative."""
+    X_ijkl = d_i Gamma_ljk + Gamma^p_jl Gamma_pik, or its derivative;
+    written into `out` when given."""
     X = np.swapaxes(X, -3, -2)
-    return X - np.swapaxes(X, -4, -3)
+    return np.subtract(X, np.swapaxes(X, -4, -3), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,36 +149,47 @@ def nabla_J(jet: Jet) -> np.ndarray:
 
 def nabla_R(jet: Jet) -> np.ndarray:
     """Covariant derivative of the (0,4) curvature:
-    out[p, v, x, y, z, u] = (nabla_v R)(x, y, z, u)."""
+    out[p, v, x, y, z, u] = (nabla_v R)(x, y, z, u).
+
+    Built in two (P, n, n, n, n, n) arrays and no other of that size: X
+    sums the derivative of R's X (`_curvature`) while W takes each of its
+    two products; then W takes the curvature of that sum, and the spent X
+    each of the four Gamma R products subtracted from it."""
     gamma, low, dlow, dgamma = jet._connection
     R0 = jet._riemann
     P, n = jet.g.shape[:2]
+    shape = (P,) + (n,) * 5
     # the derivative of R's X: d_v d_i Gamma_ljk, lowered into X's own memory,
-    # + d_v Gamma^p_jl Gamma_pik + Gamma^p_jl d_v Gamma_pik
-    X = np.empty((P,) + (n,) * 5)
+    # + d_v Gamma^p_jl Gamma_pik + Gamma^p_jl d_v Gamma_pik, each product in W
+    X, W = np.empty(shape), np.empty(shape)
     _lower(jet.dddg, out=np.swapaxes(X, -3, -1))
-    X += _products(dgamma, low[:, None])
-    X += _products(gamma[:, None], dlow)
-    NR = _curvature(X)
-    del X  # before the correction terms, which hold one more such array each
+    X += _products(dgamma, low[:, None], out=W)
+    X += _products(gamma[:, None], dlow, out=W)
+    NR = _curvature(X, out=W)
     # minus Gamma^a_vw R(..., e_a, ...) for each slot w of R, each product
-    # batched so that its result comes out in the order (v, x, y, z, u)
+    # batched so that its result comes out in the order (v, x, y, z, u), in the spent X
     G = np.moveaxis(gamma, 1, 3)  # G[p, v, w, a] = Gamma^a_vw
-    NR -= (G.reshape(P, n * n, n) @ R0.reshape(P, n, n**3)).reshape(NR.shape)
-    NR -= (G[:, :, None] @ R0.reshape(P, 1, n, n, n * n)).reshape(NR.shape)
-    NR -= G[:, :, None, None] @ R0[:, None]
-    NR -= (R0.reshape(P, 1, n**3, n) @ np.swapaxes(gamma, 1, 2)).reshape(NR.shape)
+    for a, b, laid in ((G.reshape(P, n * n, n), R0.reshape(P, n, n**3), (P, n * n, n**3)),
+                       (G[:, :, None], R0.reshape(P, 1, n, n, n * n), (P, n, n, n, n * n)),
+                       (G[:, :, None, None], R0[:, None], shape),
+                       (R0.reshape(P, 1, n**3, n), np.swapaxes(gamma, 1, 2), (P, n, n**3, n))):
+        NR -= np.matmul(a, b, out=X.reshape(laid)).reshape(shape)
     return NR
 
 
 def _to_frame(T: np.ndarray, Linv: np.ndarray) -> np.ndarray:
     """The covariant tensors T (P, n, ..., n) in the frames of Linv's rows:
     each product contracts the first tensor axis with Linv and puts it
-    last, so one product per tensor axis keeps the order."""
+    last, so one product per tensor axis keeps the order.  The products
+    alternate between T's memory, which they overwrite (a C-contiguous
+    copy's, if T is not C-contiguous), and one new array."""
     P, n = Linv.shape[:2]
     frame = np.swapaxes(Linv, 1, 2)
+    T = np.ascontiguousarray(T)
+    spare = np.empty_like(T)
     for _ in range(T.ndim - 1):
-        T = (np.swapaxes(T.reshape(P, n, -1), 1, 2) @ frame).reshape(T.shape)
+        np.matmul(np.swapaxes(T.reshape(P, n, -1), 1, 2), frame, out=spare.reshape(P, -1, n))
+        T, spare = spare, T
     return T
 
 
@@ -175,8 +197,12 @@ def in_frame(jet: Jet, R: np.ndarray, NJ: np.ndarray,
              NR: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R, nabla J and nabla R from the chart's coordinates to each point's
     Cholesky frame (jet.Linv), which is g-orthonormal; J there is jet.K,
-    and index positions agree."""
-    return (_to_frame(R, jet.Linv), _to_frame(jet.g[:, None] @ NJ, jet.Linv),
+    and index positions agree.
+
+    It consumes NR, a C-contiguous float array like `nabla_R`'s result:
+    nabla R changes frame in NR's own memory and one new array of its size,
+    and NR holds no meaningful values after.  R and NJ are left unchanged."""
+    return (_to_frame(R.copy(), jet.Linv), _to_frame(jet.g[:, None] @ NJ, jet.Linv),
             _to_frame(NR, jet.Linv))
 
 

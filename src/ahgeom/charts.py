@@ -81,10 +81,12 @@ class DomainError(ChartError):
 
 
 # The largest complex dimension a chart file may declare, as MAX_DEPTH bounds
-# an expression.  A jet's memory grows about as (2m)^5: analyzing 16 points
-# of g = delta/(1+|x|^2)^2 peaks at 2.9 MB of Python allocations at m = 3
-# and 74 MB at m = 6, so m = 12 would need gigabytes.  The bundled models
-# have m <= 3.
+# an expression.  A group's memory grows about as (2m)^5, with nabla R:
+# `report.analyze_chart` on 16 points of g = delta/(1+|x|^2)^2 with the
+# standard J, drawn uniformly from [-0.9, 0.9]^(2m), peaks at 3.9 MiB of
+# allocations traced by tracemalloc at m = 3 and 105 MiB at m = 6, after a
+# first run at another point has compiled the chart's programs.  So m = 12
+# would need gigabytes.  The bundled models have m <= 3.
 MAX_DIM = 6
 
 

@@ -11,7 +11,10 @@ nabla R in the frame the analysis uses.  `dumped` is the bytes a report's
 
 The kernel oracles are the per-point einsum definitions of nabla R, the
 AH identities and psi that the stacked matrix-product kernels replaced:
-one point at a time, each index spelled out.  The adapted eigenframe and
+one point at a time, each index spelled out.  `nabla_R_reference` and
+`in_frame_reference` are the stacked nabla R and frame change with a new
+array per product, whose bytes `assert_kernels_match_reference` asks of
+the kernels that reuse their buffers.  The adapted eigenframe and
 relation (3.2) oracles are the one-point code the stacked checks must
 reproduce bit for bit.  `kernel_cases` are the (J, R) pairs the
 kernels are tested on, and `kulkarni_nomizu` builds curvature tensors
@@ -33,7 +36,15 @@ from ahgeom.analysis import (
     NOT_CONSTANT_ANTIHOLOMORPHIC,
     REAL_SPACE_FORM,
 )
-from ahgeom.calculus import in_frame, nabla_J, nabla_R, riemann
+from ahgeom.calculus import (
+    _curvature,
+    _lower,
+    _products,
+    in_frame,
+    nabla_J,
+    nabla_R,
+    riemann,
+)
 from ahgeom.charts import parse_chart
 from ahgeom.models import ExpectedProfile, get_model
 from ahgeom.selftest import random_j_invariant_bilinear, random_structure
@@ -99,6 +110,56 @@ def nabla_R_oracle(g, dg, ddg, dddg):
         - np.einsum("avz,xyau->vxyzu", gamma, R0)
         - np.einsum("avu,xyza->vxyzu", gamma, R0)
     )
+
+
+def nabla_R_reference(jet):
+    """`calculus.nabla_R` as it was before it reused two buffers: the same
+    products in the same order, each into an array of its own."""
+    gamma, low, dlow, dgamma = jet._connection
+    R0 = jet._riemann
+    P, n = jet.g.shape[:2]
+    X = np.empty((P,) + (n,) * 5)
+    _lower(jet.dddg, out=np.swapaxes(X, -3, -1))
+    X += _products(dgamma, low[:, None])
+    X += _products(gamma[:, None], dlow)
+    NR = _curvature(X)
+    del X
+    G = np.moveaxis(gamma, 1, 3)
+    NR -= (G.reshape(P, n * n, n) @ R0.reshape(P, n, n**3)).reshape(NR.shape)
+    NR -= (G[:, :, None] @ R0.reshape(P, 1, n, n, n * n)).reshape(NR.shape)
+    NR -= G[:, :, None, None] @ R0[:, None]
+    NR -= (R0.reshape(P, 1, n**3, n) @ np.swapaxes(gamma, 1, 2)).reshape(NR.shape)
+    return NR
+
+
+def _to_frame_reference(T, Linv):
+    P, n = Linv.shape[:2]
+    frame = np.swapaxes(Linv, 1, 2)
+    for _ in range(T.ndim - 1):
+        T = (np.swapaxes(T.reshape(P, n, -1), 1, 2) @ frame).reshape(T.shape)
+    return T
+
+
+def in_frame_reference(jet, R, NJ, NR):
+    """`calculus.in_frame` as it was before it changed nabla R's frame in
+    place: a new array per product, every argument left unchanged."""
+    return (_to_frame_reference(R, jet.Linv),
+            _to_frame_reference(jet.g[:, None] @ NJ, jet.Linv),
+            _to_frame_reference(NR, jet.Linv))
+
+
+def assert_kernels_match_reference(jet):
+    """`nabla_R` and `in_frame` give the references' bytes on the jet, and
+    `in_frame` leaves R and nabla J as they were."""
+    R, NJ = riemann(jet), nabla_J(jet)
+    NR = nabla_R(jet)
+    want = nabla_R_reference(jet)
+    assert NR.tobytes() == want.tobytes()
+    framed = in_frame_reference(jet, R, NJ, want)
+    R_bytes, NJ_bytes = R.tobytes(), NJ.tobytes()
+    got = in_frame(jet, R, NJ, NR)
+    assert [T.tobytes() for T in got] == [T.tobytes() for T in framed]
+    assert (R.tobytes(), NJ.tobytes()) == (R_bytes, NJ_bytes)
 
 
 def _rotate_slots_oracle(values, J, slots):

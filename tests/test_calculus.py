@@ -21,6 +21,7 @@ from ahgeom import analysis, charts, expressions, report
 from ahgeom.calculus import (
     class_residuals,
     gray_ak2_residual,
+    in_frame,
     nabla_J,
     nabla_R,
     ricci,
@@ -37,7 +38,14 @@ from ahgeom.tensor_core import (
     pi2,
     riemann_symmetry_residual,
 )
-from model_oracles import fixture_chart, frame_at, jet_at, nabla_R_oracle
+from model_oracles import (
+    assert_kernels_match_reference,
+    complex_space_form_chart_text,
+    fixture_chart,
+    frame_at,
+    jet_at,
+    nabla_R_oracle,
+)
 
 FLAT = get_model("flat2").chart
 CP1 = get_model("cp1").chart
@@ -457,6 +465,28 @@ class TestStackedJets:
         analyze_model(model, points=scan_points(5, size=1))  # compiles the chart program
         assert peak(scan_points(5, size=128)) < 2 * peak(scan_points(5, size=16))
 
+    def test_nabla_R_and_its_frame_change_hold_few_arrays_of_its_size(self):
+        # in units of one (P, n, n, n, n, n) array, P = 16 points at m = 4: nabla R
+        # takes its two buffers, and its frame change one more above its inputs
+        jet = CP4.jet(domain_points(CP4, 16, seed=4))
+        R, NJ = riemann(jet), nabla_J(jet)
+        before = R.tobytes(), NJ.tobytes()
+        P, n = jet.g.shape[:2]
+        size = P * n**5 * 8
+        tracemalloc.start()
+        try:
+            NR = nabla_R(jet)
+            built = tracemalloc.get_traced_memory()[1] / size
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            in_frame(jet, R, NJ, NR)
+            changed = (tracemalloc.get_traced_memory()[1] - held) / size
+        finally:
+            tracemalloc.stop()
+        assert built <= 2.5, built
+        assert changed <= 1.5, changed
+        assert (R.tobytes(), NJ.tobytes()) == before
+
 
 # ---------------------------------------------------------------------------
 # Each group's tensor stage once per chart
@@ -801,6 +831,25 @@ class TestNablaROracle:
             want = nabla_R_oracle(group.g[k], group.dg[k], group.ddg[k], group.dddg[k])
             scale = max(np.max(np.abs(want)), np.max(np.abs(gamma[k])) * np.max(np.abs(R[k])))
             assert np.max(np.abs(NR[k] - want)) <= 1e-13 * scale
+
+
+# The groups on which nabla_R and in_frame must give the bytes of their
+# references, which allocate an array per product
+_KERNEL_GROUPS = [pytest.param(get_model(name).chart, None, id=f"{name}-defaults")
+                  for name in sorted(model_names())]
+CP4, CP6 = fixture_chart("cp4"), parse_chart(complex_space_form_chart_text(6, 4.0))
+_KERNEL_GROUPS += [
+    pytest.param(get_model("cp3").chart, scan_points(1), id="cp3-scan-seed-1"),
+    pytest.param(CONF3, domain_points(CONF3, 12, seed=5), id="conf3-12-points"),
+    pytest.param(CP4, domain_points(CP4, 16, seed=4), id="cp4-16-points"),
+    pytest.param(CP6, domain_points(CP6, 4, seed=6), id="cp6-4-points"),
+]
+
+
+class TestKernelsAgainstReference:
+    @pytest.mark.parametrize("chart, points", _KERNEL_GROUPS)
+    def test_the_bytes_of_the_reference(self, chart, points):
+        assert_kernels_match_reference(chart.jet(chart.default_points if points is None else points))
 
 
 # ---------------------------------------------------------------------------

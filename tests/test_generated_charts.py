@@ -9,7 +9,7 @@ from ahgeom.analysis import COMPLEX_SPACE_FORM, REAL_SPACE_FORM
 from ahgeom.charts import parse_chart
 from ahgeom.report import analyze_chart
 from generated_charts import hermitian_charts, kahler_potential_charts
-from model_oracles import dumped
+from model_oracles import assert_kernels_match_reference, dumped
 
 TOL = 1e-4
 
@@ -25,11 +25,13 @@ class TestHermitianCharts:
     @settings(max_examples=25, deadline=None)
     def test_the_analysis_reports_or_names_the_point(self, drawn):
         text, points = drawn
+        chart = parse_chart(text)
         try:
-            report = analyze_chart(parse_chart(text), tol=TOL, samples=32, seed=1)
+            report = analyze_chart(chart, tol=TOL, samples=32, seed=1)
         except ValueError as exc:
             assert any(all(repr(c) in str(exc) for c in p) for p in points), str(exc)
             return
+        assert_kernels_match_reference(chart.jet(chart.default_points))
         assert report.to_json() == dumped(report)
         assert json.loads(report.to_json())["global"]["verdict"]["kind"] == report.overall.kind
         assert f"kind={report.overall.kind}" in report.to_text()
@@ -57,7 +59,9 @@ class TestKahlerPotentials:
     @settings(max_examples=8, deadline=None)
     def test_every_flag_holds_and_every_identity_vanishes(self, drawn):
         text, points = drawn
-        report = analyze_chart(parse_chart(text), tol=TOL, samples=16)
+        chart = parse_chart(text)
+        report = analyze_chart(chart, tol=TOL, samples=16)
+        assert_kernels_match_reference(chart.jet(chart.default_points))
         assert report.to_json() == dumped(report)
         for pr in report.points:
             assert all(pr.flags.values()), pr.flags

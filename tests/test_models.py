@@ -17,6 +17,9 @@ from ahgeom.tensor_core import hermitian_frames
 from model_oracles import (
     _FANO_LINES,
     BUNDLED,
+    CHARTS,
+    complex_space_form_chart_text,
+    complex_space_form_profile,
     frame_at,
     product_spheres_chart_text,
     product_spheres_profile,
@@ -182,6 +185,17 @@ class TestPackagedModels:
         assert model_names() == tuple(BUNDLED)
         assert sorted(entry.name for entry in BUNDLED_DIR.iterdir()) == sorted(
             f"{name}.ahm" for name in model_names())
+
+    def test_the_m4_fixture_is_the_oracle_text_after_its_comment(self):
+        # tests/charts/cp4.ahm is not bundled, but comes from the same generator
+        comment, text = (CHARTS / "cp4.ahm").read_text(encoding="utf-8").split("\n", 1)
+        assert comment.startswith("# ")
+        assert text == complex_space_form_chart_text(4, 4.0)
+        report = analyze_chart(parse_chart(text))
+        assert len(report.points) == 3
+        expected = complex_space_form_profile(4, 4.0)
+        assert report.overall.kind == expected.verdict_kind
+        assert report.overall.constant == pytest.approx(expected.verdict_constant, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["../bundled/cp2", "cp2.ahm", "CP2", "", "bundled/cp2"])
     def test_name_is_a_key_never_a_path(self, name):
