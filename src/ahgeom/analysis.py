@@ -10,17 +10,17 @@ decomposition residual and relation (3.2) each take a stack of points
 and give a list of one value per point, None where the check does not
 apply, as where S is not finite or not J-invariant; one point's data
 never raises or moves the others' values.  Both residuals are taken at
-nu* = <R - psi(S)/6, Q> / <Q, Q>, Q = pi1 - (2m-1)/3 pi2, the U(m)-invariant
-part of R, which is the `a` of the span fit `fit_pi_span`; so they do
-not depend on the seed.  Only the plane statistics and the verdict read
-the draws: the samplers take an explicit seeded generator, so every run
-is reproducible, and draw a point's planes from its J as one `Planes`
-batch, uniform on the unit sphere; `constancy` evaluates it on the
-point's R in one `sectional_curvature` call, one matrix product, and the
-verdict follows from it.  A record's nu is still
-the mean of its antiholomorphic draws.  All functions are pure;
-multi-point constancy (`schur_check`) is a pure function of the per-point
-statistics.
+the point's nu: at m >= 2, nu* = <R - psi(S)/6, Q> / <Q, Q>,
+Q = pi1 - (2m-1)/3 pi2, the U(m)-invariant part of R, which is the `a` of
+the span fit `fit_pi_span`; at m = 1, a quarter of the curvature of the
+point's one plane.  Each verdict constant (nu or 4 nu) and multi-point
+constancy (`schur_check`) read it too, so none depends on the seed.  Only
+the plane statistics and the verdict's constancy decisions read the
+draws: the samplers take an explicit seeded generator, so every run is
+reproducible, and draw a point's planes from its J as one `Planes` batch,
+uniform on the unit sphere; `constancy` evaluates it on the point's R in
+one `sectional_curvature` call, one matrix product.  All functions are
+pure.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SchurReport:
-    """Per-point curvature means and their spread across points."""
+    """Each point's nu and their spread across points."""
 
     kind: str
     nu_per_point: tuple[float, ...]
@@ -106,7 +106,8 @@ def sample_antiholomorphic_planes(J: np.ndarray, n: int, rng: np.random.Generato
 
     One (n, 2, 2m) block of normals gives each plane's x and y draw, in the
     stream order of drawing x then y plane by plane.  x is z / |z|; y is
-    projected off {x, Jx} and normalized.  Rows whose projection
+    projected off {x, Jx} twice and normalized, so each plane is
+    orthonormal and antiholomorphic to rounding.  Rows whose projection
     degenerates are drawn again in a further block, up to 100 rounds; only
     this path consumes the stream in a different order from drawing each
     degenerate plane's y again before the next plane's x.
@@ -122,8 +123,9 @@ def sample_antiholomorphic_planes(J: np.ndarray, n: int, rng: np.random.Generato
     rows = slice(None)
     for attempt in range(100):
         draws = normals[:, 1] if attempt == 0 else rng.standard_normal((rows.size, dim))
-        x, jx = X[rows], JX[rows]
-        y = draws - _row_dots(draws, x)[:, None] * x - _row_dots(draws, jx)[:, None] * jx
+        x, jx, y = X[rows], JX[rows], draws
+        for _ in range(2):  # the second pass takes off what rounding left of x and Jx
+            y = y - _row_dots(y, x)[:, None] * x - _row_dots(y, jx)[:, None] * jx
         Y[rows] = y
         norm2[rows] = _row_dots(y, y)
         rows = np.flatnonzero(~(norm2 > 1e-12))  # a NaN norm counts as degenerate
@@ -285,12 +287,12 @@ def proof_relation_32_residual(frames: list, nablaS: np.ndarray, nablaJ: np.ndar
 
 def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,
              stats_holo: CurvatureStats, stats_antiholo: CurvatureStats | None,
-             fit: tuple[float, float, float] | None, tol: float) -> Verdict:
+             fit: tuple[float, float, float] | None, nu: float, tol: float) -> Verdict:
     """Decide the verdict for one point of complex dimension m from its
     curvature data: the AH3 residual of `ah_identity_residual(R, J)`, the
     (lambda, residual) pair of `einstein_residual(S)`, the class residuals,
-    the plane statistics and the span fit (a, b, residual) of
-    `fit_pi_span(R, pi2(J))`, which is None at m = 1.
+    the plane statistics, the span fit (a, b, residual) of
+    `fit_pi_span(R, pi2(J))`, which is None at m = 1, and the point's nu.
 
     Order: not AH3 beats everything; then non-constant antiholomorphic
     curvature; then a least-squares split over span{pi1, pi2} decides
@@ -298,7 +300,8 @@ def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,
     the Kahler condition).  Anything else is inconclusive, with all
     residuals attached.  At m = 1 antiholomorphic planes do not exist and
     pi2 = 3 pi1; there the verdict comes from constant holomorphic
-    curvature plus the Kahler condition.
+    curvature plus the Kahler condition.  A real space form's constant is
+    nu, a complex space form's 4 nu.
     """
     residuals = {
         "ah3": ah3,
@@ -315,7 +318,7 @@ def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,
 
     if m == 1:
         if stats_holo.max_deviation <= tol and class_res.kahler <= tol:
-            return Verdict(COMPLEX_SPACE_FORM, stats_holo.mean, residuals)
+            return Verdict(COMPLEX_SPACE_FORM, 4.0 * nu, residuals)
         return Verdict(INCONCLUSIVE, None, residuals)
 
     if stats_antiholo is None:
@@ -326,21 +329,21 @@ def classify(m: int, ah3: float, einstein: tuple[float, float], class_res,
     a, b, fit_residual = fit
     residuals.update({"fit_a": a, "fit_b": b, "fit": fit_residual})
     if fit_residual <= tol and abs(b) <= tol:
-        return Verdict(REAL_SPACE_FORM, a, residuals)
+        return Verdict(REAL_SPACE_FORM, nu, residuals)
     if fit_residual <= tol and abs(b - a) <= tol and class_res.kahler <= tol:
-        return Verdict(COMPLEX_SPACE_FORM, 4.0 * a, residuals)
+        return Verdict(COMPLEX_SPACE_FORM, 4.0 * nu, residuals)
     return Verdict(INCONCLUSIVE, None, residuals)
 
 
-def schur_check(stats: list[CurvatureStats]) -> SchurReport:
-    """Per-point curvature means and their spread across points.
+def schur_check(nus: list[float], m: int) -> SchurReport:
+    """The points' nu at complex dimension m and their spread.
 
-    `stats` holds one point's antiholomorphic statistics each (holomorphic
-    for m = 1).  A pointwise constant that is also constant across points
-    (small spread) is the numerical shadow of the global-constancy
-    statement for m > 2.
+    kind names the planes nu describes: holomorphic at m = 1, where nu is
+    a quarter of the one plane's curvature, else antiholomorphic.  A
+    pointwise constant that is also constant across points (small spread)
+    is the numerical shadow of the global-constancy statement for m > 2.
     """
-    if len(stats) < 2:
+    if len(nus) < 2:
         raise InvariantViolation("the multi-point constancy check needs >= 2 points")
-    nus = tuple(s.mean for s in stats)
-    return SchurReport(kind=stats[0].kind, nu_per_point=nus, spread=float(max(nus) - min(nus)))
+    return SchurReport(kind="antiholomorphic" if m >= 2 else "holomorphic",
+                       nu_per_point=tuple(nus), spread=float(max(nus) - min(nus)))

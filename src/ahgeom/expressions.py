@@ -333,10 +333,10 @@ class _Series:
     a group: c0 is the (P, 1) array of values at the P points, and hi[k - 1]
     holds c_k per point and line, shape (P, d).  Floats are constants.
 
-    `+ - *` run as numpy operations over the whole group, which round like
-    the same Python float operations one point at a time; a constant power
-    and the functions run per point on Python floats and `math`, because
-    numpy's versions of them round differently.
+    Each operation is numpy's over the whole group, and no point's
+    coefficients depend on another's.  Where a float operation raises,
+    numpy's gives NaN or inf, and `evaluate` refuses a derivative that is
+    not finite.
 
     Division is x * y^-1.  A series takes its reciprocal y^-1 on the first
     division by it and keeps it for every later one: y^-1 is a function of
@@ -404,40 +404,32 @@ def _compose(x: _Series, f0, f1, f2, f3) -> _Series:
                                  f1 * b3 + f2 * (b1 * b2) + (f3 / 6.0) * (b1 * b1 * b1)]))
 
 
-def _per_point(x: _Series, f) -> _Series:
-    """f(x), where f(a) gives the value and first three derivatives at a as
-    Python floats, called once per point; a complex value is a TypeError."""
-    table = np.array([f(a) for a in x.c0.ravel().tolist()], dtype=float)
-    return _compose(x, *table.T[:, :, None])
-
-
 def _power(x: _Series, e: float) -> _Series:
     """x^e for a constant e.  The k-th derivative e (e-1) ... (e-k+1) x^(e-k)
     is 0 once its factor is, so x^2 is smooth at 0, where x^0.5 fails."""
-    factors, factor = [], 1.0
+    a, derivatives, factor = x.c0, [], 1.0
     for k in range(1, 4):
         factor *= e - k + 1
-        factors.append((k, factor))
-    return _per_point(x, lambda a: (a ** e, *(0.0 if c == 0.0 else c * a ** (e - k)
-                                               for k, c in factors)))
+        derivatives.append(0.0 if factor == 0.0 else factor * a ** (e - k))
+    return _compose(x, a ** e, *derivatives)
 
 
-# Each function's value and first three derivatives at a.
+# Each function's value and first three derivatives at the (P, 1) array a.
 _TAYLOR = {
-    "sin": lambda a: (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a)),
-    "cos": lambda a: (math.cos(a), -math.sin(a), -math.cos(a), math.sin(a)),
-    "tan": lambda a: ((t := math.tan(a)), 1.0 + t * t, 2.0 * t * (1.0 + t * t),
+    "sin": lambda a: ((s := np.sin(a)), (c := np.cos(a)), -s, -c),
+    "cos": lambda a: ((c := np.cos(a)), -(s := np.sin(a)), -c, s),
+    "tan": lambda a: ((t := np.tan(a)), 1.0 + t * t, 2.0 * t * (1.0 + t * t),
                       (2.0 + 6.0 * t * t) * (1.0 + t * t)),
-    "exp": lambda a: (math.exp(a),) * 4,
-    "log": lambda a: (math.log(a), 1.0 / a, -1.0 / (a * a), 2.0 / (a * a * a)),
-    "sqrt": lambda a: ((r := math.sqrt(a)), 0.5 / r, -0.25 / (r * a), 0.375 / (r * a * a)),
-    "atan": lambda a: (math.atan(a), 1.0 / (1.0 + a * a), -2.0 * a / (1.0 + a * a) ** 2,
+    "exp": lambda a: (np.exp(a),) * 4,
+    "log": lambda a: (np.log(a), 1.0 / a, -1.0 / (a * a), 2.0 / (a * a * a)),
+    "sqrt": lambda a: ((r := np.sqrt(a)), 0.5 / r, -0.25 / (r * a), 0.375 / (r * a * a)),
+    "atan": lambda a: (np.arctan(a), 1.0 / (1.0 + a * a), -2.0 * a / (1.0 + a * a) ** 2,
                        (6.0 * a * a - 2.0) / (1.0 + a * a) ** 3),
 }
 
 
 def _apply(name: str, x):
-    return _per_point(x, _TAYLOR[name]) if isinstance(x, _Series) else FUNCTIONS[name](x)
+    return _compose(x, *_TAYLOR[name](x.c0)) if isinstance(x, _Series) else FUNCTIONS[name](x)
 
 
 # Each operator's and function's operation: on floats, the float operator or

@@ -4,13 +4,13 @@ A run's points are checked up to JET_GROUP at a time (`_checked_points`):
 one jet and one tensor stage per group, in each point's orthonormal
 Cholesky frame, where every check runs, and every check that does not
 read the plane draws (`_group_checks`), each once for the group's stacked
-points.  That includes the adapted eigenframes, the decomposition
-residual and relation (3.2), both taken at each point's nu* = the span
-fit's a (`analysis`), so no residual depends on the seed; each is None
-where it does not apply.  A point's values, and its error when it
-overflows, do not depend on its group.  `analyze_point` then draws the
-point's planes from its own generator, takes the plane statistics, the
-record's nu (their mean) and the verdict, and finishes the record.  So
+points.  That includes each point's one nu (`analysis`), which the
+record, the decomposition residual, relation (3.2), the verdict's
+constant and the multi-point check all read, so none depends on the
+seed; each residual is None where it does not apply.  A point's values,
+and its error when it overflows, do not depend on its group.
+`analyze_point` then draws the point's planes from its own generator,
+takes the plane statistics and the verdict, and finishes the record.  So
 `tol` is in the curvature units of an orthonormal frame, whatever the
 chart's coordinates or scale.  Each residual is a max-norm over frame
 components, except the span fit's `fit`, the componentwise 2-norm of
@@ -25,10 +25,10 @@ analyzes one chart once per process and never reuses a run.
 
 The report has three blocks: run metadata (target, kind, tolerance,
 samples, seed and points), one block per evaluation point, and a global
-block (multi-point constancy over the points' nu, or holomorphic means for
-m = 1, plus the overall verdict and, in model mode, the expected-vs-observed
-checks).  The overall verdict is the points' common kind, or inconclusive
-when their kinds differ or their space-form constants spread beyond `tol`.
+block (multi-point constancy over the points' nu, plus the overall verdict
+and, in model mode, the expected-vs-observed checks).  The overall verdict
+is the points' common kind, or inconclusive when their kinds differ or
+their space-form constants spread beyond `tol`.
 Identical arguments, including the seed, produce byte-identical JSON.
 `to_json` writes it straight from the records, in the bytes json.dumps
 with indent=2 gives for the report's dict (`to_dict`); the text rendering
@@ -142,7 +142,7 @@ class _PointChecks:
     J in that frame.  The arrays are read-only views into the group's, so a
     function that writes into one raises instead of changing a neighbour's
     values, or those of a later run that reuses the point from the slot.
-    not_finite names the first of R, nabla J and nabla R that is not finite.
+    not_finite names the first of R, nabla J and nabla R not finite there.
     fit is None at m = 1, where `classify` does not read it.  fields are the
     `PointReport` fields that do not read the draws, as the record holds
     them."""
@@ -161,15 +161,15 @@ class _PointChecks:
 def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
     """The tensor stage of a group and the checks of its points that do not
     read their plane draws, each one call for all its points.  A point whose
-    R, nabla J or nabla R is not finite is named by not_finite; one that
-    overflows later, as its S does when the frame change overflows, is named
-    by `analyze_point` from its record, never by an error of the group."""
+    R, nabla J or nabla R is not finite in its frame is named by not_finite;
+    one that overflows later is named by `analyze_point` from its record,
+    never by an error of the group."""
     R = calculus.riemann(jet)
     NJ = calculus.nabla_J(jet)
     NR = calculus.nabla_R(jet)
+    R, NJ, NR = calculus.in_frame(jet, R, NJ, NR)
     finite = [(name, np.isfinite(T).reshape(len(jet), -1).all(axis=1))
               for name, T in (("R", R), ("nabla J", NJ), ("nabla R", NR))]
-    R, NJ, NR = calculus.in_frame(jet, R, NJ, NR)
     K = jet.K
     S = calculus.ricci(R)
     NS = np.trace(NR, axis1=2, axis2=5)  # metric compatibility: nabla S traces nabla R
@@ -182,8 +182,9 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
                         *ah_identity_residual(R, K)], axis=-1)
     rows = by_flag.tolist()
     lam, einstein_defect = einstein_residual(S)
-    # at m = 1, Q = pi1 - pi2/3 vanishes and (3.2) has no pair i != j: no residual reads nu
-    nu = np.zeros(len(jet)) if fit is None else fit[0]
+    # nu* at m >= 2; at m = 1 the point's one plane, span{e1, Ke1}, has curvature 4 nu
+    Ke1 = K[..., 0]
+    nu = np.einsum("pjk,pj,pk->p", R[:, 0, :, :, 0], Ke1, Ke1) / 4.0 if fit is None else fit[0]
     # each record field that does not read the draws, one value per point
     columns = {
         "flags": [dict(zip(("K", "NK", "AK", "AH1", "AH2", "AH3"), row))
@@ -193,6 +194,7 @@ def _group_checks(jet: Jet, tol: float) -> list[_PointChecks]:
         "riemann_symmetry_residual": riemann_symmetry_residual(R).tolist(),
         "einstein": [{"lambda": v, "residual": d}
                      for v, d in zip(lam.tolist(), einstein_defect.tolist())],
+        "nu": nu.tolist(),
         "decomposition_residual": decomposition_residual(R, S, K, nu, tol=tol),
         "bianchi_residual": bianchi2_residual(NR).tolist(),
         "eigenframe_relation_residual":
@@ -261,18 +263,13 @@ def analyze_point(checks: _PointChecks, p: tuple[float, ...], index: int, *,
     m = len(K) // 2
     rng = np.random.default_rng([seed, index])
     holo = constancy(R, sample_holomorphic_planes(K, samples, rng))
-    if m >= 2:
-        anti = constancy(R, sample_antiholomorphic_planes(K, samples, rng))
-        nu = anti.mean
-    else:
-        anti = None
-        nu = holo.mean / 4.0
+    anti = constancy(R, sample_antiholomorphic_planes(K, samples, rng)) if m >= 2 else None
     # fresh dicts, so a caller that edits a record cannot reach the slot's
     fields = {key: dict(v) if isinstance(v, dict) else v for key, v in checks.fields.items()}
     einstein = fields["einstein"]
     verdict = classify(m, fields["ah_residuals"]["AH3"], (einstein["lambda"], einstein["residual"]),
-                       fields["class_residuals"], holo, anti, checks.fit, checks.tol)
-    record = PointReport(point=p, **fields, holomorphic=holo, antiholomorphic=anti, nu=nu,
+                       fields["class_residuals"], holo, anti, checks.fit, fields["nu"], checks.tol)
+    record = PointReport(point=p, **fields, holomorphic=holo, antiholomorphic=anti,
                          verdict=verdict)
     if (bad := _non_finite(record)) is not None:
         raise InvariantViolation(f"{bad} is not finite at point {list(p)}")
@@ -551,7 +548,7 @@ def analyze_chart(chart: ChartSpec, points=None, *, name: str = "chart",
                for i, checks in enumerate(_checked_points(chart, points, tol))]
     schur = None
     if len(reports) >= 2:
-        schur = schur_check([pr.antiholomorphic or pr.holomorphic for pr in reports])
+        schur = schur_check([pr.nu for pr in reports], chart.m)
     overall = _overall_verdict(reports, tol)
     checks = None
     if expected is not None:

@@ -18,7 +18,6 @@ from ahgeom.analysis import (
     NOT_AH3,
     NOT_CONSTANT_ANTIHOLOMORPHIC,
     REAL_SPACE_FORM,
-    CurvatureStats,
     Verdict,
     adapted_eigenframe,
     bianchi2_residual,
@@ -87,11 +86,9 @@ class TestSamplers:
             assert abs(x @ y) < 1e-12
             assert abs(x @ J @ y) < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="one projection pass leaves about eps / |y| where the "
-                       "projected y is short; ROADMAP item 14's second projection pass mends it")
     def test_conf2_planes_are_antiholomorphic_to_rounding(self):
-        # 20,000 draws at each conf2 point, in its frame: max |x . Ky| and max |x . y|
-        # are 9.6e-15 to 1.8e-14 and 3.4e-14 to 5.3e-14 with one projection pass
+        # 20,000 draws at each conf2 point, in its frame: one projection pass
+        # leaves max |x . Ky| and max |x . y| at up to 1.8e-14 and 5.3e-14
         chart = fixture_chart("conf2")
         worst = []
         for k, p in enumerate(chart.default_points):
@@ -529,8 +526,10 @@ def classify_algebraic(R, J, nu_stats_planes=256, tol=1e-9, cls=ZERO_CLASS, seed
     if m >= 2:
         anti = constancy(R, sample_antiholomorphic_planes(J, nu_stats_planes, rng))
     fit = fit_pi_span(R, pi2(J)) if m >= 2 else None
+    # the point's nu: nu* at m >= 2, the one plane's R(e1, Je1, Je1, e1)/4 at m = 1
+    nu = fit[0] if m >= 2 else R[0, :, :, 0] @ J[:, 0] @ J[:, 0] / 4.0
     return classify(m, float(ah_identity_residual(R, J)[2]), einstein_residual(ricci(R)), cls,
-                    holo, anti, fit, tol)
+                    holo, anti, fit, nu, tol)
 
 
 class TestClassify:
@@ -569,8 +568,9 @@ class TestClassify:
         holo = constancy(R, sample_holomorphic_planes(K, 128, rng))
         anti = constancy(R, sample_antiholomorphic_planes(K, 128, rng))
         cls = class_residuals(NJ)
+        fit = fit_pi_span(R, pi2(K))
         verdict = classify(2, ah_identity_residual(R, K)[2], einstein_residual(S),
-                           cls, holo, anti, fit_pi_span(R, pi2(K)), 1e-4)
+                           cls, holo, anti, fit, fit[0], 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_equal_radii_product_still_rejected(self):
@@ -583,9 +583,9 @@ class TestClassify:
         assert anti.max_deviation > 0.1
         holo = constancy(R, sample_holomorphic_planes(K, 128, rng))
         cls = class_residuals(NJ)
+        fit = fit_pi_span(R, pi2(K))
         verdict = classify(2, ah_identity_residual(R, K)[2],
-                           einstein_residual(ricci(R)), cls, holo, anti,
-                           fit_pi_span(R, pi2(K)), 1e-4)
+                           einstein_residual(ricci(R)), cls, holo, anti, fit, fit[0], 1e-4)
         assert verdict.kind == NOT_CONSTANT_ANTIHOLOMORPHIC
 
     def test_m1_routes_through_holomorphic_constancy(self):
@@ -627,27 +627,38 @@ class TestSchurCheck:
         assert report.spread < 1e-12
 
     def test_needs_two_points(self):
-        stats = CurvatureStats(kind="antiholomorphic", samples=16, mean=0.0, max_deviation=0.0)
         with pytest.raises(InvariantViolation, match=">= 2"):
-            schur_check([stats])
+            schur_check([0.0], 2)
 
     def test_reuses_each_points_nu(self):
         report = analyze_model(get_model("cp2"), samples=64)
         assert report.schur.kind == "antiholomorphic"
         assert report.schur.nu_per_point == tuple(pr.nu for pr in report.points)
-        # m = 1 has no antiholomorphic planes: the holomorphic means stand in
+        # m = 1 has no antiholomorphic planes: nu is read from the one holomorphic plane
         report = analyze_model(get_model("cp1"), samples=64)
         assert report.schur.kind == "holomorphic"
-        assert report.schur.nu_per_point == tuple(pr.holomorphic.mean for pr in report.points)
+        assert report.schur.nu_per_point == tuple(pr.nu for pr in report.points)
 
-    @pytest.mark.xfail(strict=True, reason="at m = 1 schur_check takes each point's holomorphic "
-                       "mean, four times the record's nu; the last value-changing PR makes them "
-                       "agree")
     def test_m1_reuses_each_points_nu(self):
-        # cp1 gives (4.0, 4.000000000000001) against the points' (1.0, 1.0000000000000002)
         for name in ("cp1", "ch1"):
             report = analyze_model(get_model(name), samples=64)
             assert report.schur.nu_per_point == tuple(pr.nu for pr in report.points), name
+
+    @pytest.mark.parametrize("name", [*model_names(), "conf2", "varying_surface"])
+    def test_nu_and_every_constant_are_seed_free(self, name):
+        # only the plane statistics and the constancy decisions read the draws
+        def constants(seed):
+            if name in model_names():
+                rep = analyze_model(get_model(name), samples=32, seed=seed)
+            else:
+                rep = analyze_chart(fixture_chart(name), samples=32, seed=seed)
+            for pr in rep.points:
+                if "fit_a" in pr.verdict.residuals:
+                    assert pr.nu == pr.verdict.residuals["fit_a"]
+            return ([pr.nu for pr in rep.points], rep.schur,
+                    [pr.verdict.constant for pr in rep.points], rep.overall.constant)
+
+        assert constants(1) == constants(2)
 
     def test_the_theorem_needs_m_at_least_3(self):
         # g = delta/(1+x1^2+y1^2)^2 is AH3 with a nu* that varies from point to
@@ -748,9 +759,9 @@ NON_FINITE_SOURCES = [
      "decomposition_residual"),
     (report, "proof_relation_32_residual", lambda f: lambda *args: [math.inf for _ in f(*args)],
      "eigenframe_relation_residual"),
-    # the decomposition residual, the record's first float that reads the fit, is taken at its a
+    # nu, the record's first float that reads the fit, is its a
     (report, "fit_pi_span", lambda f: lambda *args: tuple(v * np.nan for v in f(*args)),
-     "decomposition_residual"),
+     "nu"),
     (report, "classify", lambda f: lambda *args: Verdict(INCONCLUSIVE, math.inf, {}),
      "verdict.constant"),
 ]

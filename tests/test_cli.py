@@ -49,11 +49,11 @@ OVERFLOWING = {
 # three; "fading" is "tiny" whose scale falls from 1 at y = 0 to 1e-300 at y = 1.
 OVERFLOWING_IN_A_GROUP = {
     "fading": (conformal_line_text("exp(-690*y)"), ("0.3,0", "0.3,1", "0.3,-0.1"),
-               "bianchi_residual is not finite at point [0.3, 1.0]"),
+               "nabla R is not finite at point [0.3, 1.0]"),
     "steep": (OVERFLOWING["steep"], ("0,0,0,0", "2.3,0,0,0", "0.5,0,0,0"),
               "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
     "collapsing": (OVERFLOWING["collapsing"], ("0.1,0,0,0", "6.56,0,0,0", "0.5,0,0,0"),
-                   "ah_residuals.AH1 is not finite at point [6.56, 0.0, 0.0, 0.0]"),
+                   "R is not finite at point [6.56, 0.0, 0.0, 0.0]"),
 }
 
 
@@ -231,7 +231,9 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(out)
         assert [pr["verdict"]["kind"] for pr in report["points"]] == ["complex_space_form"] * 2
-        assert report["global"]["schur"]["spread"] == pytest.approx(1 - math.exp(-1), rel=1e-12)
+        # the points' nu, a quarter of the surface's curvature at each
+        assert report["global"]["schur"]["spread"] == pytest.approx((1 - math.exp(-1)) / 4,
+                                                                    rel=1e-12)
         assert report["global"]["verdict"] == {"kind": kind, "constant": constant}
 
     def test_explicit_points_and_out_of_domain_error(self, capsys):
@@ -351,9 +353,9 @@ class TestAnalyze:
         assert err.startswith("analysis error: coordinate x1 = -inf is not finite")
 
     @pytest.mark.parametrize("name, shown", [
-        ("tiny", "bianchi_residual is not finite at point [0.3, 0.2]"),
+        ("tiny", "nabla R is not finite at point [0.3, 0.2]"),
         ("steep", "R is not finite at point [2.3, 0.0, 0.0, 0.0]"),
-        ("collapsing", "ah_residuals.AH1 is not finite at point [6.56, 0.0, 0.0, 0.0]"),
+        ("collapsing", "R is not finite at point [6.56, 0.0, 0.0, 0.0]"),
     ])
     def test_overflow_is_an_error(self, tmp_path, capsys, name, shown):
         path = chart_file(tmp_path, OVERFLOWING[name])
