@@ -12,18 +12,23 @@ expresses the three in each point's orthonormal Cholesky frame, where
 `ricci` and the residual checks take them; each residual is a max-norm
 over basis tuples, one value per point, so runs are deterministic.
 
-nabla R is P n^5 floats for n = 2m, the size of the jet's dddg and the
-largest of a group's arrays.  `nabla_R` builds it in two such arrays, its
-running sum and one that takes each product, and `in_frame` changes its
-frame in its own memory and one new such array.  So beside the jet, at
-most two P n^5 arrays are live at once in either, and one, nabla R,
-between and after them.
+The jet keeps g's derivatives as the Taylor pass recovers them, each
+distinct one once, and the kernels gather the symbols they read straight
+from them (`Gathers`): the connection and its first derivative once per
+jet, its second derivative into nabla R's running sum.  So the jet holds
+no array of P n^5 floats, for n = 2m; nabla R is one, the largest of a
+group's arrays.  `nabla_R` builds it in two such arrays, its running sum
+and one that takes each term and product, and `in_frame` changes its
+frame in its own memory and one new such array.  So at most two P n^5
+arrays are live at once in either, and one, nabla R, between and after
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .tensor_core import _apply, _max_abs
 
 __all__ = [
     "Jet",
+    "Gathers",
     "ClassResiduals",
     "riemann",
     "ricci",
@@ -52,11 +58,34 @@ class ClassResiduals:
     almost_kahler: float
 
 
-def _lower(D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Christoffel symbols Gamma_ljk of the first kind, or their derivatives,
-    from the derivatives D[..., a, i, j] of g: out[..., l, j, k]."""
-    out = np.add(np.swapaxes(D, -3, -2), np.moveaxis(D, -3, -1), out=out)
-    out -= D
+class Gathers(NamedTuple):
+    """Where the kernels find g's derivatives among a jet's distinct ones:
+    each table holds positions along axis 1 of `Jet.dg`[k - 1], laid out
+    as the array it gathers.  The tables are read-only and the same for
+    every jet of one dimension; `charts._layout` builds them, and only it
+    knows the order of the distinct derivatives."""
+
+    dg: np.ndarray  # (n, n, n): d_a g_ij at [a, i, j], k = 1
+    low: np.ndarray  # (3, n, n, n): d_j g_lk, d_k g_lj and d_l g_jk at [:, l, j, k], k = 1
+    dlow: np.ndarray  # (3, n, n, n, n): their d_a at [:, a, l, j, k], k = 2
+    # (3, n, n, n, n, n): their d_v d_i at [:, v, i, k, j, l], the order of
+    # nabla R's running sum (`nabla_R`), k = 3
+    ddlow: np.ndarray
+
+
+def _first_kind(D: np.ndarray, terms: np.ndarray, out: np.ndarray | None = None,
+                spare: np.ndarray | None = None) -> np.ndarray:
+    """Christoffel symbols Gamma_ljk = ((d_j g_lk + d_k g_lj) - d_l g_jk) / 2
+    of the first kind, or their derivatives, from the distinct derivatives
+    D of g and the table of their three terms (a `Gathers` field).  Written
+    into `out`, with `spare` taking the other terms, when given.  `np.take`
+    writes straight into a C-contiguous `out` only with a mode other than
+    "raise", which copies it first; the positions are valid, so "clip"
+    changes no value."""
+    out = np.take(D, terms[0], axis=1, out=out, mode="clip")
+    spare = np.take(D, terms[1], axis=1, out=spare, mode="clip")
+    out += spare
+    out -= np.take(D, terms[2], axis=1, out=spare, mode="clip")
     out *= 0.5
     return out
 
@@ -85,17 +114,18 @@ def _curvature(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class Jet:
     """g and J with their derivatives at a group of P points, in the
     chart's coordinates; axis 0 indexes the points:
-    g[p, i, j], J[p, i, j], dg[p, a, i, j] = d_a g_ij, ddg[p, a, b, i, j],
-    dddg[p, a, b, c, i, j] and dJ[p, a, i, j] = d_a J^i_j.
+    g[p, i, j], J[p, i, j] and dJ[p, a, i, j] = d_a J^i_j.  g's derivatives
+    are the distinct ones, as the Taylor pass recovers them: dg[k - 1][p, u]
+    for k = 1, 2, 3 holds d_a1 ... d_ak g_ij once for each cell i <= j and
+    each multiset {a_1, ..., a_k}, and `gathers` says where each sits.
     (Linv, K) are the points' Cholesky frames (`tensor_core.hermitian_frames`),
     from the one factorization that checked g and J."""
 
     g: np.ndarray
     J: np.ndarray
-    dg: np.ndarray
-    ddg: np.ndarray
-    dddg: np.ndarray
+    dg: tuple[np.ndarray, np.ndarray, np.ndarray]
     dJ: np.ndarray
+    gathers: Gathers
     Linv: np.ndarray
     K: np.ndarray
 
@@ -108,11 +138,12 @@ class Jet:
         and dgamma[p, a] = d_a Gamma^i_jk."""
         P, n = self.g.shape[:2]
         g_inv = np.linalg.inv(self.g)
-        low, dlow = _lower(self.dg), _lower(self.ddg)
+        at = self.gathers
+        low, dlow = _first_kind(self.dg[0], at.low), _first_kind(self.dg[1], at.dlow)
         gamma = (g_inv @ low.reshape(P, n, n * n)).reshape(P, n, n, n)
         # d_a Gamma^i_jk = g^il (d_a Gamma_ljk - d_a g_lm Gamma^m_jk)
-        t = dlow - (self.dg.reshape(P, n * n, n)
-                    @ gamma.reshape(P, n, n * n)).reshape(P, n, n, n, n)
+        dg = np.take(self.dg[0], at.dg, axis=1).reshape(P, n * n, n)
+        t = dlow - (dg @ gamma.reshape(P, n, n * n)).reshape(P, n, n, n, n)
         dgamma = (g_inv[:, None] @ t.reshape(P, n, n, n * n)).reshape(P, n, n, n, n)
         return gamma, low, dlow, dgamma
 
@@ -152,17 +183,18 @@ def nabla_R(jet: Jet) -> np.ndarray:
     out[p, v, x, y, z, u] = (nabla_v R)(x, y, z, u).
 
     Built in two (P, n, n, n, n, n) arrays and no other of that size: X
-    sums the derivative of R's X (`_curvature`) while W takes each of its
-    two products; then W takes the curvature of that sum, and the spent X
-    each of the four Gamma R products subtracted from it."""
+    sums the derivative of R's X (`_curvature`), gathered from the jet's
+    third derivatives, while W takes its other terms and each of its two
+    products; then W takes the curvature of that sum, and the spent X each
+    of the four Gamma R products subtracted from it."""
     gamma, low, dlow, dgamma = jet._connection
     R0 = jet._riemann
     P, n = jet.g.shape[:2]
     shape = (P,) + (n,) * 5
-    # the derivative of R's X: d_v d_i Gamma_ljk, lowered into X's own memory,
+    # the derivative of R's X: d_v d_i Gamma_ljk, gathered into X's own memory,
     # + d_v Gamma^p_jl Gamma_pik + Gamma^p_jl d_v Gamma_pik, each product in W
     X, W = np.empty(shape), np.empty(shape)
-    _lower(jet.dddg, out=np.swapaxes(X, -3, -1))
+    _first_kind(jet.dg[2], jet.gathers.ddlow, out=X, spare=W)
     X += _products(dgamma, low[:, None], out=W)
     X += _products(gamma[:, None], dlow, out=W)
     NR = _curvature(X, out=W)

@@ -48,7 +48,7 @@ from .expressions import (
     parse_expression,
     variables_of,
 )
-from .calculus import Jet
+from .calculus import Gathers, Jet
 from .tensor_core import InvariantViolation, hermitian_frames
 
 __all__ = [
@@ -83,22 +83,24 @@ class DomainError(ChartError):
 # The largest complex dimension a chart file may declare, as MAX_DEPTH bounds
 # an expression.  A group's memory grows about as (2m)^5, with nabla R:
 # `report.analyze_chart` on 16 points of g = delta/(1+|x|^2)^2 with the
-# standard J, drawn uniformly from [-0.9, 0.9]^(2m), peaks at 3.9 MiB of
-# allocations traced by tracemalloc at m = 3 and 105 MiB at m = 6, after a
+# standard J, drawn uniformly from [-0.9, 0.9]^(2m), peaks at 3.0 MiB of
+# allocations traced by tracemalloc at m = 3 and 76 MiB at m = 6, after a
 # first run at another point has compiled the chart's programs.  So m = 12
 # would need gigabytes.  The bundled models have m <= 3.
 MAX_DIM = 6
 
 
 class _Layout(NamedTuple):
-    """Where g's program puts each entry, and the tables of the Taylor pass;
-    the same for every chart of one dimension, so `_layout` builds it once."""
+    """Where g's program puts each entry, the tables of the Taylor pass and
+    where the kernels find g's derivatives among the distinct ones it
+    recovers; the same for every chart of one dimension, so `_layout`
+    builds it once."""
 
     upper: tuple[tuple[int, int], ...]  # g's upper triangle, the order of g's program
     g_index: np.ndarray  # (n, n) positions of g's entries among the program's values
     lines: np.ndarray  # (d, n) directions of the Taylor pass
     recover: tuple[np.ndarray, ...]  # per k: degree-k coefficients -> distinct derivatives
-    gather: tuple[np.ndarray, ...]  # per k: distinct derivatives of g -> all ordered ones
+    gathers: Gathers  # distinct derivatives of g -> the arrays the kernels read
 
 
 @lru_cache(maxsize=8)
@@ -111,16 +113,17 @@ def _layout(n: int) -> _Layout:
     coefficients along them to the derivatives d_u f for the C(n+k-1, k)
     multisets u of size k: the coefficient is the sum over u of
     d_u f * prod_a v_a^m_a / m_a!, with m_a the multiplicity of a in u, a
-    system these directions determine.  gather[k - 1][i, j, a_1, ..., a_k]
-    is the position of d_a1 ... d_ak g_ij in the flattened (upper cell,
-    multiset) array of the recovered derivatives.
+    system these directions determine.  The recovered derivatives of order
+    k are flat, upper cell by upper cell and, within a cell, multiset by
+    multiset; `gathers` holds the position there of each term the kernels
+    read (`calculus.Gathers`).
     """
     upper = tuple((i, j) for i in range(n) for j in range(i, n))
     slot = {cell: k for k, cell in enumerate(upper)}
     g_index = np.array([[slot[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
     lines = np.array([np.bincount(c, minlength=n)
                       for c in combinations_with_replacement(range(n), 3)], dtype=float)
-    recover, gather = [], []
+    recover, at = [], []
     for k in (1, 2, 3):
         cells = list(combinations_with_replacement(range(n), k))
         mult = np.array([np.bincount(c, minlength=n) for c in cells])
@@ -132,10 +135,16 @@ def _layout(n: int) -> _Layout:
         recover.append(np.ascontiguousarray(np.linalg.solve(r, q.T)))
         where = {c: u for u, c in enumerate(cells)}
         cell = np.array([where[tuple(sorted(ix))] for ix in np.ndindex(*(n,) * k)])
-        gather.append((g_index[:, :, None] * len(cells) + cell).reshape((n,) * (k + 2)))
-    for table in (g_index, lines, *recover, *gather):
+        # at[k - 1][a_1, ..., a_k, i, j]: the position of d_a1 ... d_ak g_ij
+        at.append((cell.reshape((n,) * k + (1, 1)) + len(cells) * g_index).astype(np.intp))
+    # the terms d_j g_lk, d_k g_lj and d_l g_jk of Gamma_ljk at [:, ..., l, j, k]
+    low, dlow, ddlow = (np.stack([np.swapaxes(D, -3, -2), np.moveaxis(D, -3, -1), D])
+                        for D in at)
+    # nabla R's running sum takes the second derivatives in the order (..., k, j, l)
+    gathers = Gathers(at[0], low, dlow, np.ascontiguousarray(np.swapaxes(ddlow, -3, -1)))
+    for table in (g_index, lines, *recover, *gathers):
         table.setflags(write=False)
-    return _Layout(upper, g_index, lines, tuple(recover), tuple(gather))
+    return _Layout(upper, g_index, lines, tuple(recover), gathers)
 
 
 @dataclass(frozen=True)
@@ -205,8 +214,8 @@ class ChartSpec:
         failing point.
 
         The derivatives of g are recovered only for its upper triangle and
-        each distinct multiset of directions, then gathered into one
-        (P, n^k, n, n) block per order.
+        each distinct multiset of directions, and the jet keeps them so,
+        one flat array per order, with the tables of where each sits.
         """
         g = np.stack([self.metric_at(p) for p in group])
         J = np.stack([self.j_at(p) for p in group])
@@ -229,13 +238,9 @@ class ChartSpec:
             flat = np.einsum("upd,xd->pux", coeffs[:, k - 1], layout.recover[k - 1])
             return flat.reshape(len(group), -1)
 
-        def at(block: np.ndarray) -> np.ndarray:
-            return np.moveaxis(block, (1, 2), (-2, -1))
-
-        dg, ddg, dddg = (derivatives(g_coeffs, k) for k in (1, 2, 3))
+        dg = tuple(derivatives(g_coeffs, k) for k in (1, 2, 3))
         dJ = derivatives(j_coeffs, 1).reshape(len(group), n, n, n)
-        g1, g2, g3 = layout.gather
-        return Jet(g, J, at(dg[:, g1]), at(ddg[:, g2]), at(dddg[:, g3]), at(dJ), Linv, K)
+        return Jet(g, J, dg, np.moveaxis(dJ, 3, 1), layout.gathers, Linv, K)
 
 
 # ASCII only: Python folds 'xﬁ' into 'xfi', and int() and float() read

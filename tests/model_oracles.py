@@ -9,22 +9,28 @@ that look at points one at a time, and `frame_at` its K, R, nabla J and
 nabla R in the frame the analysis uses.  `dumped` is the bytes a report's
 `to_json` must give.
 
+`g_derivatives` gathers a jet's distinct derivatives of g into the full
+blocks of each order, for the tests that compare them with other
+derivatives and for the oracles that read them.
+
 The kernel oracles are the per-point einsum definitions of nabla R, the
 AH identities and psi that the stacked matrix-product kernels replaced:
-one point at a time, each index spelled out.  `nabla_R_reference` and
-`in_frame_reference` are the stacked nabla R and frame change with a new
-array per product, whose bytes `assert_kernels_match_reference` asks of
-the kernels that reuse their buffers.  The adapted eigenframe and
-relation (3.2) oracles are the one-point code the stacked checks must
-reproduce bit for bit.  `kernel_cases` are the (J, R) pairs the
-kernels are tested on, and `kulkarni_nomizu` builds curvature tensors
-from symmetric forms.
+one point at a time, each index spelled out.  `connection_reference`,
+`nabla_R_reference` and `in_frame_reference` are the stacked connection,
+nabla R and frame change lowered from the full blocks by strided passes,
+with a new array per product, whose bytes `assert_kernels_match_reference`
+asks of the kernels that gather from the distinct derivatives and reuse
+their buffers.  The adapted eigenframe and relation (3.2) oracles are the
+one-point code the stacked checks must reproduce bit for bit.
+`kernel_cases` are the (J, R) pairs the kernels are tested on, and
+`kulkarni_nomizu` builds curvature tensors from symmetric forms.
 
 The fixture charts are the hard cases beside the bundled models, one
 file each in `tests/charts`, whose comment says what the chart pins;
 `fixture_chart` parses one.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -38,7 +44,6 @@ from ahgeom.analysis import (
 )
 from ahgeom.calculus import (
     _curvature,
-    _lower,
     _products,
     in_frame,
     nabla_J,
@@ -62,6 +67,26 @@ def jet_at(chart, p):
     """The jet of `chart` at p, any sequence of coordinates: `ChartSpec.jet`
     of p alone, a group of one."""
     return chart.jet([np.asarray(p, dtype=float)])
+
+
+def g_derivatives(jet):
+    """[dg, ddg, dddg], the full C-contiguous blocks dg[p, a, i, j] = d_a g_ij,
+    ddg[p, a, b, i, j] and dddg[p, a, b, c, i, j] of the jet's distinct
+    derivatives (`Jet.dg`), in their order: the cells i <= j row by row,
+    and within each the multisets of directions as
+    `itertools.combinations_with_replacement` lists them."""
+    P, n = jet.g.shape[:2]
+    rows, cols = np.triu_indices(n)
+    blocks = []
+    for k, flat in enumerate(jet.dg, start=1):
+        sets = list(itertools.combinations_with_replacement(range(n), k))
+        values = flat.reshape(P, rows.size, len(sets))
+        block = np.empty((n,) * (k + 2) + (P,))
+        for s, dirs in enumerate(sets):
+            for a in set(itertools.permutations(dirs)):
+                block[a][rows, cols] = block[a][cols, rows] = values[:, :, s].T
+        blocks.append(np.ascontiguousarray(np.moveaxis(block, -1, 0)))
+    return blocks
 
 
 def dumped(report):
@@ -112,14 +137,41 @@ def nabla_R_oracle(g, dg, ddg, dddg):
     )
 
 
+def _lower_reference(D, out=None):
+    """Christoffel symbols Gamma_ljk of the first kind, or their derivatives,
+    from the full block D[..., a, i, j] of g's derivatives: out[..., l, j, k]."""
+    out = np.add(np.swapaxes(D, -3, -2), np.moveaxis(D, -3, -1), out=out)
+    out -= D
+    out *= 0.5
+    return out
+
+
+def connection_reference(jet):
+    """`Jet._connection` as it was when the jet held the full blocks of g's
+    derivatives, each lowered by strided passes: (gamma, low, dlow, dgamma)."""
+    dg, ddg, _ = g_derivatives(jet)
+    P, n = jet.g.shape[:2]
+    g_inv = np.linalg.inv(jet.g)
+    low, dlow = _lower_reference(dg), _lower_reference(ddg)
+    gamma = (g_inv @ low.reshape(P, n, n * n)).reshape(P, n, n, n)
+    t = dlow - (dg.reshape(P, n * n, n) @ gamma.reshape(P, n, n * n)).reshape(P, n, n, n, n)
+    dgamma = (g_inv[:, None] @ t.reshape(P, n, n, n * n)).reshape(P, n, n, n, n)
+    return gamma, low, dlow, dgamma
+
+
 def nabla_R_reference(jet):
-    """`calculus.nabla_R` as it was before it reused two buffers: the same
-    products in the same order, each into an array of its own."""
-    gamma, low, dlow, dgamma = jet._connection
-    R0 = jet._riemann
+    """`calculus.nabla_R` as it was before it gathered from the jet's
+    distinct derivatives and reused two buffers: the connection and the
+    second derivatives of Gamma_ljk lowered from the full blocks by strided
+    passes, and the same products in the same order, each into an array of
+    its own."""
+    gamma, low, dlow, dgamma = connection_reference(jet)
+    R0 = _products(gamma, low)
+    R0 += np.swapaxes(dlow, -3, -1)
+    R0 = _curvature(R0)
     P, n = jet.g.shape[:2]
     X = np.empty((P,) + (n,) * 5)
-    _lower(jet.dddg, out=np.swapaxes(X, -3, -1))
+    _lower_reference(g_derivatives(jet)[2], out=np.swapaxes(X, -3, -1))
     X += _products(dgamma, low[:, None])
     X += _products(gamma[:, None], dlow)
     NR = _curvature(X)
@@ -149,8 +201,10 @@ def in_frame_reference(jet, R, NJ, NR):
 
 
 def assert_kernels_match_reference(jet):
-    """`nabla_R` and `in_frame` give the references' bytes on the jet, and
-    `in_frame` leaves R and nabla J as they were."""
+    """The connection, `nabla_R` and `in_frame` give the references' bytes
+    on the jet, and `in_frame` leaves R and nabla J as they were."""
+    assert ([T.tobytes() for T in jet._connection]
+            == [T.tobytes() for T in connection_reference(jet)])
     R, NJ = riemann(jet), nabla_J(jet)
     NR = nabla_R(jet)
     want = nabla_R_reference(jet)

@@ -1,5 +1,6 @@
 """Exact jet calculus against symbolic, finite-difference and constant-curvature oracles."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -43,6 +44,7 @@ from model_oracles import (
     complex_space_form_chart_text,
     fixture_chart,
     frame_at,
+    g_derivatives,
     jet_at,
     nabla_R_oracle,
 )
@@ -171,8 +173,8 @@ class TestJet:
         chart = conformal_chart(src)
         j = jet_at(chart, as_floats(point))
         exact = symbolic_derivatives(chart, point, chart.metric_exprs)
-        for got, want in zip((j.dg[0], j.ddg[0], j.dddg[0]), exact):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        for got, want in zip(g_derivatives(j), exact):
+            np.testing.assert_allclose(got[0], want, rtol=1e-13, atol=1e-13)
 
     def test_six_coordinates(self):
         # the 56 jet lines of a 6-dimensional chart, every third derivative mixed
@@ -184,12 +186,12 @@ class TestJet:
         point = (R_(1, 5), R_(-1, 10), R_(3, 10), R_(1, 2), R_(-2, 5), R_(7, 10))
         j = jet_at(chart, as_floats(point))
         exact = symbolic_derivatives(chart, point, [[chart.metric_exprs[0][0]]])
-        for got, want in zip((j.dg[0], j.ddg[0], j.dddg[0]), exact):
-            np.testing.assert_allclose(got[..., :1, :1], want, rtol=1e-13, atol=1e-13)
+        for got, want in zip(g_derivatives(j), exact):
+            np.testing.assert_allclose(got[0, ..., :1, :1], want, rtol=1e-13, atol=1e-13)
 
     def test_constant_entries_have_zero_derivatives(self):
         j = jet_at(conformal_chart("2"), (0.3, 0.7))
-        for d in (j.dg, j.ddg, j.dddg, j.dJ):
+        for d in (*j.dg, j.dJ):
             assert not np.any(d)
 
     def test_structure_derivative_matches_sympy(self):
@@ -275,9 +277,10 @@ def assert_matches_differences(chart, p, h=2.5e-4):
     j = jet_at(chart, p)
     assert_same_bits(j.g[0], chart.metric_at(p))
     assert_same_bits(j.J[0], chart.j_at(p))
-    for got, f in [(j.dg[0], chart.metric_at), (j.dJ[0], chart.j_at),
-                   (j.ddg[0], lambda q: jet_at(chart, q).dg[0]),
-                   (j.dddg[0], lambda q: jet_at(chart, q).ddg[0])]:
+    dg, ddg, dddg = (block[0] for block in g_derivatives(j))
+    for got, f in [(dg, chart.metric_at), (j.dJ[0], chart.j_at),
+                   (ddg, lambda q: g_derivatives(jet_at(chart, q))[0][0]),
+                   (dddg, lambda q: g_derivatives(jet_at(chart, q))[1][0])]:
         scale = max(1.0, float(np.max(np.abs(got))))
         assert np.max(np.abs(got - central(f, p, h))) <= 1e-9 * scale
 
@@ -298,7 +301,7 @@ class TestAgainstDifferences:
         # those at the point with every zero positive
         assert_matches_differences(CP2, p)
         j, unsigned = jet_at(CP2, p), jet_at(CP2, np.asarray(p) + 0.0)
-        for d, e in [(j.dg, unsigned.dg), (j.ddg, unsigned.ddg), (j.dddg, unsigned.dddg)]:
+        for d, e in zip(j.dg, unsigned.dg):
             assert np.array_equal(d, e)
 
     @pytest.mark.parametrize("name", ["cp2", "ch2", "s2xs2"])
@@ -324,9 +327,12 @@ def scan_points(seed, size=12):
 
 def assert_same_jet(group, k, alone):
     """The k-th point of a group's jet is the jet of that point alone, every
-    array bit for bit, the Cholesky frame included."""
-    for name in ("g", "J", "dg", "ddg", "dddg", "dJ", "Linv", "K"):
+    array bit for bit, the Cholesky frame included, with the same tables."""
+    for name in ("g", "J", "dJ", "Linv", "K"):
         assert_same_bits(getattr(group, name)[k], getattr(alone, name)[0])
+    for d, e in zip(group.dg, alone.dg, strict=True):
+        assert_same_bits(d[k], e[0])
+    assert group.gathers is alone.gathers
 
 
 def domain_points(chart, size, seed):
@@ -486,6 +492,25 @@ class TestStackedJets:
         assert built <= 2.5, built
         assert changed <= 1.5, changed
         assert (R.tobytes(), NJ.tobytes()) == before
+
+    def test_the_jet_through_nabla_R_holds_few_arrays_of_its_size(self):
+        # in units of one (P, n, n, n, n, n) array, P = 16 points at m = 4: the
+        # jet keeps g's derivatives distinct, and nabla R gathers its second
+        # derivatives of Gamma into its own two buffers
+        points = domain_points(CP4, 16, seed=4)
+        CP4.jet(points[:1])  # compiles the chart's programs
+        P, n = len(points), 8
+        tracemalloc.start()
+        try:
+            jet = CP4.jet(points)
+            nabla_R(jet)
+            peak = tracemalloc.get_traced_memory()[1] / (P * n**5 * 8)
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0, peak
+        held = [getattr(jet, field.name) for field in dataclasses.fields(jet)]
+        sizes = [a.size for x in held for a in (x if isinstance(x, tuple) else (x,))]
+        assert max(sizes) < P * n**5
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +853,9 @@ class TestNablaROracle:
         # nabla R vanishes on the bundled models, up to rounding in those terms
         group = chart.jet(chart.default_points)
         NR, R, gamma = nabla_R(group), riemann(group), group._connection[0]
+        blocks = g_derivatives(group)
         for k in range(len(group)):
-            want = nabla_R_oracle(group.g[k], group.dg[k], group.ddg[k], group.dddg[k])
+            want = nabla_R_oracle(group.g[k], *(block[k] for block in blocks))
             scale = max(np.max(np.abs(want)), np.max(np.abs(gamma[k])) * np.max(np.abs(R[k])))
             assert np.max(np.abs(NR[k] - want)) <= 1e-13 * scale
 
