@@ -167,51 +167,28 @@ def adapted_eigenframe(S: np.ndarray, J: np.ndarray, tol: float = 0.0) -> list:
     J of the same stack.
 
     Returns one frame per point: the orthonormal basis (e_1, Je_1, ...,
-    e_m, Je_m) as columns and the (m,) eigenvalues, the i-th that of
-    span{e_i, Je_i}; or None for a point whose S is not finite or not
-    J-invariant.  A point's frame does not depend on the others.  Sorted
-    eigenvalues split into eigenspaces where a gap exceeds max(tol, 1e-8).
-    With E an orthonormal basis of an eigenspace and M = E^T J E, each unit
-    +1 eigenvector x + iy of the Hermitian iM has Mx = y and
-    |x| = 1/sqrt(2), so e comes from E x and Je from E y.  If an eigenspace
-    has odd dimension or |JE - EM| exceeds max(tol, 1e-6), it is not
-    J-closed and S was not J-invariant.  The finite points take one `eigh`,
-    and the points that split alike take each eigenspace's products as
-    stacked calls, which work point by point.
+    e_m, Je_m) as columns and the (m,) ascending eigenvalues, the i-th that
+    of span{e_i, Je_i}; or None where S is not symmetric and J-invariant
+    within max(tol, INVARIANT_TOL) (`form_defects`, as in
+    `decomposition_residual`), as where S is not finite.  A J-invariant S
+    has its eigenvalues w in equal pairs: the i-th plane's is the mean of
+    w[2i] and w[2i+1].  S commutes with J, so S + icJ has the eigenvalues
+    lambda + c on the v with Jv = -iv and lambda - c on their conjugates;
+    at c = 2 max |w| (1 where S = 0) the halves lie 2/3 of its norm apart
+    at any scale.  Each unit v of the upper half gives e = sqrt(2) Re v and
+    Je = sqrt(2) Im v.  The points take one `eigvalsh` and one complex
+    `eigh`, which work point by point.
     """
     n = S.shape[-1]
-    sym = 0.5 * (S + np.swapaxes(S, -2, -1))
-    finite = np.flatnonzero(np.isfinite(sym).all(axis=(-2, -1)))  # eigh raises on inf or NaN
-    w, V = np.linalg.eigh(sym[finite])
-    split = np.diff(w, axis=-1) > max(tol, 1e-8)
-    alike: dict[bytes, list[int]] = {}
-    for k, row in enumerate(split):
-        alike.setdefault(row.tobytes(), []).append(k)
-    frames: list = [None] * len(S)
-    for points in map(np.array, alike.values()):
-        cuts = [0, *(np.flatnonzero(split[points[0]]) + 1).tolist(), n]
-        Vp, Jp, wp = V[points], J[finite[points]], w[points]
-        basis, eigenvalues = np.empty((len(points), n, n)), np.empty((len(points), n // 2))
-        failed = np.zeros(len(points), dtype=bool)
-        for block in map(slice, cuts, cuts[1:]):
-            E = Vp[:, :, block]
-            if E.shape[-1] % 2 == 1:
-                failed[:] = True
-                break
-            M = np.swapaxes(E, -2, -1) @ Jp @ E
-            failed |= ~(np.linalg.norm(Jp @ E - E @ M, axis=(-2, -1)) <= max(tol, 1e-6))
-            half = E.shape[-1] // 2
-            x = np.linalg.eigh(1j * M)[1][..., half:].real  # the eigenvalue +1 half
-            ex = np.sqrt(2.0) * E @ x
-            basis[:, :, block.start:block.stop:2] = ex
-            # J e for each column e, as one matrix-vector product each
-            basis[:, :, block.start + 1:block.stop:2] = np.swapaxes(
-                (Jp[:, None] @ np.swapaxes(ex, -2, -1)[..., None])[..., 0], -2, -1)
-            eigenvalues[:, block.start // 2:block.stop // 2] = wp[:, block].mean(axis=-1)[:, None]
-        for j, k in enumerate(finite[points]):
-            if not failed[j]:
-                frames[k] = basis[j], eigenvalues[j]
-    return frames
+    ok = np.flatnonzero(np.all(np.array(form_defects(S, J)) <= max(tol, INVARIANT_TOL), axis=0))
+    w = np.linalg.eigvalsh(S[ok])
+    # S + 2 max |w| iJ over a power of two: exact, and unlike 2 max |w| it cannot overflow
+    fraction, scale = np.frexp(np.max(np.abs(w), axis=-1, initial=0.0)[:, None, None])
+    c = np.maximum(2.0 * fraction, 1.0)  # 1 where S = 0
+    v = np.linalg.eigh(np.ldexp(S[ok], -scale) + 1j * c * J[ok])[1][..., n // 2:]
+    basis = np.sqrt(2.0) * np.stack([v.real, v.imag], axis=-1).reshape(-1, n, n)
+    found = dict(zip(ok.tolist(), zip(basis, 0.5 * (w[..., 0::2] + w[..., 1::2]))))
+    return [found.get(k) for k in range(len(S))]
 
 
 def einstein_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,12 +239,12 @@ def proof_relation_32_residual(frames: list, nablaS: np.ndarray, nablaJ: np.ndar
     maximized over i != j, all in one orthonormal frame (g = Id).  Takes
     the per-point list of frames that `adapted_eigenframe` returns and the
     stacks nablaS and nablaJ (P, n, n, n) and nu (P,), and gives one value
-    per point, or None where the frame is None: S is not J-invariant
-    there, and (3.2) does not apply.  On real and complex space forms every
-    term vanishes for any adapted frame: nabla S = 0, and either
-    (nabla_X J)X = 0 or lambda_i + lambda_j = 2 (2m-1) nu.  Elsewhere the
-    value depends on the choice of each e_i within its plane
-    span{e_i, Je_i}.
+    per point, or None where the frame is None, as is the decomposition
+    residual: S is not J-invariant there, and (3.2) does not apply.  On
+    real and complex space forms every term vanishes for any adapted frame:
+    nabla S = 0, and either (nabla_X J)X = 0 or lambda_i + lambda_j =
+    2 (2m-1) nu.  Elsewhere the value depends on which unit e_i of its
+    plane span{e_i, Je_i} the eigensolver's phase picks.
     """
     at = [k for k, frame in enumerate(frames) if frame is not None]
     if not at:

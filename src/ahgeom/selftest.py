@@ -73,13 +73,15 @@ def run_selftest(seed: int = 42) -> bool:
     for k in range(10):
         m = 2 + k % 2
         J = random_structure(m, rng)
-        # a random S has single J-planes as eigenspaces; for an Einstein S = 3g the
-        # whole space is one eigenspace
-        S = np.array([random_j_invariant_bilinear(J, rng), 3.0 * np.eye(2 * m)])
-        for S_k, (B, lam) in zip(S, adapted_eigenframe(S, np.array([J, J]))):
+        plane = np.outer(J[:, 0], J[:, 0]) + np.diag(np.eye(2 * m)[0])  # onto span{e_1, Je_1}
+        # a random S has single J-planes as eigenspaces; g + 2 plane has the eigenvalue 3 on
+        # the plane and 1 on the others, (1, 1, 3) at m = 3; 3g and 0 have one eigenspace
+        S = np.array([random_j_invariant_bilinear(J, rng), np.eye(2 * m) + 2.0 * plane,
+                      3.0 * np.eye(2 * m), np.zeros((2 * m, 2 * m))])
+        for S_k, (B, lam) in zip(S, adapted_eigenframe(S, np.array([J] * len(S)))):
             worst = max(worst, float(np.max(np.abs(S_k - (B * np.repeat(lam, 2)) @ B.T))))
-    check("adapted eigenframe reconstructs random and Einstein S", worst < 1e-9,
-          f"max gap {worst:.3e}")
+    check("adapted eigenframe reconstructs random, Einstein, (1, 1, 3) and zero S",
+          worst < 1e-9, f"max gap {worst:.3e}")
 
     worst = 0.0
     for k in range(10):

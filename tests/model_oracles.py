@@ -251,22 +251,21 @@ def psi_oracle(Q, J):
 
 
 def eigenframe_oracle(S, J, tol):
-    """One point's adapted frame as `analysis.adapted_eigenframe` took it
-    before it took stacks: 2-D products per eigenspace and J e one column
-    at a time.  None where an eigenspace is not J-closed."""
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    cuts = [0, *(np.flatnonzero(np.diff(w) > max(tol, 1e-8)) + 1).tolist(), w.size]
+    """One point's adapted frame as `analysis.adapted_eigenframe` takes it,
+    in 2-D calls and one plane at a time.  None unless S is symmetric and
+    J-invariant within max(tol, 1e-8)."""
+    defect = max(np.max(np.abs(S - S.T)), np.max(np.abs(J.T @ S @ J - S)))
+    if not defect <= max(tol, 1e-8):
+        return None
+    w = np.linalg.eigvalsh(S)
+    m = w.size // 2
+    # S + 2 max |w| iJ (iJ where S = 0), over a power of two at least max |w|
+    fraction, scale = np.frexp(np.max(np.abs(w)))
+    v = np.linalg.eigh(np.ldexp(S, -scale) + 1j * max(2.0 * fraction, 1.0) * J)[1][:, m:]
     basis_cols, eigenvalues = [], []
-    for block in map(slice, cuts, cuts[1:]):
-        E = V[:, block]
-        M = E.T @ J @ E
-        if E.shape[1] % 2 or np.linalg.norm(J @ E - E @ M) > max(tol, 1e-6):
-            return None
-        half = E.shape[1] // 2
-        x = np.linalg.eigh(1j * M)[1][:, half:].real
-        for e in (np.sqrt(2.0) * E @ x).T:
-            basis_cols += [e, J @ e]
-        eigenvalues += [float(w[block].mean())] * half
+    for i in range(m):
+        basis_cols += [np.sqrt(2.0) * v[:, i].real, np.sqrt(2.0) * v[:, i].imag]
+        eigenvalues.append(0.5 * (w[2 * i] + w[2 * i + 1]))
     return np.column_stack(basis_cols), np.array(eigenvalues)
 
 

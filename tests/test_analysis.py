@@ -48,6 +48,7 @@ from ahgeom.tensor_core import (
     ah_identity_residual,
     build_from_decomposition,
     fit_pi_span,
+    form_defects,
     pi1,
     pi2,
     riemann_symmetry_residual,
@@ -215,21 +216,26 @@ class TestConstancy:
 # ---------------------------------------------------------------------------
 
 
-def mixed_stack():
-    """Six points' (S, J) at m = 3 with one structure J: a random J-invariant
-    S (three eigenspaces), a scalar S (one), S of eigenvalues 1, 1, 3 and
-    3, 1, 1 on J-planes (4 + 2 both: they split alike), an S whose
-    eigenspaces are coordinate planes, not J-closed, but split like the
-    random S's, and another random J-invariant S."""
-    rng = np.random.default_rng(11)
-    J = random_structure(3, rng)
+def adapted_basis(J, rng):
+    """A random orthonormal frame adapted to J, as the columns (e_1, Je_1,
+    ..., e_m, Je_m)."""
     cols = []
-    for _ in range(3):
-        v = rng.standard_normal(6)
+    for _ in range(len(J) // 2):
+        v = rng.standard_normal(len(J))
         v = v - sum((c @ v) * c for c in cols)
         v = v / np.sqrt(v @ v)
         cols += [v, J @ v]
-    flat = np.column_stack(cols)
+    return np.column_stack(cols)
+
+
+def mixed_stack():
+    """Six points' (S, J) at m = 3 with one structure J: a random J-invariant
+    S (three eigenspaces), a scalar S (one), S of eigenvalues 1, 1, 3 and
+    3, 1, 1 on J-planes (4 + 2 both), an S whose eigenspaces are
+    coordinate planes, not J-closed, and another random J-invariant S."""
+    rng = np.random.default_rng(11)
+    J = random_structure(3, rng)
+    flat = adapted_basis(J, rng)
     S = [random_j_invariant_bilinear(J, rng), 2.5 * np.eye(6),
          (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T, np.diag([1.0, 1.0, 2.0, 2.0, 4.0, 4.0]),
          random_j_invariant_bilinear(J, rng), (flat * np.repeat([3.0, 1.0, 1.0], 2)) @ flat.T]
@@ -242,15 +248,17 @@ def one_frame(S, J, tol=0.0):
 
 
 class TestAdaptedEigenframe:
-    def _check_frame(self, S, J, frame, tol=1e-9):
+    def _check_frame(self, S, J, frame, tol=1e-9, size=1.0):
+        """The frame is orthonormal and adapted to tol, and S e = lambda e to
+        tol times size."""
         B, eigenvalues = frame
         assert np.max(np.abs(B.T @ B - np.eye(len(J)))) < tol
         for i, lam in enumerate(eigenvalues):
             e, je = B[:, 2 * i], B[:, 2 * i + 1]
-            np.testing.assert_allclose(je, J @ e, atol=tol)
+            np.testing.assert_allclose(je, J @ e, rtol=0, atol=tol)
             # S e = lambda e in the bilinear sense: S(e, .) = lambda g(e, .), g = Id
-            assert np.max(np.abs(S @ e - lam * e)) < tol
-            assert np.max(np.abs(S @ je - lam * je)) < tol
+            assert np.max(np.abs(S @ e - lam * e)) < tol * size
+            assert np.max(np.abs(S @ je - lam * je)) < tol * size
 
     def test_scalar_case(self):
         S, J = 2.5 * np.eye(6), standard_j(3)
@@ -294,21 +302,15 @@ class TestAdaptedEigenframe:
         # eigenvalues 1, 1, 3 on the J-planes of a J-adapted orthonormal frame
         rng = np.random.default_rng(8)
         J = random_structure(3, rng)
-        cols = []
-        for _ in range(3):
-            v = rng.standard_normal(6)
-            v = v - sum((c @ v) * c for c in cols)
-            v = v / np.sqrt(v @ v)
-            cols += [v, J @ v]
-        flat = np.column_stack(cols)
+        flat = adapted_basis(J, rng)
         S = (flat * np.repeat([1.0, 1.0, 3.0], 2)) @ flat.T
         frame = one_frame(S, J)
         assert frame[1].tolist() == pytest.approx([1.0, 1.0, 3.0])
         self._check_frame(S, J, frame)
 
     def test_a_stack_has_the_bits_of_one_point_at_a_time(self):
-        # points that split alike share each eigenspace's products; a point
-        # that is not J-invariant gets None and leaves its neighbours alone
+        # the stacked eigensolvers work point by point; a point that is not
+        # J-invariant gets None and leaves its neighbours alone
         S, J = mixed_stack()
         frames = adapted_eigenframe(S, J, 1e-8)
         assert [frame is None for frame in frames] == [False, False, False, True, False, False]
@@ -325,6 +327,67 @@ class TestAdaptedEigenframe:
         S = np.diag([3.0, 3.0 + noise, 3.0 - noise, 3.0])
         _, eigenvalues = one_frame(S, standard_j(2), 1e-8)
         assert eigenvalues.tolist() == pytest.approx([3.0, 3.0])
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-4])
+    def test_none_exactly_where_the_decomposition_residual_is(self, tol):
+        # one J-invariance rule for both checks: an exact S, the same S with
+        # e_1 turned towards e_2, out of its J-plane, by J-defects of about
+        # 1e-7 and 1e-3, and an S that is not finite
+        rng = np.random.default_rng(21)
+        J = random_structure(2, rng)
+        flat = adapted_basis(J, rng)
+        S = []
+        for angle in (0.0, 5e-8, 5e-4):
+            turn = np.eye(4)
+            turn[np.ix_([0, 2], [0, 2])] = [[np.cos(angle), -np.sin(angle)],
+                                            [np.sin(angle), np.cos(angle)]]
+            F = flat @ turn
+            S.append((F * np.repeat([1.0, 3.0], 2)) @ F.T)
+        S = np.array([*S, np.diag([1.0, np.nan, 1.0, 1.0])])
+        defects = form_defects(S, np.array([J] * 4))[1]
+        assert defects[0] < 1e-14 and 5e-8 < defects[1] < 5e-7 and 5e-4 < defects[2] < 5e-3
+        frames = adapted_eigenframe(S, np.array([J] * 4), tol)
+        values = decomposition_residual(np.array([pi1(4)] * 4), S, np.array([J] * 4),
+                                        np.ones(4), tol=tol)
+        assert [f is None for f in frames] == [v is None for v in values] == \
+            [False, tol < 1e-7, True, True]
+
+    @given(m=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-9, 1.0, 1e8]))
+    @settings(max_examples=60, deadline=None)
+    def test_frames_at_every_scale(self, m, seed, scale):
+        # the J-planes share eigenvalues at random, from one distinct value to m
+        rng = np.random.default_rng(seed)
+        J = random_structure(m, rng)
+        F = adapted_basis(J, rng)
+        lams = rng.choice(rng.uniform(-2.0, 2.0, size=m), size=m)
+        S = scale * (F * np.repeat(lams, 2)) @ F.T
+        size = scale * np.max(np.abs(lams))
+        # this S is J-invariant to rounding, about 1e-16 of its size
+        frame = one_frame(S, J, 1e-12 * size)
+        assert frame[1] == pytest.approx(scale * np.sort(lams), rel=0, abs=1e-12 * size)
+        self._check_frame(S, J, frame, tol=1e-12, size=size)
+
+    @pytest.mark.parametrize("S, tol, want", [
+        (np.diag([1.0, 1.0, 1.0 + 5e-5, 1.0 + 5e-5]), 1e-4, [1.0, 1.0 + 5e-5]),
+        (1e-9 * np.diag([1.0, 1.0, 3.0, 3.0]), 0.0, [1e-9, 3e-9]),
+    ])
+    def test_close_or_small_eigenvalues_keep_their_planes(self, S, tol, want):
+        # an eigenspace split at a gap above max(tol, 1e-8) merged both pairs
+        frame = one_frame(S, standard_j(2), tol)
+        assert frame[1] == pytest.approx(want, rel=1e-12)
+        self._check_frame(S, standard_j(2), frame, tol=1e-12, size=np.max(np.abs(S)))
+
+    def test_a_huge_ricci_takes_no_neighbour_down(self):
+        # 2 max |w| overflows here, and an eigh of S + 2 max |w| iJ raises for
+        # the whole stack; that matrix over a power of two does not
+        J = standard_j(2)
+        S = np.array([np.diag([2.0, 2.0, 5.0, 5.0]), 1e308 * np.diag([0.5, 0.5, 1.0, 1.0])])
+        with np.errstate(over="ignore"):  # the mean of the pair 1e308, 1e308 is inf
+            frames = adapted_eigenframe(S, np.array([J, J]))
+        assert [a.tobytes() for a in frames[0]] == [a.tobytes() for a in one_frame(S[0], J)]
+        assert frames[1][1][0] == 5e307
+        self._check_frame(S[1] * 1e-308, J, (frames[1][0], [0.5, 1.0]), tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -764,7 +764,7 @@ class TestStackedChecks:
                 assert [c.fields[name] is not None for c in group] == [framed] * len(points)
 
     def test_the_surfaces_split_their_eigenspaces_differently(self):
-        # so one group takes several stacked eigenspace patterns
+        # so one stacked eigenframe call mixes points of several eigenvalue multiplicities
         splits = []
         for checks in checks_of(SURFACES3, SURFACES3.default_points, 1e-4):
             w = np.linalg.eigvalsh(ricci(checks.R))
